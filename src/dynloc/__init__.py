@@ -8,12 +8,11 @@ simulation engine, and a sweep/CLI layer that reproduces full experiment
 grids bit-exactly from a seed.
 """
 
-from .engine import EventRecord, PairedResult, RunConfig, RunMetrics, RunResult, run, run_paired
+from .engine import EventRecord, RunConfig, RunMetrics, RunResult, run
 from .geometry import (
     LocalizationSample,
     NoiseModel,
     Position,
-    absolute_error,
     distance,
     localize,
     threshold_accuracy,
@@ -48,7 +47,6 @@ from .protocols import (
     backtrack_correct,
     dvm_init,
     dvm_on_localize,
-    held_position,
     madrd_init,
     madrd_on_localize,
     madrd_predict,

@@ -239,7 +239,7 @@ def _cmd_simulate(args) -> int:
     ]
     _emit("\n".join(lines) + "\n", args.out)
     if args.events_out is not None:
-        experiments.write_events_csv(args.events_out, provenance, result.events)
+        experiments.write_events_csv(args.events_out, provenance, result)
     return EXIT_OK
 
 

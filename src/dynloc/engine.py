@@ -1,19 +1,32 @@
-"""Discrete-time simulation engine: drive one scheduler over one mobility trace.
+"""Fix-driven simulation engine: drive one scheduler over one mobility trace.
 
-The engine owns the clock and the measurement noise.  At every grid step it
-asks the active scheduler for the node's reported position, compares it with
-the ground truth, and logs one event row.  Localizations fire at the first
-grid step at or after the scheduler's requested time (ceiling snap onto the
-dt grid); the very first fix is forced at t=0.  A run is fully determined by
-its config and seed -- the noise stream is the only randomness, and it is
-seeded explicitly.
+The engine owns the clock and the measurement noise.  Localizations fire at
+the first grid step at or after the scheduler's requested time (ceiling snap
+onto the dt grid), at most one per step; the very first fix is forced at t=0.
+
+Python steps once per fix, not once per grid step.  Each fix runs the
+scheduler, and a binary search over the grid finds the step of the next fix.
+The reported track is then filled in array form: SFR and DVM hold each fix
+over its segment, MADRD dead-reckons ``fix + velocity * (t - t_fix)``.  With
+backtracking on, every closed interval between two fixes is rewritten with
+the time-linear interpolation of its bounding fixes, all intervals in one
+array pass.  Every float comes from the same IEEE operations a per-step loop
+would apply, and errors go through :func:`math.hypot` (``np.hypot`` differs
+in the last ulp), so the result is bit-identical to stepping the grid point by
+point.
+
+A run returns per-step columns as read-only arrays, the fixes, and scalar
+metrics; :attr:`RunResult.events` builds row tuples only when asked.  A run is
+fully determined by its config and seed -- the noise stream is the only
+randomness, and it is seeded explicitly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,12 +43,12 @@ from .protocols import (
     MadrdConfig,
     SchedulerState,
     SfrConfig,
-    backtrack_correct,
+    backtrack_correct,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
     dvm_init,
     dvm_on_localize,
     madrd_init,
     madrd_on_localize,
-    madrd_predict,
+    madrd_predict,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
     sfr_init,
     sfr_on_localize,
 )
@@ -46,9 +59,7 @@ __all__ = [
     "RunMetrics",
     "EventRecord",
     "RunResult",
-    "PairedResult",
     "run",
-    "run_paired",
 ]
 
 _SCHED_EPS = 1e-9
@@ -84,7 +95,7 @@ class RunConfig:
 
 
 class EventRecord(NamedTuple):
-    """One row per dt step of the run."""
+    """One row per dt step of the run; the fields name the columns of :class:`RunResult`."""
 
     t: float
     true_x: float
@@ -99,7 +110,6 @@ class EventRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class RunMetrics:
-    error_series: list[tuple[float, float]]
     localization_count: int
     accuracy: float
     mean_error: float
@@ -107,176 +117,136 @@ class RunMetrics:
     correction_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
+    """One run: scalar metrics, the fixes, and one read-only column per event field.
+
+    Columns have one entry per grid step.  ``localized`` is 1 at fix steps;
+    ``period`` is the scheduler's period after the step's latest fix;
+    ``confidence`` holds MADRD's state name and is empty for SFR and DVM.
+    Compare two results column by column (``np.array_equal``), not with ``==``.
+    """
+
     metrics: RunMetrics
-    events: list[EventRecord]
     samples: list[LocalizationSample]
+    t: np.ndarray
+    true_x: np.ndarray
+    true_y: np.ndarray
+    reported_x: np.ndarray
+    reported_y: np.ndarray
+    error: np.ndarray
+    localized: np.ndarray
+    period: np.ndarray
+    confidence: np.ndarray
+
+    def columns(self) -> list[list]:
+        """The event columns as Python lists, in :class:`EventRecord` field order."""
+        return [getattr(self, name).tolist() for name in EventRecord._fields]
+
+    @property
+    def events(self) -> list[EventRecord]:
+        """Row view of the columns, built on each access."""
+        return list(map(EventRecord._make, zip(*self.columns())))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.hypot`; ``np.hypot`` differs from it in the last ulp."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
 
 
 def run(cfg: RunConfig) -> RunResult:
     """Simulate one node/protocol pair over the full trace.
 
-    Per grid step: fire a localization if one is due, then record the reported
-    position, its error against ground truth, and the scheduler's period and
-    confidence.  With backtracking enabled, each new fix rewrites the reported
-    points of the interval it closes with the time-linear interpolation of its
-    two bounding fixes (the correction is applied to the event log and the
-    error series; corrections larger than the noise bound are counted).
+    Per fix: take a noisy fix at the current grid step, advance the scheduler,
+    and jump to the first step with ``t + eps >= next_localization_time``.
+    The steps in between report the held fix (SFR/DVM) or its dead-reckoned
+    extrapolation (MADRD).  With backtracking enabled, each fix then rewrites
+    the reported points of the interval it closes with the time-linear
+    interpolation of its two bounding fixes; rows after the last fix stay as
+    reported.  Corrections larger than the noise bound are counted.  Errors
+    are measured against ground truth after any correction.
     """
     trace = cfg.trace
-    times = trace.times.tolist()
-    true_xs = trace.xs.tolist()
-    true_ys = trace.ys.tolist()
+    times = trace.times
+    n = times.size
+    # A fix requested at time r fires at the first step k with times[k] + eps >= r:
+    # bisect_left over this list is np.searchsorted(times + eps, r) without the
+    # per-call numpy overhead.
+    due = (times + _SCHED_EPS).tolist()
+    t_list = times.tolist()
+    x_list = trace.xs.tolist()
+    y_list = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
     init = _INIT[cfg.protocol]
     on_localize = _ON_LOCALIZE[cfg.protocol]
     pcfg = cfg.protocol_config
-    predicts = cfg.protocol == "madrd"
-    tracks_confidence = predicts
 
+    fix_steps: list[int] = []
+    states: list[SchedulerState] = []
     state: SchedulerState | None = None
-    events: list[EventRecord] = []
-    samples: list[LocalizationSample] = []
-    pending: list[int] = []  # event indices since the last fix (backtracking)
+    k = 0
+    while k < n:
+        t = t_list[k]
+        sample = localize(Position(x_list[k], y_list[k]), noise, rng, t=t)
+        state = init(sample, pcfg) if state is None else on_localize(state, sample, pcfg)
+        fix_steps.append(k)
+        states.append(state)
+        k = max(bisect_left(due, state.next_localization_time), k + 1)
+
+    samples = [s.last_sample for s in states]
+    fixes = np.array(fix_steps)
+    seg = np.diff(fixes, append=n)  # grid steps reported from each fix
+    fix_t = np.array([s.t for s in samples])
+    fix_x = np.array([s.measured.x for s in samples])
+    fix_y = np.array([s.measured.y for s in samples])
+    localized = np.zeros(n, dtype=np.int8)
+    localized[fixes] = 1
+    period = np.repeat(np.array([s.current_period for s in states], dtype=float), seg)
+    if cfg.protocol == "madrd":
+        # Same operations as madrd_predict: m + v * (t - t_fix).
+        elapsed = times - np.repeat(fix_t, seg)
+        rep_x = np.repeat(fix_x, seg) + np.repeat([s.velocity_estimate[0] for s in states], seg) * elapsed
+        rep_y = np.repeat(fix_y, seg) + np.repeat([s.velocity_estimate[1] for s in states], seg) * elapsed
+        confidence = np.repeat([s.confidence.name for s in states], seg)
+    else:
+        rep_x = np.repeat(fix_x, seg)
+        rep_y = np.repeat(fix_y, seg)
+        confidence = np.full(n, "", dtype="<U2")
+
     correction_count = 0
+    if cfg.backtracking_enabled:
+        # Steps strictly inside a closed interval, and the fix that opens it.
+        owner = np.repeat(np.arange(fixes.size), seg)
+        inner = np.flatnonzero((localized == 0) & (owner < fixes.size - 1))
+        j = owner[inner]
+        # Same operations as backtrack_correct: a + frac * (b - a).
+        frac = (times[inner] - fix_t[j]) / (fix_t[j + 1] - fix_t[j])
+        cx = fix_x[j] + frac * (fix_x[j + 1] - fix_x[j])
+        cy = fix_y[j] + frac * (fix_y[j + 1] - fix_y[j])
+        moved = _hypot(cx - rep_x[inner], cy - rep_y[inner])
+        correction_count = int(np.count_nonzero(moved > noise.max_magnitude))
+        rep_x[inner] = cx
+        rep_y[inner] = cy
 
-    for k, t in enumerate(times):
-        tx = true_xs[k]
-        ty = true_ys[k]
-        localized = 0
-        if state is None or t + _SCHED_EPS >= state.next_localization_time:
-            sample = localize(Position(tx, ty), noise, rng, t=t)
-            if state is None:
-                state = init(sample, pcfg)
-            else:
-                prev_fix = state.last_sample
-                state = on_localize(state, sample, pcfg)
-                if cfg.backtracking_enabled and pending:
-                    series = [
-                        (events[i].t, Position(events[i].reported_x, events[i].reported_y))
-                        for i in pending
-                    ]
-                    corrected, moved = backtrack_correct(prev_fix, sample, series, noise.max_magnitude)
-                    correction_count += moved
-                    for i, (ct, cpos) in zip(pending, corrected):
-                        old = events[i]
-                        err = math.hypot(cpos.x - old.true_x, cpos.y - old.true_y)
-                        events[i] = old._replace(reported_x=cpos.x, reported_y=cpos.y, error=err)
-            samples.append(sample)
-            pending = []
-            localized = 1
-        if predicts:
-            reported = madrd_predict(state, t)
-            rx, ry = reported.x, reported.y
-        else:
-            m = state.last_sample.measured
-            rx, ry = m.x, m.y
-        error = math.hypot(rx - tx, ry - ty)
-        conf = state.confidence.name if tracks_confidence else ""
-        events.append(EventRecord(t, tx, ty, rx, ry, error, localized, state.current_period, conf))
-        if not localized:
-            pending.append(len(events) - 1)
-
-    errors = np.array([e.error for e in events])
+    errors = _hypot(rep_x - trace.xs, rep_y - trace.ys)
     metrics = RunMetrics(
-        error_series=[(e.t, e.error) for e in events],
         localization_count=len(samples),
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),
         correction_count=correction_count,
     )
-    return RunResult(metrics=metrics, events=events, samples=samples)
-
-
-# ---------------------------------------------------------------------------
-# Paired runs: same ground truth, same noise seed, one run per protocol.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairedResult:
-    """Per-protocol results over a shared set of traces, plus SFR-normalized ratios."""
-
-    metrics: dict[str, RunMetrics]
-    results: dict[str, list[RunResult]]
-    ratio_to_sfr: dict[str, float]
-    trace_hashes: list[str]
-
-
-def _pooled_metrics(results: Sequence[RunResult], dist_tolerance: float) -> RunMetrics:
-    errors = np.concatenate([[e for _, e in r.metrics.error_series] for r in results])
-    return RunMetrics(
-        error_series=[pair for r in results for pair in r.metrics.error_series],
-        localization_count=sum(r.metrics.localization_count for r in results),
-        accuracy=threshold_accuracy(errors, dist_tolerance),
-        mean_error=float(errors.mean()),
-        max_error=float(errors.max()),
-        correction_count=sum(r.metrics.correction_count for r in results),
-    )
-
-
-def run_paired(
-    traces: Sequence[MobilityTrace],
-    protocol_set: Sequence[tuple[str, str, SfrConfig | DvmConfig | MadrdConfig]],
-    noise: NoiseModel = NoiseModel(),
-    dist_tolerance: float = 5.0,
-    seed: int = 0,
-    backtracking_enabled: bool = False,
-) -> PairedResult:
-    """Run every protocol in the set over the *same* traces and noise seeds.
-
-    ``protocol_set`` entries are ``(label, kind, config)``.  Each trace/label
-    pair runs with a noise seed derived only from ``seed`` and the trace
-    index, so every protocol sees an identical ground truth and an identically
-    seeded noise stream (protocols that localize more often simply consume
-    more of it).  Localization-count ratios are normalized to the first
-    protocol of kind ``"sfr"``; an SFR baseline compared against itself is
-    exactly 1.0.
-    """
-    if not traces:
-        raise ValueError("run_paired needs at least one trace")
-    if not protocol_set:
-        raise ValueError("run_paired needs at least one protocol")
-    labels = [label for label, _, _ in protocol_set]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"protocol labels must be unique, got {labels}")
-
-    trace_seeds = [
-        int(np.random.SeedSequence([seed, i]).generate_state(1, np.uint64)[0])
-        for i in range(len(traces))
-    ]
-    results: dict[str, list[RunResult]] = {}
-    for label, kind, pconfig in protocol_set:
-        runs: list[RunResult] = []
-        for trace, tseed in zip(traces, trace_seeds):
-            runs.append(
-                run(
-                    RunConfig(
-                        trace=trace,
-                        protocol=kind,
-                        protocol_config=pconfig,
-                        noise=noise,
-                        dist_tolerance=dist_tolerance,
-                        seed=tseed,
-                        backtracking_enabled=backtracking_enabled,
-                    )
-                )
-            )
-        results[label] = runs
-
-    metrics = {label: _pooled_metrics(runs, dist_tolerance) for label, runs in results.items()}
-    ratio_to_sfr: dict[str, float] = {}
-    baseline = next((label for label, kind, _ in protocol_set if kind == "sfr"), None)
-    if baseline is not None:
-        base_count = metrics[baseline].localization_count
-        for label in labels:
-            ratio_to_sfr[label] = metrics[label].localization_count / base_count
-    return PairedResult(
-        metrics=metrics,
-        results=results,
-        ratio_to_sfr=ratio_to_sfr,
-        trace_hashes=[t.content_hash() for t in traces],
+    return RunResult(
+        metrics,
+        samples,
+        times,
+        trace.xs,
+        trace.ys,
+        *(_readonly(c) for c in (rep_x, rep_y, errors, localized, period, confidence)),
     )

@@ -67,17 +67,7 @@ __all__ = [
 
 WORKERS_ENV_VAR = "DYNLOC_WORKERS"
 
-EVENT_COLUMNS = (
-    "t",
-    "true_x",
-    "true_y",
-    "reported_x",
-    "reported_y",
-    "error",
-    "localized",
-    "period",
-    "confidence",
-)
+EVENT_COLUMNS = EventRecord._fields
 
 RUNS_COLUMNS = (
     "speed_class",
@@ -151,6 +141,13 @@ class SweepSpec:
     backtracking_enabled: bool = False
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.name == "speed_classes":
+                value = [v for c in value for v in c]
+            values = value if isinstance(value, tuple | list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"field {f.name!r}: must be finite, got {value!r}")
         if not self.speed_classes:
             raise ValueError("field 'speed_classes': need at least one class")
         for lo, hi in self.speed_classes:
@@ -171,6 +168,9 @@ class SweepSpec:
             raise ValueError(f"field 'mobility': must be rwp or gauss_markov, got {self.mobility!r}")
         if self.noise_max < 0 or self.dist_tolerance < 0:
             raise ValueError("fields 'noise'/'dist_tolerance': must be >= 0")
+        for pspec in self.protocols:
+            for class_index in range(len(self.speed_classes)):
+                resolve_protocol_config(pspec, class_index, len(self.speed_classes))
 
 
 @dataclass(frozen=True)
@@ -408,18 +408,19 @@ def _run_cell(
                 "backtracking": spec.backtracking_enabled,
             }
             path = Path(events_dir) / _events_filename(speed, pause, pspec.label, rep)
-            write_events_csv(path, run_provenance, result.events)
+            write_events_csv(path, run_provenance, result)
     return records
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(WORKERS_ENV_VAR, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError as exc:
-        raise ValueError(f"field '{WORKERS_ENV_VAR}': not an integer: {env!r}") from exc
+def _worker_count(workers: int | None, n_cells: int) -> int:
+    """Processes to use: the request (or $DYNLOC_WORKERS), capped by cells and CPUs."""
+    if workers is None:
+        env = os.environ.get(WORKERS_ENV_VAR, "")
+        try:
+            workers = int(env) if env else 1
+        except ValueError as exc:
+            raise ValueError(f"field '{WORKERS_ENV_VAR}': not an integer: {env!r}") from exc
+    return max(1, min(workers, n_cells, os.cpu_count() or 1))
 
 
 def run_sweep(
@@ -430,8 +431,9 @@ def run_sweep(
     """Execute the full sweep; records come back in deterministic cell order.
 
     ``workers`` > 1 fans cells out over a process pool (default comes from
-    the ``DYNLOC_WORKERS`` environment variable, falling back to serial).
-    Results are identical regardless of worker count.
+    the ``DYNLOC_WORKERS`` environment variable, falling back to serial); the
+    pool never gets more processes than there are cells or CPUs.  Results are
+    identical regardless of worker count.
     """
     if events_dir is not None:
         events_dir = str(events_dir)
@@ -442,9 +444,9 @@ def run_sweep(
         for pi in range(len(spec.pause_times))
         for rep in range(spec.repetitions)
     ]
-    n = _worker_count(workers)
+    n = _worker_count(workers, len(cells))
     records: list[RunRecord] = []
-    if n <= 1 or len(cells) <= 1:
+    if n == 1:
         for ci, pi, rep in cells:
             records.extend(_run_cell(spec, ci, pi, rep, events_dir))
     else:
@@ -614,8 +616,14 @@ def write_summary_csv(path: str | os.PathLike, spec: SweepSpec, rows: Sequence[S
     _write_csv(path, "summary", spec_to_dict(spec), SUMMARY_COLUMNS, table)
 
 
-def write_events_csv(path: str | os.PathLike, config: dict, events: Sequence[EventRecord]) -> None:
-    _write_csv(path, "events", config, EVENT_COLUMNS, events)
+def write_events_csv(path: str | os.PathLike, config: dict, result: RunResult) -> None:
+    """Write a run's event log straight from its columns, one row per grid step."""
+    # Floats print through repr of Python floats, as _fmt does; a numpy scalar's
+    # repr would read "np.float64(...)".  Rows are formatted as they are written.
+    cells = [col if isinstance(col[0], str) else map(repr, col) for col in result.columns()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*_header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _parse_number_list(raw: str, field_name: str) -> list[float]:

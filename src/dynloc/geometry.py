@@ -20,7 +20,6 @@ __all__ = [
     "LocalizationSample",
     "distance",
     "localize",
-    "absolute_error",
     "threshold_accuracy",
 ]
 
@@ -90,11 +89,6 @@ def localize(
         true_pos.y + magnitude * math.sin(angle),
     )
     return LocalizationSample(t=t, measured=measured)
-
-
-def absolute_error(reported: Position, true_pos: Position) -> float:
-    """Distance between a reported position and the true one."""
-    return distance(reported, true_pos)
 
 
 def threshold_accuracy(errors: Sequence[float] | Iterable[float], tolerance: float) -> float:

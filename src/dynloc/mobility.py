@@ -19,6 +19,7 @@ produce the same trace, bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -117,6 +118,13 @@ class MobilityTrace:
         return h.hexdigest()
 
 
+def _require_finite(cfg) -> None:
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class RandomWaypointConfig:
     area_w: float = 300.0
@@ -129,6 +137,7 @@ class RandomWaypointConfig:
     node_id: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.area_w <= 0 or self.area_h <= 0:
             raise ValueError("area dimensions must be positive")
         if not (0 < self.v_min <= self.v_max):
@@ -154,6 +163,7 @@ class GaussMarkovConfig:
     node_id: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.area_w <= 0 or self.area_h <= 0:
             raise ValueError("area dimensions must be positive")
         if self.mean_speed < 0:
@@ -219,21 +229,23 @@ def generate_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator) -> M
     """
     times = _grid(cfg.duration, cfg.dt)
     n = times.size
-    xs = np.empty(n)
-    ys = np.empty(n)
     x = rng.uniform(0.0, cfg.area_w)
     y = rng.uniform(0.0, cfg.area_h)
-    xs[0] = x
-    ys[0] = y
+    xs = [x]
+    ys = [y]
     speed = cfg.mean_speed
     heading = rng.uniform(0.0, 2.0 * math.pi)
     mean_heading = heading
     m = cfg.memory
     drift = math.sqrt(max(0.0, 1.0 - m * m))
-    for k in range(1, n):
-        speed = m * speed + (1.0 - m) * cfg.mean_speed + drift * cfg.speed_sigma * rng.standard_normal()
-        heading = m * heading + (1.0 - m) * mean_heading + drift * cfg.direction_sigma * rng.standard_normal()
-        speed = max(0.0, speed)
+    speed_pull = (1.0 - m) * cfg.mean_speed
+    # Every step's two normal draws at once, in the order a per-step
+    # recurrence consumes them (speed, then heading); only the reflecting
+    # recurrence itself stays in the loop.
+    kicks = rng.standard_normal((n - 1, 2)) * [drift * cfg.speed_sigma, drift * cfg.direction_sigma]
+    for speed_kick, heading_kick in kicks.tolist():
+        speed = max(0.0, m * speed + speed_pull + speed_kick)
+        heading = m * heading + (1.0 - m) * mean_heading + heading_kick
         x += speed * cfg.dt * math.cos(heading)
         y += speed * cfg.dt * math.sin(heading)
         while not (0.0 <= x <= cfg.area_w and 0.0 <= y <= cfg.area_h):
@@ -245,9 +257,9 @@ def generate_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator) -> M
                 y = -y if y < 0.0 else 2.0 * cfg.area_h - y
                 heading = -heading
                 mean_heading = -mean_heading
-        xs[k] = x
-        ys[k] = y
-    return MobilityTrace(cfg.node_id, times, xs, ys, cfg.dt, cfg.area_w, cfg.area_h)
+        xs.append(x)
+        ys.append(y)
+    return MobilityTrace(cfg.node_id, times, np.array(xs), np.array(ys), cfg.dt, cfg.area_w, cfg.area_h)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "madrd_init",
     "madrd_on_localize",
     "madrd_predict",
-    "held_position",
     "backtrack_correct",
 ]
 
@@ -102,7 +101,7 @@ class MadrdConfig:
         if not math.isfinite(self.divergence_threshold) or self.divergence_threshold <= 0:
             raise ValueError(f"divergence_threshold must be > 0, got {self.divergence_threshold}")
         _check_limits(self.t_min, self.t_max)
-        if self.period_growth < 1.0:
+        if not math.isfinite(self.period_growth) or self.period_growth < 1.0:
             raise ValueError(f"period_growth must be >= 1, got {self.period_growth}")
         if not (0 < self.period_shrink <= 1.0):
             raise ValueError(f"period_shrink must be in (0, 1], got {self.period_shrink}")
@@ -264,13 +263,8 @@ def madrd_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: Ma
 
 
 # ---------------------------------------------------------------------------
-# Reporting and retrospective correction
+# Retrospective correction
 # ---------------------------------------------------------------------------
-
-
-def held_position(state: SchedulerState, t: float) -> Position:
-    """SFR/DVM report: the last measured fix, held constant."""
-    return state.last_sample.measured
 
 
 def backtrack_correct(

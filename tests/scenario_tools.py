@@ -1,15 +1,23 @@
-"""Shared test scaffolding: brute-force error oracles and synthetic maneuver traces.
+"""Shared test scaffolding: brute-force error oracles, synthetic maneuver traces,
+and a per-step reference engine.
 
 The brute-force oracles place the maneuver in coordinates and measure
 distances directly, with none of the trigonometric shortcuts the library
-uses -- that independence is the point.
+uses -- that independence is the point.  :func:`reference_run` is the
+straightforward engine that steps every grid point in Python; the
+fix-driven :func:`dynloc.engine.run` must match it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from dynloc.engine import _INIT, _ON_LOCALIZE, _SCHED_EPS, EventRecord, RunConfig, RunMetrics
+from dynloc.geometry import LocalizationSample, Position, localize, threshold_accuracy
 from dynloc.mobility import MobilityTrace, trace_from_waypoints
+from dynloc.protocols import SchedulerState, backtrack_correct, madrd_predict
 
 AREA = 300.0
 START_X = 30.0
@@ -92,3 +100,77 @@ def make_pause_trace(
         area_h=AREA,
     )
     return trace, stop_time
+
+
+def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationSample], RunMetrics]:
+    """Per-step reference engine: (events, samples, metrics) of one run.
+
+    At every grid step: fire a localization if one is due, then record the
+    reported position, its error against ground truth, and the scheduler's
+    period and confidence.  With backtracking enabled, each new fix rewrites
+    the reported points of the interval it closes through
+    :func:`backtrack_correct`.
+    """
+    trace = cfg.trace
+    times = trace.times.tolist()
+    true_xs = trace.xs.tolist()
+    true_ys = trace.ys.tolist()
+    rng = np.random.default_rng(cfg.seed)
+    noise = cfg.noise
+    init = _INIT[cfg.protocol]
+    on_localize = _ON_LOCALIZE[cfg.protocol]
+    pcfg = cfg.protocol_config
+    predicts = cfg.protocol == "madrd"
+
+    state: SchedulerState | None = None
+    events: list[EventRecord] = []
+    samples: list[LocalizationSample] = []
+    pending: list[int] = []  # event indices since the last fix (backtracking)
+    correction_count = 0
+
+    for k, t in enumerate(times):
+        tx = true_xs[k]
+        ty = true_ys[k]
+        localized = 0
+        if state is None or t + _SCHED_EPS >= state.next_localization_time:
+            sample = localize(Position(tx, ty), noise, rng, t=t)
+            if state is None:
+                state = init(sample, pcfg)
+            else:
+                prev_fix = state.last_sample
+                state = on_localize(state, sample, pcfg)
+                if cfg.backtracking_enabled and pending:
+                    series = [
+                        (events[i].t, Position(events[i].reported_x, events[i].reported_y))
+                        for i in pending
+                    ]
+                    corrected, moved = backtrack_correct(prev_fix, sample, series, noise.max_magnitude)
+                    correction_count += moved
+                    for i, (_, cpos) in zip(pending, corrected):
+                        old = events[i]
+                        err = math.hypot(cpos.x - old.true_x, cpos.y - old.true_y)
+                        events[i] = old._replace(reported_x=cpos.x, reported_y=cpos.y, error=err)
+            samples.append(sample)
+            pending = []
+            localized = 1
+        if predicts:
+            reported = madrd_predict(state, t)
+            rx, ry = reported.x, reported.y
+        else:
+            m = state.last_sample.measured
+            rx, ry = m.x, m.y
+        error = math.hypot(rx - tx, ry - ty)
+        conf = state.confidence.name if predicts else ""
+        events.append(EventRecord(t, tx, ty, rx, ry, error, localized, state.current_period, conf))
+        if not localized:
+            pending.append(len(events) - 1)
+
+    errors = np.array([e.error for e in events])
+    metrics = RunMetrics(
+        localization_count=len(samples),
+        accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
+        mean_error=float(errors.mean()),
+        max_error=float(errors.max()),
+        correction_count=correction_count,
+    )
+    return events, samples, metrics

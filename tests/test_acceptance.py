@@ -1,15 +1,17 @@
-"""End-to-end acceptance suite: ten numbered checks, one test each.
+"""End-to-end acceptance suite: eleven numbered checks, one test each.
 
 Run ``pytest tests/test_acceptance.py -v`` for a verdict line per check;
 add ``-rA`` to see the measured values each check prints.
 
-The three sweep fixtures are module-scoped because checks 5-8 read different
-slices of the same experiment grids.
+The three sweep fixtures are module-scoped because checks 5-8 and 11 read
+different slices of the same experiment grids.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import platform
 import time
 from dataclasses import replace
 
@@ -65,8 +67,8 @@ CLASS_MID_SPEEDS = (0.75, 4.5, 9.0)
 @pytest.fixture(scope="module")
 def bundle_outcome():
     spec = default_bundle()
-    rows = summarize(spec, run_sweep(spec))
-    return spec, rows
+    records = run_sweep(spec)
+    return spec, records, summarize(spec, records)
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +90,8 @@ def threshold_outcome():
 @pytest.fixture(scope="module")
 def gauss_markov_outcome():
     spec = default_gauss_markov_bundle()
-    rows = summarize(spec, run_sweep(spec))
-    return spec, rows
+    records = run_sweep(spec)
+    return spec, records, summarize(spec, records)
 
 
 def _cell(rows, speed_class, pause, protocol):
@@ -233,7 +235,7 @@ def test_04_single_run_error_ramps_and_fix_noise_bound():
 
 
 def test_05_localization_cost_ordering_across_speed_and_pause(bundle_outcome):
-    spec, rows = bundle_outcome
+    spec, _, rows = bundle_outcome
     lines = []
     for protocol in ("dvm", "madrd"):
         for pause in spec.pause_times:
@@ -258,7 +260,7 @@ def test_05_localization_cost_ordering_across_speed_and_pause(bundle_outcome):
 
 
 def test_06_error_growth_and_accuracy_ordering(bundle_outcome):
-    _, rows = bundle_outcome
+    _, _, rows = bundle_outcome
     slopes = {}
     for protocol in ("sfr", "dvm", "madrd"):
         errors = [_cell(rows, sc, 0.0, protocol).mean_error for sc in SPEED_CLASSES]
@@ -297,7 +299,7 @@ def test_07_upper_threshold_tradeoff(threshold_outcome):
 
 
 def test_08_gauss_markov_robustness(gauss_markov_outcome):
-    spec, rows = gauss_markov_outcome
+    _, _, rows = gauss_markov_outcome
     speed_class, pause = rows[0].speed_class, rows[0].pause_time
     baseline = _cell(rows, speed_class, pause, "sfr").mean_error
     ratios = {
@@ -428,3 +430,37 @@ def test_10_protocol_invariants():
         "invariants: 40 fuzzed scheduler walks, 3 trajectory-shape traces, "
         f"10 turn corrections (mean improvement {np.mean(improvements):.2f} m)"
     )
+
+
+# Stock-bundle output digests, pinned for these library versions only: float
+# formatting and numpy's random streams may differ elsewhere.  Changing a digest
+# is a deliberate act and goes into CHANGES.md with its reason.
+GOLDEN_VERSIONS = ("3.11.7", "2.4.6")
+GOLDEN_DIGESTS = {
+    "rwp": {
+        "runs.csv": "25d9172ca8f502ee16dc8a039c5472eab9a51026c27756aaad23bb69bf97fbb4",
+        "summary.csv": "59f491c5a09653e8ddee70ca0c537fd179bd1a6db67f483f5b63094dab1082ee",
+    },
+    "gauss_markov": {
+        "runs.csv": "35f09728fb883b66ed9ba310419cb5136609f101425e8544350421b73e2d8eca",
+        "summary.csv": "0a2691b6418f09097f9de3216c56bb47380b4e8d75210fa029fdb76b9fe60f91",
+    },
+}
+
+
+def test_11_stock_outputs_match_golden_digests(bundle_outcome, gauss_markov_outcome, tmp_path):
+    versions = (platform.python_version(), np.__version__)
+    if versions != GOLDEN_VERSIONS:
+        pytest.skip(
+            f"digests are pinned for Python {GOLDEN_VERSIONS[0]} / numpy {GOLDEN_VERSIONS[1]}, "
+            f"running Python {versions[0]} / numpy {versions[1]}"
+        )
+    for bundle, (spec, records, rows) in (
+        ("rwp", bundle_outcome), ("gauss_markov", gauss_markov_outcome)
+    ):
+        write_runs_csv(tmp_path / f"{bundle}_runs.csv", spec, records)
+        write_summary_csv(tmp_path / f"{bundle}_summary.csv", spec, rows)
+        for name, expected in GOLDEN_DIGESTS[bundle].items():
+            digest = hashlib.sha256((tmp_path / f"{bundle}_{name}").read_bytes()).hexdigest()
+            assert digest == expected, f"{bundle} {name}: sha256 {digest}"
+    print("stock rwp and gauss_markov runs.csv/summary.csv match the golden digests")

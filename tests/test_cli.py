@@ -90,6 +90,25 @@ def test_simulate_rejects_invalid_parameter(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--pause-times", "0,nan", "--repetitions", "1"], "pause_times"),
+        (["sweep", "--duration", "inf", "--repetitions", "1"], "duration"),
+        (["simulate", "--protocol", "sfr", "--pause", "nan"], "pause_time"),
+        (["simulate", "--protocol", "madrd", "--period-growth", "inf"], "period_growth"),
+    ],
+)
+def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, field):
+    out_dir = tmp_path / "out"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_dir)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err and field in err
+    assert not out_dir.exists()
+
+
 def test_simulate_rejects_missing_trace_file(capsys):
     code = main(["simulate", "--protocol", "sfr", "--trace-file", "/does/not/exist"])
     assert code == EXIT_VALIDATION

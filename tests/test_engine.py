@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dynloc.engine import EventRecord, RunConfig, run, run_paired
+from dynloc.engine import RunConfig, run
 from dynloc.geometry import NoiseModel
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -217,54 +217,3 @@ def test_backtracking_never_increases_pooled_error_on_smooth_track():
     plain = run(base)
     corrected = run(replace(base, backtracking_enabled=True))
     assert corrected.metrics.mean_error <= plain.metrics.mean_error
-
-
-# ---------------------------------------------------------------------------
-# Paired runs
-# ---------------------------------------------------------------------------
-
-
-def _protocol_set():
-    return [
-        ("sfr", "sfr", SfrConfig(period=2.0)),
-        ("dvm", "dvm", DvmConfig(t_max=6.0)),
-        ("madrd", "madrd", MadrdConfig(t_max=6.0)),
-    ]
-
-
-def test_paired_sfr_ratio_is_exactly_one():
-    traces = [_trace(seed=s, duration=120.0) for s in (20, 21)]
-    paired = run_paired(traces, _protocol_set(), seed=7)
-    assert paired.ratio_to_sfr["sfr"] == 1.0
-    for label in ("dvm", "madrd"):
-        expected = (
-            paired.metrics[label].localization_count
-            / paired.metrics["sfr"].localization_count
-        )
-        assert paired.ratio_to_sfr[label] == pytest.approx(expected)
-
-
-def test_paired_runs_share_ground_truth_and_noise_stream():
-    traces = [_trace(seed=22, duration=60.0)]
-    paired = run_paired(traces, _protocol_set(), seed=8)
-    assert paired.trace_hashes == [traces[0].content_hash()]
-    # Identical seeds: every protocol's forced t=0 fix reads the same noise.
-    first = {label: rs[0].samples[0] for label, rs in paired.results.items()}
-    assert first["sfr"] == first["dvm"] == first["madrd"]
-
-
-def test_paired_without_sfr_baseline_has_no_ratios():
-    traces = [_trace(seed=23, duration=30.0)]
-    paired = run_paired(traces, [("dvm", "dvm", DvmConfig())], seed=9)
-    assert paired.ratio_to_sfr == {}
-
-
-def test_paired_rejects_duplicate_labels_and_empty_input():
-    traces = [_trace(seed=24, duration=30.0)]
-    twice = [("a", "sfr", SfrConfig()), ("a", "dvm", DvmConfig())]
-    with pytest.raises(ValueError, match="unique"):
-        run_paired(traces, twice)
-    with pytest.raises(ValueError):
-        run_paired([], _protocol_set())
-    with pytest.raises(ValueError):
-        run_paired(traces, [])

@@ -1,0 +1,116 @@
+"""Property tests: the fix-driven engine against the per-step reference engine.
+
+Short random traces, all three protocols, backtracking on and off, random
+grid steps, period limits, noise and seeds.  Every column must match the
+reference bit for bit, and the scheduler invariants must hold on every run.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynloc.engine import EventRecord, RunConfig, run
+from dynloc.geometry import NoiseModel
+from dynloc.mobility import (
+    GaussMarkovConfig,
+    RandomWaypointConfig,
+    generate_gauss_markov,
+    generate_random_waypoint,
+)
+from dynloc.protocols import Confidence, DvmConfig, MadrdConfig, SfrConfig
+
+from scenario_tools import reference_run
+
+_SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@st.composite
+def traces(draw):
+    duration = draw(st.floats(min_value=0.5, max_value=40.0))
+    dt = draw(st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(_SEEDS))
+    if draw(st.booleans()):
+        v_min = draw(st.floats(min_value=0.1, max_value=10.0))
+        cfg = RandomWaypointConfig(
+            area_w=100.0, area_h=100.0, v_min=v_min, v_max=v_min * draw(st.floats(1.0, 2.0)),
+            pause_time=draw(st.sampled_from([0.0, 0.7, 5.0])), duration=duration, dt=dt,
+        )
+        return generate_random_waypoint(cfg, rng)
+    cfg = GaussMarkovConfig(
+        area_w=50.0, area_h=50.0, mean_speed=draw(st.floats(0.0, 10.0)),
+        memory=draw(st.floats(0.0, 1.0)), duration=duration, dt=dt,
+    )
+    return generate_gauss_markov(cfg, rng)
+
+
+@st.composite
+def protocols(draw):
+    kind = draw(st.sampled_from(["sfr", "dvm", "madrd"]))
+    if kind == "sfr":
+        # Includes periods shorter than any grid step: at most one fix per step.
+        period = draw(st.one_of(st.floats(0.01, 8.0), st.sampled_from([1e-12, 0.1, 0.2, 2.0])))
+        return kind, SfrConfig(period=period)
+    t_min = draw(st.floats(0.01, 3.0))
+    t_max = t_min + draw(st.floats(0.0, 6.0))
+    if kind == "dvm":
+        return kind, DvmConfig(target_error=draw(st.floats(0.1, 10.0)), t_min=t_min, t_max=t_max)
+    return kind, MadrdConfig(
+        divergence_threshold=draw(st.floats(0.1, 10.0)),
+        t_min=t_min,
+        t_max=t_max,
+        period_growth=draw(st.floats(1.0, 3.0)),
+        period_shrink=draw(st.floats(0.1, 1.0)),
+    )
+
+
+def _bits(rows):
+    return [tuple(map(repr, row)) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    trace=traces(),
+    protocol=protocols(),
+    noise=st.sampled_from([0.0, 0.5, 3.0]),
+    tolerance=st.sampled_from([0.0, 1.0, 5.0]),
+    seed=_SEEDS,
+    backtracking=st.booleans(),
+)
+def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, tolerance, seed, backtracking):
+    kind, pcfg = protocol
+    cfg = RunConfig(
+        trace=trace, protocol=kind, protocol_config=pcfg, noise=NoiseModel(noise),
+        dist_tolerance=tolerance, seed=seed, backtracking_enabled=backtracking,
+    )
+    result = run(cfg)
+    events, samples, metrics = reference_run(cfg)
+
+    assert _bits(result.events) == _bits(events)
+    assert _bits(zip(*result.columns())) == _bits(events)
+    assert result.samples == samples
+    assert result.metrics == metrics
+    for name in EventRecord._fields:
+        assert len(getattr(result, name)) == len(trace)
+
+    # Fix times are strictly increasing grid times, the first one at t=0.
+    fix_times = [s.t for s in result.samples]
+    assert fix_times[0] == 0.0
+    assert all(a < b for a, b in zip(fix_times, fix_times[1:]))
+    assert fix_times == result.t[result.localized == 1].tolist()
+
+    # The period stays inside the protocol's limits.
+    if kind == "sfr":
+        assert set(result.period.tolist()) == {pcfg.period}
+    else:
+        assert pcfg.t_min <= result.period.min() and result.period.max() <= pcfg.t_max
+
+    # MADRD's confidence moves at most one state per fix; the others carry none.
+    if kind == "madrd":
+        at_fixes = [Confidence[c].value for c in result.confidence[result.localized == 1]]
+        assert all(abs(a - b) <= 1 for a, b in zip(at_fixes, at_fixes[1:]))
+    else:
+        assert set(result.confidence.tolist()) == {""}
+    if not backtracking:
+        assert result.metrics.correction_count == 0

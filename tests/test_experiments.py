@@ -3,12 +3,17 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pytest
 
+from dynloc.engine import RunConfig, run
 from dynloc.experiments import (
+    EVENT_COLUMNS,
     ProtocolSpec,
     SweepSpec,
     WORKERS_ENV_VAR,
+    _worker_count,
+    _write_csv,
     class_label,
     default_bundle,
     default_gauss_markov_bundle,
@@ -20,10 +25,15 @@ from dynloc.experiments import (
     spec_from_dict,
     spec_to_dict,
     summarize,
+    write_events_csv,
     write_runs_csv,
     write_summary_csv,
 )
+from dynloc.geometry import NoiseModel
+from dynloc.mobility import RandomWaypointConfig, generate_random_waypoint
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
+
+from scenario_tools import reference_run
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
@@ -109,6 +119,48 @@ def test_spec_validation_messages_name_the_field():
                 ProtocolSpec("x", "dvm", {}),
             )
         )
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("pause_times", {"pause_times": (0.0, float("nan"))}),
+        ("speed_classes", {"speed_classes": ((4.0, float("inf")),)}),
+        ("duration", {"duration": float("inf")}),
+        ("dt", {"dt": float("nan")}),
+        ("area_w", {"area_w": float("nan")}),
+        ("noise_max", {"noise_max": float("nan")}),
+        ("dist_tolerance", {"dist_tolerance": float("inf")}),
+        ("gm_memory", {"gm_memory": float("nan")}),
+    ],
+)
+def test_spec_rejects_non_finite_fields(field, overrides):
+    with pytest.raises(ValueError, match=f"field '{field}': must be finite"):
+        _tiny_spec(**overrides)
+
+
+def test_spec_rejects_bad_protocol_parameters_up_front():
+    with pytest.raises(ValueError, match="period_growth"):
+        _tiny_spec(protocols=(ProtocolSpec("m", "madrd", {"period_growth": float("nan")}),))
+    with pytest.raises(ValueError, match="m.t_max"):
+        _tiny_spec(protocols=(ProtocolSpec("m", "madrd", {"t_max": [6.0]}),))
+
+
+@pytest.mark.parametrize(
+    "requested, cells, cpus, expected",
+    [(8, 100, 2, 2), (8, 3, 16, 3), (2, 100, 4, 2), (0, 10, 4, 1), (-3, 10, 4, 1), (4, 1, 4, 1), (4, 10, None, 1)],
+)
+def test_worker_count_is_capped_by_cells_and_cpus(monkeypatch, requested, cells, cpus, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert _worker_count(requested, cells) == expected
+
+
+def test_worker_count_from_environment_is_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv(WORKERS_ENV_VAR, "64")
+    assert _worker_count(None, 100) == 2
+    monkeypatch.delenv(WORKERS_ENV_VAR)
+    assert _worker_count(None, 100) == 1
 
 
 def test_default_bundle_shape():
@@ -263,6 +315,18 @@ def test_spec_from_dict_rejects_unknown_keys():
     d["warp_factor"] = 9
     with pytest.raises(ValueError, match="warp_factor"):
         spec_from_dict(d)
+
+
+@pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
+def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg):
+    trace = generate_random_waypoint(RandomWaypointConfig(duration=30.0), np.random.default_rng(3))
+    cfg = RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(0.5),
+                    seed=8, backtracking_enabled=True)
+    config = {"protocol": protocol, "seed": 8}
+    write_events_csv(tmp_path / "columns.csv", config, run(cfg))
+    events, _, _ = reference_run(cfg)
+    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, events)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_csv_round_trip_with_provenance(tmp_path):

@@ -9,7 +9,6 @@ from dynloc.geometry import (
     LocalizationSample,
     NoiseModel,
     Position,
-    absolute_error,
     distance,
     localize,
     threshold_accuracy,
@@ -84,10 +83,6 @@ def test_distance_triangle_inequality():
         pts = [Position(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(3)]
         a, b, c = pts
         assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
-
-
-def test_absolute_error_is_distance():
-    assert absolute_error(Position(1, 1), Position(4, 5)) == pytest.approx(5.0)
 
 
 def test_threshold_accuracy_half_within():

@@ -134,6 +134,60 @@ def test_gauss_markov_deterministic_per_seed():
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
 
+def _scalar_draw_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator, n: int):
+    """``n`` samples of the Gauss-Markov recurrence drawing one normal at a time."""
+    x, y = rng.uniform(0.0, cfg.area_w), rng.uniform(0.0, cfg.area_h)
+    xs, ys = [x], [y]
+    speed = cfg.mean_speed
+    heading = mean_heading = rng.uniform(0.0, 2.0 * math.pi)
+    m = cfg.memory
+    drift = math.sqrt(max(0.0, 1.0 - m * m))
+    for _ in range(1, n):
+        speed = m * speed + (1.0 - m) * cfg.mean_speed + drift * cfg.speed_sigma * rng.standard_normal()
+        heading = m * heading + (1.0 - m) * mean_heading + drift * cfg.direction_sigma * rng.standard_normal()
+        speed = max(0.0, speed)
+        x += speed * cfg.dt * math.cos(heading)
+        y += speed * cfg.dt * math.sin(heading)
+        while not (0.0 <= x <= cfg.area_w and 0.0 <= y <= cfg.area_h):
+            if x < 0.0 or x > cfg.area_w:
+                x = -x if x < 0.0 else 2.0 * cfg.area_w - x
+                heading = math.pi - heading
+                mean_heading = math.pi - mean_heading
+            if y < 0.0 or y > cfg.area_h:
+                y = -y if y < 0.0 else 2.0 * cfg.area_h - y
+                heading = -heading
+                mean_heading = -mean_heading
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GaussMarkovConfig(duration=60.0),
+        GaussMarkovConfig(duration=30.0, memory=0.0),
+        GaussMarkovConfig(area_w=20.0, area_h=20.0, mean_speed=30.0, speed_sigma=5.0,
+                          direction_sigma=2.0, duration=20.0, dt=0.3),
+    ],
+)
+def test_gauss_markov_batched_draws_match_scalar_stream(cfg):
+    for seed in range(5):
+        trace = generate_gauss_markov(cfg, np.random.default_rng(seed))
+        xs, ys = _scalar_draw_gauss_markov(cfg, np.random.default_rng(seed), len(trace))
+        assert trace.xs.tolist() == xs and trace.ys.tolist() == ys
+
+
+@pytest.mark.parametrize("field", ["pause_time", "duration", "dt", "area_w"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_mobility_configs_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        RandomWaypointConfig(**{field: value})
+    if field != "pause_time":
+        with pytest.raises(ValueError, match=field):
+            GaussMarkovConfig(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # Trace container
 # ---------------------------------------------------------------------------

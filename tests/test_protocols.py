@@ -15,7 +15,6 @@ from dynloc.protocols import (
     backtrack_correct,
     dvm_init,
     dvm_on_localize,
-    held_position,
     madrd_init,
     madrd_on_localize,
     madrd_predict,
@@ -45,9 +44,9 @@ def test_sfr_next_fix_is_one_period_after_current():
 def test_sfr_reports_held_fix():
     cfg = SfrConfig(period=2.0)
     state = sfr_init(_sample(0.0, 1.0, 2.0), cfg)
-    assert held_position(state, 1.7) == Position(1.0, 2.0)
+    assert state.last_sample.measured == Position(1.0, 2.0)
     state = sfr_on_localize(state, _sample(2.0, 4.0, 6.0), cfg)
-    assert held_position(state, 3.9) == Position(4.0, 6.0)
+    assert state.last_sample.measured == Position(4.0, 6.0)
 
 
 def test_sfr_config_rejects_nonpositive_period():
