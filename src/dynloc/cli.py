@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 from pathlib import Path
@@ -37,15 +36,8 @@ import numpy as np
 from . import experiments, mobility, oracles
 from .engine import RunConfig, run
 from .geometry import NoiseModel
-from .mobility import (
-    GaussMarkovConfig,
-    RandomWaypointConfig,
-    export_trace,
-    generate_gauss_markov,
-    generate_random_waypoint,
-    import_trace,
-)
-from .protocols import DvmConfig, MadrdConfig, SfrConfig
+from .mobility import export_trace, import_trace
+from .protocols import PROTOCOLS, ProtocolConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,20 +56,31 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _speed_class(raw: str) -> tuple[float, float]:
-    pieces = raw.split(":")
-    if len(pieces) != 2:
-        raise ValueError(f"field 'speed': expected lo:hi, got {raw!r}")
-    lo, hi = float(pieces[0]), float(pieces[1])
-    return lo, hi
+# Stock sweep bundles by name; each names the mobility model it runs.
+_BUNDLES = {"rwp": experiments.default_bundle, "gauss_markov": experiments.default_gauss_markov_bundle}
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynloc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run one node/protocol pair and print a summary row")
-    sim.add_argument("--protocol", required=True, choices=("sfr", "dvm", "madrd"))
+    # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names.
+    trace = _Parser(add_help=False)
+    trace.add_argument("--mobility", choices=tuple(experiments.MOBILITY_MODELS), default="rwp")
+    trace.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
+    trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
+                       help="waypoint pause time, seconds")
+    trace.add_argument("--gm-memory", type=float, default=0.75)
+    trace.add_argument("--gm-speed-sigma", type=float, default=0.5)
+    trace.add_argument("--gm-direction-sigma", type=float, default=0.4)
+    trace.add_argument("--duration", type=float, default=900.0)
+    trace.add_argument("--dt", type=float, default=0.1)
+    trace.add_argument("--area", type=str, default="300x300")
+    trace.add_argument("--seed", type=int, default=0)
+
+    # Protocol flags: each dest is the field name of a protocol config.
+    sim = sub.add_parser("simulate", parents=[trace], help="run one node/protocol pair and print a summary row")
+    sim.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
     sim.add_argument("--period", type=float, default=2.0, help="SFR period, seconds")
     sim.add_argument("--target-error", type=float, default=5.0, help="DVM travel budget, meters")
     sim.add_argument("--divergence-threshold", type=float, default=5.0, help="MADRD prediction tolerance, meters")
@@ -85,18 +88,8 @@ def _build_parser() -> _Parser:
     sim.add_argument("--t-max", type=float, default=6.0)
     sim.add_argument("--period-growth", type=float, default=2.0)
     sim.add_argument("--period-shrink", type=float, default=0.5)
-    sim.add_argument("--mobility", choices=("rwp", "gauss_markov"), default="rwp")
-    sim.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
-    sim.add_argument("--pause", type=float, default=0.0, help="waypoint pause time, seconds")
-    sim.add_argument("--gm-memory", type=float, default=0.75)
-    sim.add_argument("--gm-speed-sigma", type=float, default=0.5)
-    sim.add_argument("--gm-direction-sigma", type=float, default=0.4)
-    sim.add_argument("--duration", type=float, default=900.0)
-    sim.add_argument("--dt", type=float, default=0.1)
-    sim.add_argument("--area", type=str, default="300x300")
     sim.add_argument("--noise", type=float, default=0.5)
     sim.add_argument("--tolerance", type=float, default=5.0)
-    sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--backtracking", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
     sim.add_argument("--node", type=int, default=0, help="node line to use from --trace-file")
@@ -105,7 +98,7 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="run an experiment sweep and write runs/summary CSVs")
     sw.add_argument("--spec", type=str, default=None, help="spec file; omitted = stock bundle")
-    sw.add_argument("--bundle", choices=("rwp", "gauss_markov"), default="rwp", help="stock bundle when no spec file is given")
+    sw.add_argument("--bundle", choices=tuple(_BUNDLES), default="rwp", help="stock bundle when no spec file is given")
     sw.add_argument("--out", type=str, required=True, help="output directory")
     sw.add_argument("--repetitions", type=int, default=None)
     sw.add_argument("--seed-base", type=int, default=None)
@@ -136,17 +129,7 @@ def _build_parser() -> _Parser:
     imp.add_argument("--node", type=int, default=None, help="single node line to keep (default: all)")
     imp.add_argument("--out", type=str, default=None)
 
-    exp = sub.add_parser("export-trace", help="generate a trace and write it as waypoint text")
-    exp.add_argument("--mobility", choices=("rwp", "gauss_markov"), default="rwp")
-    exp.add_argument("--speed", type=str, default="4:5")
-    exp.add_argument("--pause", type=float, default=0.0)
-    exp.add_argument("--gm-memory", type=float, default=0.75)
-    exp.add_argument("--gm-speed-sigma", type=float, default=0.5)
-    exp.add_argument("--gm-direction-sigma", type=float, default=0.4)
-    exp.add_argument("--duration", type=float, default=900.0)
-    exp.add_argument("--dt", type=float, default=0.1)
-    exp.add_argument("--area", type=str, default="300x300")
-    exp.add_argument("--seed", type=int, default=0)
+    exp = sub.add_parser("export-trace", parents=[trace], help="generate a trace and write it as waypoint text")
     exp.add_argument("--out", type=str, default=None)
     return parser
 
@@ -158,82 +141,47 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _protocol_config(args) -> SfrConfig | DvmConfig | MadrdConfig:
-    if args.protocol == "sfr":
-        return SfrConfig(period=args.period)
-    if args.protocol == "dvm":
-        return DvmConfig(target_error=args.target_error, t_min=args.t_min, t_max=args.t_max)
-    return MadrdConfig(
-        divergence_threshold=args.divergence_threshold,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        period_growth=args.period_growth,
-        period_shrink=args.period_shrink,
-    )
+def _protocol_config(args) -> ProtocolConfig:
+    config_cls = PROTOCOLS[args.protocol].config
+    return config_cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)})
+
+
+def _trace_spec(args, seed: int) -> experiments.TraceSpec:
+    """The trace the shared trace flags describe, generated from ``seed``."""
+    area_w, area_h = experiments.parse_area(args.area)
+    speed_class = experiments.parse_speed_class(args.speed, "speed")
+    return experiments.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h, seed=seed)
 
 
 def _cmd_simulate(args) -> int:
-    area_w, area_h = experiments.parse_area(args.area)
-    lo, hi = _speed_class(args.speed)
     seeds = np.random.SeedSequence([args.seed]).generate_state(2, np.uint64)
     trace_seed, noise_seed = int(seeds[0]), int(seeds[1])
+    ts = _trace_spec(args, trace_seed)
+    extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
         try:
             text = Path(args.trace_file).read_text(encoding="utf-8")
         except OSError as exc:
             raise ValueError(f"field 'trace-file': cannot read {args.trace_file!r}: {exc}") from exc
-        trace = import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)
-    elif args.mobility == "rwp":
-        trace = generate_random_waypoint(
-            RandomWaypointConfig(
-                area_w=area_w, area_h=area_h, v_min=lo, v_max=hi,
-                pause_time=args.pause, duration=args.duration, dt=args.dt,
-            ),
-            np.random.default_rng(trace_seed),
-        )
+        trace = import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=args.node, duration=ts.duration)
+        extra["mobility"] = f"file:{args.trace_file}"
     else:
-        trace = generate_gauss_markov(
-            GaussMarkovConfig(
-                area_w=area_w, area_h=area_h, mean_speed=(lo + hi) / 2.0,
-                memory=args.gm_memory, speed_sigma=args.gm_speed_sigma,
-                direction_sigma=args.gm_direction_sigma, duration=args.duration, dt=args.dt,
-            ),
-            np.random.default_rng(trace_seed),
-        )
+        trace = experiments.make_trace(ts)
 
-    config = _protocol_config(args)
-    result = run(
-        RunConfig(
-            trace=trace,
-            protocol=args.protocol,
-            protocol_config=config,
-            noise=NoiseModel(args.noise),
-            dist_tolerance=args.tolerance,
-            seed=noise_seed,
-            backtracking_enabled=args.backtracking,
-        )
+    cfg = RunConfig(
+        trace=trace,
+        protocol=args.protocol,
+        protocol_config=_protocol_config(args),
+        noise=NoiseModel(args.noise),
+        dist_tolerance=args.tolerance,
+        seed=noise_seed,
+        backtracking_enabled=args.backtracking,
     )
-    provenance = {
-        "protocol": args.protocol,
-        "protocol_params": dataclasses.asdict(config),
-        "mobility": args.mobility if args.trace_file is None else f"file:{args.trace_file}",
-        "speed_class": f"{lo:g}:{hi:g}",
-        "pause_time": args.pause,
-        "duration": args.duration,
-        "dt": args.dt,
-        "area": [area_w, area_h],
-        "noise": args.noise,
-        "dist_tolerance": args.tolerance,
-        "seed": args.seed,
-        "trace_seed": trace_seed,
-        "noise_seed": noise_seed,
-        "trace_sha": trace.content_hash(),
-        "backtracking": args.backtracking,
-    }
+    result = run(cfg)
+    provenance = experiments.run_provenance(cfg, ts, trace.content_hash(), **extra)
     m = result.metrics
     lines = [
-        "# dynloc simulate v1",
-        "# config " + json.dumps(provenance, sort_keys=True, separators=(",", ":")),
+        *experiments.header_lines("simulate", provenance),
         "localization_count,mean_error,max_error,accuracy,correction_count",
         f"{m.localization_count},{m.mean_error!r},{m.max_error!r},{m.accuracy!r},{m.correction_count}",
     ]
@@ -250,10 +198,8 @@ def _cmd_sweep(args) -> int:
         except OSError as exc:
             raise ValueError(f"field 'spec': cannot read {args.spec!r}: {exc}") from exc
         spec = experiments.parse_spec_file(text)
-    elif args.bundle == "gauss_markov":
-        spec = experiments.default_gauss_markov_bundle()
     else:
-        spec = experiments.default_bundle()
+        spec = _BUNDLES[args.bundle]()
 
     updates: dict = {}
     if args.repetitions is not None:
@@ -302,9 +248,7 @@ def _cmd_oracle(args) -> int:
             "mode": "turn", "theta_deg": args.theta, "x": args.x,
             "v": args.v, "nmax": args.nmax, "steps": args.steps,
         }
-        lines = ["# dynloc oracle v1",
-                 "# config " + json.dumps(header, sort_keys=True, separators=(",", ":")),
-                 "past_turn,sfr_error,madrd_error"]
+        lines = [*experiments.header_lines("oracle", header), "past_turn,sfr_error,madrd_error"]
         for n in np.linspace(0.0, args.nmax, args.steps):
             n = float(n)
             lines.append(
@@ -317,9 +261,7 @@ def _cmd_oracle(args) -> int:
         if args.steps < 2 or horizon <= 0:
             raise ValueError("fields 'steps'/'horizon': need steps >= 2 and horizon > 0")
         header = {"mode": "pause", "d": args.d, "v": args.v, "horizon": horizon, "steps": args.steps}
-        lines = ["# dynloc oracle v1",
-                 "# config " + json.dumps(header, sort_keys=True, separators=(",", ":")),
-                 "t,sfr_error,madrd_error"]
+        lines = [*experiments.header_lines("oracle", header), "t,sfr_error,madrd_error"]
         for t in np.linspace(0.0, horizon, args.steps):
             t = float(t)
             e_hold = oracles.sfr_pause_error(scenario, args.v * t)
@@ -348,27 +290,7 @@ def _cmd_import_trace(args) -> int:
 
 
 def _cmd_export_trace(args) -> int:
-    area_w, area_h = experiments.parse_area(args.area)
-    lo, hi = _speed_class(args.speed)
-    rng = np.random.default_rng(args.seed)
-    if args.mobility == "rwp":
-        trace = generate_random_waypoint(
-            RandomWaypointConfig(
-                area_w=area_w, area_h=area_h, v_min=lo, v_max=hi,
-                pause_time=args.pause, duration=args.duration, dt=args.dt,
-            ),
-            rng,
-        )
-    else:
-        trace = generate_gauss_markov(
-            GaussMarkovConfig(
-                area_w=area_w, area_h=area_h, mean_speed=(lo + hi) / 2.0,
-                memory=args.gm_memory, speed_sigma=args.gm_speed_sigma,
-                direction_sigma=args.gm_direction_sigma, duration=args.duration, dt=args.dt,
-            ),
-            rng,
-        )
-    _emit(export_trace(trace), args.out)
+    _emit(export_trace(experiments.make_trace(_trace_spec(args, args.seed))), args.out)
     return EXIT_OK
 
 

@@ -39,22 +39,14 @@ from .geometry import (
 )
 from .mobility import MobilityTrace
 from .protocols import (
-    DvmConfig,
-    MadrdConfig,
+    PROTOCOLS,
+    ProtocolConfig,
     SchedulerState,
-    SfrConfig,
     backtrack_correct,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
-    dvm_init,
-    dvm_on_localize,
-    madrd_init,
-    madrd_on_localize,
     madrd_predict,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
-    sfr_init,
-    sfr_on_localize,
 )
 
 __all__ = [
-    "PROTOCOL_KINDS",
     "RunConfig",
     "RunMetrics",
     "EventRecord",
@@ -64,27 +56,21 @@ __all__ = [
 
 _SCHED_EPS = 1e-9
 
-PROTOCOL_KINDS = ("sfr", "dvm", "madrd")
-
-_CONFIG_TYPES = {"sfr": SfrConfig, "dvm": DvmConfig, "madrd": MadrdConfig}
-_INIT = {"sfr": sfr_init, "dvm": dvm_init, "madrd": madrd_init}
-_ON_LOCALIZE = {"sfr": sfr_on_localize, "dvm": dvm_on_localize, "madrd": madrd_on_localize}
-
 
 @dataclass(frozen=True)
 class RunConfig:
     trace: MobilityTrace
     protocol: str
-    protocol_config: SfrConfig | DvmConfig | MadrdConfig
+    protocol_config: ProtocolConfig
     noise: NoiseModel = field(default_factory=NoiseModel)
     dist_tolerance: float = 5.0
     seed: int = 0
     backtracking_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOL_KINDS:
-            raise ValueError(f"unknown protocol {self.protocol!r}, expected one of {PROTOCOL_KINDS}")
-        expected = _CONFIG_TYPES[self.protocol]
+        if self.protocol not in PROTOCOLS:
+            raise ValueError(f"unknown protocol {self.protocol!r}, expected one of {tuple(PROTOCOLS)}")
+        expected = PROTOCOLS[self.protocol].config
         if not isinstance(self.protocol_config, expected):
             raise ValueError(
                 f"protocol {self.protocol!r} needs a {expected.__name__}, "
@@ -183,8 +169,8 @@ def run(cfg: RunConfig) -> RunResult:
     y_list = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
-    init = _INIT[cfg.protocol]
-    on_localize = _ON_LOCALIZE[cfg.protocol]
+    kind = PROTOCOLS[cfg.protocol]
+    init, on_localize = kind.init, kind.on_localize
     pcfg = cfg.protocol_config
 
     fix_steps: list[int] = []
@@ -208,7 +194,7 @@ def run(cfg: RunConfig) -> RunResult:
     localized = np.zeros(n, dtype=np.int8)
     localized[fixes] = 1
     period = np.repeat(np.array([s.current_period for s in states], dtype=float), seg)
-    if cfg.protocol == "madrd":
+    if kind.predicts:
         # Same operations as madrd_predict: m + v * (t - t_fix).
         elapsed = times - np.repeat(fix_t, seg)
         rep_x = np.repeat(fix_x, seg) + np.repeat([s.velocity_estimate[0] for s in states], seg) * elapsed

@@ -16,19 +16,23 @@ Output files:
 * ``events_*.csv`` -- optional per-run event logs, one row per dt step.
 
 Every file starts with ``# dynloc <kind> v1`` and a ``# config {json}`` line
-carrying the exact configuration that produced it.
+carrying the exact configuration that produced it (:func:`run_provenance` for
+a run).  Files are written under a ``.tmp`` name and renamed into place.
+Every trace comes from :func:`make_trace`, keyed by :data:`MOBILITY_MODELS`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,23 +45,29 @@ from .mobility import (
     generate_gauss_markov,
     generate_random_waypoint,
 )
-from .protocols import DvmConfig, MadrdConfig, SfrConfig
+from .protocols import PROTOCOLS, ProtocolConfig
 
 __all__ = [
+    "MOBILITY_MODELS",
     "ProtocolSpec",
     "SweepSpec",
+    "TraceSpec",
     "RunRecord",
     "SummaryRow",
     "WORKERS_ENV_VAR",
     "default_bundle",
     "default_gauss_markov_bundle",
     "class_label",
+    "make_trace",
+    "parse_speed_class",
     "resolve_protocol_config",
+    "run_provenance",
     "run_sweep",
     "summarize",
     "write_runs_csv",
     "write_summary_csv",
     "write_events_csv",
+    "header_lines",
     "read_provenance",
     "read_summary",
     "spec_to_dict",
@@ -66,6 +76,9 @@ __all__ = [
 ]
 
 WORKERS_ENV_VAR = "DYNLOC_WORKERS"
+
+# Labels name output files and CSV cells, so they may not hold a path separator or a comma.
+_LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 EVENT_COLUMNS = EventRecord._fields
 
@@ -107,7 +120,9 @@ class ProtocolSpec:
     """One protocol in a sweep: a display label, a kind, and its parameters.
 
     Any numeric parameter may be a list with one entry per speed class, which
-    resolves per cell (the usual case is a per-class ``t_max``).
+    resolves per cell (the usual case is a per-class ``t_max``).  The label
+    is made of ``[A-Za-z0-9_.-]`` only: it becomes part of file names and of
+    unquoted CSV cells.
     """
 
     label: str
@@ -115,10 +130,10 @@ class ProtocolSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sfr", "dvm", "madrd"):
-            raise ValueError(f"protocol kind must be sfr/dvm/madrd, got {self.kind!r}")
-        if not self.label:
-            raise ValueError("protocol label must be non-empty")
+        if not _LABEL_PATTERN.fullmatch(self.label):
+            raise ValueError(f"field 'protocols': label {self.label!r} must match {_LABEL_PATTERN.pattern}")
+        if self.kind not in PROTOCOLS:
+            raise ValueError(f"protocol kind must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +179,8 @@ class SweepSpec:
             raise ValueError(f"field 'repetitions': must be >= 1, got {self.repetitions}")
         if self.duration <= 0 or self.dt <= 0:
             raise ValueError("fields 'duration'/'dt': must be positive")
-        if self.mobility not in ("rwp", "gauss_markov"):
-            raise ValueError(f"field 'mobility': must be rwp or gauss_markov, got {self.mobility!r}")
+        if self.mobility not in MOBILITY_MODELS:
+            raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
         if self.noise_max < 0 or self.dist_tolerance < 0:
             raise ValueError("fields 'noise'/'dist_tolerance': must be >= 0")
         for pspec in self.protocols:
@@ -224,20 +239,14 @@ def _resolve(value, class_index: int, n_classes: int, name: str):
     return value
 
 
-def resolve_protocol_config(
-    pspec: ProtocolSpec, class_index: int, n_classes: int
-) -> SfrConfig | DvmConfig | MadrdConfig:
+def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: int) -> ProtocolConfig:
     """Materialize a protocol config for one speed class (per-class lists resolved)."""
     params = {
         key: _resolve(val, class_index, n_classes, f"{pspec.label}.{key}")
         for key, val in pspec.params.items()
     }
     try:
-        if pspec.kind == "sfr":
-            return SfrConfig(**params)
-        if pspec.kind == "dvm":
-            return DvmConfig(**params)
-        return MadrdConfig(**params)
+        return PROTOCOLS[pspec.kind].config(**params)
     except TypeError as exc:
         raise ValueError(f"field '{pspec.label}': bad parameter set {sorted(params)}: {exc}") from exc
 
@@ -301,6 +310,87 @@ def default_gauss_markov_bundle() -> SweepSpec:
 
 
 # ---------------------------------------------------------------------------
+# Traces and run provenance
+# ---------------------------------------------------------------------------
+
+
+class TraceSpec(NamedTuple):
+    """Everything that determines one ground-truth trace, seed included.
+
+    Gauss-Markov moves at the midpoint of ``speed_class`` and ignores
+    ``pause_time``.  Field names match :class:`SweepSpec` and the CLI's trace
+    flags, which :meth:`of` relies on.
+    """
+
+    mobility: str
+    speed_class: tuple[float, float]
+    pause_time: float
+    duration: float
+    dt: float
+    area_w: float
+    area_h: float
+    gm_memory: float
+    gm_speed_sigma: float
+    gm_direction_sigma: float
+    seed: int
+
+    @classmethod
+    def of(cls, source, **given) -> "TraceSpec":
+        """Take ``given``, and every other field from the same-named attribute of ``source``."""
+        taken = {name: getattr(source, name) for name in cls._fields if name not in given}
+        return cls(**taken, **given)
+
+
+def _random_waypoint(ts: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
+    lo, hi = ts.speed_class
+    cfg = RandomWaypointConfig(
+        area_w=ts.area_w, area_h=ts.area_h, v_min=lo, v_max=hi,
+        pause_time=ts.pause_time, duration=ts.duration, dt=ts.dt,
+    )
+    return generate_random_waypoint(cfg, rng)
+
+
+def _gauss_markov(ts: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
+    lo, hi = ts.speed_class
+    cfg = GaussMarkovConfig(
+        area_w=ts.area_w, area_h=ts.area_h, mean_speed=(lo + hi) / 2.0,
+        memory=ts.gm_memory, speed_sigma=ts.gm_speed_sigma,
+        direction_sigma=ts.gm_direction_sigma, duration=ts.duration, dt=ts.dt,
+    )
+    return generate_gauss_markov(cfg, rng)
+
+
+# Mobility model name -> trace builder.  The builders look the generators up
+# as module globals at call time, so a wrapper installed here sees every call.
+MOBILITY_MODELS = {"rwp": _random_waypoint, "gauss_markov": _gauss_markov}
+
+
+def make_trace(ts: TraceSpec) -> MobilityTrace:
+    """The trace ``ts`` describes, generated from ``default_rng(ts.seed)``."""
+    return MOBILITY_MODELS[ts.mobility](ts, np.random.default_rng(ts.seed))
+
+
+def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> dict:
+    """The ``# config`` header of one run: its trace, its run config, then the caller's ``extra`` keys."""
+    return {
+        "protocol_params": dataclasses.asdict(cfg.protocol_config),
+        "mobility": ts.mobility,
+        "speed_class": class_label(ts.speed_class),
+        "pause_time": ts.pause_time,
+        "duration": ts.duration,
+        "dt": ts.dt,
+        "area": [ts.area_w, ts.area_h],
+        "noise": cfg.noise.max_magnitude,
+        "dist_tolerance": cfg.dist_tolerance,
+        "trace_seed": ts.seed,
+        "noise_seed": cfg.seed,
+        "trace_sha": trace_sha,
+        "backtracking": cfg.backtracking_enabled,
+        **extra,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Sweep execution
 # ---------------------------------------------------------------------------
 
@@ -309,37 +399,6 @@ def _cell_seeds(spec: SweepSpec, class_index: int, pause_index: int, rep: int) -
     ss = np.random.SeedSequence([spec.seed_base, class_index, pause_index, rep])
     trace_seed, noise_seed = (int(v) for v in ss.generate_state(2, np.uint64))
     return trace_seed, noise_seed
-
-
-def _cell_trace(spec: SweepSpec, class_index: int, pause_index: int, trace_seed: int) -> MobilityTrace:
-    lo, hi = spec.speed_classes[class_index]
-    rng = np.random.default_rng(trace_seed)
-    if spec.mobility == "rwp":
-        cfg = RandomWaypointConfig(
-            area_w=spec.area_w,
-            area_h=spec.area_h,
-            v_min=lo,
-            v_max=hi,
-            pause_time=spec.pause_times[pause_index],
-            duration=spec.duration,
-            dt=spec.dt,
-        )
-        return generate_random_waypoint(cfg, rng)
-    cfg = GaussMarkovConfig(
-        area_w=spec.area_w,
-        area_h=spec.area_h,
-        mean_speed=(lo + hi) / 2.0,
-        memory=spec.gm_memory,
-        speed_sigma=spec.gm_speed_sigma,
-        direction_sigma=spec.gm_direction_sigma,
-        duration=spec.duration,
-        dt=spec.dt,
-    )
-    return generate_gauss_markov(cfg, rng)
-
-
-def _upper_threshold(config) -> float | None:
-    return getattr(config, "t_max", None)
 
 
 def _events_filename(speed: str, pause: float, label: str, rep: int) -> str:
@@ -351,64 +410,47 @@ def _run_cell(
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell, sharing one trace."""
     trace_seed, noise_seed = _cell_seeds(spec, class_index, pause_index, rep)
-    trace = _cell_trace(spec, class_index, pause_index, trace_seed)
+    ts = TraceSpec.of(
+        spec,
+        speed_class=spec.speed_classes[class_index],
+        pause_time=spec.pause_times[pause_index],
+        seed=trace_seed,
+    )
+    trace = make_trace(ts)
     trace_sha = trace.content_hash()
-    speed = class_label(spec.speed_classes[class_index])
-    pause = spec.pause_times[pause_index]
+    speed = class_label(ts.speed_class)
+    pause = ts.pause_time
     noise = NoiseModel(spec.noise_max)
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
-        result = run(
-            RunConfig(
-                trace=trace,
-                protocol=pspec.kind,
-                protocol_config=config,
-                noise=noise,
-                dist_tolerance=spec.dist_tolerance,
-                seed=noise_seed,
-                backtracking_enabled=spec.backtracking_enabled,
-            )
+        run_cfg = RunConfig(
+            trace=trace,
+            protocol=pspec.kind,
+            protocol_config=config,
+            noise=noise,
+            dist_tolerance=spec.dist_tolerance,
+            seed=noise_seed,
+            backtracking_enabled=spec.backtracking_enabled,
         )
-        m = result.metrics
+        result = run(run_cfg)
         records.append(
             RunRecord(
                 speed_class=speed,
                 pause_time=pause,
                 protocol=pspec.label,
-                upper_threshold=_upper_threshold(config),
+                upper_threshold=getattr(config, "t_max", None),
                 rep=rep,
                 trace_seed=trace_seed,
                 noise_seed=noise_seed,
                 trace_sha=trace_sha,
-                localization_count=m.localization_count,
-                mean_error=m.mean_error,
-                max_error=m.max_error,
-                accuracy=m.accuracy,
-                correction_count=m.correction_count,
+                **dataclasses.asdict(result.metrics),
             )
         )
         if events_dir is not None:
-            run_provenance = {
-                "speed_class": speed,
-                "pause_time": pause,
-                "rep": rep,
-                "protocol": pspec.label,
-                "kind": pspec.kind,
-                "protocol_params": dataclasses.asdict(config),
-                "mobility": spec.mobility,
-                "duration": spec.duration,
-                "dt": spec.dt,
-                "area": [spec.area_w, spec.area_h],
-                "noise": spec.noise_max,
-                "dist_tolerance": spec.dist_tolerance,
-                "trace_seed": trace_seed,
-                "noise_seed": noise_seed,
-                "trace_sha": trace_sha,
-                "backtracking": spec.backtracking_enabled,
-            }
+            provenance = run_provenance(run_cfg, ts, trace_sha, rep=rep, protocol=pspec.label, kind=pspec.kind)
             path = Path(events_dir) / _events_filename(speed, pause, pspec.label, rep)
-            write_events_csv(path, run_provenance, result)
+            write_events_csv(path, provenance, result)
     return records
 
 
@@ -544,31 +586,19 @@ def spec_to_dict(spec: SweepSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> SweepSpec:
-    known = {f.name for f in dataclasses.fields(SweepSpec)}
-    extra = sorted(set(d) - known)
+    fields = dataclasses.fields(SweepSpec)
+    extra = sorted(set(d) - {f.name for f in fields})
     if extra:
         raise ValueError(f"field {extra[0]!r}: not a sweep parameter")
     try:
-        protocols = tuple(
-            ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
-        )
         return SweepSpec(
             speed_classes=tuple((float(lo), float(hi)) for lo, hi in d["speed_classes"]),
             pause_times=tuple(float(p) for p in d["pause_times"]),
-            protocols=protocols,
-            repetitions=int(d["repetitions"]),
-            duration=float(d["duration"]),
-            dt=float(d["dt"]),
-            area_w=float(d["area_w"]),
-            area_h=float(d["area_h"]),
-            noise_max=float(d["noise_max"]),
-            dist_tolerance=float(d["dist_tolerance"]),
-            seed_base=int(d["seed_base"]),
-            mobility=str(d["mobility"]),
-            gm_memory=float(d["gm_memory"]),
-            gm_speed_sigma=float(d["gm_speed_sigma"]),
-            gm_direction_sigma=float(d["gm_direction_sigma"]),
-            backtracking_enabled=bool(d["backtracking_enabled"]),
+            protocols=tuple(
+                ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
+            ),
+            # Every scalar field has a default, and its type casts the JSON value.
+            **{f.name: type(f.default)(d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
         )
     except KeyError as exc:
         raise ValueError(f"field {exc.args[0]!r}: missing from provenance config") from exc
@@ -582,7 +612,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _header_lines(kind: str, config: dict) -> list[str]:
+def header_lines(kind: str, config: dict) -> list[str]:
+    """The ``# dynloc <kind> v1`` and ``# config {json}`` lines of any dynloc output."""
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return [f"# dynloc {kind} v1", f"# config {payload}"]
 
@@ -598,12 +629,36 @@ def read_provenance(path: str | os.PathLike) -> dict:
     raise ValueError(f"no provenance header found in {path}")
 
 
+@contextlib.contextmanager
+def _atomic_write(path: str | os.PathLike):
+    """Write ``path`` through ``<path>.tmp`` and a rename; on error remove the temp, keep ``path``.
+
+    A symlink (``/dev/stdout``), pipe or device is written in place: a rename
+    would replace the link or node instead of writing through it.
+    """
+    path = os.fspath(path)
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(path, kind: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = _header_lines(kind, config)
+    lines = header_lines(kind, config)
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_runs_csv(path: str | os.PathLike, spec: SweepSpec, records: Sequence[RunRecord]) -> None:
@@ -621,8 +676,8 @@ def write_events_csv(path: str | os.PathLike, config: dict, result: RunResult) -
     # Floats print through repr of Python floats, as _fmt does; a numpy scalar's
     # repr would read "np.float64(...)".  Rows are formatted as they are written.
     cells = [col if isinstance(col[0], str) else map(repr, col) for col in result.columns()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*_header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
+    with _atomic_write(path) as fh:
+        fh.write("\n".join([*header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -641,19 +696,19 @@ def _parse_number_list(raw: str, field_name: str) -> list[float]:
     return out
 
 
+def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[float, float]:
+    """Parse one ``lo:hi`` speed class; errors name ``field_name``."""
+    pieces = raw.split(":")
+    if len(pieces) != 2:
+        raise ValueError(f"field '{field_name}': expected lo:hi, got {raw!r}")
+    try:
+        return float(pieces[0]), float(pieces[1])
+    except ValueError as exc:
+        raise ValueError(f"field '{field_name}': not a number in {raw!r}") from exc
+
+
 def _parse_speed_classes(raw: str) -> tuple[tuple[float, float], ...]:
-    classes = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ValueError(f"field 'speed_classes': expected lo:hi, got {part!r}")
-        try:
-            classes.append((float(pieces[0]), float(pieces[1])))
-        except ValueError as exc:
-            raise ValueError(f"field 'speed_classes': not a number in {part!r}") from exc
+    classes = [parse_speed_class(part.strip()) for part in raw.split(",") if part.strip()]
     if not classes:
         raise ValueError("field 'speed_classes': empty list")
     return tuple(classes)

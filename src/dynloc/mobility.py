@@ -100,14 +100,6 @@ class MobilityTrace:
     def end_time(self) -> float:
         return float(self.times[-1])
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        """Linearly interpolated position at time ``t`` within the trace span."""
-        if not math.isfinite(t) or t < self.times[0] - _TIME_EPS or t > self.end_time + _TIME_EPS:
-            raise ValueError(f"t={t} outside trace span [{self.times[0]}, {self.end_time}]")
-        x = float(np.interp(t, self.times, self.xs))
-        y = float(np.interp(t, self.times, self.ys))
-        return x, y
-
     def content_hash(self) -> str:
         """SHA-256 over the exact sample bytes; identical traces hash identically."""
         h = hashlib.sha256()

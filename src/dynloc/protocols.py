@@ -20,6 +20,8 @@ fix and what position it reports between fixes:
 All three are pure state machines: ``*_on_localize`` consumes the current
 :class:`SchedulerState` plus a fresh fix and returns the next state.  The
 simulation engine owns the clock and the noise; nothing here draws randomness.
+:data:`PROTOCOLS` is the one table of protocol kinds; engine, sweeps and CLI
+all read it, so a new scheduler is one row there.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .geometry import LocalizationSample, Position, distance
 
 __all__ = [
+    "PROTOCOLS",
+    "ProtocolConfig",
+    "ProtocolKind",
     "Confidence",
     "SfrConfig",
     "DvmConfig",
@@ -299,3 +304,30 @@ def backtrack_correct(
             moved += 1
         corrected.append((t, point))
     return corrected, moved
+
+
+# ---------------------------------------------------------------------------
+# Protocol table
+# ---------------------------------------------------------------------------
+
+ProtocolConfig = SfrConfig | DvmConfig | MadrdConfig
+
+
+class ProtocolKind(NamedTuple):
+    """One scheduler: its config class, its state machine, and how it reports.
+
+    ``predicts`` is true when the node reports the dead-reckoned
+    :func:`madrd_predict` position between fixes instead of holding the fix.
+    """
+
+    config: type
+    init: Callable[[LocalizationSample, ProtocolConfig], SchedulerState]
+    on_localize: Callable[[SchedulerState, LocalizationSample, ProtocolConfig], SchedulerState]
+    predicts: bool
+
+
+PROTOCOLS: dict[str, ProtocolKind] = {
+    "sfr": ProtocolKind(SfrConfig, sfr_init, sfr_on_localize, predicts=False),
+    "dvm": ProtocolKind(DvmConfig, dvm_init, dvm_on_localize, predicts=False),
+    "madrd": ProtocolKind(MadrdConfig, madrd_init, madrd_on_localize, predicts=True),
+}

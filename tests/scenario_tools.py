@@ -14,10 +14,10 @@ import math
 
 import numpy as np
 
-from dynloc.engine import _INIT, _ON_LOCALIZE, _SCHED_EPS, EventRecord, RunConfig, RunMetrics
+from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, RunMetrics
 from dynloc.geometry import LocalizationSample, Position, localize, threshold_accuracy
 from dynloc.mobility import MobilityTrace, trace_from_waypoints
-from dynloc.protocols import SchedulerState, backtrack_correct, madrd_predict
+from dynloc.protocols import PROTOCOLS, SchedulerState, backtrack_correct, madrd_predict
 
 AREA = 300.0
 START_X = 30.0
@@ -117,10 +117,9 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
     true_ys = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
-    init = _INIT[cfg.protocol]
-    on_localize = _ON_LOCALIZE[cfg.protocol]
+    kind = PROTOCOLS[cfg.protocol]
+    init, on_localize, predicts = kind.init, kind.on_localize, kind.predicts
     pcfg = cfg.protocol_config
-    predicts = cfg.protocol == "madrd"
 
     state: SchedulerState | None = None
     events: list[EventRecord] = []

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from dynloc import oracles
@@ -97,6 +100,8 @@ def test_simulate_rejects_invalid_parameter(capsys):
         (["sweep", "--duration", "inf", "--repetitions", "1"], "duration"),
         (["simulate", "--protocol", "sfr", "--pause", "nan"], "pause_time"),
         (["simulate", "--protocol", "madrd", "--period-growth", "inf"], "period_growth"),
+        (["simulate", "--protocol", "sfr", "--speed", "a:b"], "field 'speed'"),
+        (["export-trace", "--speed", "x:1"], "field 'speed'"),
     ],
 )
 def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, field):
@@ -107,6 +112,59 @@ def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, f
     err = capsys.readouterr().err
     assert "validation error" in err and field in err
     assert not out_dir.exists()
+
+
+# Byte digests of the simulate and export-trace outputs, pinned for these library
+# versions only (see test_acceptance.GOLDEN_VERSIONS).  Each case runs in its
+# own directory with relative paths, so no temporary path reaches a header.
+CLI_GOLDEN_VERSIONS = ("3.11.7", "2.4.6")
+CLI_GOLDEN_CASES = {
+    "simulate_rwp_backtracking": (
+        ["simulate", "--protocol", "dvm", "--mobility", "rwp", "--speed", "2:3", "--pause", "10",
+         "--duration", "60", "--seed", "7", "--backtracking", "--events-out", "events.csv"],
+        {
+            "stdout": "99445830723890c26ee0a9430769d0c967de59b62d29c511f159445d55a0a394",
+            "events.csv": "3752ac342979eb907f5225645ecdf5de64d8c4d023926d689197e3e376c1297f",
+        },
+    ),
+    "simulate_gauss_markov_madrd": (
+        ["simulate", "--protocol", "madrd", "--mobility", "gauss_markov", "--gm-memory", "0.6",
+         "--duration", "60", "--seed", "3", "--events-out", "events.csv"],
+        {
+            "stdout": "f7c99d053779fc416f3ed1dc5bdd7a65f3a89fa70961aaccad23a25e3877d791",
+            "events.csv": "61645dc433624217c80833889262d867a9c1d950984a4631e50d6308b510393d",
+        },
+    ),
+    "simulate_trace_file": (
+        ["simulate", "--protocol", "sfr", "--trace-file", "node.txt", "--duration", "20"],
+        {"stdout": "d6e4cc69e6a5ed55bf2d8f746761967e37281ccb4c0b12791f4cb97564cc3a27"},
+    ),
+    "export_rwp": (
+        ["export-trace", "--mobility", "rwp", "--speed", "1:2", "--pause", "5",
+         "--duration", "60", "--seed", "5"],
+        {"stdout": "a784586f7f0cd1a01f14f4576814b50bc7074761690a5211e9b8c74658de8976"},
+    ),
+    "export_gauss_markov": (
+        ["export-trace", "--mobility", "gauss_markov", "--gm-speed-sigma", "0.3",
+         "--duration", "60", "--seed", "5"],
+        {"stdout": "fae28d91ef5db9dfca98dc80cfa51efaba8120b631d441cd1e62b033cc3bd377"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_GOLDEN_CASES))
+def test_cli_outputs_match_golden_digests(case, tmp_path, monkeypatch, capsys):
+    versions = (platform.python_version(), np.__version__)
+    if versions != CLI_GOLDEN_VERSIONS:
+        pytest.skip(f"digests are pinned for Python/numpy {CLI_GOLDEN_VERSIONS}, running {versions}")
+    argv, expected = CLI_GOLDEN_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "node.txt").write_text("0 10 10 20 50 10\n")
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out.encode()
+    for name, digest in expected.items():
+        data = stdout if name == "stdout" else (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, f"{case} {name}"
 
 
 def test_simulate_rejects_missing_trace_file(capsys):
@@ -172,6 +230,18 @@ def test_sweep_rejects_unknown_protocol_label(tmp_path, capsys):
     ])
     assert code == EXIT_VALIDATION
     assert "gps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["../evil", "a,b"])
+def test_sweep_rejects_unsafe_protocol_label_before_any_run(tmp_path, capsys, label):
+    spec_file = tmp_path / "sweep.ini"
+    spec_file.write_text(SPEC_TEXT + f"\n[{label}]\nkind = sfr\n")
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--spec", str(spec_file), "--out", str(out_dir), "--events"])
+    assert code == EXIT_VALIDATION
+    assert repr(label) in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 
 
 def test_sweep_events_flag_writes_event_logs(tmp_path):

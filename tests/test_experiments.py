@@ -12,6 +12,7 @@ from dynloc.experiments import (
     ProtocolSpec,
     SweepSpec,
     WORKERS_ENV_VAR,
+    _atomic_write,
     _worker_count,
     _write_csv,
     class_label,
@@ -327,6 +328,37 @@ def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg):
     events, _, _ = reference_run(cfg)
     _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, events)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a\\b"])
+def test_protocol_label_rejects_unsafe_names(label):
+    with pytest.raises(ValueError, match="label"):
+        ProtocolSpec(label, "sfr")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_write_leaves_no_partial_or_temp_file(tmp_path, existing):
+    path = tmp_path / "events_x.csv"
+    if existing:
+        path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with _atomic_write(path) as fh:
+            fh.write("partial row\n")
+            raise RuntimeError("disk gone")
+    assert [p.name for p in tmp_path.iterdir()] == (["events_x.csv"] if existing else [])
+    if existing:
+        assert path.read_text() == "old\n"
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    with _atomic_write(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
 
 def test_csv_round_trip_with_provenance(tmp_path):

@@ -208,20 +208,6 @@ def test_trace_rejects_decreasing_times():
         MobilityTrace(0, np.array([0.1, 0.0]), np.zeros(2), np.zeros(2), 0.1, 300, 300)
 
 
-def test_position_at_interpolates():
-    trace = trace_from_waypoints([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)], 1.0, 300, 300)
-    assert trace.position_at(2.5) == pytest.approx((2.5, 0.0))
-    assert trace.position_at(10.0) == pytest.approx((10.0, 0.0))
-
-
-def test_position_at_rejects_out_of_span():
-    trace = trace_from_waypoints([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)], 1.0, 300, 300)
-    with pytest.raises(ValueError):
-        trace.position_at(10.5)
-    with pytest.raises(ValueError):
-        trace.position_at(-0.5)
-
-
 def test_content_hash_tracks_content():
     a = trace_from_waypoints([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)], 1.0, 300, 300)
     b = trace_from_waypoints([(0.0, 0.0, 0.0), (10.0, 10.0, 0.0)], 1.0, 300, 300)
