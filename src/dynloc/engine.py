@@ -18,7 +18,10 @@ point.
 A run returns per-step columns as read-only arrays, the fixes, and scalar
 metrics; :attr:`RunResult.events` builds row tuples only when asked.  A run is
 fully determined by its config and seed -- the noise stream is the only
-randomness, and it is seeded explicitly.
+randomness, and it is seeded explicitly.  The engine draws that stream
+``_NOISE_CHUNK`` fixes at a time through :func:`~dynloc.geometry.draw_fix_noise`,
+which yields the same draws in the same order as one
+:func:`~dynloc.geometry.localize` call per fix.
 """
 
 from __future__ import annotations
@@ -26,15 +29,16 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .geometry import (
     LocalizationSample,
     NoiseModel,
-    Position,
-    localize,
+    draw_fix_noise,
+    localize,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
+    noisy_fix,
     threshold_accuracy,
 )
 from .mobility import MobilityTrace
@@ -42,8 +46,8 @@ from .protocols import (
     PROTOCOLS,
     ProtocolConfig,
     SchedulerState,
-    backtrack_correct,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
-    madrd_predict,  # noqa: F401 -- bound here so perfbench's tracer can wrap it
+    backtrack_correct,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
+    madrd_predict,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
 )
 
 __all__ = [
@@ -55,6 +59,9 @@ __all__ = [
 ]
 
 _SCHED_EPS = 1e-9
+# Fixes of noise drawn per refill.  Any size yields the same stream; a stock run
+# takes 165-760 fixes, and the draws left over at the end of a run are dropped.
+_NOISE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,12 @@ def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
 
 
+def _fix_noise(noise: NoiseModel, rng: np.random.Generator) -> Iterator[list[float]]:
+    """Endless ``[magnitude, angle]`` rows of fix noise, drawn ``_NOISE_CHUNK`` fixes at a time."""
+    while True:
+        yield from draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist()
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Simulate one node/protocol pair over the full trace.
 
@@ -158,15 +171,12 @@ def run(cfg: RunConfig) -> RunResult:
     are measured against ground truth after any correction.
     """
     trace = cfg.trace
-    times = trace.times
+    times, xs, ys = trace.times, trace.xs, trace.ys
     n = times.size
     # A fix requested at time r fires at the first step k with times[k] + eps >= r:
     # bisect_left over this list is np.searchsorted(times + eps, r) without the
     # per-call numpy overhead.
     due = (times + _SCHED_EPS).tolist()
-    t_list = times.tolist()
-    x_list = trace.xs.tolist()
-    y_list = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
     kind = PROTOCOLS[cfg.protocol]
@@ -177,13 +187,14 @@ def run(cfg: RunConfig) -> RunResult:
     states: list[SchedulerState] = []
     state: SchedulerState | None = None
     k = 0
-    while k < n:
-        t = t_list[k]
-        sample = localize(Position(x_list[k], y_list[k]), noise, rng, t=t)
+    for magnitude, angle in _fix_noise(noise, rng):
+        sample = noisy_fix(xs.item(k), ys.item(k), times.item(k), magnitude, angle)
         state = init(sample, pcfg) if state is None else on_localize(state, sample, pcfg)
         fix_steps.append(k)
         states.append(state)
         k = max(bisect_left(due, state.next_localization_time), k + 1)
+        if k >= n:
+            break
 
     samples = [s.last_sample for s in states]
     fixes = np.array(fix_steps)

@@ -19,6 +19,8 @@ __all__ = [
     "NoiseModel",
     "LocalizationSample",
     "distance",
+    "draw_fix_noise",
+    "noisy_fix",
     "localize",
     "threshold_accuracy",
 ]
@@ -69,6 +71,22 @@ def distance(a: Position, b: Position) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
+def draw_fix_noise(noise: NoiseModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw the displacements of ``count`` fixes: one ``(magnitude, angle)`` row per fix.
+
+    The magnitude is uniform in [0, noise.max_magnitude), the angle uniform in
+    [0, 2*pi), drawn from ``rng`` in that order, so a seeded stream yields the
+    same fixes one row or many rows at a time.  ``uniform(0, high)`` is exactly
+    ``random() * high``, without ``uniform``'s per-call set-up for array bounds.
+    """
+    return rng.random((count, 2)) * (noise.max_magnitude, 2.0 * math.pi)
+
+
+def noisy_fix(x: float, y: float, t: float, magnitude: float, angle: float) -> LocalizationSample:
+    """The fix at time ``t`` of a node at ``(x, y)``, displaced by one row of :func:`draw_fix_noise`."""
+    return LocalizationSample(t, Position(x + magnitude * math.cos(angle), y + magnitude * math.sin(angle)))
+
+
 def localize(
     true_pos: Position,
     noise: NoiseModel,
@@ -77,18 +95,13 @@ def localize(
 ) -> LocalizationSample:
     """Take one noisy position fix of ``true_pos`` at time ``t``.
 
-    Draws a displacement magnitude uniform in [0, noise.max_magnitude) and a
-    direction uniform in [0, 2*pi); with a zero-noise model the measured
-    position equals the true one exactly.  Two draws are consumed from ``rng``
-    per call, so a fixed seed yields a bit-identical sequence of fixes.
+    Draws one row of :func:`draw_fix_noise`; with a zero-noise model the
+    measured position equals the true one exactly.  Two draws are consumed
+    from ``rng`` per call, so a fixed seed yields a bit-identical sequence of
+    fixes.
     """
-    magnitude = rng.uniform(0.0, noise.max_magnitude)
-    angle = rng.uniform(0.0, 2.0 * math.pi)
-    measured = Position(
-        true_pos.x + magnitude * math.cos(angle),
-        true_pos.y + magnitude * math.sin(angle),
-    )
-    return LocalizationSample(t=t, measured=measured)
+    magnitude, angle = draw_fix_noise(noise, rng, 1).tolist()[0]
+    return noisy_fix(true_pos.x, true_pos.y, t, magnitude, angle)
 
 
 def threshold_accuracy(errors: Sequence[float] | Iterable[float], tolerance: float) -> float:

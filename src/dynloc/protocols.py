@@ -27,7 +27,7 @@ all read it, so a new scheduler is one row there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -62,10 +62,16 @@ class Confidence(Enum):
     HC = 3
 
     def toward_hc(self) -> "Confidence":
-        return Confidence(min(self.value + 1, Confidence.HC.value))
+        return _TOWARD_HC[self._value_]
 
     def toward_lc(self) -> "Confidence":
-        return Confidence(max(self.value - 1, Confidence.LC.value))
+        return _TOWARD_LC[self._value_]
+
+
+# One step up/down the chain by ``_value_``, saturating at both ends.  MADRD steps once
+# per fix; the ``value`` property and ``Confidence(v)`` each cost a Python-level call.
+_TOWARD_HC = (Confidence.S1, Confidence.S2, Confidence.HC, Confidence.HC)
+_TOWARD_LC = (Confidence.LC, Confidence.LC, Confidence.S1, Confidence.S2)
 
 
 @dataclass(frozen=True)
@@ -163,12 +169,13 @@ def sfr_init(sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
 
 def sfr_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
     """Fixed cadence: the next fix lands exactly one period after this one."""
-    return replace(
-        state,
+    return SchedulerState(
         last_sample=sample,
         prev_sample=state.last_sample,
+        velocity_estimate=state.velocity_estimate,
         next_localization_time=sample.t + cfg.period,
         current_period=cfg.period,
+        confidence=state.confidence,
     )
 
 
@@ -201,13 +208,13 @@ def dvm_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: DvmC
         period = cfg.t_max
     else:
         period = _clamp(cfg.target_error / speed, cfg.t_min, cfg.t_max)
-    return replace(
-        state,
+    return SchedulerState(
         last_sample=sample,
         prev_sample=state.last_sample,
         velocity_estimate=(vx, vy),
         next_localization_time=sample.t + period,
         current_period=period,
+        confidence=state.confidence,
     )
 
 
@@ -256,8 +263,7 @@ def madrd_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: Ma
         period *= cfg.period_shrink
     period = _clamp(period, cfg.t_min, cfg.t_max)
     vx, vy = _chord_velocity(state.last_sample, sample)
-    return replace(
-        state,
+    return SchedulerState(
         last_sample=sample,
         prev_sample=state.last_sample,
         velocity_estimate=(vx, vy),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dynloc.engine import RunConfig, run
+from dynloc.engine import _NOISE_CHUNK, RunConfig, run
 from dynloc.geometry import NoiseModel
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -15,6 +15,8 @@ from dynloc.mobility import (
     trace_from_waypoints,
 )
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
+
+from scenario_tools import reference_run
 
 
 def _trace(seed: int = 1, duration: float = 900.0):
@@ -217,3 +219,32 @@ def test_backtracking_never_increases_pooled_error_on_smooth_track():
     plain = run(base)
     corrected = run(replace(base, backtracking_enabled=True))
     assert corrected.metrics.mean_error <= plain.metrics.mean_error
+
+
+@pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+@pytest.mark.parametrize(
+    ("protocol", "pcfg"),
+    [
+        ("sfr", SfrConfig(period=1e-12)),
+        ("dvm", DvmConfig(target_error=0.5, t_min=0.1, t_max=0.4)),
+        ("madrd", MadrdConfig(divergence_threshold=0.5, t_min=0.1, t_max=0.4)),
+    ],
+    ids=["sfr", "dvm", "madrd"],
+)
+def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise, backtracking):
+    trace = generate_random_waypoint(
+        RandomWaypointConfig(area_w=200.0, area_h=200.0, v_min=4.0, v_max=8.0, duration=300.0, dt=0.1),
+        np.random.default_rng(17),
+    )
+    cfg = RunConfig(
+        trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(noise),
+        seed=23, backtracking_enabled=backtracking,
+    )
+    result = run(cfg)
+    events, samples, metrics = reference_run(cfg)
+    # Enough fixes that the engine refills its noise several times.
+    assert metrics.localization_count > 2 * _NOISE_CHUNK
+    assert [list(map(repr, col)) for col in result.columns()] == [list(map(repr, col)) for col in zip(*events)]
+    assert result.samples == samples
+    assert result.metrics == metrics

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from dynloc.engine import _NOISE_CHUNK
 from dynloc.geometry import (
     LocalizationSample,
     NoiseModel,
     Position,
     distance,
+    draw_fix_noise,
     localize,
     threshold_accuracy,
 )
@@ -75,6 +77,28 @@ def test_localize_is_seed_deterministic():
     first = [localize(true_pos, noise, rng_a).measured for _ in range(50)]
     second = [localize(true_pos, noise, rng_b).measured for _ in range(50)]
     assert first == second
+
+
+@pytest.mark.parametrize("max_magnitude", [0.0, 0.5, 3.0])
+def test_batched_fix_noise_replays_the_scalar_draws(max_magnitude):
+    # The reference stream: two scalar draws per fix, magnitude first, then angle.
+    count = 2 * _NOISE_CHUNK + 5
+    scalar = np.random.default_rng(31)
+    expected = [[scalar.uniform(0.0, max_magnitude), scalar.uniform(0.0, 2.0 * math.pi)] for _ in range(count)]
+    noise = NoiseModel(max_magnitude)
+
+    def hexed(rows):
+        return [[v.hex() for v in row] for row in rows]
+
+    assert hexed(draw_fix_noise(noise, np.random.default_rng(31), count).tolist()) == hexed(expected)
+    rng = np.random.default_rng(31)
+    split = draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise, rng, count - _NOISE_CHUNK).tolist()
+    assert hexed(split) == hexed(expected)
+
+    # localize takes one row per call from the same stream.
+    rng = np.random.default_rng(31)
+    fixes = [localize(Position(7.0, -2.5), noise, rng).measured for _ in range(count)]
+    assert fixes == [Position(7.0 + m * math.cos(a), -2.5 + m * math.sin(a)) for m, a in expected]
 
 
 def test_distance_triangle_inequality():

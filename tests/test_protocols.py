@@ -129,6 +129,12 @@ def test_madrd_prediction_extrapolates_velocity():
     assert (predicted.x, predicted.y) == pytest.approx((10.0, 0.0))
 
 
+@pytest.mark.parametrize("state", list(Confidence))
+def test_confidence_steps_are_the_clamped_neighbours(state):
+    assert state.toward_hc() is Confidence(min(state.value + 1, Confidence.HC.value))
+    assert state.toward_lc() is Confidence(max(state.value - 1, Confidence.LC.value))
+
+
 def test_madrd_good_fix_chain_reaches_hc_then_grows():
     cfg = _madrd_cfg()
     state = madrd_init(_sample(0.0, 0.0), cfg)
