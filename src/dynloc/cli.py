@@ -146,6 +146,13 @@ def _protocol_config(args) -> ProtocolConfig:
     return config_cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)})
 
 
+def _seed(args) -> int:
+    """``--seed``, checked before any seed sequence or generator sees it."""
+    if args.seed < 0:
+        raise ValueError(f"field 'seed': must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _trace_spec(args, seed: int) -> experiments.TraceSpec:
     """The trace the shared trace flags describe, generated from ``seed``."""
     area_w, area_h = experiments.parse_area(args.area)
@@ -154,7 +161,7 @@ def _trace_spec(args, seed: int) -> experiments.TraceSpec:
 
 
 def _cmd_simulate(args) -> int:
-    seeds = np.random.SeedSequence([args.seed]).generate_state(2, np.uint64)
+    seeds = np.random.SeedSequence([_seed(args)]).generate_state(2, np.uint64)
     trace_seed, noise_seed = int(seeds[0]), int(seeds[1])
     ts = _trace_spec(args, trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
@@ -290,7 +297,7 @@ def _cmd_import_trace(args) -> int:
 
 
 def _cmd_export_trace(args) -> int:
-    _emit(export_trace(experiments.make_trace(_trace_spec(args, args.seed))), args.out)
+    _emit(export_trace(experiments.make_trace(_trace_spec(args, _seed(args)))), args.out)
     return EXIT_OK
 
 

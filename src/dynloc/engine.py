@@ -10,10 +10,12 @@ The reported track is then filled in array form: SFR and DVM hold each fix
 over its segment, MADRD dead-reckons ``fix + velocity * (t - t_fix)``.  With
 backtracking on, every closed interval between two fixes is rewritten with
 the time-linear interpolation of its bounding fixes, all intervals in one
-array pass.  Every float comes from the same IEEE operations a per-step loop
-would apply, and errors go through :func:`math.hypot` (``np.hypot`` differs
-in the last ulp), so the result is bit-identical to stepping the grid point by
-point.
+array pass, computed in place.  Every float comes from the same IEEE
+operations a per-step loop would apply (only the operands of one ``+`` or
+``*`` may swap, which is exact), and distances go through
+:func:`~dynloc.geometry.hypot_exact`, which equals :func:`math.hypot` bit for
+bit (``np.hypot`` differs in the last ulp), so the result is bit-identical to
+stepping the grid point by point.
 
 A run returns per-step columns as read-only arrays, the fixes, and scalar
 metrics; :attr:`RunResult.events` builds row tuples only when asked.  A run is
@@ -37,6 +39,7 @@ from .geometry import (
     LocalizationSample,
     NoiseModel,
     draw_fix_noise,
+    hypot_exact,
     localize,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
     noisy_fix,
     threshold_accuracy,
@@ -147,11 +150,6 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`math.hypot`; ``np.hypot`` differs from it in the last ulp."""
-    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())))
-
-
 def _fix_noise(noise: NoiseModel, rng: np.random.Generator) -> Iterator[list[float]]:
     """Endless ``[magnitude, angle]`` rows of fix noise, drawn ``_NOISE_CHUNK`` fixes at a time."""
     while True:
@@ -206,10 +204,15 @@ def run(cfg: RunConfig) -> RunResult:
     localized[fixes] = 1
     period = np.repeat(np.array([s.current_period for s in states], dtype=float), seg)
     if kind.predicts:
-        # Same operations as madrd_predict: m + v * (t - t_fix).
-        elapsed = times - np.repeat(fix_t, seg)
-        rep_x = np.repeat(fix_x, seg) + np.repeat([s.velocity_estimate[0] for s in states], seg) * elapsed
-        rep_y = np.repeat(fix_y, seg) + np.repeat([s.velocity_estimate[1] for s in states], seg) * elapsed
+        # Same operations as madrd_predict: m + v * (t - t_fix), in place.
+        elapsed = np.repeat(fix_t, seg)
+        np.subtract(times, elapsed, out=elapsed)
+        rep_x = np.repeat([s.velocity_estimate[0] for s in states], seg)
+        rep_x *= elapsed
+        rep_x += np.repeat(fix_x, seg)
+        rep_y = np.repeat([s.velocity_estimate[1] for s in states], seg)
+        rep_y *= elapsed
+        rep_y += np.repeat(fix_y, seg)
         confidence = np.repeat([s.confidence.name for s in states], seg)
     else:
         rep_x = np.repeat(fix_x, seg)
@@ -222,16 +225,26 @@ def run(cfg: RunConfig) -> RunResult:
         owner = np.repeat(np.arange(fixes.size), seg)
         inner = np.flatnonzero((localized == 0) & (owner < fixes.size - 1))
         j = owner[inner]
-        # Same operations as backtrack_correct: a + frac * (b - a).
-        frac = (times[inner] - fix_t[j]) / (fix_t[j + 1] - fix_t[j])
-        cx = fix_x[j] + frac * (fix_x[j + 1] - fix_x[j])
-        cy = fix_y[j] + frac * (fix_y[j + 1] - fix_y[j])
-        moved = _hypot(cx - rep_x[inner], cy - rep_y[inner])
-        correction_count = int(np.count_nonzero(moved > noise.max_magnitude))
+        # Same operations as backtrack_correct: a + frac * (b - a), in place;
+        # np.diff(v)[j] is v[j + 1] - v[j].
+        scratch = np.empty(j.size)
+        frac = times[inner]
+        frac -= fix_t.take(j, out=scratch)
+        frac /= np.diff(fix_t).take(j, out=scratch)
+        cx = np.diff(fix_x).take(j)
+        cx *= frac
+        cx += fix_x.take(j, out=scratch)
+        cy = np.diff(fix_y).take(j)
+        cy *= frac
+        cy += fix_y.take(j, out=scratch)
+        # frac and scratch are free again: they take how far each point moves.
+        dx = np.subtract(cx, rep_x.take(inner, out=frac), out=frac)
+        dy = np.subtract(cy, rep_y.take(inner, out=scratch), out=scratch)
+        correction_count = int(np.count_nonzero(hypot_exact(dx, dy) > noise.max_magnitude))
         rep_x[inner] = cx
         rep_y[inner] = cy
 
-    errors = _hypot(rep_x - trace.xs, rep_y - trace.ys)
+    errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys)
     metrics = RunMetrics(
         localization_count=len(samples),
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),

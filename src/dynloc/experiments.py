@@ -177,6 +177,8 @@ class SweepSpec:
             raise ValueError(f"field 'protocols': labels must be unique, got {labels}")
         if self.repetitions < 1:
             raise ValueError(f"field 'repetitions': must be >= 1, got {self.repetitions}")
+        if self.seed_base < 0:
+            raise ValueError(f"field 'seed_base': must be >= 0, got {self.seed_base}")
         if self.duration <= 0 or self.dt <= 0:
             raise ValueError("fields 'duration'/'dt': must be positive")
         if self.mobility not in MOBILITY_MODELS:

@@ -244,6 +244,21 @@ def test_sweep_rejects_unsafe_protocol_label_before_any_run(tmp_path, capsys, la
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.ini"]
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sweep", "--seed-base", "-5", "--repetitions", "1"], "field 'seed_base'"),
+        (["simulate", "--protocol", "sfr", "--seed", "-1"], "field 'seed'"),
+        (["export-trace", "--seed", "-3"], "field 'seed'"),
+    ],
+)
+def test_negative_seed_is_rejected_before_any_output(tmp_path, capsys, argv, field):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_events_flag_writes_event_logs(tmp_path):
     spec_file = tmp_path / "sweep.ini"
     spec_file.write_text(SPEC_TEXT)

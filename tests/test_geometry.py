@@ -59,14 +59,10 @@ def test_localize_never_exceeds_max_magnitude():
 
 def test_localize_mean_displacement_matches_uniform_magnitude():
     # The magnitude is uniform on [0, max), so the mean displacement is max/2.
-    rng = np.random.default_rng(123)
-    noise = NoiseModel(0.5)
-    true_pos = Position(0.0, 0.0)
-    total = 0.0
-    n = 1_000_000
-    for _ in range(n):
-        total += distance(localize(true_pos, noise, rng).measured, true_pos)
-    assert total / n == pytest.approx(0.25, abs=0.01)
+    # One array call draws the stream that localize reads one fix at a time
+    # (see test_batched_fix_noise_replays_the_scalar_draws).
+    draws = draw_fix_noise(NoiseModel(0.5), np.random.default_rng(123), 1_000_000)
+    assert draws[:, 0].mean() == pytest.approx(0.25, abs=0.01)
 
 
 def test_localize_is_seed_deterministic():
