@@ -4,10 +4,13 @@ The engine owns the clock and the measurement noise.  Localizations fire at
 the first grid step at or after the scheduler's requested time (ceiling snap
 onto the dt grid), at most one per step; the very first fix is forced at t=0.
 
-Python steps once per fix, not once per grid step.  Each fix runs the
-scheduler, and a binary search over the grid finds the step of the next fix.
-The reported track is then filled in array form: SFR and DVM hold each fix
-over its segment, MADRD dead-reckons ``fix + velocity * (t - t_fix)``.  With
+Python steps once per fix, not once per grid step, and only on plain floats:
+each fix calls the protocol's ``step`` (:data:`~dynloc.protocols.PROTOCOLS`)
+and appends the row it returns, and a binary search over the grid finds the
+step of the next fix.  No sample, position or scheduler-state object is built
+per fix.  The rows become per-fix columns (:class:`Fixes`), and the reported
+track is then filled in array form: SFR and DVM hold each fix over its
+segment, MADRD dead-reckons ``fix + velocity * (t - t_fix)``.  With
 backtracking on, every closed interval between two fixes is rewritten with
 the time-linear interpolation of its bounding fixes, all intervals in one
 array pass, computed in place.  Every float comes from the same IEEE
@@ -17,12 +20,13 @@ operations a per-step loop would apply (only the operands of one ``+`` or
 bit (``np.hypot`` differs in the last ulp), so the result is bit-identical to
 stepping the grid point by point.
 
-A run returns per-step columns as read-only arrays, the fixes, and scalar
-metrics; :attr:`RunResult.events` builds row tuples only when asked.  A run is
-fully determined by its config and seed -- the noise stream is the only
+A run returns per-step and per-fix columns as read-only arrays, and scalar
+metrics; :attr:`RunResult.events` builds row tuples and :attr:`RunResult.samples`
+builds :class:`~dynloc.geometry.LocalizationSample` objects only when asked.  A
+run is fully determined by its config and seed -- the noise stream is the only
 randomness, and it is seeded explicitly.  The engine draws that stream
-``_NOISE_CHUNK`` fixes at a time through :func:`~dynloc.geometry.draw_fix_noise`,
-which yields the same draws in the same order as one
+``_NOISE_CHUNK`` fixes at a time through :func:`~dynloc.geometry.draw_fix_offsets`,
+which yields the same displacements in the same order as one
 :func:`~dynloc.geometry.localize` call per fix.
 """
 
@@ -38,17 +42,17 @@ import numpy as np
 from .geometry import (
     LocalizationSample,
     NoiseModel,
-    draw_fix_noise,
+    Position,
+    draw_fix_offsets,
     hypot_exact,
     localize,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
-    noisy_fix,
     threshold_accuracy,
 )
 from .mobility import MobilityTrace
 from .protocols import (
     PROTOCOLS,
+    Confidence,
     ProtocolConfig,
-    SchedulerState,
     backtrack_correct,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
     madrd_predict,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
 )
@@ -57,6 +61,7 @@ __all__ = [
     "RunConfig",
     "RunMetrics",
     "EventRecord",
+    "Fixes",
     "RunResult",
     "run",
 ]
@@ -113,18 +118,36 @@ class RunMetrics:
     correction_count: int
 
 
+class Fixes(NamedTuple):
+    """One read-only column per fix field: the grid ``step`` of each fix, then
+    :data:`~dynloc.protocols.FIX_COLUMNS`, the row each scheduler step returns.
+
+    ``x``/``y`` is the measured (noisy) position; ``confidence`` is ``int8``.
+    """
+
+    step: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    period: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    confidence: np.ndarray
+    prediction_error: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """One run: scalar metrics, the fixes, and one read-only column per event field.
+    """One run: scalar metrics, the per-fix columns, and one read-only column per event field.
 
-    Columns have one entry per grid step.  ``localized`` is 1 at fix steps;
-    ``period`` is the scheduler's period after the step's latest fix;
+    Event columns have one entry per grid step.  ``localized`` is 1 at fix
+    steps; ``period`` is the scheduler's period after the step's latest fix;
     ``confidence`` holds MADRD's state name and is empty for SFR and DVM.
     Compare two results column by column (``np.array_equal``), not with ``==``.
     """
 
     metrics: RunMetrics
-    samples: list[LocalizationSample]
+    fixes: Fixes
     t: np.ndarray
     true_x: np.ndarray
     true_y: np.ndarray
@@ -144,16 +167,25 @@ class RunResult:
         """Row view of the columns, built on each access."""
         return list(map(EventRecord._make, zip(*self.columns())))
 
+    @property
+    def samples(self) -> list[LocalizationSample]:
+        """The fixes as :class:`~dynloc.geometry.LocalizationSample` objects, built on each access."""
+        f = self.fixes
+        return [LocalizationSample(t, Position(x, y)) for t, x, y in zip(f.t.tolist(), f.x.tolist(), f.y.tolist())]
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
 
 
-def _fix_noise(noise: NoiseModel, rng: np.random.Generator) -> Iterator[list[float]]:
-    """Endless ``[magnitude, angle]`` rows of fix noise, drawn ``_NOISE_CHUNK`` fixes at a time."""
+def _fix_offsets(noise: NoiseModel, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
+    """Endless ``(dx, dy)`` fix displacements, drawn ``_NOISE_CHUNK`` fixes at a time."""
     while True:
-        yield from draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist()
+        yield from draw_fix_offsets(noise, rng, _NOISE_CHUNK)
+
+
+_CONFIDENCE_NAMES = tuple(c.name for c in Confidence)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -171,6 +203,8 @@ def run(cfg: RunConfig) -> RunResult:
     trace = cfg.trace
     times, xs, ys = trace.times, trace.xs, trace.ys
     n = times.size
+    if not times.item(0) >= 0:
+        raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
     # A fix requested at time r fires at the first step k with times[k] + eps >= r:
     # bisect_left over this list is np.searchsorted(times + eps, r) without the
     # per-call numpy overhead.
@@ -178,42 +212,48 @@ def run(cfg: RunConfig) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
     kind = PROTOCOLS[cfg.protocol]
-    init, on_localize = kind.init, kind.on_localize
+    step = kind.step
     pcfg = cfg.protocol_config
 
     fix_steps: list[int] = []
-    states: list[SchedulerState] = []
-    state: SchedulerState | None = None
+    rows: list[tuple] = []
+    row = None
     k = 0
-    for magnitude, angle in _fix_noise(noise, rng):
-        sample = noisy_fix(xs.item(k), ys.item(k), times.item(k), magnitude, angle)
-        state = init(sample, pcfg) if state is None else on_localize(state, sample, pcfg)
+    for dx, dy in _fix_offsets(noise, rng):
+        t = times.item(k)
+        row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
+        next_t = t + row[3]  # the row's period (FIX_COLUMNS)
+        if not next_t > t:
+            raise ValueError(f"the next fix must come after the fix at t={t}, got {next_t}")
         fix_steps.append(k)
-        states.append(state)
-        k = max(bisect_left(due, state.next_localization_time), k + 1)
+        rows.append(row)
+        j = bisect_left(due, next_t)
+        k = j if j > k else k + 1
         if k >= n:
             break
 
-    samples = [s.last_sample for s in states]
-    fixes = np.array(fix_steps)
-    seg = np.diff(fixes, append=n)  # grid steps reported from each fix
-    fix_t = np.array([s.t for s in samples])
-    fix_x = np.array([s.measured.x for s in samples])
-    fix_y = np.array([s.measured.y for s in samples])
+    columns = np.array(rows).T.copy()  # one row per FIX_COLUMNS field
+    if not np.isfinite(columns[1:3]).all():
+        raise ValueError("fix coordinates must be finite")
+    fixes = Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
+    for column in fixes:
+        _readonly(column)
+    steps, fix_t, fix_x, fix_y, fix_period, fix_vx, fix_vy, fix_conf, _ = fixes
+    seg = np.diff(steps, append=n)  # grid steps reported from each fix
     localized = np.zeros(n, dtype=np.int8)
-    localized[fixes] = 1
-    period = np.repeat(np.array([s.current_period for s in states], dtype=float), seg)
+    localized[steps] = 1
+    period = np.repeat(fix_period, seg)
     if kind.predicts:
         # Same operations as madrd_predict: m + v * (t - t_fix), in place.
         elapsed = np.repeat(fix_t, seg)
         np.subtract(times, elapsed, out=elapsed)
-        rep_x = np.repeat([s.velocity_estimate[0] for s in states], seg)
+        rep_x = np.repeat(fix_vx, seg)
         rep_x *= elapsed
         rep_x += np.repeat(fix_x, seg)
-        rep_y = np.repeat([s.velocity_estimate[1] for s in states], seg)
+        rep_y = np.repeat(fix_vy, seg)
         rep_y *= elapsed
         rep_y += np.repeat(fix_y, seg)
-        confidence = np.repeat([s.confidence.name for s in states], seg)
+        confidence = np.repeat(np.array(_CONFIDENCE_NAMES)[fix_conf], seg)
     else:
         rep_x = np.repeat(fix_x, seg)
         rep_y = np.repeat(fix_y, seg)
@@ -222,8 +262,8 @@ def run(cfg: RunConfig) -> RunResult:
     correction_count = 0
     if cfg.backtracking_enabled:
         # Steps strictly inside a closed interval, and the fix that opens it.
-        owner = np.repeat(np.arange(fixes.size), seg)
-        inner = np.flatnonzero((localized == 0) & (owner < fixes.size - 1))
+        owner = np.repeat(np.arange(steps.size), seg)
+        inner = np.flatnonzero((localized == 0) & (owner < steps.size - 1))
         j = owner[inner]
         # Same operations as backtrack_correct: a + frac * (b - a), in place;
         # np.diff(v)[j] is v[j + 1] - v[j].
@@ -246,7 +286,7 @@ def run(cfg: RunConfig) -> RunResult:
 
     errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys)
     metrics = RunMetrics(
-        localization_count=len(samples),
+        localization_count=len(rows),
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),
@@ -254,7 +294,7 @@ def run(cfg: RunConfig) -> RunResult:
     )
     return RunResult(
         metrics,
-        samples,
+        fixes,
         times,
         trace.xs,
         trace.ys,

@@ -373,7 +373,18 @@ def make_trace(ts: TraceSpec) -> MobilityTrace:
 
 
 def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> dict:
-    """The ``# config`` header of one run: its trace, its run config, then the caller's ``extra`` keys."""
+    """The ``# config`` header of one run: its trace, its run config, then the caller's ``extra`` keys.
+
+    The Gauss-Markov parameters are written only for a Gauss-Markov trace; a
+    random-waypoint trace does not read them.
+    """
+    gauss_markov = {}
+    if ts.mobility == "gauss_markov":
+        gauss_markov = {
+            "gm_memory": ts.gm_memory,
+            "gm_speed_sigma": ts.gm_speed_sigma,
+            "gm_direction_sigma": ts.gm_direction_sigma,
+        }
     return {
         "protocol_params": dataclasses.asdict(cfg.protocol_config),
         "mobility": ts.mobility,
@@ -382,6 +393,7 @@ def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> di
         "duration": ts.duration,
         "dt": ts.dt,
         "area": [ts.area_w, ts.area_h],
+        **gauss_markov,
         "noise": cfg.noise.max_magnitude,
         "dist_tolerance": cfg.dist_tolerance,
         "trace_seed": ts.seed,

@@ -23,7 +23,7 @@ __all__ = [
     "distance",
     "hypot_exact",
     "draw_fix_noise",
-    "noisy_fix",
+    "draw_fix_offsets",
     "localize",
     "threshold_accuracy",
 ]
@@ -177,9 +177,16 @@ def draw_fix_noise(noise: NoiseModel, rng: np.random.Generator, count: int) -> n
     return rng.random((count, 2)) * (noise.max_magnitude, 2.0 * math.pi)
 
 
-def noisy_fix(x: float, y: float, t: float, magnitude: float, angle: float) -> LocalizationSample:
-    """The fix at time ``t`` of a node at ``(x, y)``, displaced by one row of :func:`draw_fix_noise`."""
-    return LocalizationSample(t, Position(x + magnitude * math.cos(angle), y + magnitude * math.sin(angle)))
+def draw_fix_offsets(noise: NoiseModel, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
+    """Draw the displacements ``(dx, dy)`` of ``count`` fixes from their true positions.
+
+    One row of :func:`draw_fix_noise` per fix, turned into
+    ``(magnitude * cos(angle), magnitude * sin(angle))`` with :mod:`math`:
+    ``np.cos`` is not bit for bit ``libm`` on every build.  A fix of a node at
+    ``(x, y)`` measures ``(x + dx, y + dy)``.
+    """
+    cos, sin = math.cos, math.sin
+    return [(m * cos(a), m * sin(a)) for m, a in draw_fix_noise(noise, rng, count).tolist()]
 
 
 def localize(
@@ -190,13 +197,13 @@ def localize(
 ) -> LocalizationSample:
     """Take one noisy position fix of ``true_pos`` at time ``t``.
 
-    Draws one row of :func:`draw_fix_noise`; with a zero-noise model the
+    Draws one fix of :func:`draw_fix_offsets`; with a zero-noise model the
     measured position equals the true one exactly.  Two draws are consumed
     from ``rng`` per call, so a fixed seed yields a bit-identical sequence of
     fixes.
     """
-    magnitude, angle = draw_fix_noise(noise, rng, 1).tolist()[0]
-    return noisy_fix(true_pos.x, true_pos.y, t, magnitude, angle)
+    dx, dy = draw_fix_offsets(noise, rng, 1)[0]
+    return LocalizationSample(t, Position(true_pos.x + dx, true_pos.y + dy))
 
 
 def threshold_accuracy(errors: Sequence[float] | Iterable[float], tolerance: float) -> float:

@@ -17,9 +17,14 @@ fix and what position it reports between fixes:
   (x ``period_shrink``) only while in LC, and holds in the middle states, so
   one-off glitches cannot whipsaw the schedule.
 
-All three are pure state machines: ``*_on_localize`` consumes the current
-:class:`SchedulerState` plus a fresh fix and returns the next state.  The
-simulation engine owns the clock and the noise; nothing here draws randomness.
+Each scheduler is one pure function on plain floats, ``*_step``: it takes
+the fix just measured and the row the previous fix returned, and returns this
+fix's row (its period, velocity estimate, confidence and prediction error; see
+:data:`FIX_COLUMNS`).  The simulation engine calls the steps directly and
+owns the clock and the noise; nothing here draws randomness.
+:class:`SchedulerState` with ``*_init``/``*_on_localize`` is the same
+decision on objects, a thin wrapper over the steps for callers that hold
+:class:`~dynloc.geometry.LocalizationSample` objects.
 :data:`PROTOCOLS` is the one table of protocol kinds; engine, sweeps and CLI
 all read it, so a new scheduler is one row there.
 """
@@ -41,7 +46,11 @@ __all__ = [
     "SfrConfig",
     "DvmConfig",
     "MadrdConfig",
+    "FIX_COLUMNS",
     "SchedulerState",
+    "sfr_step",
+    "dvm_step",
+    "madrd_step",
     "sfr_init",
     "sfr_on_localize",
     "dvm_init",
@@ -62,16 +71,17 @@ class Confidence(Enum):
     HC = 3
 
     def toward_hc(self) -> "Confidence":
-        return _TOWARD_HC[self._value_]
+        return _CHAIN[_TOWARD_HC[self._value_]]
 
     def toward_lc(self) -> "Confidence":
-        return _TOWARD_LC[self._value_]
+        return _CHAIN[_TOWARD_LC[self._value_]]
 
 
-# One step up/down the chain by ``_value_``, saturating at both ends.  MADRD steps once
-# per fix; the ``value`` property and ``Confidence(v)`` each cost a Python-level call.
-_TOWARD_HC = (Confidence.S1, Confidence.S2, Confidence.HC, Confidence.HC)
-_TOWARD_LC = (Confidence.LC, Confidence.LC, Confidence.S1, Confidence.S2)
+# The value one step up/down the chain from each value, saturating at both ends.
+# :func:`madrd_step` walks these on plain ints, once per fix.
+_TOWARD_HC = (1, 2, 3, 3)
+_TOWARD_LC = (0, 0, 1, 2)
+_CHAIN = tuple(Confidence)
 
 
 @dataclass(frozen=True)
@@ -118,9 +128,102 @@ class MadrdConfig:
             raise ValueError(f"period_shrink must be in (0, 1], got {self.period_shrink}")
 
 
+def _clamp(value: float, lo: float, hi: float) -> float:
+    return lo if value < lo else hi if value > hi else value
+
+
+def _dead_reckon(x: float, y: float, vx: float, vy: float, elapsed: float) -> tuple[float, float]:
+    """Where a node last fixed at ``(x, y)`` is ``elapsed`` seconds later at velocity ``(vx, vy)``."""
+    return x + vx * elapsed, y + vy * elapsed
+
+
+# ---------------------------------------------------------------------------
+# Per-fix steps
+# ---------------------------------------------------------------------------
+
+FIX_COLUMNS = ("t", "x", "y", "period", "vx", "vy", "confidence", "prediction_error")
+"""Fields of the row a step returns, in order.  The next fix is due at ``t + period``.
+
+``vx``/``vy`` is the chord velocity of the last two fixes, ``confidence`` a
+:class:`Confidence` value (S1 throughout for SFR and DVM), and
+``prediction_error`` MADRD's distance between its prediction and the fix (NaN
+when nothing was predicted).
+"""
+
+_NAN = math.nan
+_LC, _S1, _HC = Confidence.LC.value, Confidence.S1.value, Confidence.HC.value
+
+
+def sfr_step(t: float, x: float, y: float, carry: tuple | None, cfg: SfrConfig) -> tuple:
+    """Fixed cadence: the next fix lands exactly one period after this one."""
+    if carry is None:
+        return (t, x, y, cfg.period, 0.0, 0.0, _S1, _NAN)
+    return (t, x, y, cfg.period, carry[4], carry[5], carry[6], _NAN)
+
+
+def dvm_step(t: float, x: float, y: float, carry: tuple | None, cfg: DvmConfig) -> tuple:
+    """Size the next period so ~target_error meters of travel fit inside it.
+
+    The first fix starts at the aggressive end, ``t_min``, until a speed
+    estimate exists.  Speed is the measured displacement between the last two
+    fixes over their time gap.  A stationary reading schedules the slack-most
+    period ``t_max``; otherwise the period is ``target_error / speed`` clamped
+    to the limits.
+    """
+    if carry is None:
+        return (t, x, y, cfg.t_min, 0.0, 0.0, _S1, _NAN)
+    t0, x0, y0, _, _, _, confidence, _ = carry
+    elapsed = t - t0
+    if elapsed <= 0:
+        raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
+    vx = (x - x0) / elapsed
+    vy = (y - y0) / elapsed
+    speed = math.hypot(vx, vy)
+    if speed == 0.0:
+        period = cfg.t_max
+    else:
+        period = _clamp(cfg.target_error / speed, cfg.t_min, cfg.t_max)
+    return (t, x, y, period, vx, vy, confidence, _NAN)
+
+
+def madrd_step(t: float, x: float, y: float, carry: tuple | None, cfg: MadrdConfig) -> tuple:
+    """Score the prediction against the fresh fix and walk the confidence chain.
+
+    The first fix starts in S1 at ``t_min``.  After that the prediction is
+    the :func:`madrd_predict` position ``last fix + velocity * elapsed``.  A
+    prediction off by more than ``divergence_threshold`` steps confidence
+    toward LC, an accurate one steps it toward HC; the chain never skips a
+    state.  The period then reacts to the *new* state: grow in HC, shrink in
+    LC, hold in S1/S2, always clamped to ``[t_min, t_max]``.
+    """
+    if carry is None:
+        return (t, x, y, cfg.t_min, 0.0, 0.0, _S1, _NAN)
+    t0, x0, y0, period, vx, vy, confidence, _ = carry
+    elapsed = t - t0
+    if elapsed <= 0:
+        raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
+    px, py = _dead_reckon(x0, y0, vx, vy, elapsed)
+    error = math.hypot(px - x, py - y)
+    if error > cfg.divergence_threshold:
+        confidence = _TOWARD_LC[confidence]
+    else:
+        confidence = _TOWARD_HC[confidence]
+    if confidence == _HC:
+        period *= cfg.period_growth
+    elif confidence == _LC:
+        period *= cfg.period_shrink
+    period = _clamp(period, cfg.t_min, cfg.t_max)
+    return (t, x, y, period, (x - x0) / elapsed, (y - y0) / elapsed, confidence, error)
+
+
+# ---------------------------------------------------------------------------
+# Scheduler states: the steps on objects
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class SchedulerState:
-    """Everything a scheduler carries between fixes.
+    """Everything a scheduler carries between fixes, as one object.
 
     ``velocity_estimate`` is the chord velocity of the last two measured
     fixes; ``next_localization_time`` is always strictly later than the fix
@@ -128,7 +231,6 @@ class SchedulerState:
     """
 
     last_sample: LocalizationSample
-    prev_sample: LocalizationSample | None
     velocity_estimate: tuple[float, float]
     next_localization_time: float
     current_period: float
@@ -141,136 +243,57 @@ class SchedulerState:
             raise ValueError(f"current_period must be > 0, got {self.current_period}")
 
 
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return lo if value < lo else hi if value > hi else value
+def _state(sample: LocalizationSample, row: tuple) -> SchedulerState:
+    _, _, _, period, vx, vy, confidence, _ = row
+    return SchedulerState(sample, (vx, vy), sample.t + period, period, _CHAIN[confidence])
 
 
-def _chord_velocity(prev: LocalizationSample, cur: LocalizationSample) -> tuple[float, float]:
-    elapsed = cur.t - prev.t
-    if elapsed <= 0:
-        raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
-    return ((cur.measured.x - prev.measured.x) / elapsed, (cur.measured.y - prev.measured.y) / elapsed)
+def _first(step, sample: LocalizationSample, cfg) -> SchedulerState:
+    m = sample.measured
+    return _state(sample, step(sample.t, m.x, m.y, None, cfg))
 
 
-# ---------------------------------------------------------------------------
-# SFR
-# ---------------------------------------------------------------------------
+def _next(step, state: SchedulerState, sample: LocalizationSample, cfg) -> SchedulerState:
+    last, m = state.last_sample, sample.measured
+    vx, vy = state.velocity_estimate
+    carry = (last.t, last.measured.x, last.measured.y, state.current_period, vx, vy, state.confidence.value, _NAN)
+    return _state(sample, step(sample.t, m.x, m.y, carry, cfg))
 
 
 def sfr_init(sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=None,
-        velocity_estimate=(0.0, 0.0),
-        next_localization_time=sample.t + cfg.period,
-        current_period=cfg.period,
-    )
+    """:func:`sfr_step` at the first fix."""
+    return _first(sfr_step, sample, cfg)
 
 
 def sfr_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
-    """Fixed cadence: the next fix lands exactly one period after this one."""
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=state.last_sample,
-        velocity_estimate=state.velocity_estimate,
-        next_localization_time=sample.t + cfg.period,
-        current_period=cfg.period,
-        confidence=state.confidence,
-    )
-
-
-# ---------------------------------------------------------------------------
-# DVM
-# ---------------------------------------------------------------------------
+    """:func:`sfr_step` at a later fix."""
+    return _next(sfr_step, state, sample, cfg)
 
 
 def dvm_init(sample: LocalizationSample, cfg: DvmConfig) -> SchedulerState:
-    # Start at the aggressive end until a speed estimate exists.
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=None,
-        velocity_estimate=(0.0, 0.0),
-        next_localization_time=sample.t + cfg.t_min,
-        current_period=cfg.t_min,
-    )
+    """:func:`dvm_step` at the first fix."""
+    return _first(dvm_step, sample, cfg)
 
 
 def dvm_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: DvmConfig) -> SchedulerState:
-    """Size the next period so ~target_error meters of travel fit inside it.
-
-    Speed is the measured displacement between the last two fixes over their
-    time gap.  A stationary reading schedules the slack-most period ``t_max``;
-    otherwise the period is ``target_error / speed`` clamped to the limits.
-    """
-    vx, vy = _chord_velocity(state.last_sample, sample)
-    speed = math.hypot(vx, vy)
-    if speed == 0.0:
-        period = cfg.t_max
-    else:
-        period = _clamp(cfg.target_error / speed, cfg.t_min, cfg.t_max)
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=state.last_sample,
-        velocity_estimate=(vx, vy),
-        next_localization_time=sample.t + period,
-        current_period=period,
-        confidence=state.confidence,
-    )
-
-
-# ---------------------------------------------------------------------------
-# MADRD
-# ---------------------------------------------------------------------------
+    """:func:`dvm_step` at a later fix."""
+    return _next(dvm_step, state, sample, cfg)
 
 
 def madrd_init(sample: LocalizationSample, cfg: MadrdConfig) -> SchedulerState:
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=None,
-        velocity_estimate=(0.0, 0.0),
-        next_localization_time=sample.t + cfg.t_min,
-        current_period=cfg.t_min,
-        confidence=Confidence.S1,
-    )
+    """:func:`madrd_step` at the first fix."""
+    return _first(madrd_step, sample, cfg)
+
+
+def madrd_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: MadrdConfig) -> SchedulerState:
+    """:func:`madrd_step` at a later fix."""
+    return _next(madrd_step, state, sample, cfg)
 
 
 def madrd_predict(state: SchedulerState, t: float) -> Position:
     """Dead-reckoned position at time ``t``: last fix plus velocity * elapsed."""
-    elapsed = t - state.last_sample.t
-    m = state.last_sample.measured
-    vx, vy = state.velocity_estimate
-    return Position(m.x + vx * elapsed, m.y + vy * elapsed)
-
-
-def madrd_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: MadrdConfig) -> SchedulerState:
-    """Score the prediction against the fresh fix and walk the confidence chain.
-
-    A prediction off by more than ``divergence_threshold`` steps confidence
-    toward LC, an accurate one steps it toward HC; the chain never skips a
-    state.  The period then reacts to the *new* state: grow in HC, shrink in
-    LC, hold in S1/S2, always clamped to ``[t_min, t_max]``.
-    """
-    predicted = madrd_predict(state, sample.t)
-    prediction_error = distance(predicted, sample.measured)
-    if prediction_error > cfg.divergence_threshold:
-        confidence = state.confidence.toward_lc()
-    else:
-        confidence = state.confidence.toward_hc()
-    period = state.current_period
-    if confidence is Confidence.HC:
-        period *= cfg.period_growth
-    elif confidence is Confidence.LC:
-        period *= cfg.period_shrink
-    period = _clamp(period, cfg.t_min, cfg.t_max)
-    vx, vy = _chord_velocity(state.last_sample, sample)
-    return SchedulerState(
-        last_sample=sample,
-        prev_sample=state.last_sample,
-        velocity_estimate=(vx, vy),
-        next_localization_time=sample.t + period,
-        current_period=period,
-        confidence=confidence,
-    )
+    last = state.last_sample
+    return Position(*_dead_reckon(last.measured.x, last.measured.y, *state.velocity_estimate, t - last.t))
 
 
 # ---------------------------------------------------------------------------
@@ -320,20 +343,22 @@ ProtocolConfig = SfrConfig | DvmConfig | MadrdConfig
 
 
 class ProtocolKind(NamedTuple):
-    """One scheduler: its config class, its state machine, and how it reports.
+    """One scheduler: its config class, its per-fix step, and how it reports.
 
-    ``predicts`` is true when the node reports the dead-reckoned
-    :func:`madrd_predict` position between fixes instead of holding the fix.
+    ``step(t, x, y, carry, cfg)`` takes the fix measured at ``(x, y)`` at time
+    ``t`` and the previous fix's row (``None`` at the first fix) and returns
+    this fix's row, whose fields are :data:`FIX_COLUMNS`.  ``predicts`` is true
+    when the node reports the dead-reckoned :func:`madrd_predict` position
+    between fixes instead of holding the fix.
     """
 
     config: type
-    init: Callable[[LocalizationSample, ProtocolConfig], SchedulerState]
-    on_localize: Callable[[SchedulerState, LocalizationSample, ProtocolConfig], SchedulerState]
+    step: Callable[[float, float, float, "tuple | None", ProtocolConfig], tuple]
     predicts: bool
 
 
 PROTOCOLS: dict[str, ProtocolKind] = {
-    "sfr": ProtocolKind(SfrConfig, sfr_init, sfr_on_localize, predicts=False),
-    "dvm": ProtocolKind(DvmConfig, dvm_init, dvm_on_localize, predicts=False),
-    "madrd": ProtocolKind(MadrdConfig, madrd_init, madrd_on_localize, predicts=True),
+    "sfr": ProtocolKind(SfrConfig, sfr_step, predicts=False),
+    "dvm": ProtocolKind(DvmConfig, dvm_step, predicts=False),
+    "madrd": ProtocolKind(MadrdConfig, madrd_step, predicts=True),
 }

@@ -1,23 +1,27 @@
 """Shared test scaffolding: brute-force error oracles, synthetic maneuver traces,
-and a per-step reference engine.
+a per-step reference engine, and the reference scheduler state machines.
 
 The brute-force oracles place the maneuver in coordinates and measure
 distances directly, with none of the trigonometric shortcuts the library
 uses -- that independence is the point.  :func:`reference_run` is the
 straightforward engine that steps every grid point in Python; the
-fix-driven :func:`dynloc.engine.run` must match it bit for bit.
+fix-driven :func:`dynloc.engine.run` must match it bit for bit.  It
+schedules with :data:`REFERENCE_SCHEDULERS`, the object state machines that
+the per-fix ``*_step`` functions of :mod:`dynloc.protocols` replaced, so it
+shares no scheduler arithmetic with the engine.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, RunMetrics
 from dynloc.geometry import LocalizationSample, Position, localize, threshold_accuracy
 from dynloc.mobility import MobilityTrace, trace_from_waypoints
-from dynloc.protocols import PROTOCOLS, SchedulerState, backtrack_correct, madrd_predict
+from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig, backtrack_correct
 
 AREA = 300.0
 START_X = 30.0
@@ -102,6 +106,102 @@ def make_pause_trace(
     return trace, stop_time
 
 
+# ---------------------------------------------------------------------------
+# Reference schedulers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RefState:
+    """Everything a reference scheduler carries between fixes.
+
+    ``prediction_error`` is MADRD's distance between its prediction and the
+    last fix (NaN when nothing was predicted).
+    """
+
+    last_sample: LocalizationSample
+    velocity_estimate: tuple[float, float]
+    next_localization_time: float
+    current_period: float
+    confidence: Confidence = Confidence.S1
+    prediction_error: float = math.nan
+
+    def __post_init__(self) -> None:
+        if self.next_localization_time <= self.last_sample.t:
+            raise ValueError("next_localization_time must be after the last fix")
+        if self.current_period <= 0:
+            raise ValueError(f"current_period must be > 0, got {self.current_period}")
+
+
+def _clamp(value: float, lo: float, hi: float) -> float:
+    return lo if value < lo else hi if value > hi else value
+
+
+def _chord_velocity(prev: LocalizationSample, cur: LocalizationSample) -> tuple[float, float]:
+    elapsed = cur.t - prev.t
+    if elapsed <= 0:
+        raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
+    return ((cur.measured.x - prev.measured.x) / elapsed, (cur.measured.y - prev.measured.y) / elapsed)
+
+
+def ref_sfr_init(sample: LocalizationSample, cfg: SfrConfig) -> RefState:
+    return RefState(sample, (0.0, 0.0), sample.t + cfg.period, cfg.period)
+
+
+def ref_sfr_on_localize(state: RefState, sample: LocalizationSample, cfg: SfrConfig) -> RefState:
+    return RefState(sample, state.velocity_estimate, sample.t + cfg.period, cfg.period, state.confidence)
+
+
+def ref_dvm_init(sample: LocalizationSample, cfg: DvmConfig) -> RefState:
+    return RefState(sample, (0.0, 0.0), sample.t + cfg.t_min, cfg.t_min)
+
+
+def ref_dvm_on_localize(state: RefState, sample: LocalizationSample, cfg: DvmConfig) -> RefState:
+    vx, vy = _chord_velocity(state.last_sample, sample)
+    speed = math.hypot(vx, vy)
+    if speed == 0.0:
+        period = cfg.t_max
+    else:
+        period = _clamp(cfg.target_error / speed, cfg.t_min, cfg.t_max)
+    return RefState(sample, (vx, vy), sample.t + period, period, state.confidence)
+
+
+def ref_madrd_init(sample: LocalizationSample, cfg: MadrdConfig) -> RefState:
+    return RefState(sample, (0.0, 0.0), sample.t + cfg.t_min, cfg.t_min, Confidence.S1)
+
+
+def ref_madrd_predict(state: RefState, t: float) -> Position:
+    elapsed = t - state.last_sample.t
+    m = state.last_sample.measured
+    vx, vy = state.velocity_estimate
+    return Position(m.x + vx * elapsed, m.y + vy * elapsed)
+
+
+def ref_madrd_on_localize(state: RefState, sample: LocalizationSample, cfg: MadrdConfig) -> RefState:
+    predicted = ref_madrd_predict(state, sample.t)
+    prediction_error = math.hypot(predicted.x - sample.measured.x, predicted.y - sample.measured.y)
+    value = state.confidence.value
+    if prediction_error > cfg.divergence_threshold:
+        confidence = Confidence(max(value - 1, Confidence.LC.value))
+    else:
+        confidence = Confidence(min(value + 1, Confidence.HC.value))
+    period = state.current_period
+    if confidence is Confidence.HC:
+        period *= cfg.period_growth
+    elif confidence is Confidence.LC:
+        period *= cfg.period_shrink
+    period = _clamp(period, cfg.t_min, cfg.t_max)
+    vx, vy = _chord_velocity(state.last_sample, sample)
+    return RefState(sample, (vx, vy), sample.t + period, period, confidence, prediction_error)
+
+
+REFERENCE_SCHEDULERS = {
+    "sfr": (ref_sfr_init, ref_sfr_on_localize),
+    "dvm": (ref_dvm_init, ref_dvm_on_localize),
+    "madrd": (ref_madrd_init, ref_madrd_on_localize),
+}
+
+
 def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationSample], RunMetrics]:
     """Per-step reference engine: (events, samples, metrics) of one run.
 
@@ -109,7 +209,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
     reported position, its error against ground truth, and the scheduler's
     period and confidence.  With backtracking enabled, each new fix rewrites
     the reported points of the interval it closes through
-    :func:`backtrack_correct`.
+    :func:`backtrack_correct`.  MADRD reports :func:`ref_madrd_predict`.
     """
     trace = cfg.trace
     times = trace.times.tolist()
@@ -117,11 +217,11 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
     true_ys = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
     noise = cfg.noise
-    kind = PROTOCOLS[cfg.protocol]
-    init, on_localize, predicts = kind.init, kind.on_localize, kind.predicts
+    init, on_localize = REFERENCE_SCHEDULERS[cfg.protocol]
+    predicts = PROTOCOLS[cfg.protocol].predicts
     pcfg = cfg.protocol_config
 
-    state: SchedulerState | None = None
+    state: RefState | None = None
     events: list[EventRecord] = []
     samples: list[LocalizationSample] = []
     pending: list[int] = []  # event indices since the last fix (backtracking)
@@ -153,7 +253,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
             pending = []
             localized = 1
         if predicts:
-            reported = madrd_predict(state, t)
+            reported = ref_madrd_predict(state, t)
             rx, ry = reported.x, reported.y
         else:
             m = state.last_sample.measured

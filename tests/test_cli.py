@@ -60,6 +60,25 @@ def test_simulate_is_deterministic_per_seed(capsys):
     assert capsys.readouterr().out != first
 
 
+def test_simulate_header_records_the_gauss_markov_parameters(capsys):
+    configs = []
+    for memory in ("0.75", "0.5"):
+        args = ["simulate", "--protocol", "madrd", "--mobility", "gauss_markov", "--duration", "60",
+                "--seed", "3", "--gm-memory", memory, "--gm-speed-sigma", "0.3", "--gm-direction-sigma", "0.2"]
+        assert main(args) == EXIT_OK
+        config = json.loads(_lines(capsys)[1][len("# config "):])
+        del config["trace_sha"]
+        configs.append(config)
+    assert configs[0] != configs[1]
+    assert [c["gm_memory"] for c in configs] == [0.75, 0.5]
+    assert {(c["gm_speed_sigma"], c["gm_direction_sigma"]) for c in configs} == {(0.3, 0.2)}
+
+    # A random-waypoint trace ignores them, and its header leaves them out.
+    assert main(["simulate", "--protocol", "madrd", "--duration", "60", "--gm-memory", "0.5"]) == EXIT_OK
+    config = json.loads(_lines(capsys)[1][len("# config "):])
+    assert not any(key.startswith("gm_") for key in config)
+
+
 def test_simulate_writes_summary_and_events_files(tmp_path, capsys):
     out = tmp_path / "row.csv"
     events = tmp_path / "events.csv"
@@ -131,8 +150,8 @@ CLI_GOLDEN_CASES = {
         ["simulate", "--protocol", "madrd", "--mobility", "gauss_markov", "--gm-memory", "0.6",
          "--duration", "60", "--seed", "3", "--events-out", "events.csv"],
         {
-            "stdout": "f7c99d053779fc416f3ed1dc5bdd7a65f3a89fa70961aaccad23a25e3877d791",
-            "events.csv": "61645dc433624217c80833889262d867a9c1d950984a4631e50d6308b510393d",
+            "stdout": "bb3bdf916569e8b90bb96afb8c1b664778c87f0bc04cf1bacaadd1cf0aab2f47",
+            "events.csv": "eb006d2a0c6bfd50b82110fe0234c1f93c8e33420e0eb5ef1c2e0adbf45bc5e3",
         },
     ),
     "simulate_trace_file": (

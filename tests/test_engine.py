@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dynloc.engine import _NOISE_CHUNK, RunConfig, run
-from dynloc.geometry import NoiseModel
+from dynloc.geometry import NoiseModel, draw_fix_offsets
 from dynloc.mobility import (
     GaussMarkovConfig,
+    MobilityTrace,
     RandomWaypointConfig,
     generate_gauss_markov,
     generate_random_waypoint,
@@ -175,6 +176,25 @@ def test_run_config_rejects_mismatched_protocol_config():
         RunConfig(trace=trace, protocol="gps", protocol_config=SfrConfig())
 
 
+@pytest.mark.parametrize(
+    ("trace", "period", "noise", "match"),
+    [
+        # t + period rounds back to t once t's ulp outgrows the period.
+        (MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
+         1e-14, 0.0, "next fix"),
+        # A fix displaced past the largest double.
+        (MobilityTrace(0, np.array([0.0]), np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
+         2.0, 1e308, "finite"),
+        (MobilityTrace(0, np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, 10.0, 10.0), 2.0, 0.0, ">= 0"),
+    ],
+    ids=["fix-not-later", "non-finite-fix", "negative-time"],
+)
+def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match):
+    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise))
+    with pytest.raises(ValueError, match=match):
+        run(cfg)
+
+
 # ---------------------------------------------------------------------------
 # Backtracking
 # ---------------------------------------------------------------------------
@@ -219,6 +239,29 @@ def test_backtracking_never_increases_pooled_error_on_smooth_track():
     plain = run(base)
     corrected = run(replace(base, backtracking_enabled=True))
     assert corrected.metrics.mean_error <= plain.metrics.mean_error
+
+
+def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
+    # The second fix's true position was found by an offline search that nudged
+    # it by ulps until the one interior step moves by math.hypot = bound + 1 ulp,
+    # while np.hypot rounds the same move to the bound itself.
+    x2, y2 = float.fromhex("0x1.4f5fb5560be5bp+3"), float.fromhex("0x1.64f8caa72b688p+3")
+    trace = MobilityTrace(0, np.array([0.0, 1.0, 2.0]), np.array([10.0, 10.0, x2]),
+                          np.array([10.0, 10.0, y2]), 1.0, 100.0, 100.0)
+    noise = NoiseModel(0.5)
+    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), noise=noise,
+                    seed=0, backtracking_enabled=True)
+    # The move of step 1 from the held first fix onto the chord midpoint, by the engine's operations.
+    (d0x, d0y), (d2x, d2y) = draw_fix_offsets(noise, np.random.default_rng(cfg.seed), 2)
+    f0x, f0y = 10.0 + d0x, 10.0 + d0y
+    dx = ((x2 + d2x) - f0x) * 0.5 + f0x - f0x
+    dy = ((y2 + d2y) - f0y) * 0.5 + f0y - f0y
+    assert math.hypot(dx, dy) > noise.max_magnitude >= np.hypot(dx, dy)  # the case tells the two apart
+
+    result = run(cfg)
+    assert result.fixes.step.tolist() == [0, 2]
+    assert (result.reported_x[1] - f0x, result.reported_y[1] - f0y) == (dx, dy)
+    assert result.metrics.correction_count == 1
 
 
 @pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])

@@ -19,7 +19,7 @@ from dynloc.mobility import (
     generate_gauss_markov,
     generate_random_waypoint,
 )
-from dynloc.protocols import Confidence, DvmConfig, MadrdConfig, SfrConfig
+from dynloc.protocols import FIX_COLUMNS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
 from scenario_tools import reference_run
 
@@ -114,3 +114,20 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
         assert set(result.confidence.tolist()) == {""}
     if not backtracking:
         assert result.metrics.correction_count == 0
+
+    # The per-fix columns agree with the event columns and with the reference fixes.
+    f = result.fixes
+    assert f._fields[1:] == FIX_COLUMNS
+    assert f.step.tolist() == np.flatnonzero(result.localized).tolist()
+    assert f.t.tolist() == fix_times
+    assert list(zip(f.x.tolist(), f.y.tolist())) == [(s.measured.x, s.measured.y) for s in samples]
+    assert f.period.tolist() == result.period[f.step].tolist()
+    if kind == "madrd":
+        levels = f.confidence.tolist()
+        assert [Confidence(c).name for c in levels] == result.confidence[f.step].tolist()
+        assert np.isnan(f.prediction_error[0]) and not np.isnan(f.prediction_error[1:]).any()
+        # Confidence steps down exactly where the prediction missed by more than the threshold.
+        missed = (f.prediction_error[1:] > pcfg.divergence_threshold).tolist()
+        assert levels[1:] == [max(a - 1, 0) if miss else min(a + 1, 3) for a, miss in zip(levels, missed)]
+    else:
+        assert np.isnan(f.prediction_error).all()

@@ -12,6 +12,7 @@ from dynloc.geometry import (
     Position,
     distance,
     draw_fix_noise,
+    draw_fix_offsets,
     localize,
     threshold_accuracy,
 )
@@ -90,6 +91,10 @@ def test_batched_fix_noise_replays_the_scalar_draws(max_magnitude):
     rng = np.random.default_rng(31)
     split = draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise, rng, count - _NOISE_CHUNK).tolist()
     assert hexed(split) == hexed(expected)
+
+    # draw_fix_offsets turns the same rows into displacements with math.cos/math.sin.
+    offsets = [(m * math.cos(a), m * math.sin(a)) for m, a in expected]
+    assert hexed(draw_fix_offsets(noise, np.random.default_rng(31), count)) == hexed(offsets)
 
     # localize takes one row per call from the same stream.
     rng = np.random.default_rng(31)

@@ -1,0 +1,34 @@
+"""Smoke test of the benchmark harness: ``perfbench/run.py --tiny`` runs and checks its outputs.
+
+The harness binds dynloc's functions by name to time and trace them, so a
+rename or a broken workload shows up here rather than only in a full
+benchmark run.  ``gm_backtrack`` with tracing covers the tracer hooks, the
+engine, backtracking and Gauss-Markov traces; ``rwp_stock`` covers the
+process pool.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(("workload", "trace"), [("gm_backtrack", "1"), ("rwp_stock", "0")])
+def test_tiny_benchmark_run_is_correct(workload, trace):
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--tiny", "--seconds", "0", "--workload", workload, "--trace", trace],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

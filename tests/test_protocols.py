@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynloc.geometry import LocalizationSample, Position
 from dynloc.protocols import (
+    FIX_COLUMNS,
+    PROTOCOLS,
     Confidence,
     DvmConfig,
     MadrdConfig,
@@ -21,6 +25,8 @@ from dynloc.protocols import (
     sfr_init,
     sfr_on_localize,
 )
+
+from scenario_tools import REFERENCE_SCHEDULERS, RefState
 
 
 def _sample(t: float, x: float, y: float = 0.0) -> LocalizationSample:
@@ -153,7 +159,6 @@ def test_madrd_bad_fix_steps_down_one_state_and_holds_period():
     cfg = _madrd_cfg()
     state = SchedulerState(
         last_sample=_sample(10.0, 10.0),
-        prev_sample=_sample(9.0, 9.0),
         velocity_estimate=(1.0, 0.0),
         next_localization_time=14.0,
         current_period=4.0,
@@ -169,7 +174,6 @@ def test_madrd_three_bad_fixes_walk_hc_to_lc_then_shrink():
     cfg = _madrd_cfg()
     state = SchedulerState(
         last_sample=_sample(0.0, 0.0),
-        prev_sample=None,
         velocity_estimate=(0.0, 0.0),
         next_localization_time=4.0,
         current_period=4.0,
@@ -191,13 +195,13 @@ def test_madrd_three_bad_fixes_walk_hc_to_lc_then_shrink():
 def test_madrd_period_clamps_at_both_limits():
     cfg = _madrd_cfg(t_min=1.0, t_max=4.0)
     hi = SchedulerState(
-        last_sample=_sample(0.0, 0.0), prev_sample=None, velocity_estimate=(1.0, 0.0),
+        last_sample=_sample(0.0, 0.0), velocity_estimate=(1.0, 0.0),
         next_localization_time=3.0, current_period=3.0, confidence=Confidence.HC,
     )
     hi = madrd_on_localize(hi, _sample(3.0, 3.0), cfg)  # good fix, would double to 6
     assert hi.current_period == 4.0
     lo = SchedulerState(
-        last_sample=_sample(0.0, 0.0), prev_sample=None, velocity_estimate=(0.0, 0.0),
+        last_sample=_sample(0.0, 0.0), velocity_estimate=(0.0, 0.0),
         next_localization_time=1.5, current_period=1.5, confidence=Confidence.S1,
     )
     lo = madrd_on_localize(lo, _sample(1.5, 30.0), cfg)  # 30 m miss, S1 -> LC, halve
@@ -228,10 +232,10 @@ def test_madrd_noise_free_straight_run_relaxes_to_t_max():
     state = madrd_init(_sample(0.0, 0.0), cfg)
     t = 0.0
     worst = 0.0
-    for _ in range(20):
+    for fix in range(20):
         t = state.next_localization_time
         true = Position(2.0 * t, 0.0)  # constant 2 m/s along x
-        if state.prev_sample is not None:
+        if fix > 0:  # a velocity exists from the second fix on
             worst = max(worst, abs(madrd_predict(state, t).x - true.x))
         state = madrd_on_localize(state, LocalizationSample(t=t, measured=true), cfg)
     assert state.current_period == 8.0
@@ -249,6 +253,112 @@ def test_madrd_config_rejects_bad_growth_and_shrink():
 
 
 # ---------------------------------------------------------------------------
+# Per-fix steps against the reference state machines
+# ---------------------------------------------------------------------------
+
+_WRAPPERS = {
+    "sfr": (sfr_init, sfr_on_localize),
+    "dvm": (dvm_init, dvm_on_localize),
+    "madrd": (madrd_init, madrd_on_localize),
+}
+
+
+@st.composite
+def scheduler_configs(draw):
+    kind = draw(st.sampled_from(sorted(PROTOCOLS)))
+    if kind == "sfr":
+        return kind, SfrConfig(period=draw(st.floats(1e-3, 50.0)))
+    t_min = draw(st.floats(0.01, 5.0))
+    t_max = t_min + draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 50.0))]))
+    if kind == "dvm":
+        return kind, DvmConfig(target_error=draw(st.floats(0.01, 20.0)), t_min=t_min, t_max=t_max)
+    return kind, MadrdConfig(
+        divergence_threshold=draw(st.floats(0.01, 20.0)), t_min=t_min, t_max=t_max,
+        period_growth=draw(st.floats(1.0, 3.0)), period_shrink=draw(st.floats(0.05, 1.0)),
+    )
+
+
+@st.composite
+def fix_sequences(draw):
+    """Strictly increasing fix times and finite positions: held, on a straight line, or anywhere."""
+    t = draw(st.floats(0.0, 1e4))
+    x, y = draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3))
+    fixes = [(t, x, y)]
+    for _ in range(draw(st.integers(0, 40))):
+        t += draw(st.floats(1e-3, 60.0))
+        move = draw(st.sampled_from(["hold", "line", "anywhere"]))
+        if move == "line":
+            x, y = 2.0 * t, -0.5 * t
+        elif move == "anywhere":
+            x, y = draw(st.floats(-1e150, 1e150)), draw(st.floats(-1e150, 1e150))
+        fixes.append((t, x, y))
+    return fixes
+
+
+@st.composite
+def carried_states(draw):
+    """A mid-run state to start from: any period, velocity and confidence."""
+    return (
+        draw(st.floats(1e-3, 50.0)),
+        draw(st.floats(-100.0, 100.0)),
+        draw(st.floats(-100.0, 100.0)),
+        draw(st.sampled_from(list(Confidence))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(protocol=scheduler_configs(), fixes=fix_sequences(), start=st.none() | carried_states())
+def test_step_matches_reference_state_machine(protocol, fixes, start):
+    kind, cfg = protocol
+    step = PROTOCOLS[kind].step
+    ref_init, ref_on_localize = REFERENCE_SCHEDULERS[kind]
+    init, on_localize = _WRAPPERS[kind]
+    row = ref = state = None
+    if start is not None:
+        (t, x, y), fixes = fixes[0], fixes[1:]
+        period, vx, vy, confidence = start
+        row = (t, x, y, period, vx, vy, confidence.value, math.nan)
+        ref = RefState(_sample(t, x, y), (vx, vy), t + period, period, confidence)
+        state = SchedulerState(_sample(t, x, y), (vx, vy), t + period, period, confidence)
+    for t, x, y in fixes:
+        previous = row
+        row = step(t, x, y, row, cfg)
+        sample = _sample(t, x, y)
+        ref = ref_init(sample, cfg) if ref is None else ref_on_localize(ref, sample, cfg)
+        state = init(sample, cfg) if state is None else on_localize(state, sample, cfg)
+
+        got = dict(zip(FIX_COLUMNS, row))
+        assert (got["t"], got["x"], got["y"]) == (t, x, y)
+        expected = [ref.current_period, ref.next_localization_time, *ref.velocity_estimate, ref.prediction_error]
+        assert [v.hex() for v in (got["period"], t + got["period"], got["vx"], got["vy"], got["prediction_error"])] == [
+            v.hex() for v in expected
+        ]
+        assert got["confidence"] == ref.confidence.value
+        # The object wrappers report the same decision.
+        assert (state.current_period, state.next_localization_time, state.velocity_estimate, state.confidence) == (
+            ref.current_period, ref.next_localization_time, ref.velocity_estimate, ref.confidence
+        )
+
+        # Invariants: the next fix comes later, the period keeps its limits, confidence moves one state at most.
+        assert t + got["period"] > t
+        if kind == "sfr":
+            assert got["period"] == cfg.period
+        else:
+            assert cfg.t_min <= got["period"] <= cfg.t_max
+        if previous is not None:
+            assert abs(got["confidence"] - previous[FIX_COLUMNS.index("confidence")]) <= 1
+
+
+@pytest.mark.parametrize("kind", ["dvm", "madrd"])
+def test_velocity_steps_reject_fixes_out_of_time_order(kind):
+    cfg = PROTOCOLS[kind].config()
+    step = PROTOCOLS[kind].step
+    row = step(5.0, 0.0, 0.0, None, cfg)
+    with pytest.raises(ValueError, match="separated in time"):
+        step(5.0, 1.0, 0.0, row, cfg)
+
+
+# ---------------------------------------------------------------------------
 # Scheduler-state container
 # ---------------------------------------------------------------------------
 
@@ -256,7 +366,7 @@ def test_madrd_config_rejects_bad_growth_and_shrink():
 def test_state_rejects_next_fix_not_after_last():
     with pytest.raises(ValueError):
         SchedulerState(
-            last_sample=_sample(2.0, 0.0), prev_sample=None, velocity_estimate=(0.0, 0.0),
+            last_sample=_sample(2.0, 0.0), velocity_estimate=(0.0, 0.0),
             next_localization_time=2.0, current_period=1.0,
         )
 
