@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -141,6 +142,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _output_file(path: str | None, field: str) -> None:
+    """Reject an output file path in a missing directory, or one that is a directory, before anything runs."""
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"field '{field}': directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"field '{field}': {path!r} is a directory")
+
+
 def _protocol_config(args) -> ProtocolConfig:
     config_cls = PROTOCOLS[args.protocol].config
     return config_cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)})
@@ -161,6 +173,8 @@ def _trace_spec(args, seed: int) -> experiments.TraceSpec:
 
 
 def _cmd_simulate(args) -> int:
+    _output_file(args.out, "out")
+    _output_file(args.events_out, "events-out")
     seeds = np.random.SeedSequence([_seed(args)]).generate_state(2, np.uint64)
     trace_seed, noise_seed = int(seeds[0]), int(seeds[1])
     ts = _trace_spec(args, trace_seed)
@@ -230,7 +244,10 @@ def _cmd_sweep(args) -> int:
         spec = dataclasses.replace(spec, **updates)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"field 'out': cannot create directory {args.out!r}: {exc}") from exc
     events_dir = out_dir if args.events else None
     records = experiments.run_sweep(spec, workers=args.workers, events_dir=events_dir)
     experiments.write_runs_csv(out_dir / "runs.csv", spec, records)
@@ -240,6 +257,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _output_file(args.out, "out")
     lines: list[str]
     if args.turn:
         theta = math.radians(args.theta)
@@ -279,6 +297,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_import_trace(args) -> int:
+    _output_file(args.out, "out")
     area_w, area_h = experiments.parse_area(args.area)
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
@@ -297,6 +316,7 @@ def _cmd_import_trace(args) -> int:
 
 
 def _cmd_export_trace(args) -> int:
+    _output_file(args.out, "out")
     _emit(export_trace(experiments.make_trace(_trace_spec(args, _seed(args)))), args.out)
     return EXIT_OK
 

@@ -31,8 +31,9 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -435,6 +436,8 @@ def _run_cell(
     speed = class_label(ts.speed_class)
     pause = ts.pause_time
     noise = NoiseModel(spec.noise_max)
+    # The protocol runs of a cell share the trace, so its event text is formatted once.
+    trace_text = _trace_text(trace) if events_dir is not None else None
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
@@ -464,7 +467,7 @@ def _run_cell(
         if events_dir is not None:
             provenance = run_provenance(run_cfg, ts, trace_sha, rep=rep, protocol=pspec.label, kind=pspec.kind)
             path = Path(events_dir) / _events_filename(speed, pause, pspec.label, rep)
-            write_events_csv(path, provenance, result)
+            write_events_csv(path, provenance, result, trace_text)
     return records
 
 
@@ -685,11 +688,40 @@ def write_summary_csv(path: str | os.PathLike, spec: SweepSpec, rows: Sequence[S
     _write_csv(path, "summary", spec_to_dict(spec), SUMMARY_COLUMNS, table)
 
 
-def write_events_csv(path: str | os.PathLike, config: dict, result: RunResult) -> None:
-    """Write a run's event log straight from its columns, one row per grid step."""
-    # Floats print through repr of Python floats, as _fmt does; a numpy scalar's
-    # repr would read "np.float64(...)".  Rows are formatted as they are written.
-    cells = [col if isinstance(col[0], str) else map(repr, col) for col in result.columns()]
+def _column_text(col: np.ndarray) -> Iterator[str]:
+    """The CSV text of one event column, formatted once per run of bit-equal values.
+
+    Floats print through ``repr`` of Python floats, as :func:`_fmt` does; a
+    numpy scalar's repr would read ``np.float64(...)``.  A float column is
+    compared through its ``int64`` view, so ``-0.0`` never joins a run of
+    ``0.0`` and NaNs never merge.  A string column is its own text.
+    """
+    same = col.view(np.int64) if col.dtype.kind == "f" else col
+    starts = np.flatnonzero(np.concatenate(([True], same[1:] != same[:-1])))
+    values = col[starts].tolist()
+    text = values if col.dtype.kind == "U" else map(repr, values)
+    if starts.size == col.size:
+        return iter(text)
+    return chain.from_iterable(map(repeat, text, np.diff(starts, append=col.size).tolist()))
+
+
+def _trace_text(trace: MobilityTrace) -> list[list[str]]:
+    """The text of the ``t``/``true_x``/``true_y`` event columns, shared by every run on ``trace``."""
+    return [list(_column_text(col)) for col in (trace.times, trace.xs, trace.ys)]
+
+
+def write_events_csv(
+    path: str | os.PathLike, config: dict, result: RunResult, trace_text: Sequence[Sequence[str]] | None = None
+) -> None:
+    """Write a run's event log straight from its columns, one row per grid step.
+
+    Each run of bit-equal values in a column is formatted once and repeated,
+    which leaves the bytes as formatting every value would.  ``trace_text`` is
+    :func:`_trace_text` of the trace ``result`` ran on; without it the trace
+    columns are formatted here.  Rows are formatted as they are written.
+    """
+    columns = [getattr(result, name) for name in EVENT_COLUMNS]
+    cells = [*(trace_text or map(_column_text, columns[:3])), *map(_column_text, columns[3:])]
     with _atomic_write(path) as fh:
         fh.write("\n".join([*header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))

@@ -7,7 +7,7 @@ import platform
 import numpy as np
 import pytest
 
-from dynloc import oracles
+from dynloc import cli, experiments, oracles
 from dynloc.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, console_main, main
 from dynloc.experiments import read_provenance, read_summary
 
@@ -276,6 +276,30 @@ def test_negative_seed_is_rejected_before_any_output(tmp_path, capsys, argv, fie
     assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["simulate", "--protocol", "sfr", "--events-out", "missing/e.csv"], "field 'events-out'"),
+        (["simulate", "--protocol", "sfr", "--out", "missing/x"], "field 'out'"),
+        (["simulate", "--protocol", "sfr", "--out", "."], "field 'out'"),
+        (["sweep", "--repetitions", "1", "--out", "taken"], "field 'out'"),
+        (["sweep", "--repetitions", "1", "--out", "taken/sub"], "field 'out'"),
+        (["export-trace", "--out", "missing/t.txt"], "field 'out'"),
+    ],
+)
+def test_unwritable_output_path_is_rejected_before_any_run(tmp_path, monkeypatch, capsys, argv, field):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(experiments, "run_sweep", no_run)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file\n")
+    assert main(argv) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_sweep_events_flag_writes_event_logs(tmp_path):

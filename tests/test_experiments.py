@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dynloc import experiments
 from dynloc.engine import RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
@@ -13,6 +17,7 @@ from dynloc.experiments import (
     SweepSpec,
     WORKERS_ENV_VAR,
     _atomic_write,
+    _column_text,
     _worker_count,
     _write_csv,
     class_label,
@@ -328,6 +333,72 @@ def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg):
     events, _, _ = reference_run(cfg)
     _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, events)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# Float values whose text a merge by == would get wrong (-0.0 beside 0.0), or
+# that need bit-level care: NaNs of either sign, infinities, subnormals.
+_FLOAT_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-310]),
+)
+
+
+def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
+    """Columns made of runs of one value, up to 30 long, as held fixes and pauses make them."""
+    runs = st.lists(st.tuples(values, st.integers(1, 30)), min_size=1, max_size=30)
+    return runs.map(lambda rs: np.repeat(np.array([v for v, _ in rs], dtype=dtype), [k for _, k in rs]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    col=st.one_of(
+        _runs_column(_FLOAT_VALUES, np.float64),
+        _runs_column(st.integers(0, 1), np.int8),
+        _runs_column(st.sampled_from(["", "LC", "S1", "S2", "HC"]), "<U2"),
+    )
+)
+@example(col=np.array([0.0, 0.0, -0.0, -0.0, 0.0]))
+@example(col=np.array([math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, 5e-324, 5e-324]))
+@example(col=np.arange(50) * 0.1)
+def test_column_text_equals_formatting_every_value(col):
+    # A string column is its own text; every other value prints through repr.
+    reference = col.tolist() if col.dtype.kind == "U" else list(map(repr, col.tolist()))
+    assert list(_column_text(col)) == reference
+
+
+_ALL_PROTOCOLS = (
+    ProtocolSpec("sfr", "sfr", {"period": 2.0}),
+    ProtocolSpec("dvm", "dvm", {"t_max": 6.0}),
+    ProtocolSpec("madrd", "madrd", {"t_max": 6.0}),
+)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # Small area and short legs, so the pauses repeat the true position.
+        dict(pause_times=(5.0,), area_w=60.0, area_h=60.0, duration=90.0, repetitions=2),
+        dict(mobility="gauss_markov", backtracking_enabled=True),
+    ],
+    ids=["rwp_pause", "gm_backtrack"],
+)
+def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides):
+    written = []
+    writer = experiments.write_events_csv
+
+    def record(path, config, result, *rest):
+        written.append((path, config, result))
+        writer(path, config, result, *rest)
+
+    monkeypatch.setattr(experiments, "write_events_csv", record)
+    events_dir = tmp_path / "events"
+    run_sweep(_one_class_spec(protocols=_ALL_PROTOCOLS, **overrides), workers=1, events_dir=events_dir)
+    assert sorted(p for p, _, _ in written) == sorted(events_dir.glob("events_*.csv"))
+    if overrides.get("pause_times"):
+        assert any(np.any(r.true_x[1:] == r.true_x[:-1]) for _, _, r in written)
+    for path, config, result in written:
+        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
 
 
 @pytest.mark.parametrize("label", ["", "a b", "a\\b"])

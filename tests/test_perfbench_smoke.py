@@ -4,7 +4,7 @@ The harness binds dynloc's functions by name to time and trace them, so a
 rename or a broken workload shows up here rather than only in a full
 benchmark run.  ``gm_backtrack`` with tracing covers the tracer hooks, the
 engine, backtracking and Gauss-Markov traces; ``rwp_stock`` covers the
-process pool.
+process pool; ``rwp_events`` with tracing covers the event-log writer.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(("workload", "trace"), [("gm_backtrack", "1"), ("rwp_stock", "0")])
+@pytest.mark.parametrize(("workload", "trace"), [("gm_backtrack", "1"), ("rwp_stock", "0"), ("rwp_events", "1")])
 def test_tiny_benchmark_run_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--tiny", "--seconds", "0", "--workload", workload, "--trace", trace],
