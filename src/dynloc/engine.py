@@ -28,13 +28,23 @@ randomness, and it is seeded explicitly.  The engine draws that stream
 ``_NOISE_CHUNK`` fixes at a time through :func:`~dynloc.geometry.draw_fix_offsets`,
 which yields the same displacements in the same order as one
 :func:`~dynloc.geometry.localize` call per fix.
+
+What a run costs before and besides its fixes -- the scratch block of
+:func:`~dynloc.geometry.hypot_exact`, the fix schedule of the trace, the noise
+stream -- lives in a :class:`Workspace`.  A caller that makes many runs passes
+one workspace to each, so runs on the same trace or the same noise seed (the
+protocols of one sweep cell) share that work; :func:`run` without one builds a
+fresh workspace.  A result never refers to workspace memory, and it is the
+same, bit for bit, with a fresh or a shared workspace.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -43,6 +53,7 @@ from .geometry import (
     LocalizationSample,
     NoiseModel,
     Position,
+    SCRATCH_ROWS,
     draw_fix_offsets,
     hypot_exact,
     localize,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
@@ -50,6 +61,7 @@ from .geometry import (
 )
 from .mobility import MobilityTrace
 from .protocols import (
+    FIX_COLUMNS,
     PROTOCOLS,
     Confidence,
     ProtocolConfig,
@@ -63,6 +75,7 @@ __all__ = [
     "EventRecord",
     "Fixes",
     "RunResult",
+    "Workspace",
     "run",
 ]
 
@@ -179,16 +192,66 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _fix_offsets(noise: NoiseModel, rng: np.random.Generator) -> Iterator[tuple[float, float]]:
-    """Endless ``(dx, dy)`` fix displacements, drawn ``_NOISE_CHUNK`` fixes at a time."""
-    while True:
-        yield from draw_fix_offsets(noise, rng, _NOISE_CHUNK)
+class Workspace:
+    """What consecutive runs share: scratch memory, the schedule of a trace, a noise stream.
+
+    It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block,
+    the fix schedule of the last trace it saw (keyed by the identity of its
+    ``times``), and the fix displacements drawn so far from the last noise
+    stream (keyed by the seed and the bits of the noise bound, since
+    ``0.0 == -0.0``).  A run on the same stream reads the displacements from
+    the first one, so it sees the same stream as on a fresh workspace.  Pass
+    one workspace to one run at a time.
+    """
+
+    def __init__(self) -> None:
+        self._block = np.empty((SCRATCH_ROWS, 0))
+        self._times: np.ndarray | None = None
+        self._due: list[float] = []
+        self._noise_key: tuple | None = None
+        self._rng: np.random.Generator | None = None
+        self._offsets: list[tuple[float, float]] = []
+
+    def scratch(self, n: int) -> np.ndarray:
+        """The scratch block, grown to at least ``n`` columns if it is narrower."""
+        if self._block.shape[1] < n:
+            self._block = np.empty((SCRATCH_ROWS, n))
+        return self._block
+
+    def schedule(self, times: np.ndarray) -> list[float]:
+        """``times + eps`` as a list: a fix requested at ``r`` fires at step ``bisect_left(due, r)``.
+
+        This is ``np.searchsorted(times + eps, r)`` without the per-call numpy
+        overhead.
+        """
+        if times is not self._times:
+            self._due = (times + _SCHED_EPS).tolist()
+            self._times = times
+        return self._due
+
+    def fix_offsets(self, noise: NoiseModel, seed: int) -> Iterator[tuple[float, float]]:
+        """Endless ``(dx, dy)`` fix displacements of ``default_rng(seed)``, from the stream's first fix.
+
+        Displacements drawn for an earlier run on the same stream are reused;
+        new ones are drawn ``_NOISE_CHUNK`` fixes at a time.
+        """
+        key = (seed, struct.pack("<d", noise.max_magnitude))
+        if key != self._noise_key:
+            self._noise_key = key
+            self._rng = np.random.default_rng(seed)
+            self._offsets = []
+        offsets, rng = self._offsets, self._rng
+        yield from offsets
+        while True:
+            drawn = draw_fix_offsets(noise, rng, _NOISE_CHUNK)
+            offsets.extend(drawn)
+            yield from drawn
 
 
 _CONFIDENCE_NAMES = tuple(c.name for c in Confidence)
 
 
-def run(cfg: RunConfig) -> RunResult:
+def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     """Simulate one node/protocol pair over the full trace.
 
     Per fix: take a noisy fix at the current grid step, advance the scheduler,
@@ -199,17 +262,19 @@ def run(cfg: RunConfig) -> RunResult:
     interpolation of its two bounding fixes; rows after the last fix stay as
     reported.  Corrections larger than the noise bound are counted.  Errors
     are measured against ground truth after any correction.
+
+    ``workspace`` carries scratch memory and earlier work between runs (see
+    :class:`Workspace`); without one the run builds its own.  The result is
+    the same either way.
     """
+    ws = Workspace() if workspace is None else workspace
     trace = cfg.trace
     times, xs, ys = trace.times, trace.xs, trace.ys
     n = times.size
     if not times.item(0) >= 0:
         raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
-    # A fix requested at time r fires at the first step k with times[k] + eps >= r:
-    # bisect_left over this list is np.searchsorted(times + eps, r) without the
-    # per-call numpy overhead.
-    due = (times + _SCHED_EPS).tolist()
-    rng = np.random.default_rng(cfg.seed)
+    # A fix requested at time r fires at the first step k with times[k] + eps >= r.
+    due = ws.schedule(times)
     noise = cfg.noise
     kind = PROTOCOLS[cfg.protocol]
     step = kind.step
@@ -219,7 +284,7 @@ def run(cfg: RunConfig) -> RunResult:
     rows: list[tuple] = []
     row = None
     k = 0
-    for dx, dy in _fix_offsets(noise, rng):
+    for dx, dy in ws.fix_offsets(noise, cfg.seed):
         t = times.item(k)
         row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
         next_t = t + row[3]  # the row's period (FIX_COLUMNS)
@@ -232,7 +297,9 @@ def run(cfg: RunConfig) -> RunResult:
         if k >= n:
             break
 
-    columns = np.array(rows).T.copy()  # one row per FIX_COLUMNS field
+    m = len(rows)
+    width = len(FIX_COLUMNS)
+    columns = np.fromiter(chain.from_iterable(rows), float, m * width).reshape(m, width).T.copy()
     if not np.isfinite(columns[1:3]).all():
         raise ValueError("fix coordinates must be finite")
     fixes = Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
@@ -280,13 +347,14 @@ def run(cfg: RunConfig) -> RunResult:
         # frac and scratch are free again: they take how far each point moves.
         dx = np.subtract(cx, rep_x.take(inner, out=frac), out=frac)
         dy = np.subtract(cy, rep_y.take(inner, out=scratch), out=scratch)
-        correction_count = int(np.count_nonzero(hypot_exact(dx, dy) > noise.max_magnitude))
+        moved = hypot_exact(dx, dy, ws.scratch(n))
+        correction_count = int(np.count_nonzero(moved > noise.max_magnitude))
         rep_x[inner] = cx
         rep_y[inner] = cy
 
-    errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys)
+    errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
     metrics = RunMetrics(
-        localization_count=len(rows),
+        localization_count=m,
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),

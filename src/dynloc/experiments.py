@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import EventRecord, RunConfig, RunResult, run
+from .engine import EventRecord, RunConfig, RunResult, Workspace, run
 from .geometry import NoiseModel
 from .mobility import (
     GaussMarkovConfig,
@@ -169,8 +169,15 @@ class SweepSpec:
         for lo, hi in self.speed_classes:
             if not (0 < lo <= hi):
                 raise ValueError(f"field 'speed_classes': need 0 < lo <= hi, got {lo}:{hi}")
+        # Cells are keyed and their files named by class_label and the %g pause.
+        labels = [class_label(c) for c in self.speed_classes]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"field 'speed_classes': classes must be distinct as lo:hi (%g), got {labels}")
         if not self.pause_times or any(p < 0 for p in self.pause_times):
             raise ValueError("field 'pause_times': need at least one value, all >= 0")
+        pauses = list(self.pause_times)
+        if len({f"{p:g}" for p in pauses}) < len(pauses) or len(set(pauses)) < len(pauses):
+            raise ValueError(f"field 'pause_times': values must be distinct, also as %g, got {pauses}")
         if not self.protocols:
             raise ValueError("field 'protocols': need at least one protocol")
         labels = [p.label for p in self.protocols]
@@ -182,6 +189,8 @@ class SweepSpec:
             raise ValueError(f"field 'seed_base': must be >= 0, got {self.seed_base}")
         if self.duration <= 0 or self.dt <= 0:
             raise ValueError("fields 'duration'/'dt': must be positive")
+        if self.area_w <= 0 or self.area_h <= 0:
+            raise ValueError("fields 'area_w'/'area_h': must be positive")
         if self.mobility not in MOBILITY_MODELS:
             raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
         if self.noise_max < 0 or self.dist_tolerance < 0:
@@ -421,9 +430,9 @@ def _events_filename(speed: str, pause: float, label: str, rep: int) -> str:
 
 
 def _run_cell(
-    spec: SweepSpec, class_index: int, pause_index: int, rep: int, events_dir: str | None
+    spec: SweepSpec, class_index: int, pause_index: int, rep: int, events_dir: str | None, workspace: Workspace
 ) -> list[RunRecord]:
-    """All protocol runs for one (class, pause, rep) cell, sharing one trace."""
+    """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = _cell_seeds(spec, class_index, pause_index, rep)
     ts = TraceSpec.of(
         spec,
@@ -450,7 +459,7 @@ def _run_cell(
             seed=noise_seed,
             backtracking_enabled=spec.backtracking_enabled,
         )
-        result = run(run_cfg)
+        result = run(run_cfg, workspace)
         records.append(
             RunRecord(
                 speed_class=speed,
@@ -482,6 +491,20 @@ def _worker_count(workers: int | None, n_cells: int) -> int:
     return max(1, min(workers, n_cells, os.cpu_count() or 1))
 
 
+# Pool tasks per worker.  Each task is a batch of cells that shares one
+# workspace; several per worker, each taking every B-th cell so that every
+# batch mixes slow and fast speed classes, keep the workers evenly loaded.
+_BATCHES_PER_WORKER = 4
+
+
+def _run_batch(
+    spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | None
+) -> list[list[RunRecord]]:
+    """The records of each cell in ``cells``, in order, all run on one workspace."""
+    workspace = Workspace()
+    return [_run_cell(spec, ci, pi, rep, events_dir, workspace) for ci, pi, rep in cells]
+
+
 def run_sweep(
     spec: SweepSpec,
     workers: int | None = None,
@@ -491,8 +514,11 @@ def run_sweep(
 
     ``workers`` > 1 fans cells out over a process pool (default comes from
     the ``DYNLOC_WORKERS`` environment variable, falling back to serial); the
-    pool never gets more processes than there are cells or CPUs.  Results are
-    identical regardless of worker count.
+    pool never gets more processes than there are cells or CPUs.  Cells run
+    in batches that each share one :class:`~dynloc.engine.Workspace`: one
+    batch when serial, and ``_BATCHES_PER_WORKER`` strided batches per worker
+    (cells ``b, b + B, ...``) in the pool.  Results are identical regardless
+    of worker count.
     """
     if events_dir is not None:
         events_dir = str(events_dir)
@@ -504,18 +530,16 @@ def run_sweep(
         for rep in range(spec.repetitions)
     ]
     n = _worker_count(workers, len(cells))
-    records: list[RunRecord] = []
     if n == 1:
-        for ci, pi, rep in cells:
-            records.extend(_run_cell(spec, ci, pi, rep, events_dir))
+        per_cell = _run_batch(spec, cells, events_dir)
     else:
+        n_batches = min(len(cells), _BATCHES_PER_WORKER * n)
+        strided = [cells[b::n_batches] for b in range(n_batches)]
         with ProcessPoolExecutor(max_workers=n) as pool:
-            for batch in pool.map(
-                _run_cell,
-                *zip(*[(spec, ci, pi, rep, events_dir) for ci, pi, rep in cells]),
-            ):
-                records.extend(batch)
-    return records
+            batches = list(pool.map(_run_batch, repeat(spec), strided, repeat(events_dir)))
+        # Cell i is entry i // n_batches of batch i % n_batches.
+        per_cell = [batches[i % n_batches][i // n_batches] for i in range(len(cells))]
+    return list(chain.from_iterable(per_cell))
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +792,8 @@ def parse_area(raw: str) -> tuple[float, float]:
         w, h = float(pieces[0]), float(pieces[1])
     except ValueError as exc:
         raise ValueError(f"field 'area': not a number in {raw!r}") from exc
+    if not (0 < w < math.inf and 0 < h < math.inf):
+        raise ValueError(f"field 'area': need finite W, H > 0, got {raw!r}")
     return w, h
 
 

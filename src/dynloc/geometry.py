@@ -22,6 +22,7 @@ __all__ = [
     "LocalizationSample",
     "distance",
     "hypot_exact",
+    "SCRATCH_ROWS",
     "draw_fix_noise",
     "draw_fix_offsets",
     "localize",
@@ -78,6 +79,7 @@ def distance(a: Position, b: Position) -> float:
 _SPLITTER = 134217729.0
 _TINY = float(np.finfo(float).tiny)  # 2**-1022, the smallest normal double
 _HUGE = float(np.finfo(float).max)
+SCRATCH_ROWS = 12  # rows of the scratch block hypot_exact works in
 
 
 def _split(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
@@ -108,7 +110,7 @@ def _fast_sum(a: np.ndarray, b: np.ndarray, s: np.ndarray, err: np.ndarray) -> N
     err += b
 
 
-def hypot_exact(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+def hypot_exact(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """``math.hypot(dx[i], dy[i])`` for every ``i``, bit for bit, in array operations.
 
     ``np.hypot`` rounds differently in the last ulp, so this ports CPython
@@ -118,10 +120,18 @@ def hypot_exact(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     errors kept in ``frac1``/``frac2``, take the square root and apply one
     correction step.  Lanes the port does not cover -- a larger magnitude that
     is zero, subnormal, infinite or NaN -- go through :func:`math.hypot` one
-    at a time.  All intermediates live in one block of scratch rows.
+    at a time.  All intermediates live in the first ``n = dx.size`` columns
+    of ``scratch``, a float block of ``SCRATCH_ROWS`` rows and at least ``n``
+    columns; each is written before it is read, so the block may hold
+    anything and may be reused from call to call.  Without it a fresh block
+    is allocated.  The result is always a new array.
     """
     n = dx.size
-    a, b, big, scale, hi, lo, z, zz, w, csum, frac1, frac2 = np.empty((12, n))
+    if scratch is None:
+        scratch = np.empty((SCRATCH_ROWS, n))
+    elif scratch.dtype != np.float64 or scratch.ndim != 2 or scratch.shape[0] != SCRATCH_ROWS or scratch.shape[1] < n:
+        raise ValueError(f"scratch must be a float64 {SCRATCH_ROWS} x >= {n} block, got {scratch.dtype} {scratch.shape}")
+    a, b, big, scale, hi, lo, z, zz, w, csum, frac1, frac2 = scratch[:, :n]
     h = np.empty(n)
     with np.errstate(all="ignore"):
         np.abs(dx, out=a)

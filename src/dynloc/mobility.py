@@ -73,20 +73,21 @@ class MobilityTrace:
             raise ValueError("times, xs, ys must have identical length")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.area_w <= 0 or self.area_h <= 0:
+        if not (self.area_w > 0 and self.area_h > 0):
             raise ValueError("area dimensions must be positive")
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
             raise ValueError("trace samples must be finite")
-        gaps = np.diff(times)
-        if np.any(gaps <= 0):
-            raise ValueError("trace times must be strictly increasing")
-        if times.size > 1 and not np.allclose(gaps, self.dt, rtol=0.0, atol=1e-6 * self.dt):
-            raise ValueError("trace times must be uniformly spaced by dt")
+        if times.size > 1:
+            gaps = np.diff(times)
+            if gaps.min() <= 0:
+                raise ValueError("trace times must be strictly increasing")
+            if not np.abs(gaps - self.dt).max() <= 1e-6 * self.dt:
+                raise ValueError("trace times must be uniformly spaced by dt")
         if (
-            np.any(xs < -_TIME_EPS)
-            or np.any(xs > self.area_w + _TIME_EPS)
-            or np.any(ys < -_TIME_EPS)
-            or np.any(ys > self.area_h + _TIME_EPS)
+            xs.min() < -_TIME_EPS
+            or xs.max() > self.area_w + _TIME_EPS
+            or ys.min() < -_TIME_EPS
+            or ys.max() > self.area_h + _TIME_EPS
         ):
             raise ValueError("trace positions must lie within the area bounds")
         for arr, name in ((times, "times"), (xs, "xs"), (ys, "ys")):

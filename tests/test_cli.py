@@ -302,6 +302,26 @@ def test_unwritable_output_path_is_rejected_before_any_run(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize(
+    "spec_edit, flags, field",
+    [
+        (("pause_times = 0", "pause_times = 0, 0"), [], "field 'pause_times'"),
+        (("", ""), ["--pause-times", "0,0"], "field 'pause_times'"),
+        (("", ""), ["--pause-times", "1.0000001,1.0000002"], "field 'pause_times'"),
+        (("speed_classes = 4:5", "speed_classes = 4:5, 4:5"), [], "field 'speed_classes'"),
+    ],
+    ids=["spec_pauses", "flag_pauses", "flag_pauses_equal_as_g", "spec_classes"],
+)
+def test_sweep_rejects_cells_that_would_merge_before_any_run(tmp_path, capsys, spec_edit, flags, field):
+    spec_file = tmp_path / "sweep.ini"
+    spec_file.write_text(SPEC_TEXT.replace(*spec_edit))
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--spec", str(spec_file), "--out", str(out_dir), "--events", *flags])
+    assert code == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_sweep_events_flag_writes_event_logs(tmp_path):
     spec_file = tmp_path / "sweep.ini"
     spec_file.write_text(SPEC_TEXT)
@@ -409,3 +429,16 @@ def test_import_trace_rejects_out_of_area(tmp_path, capsys):
     src.write_text("0 0 0 10 900 0\n")
     assert main(["import-trace", "--in", str(src), "--area", "300x300"]) == EXIT_VALIDATION
     assert "area" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("area", ["nanx300", "infx300", "300xnan", "0x300", "300x-1"])
+@pytest.mark.parametrize("command", ["import-trace", "simulate"])
+def test_trace_file_area_must_be_finite_and_positive(tmp_path, capsys, command, area):
+    src = tmp_path / "node.txt"
+    src.write_text("0 0 0 10 5 5\n")
+    if command == "import-trace":
+        argv = ["import-trace", "--in", str(src)]
+    else:
+        argv = ["simulate", "--protocol", "sfr", "--trace-file", str(src), "--duration", "10"]
+    assert main([*argv, f"--area={area}"]) == EXIT_VALIDATION
+    assert "field 'area'" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dynloc.engine import _NOISE_CHUNK, RunConfig, run
+from dynloc.engine import _NOISE_CHUNK, EventRecord, RunConfig, Workspace, run
 from dynloc.geometry import NoiseModel, draw_fix_offsets
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -291,3 +291,52 @@ def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise,
     assert [list(map(repr, col)) for col in result.columns()] == [list(map(repr, col)) for col in zip(*events)]
     assert result.samples == samples
     assert result.metrics == metrics
+
+
+def _bits(result) -> list[list]:
+    """Every fix and event column of a run, floats as int64 bit patterns, and its metrics."""
+    columns = [*result.fixes, *(getattr(result, name) for name in EventRecord._fields)]
+    bits = [c.view(np.int64).tolist() if c.dtype.kind == "f" else c.tolist() for c in columns]
+    return bits + [repr(result.metrics)]
+
+
+def _signed_zero_trace(duration: float = 30.0) -> MobilityTrace:
+    # A node parked at (-0.0, -0.0): a fix there keeps the sign of zero its noise draws.
+    times = np.arange(round(duration / 0.1) + 1) * 0.1
+    return MobilityTrace(0, times, np.full(times.size, -0.0), np.full(times.size, -0.0), 0.1, 10.0, 10.0)
+
+
+def test_runs_on_a_shared_workspace_equal_fresh_runs():
+    short, long_ = _trace(seed=31, duration=120.0), _trace(seed=32, duration=300.0)
+    parked = _signed_zero_trace()
+    sfr, dvm = SfrConfig(period=0.2), DvmConfig(target_error=2.0, t_min=0.5, t_max=4.0)
+    madrd = MadrdConfig(divergence_threshold=2.0, t_min=0.5, t_max=4.0)
+    configs = [
+        # Three protocols on one trace and seed; the last one takes more fixes than the
+        # noise drawn so far, so it reads the shared stream and then extends it.
+        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=5),
+        RunConfig(trace=short, protocol="madrd", protocol_config=madrd, seed=5, backtracking_enabled=True),
+        RunConfig(trace=short, protocol="sfr", protocol_config=sfr, seed=5),
+        # A longer trace (the scratch block grows), then the shorter one again, on one seed.
+        RunConfig(trace=long_, protocol="sfr", protocol_config=sfr, seed=5, backtracking_enabled=True),
+        RunConfig(trace=short, protocol="madrd", protocol_config=madrd, seed=5),
+        # A new seed, then back to the first one.
+        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=6),
+        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=5),
+        # Noise bounds 0.0 and -0.0 compare equal, but their displacements differ in the sign of zero.
+        RunConfig(trace=parked, protocol="sfr", protocol_config=sfr, noise=NoiseModel(0.0), seed=7),
+        RunConfig(trace=parked, protocol="sfr", protocol_config=sfr, noise=NoiseModel(-0.0), seed=7),
+    ]
+    workspace = Workspace()
+    shared, snapshots = [], []
+    for cfg in configs:
+        result = run(cfg, workspace)
+        shared.append(result)
+        snapshots.append(_bits(result))
+        assert snapshots[-1] == _bits(run(cfg))
+    counts = [r.metrics.localization_count for r in shared]
+    assert max(counts[:2]) < _NOISE_CHUNK < 2 * _NOISE_CHUNK < counts[2]
+    assert snapshots[5] != snapshots[6]
+    assert snapshots[7] != snapshots[8]  # the signed-zero trace tells the two bounds apart
+    # Later runs on the workspace leave every earlier result as it was.
+    assert [_bits(r) for r in shared] == snapshots

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynloc import experiments
+from dynloc import cli, experiments
 from dynloc.engine import RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
@@ -118,6 +119,8 @@ def test_spec_validation_messages_name_the_field():
         _tiny_spec(mobility="teleport")
     with pytest.raises(ValueError, match="speed_classes"):
         _tiny_spec(speed_classes=((5.0, 4.0),))
+    with pytest.raises(ValueError, match="area_w"):
+        _tiny_spec(area_h=0.0)
     with pytest.raises(ValueError, match="label"):
         _tiny_spec(
             protocols=(
@@ -142,6 +145,21 @@ def test_spec_validation_messages_name_the_field():
 )
 def test_spec_rejects_non_finite_fields(field, overrides):
     with pytest.raises(ValueError, match=f"field '{field}': must be finite"):
+        _tiny_spec(**overrides)
+
+
+@pytest.mark.parametrize(
+    "field, overrides",
+    [
+        ("pause_times", {"pause_times": (0.0, 0.0)}),
+        ("pause_times", {"pause_times": (0.0, -0.0)}),  # one float key, two file names
+        ("pause_times", {"pause_times": (1.0000001, 1.0000002)}),  # both "p1" in file names
+        ("speed_classes", {"speed_classes": ((4.0, 5.0), (4.0, 5.0))}),
+        ("speed_classes", {"speed_classes": ((4.0, 5.0000001), (4.0, 5.0000002))}),  # both "4:5"
+    ],
+)
+def test_spec_rejects_cells_that_would_merge(field, overrides):
+    with pytest.raises(ValueError, match=f"field '{field}': .* distinct"):
         _tiny_spec(**overrides)
 
 
@@ -226,20 +244,78 @@ def test_sweep_changes_with_seed_base():
     assert [r.trace_sha for r in a] != [r.trace_sha for r in b]
 
 
-def test_sweep_parallel_equals_serial():
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """Let the sweep open a 2-process pool on a one-CPU host too; lists each pool's size."""
+    sizes: list[int] = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_sweep_parallel_equals_serial(pools):
     spec = _tiny_spec()
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
+    assert pools == [2]
 
 
-def test_sweep_worker_count_from_environment(monkeypatch):
-    spec = _one_class_spec()
+def test_sweep_worker_count_from_environment(monkeypatch, pools):
+    spec = _one_class_spec(repetitions=2)
     monkeypatch.setenv(WORKERS_ENV_VAR, "2")
     from_env = run_sweep(spec)
+    assert pools == [2]
     monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
     with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
         run_sweep(spec)
     monkeypatch.delenv(WORKERS_ENV_VAR)
     assert from_env == run_sweep(spec)
+    assert pools == [2]
+
+
+# Seven cells: one speed class, seven pauses, one repetition, three protocols.
+_SEVEN_CELL_SPEC = """
+[sweep]
+speed_classes = 2:3
+pause_times = 0, 5, 10, 20, 40, 80, 160
+repetitions = 1
+duration = 60
+area = 80x80
+seed_base = 41
+
+[sfr]
+period = 2
+
+[dvm]
+t_max = 6
+
+[madrd]
+t_max = 6
+"""
+
+
+@pytest.mark.parametrize("events", [False, True], ids=["plain", "events"])
+@pytest.mark.parametrize("batches_per_worker", [1, 4])
+def test_batched_pool_sweep_writes_the_serial_bytes(tmp_path, monkeypatch, pools, events, batches_per_worker):
+    # One batch per worker strides the seven cells as 0, 2, 4, 6 and 1, 3, 5; four per
+    # worker cap at seven one-cell batches.
+    monkeypatch.setattr(experiments, "_BATCHES_PER_WORKER", batches_per_worker)
+    spec_file = tmp_path / "seven.ini"
+    spec_file.write_text(_SEVEN_CELL_SPEC)
+    outputs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        argv = ["sweep", "--spec", str(spec_file), "--out", str(out), "--workers", workers]
+        assert cli.main(argv + ["--events"] * events) == cli.EXIT_OK
+        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert pools == [2]
+    assert len(outputs["1"]) == 2 + 21 * events
+    assert outputs["2"] == outputs["1"]
 
 
 def test_sweep_writes_one_events_file_per_run(tmp_path):

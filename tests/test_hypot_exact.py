@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.geometry import hypot_exact
+from dynloc.geometry import SCRATCH_ROWS, hypot_exact
 
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
@@ -81,3 +82,32 @@ def test_kernel_on_stock_sized_error_columns():
 
 def test_kernel_on_empty_columns():
     assert hypot_exact(np.empty(0), np.empty(0)).shape == (0,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    columns=st.lists(st.lists(st.tuples(_FLOATS, _FLOATS), max_size=40), min_size=1, max_size=6),
+    spare=st.integers(min_value=0, max_value=5),
+    garbage=_FLOATS,
+)
+def test_kernel_with_a_reused_scratch_block_equals_a_fresh_call(columns, spare, garbage):
+    # One oversized block, garbage-filled, then left holding each call's intermediates
+    # for the next call, over columns that grow and shrink.
+    scratch = np.full((SCRATCH_ROWS, max(map(len, columns)) + spare), garbage)
+    for pairs in columns:
+        dx = np.array([p[0] for p in pairs], dtype=float)
+        dy = np.array([p[1] for p in pairs], dtype=float)
+        got = hypot_exact(dx, dy, scratch)
+        assert not np.shares_memory(got, scratch)
+        assert got.view(np.int64).tolist() == hypot_exact(dx, dy).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "scratch",
+    [np.empty((SCRATCH_ROWS, 2)), np.empty((SCRATCH_ROWS - 1, 3)), np.empty(SCRATCH_ROWS * 3),
+     np.empty((SCRATCH_ROWS, 3), dtype=np.float32)],
+    ids=["narrow", "short", "flat", "float32"],
+)
+def test_kernel_rejects_a_scratch_block_that_does_not_fit(scratch):
+    with pytest.raises(ValueError, match="scratch"):
+        hypot_exact(np.ones(3), np.ones(3), scratch)

@@ -203,6 +203,32 @@ def test_trace_rejects_out_of_bounds():
         MobilityTrace(0, np.array([0.0, 0.1]), np.array([0.0, 301.0]), np.zeros(2), 0.1, 300, 300)
 
 
+@pytest.mark.parametrize(
+    "xs, ys",
+    [([0.0, -1e-6], [0.0, 0.0]), ([300.0, 300.000001], [0.0, 0.0]), ([0.0, 0.0], [-1e-6, 0.0]),
+     ([0.0, 0.0], [5.0, 200.000001])],
+    ids=["left", "right", "bottom", "top"],
+)
+def test_trace_rejects_a_sample_past_any_edge(xs, ys):
+    with pytest.raises(ValueError, match="bounds"):
+        MobilityTrace(0, np.array([0.0, 0.1]), np.array(xs), np.array(ys), 0.1, 300, 200)
+    # Inside the edge's 1e-9 tolerance the same sample is accepted.
+    inside = [min(max(v, 0.0), 300.0) for v in xs], [min(max(v, 0.0), 200.0) for v in ys]
+    MobilityTrace(0, np.array([0.0, 0.1]), np.array(inside[0]), np.array(inside[1]), 0.1, 300, 200)
+
+
+@pytest.mark.parametrize("area_w, area_h", [(math.nan, 300.0), (300.0, math.nan), (0.0, 300.0), (300.0, -1.0)])
+def test_trace_rejects_an_area_that_is_not_positive(area_w, area_h):
+    with pytest.raises(ValueError, match="area dimensions must be positive"):
+        MobilityTrace(0, np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 0.1, area_w, area_h)
+
+
+def test_trace_spacing_tolerance_is_a_millionth_of_dt():
+    MobilityTrace(0, np.array([0.0, 0.1, 0.2 + 5e-8]), np.zeros(3), np.zeros(3), 0.1, 300, 300)
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        MobilityTrace(0, np.array([0.0, 0.1, 0.2 + 2e-7]), np.zeros(3), np.zeros(3), 0.1, 300, 300)
+
+
 def test_trace_rejects_decreasing_times():
     with pytest.raises(ValueError, match="increasing"):
         MobilityTrace(0, np.array([0.1, 0.0]), np.zeros(2), np.zeros(2), 0.1, 300, 300)
