@@ -330,10 +330,26 @@ _COMMANDS = {
 }
 
 
+# Flags whose value may begin with "-" without being a number ("-1x300", "-1:2", "-1,0").
+# argparse would take such a value for an option, so it is attached to its flag.
+_DASH_VALUE_FLAGS = ("--area", "--speed", "--pause-times")
+
+
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--area -1x300`` written as ``--area=-1x300``, so the value reaches its parser."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

@@ -30,12 +30,13 @@ which yields the same displacements in the same order as one
 :func:`~dynloc.geometry.localize` call per fix.
 
 What a run costs before and besides its fixes -- the scratch block of
-:func:`~dynloc.geometry.hypot_exact`, the fix schedule of the trace, the noise
-stream -- lives in a :class:`Workspace`.  A caller that makes many runs passes
-one workspace to each, so runs on the same trace or the same noise seed (the
-protocols of one sweep cell) share that work; :func:`run` without one builds a
-fresh workspace.  A result never refers to workspace memory, and it is the
-same, bit for bit, with a fresh or a shared workspace.
+:func:`~dynloc.geometry.hypot_exact`, the fix schedule of the time grid, the
+noise stream -- lives in a :class:`Workspace`.  A caller that makes many runs
+passes one workspace to each, so runs on the same grid (every run of a sweep)
+or the same noise seed (the protocols of one sweep cell) share that work;
+:func:`run` without one builds a fresh workspace.  A result never refers to
+workspace memory, and it is the same, bit for bit, with a fresh or a shared
+workspace.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -75,6 +76,7 @@ __all__ = [
     "EventRecord",
     "Fixes",
     "RunResult",
+    "GridMemo",
     "Workspace",
     "run",
 ]
@@ -192,22 +194,41 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class GridMemo:
+    """``build(times)`` of the last time grid seen, built again only when the grid changes.
+
+    Two grids are the same when they are one array or hold the same bits, so
+    the traces of a sweep, each with its own ``times`` array, share one value.
+    """
+
+    def __init__(self, build: Callable[[np.ndarray], Any]) -> None:
+        self._build = build
+        self._times: np.ndarray | None = None
+        self._value: Any = None
+
+    def __call__(self, times: np.ndarray) -> Any:
+        if times is not self._times:
+            if self._times is None or not np.array_equal(times.view(np.int64), self._times.view(np.int64)):
+                self._value = self._build(times)
+            self._times = times
+        return self._value
+
+
 class Workspace:
-    """What consecutive runs share: scratch memory, the schedule of a trace, a noise stream.
+    """What consecutive runs share: scratch memory, the schedule of a time grid, a noise stream.
 
     It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block,
-    the fix schedule of the last trace it saw (keyed by the identity of its
-    ``times``), and the fix displacements drawn so far from the last noise
-    stream (keyed by the seed and the bits of the noise bound, since
-    ``0.0 == -0.0``).  A run on the same stream reads the displacements from
-    the first one, so it sees the same stream as on a fresh workspace.  Pass
-    one workspace to one run at a time.
+    the fix schedule of the last grid it saw (a :class:`GridMemo`, so the
+    traces of a sweep share it), and the fix displacements drawn so far
+    from the last noise stream (keyed by the seed and the bits of the noise
+    bound, since ``0.0 == -0.0``).  A run on the same stream reads the
+    displacements from the first one, so it sees the same stream as on a
+    fresh workspace.  Pass one workspace to one run at a time.
     """
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
-        self._times: np.ndarray | None = None
-        self._due: list[float] = []
+        self._schedule = GridMemo(lambda times: (times + _SCHED_EPS).tolist())
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
         self._offsets: list[tuple[float, float]] = []
@@ -222,12 +243,9 @@ class Workspace:
         """``times + eps`` as a list: a fix requested at ``r`` fires at step ``bisect_left(due, r)``.
 
         This is ``np.searchsorted(times + eps, r)`` without the per-call numpy
-        overhead.
+        overhead.  The list is built again only for a new grid.
         """
-        if times is not self._times:
-            self._due = (times + _SCHED_EPS).tolist()
-            self._times = times
-        return self._due
+        return self._schedule(times)
 
     def fix_offsets(self, noise: NoiseModel, seed: int) -> Iterator[tuple[float, float]]:
         """Endless ``(dx, dy)`` fix displacements of ``default_rng(seed)``, from the stream's first fix.

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import EventRecord, RunConfig, RunResult, Workspace, run
+from .engine import EventRecord, GridMemo, RunConfig, RunResult, Workspace, run
 from .geometry import NoiseModel
 from .mobility import (
     GaussMarkovConfig,
@@ -430,7 +430,13 @@ def _events_filename(speed: str, pause: float, label: str, rep: int) -> str:
 
 
 def _run_cell(
-    spec: SweepSpec, class_index: int, pause_index: int, rep: int, events_dir: str | None, workspace: Workspace
+    spec: SweepSpec,
+    class_index: int,
+    pause_index: int,
+    rep: int,
+    events_dir: str | None,
+    workspace: Workspace,
+    time_text: GridMemo,
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = _cell_seeds(spec, class_index, pause_index, rep)
@@ -446,7 +452,7 @@ def _run_cell(
     pause = ts.pause_time
     noise = NoiseModel(spec.noise_max)
     # The protocol runs of a cell share the trace, so its event text is formatted once.
-    trace_text = _trace_text(trace) if events_dir is not None else None
+    trace_text = _trace_text(trace, time_text) if events_dir is not None else None
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
@@ -500,9 +506,9 @@ _BATCHES_PER_WORKER = 4
 def _run_batch(
     spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | None
 ) -> list[list[RunRecord]]:
-    """The records of each cell in ``cells``, in order, all run on one workspace."""
-    workspace = Workspace()
-    return [_run_cell(spec, ci, pi, rep, events_dir, workspace) for ci, pi, rep in cells]
+    """The records of each cell in ``cells``, in order, all run on one workspace and one ``t`` text slot."""
+    workspace, time_text = Workspace(), GridMemo(_time_text)
+    return [_run_cell(spec, ci, pi, rep, events_dir, workspace, time_text) for ci, pi, rep in cells]
 
 
 def run_sweep(
@@ -515,10 +521,10 @@ def run_sweep(
     ``workers`` > 1 fans cells out over a process pool (default comes from
     the ``DYNLOC_WORKERS`` environment variable, falling back to serial); the
     pool never gets more processes than there are cells or CPUs.  Cells run
-    in batches that each share one :class:`~dynloc.engine.Workspace`: one
-    batch when serial, and ``_BATCHES_PER_WORKER`` strided batches per worker
-    (cells ``b, b + B, ...``) in the pool.  Results are identical regardless
-    of worker count.
+    in batches that each share one :class:`~dynloc.engine.Workspace` and the
+    text of the ``t`` event column: one batch when serial, and
+    ``_BATCHES_PER_WORKER`` strided batches per worker (cells ``b, b + B,
+    ...``) in the pool.  Results are identical regardless of worker count.
     """
     if events_dir is not None:
         events_dir = str(events_dir)
@@ -712,26 +718,39 @@ def write_summary_csv(path: str | os.PathLike, spec: SweepSpec, rows: Sequence[S
     _write_csv(path, "summary", spec_to_dict(spec), SUMMARY_COLUMNS, table)
 
 
-def _column_text(col: np.ndarray) -> Iterator[str]:
+def _column_text(col: np.ndarray, end: str = "") -> Iterator[str]:
     """The CSV text of one event column, formatted once per run of bit-equal values.
 
     Floats print through ``repr`` of Python floats, as :func:`_fmt` does; a
     numpy scalar's repr would read ``np.float64(...)``.  A float column is
     compared through its ``int64`` view, so ``-0.0`` never joins a run of
-    ``0.0`` and NaNs never merge.  A string column is its own text.
+    ``0.0`` and NaNs never merge.  A string column is its own text.  ``end``
+    is appended to each distinct text, once per run, so the last column of a
+    row can carry its line end.
     """
     same = col.view(np.int64) if col.dtype.kind == "f" else col
     starts = np.flatnonzero(np.concatenate(([True], same[1:] != same[:-1])))
     values = col[starts].tolist()
     text = values if col.dtype.kind == "U" else map(repr, values)
+    if end:
+        text = [s + end for s in text]
     if starts.size == col.size:
         return iter(text)
     return chain.from_iterable(map(repeat, text, np.diff(starts, append=col.size).tolist()))
 
 
-def _trace_text(trace: MobilityTrace) -> list[list[str]]:
-    """The text of the ``t``/``true_x``/``true_y`` event columns, shared by every run on ``trace``."""
-    return [list(_column_text(col)) for col in (trace.times, trace.xs, trace.ys)]
+def _time_text(times: np.ndarray) -> list[str]:
+    """The text of the ``t`` event column."""
+    return list(_column_text(times))
+
+
+def _trace_text(trace: MobilityTrace, time_text: GridMemo) -> list[list[str]]:
+    """The text of the ``t``/``true_x``/``true_y`` event columns, shared by every run on ``trace``.
+
+    ``time_text`` is a :class:`~dynloc.engine.GridMemo` of :func:`_time_text`;
+    the cells of a sweep share one grid, so a batch formats ``t`` once.
+    """
+    return [time_text(trace.times), *(list(_column_text(col)) for col in (trace.xs, trace.ys))]
 
 
 def write_events_csv(
@@ -742,13 +761,19 @@ def write_events_csv(
     Each run of bit-equal values in a column is formatted once and repeated,
     which leaves the bytes as formatting every value would.  ``trace_text`` is
     :func:`_trace_text` of the trace ``result`` ran on; without it the trace
-    columns are formatted here.  Rows are formatted as they are written.
+    columns are formatted here.  The last column's text carries the line end,
+    so rows are joined and streamed to the file in C, with no Python code per
+    row and no whole-file string.
     """
     columns = [getattr(result, name) for name in EVENT_COLUMNS]
-    cells = [*(trace_text or map(_column_text, columns[:3])), *map(_column_text, columns[3:])]
+    cells = [
+        *(trace_text or map(_column_text, columns[:3])),
+        *map(_column_text, columns[3:-1]),
+        _column_text(columns[-1], "\n"),
+    ]
     with _atomic_write(path) as fh:
         fh.write("\n".join([*header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.writelines(map(",".join, zip(*cells)))
 
 
 def _parse_number_list(raw: str, field_name: str) -> list[float]:
@@ -767,14 +792,17 @@ def _parse_number_list(raw: str, field_name: str) -> list[float]:
 
 
 def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[float, float]:
-    """Parse one ``lo:hi`` speed class; errors name ``field_name``."""
+    """Parse one ``lo:hi`` speed class with finite ``0 < lo <= hi``; errors name ``field_name``."""
     pieces = raw.split(":")
     if len(pieces) != 2:
         raise ValueError(f"field '{field_name}': expected lo:hi, got {raw!r}")
     try:
-        return float(pieces[0]), float(pieces[1])
+        lo, hi = float(pieces[0]), float(pieces[1])
     except ValueError as exc:
         raise ValueError(f"field '{field_name}': not a number in {raw!r}") from exc
+    if not (0 < lo <= hi < math.inf):
+        raise ValueError(f"field '{field_name}': need finite 0 < lo <= hi, got {raw!r}")
+    return lo, hi
 
 
 def _parse_speed_classes(raw: str) -> tuple[tuple[float, float], ...]:

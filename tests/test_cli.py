@@ -442,3 +442,23 @@ def test_trace_file_area_must_be_finite_and_positive(tmp_path, capsys, command, 
         argv = ["simulate", "--protocol", "sfr", "--trace-file", str(src), "--duration", "10"]
     assert main([*argv, f"--area={area}"]) == EXIT_VALIDATION
     assert "field 'area'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["import-trace", "--in", "node.txt", "--area", "-1x300"], "field 'area'"),
+        (["export-trace", "--speed", "-1:2"], "field 'speed'"),
+        (["export-trace", "--mobility", "gauss_markov", "--speed", "-1:2"], "field 'speed'"),
+        (["simulate", "--protocol", "sfr", "--speed", "-1:2"], "field 'speed'"),
+        (["sweep", "--repetitions", "1", "--pause-times", "-1,0"], "field 'pause_times'"),
+    ],
+    ids=["import_area", "export_speed", "export_gm_speed", "simulate_speed", "sweep_pauses"],
+)
+def test_value_starting_with_a_dash_reaches_its_field_check(tmp_path, monkeypatch, capsys, argv, field):
+    # argparse alone would take "-1x300" for an option and exit 1 with "expected one argument".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "node.txt").write_text("0 0 0 10 5 5\n")
+    assert main([*argv, "--out", "out.txt"]) == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.txt"]

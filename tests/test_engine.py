@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dynloc.engine import _NOISE_CHUNK, EventRecord, RunConfig, Workspace, run
+from dynloc.engine import _NOISE_CHUNK, EventRecord, GridMemo, RunConfig, Workspace, run
 from dynloc.geometry import NoiseModel, draw_fix_offsets
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -340,3 +340,33 @@ def test_runs_on_a_shared_workspace_equal_fresh_runs():
     assert snapshots[7] != snapshots[8]  # the signed-zero trace tells the two bounds apart
     # Later runs on the workspace leave every earlier result as it was.
     assert [_bits(r) for r in shared] == snapshots
+
+
+def test_workspace_schedule_is_keyed_by_the_grid_value():
+    first, second = _trace(seed=31, duration=120.0), _trace(seed=33, duration=120.0)
+    assert first.times is not second.times and np.array_equal(first.times, second.times)
+    # The same length on other values, and a prefix of the first grid.
+    shifted = MobilityTrace(0, first.times + 0.05, first.xs, first.ys, 0.1, 300.0, 300.0)
+    prefix = _trace(seed=34, duration=60.0)
+    madrd = MadrdConfig(divergence_threshold=2.0, t_min=0.5, t_max=4.0)
+    workspace = Workspace()
+    schedules = []
+    for trace in (first, second, shifted, prefix, first):
+        cfg = RunConfig(trace=trace, protocol="madrd", protocol_config=madrd, seed=5)
+        assert _bits(run(cfg, workspace)) == _bits(run(cfg))
+        schedules.append(workspace.schedule(trace.times))
+    assert schedules[1] is schedules[0]  # bit-equal grids in separate arrays share one schedule
+    assert all(schedules[i] is not schedules[i - 1] for i in (2, 3, 4))
+    assert schedules[4] == schedules[0]
+
+
+def test_grid_memo_builds_once_per_grid_of_distinct_bits():
+    built = []
+    memo = GridMemo(lambda times: built.append(times) or [repr(t) for t in times.tolist()])
+    grid = np.arange(5) * 0.1
+    signed = grid.copy()
+    signed[0] = -0.0  # equal to grid by value, not by bits
+    texts = [memo(g) for g in (grid, grid.copy(), signed, signed, grid[:3].copy(), grid)]
+    assert len(built) == 4
+    assert texts[0] is texts[1] and texts[2] is texts[3]
+    assert texts[2][0] == "-0.0" and texts[5] == texts[0] and texts[4] == texts[0][:3]

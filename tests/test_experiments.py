@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
@@ -11,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynloc import cli, experiments
-from dynloc.engine import RunConfig, run
+from dynloc.engine import GridMemo, RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
     ProtocolSpec,
@@ -19,6 +22,9 @@ from dynloc.experiments import (
     WORKERS_ENV_VAR,
     _atomic_write,
     _column_text,
+    _run_batch,
+    _time_text,
+    _trace_text,
     _worker_count,
     _write_csv,
     class_label,
@@ -37,7 +43,7 @@ from dynloc.experiments import (
     write_summary_csv,
 )
 from dynloc.geometry import NoiseModel
-from dynloc.mobility import RandomWaypointConfig, generate_random_waypoint
+from dynloc.mobility import MobilityTrace, RandomWaypointConfig, generate_random_waypoint
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
 
 from scenario_tools import reference_run
@@ -431,15 +437,18 @@ def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
         _runs_column(_FLOAT_VALUES, np.float64),
         _runs_column(st.integers(0, 1), np.int8),
         _runs_column(st.sampled_from(["", "LC", "S1", "S2", "HC"]), "<U2"),
-    )
+    ),
+    end=st.sampled_from(["", "\n"]),
 )
-@example(col=np.array([0.0, 0.0, -0.0, -0.0, 0.0]))
-@example(col=np.array([math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, 5e-324, 5e-324]))
-@example(col=np.arange(50) * 0.1)
-def test_column_text_equals_formatting_every_value(col):
+@example(col=np.array([0.0, 0.0, -0.0, -0.0, 0.0]), end="")
+@example(col=np.array([math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, 5e-324, 5e-324]), end="")
+@example(col=np.arange(50) * 0.1, end="")
+@example(col=np.array(["", "", "S1", "S1", "HC"]), end="\n")
+@example(col=np.array(["LC"]), end="\n")
+def test_column_text_equals_formatting_every_value(col, end):
     # A string column is its own text; every other value prints through repr.
     reference = col.tolist() if col.dtype.kind == "U" else list(map(repr, col.tolist()))
-    assert list(_column_text(col)) == reference
+    assert list(_column_text(col, end)) == [text + end for text in reference]
 
 
 _ALL_PROTOCOLS = (
@@ -459,14 +468,7 @@ _ALL_PROTOCOLS = (
     ids=["rwp_pause", "gm_backtrack"],
 )
 def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides):
-    written = []
-    writer = experiments.write_events_csv
-
-    def record(path, config, result, *rest):
-        written.append((path, config, result))
-        writer(path, config, result, *rest)
-
-    monkeypatch.setattr(experiments, "write_events_csv", record)
+    written = _record_event_writes(monkeypatch)
     events_dir = tmp_path / "events"
     run_sweep(_one_class_spec(protocols=_ALL_PROTOCOLS, **overrides), workers=1, events_dir=events_dir)
     assert sorted(p for p, _, _ in written) == sorted(events_dir.glob("events_*.csv"))
@@ -475,6 +477,97 @@ def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides)
     for path, config, result in written:
         _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
+
+
+def _record_event_writes(monkeypatch) -> list[tuple]:
+    """Make the sweep's event writer also record ``(path, config, result)`` of each call."""
+    written = []
+    writer = experiments.write_events_csv
+
+    def record(path, config, result, *rest):
+        written.append((path, config, result))
+        writer(path, config, result, *rest)
+
+    monkeypatch.setattr(experiments, "write_events_csv", record)
+    return written
+
+
+def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkeypatch):
+    # Pause time -> (duration, dt): the second grid has the first one's length and
+    # other values, the third is a prefix of the first.  A stale schedule or t text
+    # of an earlier grid would show in the files or the records.
+    grids = {0.0: (30.0, 0.1), 5.0: (60.0, 0.2), 10.0: (20.0, 0.1)}
+    generate = experiments.generate_random_waypoint
+
+    def on_grid(cfg, rng):
+        duration, dt = grids[cfg.pause_time]
+        return generate(dataclasses.replace(cfg, duration=duration, dt=dt), rng)
+
+    monkeypatch.setattr(experiments, "generate_random_waypoint", on_grid)
+    written = _record_event_writes(monkeypatch)
+    spec = _one_class_spec(protocols=_ALL_PROTOCOLS, pause_times=tuple(grids), repetitions=2)
+    cells = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 2, 0), (0, 1, 1), (0, 2, 1)]
+    batch_dir, alone_dir = tmp_path / "batch", tmp_path / "alone"
+    batch_dir.mkdir()
+    alone_dir.mkdir()
+    batch = _run_batch(spec, cells, str(batch_dir))
+    steps = [(r.t.size, r.t[-1]) for _, _, r in written[:: len(_ALL_PROTOCOLS)]]
+    assert steps == [(301, 30.0), (301, 60.0), (301, 30.0), (201, 20.0), (301, 60.0), (201, 20.0)]
+    for path, config, result in written:
+        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
+    for cell, records in zip(cells, batch):
+        assert _run_batch(spec, [cell], str(alone_dir)) == [records]
+    names = sorted(p.name for p in batch_dir.iterdir())
+    assert len(names) == len(cells) * len(_ALL_PROTOCOLS)
+    assert names == sorted(p.name for p in alone_dir.iterdir())
+    for name in names:
+        assert (batch_dir / name).read_bytes() == (alone_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
+def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
+    trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
+    result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=4))
+    config = {"protocol": protocol}
+    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+    write_events_csv(tmp_path / "columns.csv", config, result)
+    write_events_csv(tmp_path / "shared.csv", config, result, _trace_text(trace, GridMemo(_time_text)))
+    reference = (tmp_path / "rows.csv").read_bytes()
+    assert reference.count(b"\n") == 4  # two header lines, the column names, one row
+    assert (tmp_path / "columns.csv").read_bytes() == reference
+    assert (tmp_path / "shared.csv").read_bytes() == reference
+
+
+class _RecordingText(io.StringIO):
+    """A text file in memory that records the length of every ``write``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
+    trace = generate_random_waypoint(RandomWaypointConfig(duration=900.0), np.random.default_rng(6))
+    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=2))
+    assert result.t.size == 9001
+    write_events_csv(tmp_path / "events.csv", {}, result)
+    recorder = _RecordingText()
+
+    @contextlib.contextmanager
+    def into_recorder(path):
+        yield recorder
+
+    monkeypatch.setattr(experiments, "_atomic_write", into_recorder)
+    write_events_csv(tmp_path / "unused.csv", {}, result)
+    text = recorder.getvalue()
+    assert text == (tmp_path / "events.csv").read_text() and len(text) > 8 * 65536
+    # A whole-file string (about 1 MB here) would arrive in one write.
+    assert max(recorder.sizes) <= 65536
 
 
 @pytest.mark.parametrize("label", ["", "a b", "a\\b"])
