@@ -258,17 +258,17 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     _output_file(args.out, "out")
+    if not (math.isfinite(args.v) and args.v > 0):
+        raise ValueError(f"field 'v': need a finite speed > 0, got {args.v}")
     lines: list[str]
     if args.turn:
         theta = math.radians(args.theta)
         if args.steps < 2 or args.nmax <= 0:
             raise ValueError("fields 'steps'/'nmax': need steps >= 2 and nmax > 0")
-        scenario = oracles.TurnScenario(
-            straight_before_turn=args.x,
-            turn_angle=theta,
-            speed=args.v,
-            period=(args.x + args.nmax) / args.v,
-        )
+        period = (args.x + args.nmax) / args.v
+        if not math.isfinite(period):
+            raise ValueError(f"fields 'x'/'nmax'/'v': need a finite fix period (x + nmax) / v, got {period}")
+        scenario = oracles.TurnScenario(straight_before_turn=args.x, turn_angle=theta, speed=args.v, period=period)
         header = {
             "mode": "turn", "theta_deg": args.theta, "x": args.x,
             "v": args.v, "nmax": args.nmax, "steps": args.steps,
@@ -283,8 +283,11 @@ def _cmd_oracle(args) -> int:
         scenario = oracles.PauseScenario(travel_before_stop=args.d, speed=args.v)
         stop_t = args.d / args.v
         horizon = args.horizon if args.horizon is not None else 2.0 * stop_t
-        if args.steps < 2 or horizon <= 0:
-            raise ValueError("fields 'steps'/'horizon': need steps >= 2 and horizon > 0")
+        if args.steps < 2:
+            raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
+        if not (math.isfinite(horizon) and horizon > 0):
+            default = "" if args.horizon is not None else " (the default 2 * d / v)"
+            raise ValueError(f"field 'horizon': need a finite horizon > 0, got {horizon}{default}")
         header = {"mode": "pause", "d": args.d, "v": args.v, "horizon": horizon, "steps": args.steps}
         lines = [*experiments.header_lines("oracle", header), "t,sfr_error,madrd_error"]
         for t in np.linspace(0.0, horizon, args.steps):

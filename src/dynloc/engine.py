@@ -4,16 +4,22 @@ The engine owns the clock and the measurement noise.  Localizations fire at
 the first grid step at or after the scheduler's requested time (ceiling snap
 onto the dt grid), at most one per step; the very first fix is forced at t=0.
 
-Python steps once per fix, not once per grid step, and only on plain floats:
-each fix calls the protocol's ``step`` (:data:`~dynloc.protocols.PROTOCOLS`)
-and appends the row it returns, and a binary search over the grid finds the
-step of the next fix.  No sample, position or scheduler-state object is built
-per fix.  The rows become per-fix columns (:class:`Fixes`), and the reported
-track is then filled in array form: SFR and DVM hold each fix over its
-segment, MADRD dead-reckons ``fix + velocity * (t - t_fix)``.  With
-backtracking on, every closed interval between two fixes is rewritten with
-the time-linear interpolation of its bounding fixes, all intervals in one
-array pass, computed in place.  Every float comes from the same IEEE
+For DVM and MADRD, Python steps once per fix, not once per grid step, and
+only on plain floats: each fix calls the protocol's ``step``
+(:data:`~dynloc.protocols.PROTOCOLS`) and appends the row it returns, and a
+binary search over the grid finds the step of the next fix.  No sample,
+position or scheduler-state object is built per fix.  SFR, whose fix times do
+not depend on what it measures (``fixed_rate`` in its table row), has no
+per-fix Python at all: its fix steps are a function of the time grid and the
+period, computed once per grid and period by one ``searchsorted`` and a walk
+over its result; the run calls ``step`` once, at the first fix, for the rest
+of the row, and adds the same noise stream to the true positions at those
+steps in array form.  Either way the fixes become per-fix columns
+(:class:`Fixes`), and the reported track is then filled in array form: SFR
+and DVM hold each fix over its segment, MADRD dead-reckons
+``fix + velocity * (t - t_fix)``.  With backtracking on, every closed
+interval between two fixes is rewritten with the time-linear interpolation of
+its bounding fixes, all intervals in one array pass, computed in place.  Every float comes from the same IEEE
 operations a per-step loop would apply (only the operands of one ``+`` or
 ``*`` may swap, which is exact), and distances go through
 :func:`~dynloc.geometry.hypot_exact`, which equals :func:`math.hypot` bit for
@@ -31,10 +37,11 @@ which yields the same displacements in the same order as one
 
 What a run costs before and besides its fixes -- the scratch block of
 :func:`~dynloc.geometry.hypot_exact`, the fix schedule of the time grid, the
-noise stream -- lives in a :class:`Workspace`.  A caller that makes many runs
-passes one workspace to each, so runs on the same grid (every run of a sweep)
-or the same noise seed (the protocols of one sweep cell) share that work;
-:func:`run` without one builds a fresh workspace.  A result never refers to
+fix steps of each fixed-rate period, the noise stream -- lives in a
+:class:`Workspace`.  A caller that makes many runs passes one workspace to
+each, so runs on the same grid (every run of a sweep) or the same noise seed
+(the protocols of one sweep cell) share that work; :func:`run` without one
+builds a fresh workspace.  A result never refers to
 workspace memory, and it is the same, bit for bit, with a fresh or a shared
 workspace.
 """
@@ -45,7 +52,7 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -215,20 +222,22 @@ class GridMemo:
 
 
 class Workspace:
-    """What consecutive runs share: scratch memory, the schedule of a time grid, a noise stream.
+    """What consecutive runs share: scratch memory, the schedules of a time grid, a noise stream.
 
     It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block,
     the fix schedule of the last grid it saw (a :class:`GridMemo`, so the
-    traces of a sweep share it), and the fix displacements drawn so far
-    from the last noise stream (keyed by the seed and the bits of the noise
-    bound, since ``0.0 == -0.0``).  A run on the same stream reads the
-    displacements from the first one, so it sees the same stream as on a
-    fresh workspace.  Pass one workspace to one run at a time.
+    traces of a sweep share it), the fix steps of every fixed-rate period run
+    on that grid (keyed by the bits of the period), and the fix
+    displacements drawn so far from the last noise stream (keyed by the seed
+    and the bits of the noise bound, since ``0.0 == -0.0``).  A run on the
+    same stream reads the displacements from the first one, so it sees the
+    same stream as on a fresh workspace.  Pass one workspace to one run at a time.
     """
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
         self._schedule = GridMemo(lambda times: (times + _SCHED_EPS).tolist())
+        self._fixed_rate = GridMemo(lambda times: {})
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
         self._offsets: list[tuple[float, float]] = []
@@ -246,6 +255,19 @@ class Workspace:
         overhead.  The list is built again only for a new grid.
         """
         return self._schedule(times)
+
+    def fixed_rate_steps(self, times: np.ndarray, period: float) -> np.ndarray:
+        """The read-only grid steps of every fix of a fixed-rate run: :func:`_fixed_rate_steps`.
+
+        Built once per time grid (as in :class:`GridMemo`) and bits of ``period``;
+        a schedule that raises is not kept.
+        """
+        memo = self._fixed_rate(times)
+        key = struct.pack("<d", period)
+        steps = memo.get(key)
+        if steps is None:
+            steps = memo[key] = _fixed_rate_steps(times, period)
+        return steps
 
     def fix_offsets(self, noise: NoiseModel, seed: int) -> Iterator[tuple[float, float]]:
         """Endless ``(dx, dy)`` fix displacements of ``default_rng(seed)``, from the stream's first fix.
@@ -269,6 +291,89 @@ class Workspace:
 _CONFIDENCE_NAMES = tuple(c.name for c in Confidence)
 
 
+def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
+    """The grid steps of the fixes of a run whose every fix requests the next one ``period`` later.
+
+    The same walk as the per-fix loop of :func:`_stepped_fixes`, from step 0,
+    with every step's next request looked up in one ``searchsorted``: a fix at
+    step ``k`` asks for ``times[k] + period``, which fires at the first step
+    ``j`` with ``times[j] + eps >= times[k] + period``, or at ``k + 1`` if that
+    is later.
+    It raises the loop's error at the first fix whose request does not come
+    after it.
+    """
+    with np.errstate(over="ignore"):
+        requests = times + period
+    later = (requests > times).tolist()
+    due = np.searchsorted(times + _SCHED_EPS, requests, side="left").tolist()
+    n = times.size
+    steps = []
+    k = 0
+    while True:
+        if not later[k]:
+            t = times.item(k)
+            raise ValueError(f"the next fix must come after the fix at t={t}, got {t + period}")
+        steps.append(k)
+        j = due[k]
+        k = j if j > k else k + 1
+        if k >= n:
+            return _readonly(np.array(steps))
+
+
+def _stepped_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
+    """The fixes of a run, one ``step`` call per fix."""
+    times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
+    n = times.size
+    # A fix requested at time r fires at the first step k with times[k] + eps >= r.
+    due = ws.schedule(times)
+    step = PROTOCOLS[cfg.protocol].step
+    pcfg = cfg.protocol_config
+    fix_steps: list[int] = []
+    rows: list[tuple] = []
+    row = None
+    k = 0
+    for dx, dy in ws.fix_offsets(cfg.noise, cfg.seed):
+        t = times.item(k)
+        row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
+        next_t = t + row[3]  # the row's period (FIX_COLUMNS)
+        if not next_t > t:
+            raise ValueError(f"the next fix must come after the fix at t={t}, got {next_t}")
+        fix_steps.append(k)
+        rows.append(row)
+        j = bisect_left(due, next_t)
+        k = j if j > k else k + 1
+        if k >= n:
+            break
+
+    m = len(rows)
+    width = len(FIX_COLUMNS)
+    columns = np.fromiter(chain.from_iterable(rows), float, m * width).reshape(m, width).T.copy()
+    return Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
+
+
+def _fixed_rate_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
+    """The fixes of a ``fixed_rate`` run: one ``step`` call, at the first fix, and array operations.
+
+    Its row gives the period, so the fix steps come from the workspace; the
+    measured positions are the true ones plus the same noise stream, in order.
+    """
+    times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
+    offsets = ws.fix_offsets(cfg.noise, cfg.seed)
+    dx, dy = next(offsets)
+    first = PROTOCOLS[cfg.protocol].step(times.item(0), xs.item(0) + dx, ys.item(0) + dy, None, cfg.protocol_config)
+    steps = ws.fixed_rate_steps(times, first[3])
+    m = steps.size
+    drawn = chain((dx, dy), chain.from_iterable(islice(offsets, m - 1)))
+    d = np.fromiter(drawn, float, 2 * m).reshape(m, 2)
+    # Plain float adds: an overflow gives inf, as in Python, and fails the finite check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fix_x = xs[steps] + d[:, 0]
+        fix_y = ys[steps] + d[:, 1]
+    # Every row repeats the first one after t/x/y (see ProtocolKind.fixed_rate).
+    rest = np.repeat(np.array(first[3:], dtype=float)[:, None], m, axis=1)
+    return Fixes(steps.copy(), times[steps], fix_x, fix_y, *rest[:3], rest[3].astype(np.int8), rest[4])
+
+
 def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     """Simulate one node/protocol pair over the full trace.
 
@@ -287,40 +392,15 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     """
     ws = Workspace() if workspace is None else workspace
     trace = cfg.trace
-    times, xs, ys = trace.times, trace.xs, trace.ys
+    times = trace.times
     n = times.size
     if not times.item(0) >= 0:
         raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
-    # A fix requested at time r fires at the first step k with times[k] + eps >= r.
-    due = ws.schedule(times)
     noise = cfg.noise
     kind = PROTOCOLS[cfg.protocol]
-    step = kind.step
-    pcfg = cfg.protocol_config
-
-    fix_steps: list[int] = []
-    rows: list[tuple] = []
-    row = None
-    k = 0
-    for dx, dy in ws.fix_offsets(noise, cfg.seed):
-        t = times.item(k)
-        row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
-        next_t = t + row[3]  # the row's period (FIX_COLUMNS)
-        if not next_t > t:
-            raise ValueError(f"the next fix must come after the fix at t={t}, got {next_t}")
-        fix_steps.append(k)
-        rows.append(row)
-        j = bisect_left(due, next_t)
-        k = j if j > k else k + 1
-        if k >= n:
-            break
-
-    m = len(rows)
-    width = len(FIX_COLUMNS)
-    columns = np.fromiter(chain.from_iterable(rows), float, m * width).reshape(m, width).T.copy()
-    if not np.isfinite(columns[1:3]).all():
+    fixes = (_fixed_rate_fixes if kind.fixed_rate else _stepped_fixes)(cfg, ws)
+    if not (np.isfinite(fixes.x).all() and np.isfinite(fixes.y).all()):
         raise ValueError("fix coordinates must be finite")
-    fixes = Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
     for column in fixes:
         _readonly(column)
     steps, fix_t, fix_x, fix_y, fix_period, fix_vx, fix_vy, fix_conf, _ = fixes
@@ -372,7 +452,7 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
 
     errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
     metrics = RunMetrics(
-        localization_count=m,
+        localization_count=steps.size,
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),

@@ -90,16 +90,20 @@ def _split(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     np.subtract(x, hi, out=lo)
 
 
-def _mul(xh, xl, yh, yl, z: np.ndarray, zz: np.ndarray, w: np.ndarray) -> None:
-    """Dekker's exact product of two split doubles: ``z + zz == x * y`` (CPython's ``dl_mul``)."""
-    np.multiply(xh, yh, out=zz)
-    np.multiply(xh, yl, out=w)
-    np.multiply(xl, yh, out=z)
-    w += z
+def _square(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, z: np.ndarray, zz: np.ndarray, w: np.ndarray) -> None:
+    """Dekker's exact square: ``z + zz == x * x`` (CPython's ``dl_mul(x, x)``), ``x`` split into ``hi``/``lo``.
+
+    ``dl_mul`` adds the two cross products ``hi * lo`` and ``lo * hi``; for a
+    square they are one product, and adding it to itself doubles it exactly.
+    """
+    _split(x, hi, lo)
+    np.multiply(hi, hi, out=zz)
+    np.multiply(hi, lo, out=w)
+    w += w
     np.add(zz, w, out=z)
     zz -= z
     zz += w
-    np.multiply(xl, yl, out=w)
+    np.multiply(lo, lo, out=w)
     zz += w
 
 
@@ -118,10 +122,16 @@ def hypot_exact(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = Non
     both magnitudes by the power of two that brings the larger into [0.5, 1),
     square each exactly, add the squares to ``csum = 1.0`` with their rounding
     errors kept in ``frac1``/``frac2``, take the square root and apply one
-    correction step.  Lanes the port does not cover -- a larger magnitude that
-    is zero, subnormal, infinite or NaN -- go through :func:`math.hypot` one
-    at a time.  All intermediates live in the first ``n = dx.size`` columns
-    of ``scratch``, a float block of ``SCRATCH_ROWS`` rows and at least ``n``
+    correction step.  The port skips work whose result it knows: the first
+    square is added to the constants ``1.0``, ``0.0``, ``0.0`` directly, and
+    the correction's exact product of ``-h`` and ``h`` is the negated square
+    of ``h``, so it is subtracted.  Either changes at most the sign of a zero
+    in the accumulators, which cannot reach the result of a lane the port
+    computes (``csum - 1.0`` there is at least 0.25, and ``h`` is positive).
+    Lanes the port does not cover -- a larger magnitude that is zero,
+    subnormal, infinite or NaN -- go through :func:`math.hypot` one at a time.
+    All intermediates live in the first ``n = dx.size`` columns of
+    ``scratch``, a float block of ``SCRATCH_ROWS`` rows and at least ``n``
     columns; each is written before it is read, so the block may hold
     anything and may be reused from call to call.  Without it a fresh block
     is allocated.  The result is always a new array.
@@ -138,31 +148,31 @@ def hypot_exact(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = Non
         np.abs(dy, out=b)
         np.maximum(a, b, out=big)
         odd = np.flatnonzero(~((big >= _TINY) & (big <= _HUGE)))
-        exponent = np.frexp(big, out=(scale, np.empty(n, dtype=np.intc)))[1]
-        np.negative(exponent, out=exponent)
-        np.ldexp(1.0, exponent, out=scale)
-        csum.fill(1.0)
-        frac1.fill(0.0)
-        frac2.fill(0.0)
-        for x in (a, b):
-            x *= scale
-            _split(x, hi, lo)
-            _mul(hi, lo, hi, lo, z, zz, w)
-            _fast_sum(csum, z, w, hi)
-            csum, w = w, csum  # the new sum is in w's row; the old csum row is scratch
-            frac1 += zz
-            frac2 += hi
+        # big = m * 2**e with m in [0.5, 1), so m / big is 2**-e exactly.
+        np.frexp(big, out=(scale, np.empty(n, dtype=np.intc)))
+        scale /= big
+        a *= scale
+        _square(a, hi, lo, z, frac1, w)
+        # _fast_sum(1.0, z) into csum and frac2; frac1 took zz above (frac1 and frac2 start at 0.0).
+        np.add(z, 1.0, out=csum)
+        np.subtract(1.0, csum, out=frac2)
+        frac2 += z
+        b *= scale
+        _square(b, hi, lo, z, zz, w)
+        _fast_sum(csum, z, w, hi)
+        csum, w = w, csum  # the new sum is in w's row; the old csum row is scratch
+        frac1 += zz
+        frac2 += hi
         np.add(frac1, frac2, out=hi)
         np.subtract(csum, 1.0, out=lo)
         lo += hi
         np.sqrt(lo, out=h)
         # Correction: add -h*h exactly, then h += residual / (2 * h).
-        np.negative(h, out=z)
-        _split(z, a, b)
-        _split(h, hi, lo)
-        _mul(a, b, hi, lo, z, zz, w)
-        _fast_sum(csum, z, w, hi)
-        frac1 += zz
+        _square(h, a, b, z, zz, lo)
+        np.subtract(csum, z, out=w)
+        np.subtract(csum, w, out=hi)
+        hi -= z
+        frac1 -= zz
         frac2 += hi
         frac1 += frac2
         w -= 1.0

@@ -349,16 +349,21 @@ class ProtocolKind(NamedTuple):
     ``t`` and the previous fix's row (``None`` at the first fix) and returns
     this fix's row, whose fields are :data:`FIX_COLUMNS`.  ``predicts`` is true
     when the node reports the dead-reckoned :func:`madrd_predict` position
-    between fixes instead of holding the fix.
+    between fixes instead of holding the fix.  ``fixed_rate`` is true when the
+    fix times do not depend on what the node measures: every row repeats the
+    first fix's row in the period and in every field other than
+    ``t``/``x``/``y``.  The engine then takes the fix steps from the time grid
+    and the period alone and calls ``step`` once per run, at the first fix.
     """
 
     config: type
     step: Callable[[float, float, float, "tuple | None", ProtocolConfig], tuple]
     predicts: bool
+    fixed_rate: bool
 
 
 PROTOCOLS: dict[str, ProtocolKind] = {
-    "sfr": ProtocolKind(SfrConfig, sfr_step, predicts=False),
-    "dvm": ProtocolKind(DvmConfig, dvm_step, predicts=False),
-    "madrd": ProtocolKind(MadrdConfig, madrd_step, predicts=True),
+    "sfr": ProtocolKind(SfrConfig, sfr_step, predicts=False, fixed_rate=True),
+    "dvm": ProtocolKind(DvmConfig, dvm_step, predicts=False, fixed_rate=False),
+    "madrd": ProtocolKind(MadrdConfig, madrd_step, predicts=True, fixed_rate=False),
 }

@@ -107,6 +107,22 @@ def test_simulate_accepts_trace_file(tmp_path, capsys):
     assert config["mobility"] == f"file:{trace_file}"
 
 
+@pytest.mark.parametrize(
+    "argv, times",
+    [
+        # 900 s is 0.9 of one 1000 s step: the grid ends at t = 1000 s.
+        (["--dt", "1000"], [0.0, 1000.0]),
+        (["--duration", "0.05", "--dt", "0.1"], [0.0, 0.1]),
+    ],
+    ids=["dt_past_duration", "duration_half_a_step"],
+)
+def test_simulate_rounds_the_duration_up_to_whole_steps(tmp_path, capsys, argv, times):
+    events = tmp_path / "events.csv"
+    assert main(["simulate", "--protocol", "sfr", *argv, "--events-out", str(events)]) == EXIT_OK
+    rows = events.read_text().rstrip("\n").split("\n")[3:]
+    assert [float(row.split(",")[0]) for row in rows] == times
+
+
 def test_simulate_rejects_invalid_parameter(capsys):
     assert main(["simulate", "--protocol", "sfr", "--period", "0"]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
@@ -391,6 +407,25 @@ def test_oracle_requires_a_mode(capsys):
 
 def test_oracle_rejects_bad_table_shape(capsys):
     assert main(["oracle", "--turn", "--steps", "1"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        # The turn's fix period divides by the speed before any scenario check.
+        (["--turn", "--v", "0"], "field 'v'"),
+        (["--pause", "--v", "-1"], "field 'v'"),
+        (["--turn", "--v", "1e-320"], "'v'"),
+        (["--pause", "--horizon", "inf"], "field 'horizon'"),
+        # A tiny speed puts the stop, and the default horizon 2 * d / v, at infinity.
+        (["--pause", "--v", "1e-320"], "field 'horizon'"),
+    ],
+    ids=["turn_v_zero", "pause_v_negative", "turn_v_tiny", "pause_horizon_inf", "pause_v_tiny"],
+)
+def test_oracle_rejects_speed_and_horizon_naming_the_flag(capsys, argv, field):
+    assert main(["oracle", *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and "validation error" in captured.err and field in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dynloc import engine
 from dynloc.engine import _NOISE_CHUNK, EventRecord, GridMemo, RunConfig, Workspace, run
 from dynloc.geometry import NoiseModel, draw_fix_offsets
 from dynloc.mobility import (
@@ -15,7 +16,7 @@ from dynloc.mobility import (
     generate_random_waypoint,
     trace_from_waypoints,
 )
-from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
+from dynloc.protocols import PROTOCOLS, DvmConfig, MadrdConfig, SfrConfig
 
 from scenario_tools import reference_run
 
@@ -370,3 +371,62 @@ def test_grid_memo_builds_once_per_grid_of_distinct_bits():
     assert len(built) == 4
     assert texts[0] is texts[1] and texts[2] is texts[3]
     assert texts[2][0] == "-0.0" and texts[5] == texts[0] and texts[4] == texts[0][:3]
+
+
+# ---------------------------------------------------------------------------
+# Fixed-rate runs
+# ---------------------------------------------------------------------------
+
+
+def test_fixed_rate_runs_step_once_and_build_each_schedule_once(monkeypatch):
+    sfr = PROTOCOLS["sfr"]
+    steps_taken = []
+
+    def counted_step(*args):
+        steps_taken.append(args[0])
+        return sfr.step(*args)
+
+    builds = []
+    build = engine._fixed_rate_steps
+
+    def counted_build(times, period):
+        builds.append((times.size, period))
+        return build(times, period)
+
+    monkeypatch.setitem(PROTOCOLS, "sfr", sfr._replace(step=counted_step))
+    monkeypatch.setattr(engine, "_fixed_rate_steps", counted_build)
+    # Two traces on one grid, in separate arrays, and a third on a shorter grid.
+    a1, a2, b = _trace(seed=41, duration=120.0), _trace(seed=42, duration=120.0), _trace(seed=43, duration=60.0)
+    fast, slow = SfrConfig(period=0.7), SfrConfig(period=2.0)
+    dvm, madrd = DvmConfig(target_error=2.0, t_min=0.5, t_max=4.0), MadrdConfig(t_min=0.5, t_max=4.0)
+    configs = []
+    for first, second in ((a1, a2), (b, b)):
+        configs += [
+            RunConfig(trace=first, protocol="sfr", protocol_config=fast, seed=5),
+            RunConfig(trace=first, protocol="dvm", protocol_config=dvm, seed=5),
+            RunConfig(trace=second, protocol="sfr", protocol_config=slow, seed=6, backtracking_enabled=True),
+            RunConfig(trace=second, protocol="madrd", protocol_config=madrd, seed=6),
+            RunConfig(trace=first, protocol="sfr", protocol_config=slow, seed=5),
+            RunConfig(trace=second, protocol="sfr", protocol_config=fast, seed=7, noise=NoiseModel(0.0)),
+        ]
+    workspace = Workspace()
+    shared = []
+    for cfg in configs:
+        before = len(steps_taken)
+        shared.append(_bits(run(cfg, workspace)))
+        assert len(steps_taken) - before == (1 if cfg.protocol == "sfr" else 0)
+    assert builds == [(1201, 0.7), (1201, 2.0), (601, 0.7), (601, 2.0)]
+    assert shared == [_bits(run(cfg)) for cfg in configs]
+
+
+def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
+    builds = []
+    build = engine._fixed_rate_steps
+    monkeypatch.setattr(engine, "_fixed_rate_steps", lambda times, p: builds.append(p) or build(times, p))
+    trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
+    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=1e-14))
+    workspace = Workspace()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at t=200.0"):
+            run(cfg, workspace)
+    assert builds == [1e-14, 1e-14]

@@ -3,23 +3,29 @@
 Short random traces, all three protocols, backtracking on and off, random
 grid steps, period limits, noise and seeds.  Every column must match the
 reference bit for bit, and the scheduler invariants must hold on every run.
+SFR's fixed-rate array path must also match the same run through the per-fix
+loop, and reject what the loop rejects with the same message.
 """
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.engine import EventRecord, RunConfig, run
+from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, run
 from dynloc.geometry import NoiseModel
 from dynloc.mobility import (
     GaussMarkovConfig,
+    MobilityTrace,
     RandomWaypointConfig,
     generate_gauss_markov,
     generate_random_waypoint,
 )
-from dynloc.protocols import FIX_COLUMNS, Confidence, DvmConfig, MadrdConfig, SfrConfig
+from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
 from scenario_tools import reference_run
 
@@ -131,3 +137,84 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
         assert levels[1:] == [max(a - 1, 0) if miss else min(a + 1, 3) for a, miss in zip(levels, missed)]
     else:
         assert np.isnan(f.prediction_error).all()
+
+
+# ---------------------------------------------------------------------------
+# Fixed-rate schedules: array path against the per-fix loop
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def fixed_rate_cases(draw):
+    """A random-waypoint trace on a random grid, and an SFR period relative to its step and length."""
+    dt = draw(st.floats(min_value=0.01, max_value=3.0))
+    duration = draw(st.floats(min_value=0.05, max_value=60.0))
+    cfg = RandomWaypointConfig(area_w=100.0, area_h=100.0, v_min=1.0, v_max=8.0, duration=duration, dt=dt)
+    trace = generate_random_waypoint(cfg, np.random.default_rng(draw(_SEEDS)))
+    period = draw(
+        st.one_of(
+            st.floats(1e-3, 0.999).map(lambda f: f * dt),  # below one grid step
+            st.floats(1.0, 30.0).map(lambda f: f * dt),  # mostly not a multiple of the step
+            st.integers(1, 20).map(lambda k: k * dt),  # a multiple, up to rounding
+            st.integers(1, 20).map(lambda k: k * dt + _SCHED_EPS),  # t=0 asks for step k's due time exactly
+            st.floats(1.01, 3.0).map(lambda f: f * trace.end_time),  # longer than the trace
+            st.integers(1, 30),  # an int, which the period column still holds as a float
+            st.just(1e-12),
+        )
+    )
+    return trace, period
+
+
+def _columns(result):
+    return [*result.fixes, *(getattr(result, name) for name in EventRecord._fields)]
+
+
+def _without_fixed_rate(mp):
+    """Send SFR runs through the per-fix loop, as a protocol whose fix times depend on its fixes."""
+    mp.setitem(PROTOCOLS, "sfr", PROTOCOLS["sfr"]._replace(fixed_rate=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fixed_rate_cases(), noise=st.sampled_from([0.0, 0.5, 3.0]), seed=_SEEDS, backtracking=st.booleans())
+def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking):
+    trace, period = case
+    cfg = RunConfig(
+        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise),
+        seed=seed, backtracking_enabled=backtracking,
+    )
+    fixed = run(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        _without_fixed_rate(mp)
+        stepped = run(cfg)
+    assert fixed.metrics == stepped.metrics
+    for a, b in zip(_columns(fixed), _columns(stepped), strict=True):
+        assert a.dtype == b.dtype and not a.flags.writeable
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+        if a.dtype.kind == "f":
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))  # signed zeros and NaN bits too
+
+
+@pytest.mark.parametrize(
+    ("trace", "period", "noise", "match"),
+    [
+        # t + period rounds back to t once half of t's ulp outgrows the period: at t=200, not t=100.
+        (MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
+         1e-14, 0.0, "next fix must come after the fix at t=200.0, got 200.0"),
+        # A fix displaced past the largest double.
+        (MobilityTrace(0, np.array([0.0]), np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
+         2.0, 1e308, "finite"),
+    ],
+    ids=["fix-not-later", "non-finite-fix"],
+)
+def test_fixed_rate_run_rejects_what_the_per_fix_loop_rejects(trace, period, noise, match):
+    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise))
+    messages = []
+    for fixed_rate in (True, False):
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would escape as an error
+            if not fixed_rate:
+                _without_fixed_rate(mp)
+            with pytest.raises(ValueError, match=match) as caught:
+                run(cfg)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
