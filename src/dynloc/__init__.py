@@ -9,14 +9,7 @@ grids bit-exactly from a seed.
 """
 
 from .engine import EventRecord, RunConfig, RunMetrics, RunResult, run
-from .geometry import (
-    LocalizationSample,
-    NoiseModel,
-    Position,
-    distance,
-    localize,
-    threshold_accuracy,
-)
+from .geometry import NoiseModel, localize, threshold_accuracy
 from .mobility import (
     GaussMarkovConfig,
     MobilityTrace,
@@ -32,26 +25,11 @@ from .mobility import (
 from .oracles import (
     PauseScenario,
     TurnScenario,
-    better_turn_protocol,
     madrd_pause_error,
     madrd_turn_error,
     sfr_pause_error,
     sfr_turn_error,
 )
-from .protocols import (
-    Confidence,
-    DvmConfig,
-    MadrdConfig,
-    SchedulerState,
-    SfrConfig,
-    backtrack_correct,
-    dvm_init,
-    dvm_on_localize,
-    madrd_init,
-    madrd_on_localize,
-    madrd_predict,
-    sfr_init,
-    sfr_on_localize,
-)
+from .protocols import Confidence, DvmConfig, MadrdConfig, SfrConfig, madrd_predict
 
 __version__ = "0.1.0"

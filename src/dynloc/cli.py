@@ -256,12 +256,20 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _check_distance(value: float, field: str) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"field '{field}': need a finite distance >= 0, got {value}")
+
+
 def _cmd_oracle(args) -> int:
     _output_file(args.out, "out")
     if not (math.isfinite(args.v) and args.v > 0):
         raise ValueError(f"field 'v': need a finite speed > 0, got {args.v}")
     lines: list[str]
     if args.turn:
+        if not math.isfinite(args.theta):
+            raise ValueError(f"field 'theta': need a finite angle in degrees, got {args.theta}")
+        _check_distance(args.x, "x")
         theta = math.radians(args.theta)
         if args.steps < 2 or args.nmax <= 0:
             raise ValueError("fields 'steps'/'nmax': need steps >= 2 and nmax > 0")
@@ -280,6 +288,7 @@ def _cmd_oracle(args) -> int:
                 f"{n!r},{oracles.sfr_turn_error(scenario, n)!r},{oracles.madrd_turn_error(theta, n)!r}"
             )
     else:
+        _check_distance(args.d, "d")
         scenario = oracles.PauseScenario(travel_before_stop=args.d, speed=args.v)
         stop_t = args.d / args.v
         horizon = args.horizon if args.horizon is not None else 2.0 * stop_t

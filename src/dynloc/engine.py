@@ -7,33 +7,32 @@ onto the dt grid), at most one per step; the very first fix is forced at t=0.
 For DVM and MADRD, Python steps once per fix, not once per grid step, and
 only on plain floats: each fix calls the protocol's ``step``
 (:data:`~dynloc.protocols.PROTOCOLS`) and appends the row it returns, and a
-binary search over the grid finds the step of the next fix.  No sample,
-position or scheduler-state object is built per fix.  SFR, whose fix times do
-not depend on what it measures (``fixed_rate`` in its table row), has no
-per-fix Python at all: its fix steps are a function of the time grid and the
-period, computed once per grid and period by one ``searchsorted`` and a walk
-over its result; the run calls ``step`` once, at the first fix, for the rest
-of the row, and adds the same noise stream to the true positions at those
-steps in array form.  Either way the fixes become per-fix columns
-(:class:`Fixes`), and the reported track is then filled in array form: SFR
-and DVM hold each fix over its segment, MADRD dead-reckons
-``fix + velocity * (t - t_fix)``.  With backtracking on, every closed
-interval between two fixes is rewritten with the time-linear interpolation of
-its bounding fixes, all intervals in one array pass, computed in place.  Every float comes from the same IEEE
-operations a per-step loop would apply (only the operands of one ``+`` or
-``*`` may swap, which is exact), and distances go through
+binary search over the grid finds the step of the next fix.  No object is
+built per fix.  SFR, whose fix times do not depend on what it measures
+(``fixed_rate`` in its table row), has no per-fix Python at all: its fix
+steps are a function of the time grid and the period, computed once per grid
+and period by one ``searchsorted`` and a walk over its result; the run calls
+``step`` once, at the first fix, for the rest of the row, and adds the same
+noise stream to the true positions at those steps in array form.  Either way
+the fixes become per-fix columns (:class:`Fixes`), and the reported track is
+then filled in array form: SFR and DVM hold each fix over its segment, MADRD
+dead-reckons through one :func:`~dynloc.protocols.madrd_predict` call on the
+fix columns repeated over their segments.  With backtracking on,
+:func:`backtrack_correct` rewrites every closed interval between two fixes
+with the time-linear interpolation of its bounding fixes, all intervals in one
+array pass, in place.  Every float comes from the same IEEE operations a
+per-step loop would apply (only the operands of one ``+`` or ``*`` may swap,
+which is exact), and distances go through
 :func:`~dynloc.geometry.hypot_exact`, which equals :func:`math.hypot` bit for
 bit (``np.hypot`` differs in the last ulp), so the result is bit-identical to
 stepping the grid point by point.
 
 A run returns per-step and per-fix columns as read-only arrays, and scalar
-metrics; :attr:`RunResult.events` builds row tuples and :attr:`RunResult.samples`
-builds :class:`~dynloc.geometry.LocalizationSample` objects only when asked.  A
-run is fully determined by its config and seed -- the noise stream is the only
-randomness, and it is seeded explicitly.  The engine draws that stream
-``_NOISE_CHUNK`` fixes at a time through :func:`~dynloc.geometry.draw_fix_offsets`,
-which yields the same displacements in the same order as one
-:func:`~dynloc.geometry.localize` call per fix.
+metrics.  A run is fully determined by its config and seed -- the noise
+stream is the only randomness, and it is seeded explicitly.  The engine draws
+that stream ``_NOISE_CHUNK`` fixes at a time through
+:func:`~dynloc.geometry.localize`, which yields the same displacements in the
+same order however the stream is split into calls.
 
 What a run costs before and besides its fixes -- the scratch block of
 :func:`~dynloc.geometry.hypot_exact`, the fix schedule of the time grid, the
@@ -57,25 +56,9 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    LocalizationSample,
-    NoiseModel,
-    Position,
-    SCRATCH_ROWS,
-    draw_fix_offsets,
-    hypot_exact,
-    localize,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
-    threshold_accuracy,
-)
+from .geometry import SCRATCH_ROWS, NoiseModel, hypot_exact, localize, threshold_accuracy
 from .mobility import MobilityTrace
-from .protocols import (
-    FIX_COLUMNS,
-    PROTOCOLS,
-    Confidence,
-    ProtocolConfig,
-    backtrack_correct,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
-    madrd_predict,  # noqa: F401 -- unused here; bound so perfbench's tracer can wrap it
-)
+from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd_predict
 
 __all__ = [
     "RunConfig",
@@ -85,6 +68,7 @@ __all__ = [
     "RunResult",
     "GridMemo",
     "Workspace",
+    "backtrack_correct",
     "run",
 ]
 
@@ -180,21 +164,6 @@ class RunResult:
     period: np.ndarray
     confidence: np.ndarray
 
-    def columns(self) -> list[list]:
-        """The event columns as Python lists, in :class:`EventRecord` field order."""
-        return [getattr(self, name).tolist() for name in EventRecord._fields]
-
-    @property
-    def events(self) -> list[EventRecord]:
-        """Row view of the columns, built on each access."""
-        return list(map(EventRecord._make, zip(*self.columns())))
-
-    @property
-    def samples(self) -> list[LocalizationSample]:
-        """The fixes as :class:`~dynloc.geometry.LocalizationSample` objects, built on each access."""
-        f = self.fixes
-        return [LocalizationSample(t, Position(x, y)) for t, x, y in zip(f.t.tolist(), f.x.tolist(), f.y.tolist())]
-
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -283,7 +252,7 @@ class Workspace:
         offsets, rng = self._offsets, self._rng
         yield from offsets
         while True:
-            drawn = draw_fix_offsets(noise, rng, _NOISE_CHUNK)
+            drawn = localize(noise, rng, _NOISE_CHUNK)
             offsets.extend(drawn)
             yield from drawn
 
@@ -374,17 +343,60 @@ def _fixed_rate_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
     return Fixes(steps.copy(), times[steps], fix_x, fix_y, *rest[:3], rest[3].astype(np.int8), rest[4])
 
 
+def backtrack_correct(
+    times: np.ndarray,
+    fixes: Fixes,
+    rep_x: np.ndarray,
+    rep_y: np.ndarray,
+    noise_max: float,
+    scratch: np.ndarray | None = None,
+) -> int:
+    """Rewrite the reported track between each two fixes with their time-linear interpolation.
+
+    Every grid step strictly between two consecutive fixes gets
+    ``a + frac * (b - a)`` of the two measured fixes ``a`` and ``b``, with
+    ``frac`` its share of the time between them; ``rep_x``/``rep_y`` are
+    rewritten in place, and steps after the last fix keep their report.
+    Returns the number of steps that moved by more than ``noise_max`` -- the
+    corrections large enough to matter to a consumer of the track.
+    ``scratch`` is the block :func:`~dynloc.geometry.hypot_exact` works in.
+    """
+    steps = fixes.step
+    # The fix that opens the interval of each step inside one, in step order.
+    j = np.repeat(np.arange(steps.size - 1), np.diff(steps) - 1)
+    # Interval k starts right after fix k, so its i-th inner step overall is steps[0] + 1 + i + k.
+    inner = np.arange(steps[0] + 1, steps[0] + 1 + j.size) + j
+    # np.diff(v)[j] is v[j + 1] - v[j]; every operation is applied in place.
+    fix_t, fix_x, fix_y = fixes.t, fixes.x, fixes.y
+    work = np.empty(j.size)
+    frac = times[inner]
+    frac -= fix_t.take(j, out=work)
+    frac /= np.diff(fix_t).take(j, out=work)
+    cx = np.diff(fix_x).take(j)
+    cx *= frac
+    cx += fix_x.take(j, out=work)
+    cy = np.diff(fix_y).take(j)
+    cy *= frac
+    cy += fix_y.take(j, out=work)
+    # frac and work are free again: they take how far each step moves.
+    dx = np.subtract(cx, rep_x.take(inner, out=frac), out=frac)
+    dy = np.subtract(cy, rep_y.take(inner, out=work), out=work)
+    moved = hypot_exact(dx, dy, scratch)
+    rep_x[inner] = cx
+    rep_y[inner] = cy
+    return int(np.count_nonzero(moved > noise_max))
+
+
 def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     """Simulate one node/protocol pair over the full trace.
 
-    Per fix: take a noisy fix at the current grid step, advance the scheduler,
-    and jump to the first step with ``t + eps >= next_localization_time``.
-    The steps in between report the held fix (SFR/DVM) or its dead-reckoned
-    extrapolation (MADRD).  With backtracking enabled, each fix then rewrites
-    the reported points of the interval it closes with the time-linear
-    interpolation of its two bounding fixes; rows after the last fix stay as
-    reported.  Corrections larger than the noise bound are counted.  Errors
-    are measured against ground truth after any correction.
+    Per fix: take a noisy fix at the current grid step, step the scheduler,
+    and jump to the first step with ``t + eps >= t_fix + period``.  The steps
+    in between report the held fix (SFR/DVM) or its dead-reckoned
+    extrapolation (MADRD).  With backtracking enabled, :func:`backtrack_correct`
+    then rewrites the reported points between each two fixes; rows after the
+    last fix stay as reported.  Errors are measured against ground truth after
+    any correction.
 
     ``workspace`` carries scratch memory and earlier work between runs (see
     :class:`Workspace`); without one the run builds its own.  The result is
@@ -409,15 +421,8 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     localized[steps] = 1
     period = np.repeat(fix_period, seg)
     if kind.predicts:
-        # Same operations as madrd_predict: m + v * (t - t_fix), in place.
-        elapsed = np.repeat(fix_t, seg)
-        np.subtract(times, elapsed, out=elapsed)
-        rep_x = np.repeat(fix_vx, seg)
-        rep_x *= elapsed
-        rep_x += np.repeat(fix_x, seg)
-        rep_y = np.repeat(fix_vy, seg)
-        rep_y *= elapsed
-        rep_y += np.repeat(fix_y, seg)
+        elapsed = times - np.repeat(fix_t, seg)
+        rep_x, rep_y = madrd_predict(*(np.repeat(c, seg) for c in (fix_x, fix_y, fix_vx, fix_vy)), elapsed)
         confidence = np.repeat(np.array(_CONFIDENCE_NAMES)[fix_conf], seg)
     else:
         rep_x = np.repeat(fix_x, seg)
@@ -426,29 +431,7 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
 
     correction_count = 0
     if cfg.backtracking_enabled:
-        # Steps strictly inside a closed interval, and the fix that opens it.
-        owner = np.repeat(np.arange(steps.size), seg)
-        inner = np.flatnonzero((localized == 0) & (owner < steps.size - 1))
-        j = owner[inner]
-        # Same operations as backtrack_correct: a + frac * (b - a), in place;
-        # np.diff(v)[j] is v[j + 1] - v[j].
-        scratch = np.empty(j.size)
-        frac = times[inner]
-        frac -= fix_t.take(j, out=scratch)
-        frac /= np.diff(fix_t).take(j, out=scratch)
-        cx = np.diff(fix_x).take(j)
-        cx *= frac
-        cx += fix_x.take(j, out=scratch)
-        cy = np.diff(fix_y).take(j)
-        cy *= frac
-        cy += fix_y.take(j, out=scratch)
-        # frac and scratch are free again: they take how far each point moves.
-        dx = np.subtract(cx, rep_x.take(inner, out=frac), out=frac)
-        dy = np.subtract(cy, rep_y.take(inner, out=scratch), out=scratch)
-        moved = hypot_exact(dx, dy, ws.scratch(n))
-        correction_count = int(np.count_nonzero(moved > noise.max_magnitude))
-        rep_x[inner] = cx
-        rep_y[inner] = cy
+        correction_count = backtrack_correct(times, fixes, rep_x, rep_y, noise.max_magnitude, ws.scratch(n))
 
     errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
     metrics = RunMetrics(

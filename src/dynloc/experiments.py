@@ -70,7 +70,6 @@ __all__ = [
     "write_events_csv",
     "header_lines",
     "read_provenance",
-    "read_summary",
     "spec_to_dict",
     "spec_from_dict",
     "parse_spec_file",
@@ -900,36 +899,3 @@ def parse_spec_file(text: str) -> SweepSpec:
         raise ValueError("field 'protocols': no protocol sections found")
     kwargs["protocols"] = tuple(protocols)
     return SweepSpec(**kwargs)
-
-
-def read_summary(path: str | os.PathLike) -> tuple[dict, list[dict]]:
-    """Read a summary CSV back: (provenance config, rows as typed dicts)."""
-    config: dict | None = None
-    rows: list[dict] = []
-    header: list[str] | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# config "):
-                config = json.loads(line[len("# config "):])
-                continue
-            if line.startswith("#") or not line:
-                continue
-            if header is None:
-                header = line.split(",")
-                if list(header) != list(SUMMARY_COLUMNS):
-                    raise ValueError(f"unexpected summary columns: {header}")
-                continue
-            values = line.split(",")
-            row: dict = {}
-            for key, raw in zip(header, values):
-                if key in ("speed_class", "protocol"):
-                    row[key] = raw
-                elif raw == "":
-                    row[key] = None
-                else:
-                    row[key] = float(raw)
-            rows.append(row)
-    if config is None or header is None:
-        raise ValueError(f"{path} is not a dynloc summary CSV")
-    return config, rows

@@ -17,29 +17,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "Position",
     "NoiseModel",
-    "LocalizationSample",
-    "distance",
     "hypot_exact",
     "SCRATCH_ROWS",
     "draw_fix_noise",
-    "draw_fix_offsets",
     "localize",
     "threshold_accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point in the plane, meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"position coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -56,23 +40,6 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not math.isfinite(self.max_magnitude) or self.max_magnitude < 0:
             raise ValueError(f"noise max_magnitude must be >= 0, got {self.max_magnitude}")
-
-
-@dataclass(frozen=True)
-class LocalizationSample:
-    """One position fix: the time it was taken and the measured position."""
-
-    t: float
-    measured: Position
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.t) or self.t < 0:
-            raise ValueError(f"sample time must be >= 0, got {self.t}")
-
-
-def distance(a: Position, b: Position) -> float:
-    """Euclidean distance between two positions."""
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 # Veltkamp's splitter 2**27 + 1: x * _SPLITTER splits a double into two 26-bit halves.
@@ -197,33 +164,18 @@ def draw_fix_noise(noise: NoiseModel, rng: np.random.Generator, count: int) -> n
     return rng.random((count, 2)) * (noise.max_magnitude, 2.0 * math.pi)
 
 
-def draw_fix_offsets(noise: NoiseModel, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
+def localize(noise: NoiseModel, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
     """Draw the displacements ``(dx, dy)`` of ``count`` fixes from their true positions.
 
     One row of :func:`draw_fix_noise` per fix, turned into
     ``(magnitude * cos(angle), magnitude * sin(angle))`` with :mod:`math`:
     ``np.cos`` is not bit for bit ``libm`` on every build.  A fix of a node at
-    ``(x, y)`` measures ``(x + dx, y + dy)``.
+    ``(x, y)`` measures ``(x + dx, y + dy)``; with a zero-noise model it is
+    ``(x, y)`` exactly.  Two draws are consumed from ``rng`` per fix, so a
+    seeded stream yields the same fixes however it is split into calls.
     """
     cos, sin = math.cos, math.sin
     return [(m * cos(a), m * sin(a)) for m, a in draw_fix_noise(noise, rng, count).tolist()]
-
-
-def localize(
-    true_pos: Position,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    t: float = 0.0,
-) -> LocalizationSample:
-    """Take one noisy position fix of ``true_pos`` at time ``t``.
-
-    Draws one fix of :func:`draw_fix_offsets`; with a zero-noise model the
-    measured position equals the true one exactly.  Two draws are consumed
-    from ``rng`` per call, so a fixed seed yields a bit-identical sequence of
-    fixes.
-    """
-    dx, dy = draw_fix_offsets(noise, rng, 1)[0]
-    return LocalizationSample(t, Position(true_pos.x + dx, true_pos.y + dy))
 
 
 def threshold_accuracy(errors: Sequence[float] | Iterable[float], tolerance: float) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "madrd_turn_error",
     "sfr_pause_error",
     "madrd_pause_error",
-    "better_turn_protocol",
 ]
 
 
@@ -141,22 +140,3 @@ def madrd_pause_error(scenario: PauseScenario, since_pause: float) -> float:
     if not math.isfinite(since_pause) or since_pause < 0:
         raise ValueError(f"since_pause must be >= 0, got {since_pause}")
     return scenario.speed * since_pause
-
-
-def better_turn_protocol(turn_angle: float, straight_before_turn: float, past_turn: float) -> str:
-    """Which reporter carries less analytic error at this point of a turn.
-
-    Returns ``"madrd"`` when dead reckoning is at least as accurate as holding
-    the last fix, else ``"sfr"``.  Gentle deviations favor prediction (the
-    chord stays short); deviations beyond a right angle bend the path back
-    toward the fix point, where holding the fix wins.
-    """
-    scenario = TurnScenario(
-        straight_before_turn=straight_before_turn,
-        turn_angle=turn_angle,
-        speed=1.0,
-        period=straight_before_turn + past_turn + 1.0,
-    )
-    e_hold = sfr_turn_error(scenario, past_turn)
-    e_predict = madrd_turn_error(turn_angle, past_turn)
-    return "madrd" if e_predict <= e_hold else "sfr"

@@ -20,13 +20,12 @@ fix and what position it reports between fixes:
 Each scheduler is one pure function on plain floats, ``*_step``: it takes
 the fix just measured and the row the previous fix returned, and returns this
 fix's row (its period, velocity estimate, confidence and prediction error; see
-:data:`FIX_COLUMNS`).  The simulation engine calls the steps directly and
-owns the clock and the noise; nothing here draws randomness.
-:class:`SchedulerState` with ``*_init``/``*_on_localize`` is the same
-decision on objects, a thin wrapper over the steps for callers that hold
-:class:`~dynloc.geometry.LocalizationSample` objects.
-:data:`PROTOCOLS` is the one table of protocol kinds; engine, sweeps and CLI
-all read it, so a new scheduler is one row there.
+:data:`FIX_COLUMNS`).  A run carries that row, and nothing else, from one fix
+to the next.  :func:`madrd_predict` is MADRD's dead reckoning, on floats or on
+whole columns.  The simulation engine calls the steps directly and owns the
+clock and the noise; nothing here draws randomness.  :data:`PROTOCOLS` is the
+one table of protocol kinds; engine, sweeps and CLI all read it, so a new
+scheduler is one row there.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple, Sequence
-
-from .geometry import LocalizationSample, Position, distance
+from typing import Callable, NamedTuple
 
 __all__ = [
     "PROTOCOLS",
@@ -47,18 +44,10 @@ __all__ = [
     "DvmConfig",
     "MadrdConfig",
     "FIX_COLUMNS",
-    "SchedulerState",
     "sfr_step",
     "dvm_step",
     "madrd_step",
-    "sfr_init",
-    "sfr_on_localize",
-    "dvm_init",
-    "dvm_on_localize",
-    "madrd_init",
-    "madrd_on_localize",
     "madrd_predict",
-    "backtrack_correct",
 ]
 
 
@@ -132,8 +121,13 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
-def _dead_reckon(x: float, y: float, vx: float, vy: float, elapsed: float) -> tuple[float, float]:
-    """Where a node last fixed at ``(x, y)`` is ``elapsed`` seconds later at velocity ``(vx, vy)``."""
+def madrd_predict(x, y, vx, vy, elapsed):
+    """Dead reckoning: where a node last fixed at ``(x, y)`` is ``elapsed`` seconds later at velocity ``(vx, vy)``.
+
+    Returns ``(x + vx * elapsed, y + vy * elapsed)``, for floats or for
+    equal-length arrays alike: the engine calls it once per MADRD run on the
+    columns of the reported track.
+    """
     return x + vx * elapsed, y + vy * elapsed
 
 
@@ -202,7 +196,7 @@ def madrd_step(t: float, x: float, y: float, carry: tuple | None, cfg: MadrdConf
     elapsed = t - t0
     if elapsed <= 0:
         raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
-    px, py = _dead_reckon(x0, y0, vx, vy, elapsed)
+    px, py = madrd_predict(x0, y0, vx, vy, elapsed)
     error = math.hypot(px - x, py - y)
     if error > cfg.divergence_threshold:
         confidence = _TOWARD_LC[confidence]
@@ -214,125 +208,6 @@ def madrd_step(t: float, x: float, y: float, carry: tuple | None, cfg: MadrdConf
         period *= cfg.period_shrink
     period = _clamp(period, cfg.t_min, cfg.t_max)
     return (t, x, y, period, (x - x0) / elapsed, (y - y0) / elapsed, confidence, error)
-
-
-# ---------------------------------------------------------------------------
-# Scheduler states: the steps on objects
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SchedulerState:
-    """Everything a scheduler carries between fixes, as one object.
-
-    ``velocity_estimate`` is the chord velocity of the last two measured
-    fixes; ``next_localization_time`` is always strictly later than the fix
-    that produced it.
-    """
-
-    last_sample: LocalizationSample
-    velocity_estimate: tuple[float, float]
-    next_localization_time: float
-    current_period: float
-    confidence: Confidence = Confidence.S1
-
-    def __post_init__(self) -> None:
-        if self.next_localization_time <= self.last_sample.t:
-            raise ValueError("next_localization_time must be after the last fix")
-        if self.current_period <= 0:
-            raise ValueError(f"current_period must be > 0, got {self.current_period}")
-
-
-def _state(sample: LocalizationSample, row: tuple) -> SchedulerState:
-    _, _, _, period, vx, vy, confidence, _ = row
-    return SchedulerState(sample, (vx, vy), sample.t + period, period, _CHAIN[confidence])
-
-
-def _first(step, sample: LocalizationSample, cfg) -> SchedulerState:
-    m = sample.measured
-    return _state(sample, step(sample.t, m.x, m.y, None, cfg))
-
-
-def _next(step, state: SchedulerState, sample: LocalizationSample, cfg) -> SchedulerState:
-    last, m = state.last_sample, sample.measured
-    vx, vy = state.velocity_estimate
-    carry = (last.t, last.measured.x, last.measured.y, state.current_period, vx, vy, state.confidence.value, _NAN)
-    return _state(sample, step(sample.t, m.x, m.y, carry, cfg))
-
-
-def sfr_init(sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
-    """:func:`sfr_step` at the first fix."""
-    return _first(sfr_step, sample, cfg)
-
-
-def sfr_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: SfrConfig) -> SchedulerState:
-    """:func:`sfr_step` at a later fix."""
-    return _next(sfr_step, state, sample, cfg)
-
-
-def dvm_init(sample: LocalizationSample, cfg: DvmConfig) -> SchedulerState:
-    """:func:`dvm_step` at the first fix."""
-    return _first(dvm_step, sample, cfg)
-
-
-def dvm_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: DvmConfig) -> SchedulerState:
-    """:func:`dvm_step` at a later fix."""
-    return _next(dvm_step, state, sample, cfg)
-
-
-def madrd_init(sample: LocalizationSample, cfg: MadrdConfig) -> SchedulerState:
-    """:func:`madrd_step` at the first fix."""
-    return _first(madrd_step, sample, cfg)
-
-
-def madrd_on_localize(state: SchedulerState, sample: LocalizationSample, cfg: MadrdConfig) -> SchedulerState:
-    """:func:`madrd_step` at a later fix."""
-    return _next(madrd_step, state, sample, cfg)
-
-
-def madrd_predict(state: SchedulerState, t: float) -> Position:
-    """Dead-reckoned position at time ``t``: last fix plus velocity * elapsed."""
-    last = state.last_sample
-    return Position(*_dead_reckon(last.measured.x, last.measured.y, *state.velocity_estimate, t - last.t))
-
-
-# ---------------------------------------------------------------------------
-# Retrospective correction
-# ---------------------------------------------------------------------------
-
-
-def backtrack_correct(
-    prev_sample: LocalizationSample,
-    last_sample: LocalizationSample,
-    reported_series: Sequence[tuple[float, Position]],
-    noise_max: float,
-) -> tuple[list[tuple[float, Position]], int]:
-    """Retrospectively smooth the reported track between two fixes.
-
-    Every reported point strictly between the two fix times is replaced by
-    the time-linear interpolation of the two measured fixes.  Returns the
-    corrected series plus the number of points that moved by more than
-    ``noise_max`` -- the corrections large enough to matter to a consumer of
-    the track.
-    """
-    span = last_sample.t - prev_sample.t
-    if span <= 0:
-        raise ValueError("fixes must be in increasing time order")
-    if noise_max < 0:
-        raise ValueError(f"noise_max must be >= 0, got {noise_max}")
-    a = prev_sample.measured
-    b = last_sample.measured
-    corrected: list[tuple[float, Position]] = []
-    moved = 0
-    for t, reported in reported_series:
-        if not (prev_sample.t < t < last_sample.t):
-            raise ValueError(f"reported point at t={t} lies outside the fix interval")
-        frac = (t - prev_sample.t) / span
-        point = Position(a.x + frac * (b.x - a.x), a.y + frac * (b.y - a.y))
-        if distance(point, reported) > noise_max:
-            moved += 1
-        corrected.append((t, point))
-    return corrected, moved
 
 
 # ---------------------------------------------------------------------------

@@ -6,26 +6,36 @@ distances directly, with none of the trigonometric shortcuts the library
 uses -- that independence is the point.  :func:`reference_run` is the
 straightforward engine that steps every grid point in Python; the
 fix-driven :func:`dynloc.engine.run` must match it bit for bit.  It
-schedules with :data:`REFERENCE_SCHEDULERS`, the object state machines that
-the per-fix ``*_step`` functions of :mod:`dynloc.protocols` replaced, so it
-shares no scheduler arithmetic with the engine.
+schedules with :data:`REFERENCE_SCHEDULERS`, state machines written apart
+from the per-fix ``*_step`` functions of :mod:`dynloc.protocols`, draws each
+fix with :func:`ref_fix_offset` and smooths with :func:`ref_backtrack_correct`,
+one point at a time, so it shares no scheduler, noise or correction
+arithmetic with the engine.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, RunMetrics
-from dynloc.geometry import LocalizationSample, Position, localize, threshold_accuracy
+from dynloc.geometry import NoiseModel, threshold_accuracy
 from dynloc.mobility import MobilityTrace, trace_from_waypoints
-from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig, backtrack_correct
+from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
 AREA = 300.0
 START_X = 30.0
 START_Y = 150.0
+
+
+def read_table(path) -> list[dict[str, str]]:
+    """The rows of a dynloc CSV as text, keyed by its column names; ``#`` header lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
 def brute_turn_hold_error(straight_before_turn: float, turn_angle: float, past_turn: float) -> float:
@@ -107,8 +117,24 @@ def make_pause_trace(
 
 
 # ---------------------------------------------------------------------------
-# Reference schedulers
+# Reference fixes, schedulers and correction
 # ---------------------------------------------------------------------------
+
+
+class RefFix(NamedTuple):
+    """One position fix: the time it was taken and the measured position."""
+
+    t: float
+    x: float
+    y: float
+
+
+def ref_fix_offset(noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float]:
+    """The displacement ``(dx, dy)`` of one fix: two scalar draws, magnitude first, then angle."""
+    u, v = rng.random(2).tolist()
+    magnitude = u * noise.max_magnitude
+    angle = v * (2.0 * math.pi)
+    return magnitude * math.cos(angle), magnitude * math.sin(angle)
 
 
 @dataclass(frozen=True)
@@ -119,7 +145,7 @@ class RefState:
     last fix (NaN when nothing was predicted).
     """
 
-    last_sample: LocalizationSample
+    last_fix: RefFix
     velocity_estimate: tuple[float, float]
     next_localization_time: float
     current_period: float
@@ -127,7 +153,7 @@ class RefState:
     prediction_error: float = math.nan
 
     def __post_init__(self) -> None:
-        if self.next_localization_time <= self.last_sample.t:
+        if self.next_localization_time <= self.last_fix.t:
             raise ValueError("next_localization_time must be after the last fix")
         if self.current_period <= 0:
             raise ValueError(f"current_period must be > 0, got {self.current_period}")
@@ -137,49 +163,49 @@ def _clamp(value: float, lo: float, hi: float) -> float:
     return lo if value < lo else hi if value > hi else value
 
 
-def _chord_velocity(prev: LocalizationSample, cur: LocalizationSample) -> tuple[float, float]:
+def _chord_velocity(prev: RefFix, cur: RefFix) -> tuple[float, float]:
     elapsed = cur.t - prev.t
     if elapsed <= 0:
         raise ValueError(f"fixes must be separated in time, got dt={elapsed}")
-    return ((cur.measured.x - prev.measured.x) / elapsed, (cur.measured.y - prev.measured.y) / elapsed)
+    return ((cur.x - prev.x) / elapsed, (cur.y - prev.y) / elapsed)
 
 
-def ref_sfr_init(sample: LocalizationSample, cfg: SfrConfig) -> RefState:
-    return RefState(sample, (0.0, 0.0), sample.t + cfg.period, cfg.period)
+def ref_sfr_init(fix: RefFix, cfg: SfrConfig) -> RefState:
+    return RefState(fix, (0.0, 0.0), fix.t + cfg.period, cfg.period)
 
 
-def ref_sfr_on_localize(state: RefState, sample: LocalizationSample, cfg: SfrConfig) -> RefState:
-    return RefState(sample, state.velocity_estimate, sample.t + cfg.period, cfg.period, state.confidence)
+def ref_sfr_on_localize(state: RefState, fix: RefFix, cfg: SfrConfig) -> RefState:
+    return RefState(fix, state.velocity_estimate, fix.t + cfg.period, cfg.period, state.confidence)
 
 
-def ref_dvm_init(sample: LocalizationSample, cfg: DvmConfig) -> RefState:
-    return RefState(sample, (0.0, 0.0), sample.t + cfg.t_min, cfg.t_min)
+def ref_dvm_init(fix: RefFix, cfg: DvmConfig) -> RefState:
+    return RefState(fix, (0.0, 0.0), fix.t + cfg.t_min, cfg.t_min)
 
 
-def ref_dvm_on_localize(state: RefState, sample: LocalizationSample, cfg: DvmConfig) -> RefState:
-    vx, vy = _chord_velocity(state.last_sample, sample)
+def ref_dvm_on_localize(state: RefState, fix: RefFix, cfg: DvmConfig) -> RefState:
+    vx, vy = _chord_velocity(state.last_fix, fix)
     speed = math.hypot(vx, vy)
     if speed == 0.0:
         period = cfg.t_max
     else:
         period = _clamp(cfg.target_error / speed, cfg.t_min, cfg.t_max)
-    return RefState(sample, (vx, vy), sample.t + period, period, state.confidence)
+    return RefState(fix, (vx, vy), fix.t + period, period, state.confidence)
 
 
-def ref_madrd_init(sample: LocalizationSample, cfg: MadrdConfig) -> RefState:
-    return RefState(sample, (0.0, 0.0), sample.t + cfg.t_min, cfg.t_min, Confidence.S1)
+def ref_madrd_init(fix: RefFix, cfg: MadrdConfig) -> RefState:
+    return RefState(fix, (0.0, 0.0), fix.t + cfg.t_min, cfg.t_min, Confidence.S1)
 
 
-def ref_madrd_predict(state: RefState, t: float) -> Position:
-    elapsed = t - state.last_sample.t
-    m = state.last_sample.measured
+def ref_madrd_predict(state: RefState, t: float) -> tuple[float, float]:
+    last = state.last_fix
+    elapsed = t - last.t
     vx, vy = state.velocity_estimate
-    return Position(m.x + vx * elapsed, m.y + vy * elapsed)
+    return last.x + vx * elapsed, last.y + vy * elapsed
 
 
-def ref_madrd_on_localize(state: RefState, sample: LocalizationSample, cfg: MadrdConfig) -> RefState:
-    predicted = ref_madrd_predict(state, sample.t)
-    prediction_error = math.hypot(predicted.x - sample.measured.x, predicted.y - sample.measured.y)
+def ref_madrd_on_localize(state: RefState, fix: RefFix, cfg: MadrdConfig) -> RefState:
+    px, py = ref_madrd_predict(state, fix.t)
+    prediction_error = math.hypot(px - fix.x, py - fix.y)
     value = state.confidence.value
     if prediction_error > cfg.divergence_threshold:
         confidence = Confidence(max(value - 1, Confidence.LC.value))
@@ -191,8 +217,40 @@ def ref_madrd_on_localize(state: RefState, sample: LocalizationSample, cfg: Madr
     elif confidence is Confidence.LC:
         period *= cfg.period_shrink
     period = _clamp(period, cfg.t_min, cfg.t_max)
-    vx, vy = _chord_velocity(state.last_sample, sample)
-    return RefState(sample, (vx, vy), sample.t + period, period, confidence, prediction_error)
+    vx, vy = _chord_velocity(state.last_fix, fix)
+    return RefState(fix, (vx, vy), fix.t + period, period, confidence, prediction_error)
+
+
+def ref_backtrack_correct(
+    prev_fix: RefFix,
+    last_fix: RefFix,
+    reported_series: Sequence[tuple[float, float, float]],
+    noise_max: float,
+) -> tuple[list[tuple[float, float, float]], int]:
+    """Retrospectively smooth the reported ``(t, x, y)`` points between two fixes.
+
+    Every point strictly between the two fix times is replaced by the
+    time-linear interpolation of the two measured fixes.  Returns the
+    corrected series plus the number of points that moved by more than
+    ``noise_max``.
+    """
+    span = last_fix.t - prev_fix.t
+    if span <= 0:
+        raise ValueError("fixes must be in increasing time order")
+    if noise_max < 0:
+        raise ValueError(f"noise_max must be >= 0, got {noise_max}")
+    corrected: list[tuple[float, float, float]] = []
+    moved = 0
+    for t, rx, ry in reported_series:
+        if not (prev_fix.t < t < last_fix.t):
+            raise ValueError(f"reported point at t={t} lies outside the fix interval")
+        frac = (t - prev_fix.t) / span
+        x = prev_fix.x + frac * (last_fix.x - prev_fix.x)
+        y = prev_fix.y + frac * (last_fix.y - prev_fix.y)
+        if math.hypot(x - rx, y - ry) > noise_max:
+            moved += 1
+        corrected.append((t, x, y))
+    return corrected, moved
 
 
 REFERENCE_SCHEDULERS = {
@@ -202,14 +260,14 @@ REFERENCE_SCHEDULERS = {
 }
 
 
-def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationSample], RunMetrics]:
-    """Per-step reference engine: (events, samples, metrics) of one run.
+def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[RefFix], RunMetrics]:
+    """Per-step reference engine: (events, fixes, metrics) of one run.
 
     At every grid step: fire a localization if one is due, then record the
     reported position, its error against ground truth, and the scheduler's
     period and confidence.  With backtracking enabled, each new fix rewrites
     the reported points of the interval it closes through
-    :func:`backtrack_correct`.  MADRD reports :func:`ref_madrd_predict`.
+    :func:`ref_backtrack_correct`.  MADRD reports :func:`ref_madrd_predict`.
     """
     trace = cfg.trace
     times = trace.times.tolist()
@@ -223,7 +281,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
 
     state: RefState | None = None
     events: list[EventRecord] = []
-    samples: list[LocalizationSample] = []
+    fixes: list[RefFix] = []
     pending: list[int] = []  # event indices since the last fix (backtracking)
     correction_count = 0
 
@@ -232,32 +290,32 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
         ty = true_ys[k]
         localized = 0
         if state is None or t + _SCHED_EPS >= state.next_localization_time:
-            sample = localize(Position(tx, ty), noise, rng, t=t)
+            if t < 0:
+                raise ValueError(f"sample time must be >= 0, got {t}")
+            dx, dy = ref_fix_offset(noise, rng)
+            fix = RefFix(t, tx + dx, ty + dy)
+            if not (math.isfinite(fix.x) and math.isfinite(fix.y)):
+                raise ValueError(f"fix coordinates must be finite, got ({fix.x}, {fix.y})")
             if state is None:
-                state = init(sample, pcfg)
+                state = init(fix, pcfg)
             else:
-                prev_fix = state.last_sample
-                state = on_localize(state, sample, pcfg)
+                prev_fix = state.last_fix
+                state = on_localize(state, fix, pcfg)
                 if cfg.backtracking_enabled and pending:
-                    series = [
-                        (events[i].t, Position(events[i].reported_x, events[i].reported_y))
-                        for i in pending
-                    ]
-                    corrected, moved = backtrack_correct(prev_fix, sample, series, noise.max_magnitude)
+                    series = [(events[i].t, events[i].reported_x, events[i].reported_y) for i in pending]
+                    corrected, moved = ref_backtrack_correct(prev_fix, fix, series, noise.max_magnitude)
                     correction_count += moved
-                    for i, (_, cpos) in zip(pending, corrected):
+                    for i, (_, cx, cy) in zip(pending, corrected):
                         old = events[i]
-                        err = math.hypot(cpos.x - old.true_x, cpos.y - old.true_y)
-                        events[i] = old._replace(reported_x=cpos.x, reported_y=cpos.y, error=err)
-            samples.append(sample)
+                        err = math.hypot(cx - old.true_x, cy - old.true_y)
+                        events[i] = old._replace(reported_x=cx, reported_y=cy, error=err)
+            fixes.append(fix)
             pending = []
             localized = 1
         if predicts:
-            reported = ref_madrd_predict(state, t)
-            rx, ry = reported.x, reported.y
+            rx, ry = ref_madrd_predict(state, t)
         else:
-            m = state.last_sample.measured
-            rx, ry = m.x, m.y
+            rx, ry = state.last_fix.x, state.last_fix.y
         error = math.hypot(rx - tx, ry - ty)
         conf = state.confidence.name if predicts else ""
         events.append(EventRecord(t, tx, ty, rx, ry, error, localized, state.current_period, conf))
@@ -266,10 +324,10 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[LocalizationS
 
     errors = np.array([e.error for e in events])
     metrics = RunMetrics(
-        localization_count=len(samples),
+        localization_count=len(fixes),
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),
         correction_count=correction_count,
     )
-    return events, samples, metrics
+    return events, fixes, metrics

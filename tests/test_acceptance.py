@@ -30,14 +30,13 @@ from dynloc.oracles import (
     sfr_turn_error,
 )
 from dynloc.protocols import (
+    FIX_COLUMNS,
     Confidence,
     DvmConfig,
     MadrdConfig,
     SfrConfig,
-    dvm_init,
-    dvm_on_localize,
-    madrd_init,
-    madrd_on_localize,
+    dvm_step,
+    madrd_step,
 )
 from dynloc.experiments import (
     ProtocolSpec,
@@ -51,8 +50,6 @@ from dynloc.experiments import (
     write_runs_csv,
     write_summary_csv,
 )
-from dynloc.geometry import LocalizationSample, Position
-
 from scenario_tools import (
     brute_turn_hold_error,
     brute_turn_predict_error,
@@ -150,28 +147,27 @@ def test_02_simulated_turns_match_formulas_and_crossover():
             protocol_config=MadrdConfig(t_min=period, t_max=period),
             noise=NoiseModel(0.0),
         ))
-        post_turn = [
-            (he, pe) for he, pe in zip(hold_run.events, predict_run.events)
-            if he.t >= turn_time - 1e-9 and not he.localized
-        ]
+        # (t, hold error, prediction error) at each post-turn step between fixes.
+        rows = zip(hold_run.t.tolist(), hold_run.error.tolist(), predict_run.error.tolist())
+        post_turn = [row for row, fix in zip(rows, hold_run.localized.tolist()) if row[0] >= turn_time - 1e-9 and not fix]
         assert len(post_turn) >= 25
-        for hold_event, predict_event in post_turn:
-            n = max(0.0, speed * (hold_event.t - turn_time))
+        for t, hold_error, predict_error in post_turn:
+            n = max(0.0, speed * (t - turn_time))
             worst = max(
                 worst,
-                abs(hold_event.error - sfr_turn_error(scenario, n)),
-                abs(predict_event.error - madrd_turn_error(theta, n)),
+                abs(hold_error - sfr_turn_error(scenario, n)),
+                abs(predict_error - madrd_turn_error(theta, n)),
             )
-            assert hold_event.error == pytest.approx(sfr_turn_error(scenario, n), abs=tolerance)
-            assert predict_event.error == pytest.approx(madrd_turn_error(theta, n), abs=tolerance)
+            assert hold_error == pytest.approx(sfr_turn_error(scenario, n), abs=tolerance)
+            assert predict_error == pytest.approx(madrd_turn_error(theta, n), abs=tolerance)
         if theta_deg == 45.0:
-            moved = [(h, p) for h, p in post_turn if speed * (h.t - turn_time) > 0.01]
-            assert all(p.error < h.error for h, p in moved)
-            gentle_gap = moved[-1][0].error - moved[-1][1].error
+            moved = [(h, p) for t, h, p in post_turn if speed * (t - turn_time) > 0.01]
+            assert all(p < h for h, p in moved)
+            gentle_gap = moved[-1][0] - moved[-1][1]
         if theta_deg == 135.0:
-            h, p = post_turn[-1]
-            assert h.error < p.error
-            sharp_gap = p.error - h.error
+            _, h, p = post_turn[-1]
+            assert h < p
+            sharp_gap = p - h
     print(
         f"sim-vs-formula worst gap {worst:.2e} m (tolerance {tolerance} m); "
         f"45-deg prediction wins by {gentle_gap:.1f} m, 135-deg hold wins by {sharp_gap:.1f} m"
@@ -194,18 +190,18 @@ def test_03_simulated_pause_matches_hold_and_prediction_shapes():
         noise=NoiseModel(0.0),
     ))
     worst = 0.0
-    for hold_event, predict_event in zip(hold_run.events, predict_run.events):
-        t = hold_event.t
-        if hold_event.localized or t < window_start + 1e-9:
+    columns = (hold_run.t, hold_run.localized, hold_run.error, predict_run.error)
+    for t, localized, hold_error, predict_error in zip(*(c.tolist() for c in columns)):
+        if localized or t < window_start + 1e-9:
             continue
         expected_hold = sfr_pause_error(scenario, speed * (t - window_start))
-        worst = max(worst, abs(hold_event.error - expected_hold))
-        assert hold_event.error == pytest.approx(expected_hold, abs=tolerance)
+        worst = max(worst, abs(hold_error - expected_hold))
+        assert hold_error == pytest.approx(expected_hold, abs=tolerance)
         expected_predict = (
             madrd_pause_error(scenario, t - stop_time) if t >= stop_time - 1e-9 else 0.0
         )
-        worst = max(worst, abs(predict_event.error - expected_predict))
-        assert predict_event.error == pytest.approx(expected_predict, abs=tolerance)
+        worst = max(worst, abs(predict_error - expected_predict))
+        assert predict_error == pytest.approx(expected_predict, abs=tolerance)
     print(f"pause shapes: worst gap {worst:.2e} m (tolerance {tolerance} m)")
 
 
@@ -222,7 +218,7 @@ def test_04_single_run_error_ramps_and_fix_noise_bound():
         noise=NoiseModel(0.5), seed=noise_seed,
     ))
     elapsed = time.perf_counter() - started
-    fix_errors = [e.error for e in result.events if e.localized]
+    fix_errors = result.error[result.localized == 1].tolist()
     peak = result.metrics.max_error
     print(
         f"900 s run: peak ramp {peak:.2f} m (need 7-11), worst fix error "
@@ -367,23 +363,20 @@ def test_10_protocol_invariants():
             period_shrink=float(rng.uniform(0.2, 0.9)),
         )
         dvm_cfg = DvmConfig(target_error=float(rng.uniform(1.0, 8.0)), t_min=t_min, t_max=t_max)
-        sample = LocalizationSample(t=0.0, measured=Position(0.0, 0.0))
-        madrd_state = madrd_init(sample, madrd_cfg)
-        dvm_state = dvm_init(sample, dvm_cfg)
+        period, level = FIX_COLUMNS.index("period"), FIX_COLUMNS.index("confidence")
+        madrd_row = madrd_step(0.0, 0.0, 0.0, None, madrd_cfg)
+        dvm_row = dvm_step(0.0, 0.0, 0.0, None, dvm_cfg)
         t = 0.0
         for _ in range(60):
             t += float(rng.uniform(0.1, 5.0))
-            fix = LocalizationSample(
-                t=t,
-                measured=Position(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50))),
-            )
-            previous = madrd_state.confidence.value
-            madrd_state = madrd_on_localize(madrd_state, fix, madrd_cfg)
-            dvm_state = dvm_on_localize(dvm_state, fix, dvm_cfg)
-            assert t_min <= madrd_state.current_period <= t_max
-            assert t_min <= dvm_state.current_period <= t_max
-            assert abs(madrd_state.confidence.value - previous) <= 1
-            assert madrd_state.confidence in Confidence
+            x, y = float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50))
+            previous = madrd_row[level]
+            madrd_row = madrd_step(t, x, y, madrd_row, madrd_cfg)
+            dvm_row = dvm_step(t, x, y, dvm_row, dvm_cfg)
+            assert t_min <= madrd_row[period] <= t_max
+            assert t_min <= dvm_row[period] <= t_max
+            assert abs(madrd_row[level] - previous) <= 1
+            assert Confidence(madrd_row[level]) in Confidence
 
     # Reported-trajectory shapes on random traces: held reports are constant
     # between fixes, dead-reckoned reports move at a constant velocity.
@@ -393,21 +386,16 @@ def test_10_protocol_invariants():
         )
         for protocol, pcfg in (("sfr", SfrConfig(2.0)), ("dvm", DvmConfig(t_max=6.0))):
             result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=seed))
-            for prev, cur in zip(result.events, result.events[1:]):
-                if not cur.localized:
-                    assert (cur.reported_x, cur.reported_y) == (prev.reported_x, prev.reported_y)
+            held = np.flatnonzero(result.localized[1:] == 0) + 1
+            assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
+            assert np.array_equal(result.reported_y[held], result.reported_y[held - 1])
         result = run(RunConfig(
             trace=trace, protocol="madrd", protocol_config=MadrdConfig(t_max=6.0), seed=seed,
         ))
-        events = result.events
-        for a, b, c in zip(events, events[1:], events[2:]):
-            if not b.localized and not c.localized:
-                assert (c.reported_x - b.reported_x) == pytest.approx(
-                    b.reported_x - a.reported_x, abs=1e-9
-                )
-                assert (c.reported_y - b.reported_y) == pytest.approx(
-                    b.reported_y - a.reported_y, abs=1e-9
-                )
+        # Steps c whose step b before it is also between fixes: b - a and c - b are one velocity.
+        c = np.flatnonzero((result.localized[2:] == 0) & (result.localized[1:-1] == 0)) + 2
+        for rep in (result.reported_x, result.reported_y):
+            assert (rep[c] - rep[c - 1]).tolist() == pytest.approx((rep[c - 1] - rep[c - 2]).tolist(), abs=1e-9)
 
     # Retrospective correction on randomized single-turn maneuvers never
     # worsens the pooled error of the held-report baseline.

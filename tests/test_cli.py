@@ -9,7 +9,9 @@ import pytest
 
 from dynloc import cli, experiments, oracles
 from dynloc.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, console_main, main
-from dynloc.experiments import read_provenance, read_summary
+from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
+
+from scenario_tools import read_table
 
 SPEC_TEXT = """
 [sweep]
@@ -237,8 +239,9 @@ def test_sweep_from_spec_file_writes_csvs(tmp_path, capsys):
     runs = (out_dir / "runs.csv").read_text().rstrip("\n").split("\n")
     assert runs[0] == "# dynloc runs v1"
     assert len(runs) == 3 + 6  # two headers + column row, then one row per run
-    config, rows = read_summary(out_dir / "summary.csv")
-    assert config["repetitions"] == 3
+    rows = read_table(out_dir / "summary.csv")
+    assert list(rows[0]) == list(SUMMARY_COLUMNS)
+    assert read_provenance(out_dir / "summary.csv")["repetitions"] == 3
     assert {r["protocol"] for r in rows} == {"sfr", "dvm"}
 
 
@@ -419,8 +422,15 @@ def test_oracle_rejects_bad_table_shape(capsys):
         (["--pause", "--horizon", "inf"], "field 'horizon'"),
         # A tiny speed puts the stop, and the default horizon 2 * d / v, at infinity.
         (["--pause", "--v", "1e-320"], "field 'horizon'"),
+        # The scenario's own checks would name straight_before_turn, travel_before_stop and turn_angle.
+        (["--turn", "--x", "-1"], "field 'x'"),
+        (["--pause", "--d", "-1"], "field 'd'"),
+        (["--turn", "--theta", "inf"], "field 'theta'"),
     ],
-    ids=["turn_v_zero", "pause_v_negative", "turn_v_tiny", "pause_horizon_inf", "pause_v_tiny"],
+    ids=[
+        "turn_v_zero", "pause_v_negative", "turn_v_tiny", "pause_horizon_inf", "pause_v_tiny",
+        "turn_x_negative", "pause_d_negative", "turn_theta_inf",
+    ],
 )
 def test_oracle_rejects_speed_and_horizon_naming_the_flag(capsys, argv, field):
     assert main(["oracle", *argv]) == EXIT_VALIDATION

@@ -7,7 +7,7 @@ import pytest
 
 from dynloc import engine
 from dynloc.engine import _NOISE_CHUNK, EventRecord, GridMemo, RunConfig, Workspace, run
-from dynloc.geometry import NoiseModel, draw_fix_offsets
+from dynloc.geometry import NoiseModel, localize
 from dynloc.mobility import (
     GaussMarkovConfig,
     MobilityTrace,
@@ -47,15 +47,16 @@ def test_first_fix_is_forced_at_time_zero():
         ("madrd", MadrdConfig()),
     ):
         result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg))
-        assert result.samples[0].t == 0.0
-        assert result.events[0].localized == 1
+        assert result.fixes.t[0] == 0.0
+        assert result.localized[0] == 1
 
 
 def test_event_log_has_one_row_per_grid_step():
     trace = _trace(seed=7, duration=30.0)
     result = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0)))
-    assert len(result.events) == len(trace)
-    assert [e.t for e in result.events] == trace.times.tolist()
+    for name in EventRecord._fields:
+        assert len(getattr(result, name)) == len(trace)
+    assert result.t.tolist() == trace.times.tolist()
 
 
 def test_error_at_fix_instants_is_bounded_by_noise():
@@ -66,8 +67,8 @@ def test_error_at_fix_instants_is_bounded_by_noise():
             noise=NoiseModel(max_magnitude=0.5), seed=3,
         )
     )
-    fix_errors = [e.error for e in result.events if e.localized]
-    assert max(fix_errors) <= 0.5 + 1e-12
+    fix_errors = result.error[result.localized == 1]
+    assert fix_errors.max() <= 0.5 + 1e-12
 
 
 def test_zero_noise_fix_rows_have_zero_error():
@@ -78,9 +79,8 @@ def test_zero_noise_fix_rows_have_zero_error():
             noise=NoiseModel(max_magnitude=0.0),
         )
     )
-    for e in result.events:
-        if e.localized:
-            assert e.error == pytest.approx(0.0, abs=1e-12)
+    for error in result.error[result.localized == 1].tolist():
+        assert error == pytest.approx(0.0, abs=1e-12)
 
 
 def test_held_report_is_piecewise_constant():
@@ -88,10 +88,9 @@ def test_held_report_is_piecewise_constant():
     result = run(
         RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0))
     )
-    for prev, cur in zip(result.events, result.events[1:]):
-        if not cur.localized:
-            assert cur.reported_x == prev.reported_x
-            assert cur.reported_y == prev.reported_y
+    held = np.flatnonzero(result.localized[1:] == 0) + 1
+    assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
+    assert np.array_equal(result.reported_y[held], result.reported_y[held - 1])
 
 
 def test_dead_reckoned_report_moves_linearly_between_fixes():
@@ -104,13 +103,12 @@ def test_dead_reckoned_report_moves_linearly_between_fixes():
     )
     # After the second fix a velocity estimate exists; from then on the
     # reported x advances by exactly speed*dt inside every interval.
-    second_fix_idx = [i for i, e in enumerate(result.events) if e.localized][1]
-    for prev, cur in zip(result.events[second_fix_idx:], result.events[second_fix_idx + 1:]):
-        if not cur.localized:
-            assert cur.reported_x - prev.reported_x == pytest.approx(0.3, abs=1e-9)
+    second_fix_idx = result.fixes.step[1]
+    moving = np.flatnonzero(result.localized[second_fix_idx + 1:] == 0) + second_fix_idx + 1
+    steps = result.reported_x[moving] - result.reported_x[moving - 1]
+    assert steps.tolist() == pytest.approx([0.3] * moving.size, abs=1e-9)
     # And with perfect measurements on a straight track, the report is exact.
-    tail = result.events[second_fix_idx:]
-    assert max(e.error for e in tail) == pytest.approx(0.0, abs=1e-9)
+    assert result.error[second_fix_idx:].max() == pytest.approx(0.0, abs=1e-9)
 
 
 def test_scheduler_requests_snap_to_next_grid_step():
@@ -118,7 +116,7 @@ def test_scheduler_requests_snap_to_next_grid_step():
     result = run(
         RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=0.25))
     )
-    fix_times = [e.t for e in result.events if e.localized]
+    fix_times = result.t[result.localized == 1].tolist()
     # Requests at 0.25, 0.55, 0.85, ... land on the next 0.1 grid step.
     assert fix_times[:5] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2])
 
@@ -128,7 +126,7 @@ def test_grid_aligned_period_fires_every_period_exactly():
     result = run(
         RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0))
     )
-    fix_times = [e.t for e in result.events if e.localized]
+    fix_times = result.t[result.localized == 1].tolist()
     assert fix_times == pytest.approx([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
 
 
@@ -137,20 +135,20 @@ def test_run_is_deterministic_given_seed():
     cfg = RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=17)
     a = run(cfg)
     b = run(cfg)
-    assert a.events == b.events
+    assert _event_columns(a) == _event_columns(b)
     assert a.metrics == b.metrics
     c = run(
         RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=18)
     )
-    assert a.events != c.events
+    assert _event_columns(a) != _event_columns(c)
 
 
 def test_confidence_column_empty_unless_dead_reckoning():
     trace = _trace(seed=10, duration=20.0)
     sfr = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig()))
     madrd = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig()))
-    assert {e.confidence for e in sfr.events} == {""}
-    assert {e.confidence for e in madrd.events} <= {"LC", "S1", "S2", "HC"}
+    assert set(sfr.confidence.tolist()) == {""}
+    assert set(madrd.confidence.tolist()) <= {"LC", "S1", "S2", "HC"}
 
 
 def test_accuracy_counts_rows_within_tolerance():
@@ -161,12 +159,11 @@ def test_accuracy_counts_rows_within_tolerance():
             noise=NoiseModel(max_magnitude=0.0), dist_tolerance=3.0,
         )
     )
-    manual = np.mean([e.error <= 3.0 for e in result.events])
+    errors = result.error.tolist()
+    manual = np.mean([e <= 3.0 for e in errors])
     assert result.metrics.accuracy == pytest.approx(float(manual))
-    assert result.metrics.mean_error == pytest.approx(
-        float(np.mean([e.error for e in result.events]))
-    )
-    assert result.metrics.max_error == pytest.approx(max(e.error for e in result.events))
+    assert result.metrics.mean_error == pytest.approx(float(np.mean(errors)))
+    assert result.metrics.max_error == pytest.approx(max(errors))
 
 
 def test_run_config_rejects_mismatched_protocol_config():
@@ -213,10 +210,8 @@ def test_backtracking_rewrites_interior_rows_onto_fix_chord():
     corrected = run(replace(base, backtracking_enabled=True))
     # On a noise-free straight line the reinterpolated track is exact, so
     # every non-fix row inside a closed interval drops to zero error.
-    closed_rows = [
-        e for e in corrected.events if not e.localized and e.t < corrected.samples[-1].t
-    ]
-    assert closed_rows and max(e.error for e in closed_rows) == pytest.approx(0.0, abs=1e-9)
+    closed_rows = corrected.error[(corrected.localized == 0) & (corrected.t < corrected.fixes.t[-1])]
+    assert closed_rows.size and closed_rows.max() == pytest.approx(0.0, abs=1e-9)
     assert corrected.metrics.mean_error < plain.metrics.mean_error
     # At 3 m/s the held report drifts well past the 0-noise bound, so every
     # rewritten row counts as a correction.
@@ -253,7 +248,7 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
     cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), noise=noise,
                     seed=0, backtracking_enabled=True)
     # The move of step 1 from the held first fix onto the chord midpoint, by the engine's operations.
-    (d0x, d0y), (d2x, d2y) = draw_fix_offsets(noise, np.random.default_rng(cfg.seed), 2)
+    (d0x, d0y), (d2x, d2y) = localize(noise, np.random.default_rng(cfg.seed), 2)
     f0x, f0y = 10.0 + d0x, 10.0 + d0y
     dx = ((x2 + d2x) - f0x) * 0.5 + f0x - f0x
     dy = ((y2 + d2y) - f0y) * 0.5 + f0y - f0y
@@ -286,12 +281,18 @@ def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise,
         seed=23, backtracking_enabled=backtracking,
     )
     result = run(cfg)
-    events, samples, metrics = reference_run(cfg)
+    events, ref_fixes, metrics = reference_run(cfg)
+    f = result.fixes
     # Enough fixes that the engine refills its noise several times.
     assert metrics.localization_count > 2 * _NOISE_CHUNK
-    assert [list(map(repr, col)) for col in result.columns()] == [list(map(repr, col)) for col in zip(*events)]
-    assert result.samples == samples
+    assert [list(map(repr, col)) for col in _event_columns(result)] == [list(map(repr, col)) for col in zip(*events)]
+    assert list(zip(f.t.tolist(), f.x.tolist(), f.y.tolist())) == ref_fixes
     assert result.metrics == metrics
+
+
+def _event_columns(result) -> list[list]:
+    """The event columns of a run as lists, in :class:`EventRecord` field order."""
+    return [getattr(result, name).tolist() for name in EventRecord._fields]
 
 
 def _bits(result) -> list[list]:
@@ -371,6 +372,47 @@ def test_grid_memo_builds_once_per_grid_of_distinct_bits():
     assert len(built) == 4
     assert texts[0] is texts[1] and texts[2] is texts[3]
     assert texts[2][0] == "-0.0" and texts[5] == texts[0] and texts[4] == texts[0][:3]
+
+
+def test_run_calls_the_names_a_tracer_wraps(monkeypatch):
+    # A tracer rebinds these names on dynloc.engine and totals their calls on the run in progress,
+    # so the engine must call them, and nothing may call them outside a run.
+    names = ("localize", "madrd_predict", "backtrack_correct")
+    calls = dict.fromkeys(names, 0)
+    in_run = False
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            assert in_run, f"{name} called outside run"
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def traced_run(cfg):
+        nonlocal in_run
+        in_run = True
+        try:
+            return run(cfg)
+        finally:
+            in_run = False
+
+    madrd = RunConfig(trace=_trace(seed=21, duration=400.0), protocol="madrd",
+                      protocol_config=MadrdConfig(t_min=0.5, t_max=1.0), seed=3, backtracking_enabled=True)
+    sfr = RunConfig(trace=madrd.trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), seed=3)
+    plain = [_bits(run(cfg)) for cfg in (madrd, sfr)]
+    for name in names:
+        monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
+
+    result = traced_run(madrd)
+    # One noise refill per _NOISE_CHUNK fixes, one prediction pass per MADRD run, one correction pass per run.
+    assert result.metrics.localization_count > _NOISE_CHUNK
+    refills = -(-result.metrics.localization_count // _NOISE_CHUNK)
+    assert calls == {"localize": refills, "madrd_predict": 1, "backtrack_correct": 1}
+    assert _bits(result) == plain[0]
+    # Without prediction or backtracking only the noise is drawn.
+    assert _bits(traced_run(sfr)) == plain[1]
+    assert calls == {"localize": refills + 1, "madrd_predict": 1, "backtrack_correct": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -91,17 +91,17 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
         dist_tolerance=tolerance, seed=seed, backtracking_enabled=backtracking,
     )
     result = run(cfg)
-    events, samples, metrics = reference_run(cfg)
+    events, ref_fixes, metrics = reference_run(cfg)
+    f = result.fixes
 
-    assert _bits(result.events) == _bits(events)
-    assert _bits(zip(*result.columns())) == _bits(events)
-    assert result.samples == samples
+    assert _bits(zip(*(getattr(result, name).tolist() for name in EventRecord._fields))) == _bits(events)
+    assert list(zip(f.t.tolist(), f.x.tolist(), f.y.tolist())) == ref_fixes
     assert result.metrics == metrics
     for name in EventRecord._fields:
         assert len(getattr(result, name)) == len(trace)
 
     # Fix times are strictly increasing grid times, the first one at t=0.
-    fix_times = [s.t for s in result.samples]
+    fix_times = f.t.tolist()
     assert fix_times[0] == 0.0
     assert all(a < b for a, b in zip(fix_times, fix_times[1:]))
     assert fix_times == result.t[result.localized == 1].tolist()
@@ -121,12 +121,9 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
     if not backtracking:
         assert result.metrics.correction_count == 0
 
-    # The per-fix columns agree with the event columns and with the reference fixes.
-    f = result.fixes
+    # The per-fix columns agree with the event columns.
     assert f._fields[1:] == FIX_COLUMNS
     assert f.step.tolist() == np.flatnonzero(result.localized).tolist()
-    assert f.t.tolist() == fix_times
-    assert list(zip(f.x.tolist(), f.y.tolist())) == [(s.measured.x, s.measured.y) for s in samples]
     assert f.period.tolist() == result.period[f.step].tolist()
     if kind == "madrd":
         levels = f.confidence.tolist()

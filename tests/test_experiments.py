@@ -17,6 +17,7 @@ from dynloc import cli, experiments
 from dynloc.engine import GridMemo, RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
+    SUMMARY_COLUMNS,
     ProtocolSpec,
     SweepSpec,
     WORKERS_ENV_VAR,
@@ -32,7 +33,6 @@ from dynloc.experiments import (
     default_gauss_markov_bundle,
     parse_spec_file,
     read_provenance,
-    read_summary,
     resolve_protocol_config,
     run_sweep,
     spec_from_dict,
@@ -46,7 +46,7 @@ from dynloc.geometry import NoiseModel
 from dynloc.mobility import MobilityTrace, RandomWaypointConfig, generate_random_waypoint
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
 
-from scenario_tools import reference_run
+from scenario_tools import read_table, reference_run
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
@@ -475,8 +475,13 @@ def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides)
     if overrides.get("pause_times"):
         assert any(np.any(r.true_x[1:] == r.true_x[:-1]) for _, _, r in written)
     for path, config, result in written:
-        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
+
+
+def _event_rows(result):
+    """The rows of a run's event columns, in :data:`EVENT_COLUMNS` order."""
+    return zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))
 
 
 def _record_event_writes(monkeypatch) -> list[tuple]:
@@ -514,7 +519,7 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
     steps = [(r.t.size, r.t[-1]) for _, _, r in written[:: len(_ALL_PROTOCOLS)]]
     assert steps == [(301, 30.0), (301, 60.0), (301, 30.0), (201, 20.0), (301, 60.0), (201, 20.0)]
     for path, config, result in written:
-        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
     for cell, records in zip(cells, batch):
         assert _run_batch(spec, [cell], str(alone_dir)) == [records]
@@ -530,7 +535,7 @@ def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
     trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
     result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=4))
     config = {"protocol": protocol}
-    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, result.events)
+    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
     write_events_csv(tmp_path / "columns.csv", config, result)
     write_events_csv(tmp_path / "shared.csv", config, result, _trace_text(trace, GridMemo(_time_text)))
     reference = (tmp_path / "rows.csv").read_bytes()
@@ -611,12 +616,13 @@ def test_csv_round_trip_with_provenance(tmp_path):
     write_summary_csv(summary_path, spec, rows)
 
     assert read_provenance(runs_path) == spec_to_dict(spec)
-    config, parsed = read_summary(summary_path)
-    assert spec_from_dict(config) == spec
+    assert spec_from_dict(read_provenance(summary_path)) == spec
+    parsed = read_table(summary_path)
+    assert list(parsed[0]) == list(SUMMARY_COLUMNS)
     assert len(parsed) == len(rows)
     first = parsed[0]
     assert first["protocol"] == rows[0].protocol
-    assert first["mean_localizations"] == pytest.approx(rows[0].mean_localizations)
+    assert float(first["mean_localizations"]) == pytest.approx(rows[0].mean_localizations)
 
 
 def test_missing_ratio_serializes_as_empty_field(tmp_path):
@@ -633,8 +639,7 @@ def test_missing_ratio_serializes_as_empty_field(tmp_path):
     ][1]
     fields = data_line.split(",")
     assert fields[6] == "" and fields[7] == ""  # ratio columns stay blank
-    _, parsed = read_summary(path)
-    assert parsed[0]["ratio_to_sfr"] is None
+    assert read_table(path)[0]["ratio_to_sfr"] == ""
 
 
 def test_sweep_regenerated_from_provenance_is_byte_identical(tmp_path):

@@ -6,34 +6,18 @@ import numpy as np
 import pytest
 
 from dynloc.engine import _NOISE_CHUNK
-from dynloc.geometry import (
-    LocalizationSample,
-    NoiseModel,
-    Position,
-    distance,
-    draw_fix_noise,
-    draw_fix_offsets,
-    localize,
-    threshold_accuracy,
-)
+from dynloc.geometry import NoiseModel, draw_fix_noise, hypot_exact, localize, threshold_accuracy
+
+from scenario_tools import ref_fix_offset
 
 
 def test_distance_cases():
-    assert distance(Position(0, 0), Position(3, 4)) == pytest.approx(5.0)
-    assert distance(Position(3, 4), Position(0, 0)) == pytest.approx(5.0)
-    assert distance(Position(1.5, -2.0), Position(1.5, -2.0)) == 0.0
-
-
-def test_position_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Position(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Position(0.0, float("inf"))
-
-
-def test_sample_rejects_negative_time():
-    with pytest.raises(ValueError):
-        LocalizationSample(-0.1, Position(0, 0))
+    # hypot_exact gives the distance of each pair: symmetric, and zero from a point to itself.
+    a = np.array([[0.0, 0.0], [3.0, 4.0], [1.5, -2.0]])
+    b = np.array([[3.0, 4.0], [0.0, 0.0], [1.5, -2.0]])
+    d = hypot_exact(a[:, 0] - b[:, 0], a[:, 1] - b[:, 1])
+    assert d.tolist() == pytest.approx([5.0, 5.0, 0.0])
+    assert d[2] == 0.0
 
 
 def test_noise_model_rejects_negative_magnitude():
@@ -43,24 +27,20 @@ def test_noise_model_rejects_negative_magnitude():
 
 def test_localize_zero_noise_is_exact():
     rng = np.random.default_rng(42)
-    true_pos = Position(12.25, -3.5)
-    sample = localize(true_pos, NoiseModel(0.0), rng, t=1.5)
-    assert sample.measured == true_pos
-    assert sample.t == 1.5
+    [(dx, dy)] = localize(NoiseModel(0.0), rng, 1)
+    assert (12.25 + dx, -3.5 + dy) == (12.25, -3.5)
 
 
 def test_localize_never_exceeds_max_magnitude():
-    rng = np.random.default_rng(7)
     noise = NoiseModel(0.5)
-    true_pos = Position(100.0, 100.0)
-    for _ in range(100_000):
-        sample = localize(true_pos, noise, rng)
-        assert distance(sample.measured, true_pos) <= noise.max_magnitude
+    offsets = np.array(localize(noise, np.random.default_rng(7), 100_000))
+    fixes = 100.0 + offsets
+    assert (hypot_exact(fixes[:, 0] - 100.0, fixes[:, 1] - 100.0) <= noise.max_magnitude).all()
 
 
 def test_localize_mean_displacement_matches_uniform_magnitude():
     # The magnitude is uniform on [0, max), so the mean displacement is max/2.
-    # One array call draws the stream that localize reads one fix at a time
+    # One array call draws the stream that localize turns into displacements
     # (see test_batched_fix_noise_replays_the_scalar_draws).
     draws = draw_fix_noise(NoiseModel(0.5), np.random.default_rng(123), 1_000_000)
     assert draws[:, 0].mean() == pytest.approx(0.25, abs=0.01)
@@ -68,11 +48,10 @@ def test_localize_mean_displacement_matches_uniform_magnitude():
 
 def test_localize_is_seed_deterministic():
     noise = NoiseModel(0.5)
-    true_pos = Position(5.0, 5.0)
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
-    first = [localize(true_pos, noise, rng_a).measured for _ in range(50)]
-    second = [localize(true_pos, noise, rng_b).measured for _ in range(50)]
+    first = [localize(noise, rng_a, 1)[0] for _ in range(50)]
+    second = [localize(noise, rng_b, 1)[0] for _ in range(50)]
     assert first == second
 
 
@@ -92,22 +71,22 @@ def test_batched_fix_noise_replays_the_scalar_draws(max_magnitude):
     split = draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise, rng, count - _NOISE_CHUNK).tolist()
     assert hexed(split) == hexed(expected)
 
-    # draw_fix_offsets turns the same rows into displacements with math.cos/math.sin.
+    # localize turns the same rows into displacements with math.cos/math.sin.
     offsets = [(m * math.cos(a), m * math.sin(a)) for m, a in expected]
-    assert hexed(draw_fix_offsets(noise, np.random.default_rng(31), count)) == hexed(offsets)
+    assert hexed(localize(noise, np.random.default_rng(31), count)) == hexed(offsets)
 
-    # localize takes one row per call from the same stream.
+    # One fix per call reads the same stream, and so does the reference engine's scalar draw.
     rng = np.random.default_rng(31)
-    fixes = [localize(Position(7.0, -2.5), noise, rng).measured for _ in range(count)]
-    assert fixes == [Position(7.0 + m * math.cos(a), -2.5 + m * math.sin(a)) for m, a in expected]
+    assert hexed(localize(noise, rng, 1)[0] for _ in range(count)) == hexed(offsets)
+    rng = np.random.default_rng(31)
+    assert hexed(ref_fix_offset(noise, rng) for _ in range(count)) == hexed(offsets)
 
 
 def test_distance_triangle_inequality():
     rng = np.random.default_rng(2024)
-    for _ in range(500):
-        pts = [Position(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(3)]
-        a, b, c = pts
-        assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+    a, b, c = rng.uniform(-50, 50, (3, 2, 500))
+    ab, bc, ac = (hypot_exact(*(p - q)) for p, q in ((a, b), (b, c), (a, c)))
+    assert (ac <= ab + bc + 1e-12).all()
 
 
 def test_threshold_accuracy_half_within():

@@ -8,7 +8,6 @@ import pytest
 from dynloc.oracles import (
     PauseScenario,
     TurnScenario,
-    better_turn_protocol,
     madrd_pause_error,
     madrd_turn_error,
     sfr_pause_error,
@@ -97,12 +96,13 @@ def test_pause_errors():
 
 
 def test_crossover_prefers_prediction_for_gentle_turns():
-    assert better_turn_protocol(math.pi / 4, 3.0, 5.0) == "madrd"
-    assert better_turn_protocol(0.0, 3.0, 5.0) == "madrd"
+    for angle in (math.pi / 4, 0.0):
+        assert madrd_turn_error(angle, 5.0) <= sfr_turn_error(_turn(3.0, angle), 5.0)
 
 
 def test_crossover_prefers_hold_for_sharp_turns():
-    assert better_turn_protocol(2 * math.pi / 3, 1.0, 10.0) == "sfr"
+    angle = 2 * math.pi / 3
+    assert madrd_turn_error(angle, 10.0) > sfr_turn_error(_turn(1.0, angle), 10.0)
 
 
 def test_turn_scenario_validation():

@@ -1,36 +1,40 @@
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.geometry import LocalizationSample, Position
+from dynloc.engine import Fixes, backtrack_correct
 from dynloc.protocols import (
     FIX_COLUMNS,
     PROTOCOLS,
     Confidence,
     DvmConfig,
     MadrdConfig,
-    SchedulerState,
     SfrConfig,
-    backtrack_correct,
-    dvm_init,
-    dvm_on_localize,
-    madrd_init,
-    madrd_on_localize,
+    dvm_step,
     madrd_predict,
-    sfr_init,
-    sfr_on_localize,
+    madrd_step,
+    sfr_step,
 )
 
-from scenario_tools import REFERENCE_SCHEDULERS, RefState
+from scenario_tools import REFERENCE_SCHEDULERS, RefFix, RefState, ref_backtrack_correct
+
+Row = namedtuple("Row", FIX_COLUMNS)
 
 
-def _sample(t: float, x: float, y: float = 0.0) -> LocalizationSample:
-    return LocalizationSample(t=t, measured=Position(x, y))
+def _row(step, t: float, x: float, y: float, carry, cfg) -> Row:
+    """The row ``step`` returns for the fix at ``(x, y)`` at time ``t``, with named fields."""
+    return Row._make(step(t, x, y, carry, cfg))
+
+
+def _carry(t: float, x: float, period: float, velocity: tuple[float, float], confidence: Confidence) -> Row:
+    """A mid-run row to step from: the last fix at ``(x, 0)`` and what the scheduler made of it."""
+    return Row(t, x, 0.0, period, *velocity, confidence.value, math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +44,20 @@ def _sample(t: float, x: float, y: float = 0.0) -> LocalizationSample:
 
 def test_sfr_next_fix_is_one_period_after_current():
     cfg = SfrConfig(period=2.0)
-    state = sfr_init(_sample(0.6, 1.0), cfg)
-    assert state.next_localization_time == pytest.approx(2.6)
-    state = sfr_on_localize(state, _sample(2.6, 3.0), cfg)
-    assert state.next_localization_time == pytest.approx(4.6)
-    assert state.current_period == 2.0
+    row = _row(sfr_step, 0.6, 1.0, 0.0, None, cfg)
+    assert row.t + row.period == pytest.approx(2.6)
+    row = _row(sfr_step, 2.6, 3.0, 0.0, row, cfg)
+    assert row.t + row.period == pytest.approx(4.6)
+    assert row.period == 2.0
 
 
 def test_sfr_reports_held_fix():
     cfg = SfrConfig(period=2.0)
-    state = sfr_init(_sample(0.0, 1.0, 2.0), cfg)
-    assert state.last_sample.measured == Position(1.0, 2.0)
-    state = sfr_on_localize(state, _sample(2.0, 4.0, 6.0), cfg)
-    assert state.last_sample.measured == Position(4.0, 6.0)
+    assert not PROTOCOLS["sfr"].predicts
+    row = _row(sfr_step, 0.0, 1.0, 2.0, None, cfg)
+    assert (row.x, row.y) == (1.0, 2.0)
+    row = _row(sfr_step, 2.0, 4.0, 6.0, row, cfg)
+    assert (row.x, row.y) == (4.0, 6.0)
 
 
 def test_sfr_config_rejects_nonpositive_period():
@@ -66,46 +71,46 @@ def test_sfr_config_rejects_nonpositive_period():
 
 
 def test_dvm_starts_at_t_min():
-    state = dvm_init(_sample(0.0, 0.0), DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0))
-    assert state.current_period == 0.5
+    row = _row(dvm_step, 0.0, 0.0, 0.0, None, DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0))
+    assert row.period == 0.5
 
 
 def test_dvm_period_is_target_over_speed():
     cfg = DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0)
-    state = dvm_init(_sample(0.0, 0.0), cfg)
+    row = _row(dvm_step, 0.0, 0.0, 0.0, None, cfg)
     # 2 m in 1 s -> 2 m/s -> 6/2 = 3 s until the next fix.
-    state = dvm_on_localize(state, _sample(1.0, 2.0), cfg)
-    assert state.current_period == pytest.approx(3.0)
-    assert state.next_localization_time == pytest.approx(4.0)
-    assert state.velocity_estimate == pytest.approx((2.0, 0.0))
+    row = _row(dvm_step, 1.0, 2.0, 0.0, row, cfg)
+    assert row.period == pytest.approx(3.0)
+    assert row.t + row.period == pytest.approx(4.0)
+    assert (row.vx, row.vy) == pytest.approx((2.0, 0.0))
 
 
 def test_dvm_stationary_reading_uses_t_max():
     cfg = DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0)
-    state = dvm_init(_sample(0.0, 7.0, 7.0), cfg)
-    state = dvm_on_localize(state, _sample(1.0, 7.0, 7.0), cfg)
-    assert state.current_period == 20.0
+    row = _row(dvm_step, 0.0, 7.0, 7.0, None, cfg)
+    row = _row(dvm_step, 1.0, 7.0, 7.0, row, cfg)
+    assert row.period == 20.0
 
 
 def test_dvm_fast_reading_clamps_to_t_min():
     cfg = DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0)
-    state = dvm_init(_sample(0.0, 0.0), cfg)
-    state = dvm_on_localize(state, _sample(1.0, 100.0), cfg)
-    assert state.current_period == 0.5
+    row = _row(dvm_step, 0.0, 0.0, 0.0, None, cfg)
+    row = _row(dvm_step, 1.0, 100.0, 0.0, row, cfg)
+    assert row.period == 0.5
 
 
 def test_dvm_slow_reading_clamps_to_t_max():
     cfg = DvmConfig(target_error=6.0, t_min=0.5, t_max=20.0)
-    state = dvm_init(_sample(0.0, 0.0), cfg)
-    state = dvm_on_localize(state, _sample(100.0, 1.0), cfg)
-    assert state.current_period == 20.0
+    row = _row(dvm_step, 0.0, 0.0, 0.0, None, cfg)
+    row = _row(dvm_step, 100.0, 1.0, 0.0, row, cfg)
+    assert row.period == 20.0
 
 
 def test_dvm_zero_elapsed_between_fixes_raises():
     cfg = DvmConfig()
-    state = dvm_init(_sample(1.0, 0.0), cfg)
+    row = _row(dvm_step, 1.0, 0.0, 0.0, None, cfg)
     with pytest.raises(ValueError):
-        dvm_on_localize(state, _sample(1.0, 5.0), cfg)
+        dvm_step(1.0, 5.0, 0.0, row, cfg)
 
 
 def test_dvm_config_rejects_inverted_limits():
@@ -127,12 +132,12 @@ def _madrd_cfg(**kw) -> MadrdConfig:
 
 def test_madrd_prediction_extrapolates_velocity():
     cfg = _madrd_cfg()
-    state = madrd_init(_sample(0.0, 0.0), cfg)
-    state = madrd_on_localize(state, _sample(1.0, 5.0), cfg)
-    assert state.velocity_estimate == pytest.approx((5.0, 0.0))
+    row = _row(madrd_step, 0.0, 0.0, 0.0, None, cfg)
+    row = _row(madrd_step, 1.0, 5.0, 0.0, row, cfg)
+    assert (row.vx, row.vy) == pytest.approx((5.0, 0.0))
     # One second later the dead-reckoned point is 5 m further along x.
-    predicted = madrd_predict(state, 2.0)
-    assert (predicted.x, predicted.y) == pytest.approx((10.0, 0.0))
+    predicted = madrd_predict(row.x, row.y, row.vx, row.vy, 2.0 - row.t)
+    assert predicted == pytest.approx((10.0, 0.0))
 
 
 @pytest.mark.parametrize("state", list(Confidence))
@@ -143,103 +148,83 @@ def test_confidence_steps_are_the_clamped_neighbours(state):
 
 def test_madrd_good_fix_chain_reaches_hc_then_grows():
     cfg = _madrd_cfg()
-    state = madrd_init(_sample(0.0, 0.0), cfg)
+    row = _row(madrd_step, 0.0, 0.0, 0.0, None, cfg)
     # Fixes along a perfect constant-velocity track: every prediction is exact.
-    state = madrd_on_localize(state, _sample(0.5, 0.5), cfg)   # S1 -> S2
-    assert state.confidence is Confidence.S2
-    assert state.current_period == 0.5  # held while in the middle of the chain
-    state = madrd_on_localize(state, _sample(1.0, 1.0), cfg)   # S2 -> HC
-    assert state.confidence is Confidence.HC
-    assert state.current_period == pytest.approx(1.0)  # doubled on entering HC
-    state = madrd_on_localize(state, _sample(2.0, 2.0), cfg)   # HC stays, doubles
-    assert state.current_period == pytest.approx(2.0)
+    row = _row(madrd_step, 0.5, 0.5, 0.0, row, cfg)   # S1 -> S2
+    assert row.confidence == Confidence.S2.value
+    assert row.period == 0.5  # held while in the middle of the chain
+    row = _row(madrd_step, 1.0, 1.0, 0.0, row, cfg)   # S2 -> HC
+    assert row.confidence == Confidence.HC.value
+    assert row.period == pytest.approx(1.0)  # doubled on entering HC
+    row = _row(madrd_step, 2.0, 2.0, 0.0, row, cfg)   # HC stays, doubles
+    assert row.period == pytest.approx(2.0)
 
 
 def test_madrd_bad_fix_steps_down_one_state_and_holds_period():
     cfg = _madrd_cfg()
-    state = SchedulerState(
-        last_sample=_sample(10.0, 10.0),
-        velocity_estimate=(1.0, 0.0),
-        next_localization_time=14.0,
-        current_period=4.0,
-        confidence=Confidence.HC,
-    )
+    row = _carry(10.0, 10.0, period=4.0, velocity=(1.0, 0.0), confidence=Confidence.HC)
     # Prediction says x=14 but the node actually turned: 8 m off.
-    state = madrd_on_localize(state, _sample(14.0, 14.0, 8.0), cfg)
-    assert state.confidence is Confidence.S2   # one step, never HC -> LC
-    assert state.current_period == 4.0         # held in S2
+    row = _row(madrd_step, 14.0, 14.0, 8.0, row, cfg)
+    assert row.confidence == Confidence.S2.value  # one step, never HC -> LC
+    assert row.period == 4.0                      # held in S2
 
 
 def test_madrd_three_bad_fixes_walk_hc_to_lc_then_shrink():
     cfg = _madrd_cfg()
-    state = SchedulerState(
-        last_sample=_sample(0.0, 0.0),
-        velocity_estimate=(0.0, 0.0),
-        next_localization_time=4.0,
-        current_period=4.0,
-        confidence=Confidence.HC,
-    )
+    row = _carry(0.0, 0.0, period=4.0, velocity=(0.0, 0.0), confidence=Confidence.HC)
     jumps = iter([(4.0, 0.0, 10.0), (8.0, 20.0, 10.0), (12.0, 20.0, 30.0), (16.0, 40.0, 30.0)])
-    state = madrd_on_localize(state, _sample(*next(jumps)), cfg)
-    assert (state.confidence, state.current_period) == (Confidence.S2, 4.0)
-    state = madrd_on_localize(state, _sample(*next(jumps)), cfg)
-    assert (state.confidence, state.current_period) == (Confidence.S1, 4.0)
-    state = madrd_on_localize(state, _sample(*next(jumps)), cfg)
-    assert state.confidence is Confidence.LC
-    assert state.current_period == pytest.approx(2.0)  # halved on entering LC
-    state = madrd_on_localize(state, _sample(*next(jumps)), cfg)
-    assert state.confidence is Confidence.LC           # saturates at the bottom
-    assert state.current_period == pytest.approx(1.0)
+    row = _row(madrd_step, *next(jumps), row, cfg)
+    assert (row.confidence, row.period) == (Confidence.S2.value, 4.0)
+    row = _row(madrd_step, *next(jumps), row, cfg)
+    assert (row.confidence, row.period) == (Confidence.S1.value, 4.0)
+    row = _row(madrd_step, *next(jumps), row, cfg)
+    assert row.confidence == Confidence.LC.value
+    assert row.period == pytest.approx(2.0)  # halved on entering LC
+    row = _row(madrd_step, *next(jumps), row, cfg)
+    assert row.confidence == Confidence.LC.value  # saturates at the bottom
+    assert row.period == pytest.approx(1.0)
 
 
 def test_madrd_period_clamps_at_both_limits():
     cfg = _madrd_cfg(t_min=1.0, t_max=4.0)
-    hi = SchedulerState(
-        last_sample=_sample(0.0, 0.0), velocity_estimate=(1.0, 0.0),
-        next_localization_time=3.0, current_period=3.0, confidence=Confidence.HC,
-    )
-    hi = madrd_on_localize(hi, _sample(3.0, 3.0), cfg)  # good fix, would double to 6
-    assert hi.current_period == 4.0
-    lo = SchedulerState(
-        last_sample=_sample(0.0, 0.0), velocity_estimate=(0.0, 0.0),
-        next_localization_time=1.5, current_period=1.5, confidence=Confidence.S1,
-    )
-    lo = madrd_on_localize(lo, _sample(1.5, 30.0), cfg)  # 30 m miss, S1 -> LC, halve
-    assert lo.confidence is Confidence.LC
-    assert lo.current_period == 1.0
+    hi = _carry(0.0, 0.0, period=3.0, velocity=(1.0, 0.0), confidence=Confidence.HC)
+    hi = _row(madrd_step, 3.0, 3.0, 0.0, hi, cfg)  # good fix, would double to 6
+    assert hi.period == 4.0
+    lo = _carry(0.0, 0.0, period=1.5, velocity=(0.0, 0.0), confidence=Confidence.S1)
+    lo = _row(madrd_step, 1.5, 30.0, 0.0, lo, cfg)  # 30 m miss, S1 -> LC, halve
+    assert lo.confidence == Confidence.LC.value
+    assert lo.period == 1.0
 
 
 def test_madrd_confidence_never_skips_a_state():
     cfg = _madrd_cfg()
     rng = np.random.default_rng(99)
-    state = madrd_init(_sample(0.0, 0.0), cfg)
+    row = _row(madrd_step, 0.0, 0.0, 0.0, None, cfg)
     t = 0.0
     for _ in range(300):
-        before = state.confidence.value
+        before = row.confidence
         t += float(rng.uniform(0.5, 3.0))
         # Random walk: some fixes land near the prediction, some far away.
-        pred = madrd_predict(state, t)
+        px, py = madrd_predict(row.x, row.y, row.vx, row.vy, t - row.t)
         offset = float(rng.uniform(0.0, 12.0))
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        fix = Position(pred.x + offset * math.cos(angle), pred.y + offset * math.sin(angle))
-        state = madrd_on_localize(state, LocalizationSample(t=t, measured=fix), cfg)
-        assert abs(state.confidence.value - before) <= 1
-        assert cfg.t_min <= state.current_period <= cfg.t_max
+        row = _row(madrd_step, t, px + offset * math.cos(angle), py + offset * math.sin(angle), row, cfg)
+        assert abs(row.confidence - before) <= 1
+        assert cfg.t_min <= row.period <= cfg.t_max
 
 
 def test_madrd_noise_free_straight_run_relaxes_to_t_max():
     cfg = _madrd_cfg(t_max=8.0)
-    state = madrd_init(_sample(0.0, 0.0), cfg)
-    t = 0.0
+    row = _row(madrd_step, 0.0, 0.0, 0.0, None, cfg)
     worst = 0.0
     for fix in range(20):
-        t = state.next_localization_time
-        true = Position(2.0 * t, 0.0)  # constant 2 m/s along x
+        t = row.t + row.period
+        true_x = 2.0 * t  # constant 2 m/s along x
         if fix > 0:  # a velocity exists from the second fix on
-            worst = max(worst, abs(madrd_predict(state, t).x - true.x))
-        state = madrd_on_localize(state, LocalizationSample(t=t, measured=true), cfg)
-    assert state.current_period == 8.0
-    assert state.confidence is Confidence.HC
+            worst = max(worst, abs(madrd_predict(row.x, row.y, row.vx, row.vy, t - row.t)[0] - true_x))
+        row = _row(madrd_step, t, true_x, 0.0, row, cfg)
+    assert row.period == 8.0
+    assert row.confidence == Confidence.HC.value
     assert worst < 1e-9  # dead reckoning is exact once a velocity exists
 
 
@@ -255,13 +240,6 @@ def test_madrd_config_rejects_bad_growth_and_shrink():
 # ---------------------------------------------------------------------------
 # Per-fix steps against the reference state machines
 # ---------------------------------------------------------------------------
-
-_WRAPPERS = {
-    "sfr": (sfr_init, sfr_on_localize),
-    "dvm": (dvm_init, dvm_on_localize),
-    "madrd": (madrd_init, madrd_on_localize),
-}
-
 
 @st.composite
 def scheduler_configs(draw):
@@ -312,20 +290,17 @@ def test_step_matches_reference_state_machine(protocol, fixes, start):
     kind, cfg = protocol
     step = PROTOCOLS[kind].step
     ref_init, ref_on_localize = REFERENCE_SCHEDULERS[kind]
-    init, on_localize = _WRAPPERS[kind]
-    row = ref = state = None
+    row = ref = None
     if start is not None:
         (t, x, y), fixes = fixes[0], fixes[1:]
         period, vx, vy, confidence = start
         row = (t, x, y, period, vx, vy, confidence.value, math.nan)
-        ref = RefState(_sample(t, x, y), (vx, vy), t + period, period, confidence)
-        state = SchedulerState(_sample(t, x, y), (vx, vy), t + period, period, confidence)
+        ref = RefState(RefFix(t, x, y), (vx, vy), t + period, period, confidence)
     for t, x, y in fixes:
         previous = row
         row = step(t, x, y, row, cfg)
-        sample = _sample(t, x, y)
-        ref = ref_init(sample, cfg) if ref is None else ref_on_localize(ref, sample, cfg)
-        state = init(sample, cfg) if state is None else on_localize(state, sample, cfg)
+        fix = RefFix(t, x, y)
+        ref = ref_init(fix, cfg) if ref is None else ref_on_localize(ref, fix, cfg)
 
         got = dict(zip(FIX_COLUMNS, row))
         assert (got["t"], got["x"], got["y"]) == (t, x, y)
@@ -334,10 +309,6 @@ def test_step_matches_reference_state_machine(protocol, fixes, start):
             v.hex() for v in expected
         ]
         assert got["confidence"] == ref.confidence.value
-        # The object wrappers report the same decision.
-        assert (state.current_period, state.next_localization_time, state.velocity_estimate, state.confidence) == (
-            ref.current_period, ref.next_localization_time, ref.velocity_estimate, ref.confidence
-        )
 
         # Invariants: the next fix comes later, the period keeps its limits, confidence moves one state at most.
         assert t + got["period"] > t
@@ -359,63 +330,75 @@ def test_velocity_steps_reject_fixes_out_of_time_order(kind):
 
 
 # ---------------------------------------------------------------------------
-# Scheduler-state container
-# ---------------------------------------------------------------------------
-
-
-def test_state_rejects_next_fix_not_after_last():
-    with pytest.raises(ValueError):
-        SchedulerState(
-            last_sample=_sample(2.0, 0.0), velocity_estimate=(0.0, 0.0),
-            next_localization_time=2.0, current_period=1.0,
-        )
-
-
-# ---------------------------------------------------------------------------
 # Retrospective correction
 # ---------------------------------------------------------------------------
 
 
+def _engine_backtrack(prev_fix, last_fix, series, noise_max):
+    """:func:`dynloc.engine.backtrack_correct` between two fixes, in the reference's terms.
+
+    The grid is the first fix's time, the reported points' times and the last
+    fix's time; returns the corrected ``(t, x, y)`` points and the count.
+    """
+    times, xs, ys = (np.array(c, dtype=float) for c in zip(prev_fix, *series, last_fix))
+    last = times.size - 1
+    fixes = Fixes(np.array([0, last]), times[[0, last]], xs[[0, last]], ys[[0, last]], *np.zeros((5, 2)))
+    moved = backtrack_correct(times, fixes, xs, ys, noise_max)
+    assert (xs[0], ys[0], xs[-1], ys[-1]) == (prev_fix[1], prev_fix[2], last_fix[1], last_fix[2])
+    return list(zip(times[1:-1].tolist(), xs[1:-1].tolist(), ys[1:-1].tolist())), moved
+
+
+# The engine's array pass and the per-point reference the engine is checked against.
+_BACKTRACKS = (_engine_backtrack, ref_backtrack_correct)
+
+
 def test_backtrack_midpoint_lands_on_fix_chord():
-    prev = _sample(0.0, 0.0, 0.0)
-    last = _sample(2.0, 10.0, 0.0)
-    corrected, moved = backtrack_correct(prev, last, [(1.0, Position(5.0, 5.0))], 0.5)
-    assert corrected == [(1.0, Position(5.0, 0.0))]
-    assert moved == 1
+    prev = RefFix(0.0, 0.0, 0.0)
+    last = RefFix(2.0, 10.0, 0.0)
+    for correct in _BACKTRACKS:
+        corrected, moved = correct(prev, last, [(1.0, 5.0, 5.0)], 0.5)
+        assert corrected == [(1.0, 5.0, 0.0)]
+        assert moved == 1
 
 
 def test_backtrack_counts_only_large_moves():
-    prev = _sample(0.0, 0.0, 0.0)
-    last = _sample(2.0, 10.0, 0.0)
-    series = [(0.5, Position(2.5, 0.3)), (1.0, Position(5.0, 5.0)), (1.5, Position(7.5, 0.0))]
-    corrected, moved = backtrack_correct(prev, last, series, 0.5)
-    assert moved == 1
-    assert [p for _, p in corrected] == [Position(2.5, 0.0), Position(5.0, 0.0), Position(7.5, 0.0)]
+    prev = RefFix(0.0, 0.0, 0.0)
+    last = RefFix(2.0, 10.0, 0.0)
+    series = [(0.5, 2.5, 0.3), (1.0, 5.0, 5.0), (1.5, 7.5, 0.0)]
+    for correct in _BACKTRACKS:
+        corrected, moved = correct(prev, last, series, 0.5)
+        assert moved == 1
+        assert [(x, y) for _, x, y in corrected] == [(2.5, 0.0), (5.0, 0.0), (7.5, 0.0)]
 
 
 def test_backtrack_never_worsens_error_on_straight_true_track():
     # True motion: straight line x = 3 t.  Held reports freeze the previous
     # fix, so reinterpolating between the surrounding fixes can only help.
-    prev = _sample(0.0, 0.0, 0.0)
-    last = _sample(4.0, 12.0, 0.0)
-    held = [(t, Position(0.0, 0.0)) for t in (1.0, 2.0, 3.0)]
-    corrected, _ = backtrack_correct(prev, last, held, 0.0)
-    for (t, before), (_, after) in zip(held, corrected):
-        true = Position(3.0 * t, 0.0)
-        err_before = math.hypot(before.x - true.x, before.y - true.y)
-        err_after = math.hypot(after.x - true.x, after.y - true.y)
-        assert err_after <= err_before + 1e-12
+    prev = RefFix(0.0, 0.0, 0.0)
+    last = RefFix(4.0, 12.0, 0.0)
+    held = [(t, 0.0, 0.0) for t in (1.0, 2.0, 3.0)]
+    for correct in _BACKTRACKS:
+        corrected, _ = correct(prev, last, held, 0.0)
+        for (t, bx, by), (_, ax, ay) in zip(held, corrected):
+            true_x, true_y = 3.0 * t, 0.0
+            err_before = math.hypot(bx - true_x, by - true_y)
+            err_after = math.hypot(ax - true_x, ay - true_y)
+            assert err_after <= err_before + 1e-12
+
+
+# The engine corrects only the steps between its own fixes; the reference,
+# which takes any points, rejects the ones it cannot correct.
 
 
 def test_backtrack_rejects_points_outside_interval():
-    prev = _sample(0.0, 0.0, 0.0)
-    last = _sample(2.0, 10.0, 0.0)
+    prev = RefFix(0.0, 0.0, 0.0)
+    last = RefFix(2.0, 10.0, 0.0)
     with pytest.raises(ValueError):
-        backtrack_correct(prev, last, [(2.0, Position(0.0, 0.0))], 0.5)
+        ref_backtrack_correct(prev, last, [(2.0, 0.0, 0.0)], 0.5)
     with pytest.raises(ValueError):
-        backtrack_correct(prev, last, [(-0.1, Position(0.0, 0.0))], 0.5)
+        ref_backtrack_correct(prev, last, [(-0.1, 0.0, 0.0)], 0.5)
 
 
 def test_backtrack_rejects_unordered_fixes():
     with pytest.raises(ValueError):
-        backtrack_correct(_sample(2.0, 0.0), _sample(2.0, 1.0), [], 0.5)
+        ref_backtrack_correct(RefFix(2.0, 0.0, 0.0), RefFix(2.0, 1.0, 0.0), [], 0.5)
