@@ -37,7 +37,7 @@ import numpy as np
 from . import experiments, mobility, oracles
 from .engine import RunConfig, run
 from .geometry import NoiseModel
-from .mobility import export_trace, import_trace
+from .mobility import import_trace
 from .protocols import PROTOCOLS, ProtocolConfig
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ def _build_parser() -> _Parser:
     sw.add_argument("--duration", type=float, default=None)
     sw.add_argument("--pause-times", type=str, default=None, help="comma list, overrides spec")
     sw.add_argument("--protocols", type=str, default=None, help="comma list of labels to keep")
-    sw.add_argument("--workers", type=int, default=None, help=f"default ${experiments.WORKERS_ENV_VAR} or 1")
+    sw.add_argument("--workers", type=int, default=1, help="worker processes, >= 1")
     sw.add_argument("--events", action="store_true", help="also write per-run event logs")
 
     orc = sub.add_parser("oracle", help="print closed-form error tables for a turn or pause maneuver")
@@ -135,11 +135,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _read_text(path: str, field: str) -> str:
+    """The text of the file at ``path``; one that cannot be read is an error naming ``field``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"field '{field}': cannot read {path!r}: {exc}") from exc
 
 
 def _output_file(path: str | None, field: str) -> None:
@@ -180,10 +181,7 @@ def _cmd_simulate(args) -> int:
     ts = _trace_spec(args, trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
-        try:
-            text = Path(args.trace_file).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"field 'trace-file': cannot read {args.trace_file!r}: {exc}") from exc
+        text = _read_text(args.trace_file, "trace-file")
         trace = import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=args.node, duration=ts.duration)
         extra["mobility"] = f"file:{args.trace_file}"
     else:
@@ -200,25 +198,18 @@ def _cmd_simulate(args) -> int:
     )
     result = run(cfg)
     provenance = experiments.run_provenance(cfg, ts, trace.content_hash(), **extra)
-    m = result.metrics
-    lines = [
-        *experiments.header_lines("simulate", provenance),
-        "localization_count,mean_error,max_error,accuracy,correction_count",
-        f"{m.localization_count},{m.mean_error!r},{m.max_error!r},{m.accuracy!r},{m.correction_count}",
-    ]
-    _emit("\n".join(lines) + "\n", args.out)
+    metrics = dataclasses.asdict(result.metrics)
+    experiments.write_csv(args.out, "simulate", provenance, list(metrics), [metrics.values()])
     if args.events_out is not None:
         experiments.write_events_csv(args.events_out, provenance, result)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"field 'workers': must be >= 1, got {args.workers}")
     if args.spec is not None:
-        try:
-            text = Path(args.spec).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ValueError(f"field 'spec': cannot read {args.spec!r}: {exc}") from exc
-        spec = experiments.parse_spec_file(text)
+        spec = experiments.parse_spec_file(_read_text(args.spec, "spec"))
     else:
         spec = _BUNDLES[args.bundle]()
 
@@ -230,9 +221,7 @@ def _cmd_sweep(args) -> int:
     if args.duration is not None:
         updates["duration"] = args.duration
     if args.pause_times is not None:
-        updates["pause_times"] = tuple(
-            experiments._parse_number_list(args.pause_times, "pause-times")
-        )
+        updates["pause_times"] = tuple(experiments.parse_number_list(args.pause_times, "pause-times"))
     if args.protocols is not None:
         keep = [p.strip() for p in args.protocols.split(",") if p.strip()]
         chosen = tuple(p for p in spec.protocols if p.label in keep)
@@ -265,7 +254,6 @@ def _cmd_oracle(args) -> int:
     _output_file(args.out, "out")
     if not (math.isfinite(args.v) and args.v > 0):
         raise ValueError(f"field 'v': need a finite speed > 0, got {args.v}")
-    lines: list[str]
     if args.turn:
         if not math.isfinite(args.theta):
             raise ValueError(f"field 'theta': need a finite angle in degrees, got {args.theta}")
@@ -281,12 +269,11 @@ def _cmd_oracle(args) -> int:
             "mode": "turn", "theta_deg": args.theta, "x": args.x,
             "v": args.v, "nmax": args.nmax, "steps": args.steps,
         }
-        lines = [*experiments.header_lines("oracle", header), "past_turn,sfr_error,madrd_error"]
-        for n in np.linspace(0.0, args.nmax, args.steps):
-            n = float(n)
-            lines.append(
-                f"{n!r},{oracles.sfr_turn_error(scenario, n)!r},{oracles.madrd_turn_error(theta, n)!r}"
-            )
+        columns = ("past_turn", "sfr_error", "madrd_error")
+        rows = [
+            (n, oracles.sfr_turn_error(scenario, n), oracles.madrd_turn_error(theta, n))
+            for n in np.linspace(0.0, args.nmax, args.steps).tolist()
+        ]
     else:
         _check_distance(args.d, "d")
         scenario = oracles.PauseScenario(travel_before_stop=args.d, speed=args.v)
@@ -298,29 +285,25 @@ def _cmd_oracle(args) -> int:
             default = "" if args.horizon is not None else " (the default 2 * d / v)"
             raise ValueError(f"field 'horizon': need a finite horizon > 0, got {horizon}{default}")
         header = {"mode": "pause", "d": args.d, "v": args.v, "horizon": horizon, "steps": args.steps}
-        lines = [*experiments.header_lines("oracle", header), "t,sfr_error,madrd_error"]
-        for t in np.linspace(0.0, horizon, args.steps):
-            t = float(t)
-            e_hold = oracles.sfr_pause_error(scenario, args.v * t)
-            e_pred = oracles.madrd_pause_error(scenario, max(0.0, t - stop_t))
-            lines.append(f"{t!r},{e_hold!r},{e_pred!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+        columns = ("t", "sfr_error", "madrd_error")
+        rows = [
+            (t, oracles.sfr_pause_error(scenario, args.v * t),
+             oracles.madrd_pause_error(scenario, max(0.0, t - stop_t)))
+            for t in np.linspace(0.0, horizon, args.steps).tolist()
+        ]
+    experiments.write_csv(args.out, "oracle", header, columns, rows)
     return EXIT_OK
 
 
 def _cmd_import_trace(args) -> int:
     _output_file(args.out, "out")
     area_w, area_h = experiments.parse_area(args.area)
-    try:
-        text = Path(args.infile).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"field 'in': cannot read {args.infile!r}: {exc}") from exc
+    text = _read_text(args.infile, "in")
     if args.node is not None:
         traces = [import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)]
     else:
         traces = mobility.import_traces(text, args.dt, area_w, area_h, duration=args.duration)
-    out = "".join(export_trace(t) for t in traces)
-    _emit(out, args.out)
+    experiments.write_waypoints(args.out, traces)
     sys.stderr.write(
         f"imported {len(traces)} node(s), {len(traces[0])} samples each at dt={args.dt:g}\n"
     )
@@ -329,7 +312,7 @@ def _cmd_import_trace(args) -> int:
 
 def _cmd_export_trace(args) -> int:
     _output_file(args.out, "out")
-    _emit(export_trace(experiments.make_trace(_trace_spec(args, _seed(args)))), args.out)
+    experiments.write_waypoints(args.out, [experiments.make_trace(_trace_spec(args, _seed(args)))])
     return EXIT_OK
 
 

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -63,7 +63,7 @@ from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd
 __all__ = [
     "RunConfig",
     "RunMetrics",
-    "EventRecord",
+    "EVENT_COLUMNS",
     "Fixes",
     "RunResult",
     "GridMemo",
@@ -101,26 +101,14 @@ class RunConfig:
             raise ValueError(f"dist_tolerance must be >= 0, got {self.dist_tolerance}")
 
 
-class EventRecord(NamedTuple):
-    """One row per dt step of the run; the fields name the columns of :class:`RunResult`."""
-
-    t: float
-    true_x: float
-    true_y: float
-    reported_x: float
-    reported_y: float
-    error: float
-    localized: int
-    period: float
-    confidence: str
-
-
 @dataclass(frozen=True)
 class RunMetrics:
+    """A run's scalar outcome; the fields, in order, are the columns of the ``simulate`` row."""
+
     localization_count: int
-    accuracy: float
     mean_error: float
     max_error: float
+    accuracy: float
     correction_count: int
 
 
@@ -163,6 +151,10 @@ class RunResult:
     localized: np.ndarray
     period: np.ndarray
     confidence: np.ndarray
+
+
+# The per-step columns of a run, in event-log order: every field of RunResult after the fixes.
+EVENT_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name not in ("metrics", "fixes"))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -436,9 +428,9 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
     metrics = RunMetrics(
         localization_count=steps.size,
-        accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),
+        accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         correction_count=correction_count,
     )
     return RunResult(

@@ -17,7 +17,9 @@ Output files:
 
 Every file starts with ``# dynloc <kind> v1`` and a ``# config {json}`` line
 carrying the exact configuration that produced it (:func:`run_provenance` for
-a run).  Files are written under a ``.tmp`` name and renamed into place.
+a run).  One writer lays out every kind, the CLI's ``simulate`` rows and
+oracle tables included, and every file, waypoint text too, is written under a
+``.tmp`` name and renamed into place.
 Every trace comes from :func:`make_trace`, keyed by :data:`MOBILITY_MODELS`.
 """
 
@@ -29,6 +31,7 @@ import json
 import math
 import os
 import re
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -37,12 +40,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import EventRecord, GridMemo, RunConfig, RunResult, Workspace, run
+from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, run
 from .geometry import NoiseModel
 from .mobility import (
     GaussMarkovConfig,
     MobilityTrace,
     RandomWaypointConfig,
+    export_trace,
     generate_gauss_markov,
     generate_random_waypoint,
 )
@@ -55,11 +59,11 @@ __all__ = [
     "TraceSpec",
     "RunRecord",
     "SummaryRow",
-    "WORKERS_ENV_VAR",
     "default_bundle",
     "default_gauss_markov_bundle",
     "class_label",
     "make_trace",
+    "parse_number_list",
     "parse_speed_class",
     "resolve_protocol_config",
     "run_provenance",
@@ -68,51 +72,16 @@ __all__ = [
     "write_runs_csv",
     "write_summary_csv",
     "write_events_csv",
-    "header_lines",
+    "write_csv",
+    "write_waypoints",
     "read_provenance",
     "spec_to_dict",
     "spec_from_dict",
     "parse_spec_file",
 ]
 
-WORKERS_ENV_VAR = "DYNLOC_WORKERS"
-
 # Labels name output files and CSV cells, so they may not hold a path separator or a comma.
 _LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
-
-EVENT_COLUMNS = EventRecord._fields
-
-RUNS_COLUMNS = (
-    "speed_class",
-    "pause_time",
-    "protocol",
-    "upper_threshold",
-    "rep",
-    "trace_seed",
-    "noise_seed",
-    "trace_sha",
-    "localization_count",
-    "mean_error",
-    "max_error",
-    "accuracy",
-    "correction_count",
-)
-
-SUMMARY_COLUMNS = (
-    "speed_class",
-    "pause_time",
-    "protocol",
-    "upper_threshold",
-    "mean_localizations",
-    "localizations_std",
-    "ratio_to_sfr",
-    "ratio_std",
-    "mean_error",
-    "error_std",
-    "accuracy",
-    "accuracy_std",
-    "correction_count",
-)
 
 
 @dataclass(frozen=True)
@@ -218,6 +187,9 @@ class RunRecord:
     correction_count: int
 
 
+RUNS_COLUMNS = tuple(f.name for f in dataclasses.fields(RunRecord))
+
+
 @dataclass(frozen=True)
 class SummaryRow:
     speed_class: str
@@ -233,6 +205,9 @@ class SummaryRow:
     accuracy: float
     accuracy_std: float
     correction_count: float
+
+
+SUMMARY_COLUMNS = tuple(f.name for f in dataclasses.fields(SummaryRow))
 
 
 def class_label(speed_class: tuple[float, float]) -> str:
@@ -475,7 +450,8 @@ def _run_cell(
                 trace_seed=trace_seed,
                 noise_seed=noise_seed,
                 trace_sha=trace_sha,
-                **dataclasses.asdict(result.metrics),
+                # RunMetrics is flat: vars() reads its fields without asdict's deep copy.
+                **vars(result.metrics),
             )
         )
         if events_dir is not None:
@@ -485,14 +461,8 @@ def _run_cell(
     return records
 
 
-def _worker_count(workers: int | None, n_cells: int) -> int:
-    """Processes to use: the request (or $DYNLOC_WORKERS), capped by cells and CPUs."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR, "")
-        try:
-            workers = int(env) if env else 1
-        except ValueError as exc:
-            raise ValueError(f"field '{WORKERS_ENV_VAR}': not an integer: {env!r}") from exc
+def _worker_count(workers: int, n_cells: int) -> int:
+    """Processes to use: the request, capped by cells and CPUs."""
     return max(1, min(workers, n_cells, os.cpu_count() or 1))
 
 
@@ -512,18 +482,17 @@ def _run_batch(
 
 def run_sweep(
     spec: SweepSpec,
-    workers: int | None = None,
+    workers: int = 1,
     events_dir: str | os.PathLike | None = None,
 ) -> list[RunRecord]:
     """Execute the full sweep; records come back in deterministic cell order.
 
-    ``workers`` > 1 fans cells out over a process pool (default comes from
-    the ``DYNLOC_WORKERS`` environment variable, falling back to serial); the
-    pool never gets more processes than there are cells or CPUs.  Cells run
-    in batches that each share one :class:`~dynloc.engine.Workspace` and the
-    text of the ``t`` event column: one batch when serial, and
-    ``_BATCHES_PER_WORKER`` strided batches per worker (cells ``b, b + B,
-    ...``) in the pool.  Results are identical regardless of worker count.
+    ``workers`` > 1 fans cells out over a process pool that never gets more
+    processes than there are cells or CPUs.  Cells run in batches that each
+    share one :class:`~dynloc.engine.Workspace` and the text of the ``t``
+    event column: one batch when serial, and ``_BATCHES_PER_WORKER`` strided
+    batches per worker (cells ``b, b + B, ...``) in the pool.  Results are
+    identical regardless of worker count.
     """
     if events_dir is not None:
         events_dir = str(events_dir)
@@ -631,6 +600,28 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     return d
 
 
+# The JSON types a scalar SweepSpec field accepts, by the type of its default.
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
+
+
+def _json_scalar(f: dataclasses.Field, value):
+    """``value`` cast to the type of ``f``'s default; it must be of that type's JSON types.
+
+    A bool is an int to ``isinstance``, so it is accepted for a bool field only.
+    """
+    kind = type(f.default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"field {f.name!r}: expected a {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
+    try:
+        return tuple((float(lo), float(hi)) for lo, hi in value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field 'speed_classes': expected [lo, hi] pairs, got {value!r}") from exc
+
+
 def spec_from_dict(d: dict) -> SweepSpec:
     fields = dataclasses.fields(SweepSpec)
     extra = sorted(set(d) - {f.name for f in fields})
@@ -638,13 +629,13 @@ def spec_from_dict(d: dict) -> SweepSpec:
         raise ValueError(f"field {extra[0]!r}: not a sweep parameter")
     try:
         return SweepSpec(
-            speed_classes=tuple((float(lo), float(hi)) for lo, hi in d["speed_classes"]),
+            speed_classes=_json_speed_classes(d["speed_classes"]),
             pause_times=tuple(float(p) for p in d["pause_times"]),
             protocols=tuple(
                 ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
             ),
-            # Every scalar field has a default, and its type casts the JSON value.
-            **{f.name: type(f.default)(d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
+            # Every scalar field has a default, and its type checks and casts the JSON value.
+            **{f.name: _json_scalar(f, d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
         )
     except KeyError as exc:
         raise ValueError(f"field {exc.args[0]!r}: missing from provenance config") from exc
@@ -656,12 +647,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def header_lines(kind: str, config: dict) -> list[str]:
-    """The ``# dynloc <kind> v1`` and ``# config {json}`` lines of any dynloc output."""
-    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return [f"# dynloc {kind} v1", f"# config {payload}"]
 
 
 def read_provenance(path: str | os.PathLike) -> dict:
@@ -676,12 +661,16 @@ def read_provenance(path: str | os.PathLike) -> dict:
 
 
 @contextlib.contextmanager
-def _atomic_write(path: str | os.PathLike):
+def _atomic_write(path: str | os.PathLike | None):
     """Write ``path`` through ``<path>.tmp`` and a rename; on error remove the temp, keep ``path``.
 
-    A symlink (``/dev/stdout``), pipe or device is written in place: a rename
-    would replace the link or node instead of writing through it.
+    ``None`` writes to ``sys.stdout`` as it is at the call.  A symlink
+    (``/dev/stdout``), pipe or device is written in place: a rename would
+    replace the link or node instead of writing through it.
     """
+    if path is None:
+        yield sys.stdout
+        return
     path = os.fspath(path)
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
         with open(path, "w", encoding="utf-8") as fh:
@@ -698,23 +687,44 @@ def _atomic_write(path: str | os.PathLike):
         raise
 
 
-def _write_csv(path, kind: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = header_lines(kind, config)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_table(
+    path: str | os.PathLike | None, kind: str, config: dict, columns: Sequence[str], lines: Iterable[str]
+) -> None:
+    """The layout of every dynloc table: ``# dynloc <kind> v1``, ``# config {json}``, the column line, ``lines``.
+
+    Each of ``lines`` carries its own line end.  The file is written through
+    :func:`_atomic_write`, so ``path`` None is stdout.
+    """
+    payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
     with _atomic_write(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"# dynloc {kind} v1\n# config {payload}\n{','.join(columns)}\n")
+        fh.writelines(lines)
+
+
+def write_csv(
+    path: str | os.PathLike | None, kind: str, config: dict, columns: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """Write ``rows`` as a dynloc table of ``kind`` (stdout when ``path`` is None).
+
+    A float prints as its ``repr``, ``None`` as an empty cell, anything else as ``str``.
+    """
+    _write_table(path, kind, config, columns, (",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def write_runs_csv(path: str | os.PathLike, spec: SweepSpec, records: Sequence[RunRecord]) -> None:
     rows = [[getattr(r, c) for c in RUNS_COLUMNS] for r in records]
-    _write_csv(path, "runs", spec_to_dict(spec), RUNS_COLUMNS, rows)
+    write_csv(path, "runs", spec_to_dict(spec), RUNS_COLUMNS, rows)
 
 
 def write_summary_csv(path: str | os.PathLike, spec: SweepSpec, rows: Sequence[SummaryRow]) -> None:
     table = [[getattr(r, c) for c in SUMMARY_COLUMNS] for r in rows]
-    _write_csv(path, "summary", spec_to_dict(spec), SUMMARY_COLUMNS, table)
+    write_csv(path, "summary", spec_to_dict(spec), SUMMARY_COLUMNS, table)
+
+
+def write_waypoints(path: str | os.PathLike | None, traces: Iterable[MobilityTrace]) -> None:
+    """Write ``traces`` as waypoint text, one :func:`~dynloc.mobility.export_trace` line each (stdout when None)."""
+    with _atomic_write(path) as fh:
+        fh.writelines(map(export_trace, traces))
 
 
 def _column_text(col: np.ndarray, end: str = "") -> Iterator[str]:
@@ -770,12 +780,11 @@ def write_events_csv(
         *map(_column_text, columns[3:-1]),
         _column_text(columns[-1], "\n"),
     ]
-    with _atomic_write(path) as fh:
-        fh.write("\n".join([*header_lines("events", config), ",".join(EVENT_COLUMNS)]) + "\n")
-        fh.writelines(map(",".join, zip(*cells)))
+    _write_table(path, "events", config, EVENT_COLUMNS, map(",".join, zip(*cells)))
 
 
-def _parse_number_list(raw: str, field_name: str) -> list[float]:
+def parse_number_list(raw: str, field_name: str) -> list[float]:
+    """Parse a comma list of numbers, blanks skipped; errors name ``field_name``."""
     out = []
     for part in raw.split(","):
         part = part.strip()
@@ -824,6 +833,10 @@ def parse_area(raw: str) -> tuple[float, float]:
     return w, h
 
 
+# SweepSpec fields whose [sweep] key has another name.
+_FIELD_SPEC_KEYS = {"noise_max": "noise", "backtracking_enabled": "backtracking"}
+
+
 def parse_spec_file(text: str) -> SweepSpec:
     """Parse a sweep spec file: flat key=value lines with per-protocol sections.
 
@@ -849,36 +862,25 @@ def parse_spec_file(text: str) -> SweepSpec:
     else:
         raise ValueError("field 'speed_classes': required in [sweep]")
     kwargs["pause_times"] = tuple(
-        _parse_number_list(sweep.get("pause_times", "0"), "pause_times")
+        parse_number_list(sweep.get("pause_times", "0"), "pause_times")
     )
     if "area" in sweep:
         kwargs["area_w"], kwargs["area_h"] = parse_area(sweep["area"])
-    casters = (
-        ("repetitions", int),
-        ("duration", float),
-        ("dt", float),
-        ("noise", float),
-        ("dist_tolerance", float),
-        ("seed_base", int),
-        ("mobility", str),
-        ("gm_memory", float),
-        ("gm_speed_sigma", float),
-        ("gm_direction_sigma", float),
-        ("backtracking", None),
-    )
-    known = {"speed_classes", "pause_times", "area"} | {key for key, _ in casters}
-    unknown = sorted(set(sweep) - known)
+    # Each other key sets the scalar field it names (see _FIELD_SPEC_KEYS), cast by the
+    # type of the field's default; area_w and area_h are set only through ``area``.
+    scalars = {
+        _FIELD_SPEC_KEYS.get(f.name, f.name): f
+        for f in dataclasses.fields(SweepSpec)
+        if f.default is not dataclasses.MISSING and f.name not in ("area_w", "area_h")
+    }
+    unknown = sorted(set(sweep) - {"speed_classes", "pause_times", "area", *scalars})
     if unknown:
         raise ValueError(f"field '{unknown[0]}': not a [sweep] key")
-    for key, caster in casters:
+    for key, f in scalars.items():
         if key not in sweep:
             continue
-        target = {"noise": "noise_max", "backtracking": "backtracking_enabled"}.get(key, key)
         try:
-            if key == "backtracking":
-                kwargs[target] = sweep.getboolean(key)
-            else:
-                kwargs[target] = caster(sweep[key])
+            kwargs[f.name] = sweep.getboolean(key) if type(f.default) is bool else type(f.default)(sweep[key])
         except ValueError as exc:
             raise ValueError(f"field '{key}': {exc}") from exc
 
@@ -892,7 +894,7 @@ def parse_spec_file(text: str) -> SweepSpec:
         for key, raw in body.items():
             if key == "kind":
                 continue
-            values = _parse_number_list(raw, f"{section}.{key}")
+            values = parse_number_list(raw, f"{section}.{key}")
             params[key] = values[0] if len(values) == 1 else values
         protocols.append(ProtocolSpec(section, kind, params))
     if not protocols:

@@ -97,10 +97,6 @@ class MobilityTrace:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    @property
-    def end_time(self) -> float:
-        return float(self.times[-1])
-
     def content_hash(self) -> str:
         """SHA-256 over the exact sample bytes; identical traces hash identically."""
         h = hashlib.sha256()

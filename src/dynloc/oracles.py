@@ -64,11 +64,6 @@ class TurnScenario:
                 f"{self.straight_before_turn} > {self.speed * self.period}"
             )
 
-    @property
-    def post_turn_budget(self) -> float:
-        """Distance the node can still cover after the turn before the next fix."""
-        return self.speed * self.period - self.straight_before_turn
-
 
 @dataclass(frozen=True)
 class PauseScenario:

@@ -59,18 +59,11 @@ class Confidence(Enum):
     S2 = 2
     HC = 3
 
-    def toward_hc(self) -> "Confidence":
-        return _CHAIN[_TOWARD_HC[self._value_]]
-
-    def toward_lc(self) -> "Confidence":
-        return _CHAIN[_TOWARD_LC[self._value_]]
-
 
 # The value one step up/down the chain from each value, saturating at both ends.
 # :func:`madrd_step` walks these on plain ints, once per fix.
 _TOWARD_HC = (1, 2, 3, 3)
 _TOWARD_LC = (0, 0, 1, 2)
-_CHAIN = tuple(Confidence)
 
 
 @dataclass(frozen=True)

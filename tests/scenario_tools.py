@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, RunMetrics
+from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, RunMetrics
 from dynloc.geometry import NoiseModel, threshold_accuracy
 from dynloc.mobility import MobilityTrace, trace_from_waypoints
 from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
@@ -253,6 +254,10 @@ def ref_backtrack_correct(
     return corrected, moved
 
 
+# One reference event row per grid step, its fields the engine's event columns.
+EventRow = namedtuple("EventRow", EVENT_COLUMNS)
+
+
 REFERENCE_SCHEDULERS = {
     "sfr": (ref_sfr_init, ref_sfr_on_localize),
     "dvm": (ref_dvm_init, ref_dvm_on_localize),
@@ -260,7 +265,7 @@ REFERENCE_SCHEDULERS = {
 }
 
 
-def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[RefFix], RunMetrics]:
+def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetrics]:
     """Per-step reference engine: (events, fixes, metrics) of one run.
 
     At every grid step: fire a localization if one is due, then record the
@@ -280,7 +285,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[RefFix], RunM
     pcfg = cfg.protocol_config
 
     state: RefState | None = None
-    events: list[EventRecord] = []
+    events: list[EventRow] = []
     fixes: list[RefFix] = []
     pending: list[int] = []  # event indices since the last fix (backtracking)
     correction_count = 0
@@ -318,16 +323,16 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRecord], list[RefFix], RunM
             rx, ry = state.last_fix.x, state.last_fix.y
         error = math.hypot(rx - tx, ry - ty)
         conf = state.confidence.name if predicts else ""
-        events.append(EventRecord(t, tx, ty, rx, ry, error, localized, state.current_period, conf))
+        events.append(EventRow(t, tx, ty, rx, ry, error, localized, state.current_period, conf))
         if not localized:
             pending.append(len(events) - 1)
 
     errors = np.array([e.error for e in events])
     metrics = RunMetrics(
         localization_count=len(fixes),
-        accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         mean_error=float(errors.mean()),
         max_error=float(errors.max()),
+        accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         correction_count=correction_count,
     )
     return events, fixes, metrics

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dynloc import cli, experiments, oracles
-from dynloc.cli import EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, console_main, main
+from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
 from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
 
 from scenario_tools import read_table
@@ -151,7 +151,7 @@ def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, f
     assert not out_dir.exists()
 
 
-# Byte digests of the simulate and export-trace outputs, pinned for these library
+# Byte digests of the simulate, oracle and trace outputs, pinned for these library
 # versions only (see test_acceptance.GOLDEN_VERSIONS).  Each case runs in its
 # own directory with relative paths, so no temporary path reaches a header.
 CLI_GOLDEN_VERSIONS = ("3.11.7", "2.4.6")
@@ -185,6 +185,25 @@ CLI_GOLDEN_CASES = {
         ["export-trace", "--mobility", "gauss_markov", "--gm-speed-sigma", "0.3",
          "--duration", "60", "--seed", "5"],
         {"stdout": "fae28d91ef5db9dfca98dc80cfa51efaba8120b631d441cd1e62b033cc3bd377"},
+    ),
+    "simulate_out_file": (
+        ["simulate", "--protocol", "madrd", "--duration", "60", "--seed", "11", "--out", "row.csv"],
+        {
+            "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "row.csv": "8897760a8b92905527f0c8080c3915564ac6a05ec1d55514caa9877699b365e5",
+        },
+    ),
+    "oracle_turn": (
+        ["oracle", "--turn", "--theta", "75", "--x", "3", "--nmax", "10", "--steps", "11"],
+        {"stdout": "055a707228495aa57e4fa45c71e7a2b766d951e63e954548a11bfde4709c2bba"},
+    ),
+    "oracle_pause": (
+        ["oracle", "--pause", "--d", "5", "--v", "2", "--horizon", "8", "--steps", "9"],
+        {"stdout": "30a633e5478d66b02f3a923bfad052cd5b5cc44b7cab6db15716f5176ec82932"},
+    ),
+    "import_trace": (
+        ["import-trace", "--in", "node.txt", "--dt", "0.5", "--duration", "20"],
+        {"stdout": "493bb394a08623ca2337fdb59df49e91a01f029dbce16b1c190a823f62596d8a"},
     ),
 }
 
@@ -288,6 +307,8 @@ def test_sweep_rejects_unsafe_protocol_label_before_any_run(tmp_path, capsys, la
         (["sweep", "--seed-base", "-5", "--repetitions", "1"], "field 'seed_base'"),
         (["simulate", "--protocol", "sfr", "--seed", "-1"], "field 'seed'"),
         (["export-trace", "--seed", "-3"], "field 'seed'"),
+        (["sweep", "--workers", "-3", "--repetitions", "1"], "field 'workers'"),
+        (["sweep", "--workers", "0", "--repetitions", "1"], "field 'workers'"),
     ],
 )
 def test_negative_seed_is_rejected_before_any_output(tmp_path, capsys, argv, field):
@@ -319,6 +340,45 @@ def test_unwritable_output_path_is_rejected_before_any_run(tmp_path, monkeypatch
     assert main(argv) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+class _FailingFile:
+    """A file that takes the first line of a ``writelines`` and then fails, as a full disk would."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def write(self, text: str) -> int:
+        return self._fh.write(text)
+
+    def writelines(self, lines) -> None:
+        self._fh.write(next(iter(lines)))
+        raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "sfr", "--duration", "10"],
+        ["oracle", "--turn", "--steps", "5"],
+        ["export-trace", "--duration", "10"],
+    ],
+    ids=["simulate", "oracle", "export-trace"],
+)
+def test_failed_out_write_keeps_the_old_file(tmp_path, monkeypatch, capsys, argv):
+    out = tmp_path / "out.txt"
+    out.write_bytes(b"old bytes\n")
+    monkeypatch.setattr(experiments, "open", lambda *a, **kw: _FailingFile(open(*a, **kw)), raising=False)
+    assert main([*argv, "--out", str(out)]) == EXIT_RUNTIME
+    assert "no space left" in capsys.readouterr().err
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 @pytest.mark.parametrize(

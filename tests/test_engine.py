@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynloc import engine
-from dynloc.engine import _NOISE_CHUNK, EventRecord, GridMemo, RunConfig, Workspace, run
+from dynloc.engine import _NOISE_CHUNK, EVENT_COLUMNS, GridMemo, RunConfig, Workspace, run
 from dynloc.geometry import NoiseModel, localize
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -54,7 +54,7 @@ def test_first_fix_is_forced_at_time_zero():
 def test_event_log_has_one_row_per_grid_step():
     trace = _trace(seed=7, duration=30.0)
     result = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0)))
-    for name in EventRecord._fields:
+    for name in EVENT_COLUMNS:
         assert len(getattr(result, name)) == len(trace)
     assert result.t.tolist() == trace.times.tolist()
 
@@ -291,13 +291,13 @@ def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise,
 
 
 def _event_columns(result) -> list[list]:
-    """The event columns of a run as lists, in :class:`EventRecord` field order."""
-    return [getattr(result, name).tolist() for name in EventRecord._fields]
+    """The event columns of a run as lists, in :data:`EVENT_COLUMNS` order."""
+    return [getattr(result, name).tolist() for name in EVENT_COLUMNS]
 
 
 def _bits(result) -> list[list]:
     """Every fix and event column of a run, floats as int64 bit patterns, and its metrics."""
-    columns = [*result.fixes, *(getattr(result, name) for name in EventRecord._fields)]
+    columns = [*result.fixes, *(getattr(result, name) for name in EVENT_COLUMNS)]
     bits = [c.view(np.int64).tolist() if c.dtype.kind == "f" else c.tolist() for c in columns]
     return bits + [repr(result.metrics)]
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.engine import _SCHED_EPS, EventRecord, RunConfig, run
+from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, run
 from dynloc.geometry import NoiseModel
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -94,10 +94,10 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
     events, ref_fixes, metrics = reference_run(cfg)
     f = result.fixes
 
-    assert _bits(zip(*(getattr(result, name).tolist() for name in EventRecord._fields))) == _bits(events)
+    assert _bits(zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))) == _bits(events)
     assert list(zip(f.t.tolist(), f.x.tolist(), f.y.tolist())) == ref_fixes
     assert result.metrics == metrics
-    for name in EventRecord._fields:
+    for name in EVENT_COLUMNS:
         assert len(getattr(result, name)) == len(trace)
 
     # Fix times are strictly increasing grid times, the first one at t=0.
@@ -154,7 +154,7 @@ def fixed_rate_cases(draw):
             st.floats(1.0, 30.0).map(lambda f: f * dt),  # mostly not a multiple of the step
             st.integers(1, 20).map(lambda k: k * dt),  # a multiple, up to rounding
             st.integers(1, 20).map(lambda k: k * dt + _SCHED_EPS),  # t=0 asks for step k's due time exactly
-            st.floats(1.01, 3.0).map(lambda f: f * trace.end_time),  # longer than the trace
+            st.floats(1.01, 3.0).map(lambda f: f * trace.times[-1].item()),  # longer than the trace
             st.integers(1, 30),  # an int, which the period column still holds as a float
             st.just(1e-12),
         )
@@ -163,7 +163,7 @@ def fixed_rate_cases(draw):
 
 
 def _columns(result):
-    return [*result.fixes, *(getattr(result, name) for name in EventRecord._fields)]
+    return [*result.fixes, *(getattr(result, name) for name in EVENT_COLUMNS)]
 
 
 def _without_fixed_rate(mp):

@@ -20,14 +20,12 @@ from dynloc.experiments import (
     SUMMARY_COLUMNS,
     ProtocolSpec,
     SweepSpec,
-    WORKERS_ENV_VAR,
     _atomic_write,
     _column_text,
     _run_batch,
     _time_text,
     _trace_text,
     _worker_count,
-    _write_csv,
     class_label,
     default_bundle,
     default_gauss_markov_bundle,
@@ -38,6 +36,7 @@ from dynloc.experiments import (
     spec_from_dict,
     spec_to_dict,
     summarize,
+    write_csv,
     write_events_csv,
     write_runs_csv,
     write_summary_csv,
@@ -185,14 +184,6 @@ def test_worker_count_is_capped_by_cells_and_cpus(monkeypatch, requested, cells,
     assert _worker_count(requested, cells) == expected
 
 
-def test_worker_count_from_environment_is_capped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "64")
-    assert _worker_count(None, 100) == 2
-    monkeypatch.delenv(WORKERS_ENV_VAR)
-    assert _worker_count(None, 100) == 1
-
-
 def test_default_bundle_shape():
     spec = default_bundle()
     assert [class_label(c) for c in spec.speed_classes] == ["0.5:1", "4:5", "8:10"]
@@ -268,19 +259,6 @@ def pools(monkeypatch) -> list[int]:
 def test_sweep_parallel_equals_serial(pools):
     spec = _tiny_spec()
     assert run_sweep(spec, workers=1) == run_sweep(spec, workers=2)
-    assert pools == [2]
-
-
-def test_sweep_worker_count_from_environment(monkeypatch, pools):
-    spec = _one_class_spec(repetitions=2)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-    from_env = run_sweep(spec)
-    assert pools == [2]
-    monkeypatch.setenv(WORKERS_ENV_VAR, "not-a-number")
-    with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-        run_sweep(spec)
-    monkeypatch.delenv(WORKERS_ENV_VAR)
-    assert from_env == run_sweep(spec)
     assert pools == [2]
 
 
@@ -403,6 +381,20 @@ def test_spec_from_dict_rejects_unknown_keys():
     d["warp_factor"] = 9
     with pytest.raises(ValueError, match="warp_factor"):
         spec_from_dict(d)
+    # A value of another JSON type is refused naming its field, not cast.
+    wrong = [
+        ("repetitions", 2.5),
+        ("backtracking_enabled", "false"),
+        ("seed_base", True),
+        ("repetitions", "x"),
+        ("speed_classes", [[1]]),
+    ]
+    for key, value in wrong:
+        d = {**spec_to_dict(_tiny_spec()), key: value}
+        with pytest.raises(ValueError, match=f"field '{key}'"):
+            spec_from_dict(d)
+    # A JSON int is a number, so a float field takes it.
+    assert spec_from_dict({**spec_to_dict(_tiny_spec()), "duration": 60}).duration == 60.0
 
 
 @pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
@@ -413,7 +405,7 @@ def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg):
     config = {"protocol": protocol, "seed": 8}
     write_events_csv(tmp_path / "columns.csv", config, run(cfg))
     events, _, _ = reference_run(cfg)
-    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, events)
+    write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, events)
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
@@ -475,7 +467,7 @@ def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides)
     if overrides.get("pause_times"):
         assert any(np.any(r.true_x[1:] == r.true_x[:-1]) for _, _, r in written)
     for path, config, result in written:
-        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
+        write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
 
 
@@ -519,7 +511,7 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
     steps = [(r.t.size, r.t[-1]) for _, _, r in written[:: len(_ALL_PROTOCOLS)]]
     assert steps == [(301, 30.0), (301, 60.0), (301, 30.0), (201, 20.0), (301, 60.0), (201, 20.0)]
     for path, config, result in written:
-        _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
+        write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
     for cell, records in zip(cells, batch):
         assert _run_batch(spec, [cell], str(alone_dir)) == [records]
@@ -535,7 +527,7 @@ def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
     trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
     result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=4))
     config = {"protocol": protocol}
-    _write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
+    write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
     write_events_csv(tmp_path / "columns.csv", config, result)
     write_events_csv(tmp_path / "shared.csv", config, result, _trace_text(trace, GridMemo(_time_text)))
     reference = (tmp_path / "rows.csv").read_bytes()
@@ -714,6 +706,12 @@ def test_parse_spec_file_errors_name_the_field():
         parse_spec_file(
             "[sweep]\nspeed_classes = 4:5\nrepetitons = 50\n\n[sfr]\nperiod = 2\n"
         )
+    # A field set through another key is not a key itself.
+    for key in ("noise_max", "area_w", "backtracking_enabled"):
+        with pytest.raises(ValueError, match=f"field '{key}': not a \\[sweep\\] key"):
+            parse_spec_file(f"[sweep]\nspeed_classes = 4:5\n{key} = 1\n\n[sfr]\nperiod = 2\n")
+    with pytest.raises(ValueError, match="field 'backtracking'"):
+        parse_spec_file("[sweep]\nspeed_classes = 4:5\nbacktracking = maybe\n\n[sfr]\nperiod = 2\n")
 
 
 def test_parsed_spec_runs():

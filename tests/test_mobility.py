@@ -36,7 +36,7 @@ def test_rwp_sample_count_and_grid():
     trace = _rwp(1, duration=900.0, dt=0.1)
     assert len(trace) == 9001
     assert trace.times[0] == 0.0
-    assert trace.end_time == pytest.approx(900.0)
+    assert trace.times[-1] == pytest.approx(900.0)
 
 
 def test_rwp_stays_in_bounds_and_under_speed_cap():

@@ -115,11 +115,6 @@ def test_turn_scenario_validation():
         TurnScenario(straight_before_turn=30.0, turn_angle=0.0, speed=1.0, period=10.0)
 
 
-def test_post_turn_budget():
-    s = TurnScenario(straight_before_turn=3.0, turn_angle=1.0, speed=2.0, period=10.0)
-    assert s.post_turn_budget == pytest.approx(17.0)
-
-
 def test_error_functions_reject_negative_inputs():
     s = _turn(1.0, 1.0)
     with pytest.raises(ValueError):

@@ -142,8 +142,11 @@ def test_madrd_prediction_extrapolates_velocity():
 
 @pytest.mark.parametrize("state", list(Confidence))
 def test_confidence_steps_are_the_clamped_neighbours(state):
-    assert state.toward_hc() is Confidence(min(state.value + 1, Confidence.HC.value))
-    assert state.toward_lc() is Confidence(max(state.value - 1, Confidence.LC.value))
+    # A fix on the predicted track steps one state up, an 8 m miss one state down.
+    cfg = _madrd_cfg()
+    carry = _carry(0.0, 0.0, period=1.0, velocity=(1.0, 0.0), confidence=state)
+    assert _row(madrd_step, 1.0, 1.0, 0.0, carry, cfg).confidence == min(state.value + 1, Confidence.HC.value)
+    assert _row(madrd_step, 1.0, 1.0, 8.0, carry, cfg).confidence == max(state.value - 1, Confidence.LC.value)
 
 
 def test_madrd_good_fix_chain_reaches_hc_then_grows():
