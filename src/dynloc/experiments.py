@@ -615,11 +615,20 @@ def _json_scalar(f: dataclasses.Field, value):
     return kind(value)
 
 
+def _json_numbers(name: str, value, what: str = "a list of numbers") -> tuple[float, ...]:
+    """``value``, a JSON list of numbers (int or float, never bool or str), as floats."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, int | float) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"field {name!r}: expected {what}, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
 def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
-    try:
-        return tuple((float(lo), float(hi)) for lo, hi in value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field 'speed_classes': expected [lo, hi] pairs, got {value!r}") from exc
+    what = "a list of [lo, hi] number pairs"
+    if not isinstance(value, list) or not all(isinstance(c, list) and len(c) == 2 for c in value):
+        raise ValueError(f"field 'speed_classes': expected {what}, got {value!r}")
+    return tuple(_json_numbers("speed_classes", c, what) for c in value)
 
 
 def spec_from_dict(d: dict) -> SweepSpec:
@@ -630,7 +639,7 @@ def spec_from_dict(d: dict) -> SweepSpec:
     try:
         return SweepSpec(
             speed_classes=_json_speed_classes(d["speed_classes"]),
-            pause_times=tuple(float(p) for p in d["pause_times"]),
+            pause_times=_json_numbers("pause_times", d["pause_times"]),
             protocols=tuple(
                 ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
             ),

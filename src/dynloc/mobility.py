@@ -232,8 +232,12 @@ def generate_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator) -> M
     # recurrence consumes them (speed, then heading); only the reflecting
     # recurrence itself stays in the loop.
     kicks = rng.standard_normal((n - 1, 2)) * [drift * cfg.speed_sigma, drift * cfg.direction_sigma]
-    for speed_kick, heading_kick in kicks.tolist():
-        speed = max(0.0, m * speed + speed_pull + speed_kick)
+    for speed_kick, heading_kick in zip(kicks[:, 0].tolist(), kicks[:, 1].tolist()):
+        speed = m * speed + speed_pull + speed_kick
+        # The floor is max(0.0, speed) without the builtin call: keep 0.0 unless
+        # speed compares greater, so -0.0 and NaN floor to 0.0.  An
+        # ``if speed < 0.0`` test would keep -0.0 (and NaN) instead.
+        speed = speed if speed > 0.0 else 0.0
         heading = m * heading + (1.0 - m) * mean_heading + heading_kick
         x += speed * cfg.dt * math.cos(heading)
         y += speed * cfg.dt * math.sin(heading)

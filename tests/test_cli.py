@@ -107,6 +107,30 @@ def test_simulate_accepts_trace_file(tmp_path, capsys):
     assert code == EXIT_OK
     config = json.loads(_lines(capsys)[1][len("# config "):])
     assert config["mobility"] == f"file:{trace_file}"
+    assert config["node"] == 0
+
+
+def test_simulate_trace_file_header_records_the_node(tmp_path, capsys):
+    trace_file = tmp_path / "two.txt"
+    trace_file.write_text("0 0 0 10 10 0\n0 5 5 10 5 15\n")
+    configs = []
+    for node in ("0", "1"):
+        argv = ["simulate", "--protocol", "sfr", "--trace-file", str(trace_file), "--duration", "10"]
+        assert main([*argv, "--node", node]) == EXIT_OK
+        configs.append(json.loads(_lines(capsys)[1][len("# config "):]))
+    assert configs[0].keys() == configs[1].keys()
+    differ = sorted(k for k in configs[0] if configs[0][k] != configs[1][k])
+    assert differ == ["node", "trace_sha"]
+    assert (configs[0]["node"], configs[1]["node"]) == (0, 1)
+
+
+@pytest.mark.parametrize("node", ["2", "-1"])
+@pytest.mark.parametrize("command", [["simulate", "--protocol", "sfr", "--trace-file"], ["import-trace", "--in"]])
+def test_a_node_the_trace_file_lacks_is_rejected(tmp_path, capsys, command, node):
+    trace_file = tmp_path / "two.txt"
+    trace_file.write_text("0 0 0 10 10 0\n0 5 5 10 5 15\n")
+    assert main([*command, str(trace_file), "--node", node]) == EXIT_VALIDATION
+    assert "field 'node'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -174,7 +198,7 @@ CLI_GOLDEN_CASES = {
     ),
     "simulate_trace_file": (
         ["simulate", "--protocol", "sfr", "--trace-file", "node.txt", "--duration", "20"],
-        {"stdout": "d6e4cc69e6a5ed55bf2d8f746761967e37281ccb4c0b12791f4cb97564cc3a27"},
+        {"stdout": "231ce612814358c7060d88189e0c3441a62af604117328218f85c7ef3950cd38"},
     ),
     "export_rwp": (
         ["export-trace", "--mobility", "rwp", "--speed", "1:2", "--pause", "5",

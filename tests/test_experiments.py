@@ -372,8 +372,9 @@ def test_spec_dict_round_trip():
     spec = _tiny_spec()
     assert spec_from_dict(spec_to_dict(spec)) == spec
     assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
-    full = default_bundle()
-    assert spec_from_dict(spec_to_dict(full)) == full
+    for full in (default_bundle(), default_gauss_markov_bundle()):
+        assert spec_from_dict(spec_to_dict(full)) == full
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(full)))) == full
 
 
 def test_spec_from_dict_rejects_unknown_keys():
@@ -388,6 +389,13 @@ def test_spec_from_dict_rejects_unknown_keys():
         ("seed_base", True),
         ("repetitions", "x"),
         ("speed_classes", [[1]]),
+        # List entries must be JSON numbers too: float() would take "5" and true.
+        ("pause_times", ["5"]),
+        ("pause_times", [True]),
+        ("pause_times", "x"),
+        ("speed_classes", [["4", 5]]),
+        ("speed_classes", [[True, 5]]),
+        ("speed_classes", "x"),
     ]
     for key, value in wrong:
         d = {**spec_to_dict(_tiny_spec()), key: value}

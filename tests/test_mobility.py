@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynloc.mobility import (
     GaussMarkovConfig,
@@ -162,6 +166,12 @@ def _scalar_draw_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator, 
     return xs, ys
 
 
+def _assert_same_bits(trace: MobilityTrace, xs: list[float], ys: list[float]) -> None:
+    # int64 views, so a -0.0 against 0.0 (or any other one-bit difference) fails.
+    assert np.array_equal(trace.xs.view(np.int64), np.array(xs).view(np.int64))
+    assert np.array_equal(trace.ys.view(np.int64), np.array(ys).view(np.int64))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -169,13 +179,91 @@ def _scalar_draw_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator, 
         GaussMarkovConfig(duration=30.0, memory=0.0),
         GaussMarkovConfig(area_w=20.0, area_h=20.0, mean_speed=30.0, speed_sigma=5.0,
                           direction_sigma=2.0, duration=20.0, dt=0.3),
+        # Floor-heavy: the speed floor fires on about half the steps.
+        GaussMarkovConfig(mean_speed=0.0, speed_sigma=3.0, duration=30.0),
+        # Full memory from a -0.0 mean: every floored speed is a sum of signed zeros.
+        GaussMarkovConfig(memory=1.0, mean_speed=-0.0, duration=30.0),
     ],
 )
 def test_gauss_markov_batched_draws_match_scalar_stream(cfg):
     for seed in range(5):
         trace = generate_gauss_markov(cfg, np.random.default_rng(seed))
         xs, ys = _scalar_draw_gauss_markov(cfg, np.random.default_rng(seed), len(trace))
-        assert trace.xs.tolist() == xs and trace.ys.tolist() == ys
+        _assert_same_bits(trace, xs, ys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    memory=st.floats(0.0, 1.0),
+    mean_speed=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 5.0),
+    speed_sigma=st.floats(0.0, 3.0),
+    direction_sigma=st.floats(0.0, 3.0),
+    area_w=st.floats(1.0, 5.0),
+    area_h=st.floats(1.0, 5.0),
+    duration=st.floats(0.1, 30.0),
+    dt=st.sampled_from([0.1, 0.25, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gauss_markov_matches_the_scalar_spec_bit_for_bit(
+    memory, mean_speed, speed_sigma, direction_sigma, area_w, area_h, duration, dt, seed
+):
+    cfg = GaussMarkovConfig(
+        area_w=area_w, area_h=area_h, mean_speed=mean_speed, memory=memory, speed_sigma=speed_sigma,
+        direction_sigma=direction_sigma, duration=duration, dt=dt,
+    )
+    trace = generate_gauss_markov(cfg, np.random.default_rng(seed))
+    xs, ys = _scalar_draw_gauss_markov(cfg, np.random.default_rng(seed), len(trace))
+    _assert_same_bits(trace, xs, ys)
+
+
+class _ScriptedRng:
+    """Replays fixed uniform and normal draws, batched or one at a time."""
+
+    def __init__(self, uniforms: list[float], normals: list[float]) -> None:
+        self._uniforms = iter(uniforms)
+        self._normals = list(normals)
+
+    def uniform(self, lo: float, hi: float) -> float:
+        return next(self._uniforms)
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self._normals.pop(0)
+        count = int(np.prod(size))
+        drawn, self._normals = self._normals[:count], self._normals[count:]
+        return np.array(drawn).reshape(size)
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_gauss_markov_floors_a_nan_speed_to_zero_like_max():
+    # max(0.0, nan) is 0.0, so a NaN speed kick stops the node for one step
+    # and the walk goes on.  A floor that kept NaN would move the node to a
+    # NaN position, which no wall test rejects, so the reflection loop would
+    # never end: hence the time limit.  Normals come in (speed, heading) pairs.
+    cfg = GaussMarkovConfig(area_w=50.0, area_h=50.0, memory=0.5, duration=0.4, dt=0.1)
+    normals = [0.3, 0.1, math.nan, -0.2, -0.0, 0.4, 1.0, 0.0]
+    uniforms = [20.0, 30.0, 1.0]
+    with _time_limit(5.0):
+        trace = generate_gauss_markov(cfg, _ScriptedRng(uniforms, normals))
+    xs, ys = _scalar_draw_gauss_markov(cfg, _ScriptedRng(uniforms, normals), len(trace))
+    _assert_same_bits(trace, xs, ys)
+    assert (trace.xs[2], trace.ys[2]) == (trace.xs[1], trace.ys[1])
+    assert trace.xs[3] != trace.xs[2]
 
 
 @pytest.mark.parametrize("field", ["pause_time", "duration", "dt", "area_w"])
