@@ -142,14 +142,6 @@ def _read_text(path: str, field: str) -> str:
         raise ValueError(f"field '{field}': cannot read {path!r}: {exc}") from exc
 
 
-def _node_trace(text: str, node: int, dt: float, area_w: float, area_h: float, duration: float | None):
-    """The trace of waypoint line ``node`` (0-based); a line the text lacks is an error naming 'node'."""
-    traces = mobility.import_traces(text, dt, area_w, area_h, duration=duration)
-    if not 0 <= node < len(traces):
-        raise ValueError(f"field 'node': the file has node lines 0 to {len(traces) - 1}, got {node}")
-    return traces[node]
-
-
 def _output_file(path: str | None, field: str) -> None:
     """Reject an output file path in a missing directory, or one that is a directory, before anything runs."""
     if path is None:
@@ -189,7 +181,7 @@ def _cmd_simulate(args) -> int:
     extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
         text = _read_text(args.trace_file, "trace-file")
-        trace = _node_trace(text, args.node, ts.dt, ts.area_w, ts.area_h, ts.duration)
+        trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=args.node, duration=ts.duration)
         extra["mobility"] = f"file:{args.trace_file}"
         extra["node"] = args.node
     else:
@@ -308,7 +300,7 @@ def _cmd_import_trace(args) -> int:
     area_w, area_h = experiments.parse_area(args.area)
     text = _read_text(args.infile, "in")
     if args.node is not None:
-        traces = [_node_trace(text, args.node, args.dt, area_w, area_h, args.duration)]
+        traces = [mobility.import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)]
     else:
         traces = mobility.import_traces(text, args.dt, area_w, area_h, duration=args.duration)
     experiments.write_waypoints(args.out, traces)

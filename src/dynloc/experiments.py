@@ -604,31 +604,34 @@ def spec_to_dict(spec: SweepSpec) -> dict:
 _JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
 
 
-def _json_scalar(f: dataclasses.Field, value):
-    """``value`` cast to the type of ``f``'s default; it must be of that type's JSON types.
+def _is_json(kind: type, value) -> bool:
+    """Whether ``value`` is one of ``kind``'s JSON types.
 
-    A bool is an int to ``isinstance``, so it is accepted for a bool field only.
+    A bool is an int to ``isinstance``, so it counts for a bool field only.
     """
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, _JSON_TYPES[kind])
+
+
+def _json_scalar(f: dataclasses.Field, value):
+    """``value`` cast to the type of ``f``'s default; it must be of that type's JSON types."""
     kind = type(f.default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, _JSON_TYPES[kind]):
+    if not _is_json(kind, value):
         raise ValueError(f"field {f.name!r}: expected a {kind.__name__}, got {value!r}")
     return kind(value)
 
 
-def _json_numbers(name: str, value, what: str = "a list of numbers") -> tuple[float, ...]:
-    """``value``, a JSON list of numbers (int or float, never bool or str), as floats."""
-    if not isinstance(value, list) or not all(
-        isinstance(v, int | float) and not isinstance(v, bool) for v in value
-    ):
-        raise ValueError(f"field {name!r}: expected {what}, got {value!r}")
-    return tuple(float(v) for v in value)
+def _json_pause_times(value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not all(_is_json(float, p) for p in value):
+        raise ValueError(f"field 'pause_times': expected a list of numbers, got {value!r}")
+    return tuple(float(p) for p in value)
 
 
 def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
-    what = "a list of [lo, hi] number pairs"
-    if not isinstance(value, list) or not all(isinstance(c, list) and len(c) == 2 for c in value):
-        raise ValueError(f"field 'speed_classes': expected {what}, got {value!r}")
-    return tuple(_json_numbers("speed_classes", c, what) for c in value)
+    if not isinstance(value, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(_is_json(float, v) for v in c) for c in value
+    ):
+        raise ValueError(f"field 'speed_classes': expected a list of [lo, hi] number pairs, got {value!r}")
+    return tuple((float(lo), float(hi)) for lo, hi in value)
 
 
 def spec_from_dict(d: dict) -> SweepSpec:
@@ -639,7 +642,7 @@ def spec_from_dict(d: dict) -> SweepSpec:
     try:
         return SweepSpec(
             speed_classes=_json_speed_classes(d["speed_classes"]),
-            pause_times=_json_numbers("pause_times", d["pause_times"]),
+            pause_times=_json_pause_times(d["pause_times"]),
             protocols=tuple(
                 ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
             ),

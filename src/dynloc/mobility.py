@@ -320,7 +320,7 @@ def import_trace(
     """Parse waypoint text and return the trace for line ``node_id`` (0-based)."""
     traces = import_traces(text, dt, area_w, area_h, duration=duration)
     if node_id < 0 or node_id >= len(traces):
-        raise ValueError(f"node_id {node_id} out of range: source has {len(traces)} node line(s)")
+        raise ValueError(f"field 'node': node_id {node_id} out of range: source has {len(traces)} node line(s)")
     return traces[node_id]
 
 
