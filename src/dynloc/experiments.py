@@ -742,17 +742,27 @@ def write_waypoints(path: str | os.PathLike | None, traces: Iterable[MobilityTra
 def _column_text(col: np.ndarray, end: str = "") -> Iterator[str]:
     """The CSV text of one event column, formatted once per run of bit-equal values.
 
-    Floats print through ``repr`` of Python floats, as :func:`_fmt` does; a
-    numpy scalar's repr would read ``np.float64(...)``.  A float column is
-    compared through its ``int64`` view, so ``-0.0`` never joins a run of
-    ``0.0`` and NaNs never merge.  A string column is its own text.  ``end``
-    is appended to each distinct text, once per run, so the last column of a
-    row can carry its line end.
+    Floats print as ``repr`` of Python floats, as :func:`_fmt` prints them; a
+    numpy scalar's repr would read ``np.float64(...)``.  The distinct values
+    of a float column go through :func:`~dynloc.floattext.repr_floats` one
+    block at a time, as the text is read.  A float column is compared
+    through its ``int64`` view, so ``-0.0`` never joins a run of ``0.0`` and
+    NaNs never merge.  A string column is its own text.  ``end`` is appended
+    to each distinct text, once per run, so the last column of a row can
+    carry its line end.
     """
     same = col.view(np.int64) if col.dtype.kind == "f" else col
     starts = np.flatnonzero(np.concatenate(([True], same[1:] != same[:-1])))
-    values = col[starts].tolist()
-    text = values if col.dtype.kind == "U" else map(repr, values)
+    values = col[starts]
+    if col.dtype.kind == "f":
+        from . import floattext  # loaded on first use: a sweep without event logs never compiles it
+
+        blocks = (values[i : i + floattext.BLOCK] for i in range(0, values.size, floattext.BLOCK))
+        text = chain.from_iterable(map(floattext.repr_floats, blocks))
+    else:
+        text = values.tolist()
+        if col.dtype.kind != "U":
+            text = map(repr, text)
     if end:
         text = [s + end for s in text]
     if starts.size == col.size:

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "NoiseModel",
     "hypot_exact",
+    "veltkamp_split",
     "SCRATCH_ROWS",
     "draw_fix_noise",
     "localize",
@@ -49,7 +50,7 @@ _HUGE = float(np.finfo(float).max)
 SCRATCH_ROWS = 12  # rows of the scratch block hypot_exact works in
 
 
-def _split(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+def veltkamp_split(x: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
     """Veltkamp's split into ``hi``/``lo``: ``hi + lo == x`` exactly (CPython's ``dl_split``)."""
     np.multiply(x, _SPLITTER, out=lo)
     np.subtract(lo, x, out=hi)
@@ -63,7 +64,7 @@ def _square(x: np.ndarray, hi: np.ndarray, lo: np.ndarray, z: np.ndarray, zz: np
     ``dl_mul`` adds the two cross products ``hi * lo`` and ``lo * hi``; for a
     square they are one product, and adding it to itself doubles it exactly.
     """
-    _split(x, hi, lo)
+    veltkamp_split(x, hi, lo)
     np.multiply(hi, hi, out=zz)
     np.multiply(hi, lo, out=w)
     w += w

@@ -405,10 +405,18 @@ def test_spec_from_dict_rejects_unknown_keys():
     assert spec_from_dict({**spec_to_dict(_tiny_spec()), "duration": 60}).duration == 60.0
 
 
-@pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
-def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg):
+@pytest.mark.parametrize(
+    "protocol, pcfg, noise",
+    [
+        pytest.param("sfr", SfrConfig(0.7), 0.5, id="sfr-pcfg0"),
+        pytest.param("madrd", MadrdConfig(t_max=4.0), 0.5, id="madrd-pcfg1"),
+        # Without noise the error is exactly 0.0 at each fix, a value the float kernel hands to repr.
+        pytest.param("dvm", DvmConfig(), 0.0, id="dvm-zero-noise"),
+    ],
+)
+def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg, noise):
     trace = generate_random_waypoint(RandomWaypointConfig(duration=30.0), np.random.default_rng(3))
-    cfg = RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(0.5),
+    cfg = RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(noise),
                     seed=8, backtracking_enabled=True)
     config = {"protocol": protocol, "seed": 8}
     write_events_csv(tmp_path / "columns.csv", config, run(cfg))
@@ -560,7 +568,12 @@ def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     trace = generate_random_waypoint(RandomWaypointConfig(duration=900.0), np.random.default_rng(6))
     result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=2))
     assert result.t.size == 9001
+    assert min(result.reported_x.min(), result.reported_y.min()) < 0  # dead reckoning past the edge
     write_events_csv(tmp_path / "events.csv", {}, result)
+    # The row writer formats each cell on its own: the bytes hold across blocks of distinct values.
+    rows = zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))
+    write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
     recorder = _RecordingText()
 
     @contextlib.contextmanager

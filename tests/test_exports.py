@@ -10,7 +10,7 @@ import pytest
 
 import dynloc
 
-MODULES = ("engine", "experiments", "geometry", "mobility", "oracles", "protocols")
+MODULES = ("engine", "experiments", "floattext", "geometry", "mobility", "oracles", "protocols")
 
 
 @pytest.mark.parametrize("name", MODULES)
