@@ -34,7 +34,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -82,6 +82,11 @@ __all__ = [
 
 # Labels name output files and CSV cells, so they may not hold a path separator or a comma.
 _LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
+
+# Rows per write of a table body.  Event rows are the widest: 7 floats of <= 24 chars
+# (-2.2250738585072014e-308), `localized`, a 2-char `confidence`, 8 commas and "\n" are
+# <= 180 chars, so a block is <= 46,080 chars, inside the 64 KiB a write may take.
+_WRITE_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -704,13 +709,16 @@ def _write_table(
 ) -> None:
     """The layout of every dynloc table: ``# dynloc <kind> v1``, ``# config {json}``, the column line, ``lines``.
 
-    Each of ``lines`` carries its own line end.  The file is written through
+    Each of ``lines`` carries its own line end; they are written in blocks of
+    ``_WRITE_ROWS``, one write each.  The file is written through
     :func:`_atomic_write`, so ``path`` None is stdout.
     """
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    lines = iter(lines)
     with _atomic_write(path) as fh:
         fh.write(f"# dynloc {kind} v1\n# config {payload}\n{','.join(columns)}\n")
-        fh.writelines(lines)
+        while block := "".join(islice(lines, _WRITE_ROWS)):
+            fh.write(block)
 
 
 def write_csv(
@@ -739,70 +747,70 @@ def write_waypoints(path: str | os.PathLike | None, traces: Iterable[MobilityTra
         fh.writelines(map(export_trace, traces))
 
 
-def _column_text(col: np.ndarray, end: str = "") -> Iterator[str]:
-    """The CSV text of one event column, formatted once per run of bit-equal values.
+def _column_text(cols: Sequence[np.ndarray], end: str = "") -> Iterator[str]:
+    """The CSV text of adjacent event columns ``cols``, made once per run of rows where none changes.
 
-    Floats print as ``repr`` of Python floats, as :func:`_fmt` prints them; a
-    numpy scalar's repr would read ``np.float64(...)``.  The distinct values
-    of a float column go through :func:`~dynloc.floattext.repr_floats` one
-    block at a time, as the text is read.  A float column is compared
-    through its ``int64`` view, so ``-0.0`` never joins a run of ``0.0`` and
-    NaNs never merge.  A string column is its own text.  ``end`` is appended
-    to each distinct text, once per run, so the last column of a row can
-    carry its line end.
+    Columns compare bit for bit, a float one through its ``int64`` view, so
+    ``-0.0`` never joins a run of ``0.0`` and NaNs never merge.  Each column
+    is formatted at run starts only: floats as ``repr`` of Python floats, as
+    :func:`_fmt` prints them, through :func:`~dynloc.floattext.repr_floats`
+    one block at a time as the text is read; a string column is its own text.
+    A run's texts are joined by commas, ``end`` appended, and repeated over
+    the run.  Group columns whose runs coincide: any change starts a run.
     """
-    same = col.view(np.int64) if col.dtype.kind == "f" else col
-    starts = np.flatnonzero(np.concatenate(([True], same[1:] != same[:-1])))
-    values = col[starts]
-    if col.dtype.kind == "f":
-        from . import floattext  # loaded on first use: a sweep without event logs never compiles it
+    same = [col.view(np.int64) if col.dtype.kind == "f" else col for col in cols]
+    starts = np.flatnonzero(np.concatenate(([True], np.logical_or.reduce([s[1:] != s[:-1] for s in same]))))
+    texts = []
+    for values in (col[starts] for col in cols):
+        if values.dtype.kind == "f":
+            from . import floattext  # loaded on first use: a sweep without event logs never compiles it
 
-        blocks = (values[i : i + floattext.BLOCK] for i in range(0, values.size, floattext.BLOCK))
-        text = chain.from_iterable(map(floattext.repr_floats, blocks))
-    else:
-        text = values.tolist()
-        if col.dtype.kind != "U":
-            text = map(repr, text)
+            blocks = np.split(values, range(floattext.BLOCK, values.size, floattext.BLOCK))
+            texts.append(chain.from_iterable(map(floattext.repr_floats, blocks)))
+        else:
+            texts.append(values.tolist() if values.dtype.kind == "U" else map(repr, values.tolist()))
+    text = map(",".join, zip(*texts)) if len(texts) > 1 else texts[0]
     if end:
-        text = [s + end for s in text]
-    if starts.size == col.size:
+        text = map(str.__add__, text, repeat(end))
+    if starts.size == cols[0].size:
         return iter(text)
-    return chain.from_iterable(map(repeat, text, np.diff(starts, append=col.size).tolist()))
+    return chain.from_iterable(map(repeat, text, np.diff(starts, append=cols[0].size).tolist()))
 
 
 def _time_text(times: np.ndarray) -> list[str]:
     """The text of the ``t`` event column."""
-    return list(_column_text(times))
+    return list(_column_text((times,)))
 
 
-def _trace_text(trace: MobilityTrace, time_text: GridMemo) -> list[list[str]]:
-    """The text of the ``t``/``true_x``/``true_y`` event columns, shared by every run on ``trace``.
+def _trace_text(trace: MobilityTrace, time_text: GridMemo) -> list[str]:
+    """The ``t,true_x,true_y`` text of each event row, joined once and shared by every run on ``trace``.
 
     ``time_text`` is a :class:`~dynloc.engine.GridMemo` of :func:`_time_text`;
     the cells of a sweep share one grid, so a batch formats ``t`` once.
     """
-    return [time_text(trace.times), *(list(_column_text(col)) for col in (trace.xs, trace.ys))]
+    return list(map(",".join, zip(time_text(trace.times), _column_text((trace.xs, trace.ys)), strict=True)))
 
 
 def write_events_csv(
-    path: str | os.PathLike, config: dict, result: RunResult, trace_text: Sequence[Sequence[str]] | None = None
+    path: str | os.PathLike, config: dict, result: RunResult, trace_text: Sequence[str] | None = None
 ) -> None:
     """Write a run's event log straight from its columns, one row per grid step.
 
-    Each run of bit-equal values in a column is formatted once and repeated,
-    which leaves the bytes as formatting every value would.  ``trace_text`` is
-    :func:`_trace_text` of the trace ``result`` ran on; without it the trace
-    columns are formatted here.  The last column's text carries the line end,
-    so rows are joined and streamed to the file in C, with no Python code per
-    row and no whole-file string.
+    A row joins four :func:`_column_text` texts, each made once per run of its
+    columns, with the bytes of formatting every value: ``t,true_x,true_y``
+    (``trace_text``, :func:`_trace_text` of the trace ``result`` ran on, or
+    formatted here), ``reported_x,reported_y``, ``error`` and
+    ``localized,period,confidence`` with the line end.  A text of the wrong
+    length raises ``ValueError`` rather than write a short log.
     """
     columns = [getattr(result, name) for name in EVENT_COLUMNS]
     cells = [
-        *(trace_text or map(_column_text, columns[:3])),
-        *map(_column_text, columns[3:-1]),
-        _column_text(columns[-1], "\n"),
+        trace_text or _column_text(columns[:3]),
+        _column_text(columns[3:5]),
+        _column_text(columns[5:6]),
+        _column_text(columns[6:], "\n"),
     ]
-    _write_table(path, "events", config, EVENT_COLUMNS, map(",".join, zip(*cells)))
+    _write_table(path, "events", config, EVENT_COLUMNS, map(",".join, zip(*cells, strict=True)))
 
 
 def parse_number_list(raw: str, field_name: str) -> list[float]:

@@ -367,10 +367,15 @@ def test_unwritable_output_path_is_rejected_before_any_run(tmp_path, monkeypatch
 
 
 class _FailingFile:
-    """A file that takes the first line of a ``writelines`` and then fails, as a full disk would."""
+    """A file that takes the first body write and then fails, as a full disk would.
+
+    A table's header is its first ``write`` and its body comes in later ones;
+    waypoint text has no header and comes through ``writelines``.
+    """
 
     def __init__(self, fh) -> None:
         self._fh = fh
+        self._writes = 0
 
     def __enter__(self):
         return self
@@ -379,7 +384,11 @@ class _FailingFile:
         return self._fh.__exit__(*exc)
 
     def write(self, text: str) -> int:
-        return self._fh.write(text)
+        self._writes += 1
+        written = self._fh.write(text)
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return written
 
     def writelines(self, lines) -> None:
         self._fh.write(next(iter(lines)))

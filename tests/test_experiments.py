@@ -433,6 +433,11 @@ _FLOAT_VALUES = st.one_of(
 )
 
 
+def _cell_text(col: np.ndarray) -> list[str]:
+    """A string column is its own text; every other value prints through repr."""
+    return col.tolist() if col.dtype.kind == "U" else list(map(repr, col.tolist()))
+
+
 def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
     """Columns made of runs of one value, up to 30 long, as held fixes and pauses make them."""
     runs = st.lists(st.tuples(values, st.integers(1, 30)), min_size=1, max_size=30)
@@ -454,9 +459,27 @@ def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
 @example(col=np.array(["", "", "S1", "S1", "HC"]), end="\n")
 @example(col=np.array(["LC"]), end="\n")
 def test_column_text_equals_formatting_every_value(col, end):
-    # A string column is its own text; every other value prints through repr.
-    reference = col.tolist() if col.dtype.kind == "U" else list(map(repr, col.tolist()))
-    assert list(_column_text(col, end)) == [text + end for text in reference]
+    assert list(_column_text((col,), end)) == [text + end for text in _cell_text(col)]
+
+
+@st.composite
+def _column_groups(draw) -> list[np.ndarray]:
+    """1-3 columns of mixed kinds, each with its own runs, cut to the shortest."""
+    kinds = [(_FLOAT_VALUES, np.float64), (st.integers(0, 1), np.int8), (st.sampled_from(["", "LC", "S1"]), "<U2")]
+    cols = [draw(_runs_column(*draw(st.sampled_from(kinds)))) for _ in range(draw(st.integers(1, 3)))]
+    size = min(col.size for col in cols)
+    return [col[:size] for col in cols]
+
+
+# 100 examples take about 0.8 s, which keeps tier-1 near its ~20 s budget.
+@settings(max_examples=100, deadline=None)
+@given(cols=_column_groups(), end=st.sampled_from(["", "\n"]))
+@example(cols=[np.array([0.0, 0.0, -0.0]), np.array([1, 1, 1], dtype=np.int8), np.array(["", "LC", "LC"])], end="\n")
+@example(cols=[np.array([math.nan, -math.nan, -math.nan]), np.array([math.inf, math.inf, 5e-324])], end="")
+def test_grouped_column_text_equals_formatting_every_value(cols, end):
+    # The runs of a group start wherever any of its columns changes, bit for bit.
+    reference = [",".join(cells) + end for cells in zip(*map(_cell_text, cols))]
+    assert list(_column_text(cols, end)) == reference
 
 
 _ALL_PROTOCOLS = (
@@ -564,6 +587,20 @@ class _RecordingText(io.StringIO):
         return super().write(text)
 
 
+def _recorded_event_log(monkeypatch, result) -> _RecordingText:
+    """The event log of ``result`` as written into a :class:`_RecordingText`."""
+    recorder = _RecordingText()
+
+    @contextlib.contextmanager
+    def into_recorder(path):
+        yield recorder
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_atomic_write", into_recorder)
+        write_events_csv("unused.csv", {}, result)
+    return recorder
+
+
 def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     trace = generate_random_waypoint(RandomWaypointConfig(duration=900.0), np.random.default_rng(6))
     result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=2))
@@ -574,18 +611,58 @@ def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     rows = zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))
     write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, rows)
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
-    recorder = _RecordingText()
-
-    @contextlib.contextmanager
-    def into_recorder(path):
-        yield recorder
-
-    monkeypatch.setattr(experiments, "_atomic_write", into_recorder)
-    write_events_csv(tmp_path / "unused.csv", {}, result)
+    recorder = _recorded_event_log(monkeypatch, result)
     text = recorder.getvalue()
     assert text == (tmp_path / "events.csv").read_text() and len(text) > 8 * 65536
-    # A whole-file string (about 1 MB here) would arrive in one write.
+    # A whole-file string (about 1 MB here) would arrive in one write, and rows one at a time in 9,001.
     assert max(recorder.sizes) <= 65536
+    assert len(recorder.sizes) <= -(-result.t.size // experiments._WRITE_ROWS) + 1
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, blocks, extra):
+    rows = blocks * experiments._WRITE_ROWS + extra
+    full = generate_random_waypoint(RandomWaypointConfig(duration=60.0), np.random.default_rng(9))
+    trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
+    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=3))
+    assert result.t.size == rows
+    write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
+    recorder = _recorded_event_log(monkeypatch, result)
+    assert recorder.getvalue() == (tmp_path / "rows.csv").read_text()
+    assert len(recorder.sizes) == 1 + -(-rows // experiments._WRITE_ROWS)  # the header, then one write per block
+
+
+def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
+    # Every float cell 24 chars wide, as -2.2250738585072014e-308 is: a row is 180 chars, the widest there is.
+    rng = np.random.default_rng(12)
+    values = -rng.uniform(1.0, 10.0, 20_000) * 10.0 ** -rng.integers(100, 300, 20_000)
+    values = values[[len(repr(v)) == 24 for v in values.tolist()]]
+    rows = 2 * experiments._WRITE_ROWS + 1
+    trace = MobilityTrace(0, np.arange(rows) * 0.1, np.zeros(rows), np.zeros(rows), 0.1, 10.0, 10.0)
+    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=3))
+    floats = [name for name in EVENT_COLUMNS if getattr(result, name).dtype.kind == "f"]
+    assert len(floats) == 7 and values.size >= 7 * rows
+    wide = {name: values[k * rows : (k + 1) * rows] for k, name in enumerate(floats)}
+    wide["t"][0] = -2.2250738585072014e-308
+    result = dataclasses.replace(result, **wide, confidence=np.full(rows, "LC"))
+    write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
+    reference = (tmp_path / "rows.csv").read_text()
+    assert {len(line) for line in reference.splitlines(keepends=True)[3:]} == {180}
+    recorder = _recorded_event_log(monkeypatch, result)
+    assert recorder.getvalue() == reference
+    assert max(recorder.sizes) == experiments._WRITE_ROWS * 180 <= 65536
+
+
+def test_trace_text_of_another_length_fails_and_keeps_the_old_file(tmp_path):
+    trace = generate_random_waypoint(RandomWaypointConfig(duration=30.0), np.random.default_rng(4))
+    result = run(RunConfig(trace=trace, protocol="dvm", protocol_config=DvmConfig(), seed=1))
+    short = generate_random_waypoint(RandomWaypointConfig(duration=20.0), np.random.default_rng(4))
+    path = tmp_path / "events.csv"
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        write_events_csv(path, {}, result, _trace_text(short, GridMemo(_time_text)))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
 @pytest.mark.parametrize("label", ["", "a b", "a\\b"])

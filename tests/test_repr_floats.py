@@ -100,7 +100,7 @@ def test_kernel_is_repr_itself_without_short_float_repr(monkeypatch):
 @pytest.mark.parametrize("size", [1, floattext.BLOCK - 1, floattext.BLOCK, floattext.BLOCK + 1, 9001])
 def test_column_text_formats_distinct_values_in_blocks(size):
     values = np.random.default_rng(size).uniform(-300.0, 300.0, size)
-    assert list(experiments._column_text(values)) == list(map(repr, values.tolist()))
+    assert list(experiments._column_text((values,))) == list(map(repr, values.tolist()))
 
 
 def test_kernel_loads_only_when_an_event_log_is_written():
