@@ -107,7 +107,7 @@ class ProtocolSpec:
         if not _LABEL_PATTERN.fullmatch(self.label):
             raise ValueError(f"field 'protocols': label {self.label!r} must match {_LABEL_PATTERN.pattern}")
         if self.kind not in PROTOCOLS:
-            raise ValueError(f"protocol kind must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
+            raise ValueError(f"field '{self.label}.kind': must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -639,7 +639,30 @@ def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
     return tuple((float(lo), float(hi)) for lo, hi in value)
 
 
+def _json_param(name: str, value):
+    """A protocol parameter: a JSON number or a list of them, cast to float as a float field is."""
+    if not all(_is_json(float, v) for v in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"field {name!r}: expected a number or a list of numbers, got {value!r}")
+    return [float(v) for v in value] if isinstance(value, list) else float(value)
+
+
+def _json_protocols(value) -> tuple[ProtocolSpec, ...]:
+    if not isinstance(value, list) or not all(
+        isinstance(p, dict) and set(p) == {"label", "kind", "params"}
+        and isinstance(p["label"], str) and isinstance(p["kind"], str) and isinstance(p["params"], dict)
+        for p in value
+    ):
+        raise ValueError(f"field 'protocols': expected a list of {{label, kind, params}} objects, got {value!r}")
+    return tuple(
+        ProtocolSpec(p["label"], p["kind"], {k: _json_param(f"{p['label']}.{k}", v) for k, v in p["params"].items()})
+        for p in value
+    )
+
+
 def spec_from_dict(d: dict) -> SweepSpec:
+    """The spec of a JSON-typed dict as :func:`spec_to_dict` writes it; the one place a spec is typed."""
+    if not isinstance(d, dict):
+        raise ValueError(f"field 'config': expected a JSON object, got {d!r}")
     fields = dataclasses.fields(SweepSpec)
     extra = sorted(set(d) - {f.name for f in fields})
     if extra:
@@ -648,9 +671,7 @@ def spec_from_dict(d: dict) -> SweepSpec:
         return SweepSpec(
             speed_classes=_json_speed_classes(d["speed_classes"]),
             pause_times=_json_pause_times(d["pause_times"]),
-            protocols=tuple(
-                ProtocolSpec(p["label"], p["kind"], dict(p.get("params", {}))) for p in d["protocols"]
-            ),
+            protocols=_json_protocols(d["protocols"]),
             # Every scalar field has a default, and its type checks and casts the JSON value.
             **{f.name: _json_scalar(f, d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
         )
@@ -843,13 +864,6 @@ def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[floa
     return lo, hi
 
 
-def _parse_speed_classes(raw: str) -> tuple[tuple[float, float], ...]:
-    classes = [parse_speed_class(part.strip()) for part in raw.split(",") if part.strip()]
-    if not classes:
-        raise ValueError("field 'speed_classes': empty list")
-    return tuple(classes)
-
-
 def parse_area(raw: str) -> tuple[float, float]:
     pieces = raw.lower().split("x")
     if len(pieces) != 2:
@@ -873,11 +887,12 @@ def parse_spec_file(text: str) -> SweepSpec:
     The ``[sweep]`` section holds the scenario knobs; each additional section
     names one protocol (section name is the label, optional ``kind`` key
     defaults to the label).  Numeric protocol parameters accept a
-    comma-separated list with one entry per speed class.
+    comma-separated list with one entry per speed class.  Values are literal
+    (no ``%`` interpolation), and :func:`spec_from_dict` types the dict they make.
     """
     import configparser
 
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -885,49 +900,32 @@ def parse_spec_file(text: str) -> SweepSpec:
     if "sweep" not in parser:
         raise ValueError("field 'sweep': missing [sweep] section")
     sweep = parser["sweep"]
-
-    kwargs: dict = {}
-    if "speed_classes" in sweep:
-        kwargs["speed_classes"] = _parse_speed_classes(sweep["speed_classes"])
-    else:
+    if "speed_classes" not in sweep:
         raise ValueError("field 'speed_classes': required in [sweep]")
-    kwargs["pause_times"] = tuple(
-        parse_number_list(sweep.get("pause_times", "0"), "pause_times")
-    )
-    if "area" in sweep:
-        kwargs["area_w"], kwargs["area_h"] = parse_area(sweep["area"])
+    d = {f.name: f.default for f in dataclasses.fields(SweepSpec) if f.default is not dataclasses.MISSING}
     # Each other key sets the scalar field it names (see _FIELD_SPEC_KEYS), cast by the
     # type of the field's default; area_w and area_h are set only through ``area``.
-    scalars = {
-        _FIELD_SPEC_KEYS.get(f.name, f.name): f
-        for f in dataclasses.fields(SweepSpec)
-        if f.default is not dataclasses.MISSING and f.name not in ("area_w", "area_h")
-    }
+    scalars = {_FIELD_SPEC_KEYS.get(name, name): name for name in d if name not in ("area_w", "area_h")}
     unknown = sorted(set(sweep) - {"speed_classes", "pause_times", "area", *scalars})
     if unknown:
         raise ValueError(f"field '{unknown[0]}': not a [sweep] key")
-    for key, f in scalars.items():
-        if key not in sweep:
-            continue
+    d["speed_classes"] = [list(parse_speed_class(c.strip())) for c in sweep["speed_classes"].split(",") if c.strip()]
+    d["pause_times"] = parse_number_list(sweep.get("pause_times", "0"), "pause_times")
+    if "area" in sweep:
+        d["area_w"], d["area_h"] = parse_area(sweep["area"])
+    for key, name in scalars.items():
         try:
-            kwargs[f.name] = sweep.getboolean(key) if type(f.default) is bool else type(f.default)(sweep[key])
+            if key in sweep:
+                d[name] = sweep.getboolean(key) if type(d[name]) is bool else type(d[name])(sweep[key])
         except ValueError as exc:
             raise ValueError(f"field '{key}': {exc}") from exc
-
-    protocols: list[ProtocolSpec] = []
-    for section in parser.sections():
-        if section == "sweep":
-            continue
-        body = parser[section]
-        kind = body.get("kind", section)
-        params: dict = {}
-        for key, raw in body.items():
-            if key == "kind":
-                continue
-            values = parse_number_list(raw, f"{section}.{key}")
-            params[key] = values[0] if len(values) == 1 else values
-        protocols.append(ProtocolSpec(section, kind, params))
-    if not protocols:
-        raise ValueError("field 'protocols': no protocol sections found")
-    kwargs["protocols"] = tuple(protocols)
-    return SweepSpec(**kwargs)
+    # A protocol parameter of one value is a number, of more a per-class list.
+    d["protocols"] = [
+        {"label": label, "kind": body.get("kind", label), "params": {
+            key: values[0] if len(values := parse_number_list(raw, f"{label}.{key}")) == 1 else values
+            for key, raw in body.items() if key != "kind"
+        }}
+        for label, body in parser.items()
+        if label not in ("sweep", parser.default_section)
+    ]
+    return spec_from_dict(d)

@@ -434,6 +434,27 @@ def test_sweep_rejects_cells_that_would_merge_before_any_run(tmp_path, capsys, s
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "spec_edit, field",
+    [
+        (("seed_base = 55", "seed_base = 55\nmobility = rwp%"), "field 'mobility'"),
+        (("period = 2", "period = 2%(x)s"), "field 'sfr.period'"),
+        (("[dvm]", "[dvm]\nkind = zzz"), "field 'dvm.kind'"),
+        (("[sfr]", "[Sfr]"), "field 'Sfr.kind'"),
+        (("t_max = 6", "t_max = true"), "field 'dvm.t_max'"),
+    ],
+    ids=["percent", "percent_reference", "unknown_kind", "section_case", "param_type"],
+)
+def test_sweep_rejects_malformed_spec_file_naming_the_field(tmp_path, capsys, spec_edit, field):
+    spec_file = tmp_path / "sweep.ini"
+    spec_file.write_text(SPEC_TEXT.replace(*spec_edit))
+    out_dir = tmp_path / "out"
+    code = main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not (out_dir / "runs.csv").exists() and not (out_dir / "summary.csv").exists()
+
+
 def test_sweep_events_flag_writes_event_logs(tmp_path):
     spec_file = tmp_path / "sweep.ini"
     spec_file.write_text(SPEC_TEXT)

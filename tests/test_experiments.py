@@ -7,6 +7,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -403,6 +404,33 @@ def test_spec_from_dict_rejects_unknown_keys():
             spec_from_dict(d)
     # A JSON int is a number, so a float field takes it.
     assert spec_from_dict({**spec_to_dict(_tiny_spec()), "duration": 60}).duration == 60.0
+
+
+_SFR_ENTRY = {"label": "sfr", "kind": "sfr", "params": {"period": 2.0}}
+
+
+@pytest.mark.parametrize(
+    "protocols, field",
+    [
+        pytest.param([{"label": "dvm", "kind": "dvm", "params": {"target_error": True}}], "dvm.target_error",
+                     id="bool_param"),
+        pytest.param([{**_SFR_ENTRY, "params": {"period": [2.0, True]}}], "sfr.period", id="bool_in_class_list"),
+        pytest.param([{**_SFR_ENTRY, "params": {"period": "2"}}], "sfr.period", id="string_param"),
+        pytest.param(["sfr"], "protocols", id="string_entry"),
+        pytest.param([{**_SFR_ENTRY, "params": [2.0]}], "protocols", id="params_list"),
+        pytest.param([{**_SFR_ENTRY, "weight": 1}], "protocols", id="extra_key"),
+        pytest.param({"sfr": _SFR_ENTRY}, "protocols", id="protocols_object"),
+        pytest.param([{**_SFR_ENTRY, "kind": "zzz"}], "sfr.kind", id="unknown_kind"),
+    ],
+)
+def test_spec_from_dict_rejects_mistyped_protocols(protocols, field):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        spec_from_dict({**spec_to_dict(_tiny_spec()), "protocols": protocols})
+
+
+def test_spec_from_dict_rejects_a_config_that_is_not_an_object():
+    with pytest.raises(ValueError, match="field 'config'"):
+        spec_from_dict([spec_to_dict(_tiny_spec())])
 
 
 @pytest.mark.parametrize(
@@ -810,6 +838,106 @@ def test_parse_spec_file_errors_name_the_field():
             parse_spec_file(f"[sweep]\nspeed_classes = 4:5\n{key} = 1\n\n[sfr]\nperiod = 2\n")
     with pytest.raises(ValueError, match="field 'backtracking'"):
         parse_spec_file("[sweep]\nspeed_classes = 4:5\nbacktracking = maybe\n\n[sfr]\nperiod = 2\n")
+
+
+@pytest.mark.parametrize(
+    "name, bundle",
+    [
+        ("rwp_stock.ini", default_bundle),
+        (
+            "gm_backtrack.ini",
+            lambda: dataclasses.replace(default_gauss_markov_bundle(), repetitions=20, backtracking_enabled=True),
+        ),
+    ],
+)
+def test_benchmark_spec_files_parse_to_their_bundles(name, bundle):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "specs" / name
+    assert parse_spec_file(path.read_text(encoding="utf-8")) == bundle()
+
+
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Valid values of each protocol parameter; any t_min here is <= any t_max.
+_PARAMS = {
+    "sfr": {"period": _POSITIVE},
+    "dvm": {"target_error": _POSITIVE, "t_min": st.floats(1e-3, 1.0), "t_max": st.floats(1.0, 1e3)},
+    "madrd": {
+        "divergence_threshold": _POSITIVE,
+        "t_min": st.floats(1e-3, 1.0),
+        "t_max": st.floats(1.0, 1e3),
+        "period_growth": st.floats(1.0, 10.0),
+        "period_shrink": st.floats(1e-3, 1.0),
+    },
+}
+
+
+@st.composite
+def _sweep_specs(draw) -> SweepSpec:
+    classes = draw(
+        st.lists(st.tuples(_POSITIVE, _POSITIVE).map(sorted).map(tuple), min_size=1, max_size=3, unique_by=class_label)
+    )
+    n = len(classes)
+    # Labels as _LABEL_PATTERN allows; with no "s" or "D" none names the [sweep] or [DEFAULT] section.
+    labels = st.text("abcXYZ019_.-", min_size=1, max_size=8)
+    protocols = []
+    for label in draw(st.lists(labels, min_size=1, max_size=3, unique=True)):
+        kind = draw(st.sampled_from(sorted(_PARAMS)))
+        # A one-entry list is written as one value, which reads back as a number.
+        optional = {
+            k: st.one_of(v, st.lists(v, min_size=n, max_size=n)) if n > 1 else v for k, v in _PARAMS[kind].items()
+        }
+        protocols.append(ProtocolSpec(label, kind, draw(st.fixed_dictionaries({}, optional=optional))))
+    # abs() keeps -0.0 out: it would equal a drawn 0.0 but print apart from it with %g.
+    pauses = draw(st.lists(st.floats(0.0, 1e3).map(abs), min_size=1, max_size=3, unique_by="{:g}".format))
+    return SweepSpec(
+        speed_classes=tuple(classes),
+        pause_times=tuple(pauses),
+        protocols=tuple(protocols),
+        **draw(st.fixed_dictionaries({
+            "repetitions": st.integers(1, 100),
+            "duration": _POSITIVE,
+            "dt": _POSITIVE,
+            "area_w": _POSITIVE,
+            "area_h": _POSITIVE,
+            "noise_max": st.floats(0.0, 1e3),
+            "dist_tolerance": st.floats(0.0, 1e3),
+            "seed_base": st.integers(0, 2**63),
+            "mobility": st.sampled_from(sorted(experiments.MOBILITY_MODELS)),
+            "gm_memory": _FINITE,
+            "gm_speed_sigma": _FINITE,
+            "gm_direction_sigma": _FINITE,
+            "backtracking_enabled": st.booleans(),
+        })),
+    )
+
+
+def _ini_value(value) -> str:
+    if isinstance(value, list | tuple):
+        return ", ".join(map(_ini_value, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _spec_ini(spec: SweepSpec) -> str:
+    """``spec`` as spec-file text, every float as its ``repr``."""
+    keys = {"noise_max": "noise", "backtracking_enabled": "backtracking"}
+    lines = [
+        "[sweep]",
+        "speed_classes = " + ", ".join(f"{lo!r}:{hi!r}" for lo, hi in spec.speed_classes),
+        f"area = {spec.area_w!r}x{spec.area_h!r}",
+    ]
+    for f in dataclasses.fields(spec):
+        if f.name not in ("speed_classes", "protocols", "area_w", "area_h"):
+            lines.append(f"{keys.get(f.name, f.name)} = {_ini_value(getattr(spec, f.name))}")
+    for p in spec.protocols:
+        lines += [f"[{p.label}]", f"kind = {p.kind}", *(f"{k} = {_ini_value(v)}" for k, v in p.params.items())]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(_sweep_specs())
+def test_spec_file_and_config_dict_read_to_the_same_spec(spec):
+    assert parse_spec_file(_spec_ini(spec)) == spec
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
 
 
 def test_parsed_spec_runs():
