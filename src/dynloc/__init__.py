@@ -11,9 +11,8 @@ grids bit-exactly from a seed.
 from .engine import EVENT_COLUMNS, RunConfig, RunMetrics, RunResult, run
 from .geometry import NoiseModel, localize, threshold_accuracy
 from .mobility import (
-    GaussMarkovConfig,
     MobilityTrace,
-    RandomWaypointConfig,
+    TraceSpec,
     WaypointParseError,
     export_trace,
     generate_gauss_markov,

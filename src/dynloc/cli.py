@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
 
     # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names.
     trace = _Parser(add_help=False)
-    trace.add_argument("--mobility", choices=tuple(experiments.MOBILITY_MODELS), default="rwp")
+    trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default="rwp")
     trace.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
                        help="waypoint pause time, seconds")
@@ -165,11 +165,11 @@ def _seed(args) -> int:
     return args.seed
 
 
-def _trace_spec(args, seed: int) -> experiments.TraceSpec:
+def _trace_spec(args, seed: int) -> mobility.TraceSpec:
     """The trace the shared trace flags describe, generated from ``seed``."""
     area_w, area_h = experiments.parse_area(args.area)
     speed_class = experiments.parse_speed_class(args.speed, "speed")
-    return experiments.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h, seed=seed)
+    return mobility.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h, seed=seed)
 
 
 def _cmd_simulate(args) -> int:

@@ -20,7 +20,8 @@ carrying the exact configuration that produced it (:func:`run_provenance` for
 a run).  One writer lays out every kind, the CLI's ``simulate`` rows and
 oracle tables included, and every file, waypoint text too, is written under a
 ``.tmp`` name and renamed into place.
-Every trace comes from :func:`make_trace`, keyed by :data:`MOBILITY_MODELS`.
+Every trace comes from :func:`make_trace`, which picks the generator a
+:class:`~dynloc.mobility.TraceSpec` names.
 """
 
 from __future__ import annotations
@@ -36,16 +37,15 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, run
 from .geometry import NoiseModel
 from .mobility import (
-    GaussMarkovConfig,
     MobilityTrace,
-    RandomWaypointConfig,
+    TraceSpec,
     export_trace,
     generate_gauss_markov,
     generate_random_waypoint,
@@ -53,10 +53,8 @@ from .mobility import (
 from .protocols import PROTOCOLS, ProtocolConfig
 
 __all__ = [
-    "MOBILITY_MODELS",
     "ProtocolSpec",
     "SweepSpec",
-    "TraceSpec",
     "RunRecord",
     "SummaryRow",
     "default_bundle",
@@ -160,17 +158,21 @@ class SweepSpec:
             raise ValueError(f"field 'repetitions': must be >= 1, got {self.repetitions}")
         if self.seed_base < 0:
             raise ValueError(f"field 'seed_base': must be >= 0, got {self.seed_base}")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("fields 'duration'/'dt': must be positive")
-        if self.area_w <= 0 or self.area_h <= 0:
-            raise ValueError("fields 'area_w'/'area_h': must be positive")
-        if self.mobility not in MOBILITY_MODELS:
-            raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
         if self.noise_max < 0 or self.dist_tolerance < 0:
             raise ValueError("fields 'noise'/'dist_tolerance': must be >= 0")
+        # Each cell's trace spec and protocol configs are built here once, so they fail before any run.
+        for class_index in range(len(self.speed_classes)):
+            for pause_index in range(len(self.pause_times)):
+                self.trace_spec(class_index, pause_index, self.seed_base)
         for pspec in self.protocols:
             for class_index in range(len(self.speed_classes)):
                 resolve_protocol_config(pspec, class_index, len(self.speed_classes))
+
+    def trace_spec(self, class_index: int, pause_index: int, seed: int) -> TraceSpec:
+        """The trace of the cells at ``(class_index, pause_index)``, generated from ``seed``."""
+        return TraceSpec.of(
+            self, speed_class=self.speed_classes[class_index], pause_time=self.pause_times[pause_index], seed=seed
+        )
 
 
 @dataclass(frozen=True)
@@ -305,60 +307,14 @@ def default_gauss_markov_bundle() -> SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-class TraceSpec(NamedTuple):
-    """Everything that determines one ground-truth trace, seed included.
-
-    Gauss-Markov moves at the midpoint of ``speed_class`` and ignores
-    ``pause_time``.  Field names match :class:`SweepSpec` and the CLI's trace
-    flags, which :meth:`of` relies on.
-    """
-
-    mobility: str
-    speed_class: tuple[float, float]
-    pause_time: float
-    duration: float
-    dt: float
-    area_w: float
-    area_h: float
-    gm_memory: float
-    gm_speed_sigma: float
-    gm_direction_sigma: float
-    seed: int
-
-    @classmethod
-    def of(cls, source, **given) -> "TraceSpec":
-        """Take ``given``, and every other field from the same-named attribute of ``source``."""
-        taken = {name: getattr(source, name) for name in cls._fields if name not in given}
-        return cls(**taken, **given)
-
-
-def _random_waypoint(ts: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
-    lo, hi = ts.speed_class
-    cfg = RandomWaypointConfig(
-        area_w=ts.area_w, area_h=ts.area_h, v_min=lo, v_max=hi,
-        pause_time=ts.pause_time, duration=ts.duration, dt=ts.dt,
-    )
-    return generate_random_waypoint(cfg, rng)
-
-
-def _gauss_markov(ts: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
-    lo, hi = ts.speed_class
-    cfg = GaussMarkovConfig(
-        area_w=ts.area_w, area_h=ts.area_h, mean_speed=(lo + hi) / 2.0,
-        memory=ts.gm_memory, speed_sigma=ts.gm_speed_sigma,
-        direction_sigma=ts.gm_direction_sigma, duration=ts.duration, dt=ts.dt,
-    )
-    return generate_gauss_markov(cfg, rng)
-
-
-# Mobility model name -> trace builder.  The builders look the generators up
-# as module globals at call time, so a wrapper installed here sees every call.
-MOBILITY_MODELS = {"rwp": _random_waypoint, "gauss_markov": _gauss_markov}
-
-
 def make_trace(ts: TraceSpec) -> MobilityTrace:
-    """The trace ``ts`` describes, generated from ``default_rng(ts.seed)``."""
-    return MOBILITY_MODELS[ts.mobility](ts, np.random.default_rng(ts.seed))
+    """The trace ``ts`` describes, generated from ``default_rng(ts.seed)``.
+
+    The generators are looked up as module globals at each call, so a wrapper
+    installed here sees every call.
+    """
+    generate = generate_gauss_markov if ts.mobility == "gauss_markov" else generate_random_waypoint
+    return generate(ts, np.random.default_rng(ts.seed))
 
 
 def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> dict:
@@ -419,12 +375,7 @@ def _run_cell(
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = _cell_seeds(spec, class_index, pause_index, rep)
-    ts = TraceSpec.of(
-        spec,
-        speed_class=spec.speed_classes[class_index],
-        pause_time=spec.pause_times[pause_index],
-        seed=trace_seed,
-    )
+    ts = spec.trace_spec(class_index, pause_index, trace_seed)
     trace = make_trace(ts)
     trace_sha = trace.content_hash()
     speed = class_label(ts.speed_class)
@@ -897,6 +848,8 @@ def parse_spec_file(text: str) -> SweepSpec:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ValueError(f"spec file is not parseable: {exc}") from exc
+    if parser.defaults():
+        raise ValueError("section 'DEFAULT': not a spec section, write each key in [sweep] or its protocol's section")
     if "sweep" not in parser:
         raise ValueError("field 'sweep': missing [sweep] section")
     sweep = parser["sweep"]

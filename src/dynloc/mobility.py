@@ -13,8 +13,9 @@ uniform time grid.  Traces come from three places:
   whitespace-separated ``t x y`` triples, piecewise-linearly resampled onto
   the dt grid.  :func:`export_trace` writes the same format back out.
 
-Generation is deterministic: the same config and generator state always
-produce the same trace, bit for bit.
+Both generators read a :class:`TraceSpec`, which checks each of its fields
+when it is built.  Generation is deterministic: the same spec and generator
+state always produce the same trace, bit for bit.
 """
 
 from __future__ import annotations
@@ -22,15 +23,15 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "MobilityTrace",
-    "RandomWaypointConfig",
-    "GaussMarkovConfig",
+    "MOBILITY_MODELS",
+    "TraceSpec",
     "WaypointParseError",
     "generate_random_waypoint",
     "generate_gauss_markov",
@@ -107,62 +108,59 @@ class MobilityTrace:
         return h.hexdigest()
 
 
-def _require_finite(cfg) -> None:
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+MOBILITY_MODELS = ("rwp", "gauss_markov")
 
 
 @dataclass(frozen=True)
-class RandomWaypointConfig:
-    area_w: float = 300.0
-    area_h: float = 300.0
-    v_min: float = 4.0
-    v_max: float = 5.0
-    pause_time: float = 0.0
-    duration: float = 900.0
-    dt: float = 0.1
-    node_id: int = 0
+class TraceSpec:
+    """Everything that determines one generated trace, seed included.
+
+    Random waypoint draws each leg's speed from ``speed_class`` and pauses
+    ``pause_time`` at each waypoint.  Gauss-Markov moves at the midpoint of
+    ``speed_class``, ignores ``pause_time`` and reads the ``gm_*`` fields,
+    which are checked only for it.  Field names match the sweep spec's and the
+    CLI's trace flags, which :meth:`of` relies on.
+    """
+
+    mobility: str
+    speed_class: tuple[float, float]
+    pause_time: float
+    duration: float
+    dt: float
+    area_w: float
+    area_h: float
+    gm_memory: float
+    gm_speed_sigma: float
+    gm_direction_sigma: float
+    seed: int
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.area_w <= 0 or self.area_h <= 0:
-            raise ValueError("area dimensions must be positive")
-        if not (0 < self.v_min <= self.v_max):
-            raise ValueError(f"need 0 < v_min <= v_max, got [{self.v_min}, {self.v_max}]")
-        if self.pause_time < 0:
-            raise ValueError(f"pause_time must be >= 0, got {self.pause_time}")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+        if self.mobility not in MOBILITY_MODELS:
+            raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
+        lo, hi = self.speed_class
+        if not (0 < lo <= hi < math.inf):
+            raise ValueError(f"field 'speed_class': need finite 0 < lo <= hi, got {lo}:{hi}")
+        if not (0 <= self.pause_time < math.inf):
+            raise ValueError(f"field 'pause_time': must be finite and >= 0, got {self.pause_time}")
+        for name in ("duration", "dt"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"field {name!r}: must be finite and > 0, got {getattr(self, name)}")
+        if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
+            raise ValueError(f"fields 'area_w'/'area_h': must be finite and > 0, got {self.area_w}x{self.area_h}")
+        if self.seed < 0:
+            raise ValueError(f"field 'seed': must be >= 0, got {self.seed}")
+        if self.mobility == "gauss_markov":
+            if not (0 <= self.gm_memory <= 1):
+                raise ValueError(f"field 'gm_memory': must lie in [0, 1], got {self.gm_memory}")
+            for name in ("gm_speed_sigma", "gm_direction_sigma"):
+                if not (0 <= getattr(self, name) < math.inf):
+                    raise ValueError(f"field {name!r}: must be finite and >= 0, got {getattr(self, name)}")
 
-
-@dataclass(frozen=True)
-class GaussMarkovConfig:
-    """AR(1) speed/heading walk. memory=1 freezes the velocity, memory=0 is memoryless."""
-
-    area_w: float = 300.0
-    area_h: float = 300.0
-    mean_speed: float = 4.5
-    memory: float = 0.75
-    speed_sigma: float = 0.5
-    direction_sigma: float = 0.4
-    duration: float = 900.0
-    dt: float = 0.1
-    node_id: int = 0
-
-    def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.area_w <= 0 or self.area_h <= 0:
-            raise ValueError("area dimensions must be positive")
-        if self.mean_speed < 0:
-            raise ValueError(f"mean_speed must be >= 0, got {self.mean_speed}")
-        if not (0.0 <= self.memory <= 1.0):
-            raise ValueError(f"memory must lie in [0, 1], got {self.memory}")
-        if self.speed_sigma < 0 or self.direction_sigma < 0:
-            raise ValueError("sigma parameters must be >= 0")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
+    @classmethod
+    def of(cls, source, **given) -> "TraceSpec":
+        """Take ``given``, and every other field from the same-named attribute of ``source``."""
+        taken = {f.name: getattr(source, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+        return cls(**taken, **given)
 
 
 def _grid(duration: float, dt: float) -> np.ndarray:
@@ -170,68 +168,72 @@ def _grid(duration: float, dt: float) -> np.ndarray:
     return np.arange(n, dtype=float) * dt
 
 
-def generate_random_waypoint(cfg: RandomWaypointConfig, rng: np.random.Generator) -> MobilityTrace:
-    """Generate a random-waypoint trace sampled every ``cfg.dt`` seconds.
+def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
+    """Generate a random-waypoint trace sampled every ``spec.dt`` seconds.
 
     The continuous path is a chain of constant-speed legs toward uniformly
     chosen destinations, each followed by a fixed pause, built until the whole
     run duration is covered and then resampled onto the dt grid.
     """
-    times = _grid(cfg.duration, cfg.dt)
-    x = rng.uniform(0.0, cfg.area_w)
-    y = rng.uniform(0.0, cfg.area_h)
+    v_min, v_max = spec.speed_class
+    times = _grid(spec.duration, spec.dt)
+    x = rng.uniform(0.0, spec.area_w)
+    y = rng.uniform(0.0, spec.area_h)
     knot_t = [0.0]
     knot_x = [x]
     knot_y = [y]
     t = 0.0
-    while t < cfg.duration:
-        dest_x = rng.uniform(0.0, cfg.area_w)
-        dest_y = rng.uniform(0.0, cfg.area_h)
+    while t < spec.duration:
+        dest_x = rng.uniform(0.0, spec.area_w)
+        dest_y = rng.uniform(0.0, spec.area_h)
         leg = math.hypot(dest_x - x, dest_y - y)
-        speed = rng.uniform(cfg.v_min, cfg.v_max)
+        speed = rng.uniform(v_min, v_max)
         if leg > 0.0:
             t += leg / speed
             knot_t.append(t)
             knot_x.append(dest_x)
             knot_y.append(dest_y)
             x, y = dest_x, dest_y
-        if cfg.pause_time > 0.0:
-            t += cfg.pause_time
+        if spec.pause_time > 0.0:
+            t += spec.pause_time
             knot_t.append(t)
             knot_x.append(x)
             knot_y.append(y)
     xs = np.interp(times, knot_t, knot_x)
     ys = np.interp(times, knot_t, knot_y)
-    return MobilityTrace(cfg.node_id, times, xs, ys, cfg.dt, cfg.area_w, cfg.area_h)
+    return MobilityTrace(0, times, xs, ys, spec.dt, spec.area_w, spec.area_h)
 
 
-def generate_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator) -> MobilityTrace:
+def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
     """Generate a Gauss-Markov trace: AR(1) speed and heading, reflecting walls.
 
-    Per step, with memory ``m``::
+    Per step, with memory ``m = spec.gm_memory`` and ``mean_speed`` the
+    midpoint of ``spec.speed_class``::
 
-        v' = m*v + (1-m)*mean_speed     + sqrt(1-m^2) * speed_sigma     * N(0,1)
-        h' = m*h + (1-m)*mean_heading   + sqrt(1-m^2) * direction_sigma * N(0,1)
+        v' = m*v + (1-m)*mean_speed     + sqrt(1-m^2) * gm_speed_sigma     * N(0,1)
+        h' = m*h + (1-m)*mean_heading   + sqrt(1-m^2) * gm_direction_sigma * N(0,1)
 
     Speed is floored at zero.  Hitting a wall reflects the position and flips
     both the heading and the mean heading, so the walk stays in the area.
     """
-    times = _grid(cfg.duration, cfg.dt)
+    times = _grid(spec.duration, spec.dt)
     n = times.size
-    x = rng.uniform(0.0, cfg.area_w)
-    y = rng.uniform(0.0, cfg.area_h)
+    x = rng.uniform(0.0, spec.area_w)
+    y = rng.uniform(0.0, spec.area_h)
     xs = [x]
     ys = [y]
-    speed = cfg.mean_speed
+    lo, hi = spec.speed_class
+    mean_speed = (lo + hi) / 2.0
+    speed = mean_speed
     heading = rng.uniform(0.0, 2.0 * math.pi)
     mean_heading = heading
-    m = cfg.memory
+    m = spec.gm_memory
     drift = math.sqrt(max(0.0, 1.0 - m * m))
-    speed_pull = (1.0 - m) * cfg.mean_speed
+    speed_pull = (1.0 - m) * mean_speed
     # Every step's two normal draws at once, in the order a per-step
     # recurrence consumes them (speed, then heading); only the reflecting
     # recurrence itself stays in the loop.
-    kicks = rng.standard_normal((n - 1, 2)) * [drift * cfg.speed_sigma, drift * cfg.direction_sigma]
+    kicks = rng.standard_normal((n - 1, 2)) * [drift * spec.gm_speed_sigma, drift * spec.gm_direction_sigma]
     for speed_kick, heading_kick in zip(kicks[:, 0].tolist(), kicks[:, 1].tolist()):
         speed = m * speed + speed_pull + speed_kick
         # The floor is max(0.0, speed) without the builtin call: keep 0.0 unless
@@ -239,20 +241,20 @@ def generate_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator) -> M
         # ``if speed < 0.0`` test would keep -0.0 (and NaN) instead.
         speed = speed if speed > 0.0 else 0.0
         heading = m * heading + (1.0 - m) * mean_heading + heading_kick
-        x += speed * cfg.dt * math.cos(heading)
-        y += speed * cfg.dt * math.sin(heading)
-        while not (0.0 <= x <= cfg.area_w and 0.0 <= y <= cfg.area_h):
-            if x < 0.0 or x > cfg.area_w:
-                x = -x if x < 0.0 else 2.0 * cfg.area_w - x
+        x += speed * spec.dt * math.cos(heading)
+        y += speed * spec.dt * math.sin(heading)
+        while not (0.0 <= x <= spec.area_w and 0.0 <= y <= spec.area_h):
+            if x < 0.0 or x > spec.area_w:
+                x = -x if x < 0.0 else 2.0 * spec.area_w - x
                 heading = math.pi - heading
                 mean_heading = math.pi - mean_heading
-            if y < 0.0 or y > cfg.area_h:
-                y = -y if y < 0.0 else 2.0 * cfg.area_h - y
+            if y < 0.0 or y > spec.area_h:
+                y = -y if y < 0.0 else 2.0 * spec.area_h - y
                 heading = -heading
                 mean_heading = -mean_heading
         xs.append(x)
         ys.append(y)
-    return MobilityTrace(cfg.node_id, times, np.array(xs), np.array(ys), cfg.dt, cfg.area_w, cfg.area_h)
+    return MobilityTrace(0, times, np.array(xs), np.array(ys), spec.dt, spec.area_w, spec.area_h)
 
 
 # ---------------------------------------------------------------------------

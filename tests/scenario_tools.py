@@ -25,12 +25,33 @@ import numpy as np
 
 from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, RunMetrics
 from dynloc.geometry import NoiseModel, threshold_accuracy
-from dynloc.mobility import MobilityTrace, trace_from_waypoints
+from dynloc.mobility import MobilityTrace, TraceSpec, trace_from_waypoints
 from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
 AREA = 300.0
 START_X = 30.0
 START_Y = 150.0
+
+
+# The stock trace: 4-5 m/s over 300 x 300 m for 900 s at dt 0.1, the sweep spec's defaults.
+_TRACE_DEFAULTS = {
+    "mobility": "rwp",
+    "speed_class": (4.0, 5.0),
+    "pause_time": 0.0,
+    "duration": 900.0,
+    "dt": 0.1,
+    "area_w": AREA,
+    "area_h": AREA,
+    "gm_memory": 0.75,
+    "gm_speed_sigma": 0.5,
+    "gm_direction_sigma": 0.4,
+    "seed": 0,
+}
+
+
+def trace_spec(**given) -> TraceSpec:
+    """The stock trace's :class:`~dynloc.mobility.TraceSpec` with the ``given`` fields changed."""
+    return TraceSpec(**{**_TRACE_DEFAULTS, **given})
 
 
 def read_table(path) -> list[dict[str, str]]:

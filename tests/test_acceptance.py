@@ -20,7 +20,7 @@ import pytest
 
 from dynloc.engine import RunConfig, run
 from dynloc.geometry import NoiseModel
-from dynloc.mobility import RandomWaypointConfig, generate_random_waypoint
+from dynloc.mobility import generate_random_waypoint
 from dynloc.oracles import (
     PauseScenario,
     TurnScenario,
@@ -55,6 +55,7 @@ from scenario_tools import (
     brute_turn_predict_error,
     make_pause_trace,
     make_turn_trace,
+    trace_spec,
 )
 
 SPEED_CLASSES = ("0.5:1", "4:5", "8:10")
@@ -210,7 +211,7 @@ def test_04_single_run_error_ramps_and_fix_noise_bound():
         int(s) for s in np.random.SeedSequence([0]).generate_state(2, np.uint64)
     )
     trace = generate_random_waypoint(
-        RandomWaypointConfig(v_min=4.0, v_max=5.0), np.random.default_rng(trace_seed)
+        trace_spec(speed_class=(4.0, 5.0)), np.random.default_rng(trace_seed)
     )
     started = time.perf_counter()
     result = run(RunConfig(
@@ -382,7 +383,7 @@ def test_10_protocol_invariants():
     # between fixes, dead-reckoned reports move at a constant velocity.
     for seed in (1, 2, 3):
         trace = generate_random_waypoint(
-            RandomWaypointConfig(duration=60.0), np.random.default_rng(seed)
+            trace_spec(duration=60.0), np.random.default_rng(seed)
         )
         for protocol, pcfg in (("sfr", SfrConfig(2.0)), ("dvm", DvmConfig(t_max=6.0))):
             result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=seed))

@@ -75,8 +75,9 @@ def test_simulate_header_records_the_gauss_markov_parameters(capsys):
     assert [c["gm_memory"] for c in configs] == [0.75, 0.5]
     assert {(c["gm_speed_sigma"], c["gm_direction_sigma"]) for c in configs} == {(0.3, 0.2)}
 
-    # A random-waypoint trace ignores them, and its header leaves them out.
-    assert main(["simulate", "--protocol", "madrd", "--duration", "60", "--gm-memory", "0.5"]) == EXIT_OK
+    # A random-waypoint trace ignores them, even out of range, and its header leaves them out.
+    gm_flags = ["--gm-memory", "2", "--gm-speed-sigma", "-1", "--gm-direction-sigma", "nan"]
+    assert main(["simulate", "--protocol", "madrd", "--duration", "60", *gm_flags]) == EXIT_OK
     config = json.loads(_lines(capsys)[1][len("# config "):])
     assert not any(key.startswith("gm_") for key in config)
 
@@ -163,6 +164,10 @@ def test_simulate_rejects_invalid_parameter(capsys):
         (["simulate", "--protocol", "madrd", "--period-growth", "inf"], "period_growth"),
         (["simulate", "--protocol", "sfr", "--speed", "a:b"], "field 'speed'"),
         (["export-trace", "--speed", "x:1"], "field 'speed'"),
+        (["simulate", "--protocol", "sfr", "--mobility", "gauss_markov", "--gm-memory", "2"], "field 'gm_memory'"),
+        (["export-trace", "--mobility", "gauss_markov", "--gm-direction-sigma", "nan"], "field 'gm_direction_sigma'"),
+        (["simulate", "--protocol", "sfr", "--dt", "0"], "field 'dt'"),
+        (["simulate", "--protocol", "sfr", "--pause", "-1"], "field 'pause_time'"),
     ],
 )
 def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, field):
@@ -421,8 +426,18 @@ def test_failed_out_write_keeps_the_old_file(tmp_path, monkeypatch, capsys, argv
         (("", ""), ["--pause-times", "0,0"], "field 'pause_times'"),
         (("", ""), ["--pause-times", "1.0000001,1.0000002"], "field 'pause_times'"),
         (("speed_classes = 4:5", "speed_classes = 4:5, 4:5"), [], "field 'speed_classes'"),
+        # Each cell's trace spec is checked with the sweep spec, before --out is made, serial or pooled.
+        *(
+            (("seed_base = 55", f"seed_base = 55\nmobility = gauss_markov\n{key} = {value}"),
+             ["--workers", workers], f"field '{key}'")
+            for key, value in (("gm_memory", "2"), ("gm_speed_sigma", "-1"))
+            for workers in ("1", "2")
+        ),
     ],
-    ids=["spec_pauses", "flag_pauses", "flag_pauses_equal_as_g", "spec_classes"],
+    ids=[
+        "spec_pauses", "flag_pauses", "flag_pauses_equal_as_g", "spec_classes",
+        "gm_memory_serial", "gm_memory_pooled", "gm_speed_sigma_serial", "gm_speed_sigma_pooled",
+    ],
 )
 def test_sweep_rejects_cells_that_would_merge_before_any_run(tmp_path, capsys, spec_edit, flags, field):
     spec_file = tmp_path / "sweep.ini"
@@ -442,8 +457,11 @@ def test_sweep_rejects_cells_that_would_merge_before_any_run(tmp_path, capsys, s
         (("[dvm]", "[dvm]\nkind = zzz"), "field 'dvm.kind'"),
         (("[sfr]", "[Sfr]"), "field 'Sfr.kind'"),
         (("t_max = 6", "t_max = true"), "field 'dvm.t_max'"),
+        # configparser would copy a [DEFAULT] key into [sweep] and every protocol section.
+        (("[sweep]", "[DEFAULT]\nt_max = 6\n\n[sweep]"), "section 'DEFAULT'"),
+        (("[sweep]", "[DEFAULT]\nkind = dvm\n\n[sweep]"), "section 'DEFAULT'"),
     ],
-    ids=["percent", "percent_reference", "unknown_kind", "section_case", "param_type"],
+    ids=["percent", "percent_reference", "unknown_kind", "section_case", "param_type", "default_t_max", "default_kind"],
 )
 def test_sweep_rejects_malformed_spec_file_naming_the_field(tmp_path, capsys, spec_edit, field):
     spec_file = tmp_path / "sweep.ini"

@@ -9,21 +9,18 @@ from dynloc import engine
 from dynloc.engine import _NOISE_CHUNK, EVENT_COLUMNS, GridMemo, RunConfig, Workspace, run
 from dynloc.geometry import NoiseModel, localize
 from dynloc.mobility import (
-    GaussMarkovConfig,
     MobilityTrace,
-    RandomWaypointConfig,
     generate_gauss_markov,
     generate_random_waypoint,
     trace_from_waypoints,
 )
 from dynloc.protocols import PROTOCOLS, DvmConfig, MadrdConfig, SfrConfig
 
-from scenario_tools import reference_run
+from scenario_tools import reference_run, trace_spec
 
 
 def _trace(seed: int = 1, duration: float = 900.0):
-    cfg = RandomWaypointConfig(duration=duration)
-    return generate_random_waypoint(cfg, np.random.default_rng(seed))
+    return generate_random_waypoint(trace_spec(duration=duration), np.random.default_rng(seed))
 
 
 def _line_trace(speed: float = 3.0, duration: float = 60.0, dt: float = 0.1):
@@ -225,8 +222,8 @@ def test_backtracking_off_leaves_events_untouched():
 
 
 def test_backtracking_never_increases_pooled_error_on_smooth_track():
-    cfg = GaussMarkovConfig(duration=120.0, memory=0.9)
-    trace = generate_gauss_markov(cfg, np.random.default_rng(12))
+    spec = trace_spec(mobility="gauss_markov", duration=120.0, gm_memory=0.9)
+    trace = generate_gauss_markov(spec, np.random.default_rng(12))
     from dataclasses import replace
 
     base = RunConfig(
@@ -273,7 +270,7 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
 )
 def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise, backtracking):
     trace = generate_random_waypoint(
-        RandomWaypointConfig(area_w=200.0, area_h=200.0, v_min=4.0, v_max=8.0, duration=300.0, dt=0.1),
+        trace_spec(area_w=200.0, area_h=200.0, speed_class=(4.0, 8.0), duration=300.0, dt=0.1),
         np.random.default_rng(17),
     )
     cfg = RunConfig(

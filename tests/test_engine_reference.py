@@ -18,16 +18,10 @@ from hypothesis import strategies as st
 
 from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, run
 from dynloc.geometry import NoiseModel
-from dynloc.mobility import (
-    GaussMarkovConfig,
-    MobilityTrace,
-    RandomWaypointConfig,
-    generate_gauss_markov,
-    generate_random_waypoint,
-)
+from dynloc.mobility import MobilityTrace, generate_gauss_markov, generate_random_waypoint
 from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
-from scenario_tools import reference_run
+from scenario_tools import reference_run, trace_spec
 
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -39,16 +33,17 @@ def traces(draw):
     rng = np.random.default_rng(draw(_SEEDS))
     if draw(st.booleans()):
         v_min = draw(st.floats(min_value=0.1, max_value=10.0))
-        cfg = RandomWaypointConfig(
-            area_w=100.0, area_h=100.0, v_min=v_min, v_max=v_min * draw(st.floats(1.0, 2.0)),
+        spec = trace_spec(
+            area_w=100.0, area_h=100.0, speed_class=(v_min, v_min * draw(st.floats(1.0, 2.0))),
             pause_time=draw(st.sampled_from([0.0, 0.7, 5.0])), duration=duration, dt=dt,
         )
-        return generate_random_waypoint(cfg, rng)
-    cfg = GaussMarkovConfig(
-        area_w=50.0, area_h=50.0, mean_speed=draw(st.floats(0.0, 10.0)),
-        memory=draw(st.floats(0.0, 1.0)), duration=duration, dt=dt,
+        return generate_random_waypoint(spec, rng)
+    mean_speed = draw(st.floats(1e-3, 10.0))
+    spec = trace_spec(
+        mobility="gauss_markov", area_w=50.0, area_h=50.0, speed_class=(mean_speed, mean_speed),
+        gm_memory=draw(st.floats(0.0, 1.0)), duration=duration, dt=dt,
     )
-    return generate_gauss_markov(cfg, rng)
+    return generate_gauss_markov(spec, rng)
 
 
 @st.composite
@@ -146,8 +141,8 @@ def fixed_rate_cases(draw):
     """A random-waypoint trace on a random grid, and an SFR period relative to its step and length."""
     dt = draw(st.floats(min_value=0.01, max_value=3.0))
     duration = draw(st.floats(min_value=0.05, max_value=60.0))
-    cfg = RandomWaypointConfig(area_w=100.0, area_h=100.0, v_min=1.0, v_max=8.0, duration=duration, dt=dt)
-    trace = generate_random_waypoint(cfg, np.random.default_rng(draw(_SEEDS)))
+    spec = trace_spec(area_w=100.0, area_h=100.0, speed_class=(1.0, 8.0), duration=duration, dt=dt)
+    trace = generate_random_waypoint(spec, np.random.default_rng(draw(_SEEDS)))
     period = draw(
         st.one_of(
             st.floats(1e-3, 0.999).map(lambda f: f * dt),  # below one grid step

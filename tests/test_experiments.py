@@ -43,10 +43,10 @@ from dynloc.experiments import (
     write_summary_csv,
 )
 from dynloc.geometry import NoiseModel
-from dynloc.mobility import MobilityTrace, RandomWaypointConfig, generate_random_waypoint
+from dynloc.mobility import MOBILITY_MODELS, MobilityTrace, generate_random_waypoint
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
 
-from scenario_tools import read_table, reference_run
+from scenario_tools import read_table, reference_run, trace_spec
 
 
 def _tiny_spec(**overrides) -> SweepSpec:
@@ -443,7 +443,7 @@ def test_spec_from_dict_rejects_a_config_that_is_not_an_object():
     ],
 )
 def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg, noise):
-    trace = generate_random_waypoint(RandomWaypointConfig(duration=30.0), np.random.default_rng(3))
+    trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(3))
     cfg = RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(noise),
                     seed=8, backtracking_enabled=True)
     config = {"protocol": protocol, "seed": 8}
@@ -563,9 +563,9 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
     grids = {0.0: (30.0, 0.1), 5.0: (60.0, 0.2), 10.0: (20.0, 0.1)}
     generate = experiments.generate_random_waypoint
 
-    def on_grid(cfg, rng):
-        duration, dt = grids[cfg.pause_time]
-        return generate(dataclasses.replace(cfg, duration=duration, dt=dt), rng)
+    def on_grid(spec, rng):
+        duration, dt = grids[spec.pause_time]
+        return generate(dataclasses.replace(spec, duration=duration, dt=dt), rng)
 
     monkeypatch.setattr(experiments, "generate_random_waypoint", on_grid)
     written = _record_event_writes(monkeypatch)
@@ -630,7 +630,7 @@ def _recorded_event_log(monkeypatch, result) -> _RecordingText:
 
 
 def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
-    trace = generate_random_waypoint(RandomWaypointConfig(duration=900.0), np.random.default_rng(6))
+    trace = generate_random_waypoint(trace_spec(duration=900.0), np.random.default_rng(6))
     result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=2))
     assert result.t.size == 9001
     assert min(result.reported_x.min(), result.reported_y.min()) < 0  # dead reckoning past the edge
@@ -650,7 +650,7 @@ def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
 def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, blocks, extra):
     rows = blocks * experiments._WRITE_ROWS + extra
-    full = generate_random_waypoint(RandomWaypointConfig(duration=60.0), np.random.default_rng(9))
+    full = generate_random_waypoint(trace_spec(duration=60.0), np.random.default_rng(9))
     trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
     result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=3))
     assert result.t.size == rows
@@ -682,9 +682,9 @@ def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
 
 
 def test_trace_text_of_another_length_fails_and_keeps_the_old_file(tmp_path):
-    trace = generate_random_waypoint(RandomWaypointConfig(duration=30.0), np.random.default_rng(4))
+    trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(4))
     result = run(RunConfig(trace=trace, protocol="dvm", protocol_config=DvmConfig(), seed=1))
-    short = generate_random_waypoint(RandomWaypointConfig(duration=20.0), np.random.default_rng(4))
+    short = generate_random_waypoint(trace_spec(duration=20.0), np.random.default_rng(4))
     path = tmp_path / "events.csv"
     path.write_text("old\n")
     with pytest.raises(ValueError):
@@ -889,6 +889,9 @@ def _sweep_specs(draw) -> SweepSpec:
         protocols.append(ProtocolSpec(label, kind, draw(st.fixed_dictionaries({}, optional=optional))))
     # abs() keeps -0.0 out: it would equal a drawn 0.0 but print apart from it with %g.
     pauses = draw(st.lists(st.floats(0.0, 1e3).map(abs), min_size=1, max_size=3, unique_by="{:g}".format))
+    mobility = draw(st.sampled_from(MOBILITY_MODELS))
+    # Only a Gauss-Markov trace reads the gm_* fields, so only there must they be in range.
+    gauss_markov = mobility == "gauss_markov"
     return SweepSpec(
         speed_classes=tuple(classes),
         pause_times=tuple(pauses),
@@ -902,12 +905,12 @@ def _sweep_specs(draw) -> SweepSpec:
             "noise_max": st.floats(0.0, 1e3),
             "dist_tolerance": st.floats(0.0, 1e3),
             "seed_base": st.integers(0, 2**63),
-            "mobility": st.sampled_from(sorted(experiments.MOBILITY_MODELS)),
-            "gm_memory": _FINITE,
-            "gm_speed_sigma": _FINITE,
-            "gm_direction_sigma": _FINITE,
+            "gm_memory": st.floats(0.0, 1.0) if gauss_markov else _FINITE,
+            "gm_speed_sigma": st.floats(0.0, 1e3) if gauss_markov else _FINITE,
+            "gm_direction_sigma": st.floats(0.0, 1e3) if gauss_markov else _FINITE,
             "backtracking_enabled": st.booleans(),
         })),
+        mobility=mobility,
     )
 
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynloc.mobility import (
-    GaussMarkovConfig,
+    MOBILITY_MODELS,
     MobilityTrace,
-    RandomWaypointConfig,
+    TraceSpec,
     WaypointParseError,
     export_trace,
     generate_gauss_markov,
@@ -22,9 +22,15 @@ from dynloc.mobility import (
     trace_from_waypoints,
 )
 
+from scenario_tools import trace_spec
 
-def _rwp(seed: int, **kwargs) -> MobilityTrace:
-    return generate_random_waypoint(RandomWaypointConfig(**kwargs), np.random.default_rng(seed))
+
+def _rwp(seed: int, **given) -> MobilityTrace:
+    return generate_random_waypoint(trace_spec(**given), np.random.default_rng(seed))
+
+
+def _gm(seed: int, **given) -> MobilityTrace:
+    return generate_gauss_markov(trace_spec(mobility="gauss_markov", **given), np.random.default_rng(seed))
 
 
 def _step_speeds(trace: MobilityTrace) -> np.ndarray:
@@ -44,7 +50,7 @@ def test_rwp_sample_count_and_grid():
 
 
 def test_rwp_stays_in_bounds_and_under_speed_cap():
-    trace = _rwp(2, v_min=4.0, v_max=5.0, pause_time=0.0)
+    trace = _rwp(2, speed_class=(4.0, 5.0), pause_time=0.0)
     assert trace.xs.min() >= 0.0 and trace.xs.max() <= 300.0
     assert trace.ys.min() >= 0.0 and trace.ys.max() <= 300.0
     speeds = _step_speeds(trace)
@@ -54,7 +60,7 @@ def test_rwp_stays_in_bounds_and_under_speed_cap():
 
 
 def test_rwp_constant_speed_when_limits_coincide():
-    trace = _rwp(3, v_min=5.0, v_max=5.0, pause_time=0.0, duration=120.0)
+    trace = _rwp(3, speed_class=(5.0, 5.0), pause_time=0.0, duration=120.0)
     speeds = _step_speeds(trace)
     exact = np.isclose(speeds, 5.0, rtol=0, atol=1e-9)
     # Between waypoints every displacement is exactly speed*dt.
@@ -93,12 +99,10 @@ def test_rwp_deterministic_per_seed():
 
 
 def test_gauss_markov_full_memory_is_straight_line():
-    cfg = GaussMarkovConfig(
-        area_w=10_000.0, area_h=10_000.0, mean_speed=4.5,
-        memory=1.0, speed_sigma=0.0, direction_sigma=0.0,
-        duration=20.0, dt=0.1,
+    trace = _gm(
+        11, area_w=10_000.0, area_h=10_000.0, speed_class=(4.0, 5.0),
+        gm_memory=1.0, gm_speed_sigma=0.0, gm_direction_sigma=0.0, duration=20.0, dt=0.1,
     )
-    trace = generate_gauss_markov(cfg, np.random.default_rng(11))
     dx = np.diff(trace.xs)
     dy = np.diff(trace.ys)
     assert np.allclose(dx, dx[0], atol=1e-9)
@@ -107,12 +111,10 @@ def test_gauss_markov_full_memory_is_straight_line():
 
 
 def test_gauss_markov_zero_memory_draws_independently():
-    cfg = GaussMarkovConfig(
-        area_w=100_000.0, area_h=100_000.0, mean_speed=4.5,
-        memory=0.0, speed_sigma=0.5, direction_sigma=0.3,
-        duration=1000.0, dt=0.1,
+    trace = _gm(
+        12, area_w=100_000.0, area_h=100_000.0, speed_class=(4.0, 5.0),
+        gm_memory=0.0, gm_speed_sigma=0.5, gm_direction_sigma=0.3, duration=1000.0, dt=0.1,
     )
-    trace = generate_gauss_markov(cfg, np.random.default_rng(12))
     speeds = _step_speeds(trace)
     lag1 = np.corrcoef(speeds[:-1], speeds[1:])[0, 1]
     assert abs(lag1) < 0.05
@@ -120,45 +122,45 @@ def test_gauss_markov_zero_memory_draws_independently():
 
 
 def test_gauss_markov_long_run_mean_speed():
-    cfg = GaussMarkovConfig(duration=10_000.0, dt=0.1)  # 1e5 steps, defaults otherwise
-    trace = generate_gauss_markov(cfg, np.random.default_rng(13))
+    trace = _gm(13, duration=10_000.0, dt=0.1)  # 1e5 steps, defaults otherwise
     speeds = _step_speeds(trace)
-    assert speeds.mean() == pytest.approx(cfg.mean_speed, rel=0.10)
+    assert speeds.mean() == pytest.approx(4.5, rel=0.10)  # the midpoint of the 4-5 m/s class
 
 
 def test_gauss_markov_respects_bounds():
-    trace = generate_gauss_markov(GaussMarkovConfig(duration=600.0), np.random.default_rng(14))
+    trace = _gm(14, duration=600.0)
     assert trace.xs.min() >= 0.0 and trace.xs.max() <= 300.0
     assert trace.ys.min() >= 0.0 and trace.ys.max() <= 300.0
 
 
 def test_gauss_markov_deterministic_per_seed():
-    a = generate_gauss_markov(GaussMarkovConfig(duration=60.0), np.random.default_rng(21))
-    b = generate_gauss_markov(GaussMarkovConfig(duration=60.0), np.random.default_rng(21))
+    a = _gm(21, duration=60.0)
+    b = _gm(21, duration=60.0)
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
 
 
-def _scalar_draw_gauss_markov(cfg: GaussMarkovConfig, rng: np.random.Generator, n: int):
+def _scalar_draw_gauss_markov(spec: TraceSpec, rng: np.random.Generator, n: int):
     """``n`` samples of the Gauss-Markov recurrence drawing one normal at a time."""
-    x, y = rng.uniform(0.0, cfg.area_w), rng.uniform(0.0, cfg.area_h)
+    x, y = rng.uniform(0.0, spec.area_w), rng.uniform(0.0, spec.area_h)
     xs, ys = [x], [y]
-    speed = cfg.mean_speed
+    mean_speed = (spec.speed_class[0] + spec.speed_class[1]) / 2.0
+    speed = mean_speed
     heading = mean_heading = rng.uniform(0.0, 2.0 * math.pi)
-    m = cfg.memory
+    m = spec.gm_memory
     drift = math.sqrt(max(0.0, 1.0 - m * m))
     for _ in range(1, n):
-        speed = m * speed + (1.0 - m) * cfg.mean_speed + drift * cfg.speed_sigma * rng.standard_normal()
-        heading = m * heading + (1.0 - m) * mean_heading + drift * cfg.direction_sigma * rng.standard_normal()
+        speed = m * speed + (1.0 - m) * mean_speed + drift * spec.gm_speed_sigma * rng.standard_normal()
+        heading = m * heading + (1.0 - m) * mean_heading + drift * spec.gm_direction_sigma * rng.standard_normal()
         speed = max(0.0, speed)
-        x += speed * cfg.dt * math.cos(heading)
-        y += speed * cfg.dt * math.sin(heading)
-        while not (0.0 <= x <= cfg.area_w and 0.0 <= y <= cfg.area_h):
-            if x < 0.0 or x > cfg.area_w:
-                x = -x if x < 0.0 else 2.0 * cfg.area_w - x
+        x += speed * spec.dt * math.cos(heading)
+        y += speed * spec.dt * math.sin(heading)
+        while not (0.0 <= x <= spec.area_w and 0.0 <= y <= spec.area_h):
+            if x < 0.0 or x > spec.area_w:
+                x = -x if x < 0.0 else 2.0 * spec.area_w - x
                 heading = math.pi - heading
                 mean_heading = math.pi - mean_heading
-            if y < 0.0 or y > cfg.area_h:
-                y = -y if y < 0.0 else 2.0 * cfg.area_h - y
+            if y < 0.0 or y > spec.area_h:
+                y = -y if y < 0.0 else 2.0 * spec.area_h - y
                 heading = -heading
                 mean_heading = -mean_heading
         xs.append(x)
@@ -173,29 +175,32 @@ def _assert_same_bits(trace: MobilityTrace, xs: list[float], ys: list[float]) ->
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "given",
     [
-        GaussMarkovConfig(duration=60.0),
-        GaussMarkovConfig(duration=30.0, memory=0.0),
-        GaussMarkovConfig(area_w=20.0, area_h=20.0, mean_speed=30.0, speed_sigma=5.0,
-                          direction_sigma=2.0, duration=20.0, dt=0.3),
+        {"duration": 60.0},
+        {"duration": 30.0, "gm_memory": 0.0},
+        {"area_w": 20.0, "area_h": 20.0, "speed_class": (30.0, 30.0), "gm_speed_sigma": 5.0,
+         "gm_direction_sigma": 2.0, "duration": 20.0, "dt": 0.3},
         # Floor-heavy: the speed floor fires on about half the steps.
-        GaussMarkovConfig(mean_speed=0.0, speed_sigma=3.0, duration=30.0),
-        # Full memory from a -0.0 mean: every floored speed is a sum of signed zeros.
-        GaussMarkovConfig(memory=1.0, mean_speed=-0.0, duration=30.0),
+        {"speed_class": (0.01, 0.01), "gm_speed_sigma": 3.0, "duration": 30.0},
+        # Full memory: every kick is a signed zero, so the speed never moves off the midpoint.
+        {"gm_memory": 1.0, "duration": 30.0},
     ],
+    ids=[f"cfg{i}" for i in range(5)],
 )
-def test_gauss_markov_batched_draws_match_scalar_stream(cfg):
+def test_gauss_markov_batched_draws_match_scalar_stream(given):
+    spec = trace_spec(mobility="gauss_markov", **given)
     for seed in range(5):
-        trace = generate_gauss_markov(cfg, np.random.default_rng(seed))
-        xs, ys = _scalar_draw_gauss_markov(cfg, np.random.default_rng(seed), len(trace))
+        trace = generate_gauss_markov(spec, np.random.default_rng(seed))
+        xs, ys = _scalar_draw_gauss_markov(spec, np.random.default_rng(seed), len(trace))
         _assert_same_bits(trace, xs, ys)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     memory=st.floats(0.0, 1.0),
-    mean_speed=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 5.0),
+    # Near-zero classes keep the speed floor busy.
+    speed_class=st.lists(st.floats(1e-9, 5.0), min_size=2, max_size=2).map(sorted).map(tuple),
     speed_sigma=st.floats(0.0, 3.0),
     direction_sigma=st.floats(0.0, 3.0),
     area_w=st.floats(1.0, 5.0),
@@ -205,14 +210,14 @@ def test_gauss_markov_batched_draws_match_scalar_stream(cfg):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gauss_markov_matches_the_scalar_spec_bit_for_bit(
-    memory, mean_speed, speed_sigma, direction_sigma, area_w, area_h, duration, dt, seed
+    memory, speed_class, speed_sigma, direction_sigma, area_w, area_h, duration, dt, seed
 ):
-    cfg = GaussMarkovConfig(
-        area_w=area_w, area_h=area_h, mean_speed=mean_speed, memory=memory, speed_sigma=speed_sigma,
-        direction_sigma=direction_sigma, duration=duration, dt=dt,
+    spec = trace_spec(
+        mobility="gauss_markov", area_w=area_w, area_h=area_h, speed_class=speed_class, gm_memory=memory,
+        gm_speed_sigma=speed_sigma, gm_direction_sigma=direction_sigma, duration=duration, dt=dt,
     )
-    trace = generate_gauss_markov(cfg, np.random.default_rng(seed))
-    xs, ys = _scalar_draw_gauss_markov(cfg, np.random.default_rng(seed), len(trace))
+    trace = generate_gauss_markov(spec, np.random.default_rng(seed))
+    xs, ys = _scalar_draw_gauss_markov(spec, np.random.default_rng(seed), len(trace))
     _assert_same_bits(trace, xs, ys)
 
 
@@ -255,12 +260,12 @@ def test_gauss_markov_floors_a_nan_speed_to_zero_like_max():
     # and the walk goes on.  A floor that kept NaN would move the node to a
     # NaN position, which no wall test rejects, so the reflection loop would
     # never end: hence the time limit.  Normals come in (speed, heading) pairs.
-    cfg = GaussMarkovConfig(area_w=50.0, area_h=50.0, memory=0.5, duration=0.4, dt=0.1)
+    spec = trace_spec(mobility="gauss_markov", area_w=50.0, area_h=50.0, gm_memory=0.5, duration=0.4, dt=0.1)
     normals = [0.3, 0.1, math.nan, -0.2, -0.0, 0.4, 1.0, 0.0]
     uniforms = [20.0, 30.0, 1.0]
     with _time_limit(5.0):
-        trace = generate_gauss_markov(cfg, _ScriptedRng(uniforms, normals))
-    xs, ys = _scalar_draw_gauss_markov(cfg, _ScriptedRng(uniforms, normals), len(trace))
+        trace = generate_gauss_markov(spec, _ScriptedRng(uniforms, normals))
+    xs, ys = _scalar_draw_gauss_markov(spec, _ScriptedRng(uniforms, normals), len(trace))
     _assert_same_bits(trace, xs, ys)
     assert (trace.xs[2], trace.ys[2]) == (trace.xs[1], trace.ys[1])
     assert trace.xs[3] != trace.xs[2]
@@ -269,11 +274,42 @@ def test_gauss_markov_floors_a_nan_speed_to_zero_like_max():
 @pytest.mark.parametrize("field", ["pause_time", "duration", "dt", "area_w"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_mobility_configs_reject_non_finite_fields(field, value):
-    with pytest.raises(ValueError, match=field):
-        RandomWaypointConfig(**{field: value})
-    if field != "pause_time":
-        with pytest.raises(ValueError, match=field):
-            GaussMarkovConfig(**{field: value})
+    for mobility in MOBILITY_MODELS:
+        with pytest.raises(ValueError, match=f"fields? '{field}'"):
+            trace_spec(mobility=mobility, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "given, field",
+    [
+        ({"mobility": "teleport"}, "mobility"),
+        ({"speed_class": (5.0, 4.0)}, "speed_class"),
+        ({"speed_class": (0.0, 4.0)}, "speed_class"),
+        ({"speed_class": (4.0, math.inf)}, "speed_class"),
+        ({"pause_time": -1.0}, "pause_time"),
+        ({"duration": 0.0}, "duration"),
+        ({"dt": -0.1}, "dt"),
+        ({"area_h": 0.0}, "area_w'/'area_h"),
+        ({"seed": -1}, "seed"),
+    ],
+)
+def test_trace_spec_rejects_a_bad_field_naming_it(given, field):
+    with pytest.raises(ValueError, match=f"fields? '{field}'"):
+        trace_spec(**given)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gm_memory", 2.0), ("gm_memory", -0.1), ("gm_memory", math.nan), ("gm_speed_sigma", -1.0),
+     ("gm_speed_sigma", math.inf), ("gm_direction_sigma", math.nan)],
+)
+def test_trace_spec_checks_the_gauss_markov_fields_of_a_gauss_markov_trace_only(field, value):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        trace_spec(mobility="gauss_markov", **{field: value})
+    # A random-waypoint trace does not read them.
+    spec = trace_spec(mobility="rwp", duration=10.0, **{field: value})
+    stock = generate_random_waypoint(trace_spec(duration=10.0), np.random.default_rng(5))
+    assert generate_random_waypoint(spec, np.random.default_rng(5)).content_hash() == stock.content_hash()
 
 
 # ---------------------------------------------------------------------------
