@@ -64,30 +64,29 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dynloc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names.
+    # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names, and
+    # the stock trace is SweepSpec's: its field defaults are the flags' defaults.
+    stock = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
     trace = _Parser(add_help=False)
     trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default="rwp")
     trace.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
                        help="waypoint pause time, seconds")
-    trace.add_argument("--gm-memory", type=float, default=0.75)
-    trace.add_argument("--gm-speed-sigma", type=float, default=0.5)
-    trace.add_argument("--gm-direction-sigma", type=float, default=0.4)
-    trace.add_argument("--duration", type=float, default=900.0)
-    trace.add_argument("--dt", type=float, default=0.1)
+    for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma", "duration", "dt"):
+        trace.add_argument("--" + name.replace("_", "-"), type=float, default=stock[name])
     trace.add_argument("--area", type=str, default="300x300")
     trace.add_argument("--seed", type=int, default=0)
 
-    # Protocol flags: each dest is the field name of a protocol config.
+    # Protocol flags: one per config field in PROTOCOLS, shared by the kinds that have it.  A flag
+    # not given is None, and the config keeps its own default for it (_protocol_config).
     sim = sub.add_parser("simulate", parents=[trace], help="run one node/protocol pair and print a summary row")
     sim.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
-    sim.add_argument("--period", type=float, default=2.0, help="SFR period, seconds")
-    sim.add_argument("--target-error", type=float, default=5.0, help="DVM travel budget, meters")
-    sim.add_argument("--divergence-threshold", type=float, default=5.0, help="MADRD prediction tolerance, meters")
-    sim.add_argument("--t-min", type=float, default=0.5)
-    sim.add_argument("--t-max", type=float, default=6.0)
-    sim.add_argument("--period-growth", type=float, default=2.0)
-    sim.add_argument("--period-shrink", type=float, default=0.5)
+    readers: dict[str, list[str]] = {}
+    for kind, entry in PROTOCOLS.items():
+        for f in dataclasses.fields(entry.config):
+            readers.setdefault(f.name, []).append(kind)
+    for name, kinds in readers.items():
+        sim.add_argument("--" + name.replace("_", "-"), type=float, help=f"{'/'.join(kinds)} parameter")
     sim.add_argument("--noise", type=float, default=0.5)
     sim.add_argument("--tolerance", type=float, default=5.0)
     sim.add_argument("--backtracking", action="store_true")
@@ -155,7 +154,8 @@ def _output_file(path: str | None, field: str) -> None:
 
 def _protocol_config(args) -> ProtocolConfig:
     config_cls = PROTOCOLS[args.protocol].config
-    return config_cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)})
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)}
+    return config_cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _seed(args) -> int:
@@ -175,8 +175,7 @@ def _trace_spec(args, seed: int) -> mobility.TraceSpec:
 def _cmd_simulate(args) -> int:
     _output_file(args.out, "out")
     _output_file(args.events_out, "events-out")
-    seeds = np.random.SeedSequence([_seed(args)]).generate_state(2, np.uint64)
-    trace_seed, noise_seed = int(seeds[0]), int(seeds[1])
+    trace_seed, noise_seed = experiments.run_seeds(_seed(args))
     ts = _trace_spec(args, trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
@@ -352,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, mobility.WaypointParseError) as exc:
+    except ValueError as exc:  # mobility.WaypointParseError included
         sys.stderr.write(f"validation error: {exc}\n")
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,11 +1,12 @@
 """Experiment sweeps: cells, repetitions, summary CSVs, and provenance.
 
 A sweep crosses speed classes x pause times x protocols x repetitions.  Every
-cell derives its trace seed and noise seed from ``seed_base`` and the cell
-coordinates alone, so any single run -- or the whole sweep -- can be
-regenerated bit-exactly from the provenance header embedded in each output
-file.  All protocols within a repetition share one ground-truth trace and one
-noise seed, which makes their localization-count ratios paired comparisons.
+cell derives its trace seed and noise seed (:func:`run_seeds`) from
+``seed_base`` and the cell coordinates alone, so any single run -- or the
+whole sweep -- can be regenerated bit-exactly from the provenance header
+embedded in each output file.  All protocols within a repetition share one
+ground-truth trace and one noise seed, which makes their localization-count
+ratios paired comparisons.
 
 Output files:
 
@@ -65,6 +66,7 @@ __all__ = [
     "parse_speed_class",
     "resolve_protocol_config",
     "run_provenance",
+    "run_seeds",
     "run_sweep",
     "summarize",
     "write_runs_csv",
@@ -354,9 +356,12 @@ def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> di
 # ---------------------------------------------------------------------------
 
 
-def _cell_seeds(spec: SweepSpec, class_index: int, pause_index: int, rep: int) -> tuple[int, int]:
-    ss = np.random.SeedSequence([spec.seed_base, class_index, pause_index, rep])
-    trace_seed, noise_seed = (int(v) for v in ss.generate_state(2, np.uint64))
+def run_seeds(*entropy: int) -> tuple[int, int]:
+    """A run's ``(trace_seed, noise_seed)``: ``SeedSequence(entropy)``'s first two words.
+
+    A sweep cell's entropy is ``(seed_base, class_index, pause_index, rep)``; ``simulate``'s is ``(seed,)``.
+    """
+    trace_seed, noise_seed = (int(v) for v in np.random.SeedSequence(entropy).generate_state(2, np.uint64))
     return trace_seed, noise_seed
 
 
@@ -374,7 +379,7 @@ def _run_cell(
     time_text: GridMemo,
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
-    trace_seed, noise_seed = _cell_seeds(spec, class_index, pause_index, rep)
+    trace_seed, noise_seed = run_seeds(spec.seed_base, class_index, pause_index, rep)
     ts = spec.trace_spec(class_index, pause_index, trace_seed)
     trace = make_trace(ts)
     trace_sha = trace.content_hash()
@@ -441,8 +446,10 @@ def run_sweep(
     workers: int = 1,
     events_dir: str | os.PathLike | None = None,
 ) -> list[RunRecord]:
-    """Execute the full sweep; records come back in deterministic cell order.
+    """Execute the full sweep; one record per run, in the order :func:`summarize` pairs by.
 
+    Cells come in order of class, then pause, then repetition, and each cell's
+    records in the order of ``spec.protocols``, whatever the worker count.
     ``workers`` > 1 fans cells out over a process pool that never gets more
     processes than there are cells or CPUs.  Cells run in batches that each
     share one :class:`~dynloc.engine.Workspace` and the text of the ``t``
@@ -485,61 +492,48 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
 
 
 def summarize(spec: SweepSpec, records: Sequence[RunRecord]) -> list[SummaryRow]:
-    """Aggregate per-run records into one row per cell.
+    """Aggregate the records of one whole :func:`run_sweep`, in its order, into one row per cell.
 
-    Ratios are paired per repetition against the first ``sfr``-kind protocol
-    of the same (speed class, pause) cell and then averaged; when the sweep
-    has no SFR baseline the ratio columns stay empty rather than inventing a
-    denominator.
+    Grouped by (class, pause, protocol), each group holds its repetitions in
+    order and the groups come in row order.  Ratios pair each repetition, by
+    position, with the first ``sfr``-kind protocol of the same class and pause
+    and are then averaged; with no SFR baseline the ratio columns stay empty.
+    Every run fixes at t = 0, so no ratio divides by zero.
     """
-    baseline_label = next((p.label for p in spec.protocols if p.kind == "sfr"), None)
-    by_run: dict[tuple[str, float, str, int], RunRecord] = {}
+    baseline = next((p.label for p in spec.protocols if p.kind == "sfr"), None)
+    cells: dict[tuple[str, float, str], list[RunRecord]] = {}
     for r in records:
-        by_run[(r.speed_class, r.pause_time, r.protocol, r.rep)] = r
+        cells.setdefault((r.speed_class, r.pause_time, r.protocol), []).append(r)
 
     rows: list[SummaryRow] = []
-    for ci, sc in enumerate(spec.speed_classes):
-        speed = class_label(sc)
-        for pause in spec.pause_times:
-            for pspec in spec.protocols:
-                cell = [
-                    by_run[(speed, pause, pspec.label, rep)]
-                    for rep in range(spec.repetitions)
-                    if (speed, pause, pspec.label, rep) in by_run
-                ]
-                if not cell:
-                    continue
-                counts = [r.localization_count for r in cell]
-                mean_n, std_n = _mean_std(counts)
-                mean_e, std_e = _mean_std([r.mean_error for r in cell])
-                mean_a, std_a = _mean_std([r.accuracy for r in cell])
-                mean_c, _ = _mean_std([r.correction_count for r in cell])
-                ratio = ratio_std = None
-                if baseline_label is not None:
-                    ratios = []
-                    for r in cell:
-                        base = by_run.get((speed, pause, baseline_label, r.rep))
-                        if base is not None and base.localization_count > 0:
-                            ratios.append(r.localization_count / base.localization_count)
-                    if ratios:
-                        ratio, ratio_std = _mean_std(ratios)
-                rows.append(
-                    SummaryRow(
-                        speed_class=speed,
-                        pause_time=pause,
-                        protocol=pspec.label,
-                        upper_threshold=cell[0].upper_threshold,
-                        mean_localizations=mean_n,
-                        localizations_std=std_n,
-                        ratio_to_sfr=ratio,
-                        ratio_std=ratio_std,
-                        mean_error=mean_e,
-                        error_std=std_e,
-                        accuracy=mean_a,
-                        accuracy_std=std_a,
-                        correction_count=mean_c,
-                    )
-                )
+    for (speed, pause, label), cell in cells.items():
+        ratio = ratio_std = None
+        if baseline is not None:
+            base = cells[speed, pause, baseline]
+            ratio, ratio_std = _mean_std(
+                [r.localization_count / b.localization_count for r, b in zip(cell, base, strict=True)]
+            )
+        mean_n, std_n = _mean_std([r.localization_count for r in cell])
+        mean_e, std_e = _mean_std([r.mean_error for r in cell])
+        mean_a, std_a = _mean_std([r.accuracy for r in cell])
+        mean_c, _ = _mean_std([r.correction_count for r in cell])
+        rows.append(
+            SummaryRow(
+                speed_class=speed,
+                pause_time=pause,
+                protocol=label,
+                upper_threshold=cell[0].upper_threshold,
+                mean_localizations=mean_n,
+                localizations_std=std_n,
+                ratio_to_sfr=ratio,
+                ratio_std=ratio_std,
+                mean_error=mean_e,
+                error_std=std_e,
+                accuracy=mean_a,
+                accuracy_std=std_a,
+                correction_count=mean_c,
+            )
+        )
     return rows
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import platform
@@ -10,6 +11,7 @@ import pytest
 from dynloc import cli, experiments, oracles
 from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
 from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
+from dynloc.protocols import PROTOCOLS, ProtocolKind, sfr_step
 
 from scenario_tools import read_table
 
@@ -148,6 +150,29 @@ def test_simulate_rounds_the_duration_up_to_whole_steps(tmp_path, capsys, argv, 
     assert main(["simulate", "--protocol", "sfr", *argv, "--events-out", str(events)]) == EXIT_OK
     rows = events.read_text().rstrip("\n").split("\n")[3:]
     assert [float(row.split(",")[0]) for row in rows] == times
+
+
+@dataclasses.dataclass(frozen=True)
+class _LaggedConfig:
+    period: float = 2.0
+    lag: float = 0.5
+
+
+@pytest.mark.parametrize("flags, lag", [([], 0.5), (["--lag", "2"], 2.0)])
+def test_a_new_protocol_row_gets_its_flags(monkeypatch, capsys, flags, lag):
+    # A fourth table row with a field no other config has: its flag comes from the row alone.
+    monkeypatch.setitem(PROTOCOLS, "lagged", ProtocolKind(_LaggedConfig, sfr_step, predicts=False, fixed_rate=False))
+    assert main(["simulate", "--protocol", "lagged", "--duration", "10", *flags]) == EXIT_OK
+    config = json.loads(_lines(capsys)[1][len("# config "):])
+    assert config["protocol_params"] == {"period": 2.0, "lag": lag}
+
+
+def test_protocol_flags_left_out_keep_each_config_default():
+    parse = cli._build_parser().parse_args
+    for kind, entry in PROTOCOLS.items():
+        assert cli._protocol_config(parse(["simulate", "--protocol", kind])) == entry.config()
+    args = parse(["simulate", "--protocol", "dvm", "--t-max", "9"])
+    assert cli._protocol_config(args) == PROTOCOLS["dvm"].config(t_max=9.0)
 
 
 def test_simulate_rejects_invalid_parameter(capsys):

@@ -352,6 +352,31 @@ def test_summary_ratio_is_paired_mean_over_reps():
     assert row.ratio_to_sfr == pytest.approx(sum(manual) / len(manual))
 
 
+def test_summary_ratio_baseline_is_the_first_sfr_kind_protocol():
+    spec = _tiny_spec(
+        protocols=(
+            ProtocolSpec("dvm", "dvm", {"t_max": 6.0}),
+            ProtocolSpec("a", "sfr", {"period": 1.0}),
+            ProtocolSpec("b", "sfr", {"period": 2.0}),
+        )
+    )
+    records = run_sweep(spec)
+    by_run = {(r.speed_class, r.pause_time, r.protocol, r.rep): r for r in records}
+    rows = summarize(spec, records)
+    assert [r.protocol for r in rows[:3]] == ["dvm", "a", "b"]
+    for row in rows:
+        manual = [
+            by_run[(row.speed_class, row.pause_time, row.protocol, rep)].localization_count
+            / by_run[(row.speed_class, row.pause_time, "a", rep)].localization_count
+            for rep in range(spec.repetitions)
+        ]
+        assert row.ratio_to_sfr == pytest.approx(sum(manual) / len(manual))
+        if row.protocol == "a":
+            assert row.ratio_to_sfr == 1.0 and row.ratio_std == 0.0
+        else:
+            assert row.ratio_to_sfr != 1.0
+
+
 def test_summary_without_sfr_leaves_ratios_empty():
     spec = _tiny_spec(protocols=(ProtocolSpec("dvm", "dvm", {"t_max": 6.0}),))
     rows = summarize(spec, run_sweep(spec))
