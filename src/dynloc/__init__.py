@@ -9,7 +9,7 @@ grids bit-exactly from a seed.
 """
 
 from .engine import EVENT_COLUMNS, RunConfig, RunMetrics, RunResult, run
-from .geometry import NoiseModel, localize, threshold_accuracy
+from .geometry import localize, threshold_accuracy
 from .mobility import (
     MobilityTrace,
     TraceSpec,
@@ -21,14 +21,7 @@ from .mobility import (
     import_traces,
     trace_from_waypoints,
 )
-from .oracles import (
-    PauseScenario,
-    TurnScenario,
-    madrd_pause_error,
-    madrd_turn_error,
-    sfr_pause_error,
-    sfr_turn_error,
-)
+from .oracles import madrd_pause_error, madrd_turn_error, sfr_pause_error, sfr_turn_error
 from .protocols import Confidence, DvmConfig, MadrdConfig, SfrConfig, madrd_predict
 
 __version__ = "0.1.0"

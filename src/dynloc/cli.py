@@ -36,7 +36,6 @@ import numpy as np
 
 from . import experiments, mobility, oracles
 from .engine import RunConfig, run
-from .geometry import NoiseModel
 from .protocols import PROTOCOLS, ProtocolConfig
 
 EXIT_OK = 0
@@ -65,16 +64,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names, and
-    # the stock trace is SweepSpec's: its field defaults are the flags' defaults.
+    # the stock run is SweepSpec's: its field defaults are the flags' defaults.
     stock = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
+    stock_area = f"{stock['area_w']!r}x{stock['area_h']!r}"
     trace = _Parser(add_help=False)
-    trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default="rwp")
+    trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default=stock["mobility"])
     trace.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
                        help="waypoint pause time, seconds")
     for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma", "duration", "dt"):
         trace.add_argument("--" + name.replace("_", "-"), type=float, default=stock[name])
-    trace.add_argument("--area", type=str, default="300x300")
+    trace.add_argument("--area", type=str, default=stock_area)
     trace.add_argument("--seed", type=int, default=0)
 
     # Protocol flags: one per config field in PROTOCOLS, shared by the kinds that have it.  A flag
@@ -87,8 +87,8 @@ def _build_parser() -> _Parser:
             readers.setdefault(f.name, []).append(kind)
     for name, kinds in readers.items():
         sim.add_argument("--" + name.replace("_", "-"), type=float, help=f"{'/'.join(kinds)} parameter")
-    sim.add_argument("--noise", type=float, default=0.5)
-    sim.add_argument("--tolerance", type=float, default=5.0)
+    sim.add_argument("--noise", type=float, default=stock["noise_max"])
+    sim.add_argument("--tolerance", type=float, default=stock["dist_tolerance"])
     sim.add_argument("--backtracking", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
     sim.add_argument("--node", type=int, default=0, help="node line to use from --trace-file")
@@ -122,8 +122,8 @@ def _build_parser() -> _Parser:
 
     imp = sub.add_parser("import-trace", help="validate waypoint text and resample it onto the dt grid")
     imp.add_argument("--in", dest="infile", required=True)
-    imp.add_argument("--dt", type=float, default=0.1)
-    imp.add_argument("--area", type=str, default="300x300")
+    imp.add_argument("--dt", type=float, default=stock["dt"])
+    imp.add_argument("--area", type=str, default=stock_area)
     imp.add_argument("--duration", type=float, default=None)
     imp.add_argument("--node", type=int, default=None, help="single node line to keep (default: all)")
     imp.add_argument("--out", type=str, default=None)
@@ -188,9 +188,8 @@ def _cmd_simulate(args) -> int:
 
     cfg = RunConfig(
         trace=trace,
-        protocol=args.protocol,
         protocol_config=_protocol_config(args),
-        noise=NoiseModel(args.noise),
+        noise_max=args.noise,
         dist_tolerance=args.tolerance,
         seed=noise_seed,
         backtracking_enabled=args.backtracking,
@@ -253,41 +252,45 @@ def _cmd_oracle(args) -> int:
     _output_file(args.out, "out")
     if not (math.isfinite(args.v) and args.v > 0):
         raise ValueError(f"field 'v': need a finite speed > 0, got {args.v}")
+    if args.steps < 2:
+        raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
     if args.turn:
         if not math.isfinite(args.theta):
             raise ValueError(f"field 'theta': need a finite angle in degrees, got {args.theta}")
         _check_distance(args.x, "x")
+        if not (math.isfinite(args.nmax) and args.nmax > 0):
+            raise ValueError(f"field 'nmax': need a finite distance > 0, got {args.nmax}")
         theta = math.radians(args.theta)
-        if args.steps < 2 or args.nmax <= 0:
-            raise ValueError("fields 'steps'/'nmax': need steps >= 2 and nmax > 0")
-        period = (args.x + args.nmax) / args.v
-        if not math.isfinite(period):
-            raise ValueError(f"fields 'x'/'nmax'/'v': need a finite fix period (x + nmax) / v, got {period}")
-        scenario = oracles.TurnScenario(straight_before_turn=args.x, turn_angle=theta, speed=args.v, period=period)
+        # The turn errors do not read the speed; the header records it all the same.
         header = {
             "mode": "turn", "theta_deg": args.theta, "x": args.x,
             "v": args.v, "nmax": args.nmax, "steps": args.steps,
         }
         columns = ("past_turn", "sfr_error", "madrd_error")
-        rows = [
-            (n, oracles.sfr_turn_error(scenario, n), oracles.madrd_turn_error(theta, n))
-            for n in np.linspace(0.0, args.nmax, args.steps).tolist()
-        ]
+        try:
+            rows = [
+                (n, oracles.sfr_turn_error(args.x, theta, n), oracles.madrd_turn_error(theta, n))
+                for n in np.linspace(0.0, args.nmax, args.steps).tolist()
+            ]
+            finite = all(math.isfinite(cell) for row in rows for cell in row)
+        except OverflowError:  # (x - n) ** 2 past the largest float
+            finite = False
+        if not finite:
+            raise ValueError(f"fields 'x'/'nmax': the error table overflows a float at x={args.x}, nmax={args.nmax}")
     else:
         _check_distance(args.d, "d")
-        scenario = oracles.PauseScenario(travel_before_stop=args.d, speed=args.v)
         stop_t = args.d / args.v
         horizon = args.horizon if args.horizon is not None else 2.0 * stop_t
-        if args.steps < 2:
-            raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
         if not (math.isfinite(horizon) and horizon > 0):
             default = "" if args.horizon is not None else " (the default 2 * d / v)"
             raise ValueError(f"field 'horizon': need a finite horizon > 0, got {horizon}{default}")
+        # Every error in the table is at most the travel v * horizon.
+        if not math.isfinite(args.v * horizon):
+            raise ValueError(f"fields 'v'/'horizon': the travel v * horizon = {args.v} * {horizon} overflows a float")
         header = {"mode": "pause", "d": args.d, "v": args.v, "horizon": horizon, "steps": args.steps}
         columns = ("t", "sfr_error", "madrd_error")
         rows = [
-            (t, oracles.sfr_pause_error(scenario, args.v * t),
-             oracles.madrd_pause_error(scenario, max(0.0, t - stop_t)))
+            (t, oracles.sfr_pause_error(args.d, args.v * t), oracles.madrd_pause_error(args.v, max(0.0, t - stop_t)))
             for t in np.linspace(0.0, horizon, args.steps).tolist()
         ]
     experiments.write_csv(args.out, "oracle", header, columns, rows)

@@ -50,13 +50,13 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain, islice
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import SCRATCH_ROWS, NoiseModel, hypot_exact, localize, threshold_accuracy
+from .geometry import SCRATCH_ROWS, hypot_exact, localize, threshold_accuracy
 from .mobility import MobilityTrace
 from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd_predict
 
@@ -80,25 +80,34 @@ _NOISE_CHUNK = 256
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The inputs of one run.
+
+    ``noise_max`` bounds each fix's displacement, in meters; the class of
+    ``protocol_config`` names the protocol (:attr:`protocol`).
+    """
+
     trace: MobilityTrace
-    protocol: str
     protocol_config: ProtocolConfig
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    noise_max: float = 0.5
     dist_tolerance: float = 5.0
     seed: int = 0
     backtracking_enabled: bool = False
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOLS:
-            raise ValueError(f"unknown protocol {self.protocol!r}, expected one of {tuple(PROTOCOLS)}")
-        expected = PROTOCOLS[self.protocol].config
-        if not isinstance(self.protocol_config, expected):
-            raise ValueError(
-                f"protocol {self.protocol!r} needs a {expected.__name__}, "
-                f"got {type(self.protocol_config).__name__}"
-            )
-        if not math.isfinite(self.dist_tolerance) or self.dist_tolerance < 0:
-            raise ValueError(f"dist_tolerance must be >= 0, got {self.dist_tolerance}")
+        self.protocol  # a config of no known kind raises here
+        for name in ("noise_max", "dist_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"field {name!r}: must be finite and >= 0, got {value}")
+
+    @property
+    def protocol(self) -> str:
+        """The name of the :data:`~dynloc.protocols.PROTOCOLS` row whose config class ``protocol_config`` is."""
+        for name, kind in PROTOCOLS.items():
+            if type(self.protocol_config) is kind.config:
+                return name
+        configs = "/".join(kind.config.__name__ for kind in PROTOCOLS.values())
+        raise ValueError(f"field 'protocol_config': need a {configs}, got {type(self.protocol_config).__name__}")
 
 
 @dataclass(frozen=True)
@@ -230,13 +239,13 @@ class Workspace:
             steps = memo[key] = _fixed_rate_steps(times, period)
         return steps
 
-    def fix_offsets(self, noise: NoiseModel, seed: int) -> Iterator[tuple[float, float]]:
+    def fix_offsets(self, noise_max: float, seed: int) -> Iterator[tuple[float, float]]:
         """Endless ``(dx, dy)`` fix displacements of ``default_rng(seed)``, from the stream's first fix.
 
         Displacements drawn for an earlier run on the same stream are reused;
         new ones are drawn ``_NOISE_CHUNK`` fixes at a time.
         """
-        key = (seed, struct.pack("<d", noise.max_magnitude))
+        key = (seed, struct.pack("<d", noise_max))
         if key != self._noise_key:
             self._noise_key = key
             self._rng = np.random.default_rng(seed)
@@ -244,7 +253,7 @@ class Workspace:
         offsets, rng = self._offsets, self._rng
         yield from offsets
         while True:
-            drawn = localize(noise, rng, _NOISE_CHUNK)
+            drawn = localize(noise_max, rng, _NOISE_CHUNK)
             offsets.extend(drawn)
             yield from drawn
 
@@ -281,19 +290,18 @@ def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
             return _readonly(np.array(steps))
 
 
-def _stepped_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
+def _stepped_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
     """The fixes of a run, one ``step`` call per fix."""
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
     n = times.size
     # A fix requested at time r fires at the first step k with times[k] + eps >= r.
     due = ws.schedule(times)
-    step = PROTOCOLS[cfg.protocol].step
     pcfg = cfg.protocol_config
     fix_steps: list[int] = []
     rows: list[tuple] = []
     row = None
     k = 0
-    for dx, dy in ws.fix_offsets(cfg.noise, cfg.seed):
+    for dx, dy in ws.fix_offsets(cfg.noise_max, cfg.seed):
         t = times.item(k)
         row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
         next_t = t + row[3]  # the row's period (FIX_COLUMNS)
@@ -312,16 +320,16 @@ def _stepped_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
     return Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
 
 
-def _fixed_rate_fixes(cfg: RunConfig, ws: Workspace) -> Fixes:
+def _fixed_rate_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
     """The fixes of a ``fixed_rate`` run: one ``step`` call, at the first fix, and array operations.
 
     Its row gives the period, so the fix steps come from the workspace; the
     measured positions are the true ones plus the same noise stream, in order.
     """
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
-    offsets = ws.fix_offsets(cfg.noise, cfg.seed)
+    offsets = ws.fix_offsets(cfg.noise_max, cfg.seed)
     dx, dy = next(offsets)
-    first = PROTOCOLS[cfg.protocol].step(times.item(0), xs.item(0) + dx, ys.item(0) + dy, None, cfg.protocol_config)
+    first = step(times.item(0), xs.item(0) + dx, ys.item(0) + dy, None, cfg.protocol_config)
     steps = ws.fixed_rate_steps(times, first[3])
     m = steps.size
     drawn = chain((dx, dy), chain.from_iterable(islice(offsets, m - 1)))
@@ -400,9 +408,8 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     n = times.size
     if not times.item(0) >= 0:
         raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
-    noise = cfg.noise
     kind = PROTOCOLS[cfg.protocol]
-    fixes = (_fixed_rate_fixes if kind.fixed_rate else _stepped_fixes)(cfg, ws)
+    fixes = (_fixed_rate_fixes if kind.fixed_rate else _stepped_fixes)(cfg, kind.step, ws)
     if not (np.isfinite(fixes.x).all() and np.isfinite(fixes.y).all()):
         raise ValueError("fix coordinates must be finite")
     for column in fixes:
@@ -423,7 +430,7 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
 
     correction_count = 0
     if cfg.backtracking_enabled:
-        correction_count = backtrack_correct(times, fixes, rep_x, rep_y, noise.max_magnitude, ws.scratch(n))
+        correction_count = backtrack_correct(times, fixes, rep_x, rep_y, cfg.noise_max, ws.scratch(n))
 
     errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
     metrics = RunMetrics(

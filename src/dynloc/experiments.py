@@ -43,7 +43,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, run
-from .geometry import NoiseModel
 from .mobility import (
     MobilityTrace,
     TraceSpec,
@@ -341,7 +340,7 @@ def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> di
         "dt": ts.dt,
         "area": [ts.area_w, ts.area_h],
         **gauss_markov,
-        "noise": cfg.noise.max_magnitude,
+        "noise": cfg.noise_max,
         "dist_tolerance": cfg.dist_tolerance,
         "trace_seed": ts.seed,
         "noise_seed": cfg.seed,
@@ -385,7 +384,6 @@ def _run_cell(
     trace_sha = trace.content_hash()
     speed = class_label(ts.speed_class)
     pause = ts.pause_time
-    noise = NoiseModel(spec.noise_max)
     # The protocol runs of a cell share the trace, so its event text is formatted once.
     trace_text = _trace_text(trace, time_text) if events_dir is not None else None
     records: list[RunRecord] = []
@@ -393,9 +391,8 @@ def _run_cell(
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
         run_cfg = RunConfig(
             trace=trace,
-            protocol=pspec.kind,
             protocol_config=config,
-            noise=noise,
+            noise_max=spec.noise_max,
             dist_tolerance=spec.dist_tolerance,
             seed=noise_seed,
             backtracking_enabled=spec.backtracking_enabled,

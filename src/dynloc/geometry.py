@@ -11,13 +11,11 @@ element by element, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "NoiseModel",
     "hypot_exact",
     "veltkamp_split",
     "SCRATCH_ROWS",
@@ -25,22 +23,6 @@ __all__ = [
     "localize",
     "threshold_accuracy",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Isotropic measurement noise: displacement magnitude uniform in [0, max_magnitude].
-
-    The displacement direction is uniform over the full circle, so measured
-    positions scatter inside a disc around the true position.  The default
-    radius is 0.5 m.
-    """
-
-    max_magnitude: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.max_magnitude) or self.max_magnitude < 0:
-            raise ValueError(f"noise max_magnitude must be >= 0, got {self.max_magnitude}")
 
 
 # Veltkamp's splitter 2**27 + 1: x * _SPLITTER splits a double into two 26-bit halves.
@@ -154,39 +136,39 @@ def hypot_exact(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = Non
     return h
 
 
-def draw_fix_noise(noise: NoiseModel, rng: np.random.Generator, count: int) -> np.ndarray:
+def draw_fix_noise(noise_max: float, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw the displacements of ``count`` fixes: one ``(magnitude, angle)`` row per fix.
 
-    The magnitude is uniform in [0, noise.max_magnitude), the angle uniform in
+    The magnitude is uniform in [0, noise_max), the angle uniform in
     [0, 2*pi), drawn from ``rng`` in that order, so a seeded stream yields the
     same fixes one row or many rows at a time.  ``uniform(0, high)`` is exactly
     ``random() * high``, without ``uniform``'s per-call set-up for array bounds.
     """
-    return rng.random((count, 2)) * (noise.max_magnitude, 2.0 * math.pi)
+    return rng.random((count, 2)) * (noise_max, 2.0 * math.pi)
 
 
-def localize(noise: NoiseModel, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
+def localize(noise_max: float, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
     """Draw the displacements ``(dx, dy)`` of ``count`` fixes from their true positions.
 
     One row of :func:`draw_fix_noise` per fix, turned into
     ``(magnitude * cos(angle), magnitude * sin(angle))`` with :mod:`math`:
     ``np.cos`` is not bit for bit ``libm`` on every build.  A fix of a node at
-    ``(x, y)`` measures ``(x + dx, y + dy)``; with a zero-noise model it is
+    ``(x, y)`` measures ``(x + dx, y + dy)``; with ``noise_max`` zero it is
     ``(x, y)`` exactly.  Two draws are consumed from ``rng`` per fix, so a
     seeded stream yields the same fixes however it is split into calls.
     """
     cos, sin = math.cos, math.sin
-    return [(m * cos(a), m * sin(a)) for m, a in draw_fix_noise(noise, rng, count).tolist()]
+    return [(m * cos(a), m * sin(a)) for m, a in draw_fix_noise(noise_max, rng, count).tolist()]
 
 
-def threshold_accuracy(errors: Sequence[float] | Iterable[float], tolerance: float) -> float:
+def threshold_accuracy(errors: Sequence[float] | np.ndarray, tolerance: float) -> float:
     """Fraction of error samples at or below ``tolerance``.
 
     This is the "was the node located well enough" metric: an application that
     can absorb errors up to ``tolerance`` meters considers a sample accurate
     when its error does not exceed that bound.
     """
-    values = np.asarray(list(errors) if not isinstance(errors, (list, tuple, np.ndarray)) else errors, dtype=float)
+    values = np.asarray(errors, dtype=float)
     if values.size == 0:
         raise ValueError("threshold_accuracy needs at least one error sample")
     if not math.isfinite(tolerance) or tolerance < 0:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, RunMetrics
-from dynloc.geometry import NoiseModel, threshold_accuracy
+from dynloc.geometry import threshold_accuracy
 from dynloc.mobility import MobilityTrace, TraceSpec, trace_from_waypoints
 from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
@@ -151,10 +151,10 @@ class RefFix(NamedTuple):
     y: float
 
 
-def ref_fix_offset(noise: NoiseModel, rng: np.random.Generator) -> tuple[float, float]:
+def ref_fix_offset(noise_max: float, rng: np.random.Generator) -> tuple[float, float]:
     """The displacement ``(dx, dy)`` of one fix: two scalar draws, magnitude first, then angle."""
     u, v = rng.random(2).tolist()
-    magnitude = u * noise.max_magnitude
+    magnitude = u * noise_max
     angle = v * (2.0 * math.pi)
     return magnitude * math.cos(angle), magnitude * math.sin(angle)
 
@@ -300,7 +300,6 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetr
     true_xs = trace.xs.tolist()
     true_ys = trace.ys.tolist()
     rng = np.random.default_rng(cfg.seed)
-    noise = cfg.noise
     init, on_localize = REFERENCE_SCHEDULERS[cfg.protocol]
     predicts = PROTOCOLS[cfg.protocol].predicts
     pcfg = cfg.protocol_config
@@ -318,7 +317,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetr
         if state is None or t + _SCHED_EPS >= state.next_localization_time:
             if t < 0:
                 raise ValueError(f"sample time must be >= 0, got {t}")
-            dx, dy = ref_fix_offset(noise, rng)
+            dx, dy = ref_fix_offset(cfg.noise_max, rng)
             fix = RefFix(t, tx + dx, ty + dy)
             if not (math.isfinite(fix.x) and math.isfinite(fix.y)):
                 raise ValueError(f"fix coordinates must be finite, got ({fix.x}, {fix.y})")
@@ -329,7 +328,7 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetr
                 state = on_localize(state, fix, pcfg)
                 if cfg.backtracking_enabled and pending:
                     series = [(events[i].t, events[i].reported_x, events[i].reported_y) for i in pending]
-                    corrected, moved = ref_backtrack_correct(prev_fix, fix, series, noise.max_magnitude)
+                    corrected, moved = ref_backtrack_correct(prev_fix, fix, series, cfg.noise_max)
                     correction_count += moved
                     for i, (_, cx, cy) in zip(pending, corrected):
                         old = events[i]

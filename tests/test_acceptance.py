@@ -19,16 +19,8 @@ import numpy as np
 import pytest
 
 from dynloc.engine import RunConfig, run
-from dynloc.geometry import NoiseModel
 from dynloc.mobility import generate_random_waypoint
-from dynloc.oracles import (
-    PauseScenario,
-    TurnScenario,
-    madrd_pause_error,
-    madrd_turn_error,
-    sfr_pause_error,
-    sfr_turn_error,
-)
+from dynloc.oracles import madrd_pause_error, madrd_turn_error, sfr_pause_error, sfr_turn_error
 from dynloc.protocols import (
     FIX_COLUMNS,
     Confidence,
@@ -107,10 +99,7 @@ def test_01_turn_formulas_match_brute_force_geometry():
         theta = float(rng.uniform(1e-3, math.pi - 1e-3))
         x = float(rng.uniform(0.0, 10.0))
         n = float(rng.uniform(0.0, 20.0))
-        scenario = TurnScenario(
-            straight_before_turn=x, turn_angle=theta, speed=1.0, period=x + n + 1.0
-        )
-        hold = sfr_turn_error(scenario, n)
+        hold = sfr_turn_error(x, theta, n)
         hold_ref = brute_turn_hold_error(x, theta, n)
         predict = madrd_turn_error(theta, n)
         predict_ref = brute_turn_predict_error(theta, n)
@@ -136,17 +125,13 @@ def test_02_simulated_turns_match_formulas_and_crossover():
     for theta_deg in (45.0, 90.0, 135.0, 180.0):
         theta = math.radians(theta_deg)
         trace, turn_time = make_turn_trace(speed, theta, period, straight)
-        scenario = TurnScenario(
-            straight_before_turn=straight, turn_angle=theta, speed=speed, period=period
-        )
         hold_run = run(RunConfig(
-            trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period),
-            noise=NoiseModel(0.0),
+            trace=trace, protocol_config=SfrConfig(period=period),
+            noise_max=0.0,
         ))
         predict_run = run(RunConfig(
-            trace=trace, protocol="madrd",
-            protocol_config=MadrdConfig(t_min=period, t_max=period),
-            noise=NoiseModel(0.0),
+            trace=trace, protocol_config=MadrdConfig(t_min=period, t_max=period),
+            noise_max=0.0,
         ))
         # (t, hold error, prediction error) at each post-turn step between fixes.
         rows = zip(hold_run.t.tolist(), hold_run.error.tolist(), predict_run.error.tolist())
@@ -156,10 +141,10 @@ def test_02_simulated_turns_match_formulas_and_crossover():
             n = max(0.0, speed * (t - turn_time))
             worst = max(
                 worst,
-                abs(hold_error - sfr_turn_error(scenario, n)),
+                abs(hold_error - sfr_turn_error(straight, theta, n)),
                 abs(predict_error - madrd_turn_error(theta, n)),
             )
-            assert hold_error == pytest.approx(sfr_turn_error(scenario, n), abs=tolerance)
+            assert hold_error == pytest.approx(sfr_turn_error(straight, theta, n), abs=tolerance)
             assert predict_error == pytest.approx(madrd_turn_error(theta, n), abs=tolerance)
         if theta_deg == 45.0:
             moved = [(h, p) for t, h, p in post_turn if speed * (t - turn_time) > 0.01]
@@ -179,27 +164,25 @@ def test_03_simulated_pause_matches_hold_and_prediction_shapes():
     speed, period, travel = 2.5, 4.0, 5.0
     tolerance = speed * 0.1
     trace, stop_time = make_pause_trace(speed, period, travel)
-    scenario = PauseScenario(travel_before_stop=travel, speed=speed)
     window_start = 2 * period
     hold_run = run(RunConfig(
-        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period),
-        noise=NoiseModel(0.0),
+        trace=trace, protocol_config=SfrConfig(period=period),
+        noise_max=0.0,
     ))
     predict_run = run(RunConfig(
-        trace=trace, protocol="madrd",
-        protocol_config=MadrdConfig(t_min=period, t_max=period),
-        noise=NoiseModel(0.0),
+        trace=trace, protocol_config=MadrdConfig(t_min=period, t_max=period),
+        noise_max=0.0,
     ))
     worst = 0.0
     columns = (hold_run.t, hold_run.localized, hold_run.error, predict_run.error)
     for t, localized, hold_error, predict_error in zip(*(c.tolist() for c in columns)):
         if localized or t < window_start + 1e-9:
             continue
-        expected_hold = sfr_pause_error(scenario, speed * (t - window_start))
+        expected_hold = sfr_pause_error(travel, speed * (t - window_start))
         worst = max(worst, abs(hold_error - expected_hold))
         assert hold_error == pytest.approx(expected_hold, abs=tolerance)
         expected_predict = (
-            madrd_pause_error(scenario, t - stop_time) if t >= stop_time - 1e-9 else 0.0
+            madrd_pause_error(speed, t - stop_time) if t >= stop_time - 1e-9 else 0.0
         )
         worst = max(worst, abs(predict_error - expected_predict))
         assert predict_error == pytest.approx(expected_predict, abs=tolerance)
@@ -215,8 +198,8 @@ def test_04_single_run_error_ramps_and_fix_noise_bound():
     )
     started = time.perf_counter()
     result = run(RunConfig(
-        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0),
-        noise=NoiseModel(0.5), seed=noise_seed,
+        trace=trace, protocol_config=SfrConfig(period=2.0),
+        noise_max=0.5, seed=noise_seed,
     ))
     elapsed = time.perf_counter() - started
     fix_errors = result.error[result.localized == 1].tolist()
@@ -385,13 +368,13 @@ def test_10_protocol_invariants():
         trace = generate_random_waypoint(
             trace_spec(duration=60.0), np.random.default_rng(seed)
         )
-        for protocol, pcfg in (("sfr", SfrConfig(2.0)), ("dvm", DvmConfig(t_max=6.0))):
-            result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=seed))
+        for pcfg in (SfrConfig(2.0), DvmConfig(t_max=6.0)):
+            result = run(RunConfig(trace=trace, protocol_config=pcfg, seed=seed))
             held = np.flatnonzero(result.localized[1:] == 0) + 1
             assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
             assert np.array_equal(result.reported_y[held], result.reported_y[held - 1])
         result = run(RunConfig(
-            trace=trace, protocol="madrd", protocol_config=MadrdConfig(t_max=6.0), seed=seed,
+            trace=trace, protocol_config=MadrdConfig(t_max=6.0), seed=seed,
         ))
         # Steps c whose step b before it is also between fixes: b - a and c - b are one velocity.
         c = np.flatnonzero((result.localized[2:] == 0) & (result.localized[1:-1] == 0)) + 2
@@ -408,8 +391,8 @@ def test_10_protocol_invariants():
         straight = float(rng.uniform(0.2, 0.8 * speed * period))
         trace, _ = make_turn_trace(speed, theta, period, straight)
         base = RunConfig(
-            trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period),
-            noise=NoiseModel(0.0),
+            trace=trace, protocol_config=SfrConfig(period=period),
+            noise_max=0.0,
         )
         plain = run(base)
         corrected = run(replace(base, backtracking_enabled=True))

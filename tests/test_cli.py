@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import math
 import platform
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynloc import cli, experiments, oracles
 from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
@@ -136,6 +144,21 @@ def test_a_node_the_trace_file_lacks_is_rejected(tmp_path, capsys, command, node
     assert "field 'node'" in capsys.readouterr().err
 
 
+def test_simulate_and_import_trace_defaults_are_the_stock_sweep_values(capsys):
+    stock = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
+    assert main(["simulate", "--protocol", "sfr"]) == EXIT_OK
+    config = json.loads(_lines(capsys)[1][len("# config "):])
+    assert config["mobility"] == stock["mobility"]
+    assert config["area"] == [stock["area_w"], stock["area_h"]]
+    assert config["noise"] == stock["noise_max"]
+    assert config["dist_tolerance"] == stock["dist_tolerance"]
+    assert config["duration"] == stock["duration"]
+    assert config["dt"] == stock["dt"]
+    args = cli._build_parser().parse_args(["import-trace", "--in", "node.txt"])
+    assert args.dt == stock["dt"]
+    assert experiments.parse_area(args.area) == (stock["area_w"], stock["area_h"])
+
+
 @pytest.mark.parametrize(
     "argv, times",
     [
@@ -193,6 +216,10 @@ def test_simulate_rejects_invalid_parameter(capsys):
         (["export-trace", "--mobility", "gauss_markov", "--gm-direction-sigma", "nan"], "field 'gm_direction_sigma'"),
         (["simulate", "--protocol", "sfr", "--dt", "0"], "field 'dt'"),
         (["simulate", "--protocol", "sfr", "--pause", "-1"], "field 'pause_time'"),
+        (["simulate", "--protocol", "sfr", "--duration", "10", "--noise", "-1"], "field 'noise_max'"),
+        (["simulate", "--protocol", "sfr", "--duration", "10", "--noise", "nan"], "field 'noise_max'"),
+        (["simulate", "--protocol", "sfr", "--duration", "10", "--tolerance", "-1"], "field 'dist_tolerance'"),
+        (["simulate", "--protocol", "sfr", "--duration", "10", "--tolerance", "inf"], "field 'dist_tolerance'"),
     ],
 )
 def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, field):
@@ -534,12 +561,9 @@ def test_oracle_turn_table_matches_library(capsys):
     assert out[2] == "past_turn,sfr_error,madrd_error"
     rows = [line.split(",") for line in out[3:]]
     assert len(rows) == 11
-    scenario = oracles.TurnScenario(
-        straight_before_turn=3.0, turn_angle=1.5707963267948966, speed=1.0, period=13.0
-    )
     last = rows[-1]
     assert float(last[0]) == 10.0
-    assert float(last[1]) == pytest.approx(oracles.sfr_turn_error(scenario, 10.0))
+    assert float(last[1]) == pytest.approx(oracles.sfr_turn_error(3.0, 1.5707963267948966, 10.0))
     assert float(last[2]) == pytest.approx(oracles.madrd_turn_error(1.5707963267948966, 10.0))
     # Dead-reckoned error grows with distance past the turn; the held fix's
     # error starts at the straight-leg length.
@@ -572,27 +596,85 @@ def test_oracle_rejects_bad_table_shape(capsys):
 @pytest.mark.parametrize(
     "argv, field",
     [
-        # The turn's fix period divides by the speed before any scenario check.
+        # The turn table does not read the speed, but its header records it, so it is checked.
         (["--turn", "--v", "0"], "field 'v'"),
         (["--pause", "--v", "-1"], "field 'v'"),
-        (["--turn", "--v", "1e-320"], "'v'"),
         (["--pause", "--horizon", "inf"], "field 'horizon'"),
         # A tiny speed puts the stop, and the default horizon 2 * d / v, at infinity.
         (["--pause", "--v", "1e-320"], "field 'horizon'"),
-        # The scenario's own checks would name straight_before_turn, travel_before_stop and turn_angle.
+        # The formulas' own checks would name straight_before_turn, travel_before_stop and turn_angle.
         (["--turn", "--x", "-1"], "field 'x'"),
         (["--pause", "--d", "-1"], "field 'd'"),
         (["--turn", "--theta", "inf"], "field 'theta'"),
+        # (x - n) ** 2 would raise OverflowError; 2 * n * sin(a / 2) would be inf.
+        (["--turn", "--x", "1e200", "--nmax", "10"], "fields 'x'/'nmax'"),
+        (["--turn", "--x", "3", "--nmax", "1e200"], "fields 'x'/'nmax'"),
+        (["--turn", "--nmax", "1.7e308"], "fields 'x'/'nmax'"),
+        (["--turn", "--nmax", "inf"], "field 'nmax'"),
+        (["--turn", "--nmax", "nan"], "field 'nmax'"),
+        (["--turn", "--nmax", "0"], "field 'nmax'"),
+        # v * t overflows, so the hold error's travel would be inf.
+        (["--pause", "--d", "5", "--v", "1e308", "--horizon", "1e308"], "fields 'v'/'horizon'"),
     ],
     ids=[
-        "turn_v_zero", "pause_v_negative", "turn_v_tiny", "pause_horizon_inf", "pause_v_tiny",
+        "turn_v_zero", "pause_v_negative", "pause_horizon_inf", "pause_v_tiny",
         "turn_x_negative", "pause_d_negative", "turn_theta_inf",
+        "turn_x_huge", "turn_nmax_huge", "turn_nmax_near_max", "turn_nmax_inf", "turn_nmax_nan", "turn_nmax_zero",
+        "pause_travel_huge",
     ],
 )
-def test_oracle_rejects_speed_and_horizon_naming_the_flag(capsys, argv, field):
-    assert main(["oracle", *argv]) == EXIT_VALIDATION
+def test_oracle_rejects_speed_and_horizon_naming_the_flag(tmp_path, capsys, argv, field):
+    out = tmp_path / "table.csv"
+    assert main(["oracle", *argv, "--out", str(out)]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == "" and "validation error" in captured.err and field in captured.err
+    assert not out.exists()
+
+
+def test_oracle_turn_table_does_not_depend_on_v(capsys):
+    turn = ["oracle", "--turn", "--theta", "75", "--steps", "5"]
+    assert main([*turn, "--v", "1"]) == EXIT_OK
+    reference = _lines(capsys)
+    # The speed is checked and recorded, and a tiny one is still a speed.
+    assert main([*turn, "--v", "1e-320"]) == EXIT_OK
+    tiny = _lines(capsys)
+    assert json.loads(tiny[1][len("# config "):])["v"] == 1e-320
+    assert tiny[2:] == reference[2:]
+
+
+# Flag values for the oracle surface: ordinary, huge, tiny, zero, negative and non-finite.
+_ORACLE_VALUES = st.sampled_from([
+    3.0, 75.0, 1e200, 1e308, 1.7976931348623157e308, 1e-320, 5e-324, 0.0, -0.0, -1.0, -1e308,
+    math.inf, -math.inf, math.nan,
+]) | st.floats()
+_ORACLE_FLAGS = ("x", "d", "v", "theta", "nmax", "horizon", "steps")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode=st.sampled_from(["--turn", "--pause"]),
+    values=st.dictionaries(st.sampled_from(_ORACLE_FLAGS[:-1]), _ORACLE_VALUES),
+    steps=st.none() | st.sampled_from([-1, 0, 1, 2, 3, 11]),
+)
+def test_oracle_input_surface_exits_0_with_finite_cells_or_2_naming_a_flag(mode, values, steps):
+    # In process, 200 examples take about 1 s.  Values go as --flag=value: argparse takes a
+    # separate "-1e308" or "-inf" for an option, a usage error before any check.
+    argv = [f"--{name}={value!r}" for name, value in values.items()]
+    if steps is not None:
+        argv.append(f"--steps={steps}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        out = Path(folder) / "table.csv"
+        with contextlib.redirect_stderr(err):
+            code = main(["oracle", mode, *argv, "--out", str(out)])
+        if code == EXIT_OK:
+            rows = read_table(out)
+            assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row.values())
+        else:
+            assert code == EXIT_VALIDATION, err.getvalue()
+            named = re.match(r"validation error: fields? ('\w+'(?:/'\w+')*):", err.getvalue())
+            assert named and set(re.findall(r"\w+", named[1])) <= set(_ORACLE_FLAGS), err.getvalue()
+            assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

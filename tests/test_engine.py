@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from dynloc import engine
 from dynloc.engine import _NOISE_CHUNK, EVENT_COLUMNS, GridMemo, RunConfig, Workspace, run
-from dynloc.geometry import NoiseModel, localize
+from dynloc.geometry import localize
 from dynloc.mobility import (
     MobilityTrace,
     generate_gauss_markov,
@@ -31,26 +32,22 @@ def _line_trace(speed: float = 3.0, duration: float = 60.0, dt: float = 0.1):
 
 def test_sfr_count_over_standard_run():
     trace = _trace(seed=5)
-    result = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0)))
+    result = run(RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0)))
     # 900 s at one fix per 2 s, plus the forced fix at t=0.
     assert result.metrics.localization_count == 451
 
 
 def test_first_fix_is_forced_at_time_zero():
     trace = _trace(seed=6, duration=30.0)
-    for protocol, pcfg in (
-        ("sfr", SfrConfig(period=2.0)),
-        ("dvm", DvmConfig()),
-        ("madrd", MadrdConfig()),
-    ):
-        result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg))
+    for pcfg in (SfrConfig(period=2.0), DvmConfig(), MadrdConfig()):
+        result = run(RunConfig(trace=trace, protocol_config=pcfg))
         assert result.fixes.t[0] == 0.0
         assert result.localized[0] == 1
 
 
 def test_event_log_has_one_row_per_grid_step():
     trace = _trace(seed=7, duration=30.0)
-    result = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0)))
+    result = run(RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0)))
     for name in EVENT_COLUMNS:
         assert len(getattr(result, name)) == len(trace)
     assert result.t.tolist() == trace.times.tolist()
@@ -60,8 +57,8 @@ def test_error_at_fix_instants_is_bounded_by_noise():
     trace = _trace(seed=8, duration=120.0)
     result = run(
         RunConfig(
-            trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0),
-            noise=NoiseModel(max_magnitude=0.5), seed=3,
+            trace=trace, protocol_config=SfrConfig(period=2.0),
+            noise_max=0.5, seed=3,
         )
     )
     fix_errors = result.error[result.localized == 1]
@@ -72,8 +69,8 @@ def test_zero_noise_fix_rows_have_zero_error():
     trace = _line_trace()
     result = run(
         RunConfig(
-            trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0),
-            noise=NoiseModel(max_magnitude=0.0),
+            trace=trace, protocol_config=SfrConfig(period=2.0),
+            noise_max=0.0,
         )
     )
     for error in result.error[result.localized == 1].tolist():
@@ -83,7 +80,7 @@ def test_zero_noise_fix_rows_have_zero_error():
 def test_held_report_is_piecewise_constant():
     trace = _line_trace()
     result = run(
-        RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0))
+        RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
     )
     held = np.flatnonzero(result.localized[1:] == 0) + 1
     assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
@@ -94,8 +91,8 @@ def test_dead_reckoned_report_moves_linearly_between_fixes():
     trace = _line_trace(speed=3.0)
     result = run(
         RunConfig(
-            trace=trace, protocol="madrd", protocol_config=MadrdConfig(t_min=0.5, t_max=4.0),
-            noise=NoiseModel(max_magnitude=0.0),
+            trace=trace, protocol_config=MadrdConfig(t_min=0.5, t_max=4.0),
+            noise_max=0.0,
         )
     )
     # After the second fix a velocity estimate exists; from then on the
@@ -111,7 +108,7 @@ def test_dead_reckoned_report_moves_linearly_between_fixes():
 def test_scheduler_requests_snap_to_next_grid_step():
     trace = _line_trace(duration=3.0)
     result = run(
-        RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=0.25))
+        RunConfig(trace=trace, protocol_config=SfrConfig(period=0.25))
     )
     fix_times = result.t[result.localized == 1].tolist()
     # Requests at 0.25, 0.55, 0.85, ... land on the next 0.1 grid step.
@@ -121,7 +118,7 @@ def test_scheduler_requests_snap_to_next_grid_step():
 def test_grid_aligned_period_fires_every_period_exactly():
     trace = _line_trace(duration=10.0)
     result = run(
-        RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0))
+        RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
     )
     fix_times = result.t[result.localized == 1].tolist()
     assert fix_times == pytest.approx([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
@@ -129,21 +126,21 @@ def test_grid_aligned_period_fires_every_period_exactly():
 
 def test_run_is_deterministic_given_seed():
     trace = _trace(seed=9, duration=120.0)
-    cfg = RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=17)
+    cfg = RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=17)
     a = run(cfg)
     b = run(cfg)
     assert _event_columns(a) == _event_columns(b)
     assert a.metrics == b.metrics
     c = run(
-        RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=18)
+        RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=18)
     )
     assert _event_columns(a) != _event_columns(c)
 
 
 def test_confidence_column_empty_unless_dead_reckoning():
     trace = _trace(seed=10, duration=20.0)
-    sfr = run(RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig()))
-    madrd = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig()))
+    sfr = run(RunConfig(trace=trace, protocol_config=SfrConfig()))
+    madrd = run(RunConfig(trace=trace, protocol_config=MadrdConfig()))
     assert set(sfr.confidence.tolist()) == {""}
     assert set(madrd.confidence.tolist()) <= {"LC", "S1", "S2", "HC"}
 
@@ -152,8 +149,8 @@ def test_accuracy_counts_rows_within_tolerance():
     trace = _line_trace(speed=3.0, duration=20.0)
     result = run(
         RunConfig(
-            trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0),
-            noise=NoiseModel(max_magnitude=0.0), dist_tolerance=3.0,
+            trace=trace, protocol_config=SfrConfig(period=2.0),
+            noise_max=0.0, dist_tolerance=3.0,
         )
     )
     errors = result.error.tolist()
@@ -163,12 +160,29 @@ def test_accuracy_counts_rows_within_tolerance():
     assert result.metrics.max_error == pytest.approx(max(errors))
 
 
-def test_run_config_rejects_mismatched_protocol_config():
+def test_run_config_takes_its_protocol_from_the_config_class():
     trace = _line_trace(duration=5.0)
-    with pytest.raises(ValueError, match="SfrConfig"):
-        RunConfig(trace=trace, protocol="sfr", protocol_config=DvmConfig())
-    with pytest.raises(ValueError, match="unknown protocol"):
-        RunConfig(trace=trace, protocol="gps", protocol_config=SfrConfig())
+    for kind, entry in PROTOCOLS.items():
+        assert RunConfig(trace=trace, protocol_config=entry.config()).protocol == kind
+
+
+@dataclasses.dataclass(frozen=True)
+class _PeriodOnly:
+    period: float = 2.0
+
+
+def test_run_config_rejects_an_unknown_protocol_config():
+    # No config class of PROTOCOLS: nothing, a protocol name, a lookalike of SfrConfig.
+    for config in (None, "sfr", _PeriodOnly()):
+        with pytest.raises(ValueError, match="field 'protocol_config'"):
+            RunConfig(trace=_line_trace(duration=5.0), protocol_config=config)
+
+
+@pytest.mark.parametrize("name", ["noise_max", "dist_tolerance"])
+@pytest.mark.parametrize("value", [-0.5, -math.inf, math.inf, math.nan])
+def test_run_config_rejects_a_bad_noise_bound_or_tolerance(name, value):
+    with pytest.raises(ValueError, match=f"field '{name}'"):
+        RunConfig(trace=_line_trace(duration=5.0), protocol_config=SfrConfig(), **{name: value})
 
 
 @pytest.mark.parametrize(
@@ -185,7 +199,7 @@ def test_run_config_rejects_mismatched_protocol_config():
     ids=["fix-not-later", "non-finite-fix", "negative-time"],
 )
 def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match):
-    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise))
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise)
     with pytest.raises(ValueError, match=match):
         run(cfg)
 
@@ -198,8 +212,8 @@ def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match
 def test_backtracking_rewrites_interior_rows_onto_fix_chord():
     trace = _line_trace(speed=3.0, duration=10.0)
     base = RunConfig(
-        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0),
-        noise=NoiseModel(max_magnitude=0.0),
+        trace=trace, protocol_config=SfrConfig(period=2.0),
+        noise_max=0.0,
     )
     plain = run(base)
     from dataclasses import replace
@@ -217,7 +231,7 @@ def test_backtracking_rewrites_interior_rows_onto_fix_chord():
 
 def test_backtracking_off_leaves_events_untouched():
     trace = _trace(seed=11, duration=60.0)
-    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), seed=4)
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0), seed=4)
     assert run(cfg).metrics.correction_count == 0
 
 
@@ -227,7 +241,7 @@ def test_backtracking_never_increases_pooled_error_on_smooth_track():
     from dataclasses import replace
 
     base = RunConfig(
-        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), seed=5
+        trace=trace, protocol_config=SfrConfig(period=2.0), seed=5
     )
     plain = run(base)
     corrected = run(replace(base, backtracking_enabled=True))
@@ -241,15 +255,14 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
     x2, y2 = float.fromhex("0x1.4f5fb5560be5bp+3"), float.fromhex("0x1.64f8caa72b688p+3")
     trace = MobilityTrace(0, np.array([0.0, 1.0, 2.0]), np.array([10.0, 10.0, x2]),
                           np.array([10.0, 10.0, y2]), 1.0, 100.0, 100.0)
-    noise = NoiseModel(0.5)
-    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), noise=noise,
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0), noise_max=0.5,
                     seed=0, backtracking_enabled=True)
     # The move of step 1 from the held first fix onto the chord midpoint, by the engine's operations.
-    (d0x, d0y), (d2x, d2y) = localize(noise, np.random.default_rng(cfg.seed), 2)
+    (d0x, d0y), (d2x, d2y) = localize(cfg.noise_max, np.random.default_rng(cfg.seed), 2)
     f0x, f0y = 10.0 + d0x, 10.0 + d0y
     dx = ((x2 + d2x) - f0x) * 0.5 + f0x - f0x
     dy = ((y2 + d2y) - f0y) * 0.5 + f0y - f0y
-    assert math.hypot(dx, dy) > noise.max_magnitude >= np.hypot(dx, dy)  # the case tells the two apart
+    assert math.hypot(dx, dy) > cfg.noise_max >= np.hypot(dx, dy)  # the case tells the two apart
 
     result = run(cfg)
     assert result.fixes.step.tolist() == [0, 2]
@@ -260,21 +273,21 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
 @pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])
 @pytest.mark.parametrize("noise", [0.0, 0.5])
 @pytest.mark.parametrize(
-    ("protocol", "pcfg"),
+    "pcfg",
     [
-        ("sfr", SfrConfig(period=1e-12)),
-        ("dvm", DvmConfig(target_error=0.5, t_min=0.1, t_max=0.4)),
-        ("madrd", MadrdConfig(divergence_threshold=0.5, t_min=0.1, t_max=0.4)),
+        SfrConfig(period=1e-12),
+        DvmConfig(target_error=0.5, t_min=0.1, t_max=0.4),
+        MadrdConfig(divergence_threshold=0.5, t_min=0.1, t_max=0.4),
     ],
     ids=["sfr", "dvm", "madrd"],
 )
-def test_run_matches_reference_across_noise_chunk_refills(protocol, pcfg, noise, backtracking):
+def test_run_matches_reference_across_noise_chunk_refills(pcfg, noise, backtracking):
     trace = generate_random_waypoint(
         trace_spec(area_w=200.0, area_h=200.0, speed_class=(4.0, 8.0), duration=300.0, dt=0.1),
         np.random.default_rng(17),
     )
     cfg = RunConfig(
-        trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(noise),
+        trace=trace, protocol_config=pcfg, noise_max=noise,
         seed=23, backtracking_enabled=backtracking,
     )
     result = run(cfg)
@@ -313,18 +326,18 @@ def test_runs_on_a_shared_workspace_equal_fresh_runs():
     configs = [
         # Three protocols on one trace and seed; the last one takes more fixes than the
         # noise drawn so far, so it reads the shared stream and then extends it.
-        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=5),
-        RunConfig(trace=short, protocol="madrd", protocol_config=madrd, seed=5, backtracking_enabled=True),
-        RunConfig(trace=short, protocol="sfr", protocol_config=sfr, seed=5),
+        RunConfig(trace=short, protocol_config=dvm, seed=5),
+        RunConfig(trace=short, protocol_config=madrd, seed=5, backtracking_enabled=True),
+        RunConfig(trace=short, protocol_config=sfr, seed=5),
         # A longer trace (the scratch block grows), then the shorter one again, on one seed.
-        RunConfig(trace=long_, protocol="sfr", protocol_config=sfr, seed=5, backtracking_enabled=True),
-        RunConfig(trace=short, protocol="madrd", protocol_config=madrd, seed=5),
+        RunConfig(trace=long_, protocol_config=sfr, seed=5, backtracking_enabled=True),
+        RunConfig(trace=short, protocol_config=madrd, seed=5),
         # A new seed, then back to the first one.
-        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=6),
-        RunConfig(trace=short, protocol="dvm", protocol_config=dvm, seed=5),
+        RunConfig(trace=short, protocol_config=dvm, seed=6),
+        RunConfig(trace=short, protocol_config=dvm, seed=5),
         # Noise bounds 0.0 and -0.0 compare equal, but their displacements differ in the sign of zero.
-        RunConfig(trace=parked, protocol="sfr", protocol_config=sfr, noise=NoiseModel(0.0), seed=7),
-        RunConfig(trace=parked, protocol="sfr", protocol_config=sfr, noise=NoiseModel(-0.0), seed=7),
+        RunConfig(trace=parked, protocol_config=sfr, noise_max=0.0, seed=7),
+        RunConfig(trace=parked, protocol_config=sfr, noise_max=-0.0, seed=7),
     ]
     workspace = Workspace()
     shared, snapshots = [], []
@@ -351,7 +364,7 @@ def test_workspace_schedule_is_keyed_by_the_grid_value():
     workspace = Workspace()
     schedules = []
     for trace in (first, second, shifted, prefix, first):
-        cfg = RunConfig(trace=trace, protocol="madrd", protocol_config=madrd, seed=5)
+        cfg = RunConfig(trace=trace, protocol_config=madrd, seed=5)
         assert _bits(run(cfg, workspace)) == _bits(run(cfg))
         schedules.append(workspace.schedule(trace.times))
     assert schedules[1] is schedules[0]  # bit-equal grids in separate arrays share one schedule
@@ -394,9 +407,8 @@ def test_run_calls_the_names_a_tracer_wraps(monkeypatch):
         finally:
             in_run = False
 
-    madrd = RunConfig(trace=_trace(seed=21, duration=400.0), protocol="madrd",
-                      protocol_config=MadrdConfig(t_min=0.5, t_max=1.0), seed=3, backtracking_enabled=True)
-    sfr = RunConfig(trace=madrd.trace, protocol="sfr", protocol_config=SfrConfig(period=2.0), seed=3)
+    madrd = RunConfig(trace=_trace(seed=21, duration=400.0), protocol_config=MadrdConfig(t_min=0.5, t_max=1.0), seed=3, backtracking_enabled=True)
+    sfr = RunConfig(trace=madrd.trace, protocol_config=SfrConfig(period=2.0), seed=3)
     plain = [_bits(run(cfg)) for cfg in (madrd, sfr)]
     for name in names:
         monkeypatch.setattr(engine, name, counted(name, getattr(engine, name)))
@@ -441,12 +453,12 @@ def test_fixed_rate_runs_step_once_and_build_each_schedule_once(monkeypatch):
     configs = []
     for first, second in ((a1, a2), (b, b)):
         configs += [
-            RunConfig(trace=first, protocol="sfr", protocol_config=fast, seed=5),
-            RunConfig(trace=first, protocol="dvm", protocol_config=dvm, seed=5),
-            RunConfig(trace=second, protocol="sfr", protocol_config=slow, seed=6, backtracking_enabled=True),
-            RunConfig(trace=second, protocol="madrd", protocol_config=madrd, seed=6),
-            RunConfig(trace=first, protocol="sfr", protocol_config=slow, seed=5),
-            RunConfig(trace=second, protocol="sfr", protocol_config=fast, seed=7, noise=NoiseModel(0.0)),
+            RunConfig(trace=first, protocol_config=fast, seed=5),
+            RunConfig(trace=first, protocol_config=dvm, seed=5),
+            RunConfig(trace=second, protocol_config=slow, seed=6, backtracking_enabled=True),
+            RunConfig(trace=second, protocol_config=madrd, seed=6),
+            RunConfig(trace=first, protocol_config=slow, seed=5),
+            RunConfig(trace=second, protocol_config=fast, seed=7, noise_max=0.0),
         ]
     workspace = Workspace()
     shared = []
@@ -463,7 +475,7 @@ def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
     build = engine._fixed_rate_steps
     monkeypatch.setattr(engine, "_fixed_rate_steps", lambda times, p: builds.append(p) or build(times, p))
     trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
-    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=1e-14))
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=1e-14))
     workspace = Workspace()
     for _ in range(2):
         with pytest.raises(ValueError, match="at t=200.0"):

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, run
-from dynloc.geometry import NoiseModel
 from dynloc.mobility import MobilityTrace, generate_gauss_markov, generate_random_waypoint
 from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
 
@@ -82,7 +81,7 @@ def _bits(rows):
 def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, tolerance, seed, backtracking):
     kind, pcfg = protocol
     cfg = RunConfig(
-        trace=trace, protocol=kind, protocol_config=pcfg, noise=NoiseModel(noise),
+        trace=trace, protocol_config=pcfg, noise_max=noise,
         dist_tolerance=tolerance, seed=seed, backtracking_enabled=backtracking,
     )
     result = run(cfg)
@@ -171,7 +170,7 @@ def _without_fixed_rate(mp):
 def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking):
     trace, period = case
     cfg = RunConfig(
-        trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise),
+        trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise,
         seed=seed, backtracking_enabled=backtracking,
     )
     fixed = run(cfg)
@@ -199,7 +198,7 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
     ids=["fix-not-later", "non-finite-fix"],
 )
 def test_fixed_rate_run_rejects_what_the_per_fix_loop_rejects(trace, period, noise, match):
-    cfg = RunConfig(trace=trace, protocol="sfr", protocol_config=SfrConfig(period=period), noise=NoiseModel(noise))
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise)
     messages = []
     for fixed_rate in (True, False):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():

@@ -42,7 +42,6 @@ from dynloc.experiments import (
     write_runs_csv,
     write_summary_csv,
 )
-from dynloc.geometry import NoiseModel
 from dynloc.mobility import MOBILITY_MODELS, MobilityTrace, generate_random_waypoint
 from dynloc.protocols import DvmConfig, MadrdConfig, SfrConfig
 
@@ -469,7 +468,7 @@ def test_spec_from_dict_rejects_a_config_that_is_not_an_object():
 )
 def test_events_csv_from_columns_matches_row_writer(tmp_path, protocol, pcfg, noise):
     trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(3))
-    cfg = RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, noise=NoiseModel(noise),
+    cfg = RunConfig(trace=trace, protocol_config=pcfg, noise_max=noise,
                     seed=8, backtracking_enabled=True)
     config = {"protocol": protocol, "seed": 8}
     write_events_csv(tmp_path / "columns.csv", config, run(cfg))
@@ -617,7 +616,7 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
 @pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
 def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
     trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
-    result = run(RunConfig(trace=trace, protocol=protocol, protocol_config=pcfg, seed=4))
+    result = run(RunConfig(trace=trace, protocol_config=pcfg, seed=4))
     config = {"protocol": protocol}
     write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
     write_events_csv(tmp_path / "columns.csv", config, result)
@@ -656,7 +655,7 @@ def _recorded_event_log(monkeypatch, result) -> _RecordingText:
 
 def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     trace = generate_random_waypoint(trace_spec(duration=900.0), np.random.default_rng(6))
-    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=2))
+    result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=2))
     assert result.t.size == 9001
     assert min(result.reported_x.min(), result.reported_y.min()) < 0  # dead reckoning past the edge
     write_events_csv(tmp_path / "events.csv", {}, result)
@@ -677,7 +676,7 @@ def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, block
     rows = blocks * experiments._WRITE_ROWS + extra
     full = generate_random_waypoint(trace_spec(duration=60.0), np.random.default_rng(9))
     trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
-    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=3))
+    result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
     assert result.t.size == rows
     write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
     recorder = _recorded_event_log(monkeypatch, result)
@@ -692,7 +691,7 @@ def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
     values = values[[len(repr(v)) == 24 for v in values.tolist()]]
     rows = 2 * experiments._WRITE_ROWS + 1
     trace = MobilityTrace(0, np.arange(rows) * 0.1, np.zeros(rows), np.zeros(rows), 0.1, 10.0, 10.0)
-    result = run(RunConfig(trace=trace, protocol="madrd", protocol_config=MadrdConfig(), seed=3))
+    result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
     floats = [name for name in EVENT_COLUMNS if getattr(result, name).dtype.kind == "f"]
     assert len(floats) == 7 and values.size >= 7 * rows
     wide = {name: values[k * rows : (k + 1) * rows] for k, name in enumerate(floats)}
@@ -708,7 +707,7 @@ def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
 
 def test_trace_text_of_another_length_fails_and_keeps_the_old_file(tmp_path):
     trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(4))
-    result = run(RunConfig(trace=trace, protocol="dvm", protocol_config=DvmConfig(), seed=1))
+    result = run(RunConfig(trace=trace, protocol_config=DvmConfig(), seed=1))
     short = generate_random_waypoint(trace_spec(duration=20.0), np.random.default_rng(4))
     path = tmp_path / "events.csv"
     path.write_text("old\n")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynloc.engine import _NOISE_CHUNK
-from dynloc.geometry import NoiseModel, draw_fix_noise, hypot_exact, localize, threshold_accuracy
+from dynloc.geometry import draw_fix_noise, hypot_exact, localize, threshold_accuracy
 
 from scenario_tools import ref_fix_offset
 
@@ -20,66 +20,58 @@ def test_distance_cases():
     assert d[2] == 0.0
 
 
-def test_noise_model_rejects_negative_magnitude():
-    with pytest.raises(ValueError):
-        NoiseModel(-0.5)
-
-
 def test_localize_zero_noise_is_exact():
     rng = np.random.default_rng(42)
-    [(dx, dy)] = localize(NoiseModel(0.0), rng, 1)
+    [(dx, dy)] = localize(0.0, rng, 1)
     assert (12.25 + dx, -3.5 + dy) == (12.25, -3.5)
 
 
 def test_localize_never_exceeds_max_magnitude():
-    noise = NoiseModel(0.5)
-    offsets = np.array(localize(noise, np.random.default_rng(7), 100_000))
+    offsets = np.array(localize(0.5, np.random.default_rng(7), 100_000))
     fixes = 100.0 + offsets
-    assert (hypot_exact(fixes[:, 0] - 100.0, fixes[:, 1] - 100.0) <= noise.max_magnitude).all()
+    assert (hypot_exact(fixes[:, 0] - 100.0, fixes[:, 1] - 100.0) <= 0.5).all()
 
 
 def test_localize_mean_displacement_matches_uniform_magnitude():
     # The magnitude is uniform on [0, max), so the mean displacement is max/2.
     # One array call draws the stream that localize turns into displacements
     # (see test_batched_fix_noise_replays_the_scalar_draws).
-    draws = draw_fix_noise(NoiseModel(0.5), np.random.default_rng(123), 1_000_000)
+    draws = draw_fix_noise(0.5, np.random.default_rng(123), 1_000_000)
     assert draws[:, 0].mean() == pytest.approx(0.25, abs=0.01)
 
 
 def test_localize_is_seed_deterministic():
-    noise = NoiseModel(0.5)
     rng_a = np.random.default_rng(9)
     rng_b = np.random.default_rng(9)
-    first = [localize(noise, rng_a, 1)[0] for _ in range(50)]
-    second = [localize(noise, rng_b, 1)[0] for _ in range(50)]
+    first = [localize(0.5, rng_a, 1)[0] for _ in range(50)]
+    second = [localize(0.5, rng_b, 1)[0] for _ in range(50)]
     assert first == second
 
 
-@pytest.mark.parametrize("max_magnitude", [0.0, 0.5, 3.0])
-def test_batched_fix_noise_replays_the_scalar_draws(max_magnitude):
+@pytest.mark.parametrize("noise_max", [0.0, 0.5, 3.0])
+def test_batched_fix_noise_replays_the_scalar_draws(noise_max):
     # The reference stream: two scalar draws per fix, magnitude first, then angle.
     count = 2 * _NOISE_CHUNK + 5
     scalar = np.random.default_rng(31)
-    expected = [[scalar.uniform(0.0, max_magnitude), scalar.uniform(0.0, 2.0 * math.pi)] for _ in range(count)]
-    noise = NoiseModel(max_magnitude)
+    expected = [[scalar.uniform(0.0, noise_max), scalar.uniform(0.0, 2.0 * math.pi)] for _ in range(count)]
 
     def hexed(rows):
         return [[v.hex() for v in row] for row in rows]
 
-    assert hexed(draw_fix_noise(noise, np.random.default_rng(31), count).tolist()) == hexed(expected)
+    assert hexed(draw_fix_noise(noise_max, np.random.default_rng(31), count).tolist()) == hexed(expected)
     rng = np.random.default_rng(31)
-    split = draw_fix_noise(noise, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise, rng, count - _NOISE_CHUNK).tolist()
+    split = draw_fix_noise(noise_max, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise_max, rng, count - _NOISE_CHUNK).tolist()
     assert hexed(split) == hexed(expected)
 
     # localize turns the same rows into displacements with math.cos/math.sin.
     offsets = [(m * math.cos(a), m * math.sin(a)) for m, a in expected]
-    assert hexed(localize(noise, np.random.default_rng(31), count)) == hexed(offsets)
+    assert hexed(localize(noise_max, np.random.default_rng(31), count)) == hexed(offsets)
 
     # One fix per call reads the same stream, and so does the reference engine's scalar draw.
     rng = np.random.default_rng(31)
-    assert hexed(localize(noise, rng, 1)[0] for _ in range(count)) == hexed(offsets)
+    assert hexed(localize(noise_max, rng, 1)[0] for _ in range(count)) == hexed(offsets)
     rng = np.random.default_rng(31)
-    assert hexed(ref_fix_offset(noise, rng) for _ in range(count)) == hexed(offsets)
+    assert hexed(ref_fix_offset(noise_max, rng) for _ in range(count)) == hexed(offsets)
 
 
 def test_distance_triangle_inequality():

@@ -5,57 +5,44 @@ import math
 import numpy as np
 import pytest
 
-from dynloc.oracles import (
-    PauseScenario,
-    TurnScenario,
-    madrd_pause_error,
-    madrd_turn_error,
-    sfr_pause_error,
-    sfr_turn_error,
-)
+from dynloc.oracles import madrd_pause_error, madrd_turn_error, sfr_pause_error, sfr_turn_error
 from scenario_tools import brute_turn_hold_error, brute_turn_predict_error
 
 
-def _turn(x: float, angle: float) -> TurnScenario:
-    # Generous travel budget so any past_turn used in the tests stays legal.
-    return TurnScenario(straight_before_turn=x, turn_angle=angle, speed=1.0, period=x + 100.0)
-
-
 def test_sfr_turn_right_angle_is_hypotenuse():
-    assert sfr_turn_error(_turn(3.0, math.pi / 2), 4.0) == pytest.approx(5.0)
+    assert sfr_turn_error(3.0, math.pi / 2, 4.0) == pytest.approx(5.0)
 
 
 def test_sfr_turn_reversal_returns_to_fix():
-    assert sfr_turn_error(_turn(5.0, math.pi), 5.0) == pytest.approx(0.0, abs=1e-12)
-    assert sfr_turn_error(_turn(5.0, math.pi), 2.0) == pytest.approx(3.0)
+    assert sfr_turn_error(5.0, math.pi, 5.0) == pytest.approx(0.0, abs=1e-12)
+    assert sfr_turn_error(5.0, math.pi, 2.0) == pytest.approx(3.0)
 
 
 def test_sfr_turn_reversal_past_the_fix():
     # The node doubles back beyond the fix point: error is |x - n|, and the
     # formula must stay exact on the far side of the zero crossing.
-    assert sfr_turn_error(_turn(5.0, math.pi), 7.5) == pytest.approx(2.5, rel=1e-12)
-    assert sfr_turn_error(_turn(5.0, math.pi), 20.0) == pytest.approx(15.0, rel=1e-12)
+    assert sfr_turn_error(5.0, math.pi, 7.5) == pytest.approx(2.5, rel=1e-12)
+    assert sfr_turn_error(5.0, math.pi, 20.0) == pytest.approx(15.0, rel=1e-12)
     near_reversal = math.pi - 1e-12
-    assert sfr_turn_error(_turn(5.0, near_reversal), 7.5) == pytest.approx(2.5, rel=1e-9)
+    assert sfr_turn_error(5.0, near_reversal, 7.5) == pytest.approx(2.5, rel=1e-9)
 
 
 def test_sfr_turn_at_turn_point():
-    assert sfr_turn_error(_turn(7.5, 1.0), 0.0) == pytest.approx(7.5)
+    assert sfr_turn_error(7.5, 1.0, 0.0) == pytest.approx(7.5)
 
 
 def test_sfr_turn_no_deviation_keeps_growing():
-    assert sfr_turn_error(_turn(3.0, 0.0), 4.0) == pytest.approx(7.0)
+    assert sfr_turn_error(3.0, 0.0, 4.0) == pytest.approx(7.0)
 
 
 def test_sfr_turn_decreasing_in_angle_up_to_right_angle():
-    scenarios = [_turn(4.0, a) for a in np.linspace(0.05, math.pi / 2, 40)]
-    errors = [sfr_turn_error(s, 6.0) for s in scenarios]
+    errors = [sfr_turn_error(4.0, a, 6.0) for a in np.linspace(0.05, math.pi / 2, 40)]
     assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
 
 
 def test_sfr_turn_nonlinear_in_distance_at_obtuse_angle():
-    s = _turn(4.0, 3 * math.pi / 4)
-    assert sfr_turn_error(s, 8.0) != pytest.approx(2 * sfr_turn_error(s, 4.0), rel=1e-3)
+    angle = 3 * math.pi / 4
+    assert sfr_turn_error(4.0, angle, 8.0) != pytest.approx(2 * sfr_turn_error(4.0, angle, 4.0), rel=1e-3)
 
 
 def test_madrd_turn_chord_values():
@@ -81,48 +68,72 @@ def test_turn_formulas_match_coordinate_construction():
         n = rng.uniform(0.0, 50.0)
         expected_hold = brute_turn_hold_error(x, angle, n)
         expected_predict = brute_turn_predict_error(angle, n)
-        got_hold = sfr_turn_error(_turn(x, angle), n)
+        got_hold = sfr_turn_error(x, angle, n)
         got_predict = madrd_turn_error(angle, n)
         assert got_hold == pytest.approx(expected_hold, rel=1e-12, abs=1e-12)
         assert got_predict == pytest.approx(expected_predict, rel=1e-12, abs=1e-12)
 
 
 def test_pause_errors():
-    s = PauseScenario(travel_before_stop=5.0, speed=2.0)
-    assert sfr_pause_error(s, 3.0) == pytest.approx(3.0)
-    assert sfr_pause_error(s, 12.0) == pytest.approx(5.0)  # saturates at the stop
-    assert madrd_pause_error(s, 0.0) == 0.0
-    assert madrd_pause_error(s, 4.0) == pytest.approx(8.0)  # keeps extrapolating
+    assert sfr_pause_error(5.0, 3.0) == pytest.approx(3.0)
+    assert sfr_pause_error(5.0, 12.0) == pytest.approx(5.0)  # saturates at the stop
+    assert madrd_pause_error(2.0, 0.0) == 0.0
+    assert madrd_pause_error(2.0, 4.0) == pytest.approx(8.0)  # keeps extrapolating
 
 
 def test_crossover_prefers_prediction_for_gentle_turns():
     for angle in (math.pi / 4, 0.0):
-        assert madrd_turn_error(angle, 5.0) <= sfr_turn_error(_turn(3.0, angle), 5.0)
+        assert madrd_turn_error(angle, 5.0) <= sfr_turn_error(3.0, angle, 5.0)
 
 
 def test_crossover_prefers_hold_for_sharp_turns():
     angle = 2 * math.pi / 3
-    assert madrd_turn_error(angle, 10.0) > sfr_turn_error(_turn(1.0, angle), 10.0)
+    assert madrd_turn_error(angle, 10.0) > sfr_turn_error(1.0, angle, 10.0)
 
 
 def test_turn_scenario_validation():
-    with pytest.raises(ValueError):
-        TurnScenario(straight_before_turn=-1.0, turn_angle=0.0, speed=1.0, period=10.0)
-    with pytest.raises(ValueError):
-        TurnScenario(straight_before_turn=1.0, turn_angle=0.0, speed=0.0, period=10.0)
-    with pytest.raises(ValueError):
-        # turn point beyond what speed * period allows
-        TurnScenario(straight_before_turn=30.0, turn_angle=0.0, speed=1.0, period=10.0)
+    # Each function checks what it reads: the straight run before a turn is >= 0, and the
+    # pause speed, the only speed a formula reads, is > 0.
+    with pytest.raises(ValueError, match="straight_before_turn"):
+        sfr_turn_error(-1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="speed"):
+        madrd_pause_error(0.0, 1.0)
 
 
 def test_error_functions_reject_negative_inputs():
-    s = _turn(1.0, 1.0)
     with pytest.raises(ValueError):
-        sfr_turn_error(s, -0.5)
+        sfr_turn_error(1.0, 1.0, -0.5)
     with pytest.raises(ValueError):
         madrd_turn_error(1.0, -1.0)
-    p = PauseScenario(travel_before_stop=1.0, speed=1.0)
     with pytest.raises(ValueError):
-        sfr_pause_error(p, -1.0)
+        sfr_pause_error(1.0, -1.0)
     with pytest.raises(ValueError):
-        madrd_pause_error(p, -1.0)
+        madrd_pause_error(1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: sfr_turn_error(bad, 1.0, 1.0), "straight_before_turn"),
+        (lambda bad: sfr_turn_error(1.0, 1.0, bad), "past_turn"),
+        (lambda bad: madrd_turn_error(1.0, bad), "past_turn"),
+        (lambda bad: sfr_pause_error(bad, 1.0), "travel_before_stop"),
+        (lambda bad: sfr_pause_error(1.0, bad), "travel"),
+        (lambda bad: madrd_pause_error(bad, 1.0), "speed"),
+        (lambda bad: madrd_pause_error(1.0, bad), "since_pause"),
+    ],
+    ids=["sfr_turn_x", "sfr_turn_past", "madrd_turn_past", "sfr_pause_stop", "sfr_pause_travel",
+         "madrd_pause_speed", "madrd_pause_since"],
+)
+@pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+def test_error_functions_name_each_bad_argument(call, name, bad):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(bad)
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_turn_functions_reject_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="turn_angle"):
+        sfr_turn_error(1.0, angle, 1.0)
+    with pytest.raises(ValueError, match="turn_angle"):
+        madrd_turn_error(angle, 1.0)
