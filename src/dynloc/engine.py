@@ -22,10 +22,11 @@ fix columns repeated over their segments.  With backtracking on,
 with the time-linear interpolation of its bounding fixes, all intervals in one
 array pass, in place.  Every float comes from the same IEEE operations a
 per-step loop would apply (only the operands of one ``+`` or ``*`` may swap,
-which is exact), and distances go through
-:func:`~dynloc.geometry.hypot_exact`, which equals :func:`math.hypot` bit for
-bit (``np.hypot`` differs in the last ulp), so the result is bit-identical to
-stepping the grid point by point.
+which is exact), and every distance equals :func:`math.hypot` bit for bit
+(``np.hypot`` differs in the last ulp), so the result is bit-identical to
+stepping the grid point by point.  A distance is computed only where it is read:
+each error once per run of equal offsets (:func:`~dynloc.geometry.hypot_runs`),
+and a backtracking move only near ``noise_max`` (:func:`~dynloc.geometry.count_beyond`).
 
 A run returns per-step and per-fix columns as read-only arrays, and scalar
 metrics.  A run is fully determined by its config and seed -- the noise
@@ -56,7 +57,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import SCRATCH_ROWS, hypot_exact, localize, threshold_accuracy
+from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
 from .mobility import MobilityTrace
 from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd_predict
 
@@ -358,33 +359,33 @@ def backtrack_correct(
     ``frac`` its share of the time between them; ``rep_x``/``rep_y`` are
     rewritten in place, and steps after the last fix keep their report.
     Returns the number of steps that moved by more than ``noise_max`` -- the
-    corrections large enough to matter to a consumer of the track.
-    ``scratch`` is the block :func:`~dynloc.geometry.hypot_exact` works in.
+    corrections large enough to matter to a consumer of the track -- from
+    :func:`~dynloc.geometry.count_beyond`, which measures only moves near
+    that bound; ``scratch`` is the block it works in.
     """
     steps = fixes.step
-    # The fix that opens the interval of each step inside one, in step order.
-    j = np.repeat(np.arange(steps.size - 1), np.diff(steps) - 1)
-    # Interval k starts right after fix k, so its i-th inner step overall is steps[0] + 1 + i + k.
-    inner = np.arange(steps[0] + 1, steps[0] + 1 + j.size) + j
-    # np.diff(v)[j] is v[j + 1] - v[j]; every operation is applied in place.
+    # Every step from the first fix up to the last, each in the interval its latest fix opens.
+    span = slice(steps[0], steps[-1])
+    seg = np.diff(steps)
     fix_t, fix_x, fix_y = fixes.t, fixes.x, fixes.y
-    work = np.empty(j.size)
-    frac = times[inner]
-    frac -= fix_t.take(j, out=work)
-    frac /= np.diff(fix_t).take(j, out=work)
-    cx = np.diff(fix_x).take(j)
+    frac = times[span] - np.repeat(fix_t[:-1], seg)
+    frac /= np.repeat(np.diff(fix_t), seg)
+    cx = np.repeat(np.diff(fix_x), seg)
     cx *= frac
-    cx += fix_x.take(j, out=work)
-    cy = np.diff(fix_y).take(j)
+    cx += np.repeat(fix_x[:-1], seg)
+    cy = np.repeat(np.diff(fix_y), seg)
     cy *= frac
-    cy += fix_y.take(j, out=work)
-    # frac and work are free again: they take how far each step moves.
-    dx = np.subtract(cx, rep_x.take(inner, out=frac), out=frac)
-    dy = np.subtract(cy, rep_y.take(inner, out=work), out=work)
-    moved = hypot_exact(dx, dy, scratch)
-    rep_x[inner] = cx
-    rep_y[inner] = cy
-    return int(np.count_nonzero(moved > noise_max))
+    cy += np.repeat(fix_y[:-1], seg)
+    # A fix step keeps its report, which then does not move: MADRD's fix + v * 0.0
+    # may differ from the fix in the sign of a zero.
+    at_fix = steps[:-1] - steps[0]
+    cx[at_fix] = rep_x[steps[:-1]]
+    cy[at_fix] = rep_y[steps[:-1]]
+    dx = np.subtract(cx, rep_x[span], out=frac)
+    dy = cy - rep_y[span]
+    rep_x[span] = cx
+    rep_y[span] = cy
+    return count_beyond(dx, dy, noise_max, scratch)
 
 
 def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
@@ -419,23 +420,29 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     localized = np.zeros(n, dtype=np.int8)
     localized[steps] = 1
     period = np.repeat(fix_period, seg)
-    if kind.predicts:
-        elapsed = times - np.repeat(fix_t, seg)
-        rep_x, rep_y = madrd_predict(*(np.repeat(c, seg) for c in (fix_x, fix_y, fix_vx, fix_vy)), elapsed)
-        confidence = np.repeat(np.array(_CONFIDENCE_NAMES)[fix_conf], seg)
-    else:
-        rep_x = np.repeat(fix_x, seg)
-        rep_y = np.repeat(fix_y, seg)
-        confidence = np.full(n, "", dtype="<U2")
+    # A track that overflows is caught by the finite check on its errors below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind.predicts:
+            elapsed = np.repeat(fix_t, seg)
+            np.subtract(times, elapsed, out=elapsed)
+            rep_x, rep_y = madrd_predict(*(np.repeat(c, seg) for c in (fix_x, fix_y, fix_vx, fix_vy)), elapsed)
+            confidence = np.repeat(np.array(_CONFIDENCE_NAMES)[fix_conf], seg)
+        else:
+            rep_x = np.repeat(fix_x, seg)
+            rep_y = np.repeat(fix_y, seg)
+            confidence = np.full(n, "", dtype="<U2")
 
-    correction_count = 0
-    if cfg.backtracking_enabled:
-        correction_count = backtrack_correct(times, fixes, rep_x, rep_y, cfg.noise_max, ws.scratch(n))
+        correction_count = 0
+        if cfg.backtracking_enabled:
+            correction_count = backtrack_correct(times, fixes, rep_x, rep_y, cfg.noise_max, ws.scratch(n))
 
-    errors = hypot_exact(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
+        errors = hypot_runs(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
+        mean_error = float(errors.mean())
+    if not math.isfinite(mean_error):  # a finite mean means every error is finite
+        raise ValueError(f"field 'noise_max': {cfg.noise_max} makes the run's errors non-finite (mean {mean_error})")
     metrics = RunMetrics(
         localization_count=steps.size,
-        mean_error=float(errors.mean()),
+        mean_error=mean_error,
         max_error=float(errors.max()),
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         correction_count=correction_count,

@@ -5,7 +5,7 @@ pairs in meters, a localization produces a measured position within a bounded
 displacement of the true one, and reporting error is the Euclidean distance
 between where a node claims to be and where it actually is.  Distances over
 whole columns go through :func:`hypot_exact`, which equals :func:`math.hypot`
-element by element, bit for bit.
+element by element, bit for bit, called only on the lanes whose value is read.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import numpy as np
 
 __all__ = [
     "hypot_exact",
+    "hypot_runs",
+    "count_beyond",
     "veltkamp_split",
     "SCRATCH_ROWS",
     "draw_fix_noise",
@@ -134,6 +136,43 @@ def hypot_exact(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = Non
     if odd.size:
         h[odd] = list(map(math.hypot, dx[odd].tolist(), dy[odd].tolist()))
     return h
+
+
+def hypot_runs(dx: np.ndarray, dy: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """:func:`hypot_exact`, computed once per run of neighbouring lanes whose ``(dx, dy)`` are equal.
+
+    Equal by value: ``-0.0`` and ``0.0`` share a run (hypot ignores signs), NaN never does.
+    """
+    first = np.ones(dx.size, dtype=bool)
+    np.not_equal(dx[1:], dx[:-1], out=first[1:])
+    first[1:] |= dy[1:] != dy[:-1]
+    if np.count_nonzero(first) * 4 > dx.size * 3:  # too few repeats to pay for the gather and the repeat
+        return hypot_exact(dx, dy, scratch)
+    first = np.flatnonzero(first)
+    return np.repeat(hypot_exact(dx[first], dy[first], scratch), np.diff(first, append=dx.size))
+
+
+def count_beyond(dx: np.ndarray, dy: np.ndarray, limit: float, scratch: np.ndarray | None = None) -> int:
+    """``np.count_nonzero(hypot_exact(dx, dy) > limit)``, with :func:`hypot_exact` only on lanes near ``limit``.
+
+    A lane is beyond if ``s = dx*dx + dy*dy > lim2 * (1 + 2**-40)``, with
+    ``lim2 = limit*limit``, and within if ``s < lim2 * (1 - 2**-40)``; the rest
+    (NaN among them) go through :func:`hypot_exact`.  For ``lim2`` in
+    ``[2**-900, inf)`` this is exact: ``s`` is within ``2u + u**2`` of ``r**2``
+    (``u = 2**-53``, ``r`` the true distance) plus ``2**-1073`` of underflow,
+    ``lim2`` within ``u`` of ``limit**2``, and :func:`math.hypot` within an ulp
+    (``2u``) of ``r``, all far inside the band; an overflowed ``s`` is ``inf``,
+    past any finite band.  Any other ``limit`` (0 included) sends every lane
+    through :func:`hypot_exact`.
+    """
+    lim2 = limit * limit
+    if not (limit > 0.0 and 2.0**-900 <= lim2 < math.inf):
+        return int(np.count_nonzero(hypot_exact(dx, dy, scratch) > limit))
+    with np.errstate(over="ignore"):
+        s = dx * dx + dy * dy
+    beyond = s > lim2 * (1.0 + 2.0**-40)
+    near = np.flatnonzero(~(beyond | (s < lim2 * (1.0 - 2.0**-40))))
+    return int(np.count_nonzero(beyond)) + int(np.count_nonzero(hypot_exact(dx[near], dy[near], scratch) > limit))
 
 
 def draw_fix_noise(noise_max: float, rng: np.random.Generator, count: int) -> np.ndarray:

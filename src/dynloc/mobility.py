@@ -216,12 +216,14 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
     Speed is floored at zero.  Hitting a wall reflects the position and flips
     both the heading and the mean heading, so the walk stays in the area.
     """
-    times = _grid(spec.duration, spec.dt)
+    dt, area_w, area_h = spec.dt, spec.area_w, spec.area_h
+    times = _grid(spec.duration, dt)
     n = times.size
-    x = rng.uniform(0.0, spec.area_w)
-    y = rng.uniform(0.0, spec.area_h)
+    x = rng.uniform(0.0, area_w)
+    y = rng.uniform(0.0, area_h)
     xs = [x]
     ys = [y]
+    add_x, add_y, cos, sin, pi = xs.append, ys.append, math.cos, math.sin, math.pi
     lo, hi = spec.speed_class
     mean_speed = (lo + hi) / 2.0
     speed = mean_speed
@@ -230,6 +232,7 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
     m = spec.gm_memory
     drift = math.sqrt(max(0.0, 1.0 - m * m))
     speed_pull = (1.0 - m) * mean_speed
+    heading_pull = (1.0 - m) * mean_heading  # changes only when a wall flips mean_heading
     # Every step's two normal draws at once, in the order a per-step
     # recurrence consumes them (speed, then heading); only the reflecting
     # recurrence itself stays in the loop.
@@ -240,21 +243,23 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
         # speed compares greater, so -0.0 and NaN floor to 0.0.  An
         # ``if speed < 0.0`` test would keep -0.0 (and NaN) instead.
         speed = speed if speed > 0.0 else 0.0
-        heading = m * heading + (1.0 - m) * mean_heading + heading_kick
-        x += speed * spec.dt * math.cos(heading)
-        y += speed * spec.dt * math.sin(heading)
-        while not (0.0 <= x <= spec.area_w and 0.0 <= y <= spec.area_h):
-            if x < 0.0 or x > spec.area_w:
-                x = -x if x < 0.0 else 2.0 * spec.area_w - x
-                heading = math.pi - heading
-                mean_heading = math.pi - mean_heading
-            if y < 0.0 or y > spec.area_h:
-                y = -y if y < 0.0 else 2.0 * spec.area_h - y
+        heading = m * heading + heading_pull + heading_kick
+        travel = speed * dt
+        x += travel * cos(heading)
+        y += travel * sin(heading)
+        while not (0.0 <= x <= area_w and 0.0 <= y <= area_h):
+            if x < 0.0 or x > area_w:
+                x = -x if x < 0.0 else 2.0 * area_w - x
+                heading = pi - heading
+                mean_heading = pi - mean_heading
+            if y < 0.0 or y > area_h:
+                y = -y if y < 0.0 else 2.0 * area_h - y
                 heading = -heading
                 mean_heading = -mean_heading
-        xs.append(x)
-        ys.append(y)
-    return MobilityTrace(0, times, np.array(xs), np.array(ys), spec.dt, spec.area_w, spec.area_h)
+            heading_pull = (1.0 - m) * mean_heading
+        add_x(x)
+        add_y(y)
+    return MobilityTrace(0, times, np.array(xs), np.array(ys), dt, area_w, area_h)
 
 
 # ---------------------------------------------------------------------------

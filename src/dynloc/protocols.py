@@ -119,9 +119,14 @@ def madrd_predict(x, y, vx, vy, elapsed):
 
     Returns ``(x + vx * elapsed, y + vy * elapsed)``, for floats or for
     equal-length arrays alike: the engine calls it once per MADRD run on the
-    columns of the reported track.
+    columns of the reported track.  Array ``vx``/``vy`` are overwritten with
+    the result and returned, so a call allocates nothing.
     """
-    return x + vx * elapsed, y + vy * elapsed
+    vx *= elapsed
+    vx += x
+    vy *= elapsed
+    vy += y
+    return vx, vy
 
 
 # ---------------------------------------------------------------------------

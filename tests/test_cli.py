@@ -232,6 +232,25 @@ def test_non_finite_input_is_rejected_naming_the_field(tmp_path, capsys, argv, f
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("protocol", ["sfr", "madrd"])
+def test_simulate_whose_errors_overflow_exits_2_without_output(tmp_path, capsys, protocol):
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--protocol", protocol, "--duration", "10", "--noise", "1e308", "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "validation error" in err and "field 'noise_max'" in err
+    assert not out.exists()
+
+
+def test_sweep_whose_errors_overflow_exits_2_without_output(tmp_path, capsys):
+    spec_file = tmp_path / "spec.ini"
+    spec_file.write_text(SPEC_TEXT.replace("duration = 30", "duration = 10\nnoise = 1e308"))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)]) == EXIT_VALIDATION
+    assert "field 'noise_max'" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
 # Byte digests of the simulate, oracle and trace outputs, pinned for these library
 # versions only (see test_acceptance.GOLDEN_VERSIONS).  Each case runs in its
 # own directory with relative paths, so no temporary path reaches a header.

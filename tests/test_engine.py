@@ -8,7 +8,7 @@ import pytest
 
 from dynloc import engine
 from dynloc.engine import _NOISE_CHUNK, EVENT_COLUMNS, GridMemo, RunConfig, Workspace, run
-from dynloc.geometry import localize
+from dynloc.geometry import hypot_exact, localize
 from dynloc.mobility import (
     MobilityTrace,
     generate_gauss_markov,
@@ -268,6 +268,33 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
     assert result.fixes.step.tolist() == [0, 2]
     assert (result.reported_x[1] - f0x, result.reported_y[1] - f0y) == (dx, dy)
     assert result.metrics.correction_count == 1
+
+
+@pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+@pytest.mark.parametrize("pcfg", [SfrConfig(period=2.0), DvmConfig(), MadrdConfig()], ids=["sfr", "dvm", "madrd"])
+def test_errors_equal_hypot_exact_on_every_step_of_a_paused_trace(pcfg, noise, backtracking):
+    # A report held while the node pauses repeats one offset; the run measures each run of
+    # equal offsets once, and every step must still read hypot_exact of its own offset.
+    spec = trace_spec(duration=300.0, pause_time=40.0, speed_class=(1.0, 20.0))
+    trace = generate_random_waypoint(spec, np.random.default_rng(31))
+    result = run(RunConfig(trace=trace, protocol_config=pcfg, noise_max=noise, seed=9,
+                           backtracking_enabled=backtracking))
+    dx, dy = result.reported_x - result.true_x, result.reported_y - result.true_y
+    assert result.error.view(np.int64).tolist() == hypot_exact(dx, dy).view(np.int64).tolist()
+    if not (isinstance(pcfg, MadrdConfig) or backtracking):  # held reports: enough repeats to compress
+        assert np.count_nonzero((dx[1:] == dx[:-1]) & (dy[1:] == dy[:-1])) > trace.times.size // 4
+
+
+@pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])
+@pytest.mark.parametrize("pcfg", [SfrConfig(period=2.0), DvmConfig(), MadrdConfig()], ids=["sfr", "dvm", "madrd"])
+def test_run_whose_errors_overflow_raises_naming_noise_max(pcfg, backtracking):
+    # Fixes 1e308 off stay finite, but their errors sum past a float (MADRD's velocities overflow too).
+    cfg = RunConfig(trace=_trace(seed=2, duration=10.0), protocol_config=pcfg, noise_max=1e308,
+                    backtracking_enabled=backtracking)
+    with pytest.raises(ValueError, match="field 'noise_max'.*non-finite"):
+        run(cfg)
+    assert math.isfinite(run(dataclasses.replace(cfg, noise_max=1e150)).metrics.mean_error)
 
 
 @pytest.mark.parametrize("backtracking", [False, True], ids=["plain", "backtracking"])

@@ -4,11 +4,14 @@ Short random traces, all three protocols, backtracking on and off, random
 grid steps, period limits, noise and seeds.  Every column must match the
 reference bit for bit, and the scheduler invariants must hold on every run.
 SFR's fixed-rate array path must also match the same run through the per-fix
-loop, and reject what the loop rejects with the same message.
+loop, and reject what the loop rejects with the same message.  The array
+backtracking pass must match the per-interval reference on held and
+dead-reckoned reports, signed zeros included.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -16,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, run
+from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, Fixes, RunConfig, backtrack_correct, run
 from dynloc.mobility import MobilityTrace, generate_gauss_markov, generate_random_waypoint
-from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
+from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig, madrd_predict
 
-from scenario_tools import reference_run, trace_spec
+from scenario_tools import RefFix, ref_backtrack_correct, reference_run, trace_spec
 
 _SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -209,3 +212,53 @@ def test_fixed_rate_run_rejects_what_the_per_fix_loop_rejects(trace, period, noi
                 run(cfg)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
+
+
+# ---------------------------------------------------------------------------
+# Backtracking: one array pass against the per-interval reference
+# ---------------------------------------------------------------------------
+
+# Fix coordinates and velocities with signed zeros: MADRD's report at a fix is fix + v * 0.0,
+# which differs from a -0.0 fix in its sign.
+_COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-100.0, 100.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    gaps=st.lists(st.integers(1, 6), min_size=0, max_size=8),
+    tail=st.integers(0, 4),
+    dt=st.sampled_from([0.1, 0.25, 1.0]),
+    coords=st.lists(st.tuples(_COORDS, _COORDS, _COORDS, _COORDS), min_size=9, max_size=9),
+    predicts=st.booleans(),
+    noise_max=st.sampled_from([0.0, 2.0**-460, 0.05, 0.5, 3.0]),
+)
+def test_backtrack_correct_matches_the_reference(gaps, tail, dt, coords, predicts, noise_max):
+    steps = np.cumsum([0, *gaps])
+    n = steps[-1] + 1 + tail
+    times = np.arange(n) * dt
+    m = steps.size
+    fx, fy, vx, vy = (np.array(c[:m]) for c in zip(*coords))
+    nan = np.full(m, math.nan)
+    fixes = Fixes(steps, times[steps], fx, fy, nan, vx, vy, np.zeros(m, dtype=np.int8), nan)
+    seg = np.diff(steps, append=n)
+    if predicts:
+        elapsed = times - np.repeat(times[steps], seg)
+        rep_x, rep_y = madrd_predict(np.repeat(fx, seg), np.repeat(fy, seg), np.repeat(vx, seg), np.repeat(vy, seg), elapsed)
+    else:
+        rep_x, rep_y = np.repeat(fx, seg), np.repeat(fy, seg)
+    want_x, want_y = rep_x.tolist(), rep_y.tolist()
+    want_count = 0
+    for k in range(m - 1):
+        inner = range(steps[k] + 1, steps[k + 1])
+        series = [(times[i].item(), want_x[i], want_y[i]) for i in inner]
+        a = RefFix(times[steps[k]].item(), fx[k].item(), fy[k].item())
+        b = RefFix(times[steps[k + 1]].item(), fx[k + 1].item(), fy[k + 1].item())
+        corrected, moved = ref_backtrack_correct(a, b, series, noise_max)
+        want_count += moved
+        for i, (_, x, y) in zip(inner, corrected):
+            want_x[i], want_y[i] = x, y
+
+    count = backtrack_correct(times, fixes, rep_x, rep_y, noise_max)
+    assert count == want_count
+    assert rep_x.view(np.int64).tolist() == np.array(want_x).view(np.int64).tolist()
+    assert rep_y.view(np.int64).tolist() == np.array(want_y).view(np.int64).tolist()
