@@ -21,6 +21,11 @@ Examples::
     dynloc export-trace --mobility rwp --speed 4:5 --pause 30 --seed 3 --out tr.txt
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
+
+A validation error names the field its value fails, followed by the flag that set it
+where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  Each
+flag's dest is the field it sets, so the parser is the one map from field to flag; it
+also gives the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).
 """
 
 from __future__ import annotations
@@ -54,6 +59,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
+    def value_flags(self, command: str) -> dict[str, str]:
+        """The flags of ``command`` that take a value, by dest: ``{"noise_max": "--noise", ...}``."""
+        sub = self.commands.get(command)
+        return {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings and a.nargs != 0} if sub else {}
+
 
 # Stock sweep bundles by name; each names the mobility model it runs.
 _BUNDLES = {"rwp": experiments.default_bundle, "gauss_markov": experiments.default_gauss_markov_bundle}
@@ -62,6 +72,7 @@ _BUNDLES = {"rwp": experiments.default_bundle, "gauss_markov": experiments.defau
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynloc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names, and
     # the stock run is SweepSpec's: its field defaults are the flags' defaults.
@@ -69,7 +80,7 @@ def _build_parser() -> _Parser:
     stock_area = f"{stock['area_w']!r}x{stock['area_h']!r}"
     trace = _Parser(add_help=False)
     trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default=stock["mobility"])
-    trace.add_argument("--speed", type=str, default="4:5", help="speed class lo:hi, m/s")
+    trace.add_argument("--speed", dest="speed_class", type=str, default="4:5", help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
                        help="waypoint pause time, seconds")
     for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma", "duration", "dt"):
@@ -87,9 +98,9 @@ def _build_parser() -> _Parser:
             readers.setdefault(f.name, []).append(kind)
     for name, kinds in readers.items():
         sim.add_argument("--" + name.replace("_", "-"), type=float, help=f"{'/'.join(kinds)} parameter")
-    sim.add_argument("--noise", type=float, default=stock["noise_max"])
-    sim.add_argument("--tolerance", type=float, default=stock["dist_tolerance"])
-    sim.add_argument("--backtracking", action="store_true")
+    sim.add_argument("--noise", dest="noise_max", type=float, default=stock["noise_max"])
+    sim.add_argument("--tolerance", dest="dist_tolerance", type=float, default=stock["dist_tolerance"])
+    sim.add_argument("--backtracking", dest="backtracking_enabled", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
     sim.add_argument("--node", type=int, default=0, help="node line to use from --trace-file")
     sim.add_argument("--events-out", type=str, default=None, help="write the per-step event log CSV here")
@@ -158,25 +169,19 @@ def _protocol_config(args) -> ProtocolConfig:
     return config_cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _seed(args) -> int:
-    """``--seed``, checked before any seed sequence or generator sees it."""
-    if args.seed < 0:
-        raise ValueError(f"field 'seed': must be >= 0, got {args.seed}")
-    return args.seed
-
-
-def _trace_spec(args, seed: int) -> mobility.TraceSpec:
-    """The trace the shared trace flags describe, generated from ``seed``."""
+def _trace_spec(args) -> mobility.TraceSpec:
+    """The trace the shared trace flags describe, ``--seed`` included."""
     area_w, area_h = experiments.parse_area(args.area)
-    speed_class = experiments.parse_speed_class(args.speed, "speed")
-    return mobility.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h, seed=seed)
+    speed_class = experiments.parse_speed_class(args.speed_class, "speed")
+    return mobility.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h)
 
 
 def _cmd_simulate(args) -> int:
     _output_file(args.out, "out")
     _output_file(args.events_out, "events-out")
-    trace_seed, noise_seed = experiments.run_seeds(_seed(args))
-    ts = _trace_spec(args, trace_seed)
+    ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
+    trace_seed, noise_seed = experiments.run_seeds(args.seed)
+    ts = dataclasses.replace(ts, seed=trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
         text = _read_text(args.trace_file, "trace-file")
@@ -189,10 +194,10 @@ def _cmd_simulate(args) -> int:
     cfg = RunConfig(
         trace=trace,
         protocol_config=_protocol_config(args),
-        noise_max=args.noise,
-        dist_tolerance=args.tolerance,
+        noise_max=args.noise_max,
+        dist_tolerance=args.dist_tolerance,
         seed=noise_seed,
-        backtracking_enabled=args.backtracking,
+        backtracking_enabled=args.backtracking_enabled,
     )
     result = run(cfg)
     provenance = experiments.run_provenance(cfg, ts, trace.content_hash(), **extra)
@@ -207,17 +212,17 @@ def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"field 'workers': must be >= 1, got {args.workers}")
     if args.spec is not None:
-        spec = experiments.parse_spec_file(_read_text(args.spec, "spec"))
+        text = _read_text(args.spec, "spec")
+        try:
+            spec = experiments.parse_spec_file(text)
+        except ValueError as exc:  # names the file's keys, not the flags given with it
+            raise ValueError(f"spec file {args.spec!r}: {exc}") from exc
     else:
         spec = _BUNDLES[args.bundle]()
 
-    updates: dict = {}
-    if args.repetitions is not None:
-        updates["repetitions"] = args.repetitions
-    if args.seed_base is not None:
-        updates["seed_base"] = args.seed_base
-    if args.duration is not None:
-        updates["duration"] = args.duration
+    # Each flag given overrides the spec field it is named after.
+    updates = {name: getattr(args, name) for name in ("repetitions", "seed_base", "duration")}
+    updates = {name: value for name, value in updates.items() if value is not None}
     if args.pause_times is not None:
         updates["pause_times"] = tuple(experiments.parse_number_list(args.pause_times, "pause-times"))
     if args.protocols is not None:
@@ -243,23 +248,15 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _check_distance(value: float, field: str) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"field '{field}': need a finite distance >= 0, got {value}")
-
-
 def _cmd_oracle(args) -> int:
     _output_file(args.out, "out")
-    if not (math.isfinite(args.v) and args.v > 0):
-        raise ValueError(f"field 'v': need a finite speed > 0, got {args.v}")
+    oracles.require_positive(args.v, "v")
     if args.steps < 2:
         raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
     if args.turn:
-        if not math.isfinite(args.theta):
-            raise ValueError(f"field 'theta': need a finite angle in degrees, got {args.theta}")
-        _check_distance(args.x, "x")
-        if not (math.isfinite(args.nmax) and args.nmax > 0):
-            raise ValueError(f"field 'nmax': need a finite distance > 0, got {args.nmax}")
+        oracles.require_angle(args.theta, "theta")
+        oracles.require_distance(args.x, "x")
+        oracles.require_positive(args.nmax, "nmax")
         theta = math.radians(args.theta)
         # The turn errors do not read the speed; the header records it all the same.
         header = {
@@ -278,7 +275,7 @@ def _cmd_oracle(args) -> int:
         if not finite:
             raise ValueError(f"fields 'x'/'nmax': the error table overflows a float at x={args.x}, nmax={args.nmax}")
     else:
-        _check_distance(args.d, "d")
+        oracles.require_distance(args.d, "d")
         stop_t = args.d / args.v
         horizon = args.horizon if args.horizon is not None else 2.0 * stop_t
         if not (math.isfinite(horizon) and horizon > 0):
@@ -314,7 +311,7 @@ def _cmd_import_trace(args) -> int:
 
 def _cmd_export_trace(args) -> int:
     _output_file(args.out, "out")
-    experiments.write_waypoints(args.out, [experiments.make_trace(_trace_spec(args, _seed(args)))])
+    experiments.write_waypoints(args.out, [experiments.make_trace(_trace_spec(args))])
     return EXIT_OK
 
 
@@ -327,26 +324,32 @@ _COMMANDS = {
 }
 
 
-# Flags whose value may begin with "-" without being a number ("-1x300", "-1:2", "-1,0").
-# argparse would take such a value for an option, so it is attached to its flag.
-_DASH_VALUE_FLAGS = ("--area", "--speed", "--pause-times")
-
-
-def _attach_dash_values(argv: list[str]) -> list[str]:
-    """``argv`` with ``--area -1x300`` written as ``--area=-1x300``, so the value reaches its parser."""
+def _attach_dash_values(argv: list[str], flags) -> list[str]:
+    """``argv`` with ``--area -1x300`` written as ``--area=-1x300`` for each of ``flags``: argparse
+    would take a value that begins with "-" (``-1e-3``, ``-inf``) for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _DASH_VALUE_FLAGS and arg.startswith("-") and not arg.startswith("--"):
+        if out and out[-1] in flags and arg.startswith("-") and not arg.startswith("--"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
 
 
+def _with_flags(message: str, flags: dict[str, str]) -> str:
+    """``message`` with the flags that set the fields it names, where named otherwise, after them."""
+    named = experiments.FIELDS_NAMED.match(message)
+    names = named[1].split("'/'") if named else []
+    given = dict.fromkeys(flags[name] for name in names if flags.get(name, "--" + name) != "--" + name)
+    return f"{message[:named.end()]} ({'/'.join(given)}){message[named.end():]}" if given else message
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    flags = parser.value_flags(argv[0] if argv else "")
     try:
-        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_dash_values(argv, flags.values()))
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
@@ -355,7 +358,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:  # mobility.WaypointParseError included
-        sys.stderr.write(f"validation error: {exc}\n")
+        # A flag left out (None) leaves its field to a spec file or a config default.
+        given = {name: flag for name, flag in flags.items() if getattr(args, name) is not None}
+        if "area" in given:  # --area sets TraceSpec's and MobilityTrace's area_w and area_h
+            given["area_w"] = given["area_h"] = given["area"]
+        sys.stderr.write(f"validation error: {_with_flags(str(exc), given)}\n")
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")

@@ -63,6 +63,7 @@ from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd
 
 __all__ = [
     "RunConfig",
+    "check_noise_and_tolerance",
     "RunMetrics",
     "EVENT_COLUMNS",
     "Fixes",
@@ -77,6 +78,13 @@ _SCHED_EPS = 1e-9
 # Fixes of noise drawn per refill.  Any size yields the same stream; a stock run
 # takes 165-760 fixes, and the draws left over at the end of a run are dropped.
 _NOISE_CHUNK = 256
+
+
+def check_noise_and_tolerance(noise_max: float, dist_tolerance: float) -> None:
+    """The rule of :class:`RunConfig`'s ``noise_max`` and ``dist_tolerance``: each finite and >= 0."""
+    for name, value in (("noise_max", noise_max), ("dist_tolerance", dist_tolerance)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"field {name!r}: must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.protocol  # a config of no known kind raises here
-        for name in ("noise_max", "dist_tolerance"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"field {name!r}: must be finite and >= 0, got {value}")
+        check_noise_and_tolerance(self.noise_max, self.dist_tolerance)
 
     @property
     def protocol(self) -> str:
@@ -271,7 +276,7 @@ def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
     ``j`` with ``times[j] + eps >= times[k] + period``, or at ``k + 1`` if that
     is later.
     It raises the loop's error at the first fix whose request does not come
-    after it.
+    after it, naming ``period``.
     """
     with np.errstate(over="ignore"):
         requests = times + period
@@ -283,7 +288,7 @@ def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
     while True:
         if not later[k]:
             t = times.item(k)
-            raise ValueError(f"the next fix must come after the fix at t={t}, got {t + period}")
+            raise ValueError(f"field 'period': the next fix must come after the fix at t={t}, got {t + period}")
         steps.append(k)
         j = due[k]
         k = j if j > k else k + 1
@@ -292,7 +297,12 @@ def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
 
 
 def _stepped_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
-    """The fixes of a run, one ``step`` call per fix."""
+    """The fixes of a run, one ``step`` call per fix.
+
+    A fix whose request does not come after it raises naming the field that
+    floors the period: ``t_min`` if the config has one (a period >= ``t_min``
+    with ``t + period == t`` means ``t + t_min == t``), else ``period``.
+    """
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
     n = times.size
     # A fix requested at time r fires at the first step k with times[k] + eps >= r.
@@ -307,7 +317,8 @@ def _stepped_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
         row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
         next_t = t + row[3]  # the row's period (FIX_COLUMNS)
         if not next_t > t:
-            raise ValueError(f"the next fix must come after the fix at t={t}, got {next_t}")
+            floor = "t_min" if hasattr(pcfg, "t_min") else "period"
+            raise ValueError(f"field {floor!r}: the next fix must come after the fix at t={t}, got {next_t}")
         fix_steps.append(k)
         rows.append(row)
         j = bisect_left(due, next_t)

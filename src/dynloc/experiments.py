@@ -38,11 +38,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, run
+from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
 from .mobility import (
     MobilityTrace,
     TraceSpec,
@@ -77,7 +77,28 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
     "parse_spec_file",
+    "FIELDS_NAMED",
+    "renaming",
 ]
+
+# A validation message opens with the fields it names: "field 'a': ..." or "fields 'a'/'b': ...".
+FIELDS_NAMED = re.compile(r"fields? '(.*?)'(?=: )")
+
+
+@contextlib.contextmanager
+def renaming(rename: Callable[[str], str]):
+    """Re-raise a ``ValueError`` that names fields with each name ``rename(name)``: a sweep names its
+    cells' ``speed_class`` ``speed_classes``, and a protocol's ``period`` ``<label>.period``."""
+    try:
+        yield
+    except ValueError as exc:
+        named = FIELDS_NAMED.match(str(exc))
+        if named is None:
+            raise
+        names = list(dict.fromkeys(map(rename, named[1].split("'/'"))))
+        fields = ("fields " if len(names) > 1 else "field ") + "/".join(f"'{name}'" for name in names)
+        raise ValueError(fields + str(exc)[named.end():]) from exc
+
 
 # Labels name output files and CSV cells, so they may not hold a path separator or a comma.
 _LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
@@ -109,6 +130,10 @@ class ProtocolSpec:
             raise ValueError(f"field '{self.label}.kind': must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
 
 
+# The sweep fields a cell's TraceSpec fields come from; the others have the same name.
+_CELL_FIELDS = {"speed_class": "speed_classes", "pause_time": "pause_times", "seed": "seed_base"}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     speed_classes: tuple[tuple[float, float], ...]
@@ -129,24 +154,18 @@ class SweepSpec:
     backtracking_enabled: bool = False
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.name == "speed_classes":
-                value = [v for c in value for v in c]
-            values = value if isinstance(value, tuple | list) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-                raise ValueError(f"field {f.name!r}: must be finite, got {value!r}")
+        # TraceSpec reads the gm_* fields of a Gauss-Markov trace only, but every header records them.
+        for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"field {name!r}: must be finite, got {getattr(self, name)!r}")
         if not self.speed_classes:
             raise ValueError("field 'speed_classes': need at least one class")
-        for lo, hi in self.speed_classes:
-            if not (0 < lo <= hi):
-                raise ValueError(f"field 'speed_classes': need 0 < lo <= hi, got {lo}:{hi}")
         # Cells are keyed and their files named by class_label and the %g pause.
         labels = [class_label(c) for c in self.speed_classes]
         if len(set(labels)) < len(labels):
             raise ValueError(f"field 'speed_classes': classes must be distinct as lo:hi (%g), got {labels}")
-        if not self.pause_times or any(p < 0 for p in self.pause_times):
-            raise ValueError("field 'pause_times': need at least one value, all >= 0")
+        if not self.pause_times:
+            raise ValueError("field 'pause_times': need at least one value")
         pauses = list(self.pause_times)
         if len({f"{p:g}" for p in pauses}) < len(pauses) or len(set(pauses)) < len(pauses):
             raise ValueError(f"field 'pause_times': values must be distinct, also as %g, got {pauses}")
@@ -157,14 +176,12 @@ class SweepSpec:
             raise ValueError(f"field 'protocols': labels must be unique, got {labels}")
         if self.repetitions < 1:
             raise ValueError(f"field 'repetitions': must be >= 1, got {self.repetitions}")
-        if self.seed_base < 0:
-            raise ValueError(f"field 'seed_base': must be >= 0, got {self.seed_base}")
-        if self.noise_max < 0 or self.dist_tolerance < 0:
-            raise ValueError("fields 'noise'/'dist_tolerance': must be >= 0")
+        check_noise_and_tolerance(self.noise_max, self.dist_tolerance)
         # Each cell's trace spec and protocol configs are built here once, so they fail before any run.
-        for class_index in range(len(self.speed_classes)):
-            for pause_index in range(len(self.pause_times)):
-                self.trace_spec(class_index, pause_index, self.seed_base)
+        with renaming(lambda name: _CELL_FIELDS.get(name, name)):
+            for class_index in range(len(self.speed_classes)):
+                for pause_index in range(len(self.pause_times)):
+                    self.trace_spec(class_index, pause_index, self.seed_base)
         for pspec in self.protocols:
             for class_index in range(len(self.speed_classes)):
                 resolve_protocol_config(pspec, class_index, len(self.speed_classes))
@@ -233,6 +250,12 @@ def _resolve(value, class_index: int, n_classes: int, name: str):
     return value
 
 
+def _label_fields(pspec: ProtocolSpec) -> Callable[[str], str]:
+    """A name as a sweep names it: ``<label>.<name>`` for a field of the protocol's config, others as they are."""
+    fields = PROTOCOLS[pspec.kind].config.__dataclass_fields__
+    return lambda name: f"{pspec.label}.{name}" if name in fields else name
+
+
 def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: int) -> ProtocolConfig:
     """Materialize a protocol config for one speed class (per-class lists resolved)."""
     params = {
@@ -240,7 +263,8 @@ def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: in
         for key, val in pspec.params.items()
     }
     try:
-        return PROTOCOLS[pspec.kind].config(**params)
+        with renaming(_label_fields(pspec)):
+            return PROTOCOLS[pspec.kind].config(**params)
     except TypeError as exc:
         raise ValueError(f"field '{pspec.label}': bad parameter set {sorted(params)}: {exc}") from exc
 
@@ -397,7 +421,8 @@ def _run_cell(
             seed=noise_seed,
             backtracking_enabled=spec.backtracking_enabled,
         )
-        result = run(run_cfg, workspace)
+        with renaming(_label_fields(pspec)):  # the engine may name t_min or period
+            result = run(run_cfg, workspace)
         records.append(
             RunRecord(
                 speed_class=speed,
@@ -792,35 +817,29 @@ def parse_number_list(raw: str, field_name: str) -> list[float]:
     return out
 
 
-def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[float, float]:
-    """Parse one ``lo:hi`` speed class with finite ``0 < lo <= hi``; errors name ``field_name``."""
-    pieces = raw.split(":")
+def _parse_pair(raw: str, sep: str, field_name: str) -> tuple[float, float]:
+    """The two numbers of ``raw`` split at ``sep``, unchecked (a TraceSpec checks them); errors name ``field_name``."""
+    pieces = raw.lower().split(sep)
     if len(pieces) != 2:
-        raise ValueError(f"field '{field_name}': expected lo:hi, got {raw!r}")
+        raise ValueError(f"field '{field_name}': expected two numbers joined by {sep!r}, got {raw!r}")
     try:
-        lo, hi = float(pieces[0]), float(pieces[1])
+        return float(pieces[0]), float(pieces[1])
     except ValueError as exc:
         raise ValueError(f"field '{field_name}': not a number in {raw!r}") from exc
-    if not (0 < lo <= hi < math.inf):
-        raise ValueError(f"field '{field_name}': need finite 0 < lo <= hi, got {raw!r}")
-    return lo, hi
+
+
+def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[float, float]:
+    """Parse one ``lo:hi`` speed class; errors name ``field_name``."""
+    return _parse_pair(raw, ":", field_name)
 
 
 def parse_area(raw: str) -> tuple[float, float]:
-    pieces = raw.lower().split("x")
-    if len(pieces) != 2:
-        raise ValueError(f"field 'area': expected WxH, got {raw!r}")
-    try:
-        w, h = float(pieces[0]), float(pieces[1])
-    except ValueError as exc:
-        raise ValueError(f"field 'area': not a number in {raw!r}") from exc
-    if not (0 < w < math.inf and 0 < h < math.inf):
-        raise ValueError(f"field 'area': need finite W, H > 0, got {raw!r}")
-    return w, h
+    """Parse a ``WxH`` area; errors name ``area``."""
+    return _parse_pair(raw, "x", "area")
 
 
 # SweepSpec fields whose [sweep] key has another name.
-_FIELD_SPEC_KEYS = {"noise_max": "noise", "backtracking_enabled": "backtracking"}
+_FIELD_SPEC_KEYS = {"noise_max": "noise", "backtracking_enabled": "backtracking", "area_w": "area", "area_h": "area"}
 
 
 def parse_spec_file(text: str) -> SweepSpec:
@@ -872,4 +891,5 @@ def parse_spec_file(text: str) -> SweepSpec:
         for label, body in parser.items()
         if label not in ("sweep", parser.default_section)
     ]
-    return spec_from_dict(d)
+    with renaming(lambda name: _FIELD_SPEC_KEYS.get(name, name)):
+        return spec_from_dict(d)

@@ -15,7 +15,8 @@ uniform time grid.  Traces come from three places:
 
 Both generators read a :class:`TraceSpec`, which checks each of its fields
 when it is built.  Generation is deterministic: the same spec and generator
-state always produce the same trace, bit for bit.
+state always produce the same trace, bit for bit, and ends: a trace has at
+most :data:`MAX_GRID_STEPS` samples, and each generator bounds its own loop.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 __all__ = [
     "MobilityTrace",
+    "MAX_GRID_STEPS",
     "MOBILITY_MODELS",
     "TraceSpec",
     "WaypointParseError",
@@ -42,6 +44,14 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-9
+
+# Grid steps a trace may span (it has one sample more).  A run holds about 280 bytes per
+# step at its peak (measured for DVM with backtracking), so this caps one run near 560 MB.
+MAX_GRID_STEPS = 2_000_000
+
+# Reflection passes one Gauss-Markov step may take, each off at most one wall per axis;
+# a step shorter than the area's sides takes one.
+_MAX_REFLECTIONS = 64
 
 
 class WaypointParseError(ValueError):
@@ -74,8 +84,7 @@ class MobilityTrace:
             raise ValueError("times, xs, ys must have identical length")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not (self.area_w > 0 and self.area_h > 0):
-            raise ValueError("area dimensions must be positive")
+        _require_area(self.area_w, self.area_h)
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
             raise ValueError("trace samples must be finite")
         if times.size > 1:
@@ -111,6 +120,26 @@ class MobilityTrace:
 MOBILITY_MODELS = ("rwp", "gauss_markov")
 
 
+def _require_area(area_w: float, area_h: float) -> None:
+    if not (0 < area_w < math.inf and 0 < area_h < math.inf):
+        raise ValueError(f"fields 'area_w'/'area_h': must be finite and > 0, got {area_w}x{area_h}")
+
+
+def _grid_size(duration: float, dt: float) -> int:
+    """The samples from t = 0 to ``duration`` rounded up to whole ``dt`` steps, of fewer than ``MAX_GRID_STEPS``."""
+    for name, value in (("duration", duration), ("dt", dt)):
+        if not (0 < value < math.inf):
+            raise ValueError(f"field {name!r}: must be finite and > 0, got {value}")
+    steps = duration / dt
+    if not steps < MAX_GRID_STEPS:
+        raise ValueError(f"fields 'duration'/'dt': {duration} s at dt={dt} is {steps:.4g} grid steps, over the cap")
+    return int(math.ceil(steps - _TIME_EPS)) + 1
+
+
+def _grid(duration: float, dt: float) -> np.ndarray:
+    return np.arange(_grid_size(duration, dt), dtype=float) * dt
+
+
 @dataclass(frozen=True)
 class TraceSpec:
     """Everything that determines one generated trace, seed included.
@@ -139,14 +168,11 @@ class TraceSpec:
             raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
         lo, hi = self.speed_class
         if not (0 < lo <= hi < math.inf):
-            raise ValueError(f"field 'speed_class': need finite 0 < lo <= hi, got {lo}:{hi}")
+            raise ValueError(f"field 'speed_class': must be finite with 0 < lo <= hi, got {lo}:{hi}")
         if not (0 <= self.pause_time < math.inf):
             raise ValueError(f"field 'pause_time': must be finite and >= 0, got {self.pause_time}")
-        for name in ("duration", "dt"):
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"field {name!r}: must be finite and > 0, got {getattr(self, name)}")
-        if not (0 < self.area_w < math.inf and 0 < self.area_h < math.inf):
-            raise ValueError(f"fields 'area_w'/'area_h': must be finite and > 0, got {self.area_w}x{self.area_h}")
+        _grid_size(self.duration, self.dt)
+        _require_area(self.area_w, self.area_h)
         if self.seed < 0:
             raise ValueError(f"field 'seed': must be >= 0, got {self.seed}")
         if self.mobility == "gauss_markov":
@@ -163,20 +189,24 @@ class TraceSpec:
         return cls(**taken, **given)
 
 
-def _grid(duration: float, dt: float) -> np.ndarray:
-    n = int(math.ceil(duration / dt - _TIME_EPS)) + 1
-    return np.arange(n, dtype=float) * dt
-
-
 def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
     """Generate a random-waypoint trace sampled every ``spec.dt`` seconds.
 
     The continuous path is a chain of constant-speed legs toward uniformly
     chosen destinations, each followed by a fixed pause, built until the whole
-    run duration is covered and then resampled onto the dt grid.
+    run duration is covered and then resampled onto the dt grid.  A leg is on
+    average over a third of the area's longer side; legs of that whole side at
+    the top speed, each with its pause, must cover the duration in at most
+    ``MAX_GRID_STEPS`` legs, or it raises before it draws any.
     """
     v_min, v_max = spec.speed_class
     times = _grid(spec.duration, spec.dt)
+    legs = spec.duration / (spec.pause_time + max(spec.area_w, spec.area_h) / v_max)
+    if not legs <= MAX_GRID_STEPS:
+        raise ValueError(
+            f"fields 'speed_class'/'area_w'/'area_h': {legs:.4g} legs of the {spec.area_w}x{spec.area_h} m "
+            f"area's longer side at {v_max} m/s cover {spec.duration} s, over {MAX_GRID_STEPS}"
+        )
     x = rng.uniform(0.0, spec.area_w)
     y = rng.uniform(0.0, spec.area_h)
     knot_t = [0.0]
@@ -214,7 +244,8 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
         h' = m*h + (1-m)*mean_heading   + sqrt(1-m^2) * gm_direction_sigma * N(0,1)
 
     Speed is floored at zero.  Hitting a wall reflects the position and flips
-    both the heading and the mean heading, so the walk stays in the area.
+    both the heading and the mean heading, so the walk stays in the area; a
+    step still outside after ``_MAX_REFLECTIONS`` reflections raises.
     """
     dt, area_w, area_h = spec.dt, spec.area_w, spec.area_h
     times = _grid(spec.duration, dt)
@@ -247,15 +278,23 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
         travel = speed * dt
         x += travel * cos(heading)
         y += travel * sin(heading)
-        while not (0.0 <= x <= area_w and 0.0 <= y <= area_h):
-            if x < 0.0 or x > area_w:
-                x = -x if x < 0.0 else 2.0 * area_w - x
-                heading = pi - heading
-                mean_heading = pi - mean_heading
-            if y < 0.0 or y > area_h:
-                y = -y if y < 0.0 else 2.0 * area_h - y
-                heading = -heading
-                mean_heading = -mean_heading
+        if not (0.0 <= x <= area_w and 0.0 <= y <= area_h):
+            for _ in range(_MAX_REFLECTIONS):
+                if x < 0.0 or x > area_w:
+                    x = -x if x < 0.0 else 2.0 * area_w - x
+                    heading = pi - heading
+                    mean_heading = pi - mean_heading
+                if y < 0.0 or y > area_h:
+                    y = -y if y < 0.0 else 2.0 * area_h - y
+                    heading = -heading
+                    mean_heading = -mean_heading
+                if 0.0 <= x <= area_w and 0.0 <= y <= area_h:
+                    break
+            else:
+                raise ValueError(
+                    f"fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h': a {travel} m step at "
+                    f"t={len(xs) * dt} s is still outside the {area_w}x{area_h} m area after {_MAX_REFLECTIONS} passes"
+                )
             heading_pull = (1.0 - m) * mean_heading
         add_x(x)
         add_y(y)
@@ -310,7 +349,7 @@ def trace_from_waypoints(
     if np.any(wx < 0) or np.any(wx > area_w) or np.any(wy < 0) or np.any(wy > area_h):
         raise ValueError(f"waypoints must lie within the {area_w}x{area_h} area")
     end = float(wt[-1]) if duration is None else float(duration)
-    times = _grid(end, dt) if end > 0 else np.array([0.0])
+    times = _grid(end, dt) if end > 0 or duration is not None else np.array([0.0])
     xs = np.interp(times, wt, wx)
     ys = np.interp(times, wt, wy)
     return MobilityTrace(node_id, times, xs, ys, dt, area_w, area_h)
@@ -339,6 +378,9 @@ def import_traces(
     duration: float | None = None,
 ) -> list[MobilityTrace]:
     """Parse waypoint text, one node per non-empty line, resampled at ``dt``."""
+    _require_area(area_w, area_h)  # before any line, so an error a line raises is that line's
+    if duration is not None:
+        _grid_size(duration, dt)
     traces: list[MobilityTrace] = []
     node_id = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):

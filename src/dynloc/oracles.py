@@ -14,8 +14,9 @@ as independent checks on the simulator:
   extrapolating and its error grows linearly for as long as the node stands
   still.
 
-Each function takes the plain numbers it reads and checks each of them.  All
-angles are radians, distances meters, speeds meters/second.
+Each function takes the plain numbers it reads and checks each of them with a
+``require_*`` rule, which the CLI's flags share.  All angles are radians,
+distances meters, speeds meters/second.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "require_distance",
+    "require_positive",
+    "require_angle",
     "sfr_turn_error",
     "madrd_turn_error",
     "sfr_pause_error",
@@ -30,14 +34,19 @@ __all__ = [
 ]
 
 
-def _require_distance(value: float, name: str) -> None:
+def require_distance(value: float, name: str) -> None:
     if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"field {name!r}: must be a finite distance >= 0, got {value}")
 
 
-def _require_angle(value: float) -> None:
+def require_positive(value: float, name: str) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"field {name!r}: must be finite and > 0, got {value}")
+
+
+def require_angle(value: float, name: str) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"turn_angle must be finite, got {value}")
+        raise ValueError(f"field {name!r}: must be a finite angle, got {value}")
 
 
 def sfr_turn_error(straight_before_turn: float, turn_angle: float, past_turn: float) -> float:
@@ -52,9 +61,9 @@ def sfr_turn_error(straight_before_turn: float, turn_angle: float, past_turn: fl
     extremes: ``a = 0`` collapses it to ``x + n`` (straight continuation) and
     ``a = pi`` to ``|x - n|`` (full reversal), with no cancellation in between.
     """
-    _require_distance(straight_before_turn, "straight_before_turn")
-    _require_angle(turn_angle)
-    _require_distance(past_turn, "past_turn")
+    require_distance(straight_before_turn, "straight_before_turn")
+    require_angle(turn_angle, "turn_angle")
+    require_distance(past_turn, "past_turn")
     x = straight_before_turn
     half_cos = math.cos(turn_angle / 2.0)
     return math.sqrt((x - past_turn) ** 2 + 4.0 * x * past_turn * half_cos * half_cos)
@@ -67,8 +76,8 @@ def madrd_turn_error(turn_angle: float, past_turn: float) -> float:
     both are ``past_turn`` meters from the turn point, so the error is the
     chord ``2 * past_turn * sin(turn_angle / 2)`` between them.
     """
-    _require_distance(past_turn, "past_turn")
-    _require_angle(turn_angle)
+    require_distance(past_turn, "past_turn")
+    require_angle(turn_angle, "turn_angle")
     return 2.0 * past_turn * abs(math.sin(turn_angle / 2.0))
 
 
@@ -79,8 +88,8 @@ def sfr_pause_error(travel_before_stop: float, travel: float) -> float:
     error tracks the distance actually covered, which saturates at the stop:
     ``min(travel, travel_before_stop)``.
     """
-    _require_distance(travel_before_stop, "travel_before_stop")
-    _require_distance(travel, "travel")
+    require_distance(travel_before_stop, "travel_before_stop")
+    require_distance(travel, "travel")
     return min(travel, travel_before_stop)
 
 
@@ -90,7 +99,6 @@ def madrd_pause_error(speed: float, since_pause: float) -> float:
     The predictor keeps moving at the pre-stop ``speed`` while the node
     stands still, so the error is ``speed * since_pause``.
     """
-    if not (math.isfinite(speed) and speed > 0):
-        raise ValueError(f"speed must be > 0, got {speed}")
-    _require_distance(since_pause, "since_pause")
+    require_positive(speed, "speed")
+    require_distance(since_pause, "since_pause")
     return speed * since_pause

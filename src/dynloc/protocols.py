@@ -72,12 +72,12 @@ class SfrConfig:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.period) or self.period <= 0:
-            raise ValueError(f"period must be > 0, got {self.period}")
+            raise ValueError(f"field 'period': must be finite and > 0, got {self.period}")
 
 
 def _check_limits(t_min: float, t_max: float) -> None:
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or not (0 < t_min <= t_max):
-        raise ValueError(f"need 0 < t_min <= t_max, got [{t_min}, {t_max}]")
+        raise ValueError(f"fields 't_min'/'t_max': need finite 0 < t_min <= t_max, got [{t_min}, {t_max}]")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class DvmConfig:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.target_error) or self.target_error <= 0:
-            raise ValueError(f"target_error must be > 0, got {self.target_error}")
+            raise ValueError(f"field 'target_error': must be finite and > 0, got {self.target_error}")
         _check_limits(self.t_min, self.t_max)
 
 
@@ -102,12 +102,12 @@ class MadrdConfig:
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.divergence_threshold) or self.divergence_threshold <= 0:
-            raise ValueError(f"divergence_threshold must be > 0, got {self.divergence_threshold}")
+            raise ValueError(f"field 'divergence_threshold': must be finite and > 0, got {self.divergence_threshold}")
         _check_limits(self.t_min, self.t_max)
         if not math.isfinite(self.period_growth) or self.period_growth < 1.0:
-            raise ValueError(f"period_growth must be >= 1, got {self.period_growth}")
+            raise ValueError(f"field 'period_growth': must be finite and >= 1, got {self.period_growth}")
         if not (0 < self.period_shrink <= 1.0):
-            raise ValueError(f"period_shrink must be in (0, 1], got {self.period_shrink}")
+            raise ValueError(f"field 'period_shrink': must lie in (0, 1], got {self.period_shrink}")
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

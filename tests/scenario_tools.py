@@ -15,8 +15,10 @@ arithmetic with the engine.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import signal
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -356,3 +358,19 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetr
         correction_count=correction_count,
     )
     return events, fixes, metrics
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -21,7 +21,7 @@ from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, conso
 from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
 from dynloc.protocols import PROTOCOLS, ProtocolKind, sfr_step
 
-from scenario_tools import read_table
+from scenario_tools import read_table, time_limit
 
 SPEC_TEXT = """
 [sweep]
@@ -676,11 +676,10 @@ _ORACLE_FLAGS = ("x", "d", "v", "theta", "nmax", "horizon", "steps")
     steps=st.none() | st.sampled_from([-1, 0, 1, 2, 3, 11]),
 )
 def test_oracle_input_surface_exits_0_with_finite_cells_or_2_naming_a_flag(mode, values, steps):
-    # In process, 200 examples take about 1 s.  Values go as --flag=value: argparse takes a
-    # separate "-1e308" or "-inf" for an option, a usage error before any check.
-    argv = [f"--{name}={value!r}" for name, value in values.items()]
+    # In process, 200 examples take about 1 s.
+    argv = [token for name, value in values.items() for token in (f"--{name}", repr(value))]
     if steps is not None:
-        argv.append(f"--steps={steps}")
+        argv += ["--steps", str(steps)]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as folder:
         out = Path(folder) / "table.csv"
@@ -744,17 +743,17 @@ def test_trace_file_area_must_be_finite_and_positive(tmp_path, capsys, command, 
     else:
         argv = ["simulate", "--protocol", "sfr", "--trace-file", str(src), "--duration", "10"]
     assert main([*argv, f"--area={area}"]) == EXIT_VALIDATION
-    assert "field 'area'" in capsys.readouterr().err
+    assert "fields 'area_w'/'area_h' (--area)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv, field",
     [
-        (["import-trace", "--in", "node.txt", "--area", "-1x300"], "field 'area'"),
-        (["export-trace", "--speed", "-1:2"], "field 'speed'"),
-        (["export-trace", "--mobility", "gauss_markov", "--speed", "-1:2"], "field 'speed'"),
-        (["simulate", "--protocol", "sfr", "--speed", "-1:2"], "field 'speed'"),
-        (["sweep", "--repetitions", "1", "--pause-times", "-1,0"], "field 'pause_times'"),
+        (["import-trace", "--in", "node.txt", "--area", "-1x300"], "fields 'area_w'/'area_h' (--area)"),
+        (["export-trace", "--speed", "-1:2"], "field 'speed_class' (--speed)"),
+        (["export-trace", "--mobility", "gauss_markov", "--speed", "-1:2"], "field 'speed_class' (--speed)"),
+        (["simulate", "--protocol", "sfr", "--speed", "-1:2"], "field 'speed_class' (--speed)"),
+        (["sweep", "--repetitions", "1", "--pause-times", "-1,0"], "field 'pause_times' (--pause-times)"),
     ],
     ids=["import_area", "export_speed", "export_gm_speed", "simulate_speed", "sweep_pauses"],
 )
@@ -765,3 +764,140 @@ def test_value_starting_with_a_dash_reaches_its_field_check(tmp_path, monkeypatc
     assert main([*argv, "--out", "out.txt"]) == EXIT_VALIDATION
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["node.txt"]
+
+
+# ---------------------------------------------------------------------------
+# The dash-value surface: every float- or text-valued flag
+# ---------------------------------------------------------------------------
+
+# A command line that runs, per command, and its output flag.  Each case below adds one
+# flag to it; the last value of a flag given twice wins.
+_RUNS = {
+    "simulate": ["simulate", "--protocol", "sfr", "--duration", "10", "--out", "out.csv"],
+    "export-trace": ["export-trace", "--duration", "10", "--out", "out.txt"],
+    "sweep": ["sweep", "--repetitions", "1", "--duration", "10", "--out", "out"],
+    "oracle": ["oracle", "--out", "out.csv"],
+    "import-trace": ["import-trace", "--in", "node.txt", "--out", "out.txt"],
+}
+_NUMBERS = ("-1e308", "-1e-3", "-inf")
+_GM = (["--mobility", "gauss_markov"], _NUMBERS)
+# Per command, each flag with what else it needs to be read (a protocol or mobility that
+# reads it, or the oracle mode) and its bad values: every one of _NUMBERS for a number,
+# one for a text.  --theta is an angle, which may be negative, so only -inf is bad.
+_DASH_FLAGS = {
+    "simulate": {
+        **{flag: (["--protocol", kind], _NUMBERS) for kind, entry in PROTOCOLS.items()
+           for flag in ("--" + f.name.replace("_", "-") for f in dataclasses.fields(entry.config))},
+        **dict.fromkeys(("--gm-memory", "--gm-speed-sigma", "--gm-direction-sigma"), _GM),
+        **dict.fromkeys(("--duration", "--dt", "--pause", "--noise", "--tolerance"), ([], _NUMBERS)),
+        "--speed": ([], ["-1:2"]), "--area": ([], ["-1x300"]), "--trace-file": ([], ["-1x300"]),
+    },
+    "export-trace": {
+        **dict.fromkeys(("--gm-memory", "--gm-speed-sigma", "--gm-direction-sigma"), _GM),
+        **dict.fromkeys(("--duration", "--dt", "--pause"), ([], _NUMBERS)),
+        "--speed": ([], ["-1:2"]), "--area": ([], ["-1x300"]),
+    },
+    "sweep": {
+        "--duration": ([], _NUMBERS), "--pause-times": ([], ["-1,0"]), "--protocols": ([], ["-1"]),
+        "--spec": ([], ["-1x300"]),
+    },
+    "oracle": {
+        **dict.fromkeys(("--x", "--nmax", "--v"), (["--turn"], _NUMBERS)),
+        **dict.fromkeys(("--d", "--horizon"), (["--pause"], _NUMBERS)),
+        "--theta": (["--turn"], ["-inf"]),
+    },
+    "import-trace": {
+        "--dt": ([], _NUMBERS), "--duration": ([], _NUMBERS), "--area": ([], ["-1x300"]), "--in": ([], ["-1x300"]),
+    },
+}
+_DASH_CASES = [
+    (command, flag, extra, value)
+    for command, flags in _DASH_FLAGS.items()
+    for flag, (extra, values) in flags.items()
+    for value in values
+]
+
+
+def test_the_dash_value_cases_cover_every_float_and_text_flag():
+    # Output paths are left out: a file name may begin with "-".  Int flags and choices are
+    # not float or text; argparse refuses "-1e308" for them as a usage error.
+    parser = cli._build_parser()
+    for command, cases in _DASH_FLAGS.items():
+        actions = parser.commands[command]._actions
+        flags = {a.option_strings[0] for a in actions if a.option_strings and a.nargs != 0 and a.choices is None
+                 and a.type in (float, str, None)} - {"--out", "--events-out"}
+        assert set(cases) == flags, command
+
+
+@pytest.mark.parametrize("command, flag, extra, value", _DASH_CASES, ids=[" ".join(c[1::2]) + f" {c[0]}" for c in _DASH_CASES])
+def test_a_dash_value_exits_2_naming_its_flag_without_output(tmp_path, monkeypatch, command, flag, extra, value):
+    # The value is a token of its own; argparse alone would take it for an option and exit 1.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "node.txt").write_text("0 0 0 10 5 5\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*_RUNS[command], *extra, flag, value])
+    assert code == EXIT_VALIDATION, err.getvalue()
+    name = flag[2:]
+    assert f"'{name}'" in err.getvalue() or f"{flag})" in err.getvalue() or f"{flag}/" in err.getvalue(), err.getvalue()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.txt"]
+
+
+# ---------------------------------------------------------------------------
+# Inputs that would run without end or past memory
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--protocol", "sfr", "--period", "1e-300"], "field 'period': the next fix must come after"),
+        (["--protocol", "dvm", "--t-min", "1e-300", "--t-max", "1e-300"], "field 't_min' (--t-min): the next fix"),
+        (["--protocol", "madrd", "--t-min", "1e-300", "--t-max", "1e-300"], "field 't_min' (--t-min): the next fix"),
+        (["--protocol", "sfr", "--speed", "1e12:1e12"], "fields 'speed_class'/'area_w'/'area_h' (--speed/--area)"),
+        (["--protocol", "sfr", "--area", "1e-300x1e-300"], "fields 'speed_class'/'area_w'/'area_h' (--speed/--area)"),
+        (["--protocol", "sfr", "--mobility", "gauss_markov", "--area", "1e-300x1e-300"],
+         "fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h' (--speed/--gm-speed-sigma/--area)"),
+        (["--protocol", "sfr", "--mobility", "gauss_markov", "--speed", "1e12:1e12"],
+         "fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h' (--speed/--gm-speed-sigma/--area)"),
+        (["--protocol", "sfr", "--duration", "1e7"], "fields 'duration'/'dt': 10000000.0 s at dt=0.1 is 1e+08 grid steps"),
+        (["--protocol", "sfr", "--dt", "1e-300"], "fields 'duration'/'dt'"),
+    ],
+    ids=["sfr_period", "dvm_t_min", "madrd_t_min", "rwp_speed", "rwp_area", "gm_area", "gm_speed", "duration", "dt"],
+)
+def test_simulate_bounds_its_work_and_names_the_flag(tmp_path, capsys, argv, named):
+    out = tmp_path / "row.csv"
+    events = tmp_path / "events.csv"
+    with time_limit(5.0):
+        code = main(["simulate", *argv, "--out", str(out), "--events-out", str(events)])
+    assert code == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_tiny_t_min_that_the_period_never_reaches_still_runs(capsys):
+    assert main(["simulate", "--protocol", "dvm", "--t-min", "1e-300", "--duration", "5"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "section, named",
+    [("[sfr]\nperiod = 1e-300", "field 'sfr.period'"), ("[dvm]\nt_min = 1e-300\nt_max = 1e-300", "field 'dvm.t_min'")],
+    ids=["sfr", "dvm"],
+)
+def test_sweep_names_the_protocol_field_that_floors_the_period(tmp_path, capsys, section, named):
+    spec_file = tmp_path / "spec.ini"
+    spec_file.write_text(f"[sweep]\nspeed_classes = 4:5\nrepetitions = 1\nduration = 10\n\n{section}\n")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)]) == EXIT_VALIDATION
+    assert named in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_a_waypoint_trace_past_the_grid_cap_is_refused_naming_the_flags(tmp_path, capsys):
+    src = tmp_path / "far.txt"
+    src.write_text("0 0 0 1e7 10 10\n")
+    out = tmp_path / "out.txt"
+    for argv in (["import-trace", "--in", str(src)], ["import-trace", "--in", str(src), "--duration", "1e7"]):
+        assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
+        assert "fields 'duration'/'dt'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["far.txt"]

@@ -204,6 +204,19 @@ def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match
         run(cfg)
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [(SfrConfig(period=1e-14), "period"), (DvmConfig(t_min=1e-14, t_max=1e-14), "t_min"),
+     (MadrdConfig(t_min=1e-14, t_max=1e-14), "t_min")],
+    ids=["sfr", "dvm", "madrd"],
+)
+def test_a_fix_that_cannot_come_later_names_the_field_that_floors_the_period(config, field):
+    # t + period rounds back to t at t=200 s; DVM's and MADRD's period is at least t_min.
+    trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
+    with pytest.raises(ValueError, match=f"^field '{field}': the next fix must come after the fix at t=200.0"):
+        run(RunConfig(trace=trace, protocol_config=config, noise_max=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Backtracking
 # ---------------------------------------------------------------------------

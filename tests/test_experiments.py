@@ -149,7 +149,7 @@ def test_spec_validation_messages_name_the_field():
     ],
 )
 def test_spec_rejects_non_finite_fields(field, overrides):
-    with pytest.raises(ValueError, match=f"field '{field}': must be finite"):
+    with pytest.raises(ValueError, match=f"fields? '{field}'(/'area_h')?: must be finite"):
         _tiny_spec(**overrides)
 
 
@@ -862,6 +862,17 @@ def test_parse_spec_file_errors_name_the_field():
             parse_spec_file(f"[sweep]\nspeed_classes = 4:5\n{key} = 1\n\n[sfr]\nperiod = 2\n")
     with pytest.raises(ValueError, match="field 'backtracking'"):
         parse_spec_file("[sweep]\nspeed_classes = 4:5\nbacktracking = maybe\n\n[sfr]\nperiod = 2\n")
+
+
+def test_the_parse_helpers_only_turn_text_into_numbers_and_the_spec_names_its_keys():
+    # The rules of a speed class, an area, a pause and the noise bound are TraceSpec's and
+    # RunConfig's; a spec file names the key the value came from.
+    assert experiments.parse_speed_class("5:-4") == (5.0, -4.0) and experiments.parse_area("0x-1") == (0.0, -1.0)
+    for line, key in (("speed_classes = 5:4", "speed_classes"), ("area = 0x300", "area"), ("noise = -1", "noise"),
+                      ("pause_times = -1", "pause_times"), ("seed_base = -1", "seed_base")):
+        classes = "" if key == "speed_classes" else "speed_classes = 4:5\n"
+        with pytest.raises(ValueError, match=f"^field '{key}': "):
+            parse_spec_file(f"[sweep]\n{classes}{line}\n\n[sfr]\nperiod = 2\n")
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import contextlib
 import math
-import signal
 
 import numpy as np
 import pytest
@@ -10,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynloc.mobility import (
+    MAX_GRID_STEPS,
     MOBILITY_MODELS,
     MobilityTrace,
     TraceSpec,
@@ -22,7 +21,7 @@ from dynloc.mobility import (
     trace_from_waypoints,
 )
 
-from scenario_tools import trace_spec
+from scenario_tools import time_limit, trace_spec
 
 
 def _rwp(seed: int, **given) -> MobilityTrace:
@@ -239,22 +238,6 @@ class _ScriptedRng:
         return np.array(drawn).reshape(size)
 
 
-@contextlib.contextmanager
-def _time_limit(seconds: float):
-    """Raise TimeoutError in the main thread if the block runs longer than ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_gauss_markov_floors_a_nan_speed_to_zero_like_max():
     # max(0.0, nan) is 0.0, so a NaN speed kick stops the node for one step
     # and the walk goes on.  A floor that kept NaN would move the node to a
@@ -263,7 +246,7 @@ def test_gauss_markov_floors_a_nan_speed_to_zero_like_max():
     spec = trace_spec(mobility="gauss_markov", area_w=50.0, area_h=50.0, gm_memory=0.5, duration=0.4, dt=0.1)
     normals = [0.3, 0.1, math.nan, -0.2, -0.0, 0.4, 1.0, 0.0]
     uniforms = [20.0, 30.0, 1.0]
-    with _time_limit(5.0):
+    with time_limit(5.0):
         trace = generate_gauss_markov(spec, _ScriptedRng(uniforms, normals))
     xs, ys = _scalar_draw_gauss_markov(spec, _ScriptedRng(uniforms, normals), len(trace))
     _assert_same_bits(trace, xs, ys)
@@ -312,6 +295,43 @@ def test_trace_spec_checks_the_gauss_markov_fields_of_a_gauss_markov_trace_only(
     assert generate_random_waypoint(spec, np.random.default_rng(5)).content_hash() == stock.content_hash()
 
 
+def test_a_trace_spans_fewer_than_max_grid_steps():
+    # The stock trace has 9,001 samples; the cap is checked before any sample is made.
+    assert MAX_GRID_STEPS >= 100 * 9_001
+    trace_spec(duration=(MAX_GRID_STEPS - 2) * 0.1)
+    for given in ({"duration": (MAX_GRID_STEPS + 1) * 0.1}, {"dt": 900.0 / (MAX_GRID_STEPS + 1)}, {"dt": 1e-300}):
+        with pytest.raises(ValueError, match="fields 'duration'/'dt': .* grid steps, over"):
+            trace_spec(**given)
+    with pytest.raises(ValueError, match="fields 'duration'/'dt'"):
+        trace_from_waypoints([(0.0, 0.0, 0.0), (MAX_GRID_STEPS * 0.1, 1.0, 1.0)], 0.1, 10.0, 10.0)
+    with pytest.raises(ValueError, match="field 'duration'"):
+        trace_from_waypoints([(0.0, 0.0, 0.0)], 0.1, 10.0, 10.0, duration=-1.0)
+
+
+@pytest.mark.parametrize(
+    "given",
+    [{"speed_class": (1e12, 1e12)}, {"area_w": 1e-300, "area_h": 1e-300}, {"area_w": 1e-3, "area_h": 1e-3}],
+    ids=["fast", "tiny_area", "many_legs"],
+)
+def test_random_waypoint_refuses_more_legs_than_a_trace_may_have_samples(given):
+    with time_limit(5.0), pytest.raises(ValueError, match="fields 'speed_class'/'area_w'/'area_h': .* legs"):
+        _rwp(1, **given)
+    # A pause long enough covers the duration in few legs, however tiny the area.
+    if "speed_class" not in given:
+        assert len(_rwp(1, **given, pause_time=30.0, duration=100.0)) == 1001
+
+
+@pytest.mark.parametrize(
+    "given",
+    [{"speed_class": (1e12, 1e12)}, {"gm_speed_sigma": 1e12}, {"area_w": 1e-300, "area_h": 1e-300}, {"area_w": 1e-300}],
+    ids=["fast", "wild_speed", "tiny_area", "tiny_width"],
+)
+def test_gauss_markov_bounds_the_reflections_of_one_step(given):
+    fields = "fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h': .* after 64 passes"
+    with time_limit(5.0), pytest.raises(ValueError, match=fields):
+        _gm(1, **given)
+
+
 # ---------------------------------------------------------------------------
 # Trace container
 # ---------------------------------------------------------------------------
@@ -343,7 +363,7 @@ def test_trace_rejects_a_sample_past_any_edge(xs, ys):
 
 @pytest.mark.parametrize("area_w, area_h", [(math.nan, 300.0), (300.0, math.nan), (0.0, 300.0), (300.0, -1.0)])
 def test_trace_rejects_an_area_that_is_not_positive(area_w, area_h):
-    with pytest.raises(ValueError, match="area dimensions must be positive"):
+    with pytest.raises(ValueError, match="fields 'area_w'/'area_h': must be finite and > 0"):
         MobilityTrace(0, np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 0.1, area_w, area_h)
 
 

@@ -127,7 +127,7 @@ def test_error_functions_reject_negative_inputs():
 )
 @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
 def test_error_functions_name_each_bad_argument(call, name, bad):
-    with pytest.raises(ValueError, match=f"^{name} must"):
+    with pytest.raises(ValueError, match=f"^field '{name}': must"):
         call(bad)
 
 
