@@ -54,7 +54,14 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of exiting, so main() owns the exit code."""
+    """argparse that raises instead of exiting, so main() owns the exit code.
+
+    Every parser, each sub-parser included, takes its flags as written only:
+    an abbreviation (``--dur``) is an unknown flag, not a second spelling.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
@@ -69,6 +76,19 @@ class _Parser(argparse.ArgumentParser):
 _BUNDLES = {"rwp": experiments.default_bundle, "gauss_markov": experiments.default_gauss_markov_bundle}
 
 
+def _choices(keys) -> str:
+    """The metavar ``choices=keys`` would show.  A flag with a fixed set of values keeps that help, but
+    the value's owner refuses any other value, naming its field (exit 2), not argparse (exit 1)."""
+    return "{" + ",".join(keys) + "}"
+
+
+def _lookup(table: dict, key: str, field: str):
+    """``table[key]``; a key not in it is an error naming ``field``."""
+    if key not in table:
+        raise ValueError(f"field '{field}': must be {'/'.join(table)}, got {key!r}")
+    return table[key]
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dynloc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -79,7 +99,7 @@ def _build_parser() -> _Parser:
     stock = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
     stock_area = f"{stock['area_w']!r}x{stock['area_h']!r}"
     trace = _Parser(add_help=False)
-    trace.add_argument("--mobility", choices=mobility.MOBILITY_MODELS, default=stock["mobility"])
+    trace.add_argument("--mobility", metavar=_choices(mobility.MOBILITY_MODELS), default=stock["mobility"])
     trace.add_argument("--speed", dest="speed_class", type=str, default="4:5", help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
                        help="waypoint pause time, seconds")
@@ -91,7 +111,7 @@ def _build_parser() -> _Parser:
     # Protocol flags: one per config field in PROTOCOLS, shared by the kinds that have it.  A flag
     # not given is None, and the config keeps its own default for it (_protocol_config).
     sim = sub.add_parser("simulate", parents=[trace], help="run one node/protocol pair and print a summary row")
-    sim.add_argument("--protocol", required=True, choices=tuple(PROTOCOLS))
+    sim.add_argument("--protocol", required=True, metavar=_choices(PROTOCOLS))
     readers: dict[str, list[str]] = {}
     for kind, entry in PROTOCOLS.items():
         for f in dataclasses.fields(entry.config):
@@ -108,7 +128,7 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="run an experiment sweep and write runs/summary CSVs")
     sw.add_argument("--spec", type=str, default=None, help="spec file; omitted = stock bundle")
-    sw.add_argument("--bundle", choices=tuple(_BUNDLES), default="rwp", help="stock bundle when no spec file is given")
+    sw.add_argument("--bundle", metavar=_choices(_BUNDLES), default="rwp", help="stock bundle when no spec file is given")
     sw.add_argument("--out", type=str, required=True, help="output directory")
     sw.add_argument("--repetitions", type=int, default=None)
     sw.add_argument("--seed-base", type=int, default=None)
@@ -164,7 +184,7 @@ def _output_file(path: str | None, field: str) -> None:
 
 
 def _protocol_config(args) -> ProtocolConfig:
-    config_cls = PROTOCOLS[args.protocol].config
+    config_cls = _lookup(PROTOCOLS, args.protocol, "protocol").config
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)}
     return config_cls(**{name: value for name, value in given.items() if value is not None})
 
@@ -180,6 +200,7 @@ def _cmd_simulate(args) -> int:
     _output_file(args.out, "out")
     _output_file(args.events_out, "events-out")
     ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
+    protocol_config = _protocol_config(args)  # before the trace is made or read
     trace_seed, noise_seed = experiments.run_seeds(args.seed)
     ts = dataclasses.replace(ts, seed=trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
@@ -193,7 +214,7 @@ def _cmd_simulate(args) -> int:
 
     cfg = RunConfig(
         trace=trace,
-        protocol_config=_protocol_config(args),
+        protocol_config=protocol_config,
         noise_max=args.noise_max,
         dist_tolerance=args.dist_tolerance,
         seed=noise_seed,
@@ -211,6 +232,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ValueError(f"field 'workers': must be >= 1, got {args.workers}")
+    bundle = _lookup(_BUNDLES, args.bundle, "bundle")
     if args.spec is not None:
         text = _read_text(args.spec, "spec")
         try:
@@ -218,7 +240,7 @@ def _cmd_sweep(args) -> int:
         except ValueError as exc:  # names the file's keys, not the flags given with it
             raise ValueError(f"spec file {args.spec!r}: {exc}") from exc
     else:
-        spec = _BUNDLES[args.bundle]()
+        spec = bundle()
 
     # Each flag given overrides the spec field it is named after.
     updates = {name: getattr(args, name) for name in ("repetitions", "seed_base", "duration")}

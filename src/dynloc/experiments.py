@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ _LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 
 # Rows per write of a table body.  Event rows are the widest: 7 floats of <= 24 chars
 # (-2.2250738585072014e-308), `localized`, a 2-char `confidence`, 8 commas and "\n" are
-# <= 180 chars, so a block is <= 46,080 chars, inside the 64 KiB a write may take.
+# <= 180 chars, so a write is <= 46,080 chars, inside the 64 KiB a write may take.
 _WRITE_ROWS = 256
 
 
@@ -399,7 +399,7 @@ def _run_cell(
     rep: int,
     events_dir: str | None,
     workspace: Workspace,
-    time_text: GridMemo,
+    time_cells: GridMemo,
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = run_seeds(spec.seed_base, class_index, pause_index, rep)
@@ -408,8 +408,10 @@ def _run_cell(
     trace_sha = trace.content_hash()
     speed = class_label(ts.speed_class)
     pause = ts.pause_time
-    # The protocol runs of a cell share the trace, so its event text is formatted once.
-    trace_text = _trace_text(trace, time_text) if events_dir is not None else None
+    # The protocol runs of a cell share the trace, so its event cells are formatted once.
+    trace_cells = None
+    if events_dir is not None:
+        trace_cells = [time_cells(trace.times), _event_cells(trace.xs), _event_cells(trace.ys)]
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
@@ -440,7 +442,7 @@ def _run_cell(
         if events_dir is not None:
             provenance = run_provenance(run_cfg, ts, trace_sha, rep=rep, protocol=pspec.label, kind=pspec.kind)
             path = Path(events_dir) / _events_filename(speed, pause, pspec.label, rep)
-            write_events_csv(path, provenance, result, trace_text)
+            write_events_csv(path, provenance, result, trace_cells)
     return records
 
 
@@ -458,9 +460,9 @@ _BATCHES_PER_WORKER = 4
 def _run_batch(
     spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | None
 ) -> list[list[RunRecord]]:
-    """The records of each cell in ``cells``, in order, all run on one workspace and one ``t`` text slot."""
-    workspace, time_text = Workspace(), GridMemo(_time_text)
-    return [_run_cell(spec, ci, pi, rep, events_dir, workspace, time_text) for ci, pi, rep in cells]
+    """The records of each cell in ``cells``, in order, all run on one workspace and one ``t`` cell slot."""
+    workspace, time_cells = Workspace(), GridMemo(_event_cells)
+    return [_run_cell(spec, ci, pi, rep, events_dir, workspace, time_cells) for ci, pi, rep in cells]
 
 
 def run_sweep(
@@ -474,7 +476,7 @@ def run_sweep(
     records in the order of ``spec.protocols``, whatever the worker count.
     ``workers`` > 1 fans cells out over a process pool that never gets more
     processes than there are cells or CPUs.  Cells run in batches that each
-    share one :class:`~dynloc.engine.Workspace` and the text of the ``t``
+    share one :class:`~dynloc.engine.Workspace` and the cells of the ``t``
     event column: one batch when serial, and ``_BATCHES_PER_WORKER`` strided
     batches per worker (cells ``b, b + B, ...``) in the pool.  Results are
     identical regardless of worker count.
@@ -693,20 +695,18 @@ def _atomic_write(path: str | os.PathLike | None):
 
 
 def _write_table(
-    path: str | os.PathLike | None, kind: str, config: dict, columns: Sequence[str], lines: Iterable[str]
+    path: str | os.PathLike | None, kind: str, config: dict, columns: Sequence[str], blocks: Iterable[str]
 ) -> None:
-    """The layout of every dynloc table: ``# dynloc <kind> v1``, ``# config {json}``, the column line, ``lines``.
+    """The layout of every dynloc table: ``# dynloc <kind> v1``, ``# config {json}``, the column line, ``blocks``.
 
-    Each of ``lines`` carries its own line end; they are written in blocks of
-    ``_WRITE_ROWS``, one write each.  The file is written through
-    :func:`_atomic_write`, so ``path`` None is stdout.
+    Each of ``blocks`` is the text of ``_WRITE_ROWS`` rows (fewer in the
+    last), line ends included, and is one write.  The file is written
+    through :func:`_atomic_write`, so ``path`` None is stdout.
     """
     payload = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    lines = iter(lines)
     with _atomic_write(path) as fh:
         fh.write(f"# dynloc {kind} v1\n# config {payload}\n{','.join(columns)}\n")
-        while block := "".join(islice(lines, _WRITE_ROWS)):
-            fh.write(block)
+        fh.writelines(blocks)
 
 
 def write_csv(
@@ -716,7 +716,8 @@ def write_csv(
 
     A float prints as its ``repr``, ``None`` as an empty cell, anything else as ``str``.
     """
-    _write_table(path, kind, config, columns, (",".join(map(_fmt, row)) + "\n" for row in rows))
+    lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    _write_table(path, kind, config, columns, iter(lambda: "".join(islice(lines, _WRITE_ROWS)), ""))
 
 
 def write_runs_csv(path: str | os.PathLike, spec: SweepSpec, records: Sequence[RunRecord]) -> None:
@@ -735,70 +736,34 @@ def write_waypoints(path: str | os.PathLike | None, traces: Iterable[MobilityTra
         fh.writelines(map(export_trace, traces))
 
 
-def _column_text(cols: Sequence[np.ndarray], end: str = "") -> Iterator[str]:
-    """The CSV text of adjacent event columns ``cols``, made once per run of rows where none changes.
+def _event_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`~dynloc.floattext.column_cells` of one event column."""
+    from . import floattext
 
-    Columns compare bit for bit, a float one through its ``int64`` view, so
-    ``-0.0`` never joins a run of ``0.0`` and NaNs never merge.  Each column
-    is formatted at run starts only: floats as ``repr`` of Python floats, as
-    :func:`_fmt` prints them, through :func:`~dynloc.floattext.repr_floats`
-    one block at a time as the text is read; a string column is its own text.
-    A run's texts are joined by commas, ``end`` appended, and repeated over
-    the run.  Group columns whose runs coincide: any change starts a run.
-    """
-    same = [col.view(np.int64) if col.dtype.kind == "f" else col for col in cols]
-    starts = np.flatnonzero(np.concatenate(([True], np.logical_or.reduce([s[1:] != s[:-1] for s in same]))))
-    texts = []
-    for values in (col[starts] for col in cols):
-        if values.dtype.kind == "f":
-            from . import floattext  # loaded on first use: a sweep without event logs never compiles it
-
-            blocks = np.split(values, range(floattext.BLOCK, values.size, floattext.BLOCK))
-            texts.append(chain.from_iterable(map(floattext.repr_floats, blocks)))
-        else:
-            texts.append(values.tolist() if values.dtype.kind == "U" else map(repr, values.tolist()))
-    text = map(",".join, zip(*texts)) if len(texts) > 1 else texts[0]
-    if end:
-        text = map(str.__add__, text, repeat(end))
-    if starts.size == cols[0].size:
-        return iter(text)
-    return chain.from_iterable(map(repeat, text, np.diff(starts, append=cols[0].size).tolist()))
-
-
-def _time_text(times: np.ndarray) -> list[str]:
-    """The text of the ``t`` event column."""
-    return list(_column_text((times,)))
-
-
-def _trace_text(trace: MobilityTrace, time_text: GridMemo) -> list[str]:
-    """The ``t,true_x,true_y`` text of each event row, joined once and shared by every run on ``trace``.
-
-    ``time_text`` is a :class:`~dynloc.engine.GridMemo` of :func:`_time_text`;
-    the cells of a sweep share one grid, so a batch formats ``t`` once.
-    """
-    return list(map(",".join, zip(time_text(trace.times), _column_text((trace.xs, trace.ys)), strict=True)))
+    return floattext.column_cells(col)
 
 
 def write_events_csv(
-    path: str | os.PathLike, config: dict, result: RunResult, trace_text: Sequence[str] | None = None
+    path: str | os.PathLike, config: dict, result: RunResult, trace_cells: Sequence[tuple] | None = None
 ) -> None:
     """Write a run's event log straight from its columns, one row per grid step.
 
-    A row joins four :func:`_column_text` texts, each made once per run of its
-    columns, with the bytes of formatting every value: ``t,true_x,true_y``
-    (``trace_text``, :func:`_trace_text` of the trace ``result`` ran on, or
-    formatted here), ``reported_x,reported_y``, ``error`` and
-    ``localized,period,confidence`` with the line end.  A text of the wrong
-    length raises ``ValueError`` rather than write a short log.
+    The bytes are those of formatting every value.  Each column becomes its
+    :func:`~dynloc.floattext.column_cells`, the cell of each run of equal
+    values, formatted once; ``trace_cells`` are those of ``t,true_x,true_y``
+    of the trace ``result`` ran on, shared by every run on it, or they are
+    formatted here.  :func:`~dynloc.floattext.csv_blocks` lays the cells out
+    as rows in bytes and hands ``_WRITE_ROWS`` rows to each write.  A column
+    of another length raises ``ValueError`` before the first byte.
     """
+    from . import floattext  # loaded on first use: a sweep without event logs never compiles it
+
     columns = [getattr(result, name) for name in EVENT_COLUMNS]
-    cells = [
-        trace_text or _column_text(columns[:3]),
-        _column_text(columns[3:5]),
-        _column_text(columns[5:6]),
-        _column_text(columns[6:], "\n"),
-    ]
-    _write_table(path, "events", config, EVENT_COLUMNS, map(",".join, zip(*cells, strict=True)))
+    lengths = {col.size for col in columns} | {int(bounds[-1]) for _, bounds in trace_cells or ()}
+    if len(lengths) > 1:
+        raise ValueError(f"event columns must all have one length, got {sorted(lengths)}")
+    cells = [*(trace_cells or map(floattext.column_cells, columns[:3])), *map(floattext.column_cells, columns[3:])]
+    _write_table(path, "events", config, EVENT_COLUMNS, floattext.csv_blocks(cells, _WRITE_ROWS))
 
 
 def parse_number_list(raw: str, field_name: str) -> list[float]:

@@ -1,23 +1,34 @@
-"""Float text in array form: ``repr`` of a block of floats, bit for bit, in numpy operations.
+"""Event-log text in array form: each column formatted once into fixed-width bytes, rows laid out in numpy blocks.
 
 Event logs print most of their cells as floats, and formatting each one with
-``repr`` was most of the time spent writing them.  :func:`repr_floats` returns
-the same strings for a whole array.  Nothing else in the package needs it, so
-:mod:`dynloc.experiments` imports this module only when it writes an event log.
+``repr``, then joining the cells of each row, was most of the time spent
+writing them.  Here nothing runs per row or per value in Python:
+
+* :func:`repr_bytes` is ``repr(v).encode()`` of a whole float array, bit for
+  bit, as one NUL-padded ``S24`` array;
+* :func:`column_cells` formats a column once per run of equal values, as an
+  ``S`` array as wide as its longest cell;
+* :func:`csv_blocks` lays the cells of a table side by side in one ``uint8``
+  block of ``BLOCK`` rows at a time, with the commas and line ends between
+  them, and yields the text of a fixed number of rows at a time.
+
+Nothing else in the package needs it, so :mod:`dynloc.experiments` imports
+this module only when it writes an event log.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .geometry import veltkamp_split
 
-__all__ = ["BLOCK", "repr_floats"]
+__all__ = ["BLOCK", "column_cells", "csv_blocks", "repr_bytes"]
 
-# Values per repr_floats call when formatting a column: a larger block spreads each call's
-# fixed numpy overhead over more values, but holds more scratch and more strings at once.
+# Values per repr_bytes call when formatting a column, and rows per block when laying rows out: a
+# larger block spreads each call's fixed numpy overhead over more values, but holds more scratch.
 BLOCK = 2048
 # 10**k is a double exactly for k <= 22.
 _POW10 = np.array([float(10**k) for k in range(23)])
@@ -97,7 +108,7 @@ def _shortest_digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     """``(q, frac, decpt, odd)``: ``repr``'s digits of each value as the integer ``q``, value = ``q * 10**-frac``.
 
     ``decpt`` is the decimal point position (value = 0.d1d2... * 10**decpt).
-    ``odd`` marks the lanes left to :func:`repr`; see :func:`repr_floats`.
+    ``odd`` marks the lanes left to :func:`repr`; see :func:`repr_bytes`.
     """
     n = values.size
     a = np.abs(values)
@@ -193,31 +204,31 @@ def _digit_rows(q: np.ndarray, frac: np.ndarray) -> np.ndarray:
     return rows.view(np.uint8)
 
 
-def _fixed_text(q: np.ndarray, frac: np.ndarray, decpt: np.ndarray, negative: np.ndarray) -> list[str]:
+def _fixed_text(q: np.ndarray, frac: np.ndarray, decpt: np.ndarray, negative: np.ndarray) -> np.ndarray:
     """The text ``[-]I.F`` of each value ``q * 10**-frac`` with ``q < 10**17``, ``frac <= 20``, ``decpt`` in [-3, 16].
 
     ``I`` is the integer part, ``F`` the ``frac`` fraction digits or ``"0"``.
     In each row of :func:`_digit_rows`, the last ``nf`` digits of ``F`` and
-    the NULs after them move up to the ``"."``.  The ``ni`` digits of ``I``
-    end at column 19, so the text starts at ``20 - ni``, or one column
-    earlier for the sign, and a 23-byte window from there reads it.
+    the NULs after them move up to the ``"."``, and NULs fill the row up to
+    column 44.  The ``ni`` digits of ``I`` end at column 19, so the text
+    starts at ``20 - ni``, or one column earlier for the sign, and a 24-byte
+    window from there reads it, NUL-padded, as one ``S24`` item.
     """
     n = q.size
     text = _digit_rows(q, frac)
     start = np.arange(0, text.size, text.shape[1])
     nf = np.maximum(frac, 1)
     text[:, 21:41] = _text_window(text, 20)[start + 44 - nf].view(np.uint8).reshape(n, 20)
-    text[:, 41] = 0
+    text[:, 41:44] = 0
     start += 20
     start -= np.maximum(decpt, 1)
     start -= negative
     text.reshape(-1)[start[negative]] = ord("-")
-    chars = _text_window(text, 23)[start].view(np.uint8).astype(np.uint32)
-    return chars.view("U23").tolist()
+    return _text_window(text, 24)[start]
 
 
-def repr_floats(values: np.ndarray) -> list[str]:
-    """``[repr(v) for v in values.tolist()]`` for a float64 array, bit for bit, in array operations.
+def repr_bytes(values: np.ndarray) -> np.ndarray:
+    """``repr(v).encode()`` of each value of a float64 array, bit for bit, as one NUL-padded ``S24`` array.
 
     ``repr`` prints the shortest digits that read back as the value, the
     nearest to it among those, in fixed notation when the decimal point
@@ -245,12 +256,80 @@ def repr_floats(values: np.ndarray) -> list[str]:
     :func:`repr` one at a time.  So do lanes with a candidate exactly on the
     interval's edge, where ``repr`` breaks the tie by the last bit of the
     double, and lanes with two candidates equally near.  Every lane does when
-    Python's ``float_repr_style`` is not ``"short"``.
+    Python's ``float_repr_style`` is not ``"short"``.  No ``repr`` is longer
+    than 24 characters (``-2.2250738585072014e-308``).
     """
     if sys.float_repr_style != "short":
-        return list(map(repr, values.tolist()))
+        return np.array(list(map(repr, values.tolist())), dtype="S24")
     q, frac, decpt, odd = _shortest_digits(values)
     out = _fixed_text(q, frac, decpt, np.signbit(values))
-    for i in np.flatnonzero(odd).tolist():
-        out[i] = repr(float(values[i]))
+    lanes = np.flatnonzero(odd)
+    out[lanes] = list(map(repr, values[lanes].tolist()))
     return out
+
+
+def column_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(text, bounds)``: the CSV cell of each run of equal values in ``col``, and where the runs start and end.
+
+    Rows compare bit for bit, a float column through its ``int64`` view, so
+    ``-0.0`` never joins a run of ``0.0`` and NaNs never merge.  Each run is
+    formatted once: a float as ``repr`` of the Python float, through
+    :func:`repr_bytes` ``BLOCK`` values at a time; any other value as its
+    ``str``, which is a string itself and an integer's ``repr``.  ``text`` is
+    an ``S`` array as wide as its longest cell (at least 1), shorter cells
+    NUL-padded.  Run ``i`` is rows ``bounds[i]`` to ``bounds[i + 1] - 1``, so
+    ``bounds[-1]`` is the row count.
+    """
+    if not col.size:
+        return np.zeros(0, dtype="S1"), np.zeros(1, dtype=np.intp)
+    bits = col.view(np.int64) if col.dtype.kind == "f" else col
+    bounds = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1], [True])))
+    values = col[bounds[:-1]]
+    if values.dtype.kind == "f":
+        text = np.empty(values.size, dtype="S24")
+        for first in range(0, values.size, BLOCK):
+            text[first : first + BLOCK] = repr_bytes(values[first : first + BLOCK])
+    else:  # flags and state names: few distinct values, each formatted once
+        distinct, index = np.unique(values, return_inverse=True)
+        text = np.array(list(map(str, distinct.tolist())), dtype="S")[index]
+    # Cells are left-aligned: the last byte column that holds a character anywhere ends the widest cell.
+    width = text.itemsize
+    chars = text.view(np.uint8).reshape(text.size, width)
+    while width > 1 and not chars[:, width - 1].any():
+        width -= 1
+    return text.astype(f"S{width}"), bounds
+
+
+def csv_blocks(columns: Sequence[tuple[np.ndarray, np.ndarray]], write_rows: int) -> Iterator[str]:
+    """The CSV rows of ``columns``, :func:`column_cells` of one row count each, ``write_rows`` rows a string.
+
+    Rows are laid out in one ``uint8`` block of ``BLOCK`` rows (whole
+    strings of ``write_rows``) at a time: each column's cells at a fixed
+    offset, a comma after each and ``"\\n"`` after the last.  A column where
+    every row is a run of its own is copied in by a slice; any other repeats
+    each cell of the runs the block meets over its rows in the block.  The
+    text of each ``write_rows`` slice is the slice without its NUL padding.
+    So beside the cells only one block is held, ``BLOCK`` times the widest
+    row in bytes, and nothing the size of the whole table.
+    """
+    rows = int(columns[0][1][-1])
+    step = max(BLOCK // write_rows, 1) * write_rows
+    sizes = [text.itemsize for text, _ in columns]
+    stops = np.cumsum(sizes) + np.arange(len(sizes))  # where each cell's comma or line end goes
+    block = np.zeros((min(step, rows), stops[-1] + 1), dtype=np.uint8)
+    block[:, stops] = ord(",")
+    block[:, -1] = ord("\n")
+    # One S view per column onto its cells' bytes in the block.
+    fields = [block[:, stop - size : stop].view(f"S{size}")[:, 0] for size, stop in zip(sizes, stops)]
+    for first in range(0, rows, step):
+        last = min(first + step, rows)
+        for (text, bounds), field in zip(columns, fields):
+            if text.size == rows:  # every row is a run of its own
+                field[: last - first] = text[first:last]
+            else:  # runs lo..hi-1 hold rows first..last-1; each cell repeats over its rows among them
+                lo, hi = np.searchsorted(bounds, (first, last - 1), "right") - (1, 0)
+                cuts = np.concatenate(((first,), bounds[lo + 1 : hi], (last,)))
+                field[: last - first] = text[lo:hi].repeat(np.diff(cuts))
+        for start in range(0, last - first, write_rows):
+            part = block[start : min(start + write_rows, last - first)]
+            yield str(part[part != 0], "ascii")

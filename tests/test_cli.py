@@ -337,6 +337,34 @@ def test_unknown_flag_is_a_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_an_abbreviated_flag_is_an_unknown_flag(capsys):
+    # An abbreviation would dodge the field-to-flag map: "--dur -1e-3" read as --duration
+    # stays two tokens, and argparse asks for --duration's value.
+    parser = cli._build_parser()
+    assert not parser.allow_abbrev and not any(sub.allow_abbrev for sub in parser.commands.values())
+    assert main(["simulate", "--protocol", "sfr", "--dur", "-1e-3"]) == EXIT_USAGE
+    assert "unrecognized arguments: --dur" in capsys.readouterr().err
+    assert main(["simulate", "--protocol", "sfr", "--duration", "-1e-3"]) == EXIT_VALIDATION
+    assert "field 'duration'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["export-trace", "--mobility", "teleport", "--out", "out.txt"], "mobility"),
+        (["simulate", "--mobility", "teleport", "--protocol", "sfr", "--out", "out.csv"], "mobility"),
+        (["simulate", "--protocol", "nope", "--out", "out.csv", "--events-out", "events.csv"], "protocol"),
+        (["sweep", "--bundle", "nope", "--out", "out"], "bundle"),
+    ],
+    ids=["export_mobility", "simulate_mobility", "protocol", "bundle"],
+)
+def test_a_value_outside_a_flags_set_exits_2_naming_its_field(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_VALIDATION
+    assert f"validation error: field '{field}': must be " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_console_main_raises_system_exit():
     with pytest.raises(SystemExit) as exc:
         console_main()
@@ -791,15 +819,16 @@ _DASH_FLAGS = {
         **dict.fromkeys(("--gm-memory", "--gm-speed-sigma", "--gm-direction-sigma"), _GM),
         **dict.fromkeys(("--duration", "--dt", "--pause", "--noise", "--tolerance"), ([], _NUMBERS)),
         "--speed": ([], ["-1:2"]), "--area": ([], ["-1x300"]), "--trace-file": ([], ["-1x300"]),
+        "--mobility": ([], ["-1"]), "--protocol": ([], ["-1"]),
     },
     "export-trace": {
         **dict.fromkeys(("--gm-memory", "--gm-speed-sigma", "--gm-direction-sigma"), _GM),
         **dict.fromkeys(("--duration", "--dt", "--pause"), ([], _NUMBERS)),
-        "--speed": ([], ["-1:2"]), "--area": ([], ["-1x300"]),
+        "--speed": ([], ["-1:2"]), "--area": ([], ["-1x300"]), "--mobility": ([], ["-1"]),
     },
     "sweep": {
         "--duration": ([], _NUMBERS), "--pause-times": ([], ["-1,0"]), "--protocols": ([], ["-1"]),
-        "--spec": ([], ["-1x300"]),
+        "--spec": ([], ["-1x300"]), "--bundle": ([], ["-1"]),
     },
     "oracle": {
         **dict.fromkeys(("--x", "--nmax", "--v"), (["--turn"], _NUMBERS)),
@@ -819,8 +848,8 @@ _DASH_CASES = [
 
 
 def test_the_dash_value_cases_cover_every_float_and_text_flag():
-    # Output paths are left out: a file name may begin with "-".  Int flags and choices are
-    # not float or text; argparse refuses "-1e308" for them as a usage error.
+    # Output paths are left out: a file name may begin with "-".  Int flags are not float
+    # or text; argparse refuses "-1e308" for them as a usage error.
     parser = cli._build_parser()
     for command, cases in _DASH_FLAGS.items():
         actions = parser.commands[command]._actions

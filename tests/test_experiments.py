@@ -14,18 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynloc import cli, experiments
-from dynloc.engine import GridMemo, RunConfig, run
+from dynloc import cli, experiments, floattext
+from dynloc.engine import RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
     SUMMARY_COLUMNS,
     ProtocolSpec,
     SweepSpec,
     _atomic_write,
-    _column_text,
     _run_batch,
-    _time_text,
-    _trace_text,
     _worker_count,
     class_label,
     default_bundle,
@@ -490,6 +487,12 @@ def _cell_text(col: np.ndarray) -> list[str]:
     return col.tolist() if col.dtype.kind == "U" else list(map(repr, col.tolist()))
 
 
+def _row_cells(cells: tuple[np.ndarray, np.ndarray]) -> list[bytes]:
+    """The cell of every row of :func:`~dynloc.floattext.column_cells`' ``(text, bounds)``, in order."""
+    text, bounds = cells
+    return text[np.searchsorted(bounds, np.arange(bounds[-1]), "right") - 1].tolist()
+
+
 def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
     """Columns made of runs of one value, up to 30 long, as held fixes and pauses make them."""
     runs = st.lists(st.tuples(values, st.integers(1, 30)), min_size=1, max_size=30)
@@ -503,15 +506,21 @@ def _runs_column(values, dtype) -> st.SearchStrategy[np.ndarray]:
         _runs_column(st.integers(0, 1), np.int8),
         _runs_column(st.sampled_from(["", "LC", "S1", "S2", "HC"]), "<U2"),
     ),
-    end=st.sampled_from(["", "\n"]),
 )
-@example(col=np.array([0.0, 0.0, -0.0, -0.0, 0.0]), end="")
-@example(col=np.array([math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, 5e-324, 5e-324]), end="")
-@example(col=np.arange(50) * 0.1, end="")
-@example(col=np.array(["", "", "S1", "S1", "HC"]), end="\n")
-@example(col=np.array(["LC"]), end="\n")
-def test_column_text_equals_formatting_every_value(col, end):
-    assert list(_column_text((col,), end)) == [text + end for text in _cell_text(col)]
+@example(col=np.array([0.0, 0.0, -0.0, -0.0, 0.0]))
+@example(col=np.array([math.nan, math.nan, -math.nan, math.inf, math.inf, -math.inf, 5e-324, 5e-324]))
+@example(col=np.arange(50) * 0.1)
+@example(col=np.array(["", "", "S1", "S1", "HC"]))
+@example(col=np.array(["", ""]))
+@example(col=np.array(["LC"]))
+def test_column_text_equals_formatting_every_value(col):
+    text, bounds = floattext.column_cells(col)
+    # One cell per run of equal bits, as wide as the widest cell (at least one byte).
+    bits = col.view(np.int64) if col.dtype.kind == "f" else col
+    assert bounds.tolist() == [0] + [i + 1 for i in range(col.size) if i + 1 == col.size or bits[i] != bits[i + 1]]
+    expected = [cell.encode() for cell in _cell_text(col)]
+    assert text.itemsize == max(1, *map(len, expected))
+    assert _row_cells((text, bounds)) == expected
 
 
 @st.composite
@@ -525,13 +534,24 @@ def _column_groups(draw) -> list[np.ndarray]:
 
 # 100 examples take about 0.8 s, which keeps tier-1 near its ~20 s budget.
 @settings(max_examples=100, deadline=None)
-@given(cols=_column_groups(), end=st.sampled_from(["", "\n"]))
-@example(cols=[np.array([0.0, 0.0, -0.0]), np.array([1, 1, 1], dtype=np.int8), np.array(["", "LC", "LC"])], end="\n")
-@example(cols=[np.array([math.nan, -math.nan, -math.nan]), np.array([math.inf, math.inf, 5e-324])], end="")
-def test_grouped_column_text_equals_formatting_every_value(cols, end):
-    # The runs of a group start wherever any of its columns changes, bit for bit.
-    reference = [",".join(cells) + end for cells in zip(*map(_cell_text, cols))]
-    assert list(_column_text(cols, end)) == reference
+@given(cols=_column_groups(), write_rows=st.integers(1, 40))
+@example(cols=[np.array([0.0, 0.0, -0.0]), np.array([1, 1, 1], dtype=np.int8), np.array(["", "LC", "LC"])], write_rows=2)
+@example(cols=[np.array([math.nan, -math.nan, -math.nan]), np.array([math.inf, math.inf, 5e-324])], write_rows=1)
+@example(cols=[np.array(["", ""]), np.array(["", ""])], write_rows=3)
+def test_grouped_column_text_equals_formatting_every_value(cols, write_rows):
+    # Each column keeps its own runs; the rows join every column's cell and come write_rows to a string.
+    reference = [",".join(cells) + "\n" for cells in zip(*map(_cell_text, cols))]
+    blocks = list(floattext.csv_blocks([floattext.column_cells(col) for col in cols], write_rows))
+    assert [block.count("\n") for block in blocks] == [
+        min(write_rows, len(reference) - i) for i in range(0, len(reference), write_rows)
+    ]
+    assert "".join(blocks) == "".join(reference)
+
+
+def test_an_empty_column_has_no_runs_and_no_rows():
+    text, bounds = floattext.column_cells(np.array([]))
+    assert bounds.tolist() == [0] and text.size == 0
+    assert list(floattext.csv_blocks([(text, bounds), floattext.column_cells(np.array([], dtype="<U2"))], 256)) == []
 
 
 _ALL_PROTOCOLS = (
@@ -613,6 +633,11 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
         assert (batch_dir / name).read_bytes() == (alone_dir / name).read_bytes(), name
 
 
+def _trace_cells(trace: MobilityTrace) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The cells of ``t,true_x,true_y`` as a sweep cell formats them once for all its runs."""
+    return [floattext.column_cells(col) for col in (trace.times, trace.xs, trace.ys)]
+
+
 @pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
 def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
     trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
@@ -620,7 +645,7 @@ def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
     config = {"protocol": protocol}
     write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
     write_events_csv(tmp_path / "columns.csv", config, result)
-    write_events_csv(tmp_path / "shared.csv", config, result, _trace_text(trace, GridMemo(_time_text)))
+    write_events_csv(tmp_path / "shared.csv", config, result, _trace_cells(trace))
     reference = (tmp_path / "rows.csv").read_bytes()
     assert reference.count(b"\n") == 4  # two header lines, the column names, one row
     assert (tmp_path / "columns.csv").read_bytes() == reference
@@ -671,10 +696,11 @@ def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     assert len(recorder.sizes) <= -(-result.t.size // experiments._WRITE_ROWS) + 1
 
 
-@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)])
+# Rows around one and two assembly blocks of floattext.BLOCK (2048) rows, as well as around one write.
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1), (8, -1), (8, 0), (8, 1), (16, 1)])
 def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, blocks, extra):
     rows = blocks * experiments._WRITE_ROWS + extra
-    full = generate_random_waypoint(trace_spec(duration=60.0), np.random.default_rng(9))
+    full = generate_random_waypoint(trace_spec(duration=max(60.0, rows * 0.1)), np.random.default_rng(9))
     trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
     assert result.t.size == rows
@@ -682,6 +708,7 @@ def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, block
     recorder = _recorded_event_log(monkeypatch, result)
     assert recorder.getvalue() == (tmp_path / "rows.csv").read_text()
     assert len(recorder.sizes) == 1 + -(-rows // experiments._WRITE_ROWS)  # the header, then one write per block
+    assert max(recorder.sizes) <= 65536
 
 
 def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
@@ -712,7 +739,25 @@ def test_trace_text_of_another_length_fails_and_keeps_the_old_file(tmp_path):
     path = tmp_path / "events.csv"
     path.write_text("old\n")
     with pytest.raises(ValueError):
-        write_events_csv(path, {}, result, _trace_text(short, GridMemo(_time_text)))
+        write_events_csv(path, {}, result, _trace_cells(short))
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+
+
+@pytest.mark.parametrize("name", ["reported_y", "error", "localized", "confidence"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_event_column_of_another_length_fails_before_any_byte(tmp_path, monkeypatch, name, shared):
+    trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(4))
+    result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=1))
+    short = dataclasses.replace(result, **{name: getattr(result, name)[:-1]})
+    path = tmp_path / "events.csv"
+    path.write_text("old\n")
+    opened = []
+    atomic_write = experiments._atomic_write
+    monkeypatch.setattr(experiments, "_atomic_write", lambda target: opened.append(target) or atomic_write(target))
+    with pytest.raises(ValueError, match="one length"):
+        write_events_csv(path, {}, short, _trace_cells(trace) if shared else None)
+    assert opened == []
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 

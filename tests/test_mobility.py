@@ -438,6 +438,15 @@ def test_import_rejects_out_of_area_waypoints():
         import_traces("0 0 0 10 500 0\n", 1.0, 300, 300)
 
 
+@pytest.mark.parametrize("dt", [-1.0, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize("text", ["0 0 0 10 5 5\n", "0 zero 0\n"])
+def test_import_checks_dt_before_any_line(text, dt):
+    # A bad dt is the flag's fault, not a waypoint line's: the message names dt and no line.
+    with pytest.raises(ValueError, match=r"^field 'dt': must be finite and > 0") as exc:
+        import_traces(text, dt, 300, 300)
+    assert "line" not in str(exc.value)
+
+
 def test_import_rejects_empty_source():
     with pytest.raises(ValueError, match="no waypoint"):
         import_traces("\n# comment only\n", 1.0, 300, 300)

@@ -1,4 +1,4 @@
-"""The event-log float kernel ``floattext.repr_floats`` against ``repr``, one value at a time, string for string."""
+"""The event-log float kernel ``floattext.repr_bytes`` against ``repr``, one value at a time, byte for byte."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc import experiments, floattext
-from dynloc.floattext import repr_floats
+from dynloc import floattext
+from dynloc.floattext import repr_bytes
 
 _TINY = float(np.finfo(float).tiny)
 # Every kind of lane the kernel hands to repr, and the edges of the range it computes.
@@ -24,7 +24,9 @@ _EDGES = [
 
 def _assert_repr(values) -> None:
     values = np.asarray(values, dtype=np.float64)
-    assert repr_floats(values) == list(map(repr, values.tolist()))
+    text = repr_bytes(values)
+    assert text.dtype == np.dtype("S24")
+    assert text.tolist() == [repr(v).encode() for v in values.tolist()]
 
 
 def _ulps(values: np.ndarray, steps: int) -> np.ndarray:
@@ -74,7 +76,7 @@ def test_kernel_equals_repr_on_integers():
 
 
 def test_kernel_on_empty_and_single_values():
-    assert repr_floats(np.array([])) == []
+    assert repr_bytes(np.array([])).tolist() == []
     for value in _EDGES:
         _assert_repr([value])
 
@@ -100,7 +102,9 @@ def test_kernel_is_repr_itself_without_short_float_repr(monkeypatch):
 @pytest.mark.parametrize("size", [1, floattext.BLOCK - 1, floattext.BLOCK, floattext.BLOCK + 1, 9001])
 def test_column_text_formats_distinct_values_in_blocks(size):
     values = np.random.default_rng(size).uniform(-300.0, 300.0, size)
-    assert list(experiments._column_text((values,))) == list(map(repr, values.tolist()))
+    text, bounds = floattext.column_cells(values)
+    assert bounds.tolist() == list(range(size + 1))
+    assert text.tolist() == [repr(v).encode() for v in values.tolist()]
 
 
 def test_kernel_loads_only_when_an_event_log_is_written():
