@@ -262,6 +262,8 @@ def _cmd_sweep(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"field 'out': cannot create directory {args.out!r}: {exc}") from exc
+    for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
+        _output_file(str(out_dir / name), "out")
     events_dir = out_dir if args.events else None
     records = experiments.run_sweep(spec, workers=args.workers, events_dir=events_dir)
     experiments.write_runs_csv(out_dir / "runs.csv", spec, records)

@@ -4,20 +4,19 @@ The engine owns the clock and the measurement noise.  Localizations fire at
 the first grid step at or after the scheduler's requested time (ceiling snap
 onto the dt grid), at most one per step; the very first fix is forced at t=0.
 
-For DVM and MADRD, Python steps once per fix, not once per grid step, and
-only on plain floats: each fix calls the protocol's ``step``
-(:data:`~dynloc.protocols.PROTOCOLS`) and appends the row it returns, and a
-binary search over the grid finds the step of the next fix.  No object is
-built per fix.  SFR, whose fix times do not depend on what it measures
-(``fixed_rate`` in its table row), has no per-fix Python at all: its fix
-steps are a function of the time grid and the period, computed once per grid
-and period by one ``searchsorted`` and a walk over its result; the run calls
-``step`` once, at the first fix, for the rest of the row, and adds the same
-noise stream to the true positions at those steps in array form.  Either way
-the fixes become per-fix columns (:class:`Fixes`), and the reported track is
-then filled in array form: SFR and DVM hold each fix over its segment, MADRD
-dead-reckons through one :func:`~dynloc.protocols.madrd_predict` call on the
-fix columns repeated over their segments.  With backtracking on,
+Python steps once per fix, not once per grid step, and only on plain floats:
+each fix calls the protocol's ``step`` (:data:`~dynloc.protocols.PROTOCOLS`)
+and appends the row it returns, and a binary search over the grid finds the
+step of the next fix.  No object is built per fix.  SFR's fix times do not
+depend on what it measures (``fixed_rate`` in its table row), so only its
+first run on a time grid and period takes that walk; the workspace keeps the
+walk's fix steps, and a later run calls ``step`` once, at the first fix, and
+adds the same noise stream to the true positions at those steps in array
+form.  Either way the fixes become per-fix columns (:class:`Fixes`), and the
+reported track is then filled in array form: SFR and DVM hold each fix over
+its segment, MADRD dead-reckons through one
+:func:`~dynloc.protocols.madrd_predict` call on the fix columns repeated over
+their segments.  With backtracking on,
 :func:`backtrack_correct` rewrites every closed interval between two fixes
 with the time-linear interpolation of its bounding fixes, all intervals in one
 array pass, in place.  Every float comes from the same IEEE operations a
@@ -32,12 +31,13 @@ A run returns per-step and per-fix columns as read-only arrays, and scalar
 metrics.  A run is fully determined by its config and seed -- the noise
 stream is the only randomness, and it is seeded explicitly.  The engine draws
 that stream ``_NOISE_CHUNK`` fixes at a time through
-:func:`~dynloc.geometry.localize`, which yields the same displacements in the
-same order however the stream is split into calls.
+:func:`~dynloc.geometry.localize` into a ``dx`` and a ``dy`` list, which yield
+the same displacements in the same order however the stream is split into
+calls; the walk indexes them, the array form slices them.
 
 What a run costs before and besides its fixes -- the scratch block of
 :func:`~dynloc.geometry.hypot_exact`, the fix schedule of the time grid, the
-fix steps of each fixed-rate period, the noise stream -- lives in a
+walked fix steps of each fixed-rate period, the noise stream -- lives in a
 :class:`Workspace`.  A caller that makes many runs passes one workspace to
 each, so runs on the same grid (every run of a sweep) or the same noise seed
 (the protocols of one sweep cell) share that work; :func:`run` without one
@@ -52,14 +52,14 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from itertools import chain, islice
-from typing import Any, Callable, Iterator, NamedTuple
+from itertools import chain, count
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
 from .mobility import MobilityTrace
-from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, madrd_predict
+from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, ProtocolKind, madrd_predict
 
 __all__ = [
     "RunConfig",
@@ -202,10 +202,10 @@ class Workspace:
 
     It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block,
     the fix schedule of the last grid it saw (a :class:`GridMemo`, so the
-    traces of a sweep share it), the fix steps of every fixed-rate period run
-    on that grid (keyed by the bits of the period), and the fix
-    displacements drawn so far from the last noise stream (keyed by the seed
-    and the bits of the noise bound, since ``0.0 == -0.0``).  A run on the
+    traces of a sweep share it), the fix steps of the first walked run of every
+    fixed-rate period on that grid (keyed by the bits of the period), and the
+    fix displacements drawn so far from the last noise stream (keyed by the
+    seed and the bits of the noise bound, since ``0.0 == -0.0``).  A run on the
     same stream reads the displacements from the first one, so it sees the
     same stream as on a fresh workspace.  Pass one workspace to one run at a time.
     """
@@ -216,7 +216,8 @@ class Workspace:
         self._fixed_rate = GridMemo(lambda times: {})
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
-        self._offsets: list[tuple[float, float]] = []
+        self._dx: list[float] = []
+        self._dy: list[float] = []
 
     def scratch(self, n: int) -> np.ndarray:
         """The scratch block, grown to at least ``n`` columns if it is narrower."""
@@ -232,89 +233,74 @@ class Workspace:
         """
         return self._schedule(times)
 
-    def fixed_rate_steps(self, times: np.ndarray, period: float) -> np.ndarray:
-        """The read-only grid steps of every fix of a fixed-rate run: :func:`_fixed_rate_steps`.
+    def fixed_rate(self, times: np.ndarray) -> dict[bytes, np.ndarray]:
+        """The read-only fix steps of fixed-rate runs on grid ``times``, keyed by the bits of their period.
 
-        Built once per time grid (as in :class:`GridMemo`) and bits of ``period``;
-        a schedule that raises is not kept.
+        A new, empty dict for each new grid (as in :class:`GridMemo`); :func:`run` fills it.
         """
-        memo = self._fixed_rate(times)
-        key = struct.pack("<d", period)
-        steps = memo.get(key)
-        if steps is None:
-            steps = memo[key] = _fixed_rate_steps(times, period)
-        return steps
+        return self._fixed_rate(times)
 
-    def fix_offsets(self, noise_max: float, seed: int) -> Iterator[tuple[float, float]]:
-        """Endless ``(dx, dy)`` fix displacements of ``default_rng(seed)``, from the stream's first fix.
+    def noise(self, noise_max: float, seed: int, fixes: int) -> tuple[list[float], list[float]]:
+        """The ``dx`` and ``dy`` fix displacements of ``default_rng(seed)`` from the stream's first fix.
 
-        Displacements drawn for an earlier run on the same stream are reused;
-        new ones are drawn ``_NOISE_CHUNK`` fixes at a time.
+        Both lists hold at least ``fixes`` entries; a call on the same stream
+        grows the same two lists, ``_NOISE_CHUNK`` fixes at a time, so the
+        displacements drawn for an earlier run are reused.
         """
         key = (seed, struct.pack("<d", noise_max))
         if key != self._noise_key:
             self._noise_key = key
             self._rng = np.random.default_rng(seed)
-            self._offsets = []
-        offsets, rng = self._offsets, self._rng
-        yield from offsets
-        while True:
-            drawn = localize(noise_max, rng, _NOISE_CHUNK)
-            offsets.extend(drawn)
-            yield from drawn
+            self._dx, self._dy = [], []
+        while len(self._dx) < fixes:
+            dx, dy = localize(noise_max, self._rng, _NOISE_CHUNK)
+            self._dx += dx
+            self._dy += dy
+        return self._dx, self._dy
 
 
 _CONFIDENCE_NAMES = tuple(c.name for c in Confidence)
 
 
-def _fixed_rate_steps(times: np.ndarray, period: float) -> np.ndarray:
-    """The grid steps of the fixes of a run whose every fix requests the next one ``period`` later.
+def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
+    """The fixes of a run: one walk over the grid, one ``step`` call per fix.
 
-    The same walk as the per-fix loop of :func:`_stepped_fixes`, from step 0,
-    with every step's next request looked up in one ``searchsorted``: a fix at
-    step ``k`` asks for ``times[k] + period``, which fires at the first step
-    ``j`` with ``times[j] + eps >= times[k] + period``, or at ``k + 1`` if that
-    is later.
-    It raises the loop's error at the first fix whose request does not come
-    after it, naming ``period``.
-    """
-    with np.errstate(over="ignore"):
-        requests = times + period
-    later = (requests > times).tolist()
-    due = np.searchsorted(times + _SCHED_EPS, requests, side="left").tolist()
-    n = times.size
-    steps = []
-    k = 0
-    while True:
-        if not later[k]:
-            t = times.item(k)
-            raise ValueError(f"field 'period': the next fix must come after the fix at t={t}, got {t + period}")
-        steps.append(k)
-        j = due[k]
-        k = j if j > k else k + 1
-        if k >= n:
-            return _readonly(np.array(steps))
-
-
-def _stepped_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
-    """The fixes of a run, one ``step`` call per fix.
-
+    A fix at step ``k`` requesting the next one at ``r`` fires it at the first
+    step ``j`` with ``times[j] + eps >= r``, or at ``k + 1`` if that is later.
     A fix whose request does not come after it raises naming the field that
     floors the period: ``t_min`` if the config has one (a period >= ``t_min``
     with ``t + period == t`` means ``t + t_min == t``), else ``period``.
+
+    A ``fixed_rate`` run's fix steps depend on the grid and the period alone:
+    the first such run on a grid and period is walked and its steps kept in
+    the workspace; a later one calls ``step`` once, at the first fix, and
+    adds the noise stream to the true positions at the kept steps in array
+    form, every row after t/x/y repeating the first one.
     """
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
     n = times.size
-    # A fix requested at time r fires at the first step k with times[k] + eps >= r.
+    pcfg, step = cfg.protocol_config, kind.step
+    dxs, dys = ws.noise(cfg.noise_max, cfg.seed, 1)
+    t = times.item(0)
+    row = step(t, xs.item(0) + dxs[0], ys.item(0) + dys[0], None, pcfg)
+    if kind.fixed_rate:
+        kept, key = ws.fixed_rate(times), struct.pack("<d", row[3])
+        steps = kept.get(key)
+        if steps is not None:
+            m = steps.size
+            ws.noise(cfg.noise_max, cfg.seed, m)
+            # Plain float adds: an overflow gives inf, as in Python, and fails the finite check.
+            with np.errstate(over="ignore", invalid="ignore"):
+                fix_x = xs[steps] + dxs[:m]
+                fix_y = ys[steps] + dys[:m]
+            rest = np.repeat(np.array(row[3:], dtype=float)[:, None], m, axis=1)
+            return Fixes(steps.copy(), times[steps], fix_x, fix_y, *rest[:3], rest[3].astype(np.int8), rest[4])
+
     due = ws.schedule(times)
-    pcfg = cfg.protocol_config
     fix_steps: list[int] = []
     rows: list[tuple] = []
-    row = None
     k = 0
-    for dx, dy in ws.fix_offsets(cfg.noise_max, cfg.seed):
-        t = times.item(k)
-        row = step(t, xs.item(k) + dx, ys.item(k) + dy, row, pcfg)
+    for i in count(1):
         next_t = t + row[3]  # the row's period (FIX_COLUMNS)
         if not next_t > t:
             floor = "t_min" if hasattr(pcfg, "t_min") else "period"
@@ -325,34 +311,18 @@ def _stepped_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
         k = j if j > k else k + 1
         if k >= n:
             break
+        if i == len(dxs):
+            ws.noise(cfg.noise_max, cfg.seed, i + 1)
+        t = times.item(k)
+        row = step(t, xs.item(k) + dxs[i], ys.item(k) + dys[i], row, pcfg)
 
     m = len(rows)
     width = len(FIX_COLUMNS)
     columns = np.fromiter(chain.from_iterable(rows), float, m * width).reshape(m, width).T.copy()
-    return Fixes(np.array(fix_steps), *columns[:6], columns[6].astype(np.int8), columns[7])
-
-
-def _fixed_rate_fixes(cfg: RunConfig, step: Callable, ws: Workspace) -> Fixes:
-    """The fixes of a ``fixed_rate`` run: one ``step`` call, at the first fix, and array operations.
-
-    Its row gives the period, so the fix steps come from the workspace; the
-    measured positions are the true ones plus the same noise stream, in order.
-    """
-    times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
-    offsets = ws.fix_offsets(cfg.noise_max, cfg.seed)
-    dx, dy = next(offsets)
-    first = step(times.item(0), xs.item(0) + dx, ys.item(0) + dy, None, cfg.protocol_config)
-    steps = ws.fixed_rate_steps(times, first[3])
-    m = steps.size
-    drawn = chain((dx, dy), chain.from_iterable(islice(offsets, m - 1)))
-    d = np.fromiter(drawn, float, 2 * m).reshape(m, 2)
-    # Plain float adds: an overflow gives inf, as in Python, and fails the finite check.
-    with np.errstate(over="ignore", invalid="ignore"):
-        fix_x = xs[steps] + d[:, 0]
-        fix_y = ys[steps] + d[:, 1]
-    # Every row repeats the first one after t/x/y (see ProtocolKind.fixed_rate).
-    rest = np.repeat(np.array(first[3:], dtype=float)[:, None], m, axis=1)
-    return Fixes(steps.copy(), times[steps], fix_x, fix_y, *rest[:3], rest[3].astype(np.int8), rest[4])
+    steps = np.array(fix_steps)
+    if kind.fixed_rate:
+        kept[key] = _readonly(steps.copy())
+    return Fixes(steps, *columns[:6], columns[6].astype(np.int8), columns[7])
 
 
 def backtrack_correct(
@@ -421,7 +391,7 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     if not times.item(0) >= 0:
         raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
     kind = PROTOCOLS[cfg.protocol]
-    fixes = (_fixed_rate_fixes if kind.fixed_rate else _stepped_fixes)(cfg, kind.step, ws)
+    fixes = _fixes(cfg, kind, ws)
     if not (np.isfinite(fixes.x).all() and np.isfinite(fixes.y).all()):
         raise ValueError("fix coordinates must be finite")
     for column in fixes:

@@ -67,6 +67,7 @@ __all__ = [
     "run_provenance",
     "run_seeds",
     "run_sweep",
+    "events_filenames",
     "summarize",
     "write_runs_csv",
     "write_summary_csv",
@@ -390,6 +391,17 @@ def run_seeds(*entropy: int) -> tuple[int, int]:
 
 def _events_filename(speed: str, pause: float, label: str, rep: int) -> str:
     return f"events_s{speed.replace(':', '-')}_p{pause:g}_{label}_r{rep}.csv"
+
+
+def events_filenames(spec: SweepSpec) -> list[str]:
+    """The name of every event log a sweep of ``spec`` writes with events on."""
+    return [
+        _events_filename(class_label(speed_class), pause, pspec.label, rep)
+        for speed_class in spec.speed_classes
+        for pause in spec.pause_times
+        for rep in range(spec.repetitions)
+        for pspec in spec.protocols
+    ]
 
 
 def _run_cell(

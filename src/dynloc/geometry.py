@@ -186,8 +186,8 @@ def draw_fix_noise(noise_max: float, rng: np.random.Generator, count: int) -> np
     return rng.random((count, 2)) * (noise_max, 2.0 * math.pi)
 
 
-def localize(noise_max: float, rng: np.random.Generator, count: int) -> list[tuple[float, float]]:
-    """Draw the displacements ``(dx, dy)`` of ``count`` fixes from their true positions.
+def localize(noise_max: float, rng: np.random.Generator, count: int) -> tuple[list[float], list[float]]:
+    """Draw the displacements of ``count`` fixes from their true positions: a ``dx`` and a ``dy`` list.
 
     One row of :func:`draw_fix_noise` per fix, turned into
     ``(magnitude * cos(angle), magnitude * sin(angle))`` with :mod:`math`:
@@ -197,7 +197,8 @@ def localize(noise_max: float, rng: np.random.Generator, count: int) -> list[tup
     seeded stream yields the same fixes however it is split into calls.
     """
     cos, sin = math.cos, math.sin
-    return [(m * cos(a), m * sin(a)) for m, a in draw_fix_noise(noise_max, rng, count).tolist()]
+    magnitudes, angles = draw_fix_noise(noise_max, rng, count).T.tolist()
+    return [m * cos(a) for m, a in zip(magnitudes, angles)], [m * sin(a) for m, a in zip(magnitudes, angles)]
 
 
 def threshold_accuracy(errors: Sequence[float] | np.ndarray, tolerance: float) -> float:

@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .oracles import require_positive
+
 __all__ = [
     "MobilityTrace",
     "MAX_GRID_STEPS",
@@ -125,15 +127,10 @@ def _require_area(area_w: float, area_h: float) -> None:
         raise ValueError(f"fields 'area_w'/'area_h': must be finite and > 0, got {area_w}x{area_h}")
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (0 < value < math.inf):
-        raise ValueError(f"field {name!r}: must be finite and > 0, got {value}")
-
-
 def _grid_size(duration: float, dt: float) -> int:
     """The samples from t = 0 to ``duration`` rounded up to whole ``dt`` steps, of fewer than ``MAX_GRID_STEPS``."""
-    _require_positive("duration", duration)
-    _require_positive("dt", dt)
+    require_positive(duration, "duration")
+    require_positive(dt, "dt")
     steps = duration / dt
     if not steps < MAX_GRID_STEPS:
         raise ValueError(f"fields 'duration'/'dt': {duration} s at dt={dt} is {steps:.4g} grid steps, over the cap")
@@ -384,7 +381,7 @@ def import_traces(
     """Parse waypoint text, one node per non-empty line, resampled at ``dt``."""
     # Before any line, so an error a line raises is that line's.
     _require_area(area_w, area_h)
-    _require_positive("dt", dt)
+    require_positive(dt, "dt")
     if duration is not None:
         _grid_size(duration, dt)
     traces: list[MobilityTrace] = []

@@ -15,7 +15,8 @@ as independent checks on the simulator:
   still.
 
 Each function takes the plain numbers it reads and checks each of them with a
-``require_*`` rule, which the CLI's flags share.  All angles are radians,
+``require_*`` rule, which the CLI's flags share; :func:`require_positive` also
+checks the trace's ``duration``/``dt`` and the protocol configs' fields.  All angles are radians,
 distances meters, speeds meters/second.
 """
 
@@ -40,7 +41,8 @@ def require_distance(value: float, name: str) -> None:
 
 
 def require_positive(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value > 0):
+    """The one "finite and > 0" rule, shared by the trace, protocol config and oracle fields."""
+    if not (0 < value < math.inf):
         raise ValueError(f"field {name!r}: must be finite and > 0, got {value}")
 
 

@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
+from .oracles import require_positive
+
 __all__ = [
     "PROTOCOLS",
     "ProtocolConfig",
@@ -71,8 +73,7 @@ class SfrConfig:
     period: float = 2.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.period) or self.period <= 0:
-            raise ValueError(f"field 'period': must be finite and > 0, got {self.period}")
+        require_positive(self.period, "period")
 
 
 def _check_limits(t_min: float, t_max: float) -> None:
@@ -87,8 +88,7 @@ class DvmConfig:
     t_max: float = 6.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.target_error) or self.target_error <= 0:
-            raise ValueError(f"field 'target_error': must be finite and > 0, got {self.target_error}")
+        require_positive(self.target_error, "target_error")
         _check_limits(self.t_min, self.t_max)
 
 
@@ -101,8 +101,7 @@ class MadrdConfig:
     period_shrink: float = 0.5
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.divergence_threshold) or self.divergence_threshold <= 0:
-            raise ValueError(f"field 'divergence_threshold': must be finite and > 0, got {self.divergence_threshold}")
+        require_positive(self.divergence_threshold, "divergence_threshold")
         _check_limits(self.t_min, self.t_max)
         if not math.isfinite(self.period_growth) or self.period_growth < 1.0:
             raise ValueError(f"field 'period_growth': must be finite and >= 1, got {self.period_growth}")
@@ -225,8 +224,9 @@ class ProtocolKind(NamedTuple):
     between fixes instead of holding the fix.  ``fixed_rate`` is true when the
     fix times do not depend on what the node measures: every row repeats the
     first fix's row in the period and in every field other than
-    ``t``/``x``/``y``.  The engine then takes the fix steps from the time grid
-    and the period alone and calls ``step`` once per run, at the first fix.
+    ``t``/``x``/``y``.  The engine then walks, one ``step`` call per fix, only
+    the first such run on a time grid and period, and keeps its fix steps; a
+    later run reuses them and calls ``step`` once, at the first fix.
     """
 
     config: type

@@ -470,6 +470,23 @@ def test_unwritable_output_path_is_rejected_before_any_run(tmp_path, monkeypatch
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [("runs.csv", []), ("summary.csv", []), ("events_s8-10_p0_madrd_r0.csv", ["--events"])],
+    ids=["runs", "summary", "last-events-log"],
+)
+def test_sweep_output_that_is_a_directory_is_rejected_before_any_run(tmp_path, monkeypatch, capsys, name, flags):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output paths were checked")
+
+    monkeypatch.setattr(experiments, "run_sweep", no_run)
+    (tmp_path / name).mkdir()
+    argv = ["sweep", "--out", str(tmp_path), "--repetitions", "1", "--duration", "20", "--pause-times", "0", *flags]
+    assert main(argv) == EXIT_VALIDATION
+    assert f"field 'out': {str(tmp_path / name)!r} is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
 class _FailingFile:
     """A file that takes the first body write and then fails, as a full disk would.
 

@@ -271,7 +271,7 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0), noise_max=0.5,
                     seed=0, backtracking_enabled=True)
     # The move of step 1 from the held first fix onto the chord midpoint, by the engine's operations.
-    (d0x, d0y), (d2x, d2y) = localize(cfg.noise_max, np.random.default_rng(cfg.seed), 2)
+    (d0x, d2x), (d0y, d2y) = localize(cfg.noise_max, np.random.default_rng(cfg.seed), 2)
     f0x, f0y = 10.0 + d0x, 10.0 + d0y
     dx = ((x2 + d2x) - f0x) * 0.5 + f0x - f0x
     dy = ((y2 + d2y) - f0y) * 0.5 + f0y - f0y
@@ -470,6 +470,8 @@ def test_run_calls_the_names_a_tracer_wraps(monkeypatch):
 
 
 def test_fixed_rate_runs_step_once_and_build_each_schedule_once(monkeypatch):
+    # The first SFR run on a grid and period walks, one step per fix; a later one steps once
+    # and reads the walked run's fix steps from the workspace.
     sfr = PROTOCOLS["sfr"]
     steps_taken = []
 
@@ -477,15 +479,7 @@ def test_fixed_rate_runs_step_once_and_build_each_schedule_once(monkeypatch):
         steps_taken.append(args[0])
         return sfr.step(*args)
 
-    builds = []
-    build = engine._fixed_rate_steps
-
-    def counted_build(times, period):
-        builds.append((times.size, period))
-        return build(times, period)
-
     monkeypatch.setitem(PROTOCOLS, "sfr", sfr._replace(step=counted_step))
-    monkeypatch.setattr(engine, "_fixed_rate_steps", counted_build)
     # Two traces on one grid, in separate arrays, and a third on a shorter grid.
     a1, a2, b = _trace(seed=41, duration=120.0), _trace(seed=42, duration=120.0), _trace(seed=43, duration=60.0)
     fast, slow = SfrConfig(period=0.7), SfrConfig(period=2.0)
@@ -501,23 +495,33 @@ def test_fixed_rate_runs_step_once_and_build_each_schedule_once(monkeypatch):
             RunConfig(trace=second, protocol_config=fast, seed=7, noise_max=0.0),
         ]
     workspace = Workspace()
-    shared = []
+    shared, walks = [], []
     for cfg in configs:
         before = len(steps_taken)
-        shared.append(_bits(run(cfg, workspace)))
-        assert len(steps_taken) - before == (1 if cfg.protocol == "sfr" else 0)
-    assert builds == [(1201, 0.7), (1201, 2.0), (601, 0.7), (601, 2.0)]
+        result = run(cfg, workspace)
+        shared.append(_bits(result))
+        taken = len(steps_taken) - before
+        if cfg.protocol != "sfr":
+            assert taken == 0
+        elif taken > 1:
+            assert taken == result.metrics.localization_count
+            walks.append((cfg.trace.times.size, cfg.protocol_config.period))
+        else:
+            assert taken == 1
+    assert walks == [(1201, 0.7), (1201, 2.0), (601, 0.7), (601, 2.0)]
     assert shared == [_bits(run(cfg)) for cfg in configs]
 
 
 def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
-    builds = []
-    build = engine._fixed_rate_steps
-    monkeypatch.setattr(engine, "_fixed_rate_steps", lambda times, p: builds.append(p) or build(times, p))
+    sfr = PROTOCOLS["sfr"]
+    steps_taken = []
+    monkeypatch.setitem(PROTOCOLS, "sfr", sfr._replace(step=lambda *args: steps_taken.append(args[0]) or sfr.step(*args)))
     trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=1e-14))
     workspace = Workspace()
     for _ in range(2):
         with pytest.raises(ValueError, match="at t=200.0"):
             run(cfg, workspace)
-    assert builds == [1e-14, 1e-14]
+    # Each run walks up to the fix that raises: the first one kept nothing.
+    assert steps_taken == [0.0, 100.0, 200.0] * 2
+    assert workspace.fixed_rate(trace.times) == {}

@@ -3,14 +3,16 @@
 Short random traces, all three protocols, backtracking on and off, random
 grid steps, period limits, noise and seeds.  Every column must match the
 reference bit for bit, and the scheduler invariants must hold on every run.
-SFR's fixed-rate array path must also match the same run through the per-fix
-loop, and reject what the loop rejects with the same message.  The array
+SFR's fixed-rate array path, which reads the fix steps a walked run left in
+the workspace, must also match the same run through the per-fix loop, and
+reject what the loop rejects with the same message.  The array
 backtracking pass must match the per-interval reference on held and
 dead-reckoned reports, signed zeros included.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, Fixes, RunConfig, backtrack_correct, run
+from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, Fixes, RunConfig, Workspace, backtrack_correct, run
 from dynloc.mobility import MobilityTrace, generate_gauss_markov, generate_random_waypoint
 from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig, madrd_predict
 
@@ -176,7 +178,12 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
         trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise,
         seed=seed, backtracking_enabled=backtracking,
     )
-    fixed = run(cfg)
+    # A walk on the same grid and period, on another noise stream, leaves its fix steps in the
+    # workspace; the run under test reads them in array form.
+    workspace = Workspace()
+    run(dataclasses.replace(cfg, seed=seed ^ 1, noise_max=0.5), workspace)
+    assert len(workspace.fixed_rate(trace.times)) == 1
+    fixed = run(cfg, workspace)
     with pytest.MonkeyPatch.context() as mp:
         _without_fixed_rate(mp)
         stepped = run(cfg)
@@ -202,16 +209,18 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
 )
 def test_fixed_rate_run_rejects_what_the_per_fix_loop_rejects(trace, period, noise, match):
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise)
+    # Twice as fixed-rate on one workspace: the second run reads the steps of the first, if it kept any.
+    workspace = Workspace()
     messages = []
-    for fixed_rate in (True, False):
+    for fixed_rate in (True, True, False):
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflow warning would escape as an error
             if not fixed_rate:
                 _without_fixed_rate(mp)
             with pytest.raises(ValueError, match=match) as caught:
-                run(cfg)
+                run(cfg, workspace)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 # ---------------------------------------------------------------------------
