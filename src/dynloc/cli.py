@@ -26,6 +26,7 @@ A validation error names the field its value fails, followed by the flag that se
 where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  Each
 flag's dest is the field it sets, so the parser is the one map from field to flag; it
 also gives the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).
+Every output path goes through :func:`~dynloc.experiments.check_output` before anything runs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -172,17 +172,6 @@ def _read_text(path: str, field: str) -> str:
         raise ValueError(f"field '{field}': cannot read {path!r}: {exc}") from exc
 
 
-def _output_file(path: str | None, field: str) -> None:
-    """Reject an output file path in a missing directory, or one that is a directory, before anything runs."""
-    if path is None:
-        return
-    folder = os.path.dirname(path) or "."
-    if not os.path.isdir(folder):
-        raise ValueError(f"field '{field}': directory {folder!r} does not exist")
-    if os.path.isdir(path):
-        raise ValueError(f"field '{field}': {path!r} is a directory")
-
-
 def _protocol_config(args) -> ProtocolConfig:
     config_cls = _lookup(PROTOCOLS, args.protocol, "protocol").config
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)}
@@ -197,8 +186,8 @@ def _trace_spec(args) -> mobility.TraceSpec:
 
 
 def _cmd_simulate(args) -> int:
-    _output_file(args.out, "out")
-    _output_file(args.events_out, "events-out")
+    experiments.check_output(args.out, "out")
+    experiments.check_output(args.events_out, "events-out")
     ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
     protocol_config = _protocol_config(args)  # before the trace is made or read
     trace_seed, noise_seed = experiments.run_seeds(args.seed)
@@ -263,7 +252,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ValueError(f"field 'out': cannot create directory {args.out!r}: {exc}") from exc
     for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
-        _output_file(str(out_dir / name), "out")
+        experiments.check_output(out_dir / name, "out")
     events_dir = out_dir if args.events else None
     records = experiments.run_sweep(spec, workers=args.workers, events_dir=events_dir)
     experiments.write_runs_csv(out_dir / "runs.csv", spec, records)
@@ -273,7 +262,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _output_file(args.out, "out")
+    experiments.check_output(args.out, "out")
     oracles.require_positive(args.v, "v")
     if args.steps < 2:
         raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
@@ -319,7 +308,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_import_trace(args) -> int:
-    _output_file(args.out, "out")
+    experiments.check_output(args.out, "out")
     area_w, area_h = experiments.parse_area(args.area)
     text = _read_text(args.infile, "in")
     if args.node is not None:
@@ -334,7 +323,7 @@ def _cmd_import_trace(args) -> int:
 
 
 def _cmd_export_trace(args) -> int:
-    _output_file(args.out, "out")
+    experiments.check_output(args.out, "out")
     experiments.write_waypoints(args.out, [experiments.make_trace(_trace_spec(args))])
     return EXIT_OK
 

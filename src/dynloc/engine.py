@@ -200,20 +200,20 @@ class GridMemo:
 class Workspace:
     """What consecutive runs share: scratch memory, the schedules of a time grid, a noise stream.
 
-    It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block,
-    the fix schedule of the last grid it saw (a :class:`GridMemo`, so the
-    traces of a sweep share it), the fix steps of the first walked run of every
-    fixed-rate period on that grid (keyed by the bits of the period), and the
-    fix displacements drawn so far from the last noise stream (keyed by the
-    seed and the bits of the noise bound, since ``0.0 == -0.0``).  A run on the
-    same stream reads the displacements from the first one, so it sees the
-    same stream as on a fresh workspace.  Pass one workspace to one run at a time.
+    It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block;
+    behind :meth:`grid`, in one :class:`GridMemo` (so the traces of a sweep
+    share them), the fix schedule of the last grid it saw and the fix steps of
+    the first walked run of every fixed-rate period on that grid (keyed by the
+    bits of the period); and the fix displacements drawn so far from the last
+    noise stream (keyed by the seed and the bits of the noise bound, since
+    ``0.0 == -0.0``).  A run on the same stream reads the displacements from the
+    first one, so it sees the same stream as on a fresh workspace.  Pass one
+    workspace to one run at a time.
     """
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
-        self._schedule = GridMemo(lambda times: (times + _SCHED_EPS).tolist())
-        self._fixed_rate = GridMemo(lambda times: {})
+        self._grid = GridMemo(lambda times: ((times + _SCHED_EPS).tolist(), {}))
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
         self._dx: list[float] = []
@@ -225,20 +225,14 @@ class Workspace:
             self._block = np.empty((SCRATCH_ROWS, n))
         return self._block
 
-    def schedule(self, times: np.ndarray) -> list[float]:
-        """``times + eps`` as a list: a fix requested at ``r`` fires at step ``bisect_left(due, r)``.
+    def grid(self, times: np.ndarray) -> tuple[list[float], dict[bytes, np.ndarray]]:
+        """The fix schedule ``due`` of grid ``times`` and the fixed-rate fix steps kept for it, made once per grid.
 
-        This is ``np.searchsorted(times + eps, r)`` without the per-call numpy
-        overhead.  The list is built again only for a new grid.
+        A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due`` is ``times + eps`` as a list,
+        ``np.searchsorted`` without its per-call overhead.  The kept steps, read-only and keyed by the bits of
+        a period, start empty for each grid; :func:`run` fills them.
         """
-        return self._schedule(times)
-
-    def fixed_rate(self, times: np.ndarray) -> dict[bytes, np.ndarray]:
-        """The read-only fix steps of fixed-rate runs on grid ``times``, keyed by the bits of their period.
-
-        A new, empty dict for each new grid (as in :class:`GridMemo`); :func:`run` fills it.
-        """
-        return self._fixed_rate(times)
+        return self._grid(times)
 
     def noise(self, noise_max: float, seed: int, fixes: int) -> tuple[list[float], list[float]]:
         """The ``dx`` and ``dy`` fix displacements of ``default_rng(seed)`` from the stream's first fix.
@@ -279,12 +273,13 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
     """
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
     n = times.size
+    due, kept = ws.grid(times)
     pcfg, step = cfg.protocol_config, kind.step
     dxs, dys = ws.noise(cfg.noise_max, cfg.seed, 1)
     t = times.item(0)
     row = step(t, xs.item(0) + dxs[0], ys.item(0) + dys[0], None, pcfg)
     if kind.fixed_rate:
-        kept, key = ws.fixed_rate(times), struct.pack("<d", row[3])
+        key = struct.pack("<d", row[3])
         steps = kept.get(key)
         if steps is not None:
             m = steps.size
@@ -296,7 +291,6 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
             rest = np.repeat(np.array(row[3:], dtype=float)[:, None], m, axis=1)
             return Fixes(steps.copy(), times[steps], fix_x, fix_y, *rest[:3], rest[3].astype(np.int8), rest[4])
 
-    due = ws.schedule(times)
     fix_steps: list[int] = []
     rows: list[tuple] = []
     k = 0

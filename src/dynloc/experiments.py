@@ -20,7 +20,8 @@ Every file starts with ``# dynloc <kind> v1`` and a ``# config {json}`` line
 carrying the exact configuration that produced it (:func:`run_provenance` for
 a run).  One writer lays out every kind, the CLI's ``simulate`` rows and
 oracle tables included, and every file, waypoint text too, is written under a
-``.tmp`` name and renamed into place.
+``.tmp`` name and renamed into place; :func:`check_output` refuses, before
+anything runs, a path that write cannot take.
 Every trace comes from :func:`make_trace`, which picks the generator a
 :class:`~dynloc.mobility.TraceSpec` names.
 """
@@ -33,8 +34,8 @@ import json
 import math
 import os
 import re
+import stat
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -74,6 +75,7 @@ __all__ = [
     "write_events_csv",
     "write_csv",
     "write_waypoints",
+    "check_output",
     "read_provenance",
     "spec_to_dict",
     "spec_from_dict",
@@ -506,6 +508,8 @@ def run_sweep(
     if n == 1:
         per_cell = _run_batch(spec, cells, events_dir)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded on first use: a serial sweep never needs it
+
         n_batches = min(len(cells), _BATCHES_PER_WORKER * n)
         strided = [cells[b::n_batches] for b in range(n_batches)]
         with ProcessPoolExecutor(max_workers=n) as pool:
@@ -679,13 +683,30 @@ def read_provenance(path: str | os.PathLike) -> dict:
     raise ValueError(f"no provenance header found in {path}")
 
 
+def check_output(path: str | os.PathLike | None, field: str) -> None:
+    """Refuse, naming ``field``, an output path :func:`_atomic_write` cannot take: a missing folder, a
+    directory at the path, or anything but a regular file at its temp name ``<path>.tmp``.  None passes."""
+    if path is None:
+        return
+    path = os.fspath(path)
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"field '{field}': directory {folder!r} does not exist")
+    if os.path.isdir(path):
+        raise ValueError(f"field '{field}': {path!r} is a directory")
+    with contextlib.suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.lstat(path + ".tmp").st_mode):
+            raise ValueError(f"field '{field}': {path + '.tmp'!r}, the temp name of {path!r}, is not a regular file")
+
+
 @contextlib.contextmanager
 def _atomic_write(path: str | os.PathLike | None):
     """Write ``path`` through ``<path>.tmp`` and a rename; on error remove the temp, keep ``path``.
 
     ``None`` writes to ``sys.stdout`` as it is at the call.  A symlink
     (``/dev/stdout``), pipe or device is written in place: a rename would
-    replace the link or node instead of writing through it.
+    replace the link or node instead of writing through it.  A stale regular temp
+    file is removed; anything else at the temp name fails the write untouched.
     """
     if path is None:
         yield sys.stdout
@@ -696,8 +717,12 @@ def _atomic_write(path: str | os.PathLike | None):
             yield fh
         return
     tmp = path + ".tmp"
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.lstat(tmp).st_mode):
+            os.unlink(tmp)
+    fh = open(tmp, "x", encoding="utf-8")  # follows no link, opens no FIFO
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -21,7 +21,6 @@ __all__ = [
     "count_beyond",
     "veltkamp_split",
     "SCRATCH_ROWS",
-    "draw_fix_noise",
     "localize",
     "threshold_accuracy",
 ]
@@ -175,29 +174,20 @@ def count_beyond(dx: np.ndarray, dy: np.ndarray, limit: float, scratch: np.ndarr
     return int(np.count_nonzero(beyond)) + int(np.count_nonzero(hypot_exact(dx[near], dy[near], scratch) > limit))
 
 
-def draw_fix_noise(noise_max: float, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw the displacements of ``count`` fixes: one ``(magnitude, angle)`` row per fix.
-
-    The magnitude is uniform in [0, noise_max), the angle uniform in
-    [0, 2*pi), drawn from ``rng`` in that order, so a seeded stream yields the
-    same fixes one row or many rows at a time.  ``uniform(0, high)`` is exactly
-    ``random() * high``, without ``uniform``'s per-call set-up for array bounds.
-    """
-    return rng.random((count, 2)) * (noise_max, 2.0 * math.pi)
-
-
 def localize(noise_max: float, rng: np.random.Generator, count: int) -> tuple[list[float], list[float]]:
     """Draw the displacements of ``count`` fixes from their true positions: a ``dx`` and a ``dy`` list.
 
-    One row of :func:`draw_fix_noise` per fix, turned into
-    ``(magnitude * cos(angle), magnitude * sin(angle))`` with :mod:`math`:
-    ``np.cos`` is not bit for bit ``libm`` on every build.  A fix of a node at
-    ``(x, y)`` measures ``(x + dx, y + dy)``; with ``noise_max`` zero it is
-    ``(x, y)`` exactly.  Two draws are consumed from ``rng`` per fix, so a
-    seeded stream yields the same fixes however it is split into calls.
+    Each fix draws a magnitude uniform in [0, noise_max), then an angle
+    uniform in [0, 2*pi), from ``rng``: two draws per fix, so a seeded stream
+    yields the same fixes however it is split into calls.  ``uniform(0, high)``
+    is exactly ``random() * high``, without ``uniform``'s per-call set-up for
+    array bounds.  The displacement is ``(magnitude * cos(angle), magnitude *
+    sin(angle))`` with :mod:`math`: ``np.cos`` is not bit for bit ``libm`` on
+    every build.  A fix of a node at ``(x, y)`` measures ``(x + dx, y + dy)``;
+    with ``noise_max`` zero it is ``(x, y)`` exactly.
     """
     cos, sin = math.cos, math.sin
-    magnitudes, angles = draw_fix_noise(noise_max, rng, count).T.tolist()
+    magnitudes, angles = (rng.random((count, 2)) * (noise_max, 2.0 * math.pi)).T.tolist()
     return [m * cos(a) for m, a in zip(magnitudes, angles)], [m * sin(a) for m, a in zip(magnitudes, angles)]
 
 

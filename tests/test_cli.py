@@ -6,8 +6,12 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import platform
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -485,6 +489,103 @@ def test_sweep_output_that_is_a_directory_is_rejected_before_any_run(tmp_path, m
     assert main(argv) == EXIT_VALIDATION
     assert f"field 'out': {str(tmp_path / name)!r} is a directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def _main_in_child(argv: list[str], seconds: float = 10.0) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr, from a forked child process that is killed after
+    ``seconds``: a write that blocks (opening a FIFO, say) fails the test instead of hanging it."""
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+
+    def child() -> None:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        send.send((code, err.getvalue()))
+
+    process = context.Process(target=child)
+    process.start()
+    try:
+        if not receive.poll(seconds):
+            pytest.fail(f"{argv} still running after {seconds} s")
+        return receive.recv()
+    finally:
+        process.kill()
+        process.join()
+
+
+_TINY_SWEEP = ["sweep", "--out", "{folder}", "--repetitions", "1", "--duration", "20", "--pause-times", "0"]
+_SIMULATE = ["simulate", "--protocol", "sfr", "--duration", "10"]
+
+# Each file a command writes: the command ({path} is the file, {folder} the folder it is in), its
+# name, and the field of the flag that names it.
+_OUTPUT_FILES = {
+    "sweep-runs": (_TINY_SWEEP, "runs.csv", "out"),
+    "sweep-summary": (_TINY_SWEEP, "summary.csv", "out"),
+    "sweep-events": ([*_TINY_SWEEP, "--events"], "events_s8-10_p0_madrd_r0.csv", "out"),
+    "simulate-out": ([*_SIMULATE, "--out", "{path}"], "row.csv", "out"),
+    "simulate-events-out": ([*_SIMULATE, "--events-out", "{path}"], "events.csv", "events-out"),
+    "oracle-out": (["oracle", "--turn", "--steps", "5", "--out", "{path}"], "table.csv", "out"),
+    "import-trace-out": (["import-trace", "--in", "{waypoints}", "--out", "{path}"], "trace.txt", "out"),
+    "export-trace-out": (["export-trace", "--duration", "10", "--out", "{path}"], "trace.txt", "out"),
+}
+
+
+@pytest.mark.parametrize("planted", ["directory", "symlink", "fifo"])
+@pytest.mark.parametrize("command", list(_OUTPUT_FILES))
+def test_anything_but_a_file_at_a_temp_name_is_rejected_before_any_run(tmp_path, monkeypatch, command, planted):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output paths were checked")
+
+    for module, name in ((cli, "run"), (experiments, "run_sweep"), (experiments, "make_trace")):
+        monkeypatch.setattr(module, name, no_run)
+    argv, name, field = _OUTPUT_FILES[command]
+    folder, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    folder.mkdir()
+    elsewhere.mkdir()
+    target, waypoints = elsewhere / "target.csv", elsewhere / "waypoints.txt"
+    target.write_bytes(b"keep\n")
+    waypoints.write_text("0 0 0 10 10 0\n")
+    path = folder / name
+    temp = folder / (name + ".tmp")
+    if planted == "directory":
+        temp.mkdir()
+    elif planted == "symlink":
+        temp.symlink_to(target)
+    else:
+        os.mkfifo(temp)
+
+    values = {"folder": folder, "path": path, "waypoints": waypoints}
+    code, err = _main_in_child([arg.format(**values) for arg in argv])
+    assert code == EXIT_VALIDATION, err
+    assert f"field '{field}': {str(temp)!r}, the temp name of {str(path)!r}, is not a regular file" in err
+    assert [p.name for p in folder.iterdir()] == [temp.name]
+    assert target.read_bytes() == b"keep\n"
+    if planted == "symlink":
+        assert os.readlink(temp) == str(target)
+
+
+def test_serial_commands_never_load_the_process_pool(tmp_path):
+    script = f"""
+import sys
+from dynloc.cli import main
+for argv in (
+    {[arg.format(folder="sweep") for arg in _TINY_SWEEP]!r},
+    {[*_SIMULATE, "--out", "row.csv"]!r},
+    ["oracle", "--turn", "--steps", "5", "--out", "table.csv"],
+    ["export-trace", "--duration", "10", "--out", "trace.txt"],
+    ["import-trace", "--in", "trace.txt", "--out", "again.txt"],
+):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process", "multiprocessing"))))
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 class _FailingFile:

@@ -406,7 +406,7 @@ def test_workspace_schedule_is_keyed_by_the_grid_value():
     for trace in (first, second, shifted, prefix, first):
         cfg = RunConfig(trace=trace, protocol_config=madrd, seed=5)
         assert _bits(run(cfg, workspace)) == _bits(run(cfg))
-        schedules.append(workspace.schedule(trace.times))
+        schedules.append(workspace.grid(trace.times)[0])
     assert schedules[1] is schedules[0]  # bit-equal grids in separate arrays share one schedule
     assert all(schedules[i] is not schedules[i - 1] for i in (2, 3, 4))
     assert schedules[4] == schedules[0]
@@ -524,4 +524,4 @@ def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
             run(cfg, workspace)
     # Each run walks up to the fix that raises: the first one kept nothing.
     assert steps_taken == [0.0, 100.0, 200.0] * 2
-    assert workspace.fixed_rate(trace.times) == {}
+    assert workspace.grid(trace.times)[1] == {}

@@ -182,7 +182,7 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
     # workspace; the run under test reads them in array form.
     workspace = Workspace()
     run(dataclasses.replace(cfg, seed=seed ^ 1, noise_max=0.5), workspace)
-    assert len(workspace.fixed_rate(trace.times)) == 1
+    assert len(workspace.grid(trace.times)[1]) == 1
     fixed = run(cfg, workspace)
     with pytest.MonkeyPatch.context() as mp:
         _without_fixed_rate(mp)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -24,6 +25,7 @@ from dynloc.experiments import (
     _atomic_write,
     _run_batch,
     _worker_count,
+    check_output,
     class_label,
     default_bundle,
     default_gauss_markov_bundle,
@@ -249,7 +251,7 @@ def pools(monkeypatch) -> list[int]:
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 
@@ -791,6 +793,41 @@ def test_write_through_a_symlink_keeps_the_link(tmp_path):
         fh.write("new\n")
     assert link.is_symlink() and target.read_text() == "new\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("planted", ["symlink", "directory"])
+def test_an_entry_planted_at_the_temp_name_after_the_check_fails_the_write_untouched(tmp_path, planted, existing):
+    folder = tmp_path / "out"
+    folder.mkdir()
+    outside = tmp_path / "outside.csv"
+    outside.write_text("keep\n")
+    path, temp = folder / "runs.csv", folder / "runs.csv.tmp"
+    if existing:
+        path.write_text("old\n")
+    check_output(path, "out")
+    if planted == "symlink":
+        temp.symlink_to(outside)
+    else:
+        temp.mkdir()
+    with pytest.raises(FileExistsError):
+        with _atomic_write(path) as fh:
+            fh.write("new\n")
+    assert sorted(p.name for p in folder.iterdir()) == (["runs.csv"] if existing else []) + ["runs.csv.tmp"]
+    assert temp.is_symlink() == (planted == "symlink") and temp.is_dir() == (planted == "directory")
+    assert outside.read_text() == "keep\n"
+    if existing:
+        assert path.read_text() == "old\n"
+
+
+def test_a_stale_temp_file_is_replaced(tmp_path):
+    path = tmp_path / "runs.csv"
+    (tmp_path / "runs.csv.tmp").write_text("left by a killed write\n")
+    check_output(path, "out")
+    with _atomic_write(path) as fh:
+        fh.write("new\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["runs.csv"]
+    assert path.read_text() == "new\n"
 
 
 def test_csv_round_trip_with_provenance(tmp_path):

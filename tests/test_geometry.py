@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynloc.engine import _NOISE_CHUNK
-from dynloc.geometry import draw_fix_noise, hypot_exact, localize, threshold_accuracy
+from dynloc.geometry import hypot_exact, localize, threshold_accuracy
 
 from scenario_tools import ref_fix_offset
 
@@ -33,10 +33,9 @@ def test_localize_never_exceeds_max_magnitude():
 
 def test_localize_mean_displacement_matches_uniform_magnitude():
     # The magnitude is uniform on [0, max), so the mean displacement is max/2.
-    # One array call draws the stream that localize turns into displacements
-    # (see test_batched_fix_noise_replays_the_scalar_draws).
-    draws = draw_fix_noise(0.5, np.random.default_rng(123), 1_000_000)
-    assert draws[:, 0].mean() == pytest.approx(0.25, abs=0.01)
+    # One call draws all the fixes (see test_batched_fix_noise_replays_the_scalar_draws).
+    dx, dy = localize(0.5, np.random.default_rng(123), 1_000_000)
+    assert hypot_exact(np.array(dx), np.array(dy)).mean() == pytest.approx(0.25, abs=0.01)
 
 
 def test_localize_is_seed_deterministic():
@@ -57,14 +56,12 @@ def test_batched_fix_noise_replays_the_scalar_draws(noise_max):
     def hexed(rows):
         return [[v.hex() for v in row] for row in rows]
 
-    assert hexed(draw_fix_noise(noise_max, np.random.default_rng(31), count).tolist()) == hexed(expected)
-    rng = np.random.default_rng(31)
-    split = draw_fix_noise(noise_max, rng, _NOISE_CHUNK).tolist() + draw_fix_noise(noise_max, rng, count - _NOISE_CHUNK).tolist()
-    assert hexed(split) == hexed(expected)
-
-    # localize turns the same rows into displacements with math.cos/math.sin.
+    # localize turns those draws into displacements with math.cos/math.sin, in one call or split.
     offsets = [(m * math.cos(a), m * math.sin(a)) for m, a in expected]
     assert hexed(zip(*localize(noise_max, np.random.default_rng(31), count))) == hexed(offsets)
+    rng = np.random.default_rng(31)
+    split = [*zip(*localize(noise_max, rng, _NOISE_CHUNK)), *zip(*localize(noise_max, rng, count - _NOISE_CHUNK))]
+    assert hexed(split) == hexed(offsets)
 
     # One fix per call reads the same stream, and so does the reference engine's scalar draw.
     rng = np.random.default_rng(31)
