@@ -8,7 +8,7 @@ simulation engine, and a sweep/CLI layer that reproduces full experiment
 grids bit-exactly from a seed.
 """
 
-from .engine import EVENT_COLUMNS, RunConfig, RunMetrics, RunResult, run
+from .engine import RunConfig, RunMetrics, RunResult, run
 from .geometry import localize, threshold_accuracy
 from .mobility import (
     MobilityTrace,

@@ -20,7 +20,8 @@ Examples::
     dynloc import-trace --in path.txt --dt 0.1 --area 300x300
     dynloc export-trace --mobility rwp --speed 4:5 --pause 30 --seed 3 --out tr.txt
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.
+Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.  A reader that
+closes an output pipe early (``dynloc export-trace | head``) ends the command with 0, silently.
 
 A validation error names the field its value fails, followed by the flag that set it
 where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  Each
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -252,7 +254,7 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ValueError(f"field 'out': cannot create directory {args.out!r}: {exc}") from exc
     for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
-        experiments.check_output(out_dir / name, "out")
+        experiments.check_output(out_dir / name, "out", regular=True)
     events_dir = out_dir if args.events else None
     records = experiments.run_sweep(spec, workers=args.workers, events_dir=events_dir)
     experiments.write_runs_csv(out_dir / "runs.csv", spec, records)
@@ -369,7 +371,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader gone from stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader of an output pipe left early, with all it wanted
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        return EXIT_OK
     except ValueError as exc:  # mobility.WaypointParseError included
         # A flag left out (None) leaves its field to a spec file or a config default.
         given = {name: flag for name, flag in flags.items() if getattr(args, name) is not None}

@@ -27,8 +27,8 @@ stepping the grid point by point.  A distance is computed only where it is read:
 each error once per run of equal offsets (:func:`~dynloc.geometry.hypot_runs`),
 and a backtracking move only near ``noise_max`` (:func:`~dynloc.geometry.count_beyond`).
 
-A run returns per-step and per-fix columns as read-only arrays, and scalar
-metrics.  A run is fully determined by its config and seed -- the noise
+A run returns its config, its metrics, and its fixes, reported track and error
+as read-only arrays.  A run is fully determined by its config and seed -- the noise
 stream is the only randomness, and it is seeded explicitly.  The engine draws
 that stream ``_NOISE_CHUNK`` fixes at a time through
 :func:`~dynloc.geometry.localize` into a ``dx`` and a ``dy`` list, which yield
@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import Any, Callable, NamedTuple
 
@@ -59,13 +59,12 @@ import numpy as np
 
 from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
 from .mobility import MobilityTrace
-from .protocols import FIX_COLUMNS, PROTOCOLS, Confidence, ProtocolConfig, ProtocolKind, madrd_predict
+from .protocols import FIX_COLUMNS, PROTOCOLS, ProtocolConfig, ProtocolKind, madrd_predict
 
 __all__ = [
     "RunConfig",
     "check_noise_and_tolerance",
     "RunMetrics",
-    "EVENT_COLUMNS",
     "Fixes",
     "RunResult",
     "GridMemo",
@@ -147,29 +146,15 @@ class Fixes(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
-    """One run: scalar metrics, the per-fix columns, and one read-only column per event field.
+    """One run: the config it ran, its metrics and fixes, and read-only ``reported_x``, ``reported_y`` and
+    ``error`` with one entry per grid step.  Compare results column by column (``np.array_equal``), not with ``==``."""
 
-    Event columns have one entry per grid step.  ``localized`` is 1 at fix
-    steps; ``period`` is the scheduler's period after the step's latest fix;
-    ``confidence`` holds MADRD's state name and is empty for SFR and DVM.
-    Compare two results column by column (``np.array_equal``), not with ``==``.
-    """
-
+    config: RunConfig
     metrics: RunMetrics
     fixes: Fixes
-    t: np.ndarray
-    true_x: np.ndarray
-    true_y: np.ndarray
     reported_x: np.ndarray
     reported_y: np.ndarray
     error: np.ndarray
-    localized: np.ndarray
-    period: np.ndarray
-    confidence: np.ndarray
-
-
-# The per-step columns of a run, in event-log order: every field of RunResult after the fixes.
-EVENT_COLUMNS = tuple(f.name for f in fields(RunResult) if f.name not in ("metrics", "fixes"))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -201,7 +186,7 @@ class Workspace:
     """What consecutive runs share: scratch memory, the schedules of a time grid, a noise stream.
 
     It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block;
-    behind :meth:`grid`, in one :class:`GridMemo` (so the traces of a sweep
+    as ``grid``, one :class:`GridMemo` (so the traces of a sweep
     share them), the fix schedule of the last grid it saw and the fix steps of
     the first walked run of every fixed-rate period on that grid (keyed by the
     bits of the period); and the fix displacements drawn so far from the last
@@ -213,7 +198,10 @@ class Workspace:
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
-        self._grid = GridMemo(lambda times: ((times + _SCHED_EPS).tolist(), {}))
+        # grid(times) is (due, kept).  A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due`` is
+        # ``times + eps`` as a list, ``np.searchsorted`` without its per-call overhead.  ``kept`` holds read-only
+        # fixed-rate fix steps keyed by the bits of a period; it starts empty for each grid, and run fills it.
+        self.grid = GridMemo(lambda times: ((times + _SCHED_EPS).tolist(), {}))
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
         self._dx: list[float] = []
@@ -224,15 +212,6 @@ class Workspace:
         if self._block.shape[1] < n:
             self._block = np.empty((SCRATCH_ROWS, n))
         return self._block
-
-    def grid(self, times: np.ndarray) -> tuple[list[float], dict[bytes, np.ndarray]]:
-        """The fix schedule ``due`` of grid ``times`` and the fixed-rate fix steps kept for it, made once per grid.
-
-        A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due`` is ``times + eps`` as a list,
-        ``np.searchsorted`` without its per-call overhead.  The kept steps, read-only and keyed by the bits of
-        a period, start empty for each grid; :func:`run` fills them.
-        """
-        return self._grid(times)
 
     def noise(self, noise_max: float, seed: int, fixes: int) -> tuple[list[float], list[float]]:
         """The ``dx`` and ``dy`` fix displacements of ``default_rng(seed)`` from the stream's first fix.
@@ -251,9 +230,6 @@ class Workspace:
             self._dx += dx
             self._dy += dy
         return self._dx, self._dy
-
-
-_CONFIDENCE_NAMES = tuple(c.name for c in Confidence)
 
 
 def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
@@ -390,22 +366,17 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
         raise ValueError("fix coordinates must be finite")
     for column in fixes:
         _readonly(column)
-    steps, fix_t, fix_x, fix_y, fix_period, fix_vx, fix_vy, fix_conf, _ = fixes
+    steps, fix_t, fix_x, fix_y, _, fix_vx, fix_vy, _, _ = fixes
     seg = np.diff(steps, append=n)  # grid steps reported from each fix
-    localized = np.zeros(n, dtype=np.int8)
-    localized[steps] = 1
-    period = np.repeat(fix_period, seg)
     # A track that overflows is caught by the finite check on its errors below.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind.predicts:
             elapsed = np.repeat(fix_t, seg)
             np.subtract(times, elapsed, out=elapsed)
             rep_x, rep_y = madrd_predict(*(np.repeat(c, seg) for c in (fix_x, fix_y, fix_vx, fix_vy)), elapsed)
-            confidence = np.repeat(np.array(_CONFIDENCE_NAMES)[fix_conf], seg)
         else:
             rep_x = np.repeat(fix_x, seg)
             rep_y = np.repeat(fix_y, seg)
-            confidence = np.full(n, "", dtype="<U2")
 
         correction_count = 0
         if cfg.backtracking_enabled:
@@ -422,11 +393,4 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
         accuracy=threshold_accuracy(errors, cfg.dist_tolerance),
         correction_count=correction_count,
     )
-    return RunResult(
-        metrics,
-        fixes,
-        times,
-        trace.xs,
-        trace.ys,
-        *(_readonly(c) for c in (rep_x, rep_y, errors, localized, period, confidence)),
-    )
+    return RunResult(cfg, metrics, fixes, *(_readonly(c) for c in (rep_x, rep_y, errors)))

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import EVENT_COLUMNS, GridMemo, RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
+from .engine import GridMemo, RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
 from .mobility import (
     MobilityTrace,
     TraceSpec,
@@ -51,7 +51,7 @@ from .mobility import (
     generate_gauss_markov,
     generate_random_waypoint,
 )
-from .protocols import PROTOCOLS, ProtocolConfig
+from .protocols import PROTOCOLS, Confidence, ProtocolConfig
 
 __all__ = [
     "ProtocolSpec",
@@ -69,6 +69,8 @@ __all__ = [
     "run_seeds",
     "run_sweep",
     "events_filenames",
+    "EVENT_COLUMNS",
+    "event_columns",
     "summarize",
     "write_runs_csv",
     "write_summary_csv",
@@ -683,9 +685,11 @@ def read_provenance(path: str | os.PathLike) -> dict:
     raise ValueError(f"no provenance header found in {path}")
 
 
-def check_output(path: str | os.PathLike | None, field: str) -> None:
+def check_output(path: str | os.PathLike | None, field: str, regular: bool = False) -> None:
     """Refuse, naming ``field``, an output path :func:`_atomic_write` cannot take: a missing folder, a
-    directory at the path, or anything but a regular file at its temp name ``<path>.tmp``.  None passes."""
+    directory at the path, or anything but a regular file at its temp name ``<path>.tmp``.  None passes.
+    With ``regular``, as for a sweep's files, the path itself must be a regular file or absent: a write
+    would go through a link out of the folder, or block on a pipe with no reader."""
     if path is None:
         return
     path = os.fspath(path)
@@ -697,6 +701,9 @@ def check_output(path: str | os.PathLike | None, field: str) -> None:
     with contextlib.suppress(FileNotFoundError):
         if not stat.S_ISREG(os.lstat(path + ".tmp").st_mode):
             raise ValueError(f"field '{field}': {path + '.tmp'!r}, the temp name of {path!r}, is not a regular file")
+    with contextlib.suppress(FileNotFoundError):
+        if regular and not stat.S_ISREG(os.lstat(path).st_mode):
+            raise ValueError(f"field '{field}': {path!r} is not a regular file")
 
 
 @contextlib.contextmanager
@@ -780,10 +787,28 @@ def _event_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return floattext.column_cells(col)
 
 
+# The columns of an event log, one row per grid step, and the `confidence` cell of each MADRD state.
+EVENT_COLUMNS = ("t", "true_x", "true_y", "reported_x", "reported_y", "error", "localized", "period", "confidence")
+_CONFIDENCE_NAMES = np.array([c.name for c in Confidence])
+
+
+def event_columns(result: RunResult) -> dict[str, np.ndarray]:
+    """The :data:`EVENT_COLUMNS` of a run, one entry per grid step: its trace, reported track and error, then
+    its fixes held over the steps each reports (``localized`` 1 at a fix; ``confidence`` empty but for MADRD)."""
+    trace, fixes = result.config.trace, result.fixes
+    seg = np.diff(fixes.step, append=trace.times.size)
+    localized = np.zeros(trace.times.size, dtype=np.int8)
+    localized[fixes.step] = 1
+    names = _CONFIDENCE_NAMES if PROTOCOLS[result.config.protocol].predicts else np.full_like(_CONFIDENCE_NAMES, "")
+    columns = (trace.times, trace.xs, trace.ys, result.reported_x, result.reported_y, result.error, localized,
+               np.repeat(fixes.period, seg), np.repeat(names[fixes.confidence], seg))
+    return dict(zip(EVENT_COLUMNS, columns))
+
+
 def write_events_csv(
     path: str | os.PathLike, config: dict, result: RunResult, trace_cells: Sequence[tuple] | None = None
 ) -> None:
-    """Write a run's event log straight from its columns, one row per grid step.
+    """Write a run's event log straight from its :func:`event_columns`, one row per grid step.
 
     The bytes are those of formatting every value.  Each column becomes its
     :func:`~dynloc.floattext.column_cells`, the cell of each run of equal
@@ -795,7 +820,7 @@ def write_events_csv(
     """
     from . import floattext  # loaded on first use: a sweep without event logs never compiles it
 
-    columns = [getattr(result, name) for name in EVENT_COLUMNS]
+    columns = list(event_columns(result).values())
     lengths = {col.size for col in columns} | {int(bounds[-1]) for _, bounds in trace_cells or ()}
     if len(lengths) > 1:
         raise ValueError(f"event columns must all have one length, got {sorted(lengths)}")

@@ -25,7 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, RunConfig, RunMetrics
+from dynloc.engine import _SCHED_EPS, RunConfig, RunMetrics
+from dynloc.experiments import EVENT_COLUMNS
 from dynloc.geometry import threshold_accuracy
 from dynloc.mobility import MobilityTrace, TraceSpec, trace_from_waypoints
 from dynloc.protocols import PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig
@@ -277,7 +278,7 @@ def ref_backtrack_correct(
     return corrected, moved
 
 
-# One reference event row per grid step, its fields the engine's event columns.
+# One reference event row per grid step, its fields the columns of an event log.
 EventRow = namedtuple("EventRow", EVENT_COLUMNS)
 
 

@@ -35,6 +35,7 @@ from dynloc.experiments import (
     SweepSpec,
     default_bundle,
     default_gauss_markov_bundle,
+    event_columns,
     read_provenance,
     run_sweep,
     spec_from_dict,
@@ -134,8 +135,9 @@ def test_02_simulated_turns_match_formulas_and_crossover():
             noise_max=0.0,
         ))
         # (t, hold error, prediction error) at each post-turn step between fixes.
-        rows = zip(hold_run.t.tolist(), hold_run.error.tolist(), predict_run.error.tolist())
-        post_turn = [row for row, fix in zip(rows, hold_run.localized.tolist()) if row[0] >= turn_time - 1e-9 and not fix]
+        hold_events = event_columns(hold_run)
+        rows = zip(trace.times.tolist(), hold_run.error.tolist(), predict_run.error.tolist())
+        post_turn = [row for row, fix in zip(rows, hold_events["localized"].tolist()) if row[0] >= turn_time - 1e-9 and not fix]
         assert len(post_turn) >= 25
         for t, hold_error, predict_error in post_turn:
             n = max(0.0, speed * (t - turn_time))
@@ -174,7 +176,7 @@ def test_03_simulated_pause_matches_hold_and_prediction_shapes():
         noise_max=0.0,
     ))
     worst = 0.0
-    columns = (hold_run.t, hold_run.localized, hold_run.error, predict_run.error)
+    columns = (trace.times, event_columns(hold_run)["localized"], hold_run.error, predict_run.error)
     for t, localized, hold_error, predict_error in zip(*(c.tolist() for c in columns)):
         if localized or t < window_start + 1e-9:
             continue
@@ -202,7 +204,7 @@ def test_04_single_run_error_ramps_and_fix_noise_bound():
         noise_max=0.5, seed=noise_seed,
     ))
     elapsed = time.perf_counter() - started
-    fix_errors = result.error[result.localized == 1].tolist()
+    fix_errors = result.error[result.fixes.step].tolist()
     peak = result.metrics.max_error
     print(
         f"900 s run: peak ramp {peak:.2f} m (need 7-11), worst fix error "
@@ -370,14 +372,15 @@ def test_10_protocol_invariants():
         )
         for pcfg in (SfrConfig(2.0), DvmConfig(t_max=6.0)):
             result = run(RunConfig(trace=trace, protocol_config=pcfg, seed=seed))
-            held = np.flatnonzero(result.localized[1:] == 0) + 1
+            held = np.flatnonzero(event_columns(result)["localized"][1:] == 0) + 1
             assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
             assert np.array_equal(result.reported_y[held], result.reported_y[held - 1])
         result = run(RunConfig(
             trace=trace, protocol_config=MadrdConfig(t_max=6.0), seed=seed,
         ))
         # Steps c whose step b before it is also between fixes: b - a and c - b are one velocity.
-        c = np.flatnonzero((result.localized[2:] == 0) & (result.localized[1:-1] == 0)) + 2
+        localized = event_columns(result)["localized"]
+        c = np.flatnonzero((localized[2:] == 0) & (localized[1:-1] == 0)) + 2
         for rep in (result.reported_x, result.reported_y):
             assert (rep[c] - rep[c - 1]).tolist() == pytest.approx((rep[c - 1] - rep[c - 2]).tolist(), abs=1e-9)
 

@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import platform
 import re
+import socket
+import stat
 import subprocess
 import sys
 import tempfile
@@ -274,6 +276,23 @@ CLI_GOLDEN_CASES = {
         {
             "stdout": "bb3bdf916569e8b90bb96afb8c1b664778c87f0bc04cf1bacaadd1cf0aab2f47",
             "events.csv": "eb006d2a0c6bfd50b82110fe0234c1f93c8e33420e0eb5ef1c2e0adbf45bc5e3",
+        },
+    ),
+    "simulate_sfr_events": (
+        ["simulate", "--protocol", "sfr", "--period", "1.5", "--speed", "1:2", "--pause", "5",
+         "--duration", "40", "--seed", "6", "--events-out", "events.csv"],
+        {
+            "stdout": "f536e87daff05c6238b5fa281073d6a50021a4313df3f120ce7a78925ff57d16",
+            "events.csv": "28c55e12a747532a3a35f7ec968356dc7e402abc6843aed60217d89c637081dc",
+        },
+    ),
+    # A fix at every one of the 201 steps: the `localized` column has no run of 0s.
+    "simulate_dvm_every_step_a_fix": (
+        ["simulate", "--protocol", "dvm", "--target-error", "0.01", "--t-min", "0.1",
+         "--duration", "20", "--seed", "4", "--events-out", "events.csv"],
+        {
+            "stdout": "186289e57720dd1a20980d59aa17b681184012de9ac3b5467b724455973a9afa",
+            "events.csv": "8101c7b694e7bd50976ab0c63b8ac65cf565baaeada727d22849799a5ff9174b",
         },
     ),
     "simulate_trace_file": (
@@ -565,6 +584,75 @@ def test_anything_but_a_file_at_a_temp_name_is_rejected_before_any_run(tmp_path,
         assert os.readlink(temp) == str(target)
 
 
+def _plant(kind: str, path: Path, target: Path) -> None:
+    """Put a ``kind`` of node that is not a regular file at ``path``; a symlink points at ``target``."""
+    if kind == "symlink":
+        path.symlink_to(target)
+    elif kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "socket":
+        with socket.socket(socket.AF_UNIX) as sock:
+            sock.bind(str(path))  # the socket file stays after the socket closes
+    else:
+        try:
+            os.mknod(path, stat.S_IFCHR | 0o600, os.makedev(1, 3))  # the null device's numbers
+        except PermissionError:
+            pytest.skip("making a device node needs privileges this process lacks")
+
+
+@pytest.mark.parametrize("planted", ["symlink", "fifo", "socket", "device"])
+@pytest.mark.parametrize("command", ["sweep-runs", "sweep-summary", "sweep-events"])
+def test_anything_but_a_file_at_a_sweep_output_is_rejected_before_any_run(tmp_path, monkeypatch, command, planted):
+    # A sweep writes only regular files in its folder: a link would take the rows outside it,
+    # and a FIFO would hang the sweep after its last cell.
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before the output paths were checked")
+
+    for module, name in ((experiments, "run_sweep"), (experiments, "make_trace")):
+        monkeypatch.setattr(module, name, no_run)
+    monkeypatch.chdir(tmp_path)  # relative paths, short enough for a socket's address
+    argv, name, _ = _OUTPUT_FILES[command]
+    folder, target = Path("out"), tmp_path / "outside.csv"
+    folder.mkdir()
+    target.write_bytes(b"keep\n")
+    _plant(planted, folder / name, target)
+
+    code, err = _main_in_child([arg.format(folder=folder) for arg in argv])
+    assert code == EXIT_VALIDATION, err
+    assert f"field 'out': {str(folder / name)!r} is not a regular file" in err
+    assert [p.name for p in folder.iterdir()] == [name]
+    assert target.read_bytes() == b"keep\n"
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports dynloc from this checkout."""
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "madrd", "--duration", "30", "--events-out", "/dev/stdout"],
+        ["export-trace", "--duration", "2000"],
+        ["oracle", "--turn", "--steps", "5000"],  # many writes to stdout itself
+    ],
+    ids=["simulate-events-out", "export-trace", "oracle"],
+)
+def test_a_reader_that_closes_stdout_early_ends_the_command_with_0(argv):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dynloc.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
+    )
+    try:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=60)
+    finally:
+        child.kill()
+    assert (code, err.decode()) == (EXIT_OK, "")
+
+
 def test_serial_commands_never_load_the_process_pool(tmp_path):
     script = f"""
 import sys
@@ -579,10 +667,8 @@ for argv in (
     assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process", "multiprocessing"))))
 """
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"

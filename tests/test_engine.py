@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from dynloc import engine
-from dynloc.engine import _NOISE_CHUNK, EVENT_COLUMNS, GridMemo, RunConfig, Workspace, run
+from dynloc.engine import _NOISE_CHUNK, GridMemo, RunConfig, Workspace, run
+from dynloc.experiments import event_columns
 from dynloc.geometry import hypot_exact, localize
 from dynloc.mobility import (
     MobilityTrace,
@@ -42,15 +43,18 @@ def test_first_fix_is_forced_at_time_zero():
     for pcfg in (SfrConfig(period=2.0), DvmConfig(), MadrdConfig()):
         result = run(RunConfig(trace=trace, protocol_config=pcfg))
         assert result.fixes.t[0] == 0.0
-        assert result.localized[0] == 1
+        assert result.fixes.step[0] == 0
 
 
 def test_event_log_has_one_row_per_grid_step():
     trace = _trace(seed=7, duration=30.0)
-    result = run(RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0)))
-    for name in EVENT_COLUMNS:
-        assert len(getattr(result, name)) == len(trace)
-    assert result.t.tolist() == trace.times.tolist()
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
+    result = run(cfg)
+    assert result.config is cfg
+    columns = event_columns(result)
+    for col in columns.values():
+        assert len(col) == len(trace)
+    assert columns["t"].tolist() == trace.times.tolist()
 
 
 def test_error_at_fix_instants_is_bounded_by_noise():
@@ -61,7 +65,7 @@ def test_error_at_fix_instants_is_bounded_by_noise():
             noise_max=0.5, seed=3,
         )
     )
-    fix_errors = result.error[result.localized == 1]
+    fix_errors = result.error[result.fixes.step]
     assert fix_errors.max() <= 0.5 + 1e-12
 
 
@@ -73,7 +77,7 @@ def test_zero_noise_fix_rows_have_zero_error():
             noise_max=0.0,
         )
     )
-    for error in result.error[result.localized == 1].tolist():
+    for error in result.error[result.fixes.step].tolist():
         assert error == pytest.approx(0.0, abs=1e-12)
 
 
@@ -82,7 +86,7 @@ def test_held_report_is_piecewise_constant():
     result = run(
         RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
     )
-    held = np.flatnonzero(result.localized[1:] == 0) + 1
+    held = np.flatnonzero(event_columns(result)["localized"][1:] == 0) + 1
     assert np.array_equal(result.reported_x[held], result.reported_x[held - 1])
     assert np.array_equal(result.reported_y[held], result.reported_y[held - 1])
 
@@ -98,7 +102,7 @@ def test_dead_reckoned_report_moves_linearly_between_fixes():
     # After the second fix a velocity estimate exists; from then on the
     # reported x advances by exactly speed*dt inside every interval.
     second_fix_idx = result.fixes.step[1]
-    moving = np.flatnonzero(result.localized[second_fix_idx + 1:] == 0) + second_fix_idx + 1
+    moving = np.flatnonzero(event_columns(result)["localized"][second_fix_idx + 1:] == 0) + second_fix_idx + 1
     steps = result.reported_x[moving] - result.reported_x[moving - 1]
     assert steps.tolist() == pytest.approx([0.3] * moving.size, abs=1e-9)
     # And with perfect measurements on a straight track, the report is exact.
@@ -110,7 +114,7 @@ def test_scheduler_requests_snap_to_next_grid_step():
     result = run(
         RunConfig(trace=trace, protocol_config=SfrConfig(period=0.25))
     )
-    fix_times = result.t[result.localized == 1].tolist()
+    fix_times = trace.times[result.fixes.step].tolist()
     # Requests at 0.25, 0.55, 0.85, ... land on the next 0.1 grid step.
     assert fix_times[:5] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.2])
 
@@ -120,7 +124,7 @@ def test_grid_aligned_period_fires_every_period_exactly():
     result = run(
         RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
     )
-    fix_times = result.t[result.localized == 1].tolist()
+    fix_times = trace.times[result.fixes.step].tolist()
     assert fix_times == pytest.approx([0.0, 2.0, 4.0, 6.0, 8.0, 10.0])
 
 
@@ -141,8 +145,8 @@ def test_confidence_column_empty_unless_dead_reckoning():
     trace = _trace(seed=10, duration=20.0)
     sfr = run(RunConfig(trace=trace, protocol_config=SfrConfig()))
     madrd = run(RunConfig(trace=trace, protocol_config=MadrdConfig()))
-    assert set(sfr.confidence.tolist()) == {""}
-    assert set(madrd.confidence.tolist()) <= {"LC", "S1", "S2", "HC"}
+    assert set(event_columns(sfr)["confidence"].tolist()) == {""}
+    assert set(event_columns(madrd)["confidence"].tolist()) <= {"LC", "S1", "S2", "HC"}
 
 
 def test_accuracy_counts_rows_within_tolerance():
@@ -234,7 +238,8 @@ def test_backtracking_rewrites_interior_rows_onto_fix_chord():
     corrected = run(replace(base, backtracking_enabled=True))
     # On a noise-free straight line the reinterpolated track is exact, so
     # every non-fix row inside a closed interval drops to zero error.
-    closed_rows = corrected.error[(corrected.localized == 0) & (corrected.t < corrected.fixes.t[-1])]
+    events = event_columns(corrected)
+    closed_rows = corrected.error[(events["localized"] == 0) & (events["t"] < corrected.fixes.t[-1])]
     assert closed_rows.size and closed_rows.max() == pytest.approx(0.0, abs=1e-9)
     assert corrected.metrics.mean_error < plain.metrics.mean_error
     # At 3 m/s the held report drifts well past the 0-noise bound, so every
@@ -293,7 +298,7 @@ def test_errors_equal_hypot_exact_on_every_step_of_a_paused_trace(pcfg, noise, b
     trace = generate_random_waypoint(spec, np.random.default_rng(31))
     result = run(RunConfig(trace=trace, protocol_config=pcfg, noise_max=noise, seed=9,
                            backtracking_enabled=backtracking))
-    dx, dy = result.reported_x - result.true_x, result.reported_y - result.true_y
+    dx, dy = result.reported_x - trace.xs, result.reported_y - trace.ys
     assert result.error.view(np.int64).tolist() == hypot_exact(dx, dy).view(np.int64).tolist()
     if not (isinstance(pcfg, MadrdConfig) or backtracking):  # held reports: enough repeats to compress
         assert np.count_nonzero((dx[1:] == dx[:-1]) & (dy[1:] == dy[:-1])) > trace.times.size // 4
@@ -341,13 +346,13 @@ def test_run_matches_reference_across_noise_chunk_refills(pcfg, noise, backtrack
 
 
 def _event_columns(result) -> list[list]:
-    """The event columns of a run as lists, in :data:`EVENT_COLUMNS` order."""
-    return [getattr(result, name).tolist() for name in EVENT_COLUMNS]
+    """The event columns of a run as lists, in :data:`~dynloc.experiments.EVENT_COLUMNS` order."""
+    return [col.tolist() for col in event_columns(result).values()]
 
 
 def _bits(result) -> list[list]:
-    """Every fix and event column of a run, floats as int64 bit patterns, and its metrics."""
-    columns = [*result.fixes, *(getattr(result, name) for name in EVENT_COLUMNS)]
+    """Every fix and per-step column of a run, floats as int64 bit patterns, and its metrics."""
+    columns = [*result.fixes, result.reported_x, result.reported_y, result.error]
     bits = [c.view(np.int64).tolist() if c.dtype.kind == "f" else c.tolist() for c in columns]
     return bits + [repr(result.metrics)]
 

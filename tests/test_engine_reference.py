@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc.engine import _SCHED_EPS, EVENT_COLUMNS, Fixes, RunConfig, Workspace, backtrack_correct, run
+from dynloc.engine import _SCHED_EPS, Fixes, RunConfig, Workspace, backtrack_correct, run
+from dynloc.experiments import event_columns
 from dynloc.mobility import MobilityTrace, generate_gauss_markov, generate_random_waypoint
 from dynloc.protocols import FIX_COLUMNS, PROTOCOLS, Confidence, DvmConfig, MadrdConfig, SfrConfig, madrd_predict
 
@@ -92,41 +93,43 @@ def test_fix_driven_run_matches_per_step_reference(trace, protocol, noise, toler
     result = run(cfg)
     events, ref_fixes, metrics = reference_run(cfg)
     f = result.fixes
+    e = event_columns(result)
 
-    assert _bits(zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))) == _bits(events)
+    assert _bits(zip(*(col.tolist() for col in e.values()))) == _bits(events)
     assert list(zip(f.t.tolist(), f.x.tolist(), f.y.tolist())) == ref_fixes
     assert result.metrics == metrics
-    for name in EVENT_COLUMNS:
-        assert len(getattr(result, name)) == len(trace)
+    assert result.config is cfg
+    for col in e.values():
+        assert len(col) == len(trace)
 
     # Fix times are strictly increasing grid times, the first one at t=0.
     fix_times = f.t.tolist()
     assert fix_times[0] == 0.0
     assert all(a < b for a, b in zip(fix_times, fix_times[1:]))
-    assert fix_times == result.t[result.localized == 1].tolist()
+    assert fix_times == e["t"][e["localized"] == 1].tolist()
 
     # The period stays inside the protocol's limits.
     if kind == "sfr":
-        assert set(result.period.tolist()) == {pcfg.period}
+        assert set(e["period"].tolist()) == {pcfg.period}
     else:
-        assert pcfg.t_min <= result.period.min() and result.period.max() <= pcfg.t_max
+        assert pcfg.t_min <= e["period"].min() and e["period"].max() <= pcfg.t_max
 
     # MADRD's confidence moves at most one state per fix; the others carry none.
     if kind == "madrd":
-        at_fixes = [Confidence[c].value for c in result.confidence[result.localized == 1]]
+        at_fixes = [Confidence[c].value for c in e["confidence"][e["localized"] == 1]]
         assert all(abs(a - b) <= 1 for a, b in zip(at_fixes, at_fixes[1:]))
     else:
-        assert set(result.confidence.tolist()) == {""}
+        assert set(e["confidence"].tolist()) == {""}
     if not backtracking:
         assert result.metrics.correction_count == 0
 
     # The per-fix columns agree with the event columns.
     assert f._fields[1:] == FIX_COLUMNS
-    assert f.step.tolist() == np.flatnonzero(result.localized).tolist()
-    assert f.period.tolist() == result.period[f.step].tolist()
+    assert f.step.tolist() == np.flatnonzero(e["localized"]).tolist()
+    assert f.period.tolist() == e["period"][f.step].tolist()
     if kind == "madrd":
         levels = f.confidence.tolist()
-        assert [Confidence(c).name for c in levels] == result.confidence[f.step].tolist()
+        assert [Confidence(c).name for c in levels] == e["confidence"][f.step].tolist()
         assert np.isnan(f.prediction_error[0]) and not np.isnan(f.prediction_error[1:]).any()
         # Confidence steps down exactly where the prediction missed by more than the threshold.
         missed = (f.prediction_error[1:] > pcfg.divergence_threshold).tolist()
@@ -162,7 +165,7 @@ def fixed_rate_cases(draw):
 
 
 def _columns(result):
-    return [*result.fixes, *(getattr(result, name) for name in EVENT_COLUMNS)]
+    return [*result.fixes, result.reported_x, result.reported_y, result.error]
 
 
 def _without_fixed_rate(mp):

@@ -578,15 +578,15 @@ def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides)
     run_sweep(_one_class_spec(protocols=_ALL_PROTOCOLS, **overrides), workers=1, events_dir=events_dir)
     assert sorted(p for p, _, _ in written) == sorted(events_dir.glob("events_*.csv"))
     if overrides.get("pause_times"):
-        assert any(np.any(r.true_x[1:] == r.true_x[:-1]) for _, _, r in written)
+        assert any(np.any(r.config.trace.xs[1:] == r.config.trace.xs[:-1]) for _, _, r in written)
     for path, config, result in written:
         write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
         assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes(), path.name
 
 
 def _event_rows(result):
-    """The rows of a run's event columns, in :data:`EVENT_COLUMNS` order."""
-    return zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))
+    """The rows of a run's event columns, in :data:`EVENT_COLUMNS` order, through the writer's own expansion."""
+    return zip(*(col.tolist() for col in experiments.event_columns(result).values()))
 
 
 def _record_event_writes(monkeypatch) -> list[tuple]:
@@ -621,7 +621,7 @@ def test_batch_over_alternating_grids_writes_each_cell_as_alone(tmp_path, monkey
     batch_dir.mkdir()
     alone_dir.mkdir()
     batch = _run_batch(spec, cells, str(batch_dir))
-    steps = [(r.t.size, r.t[-1]) for _, _, r in written[:: len(_ALL_PROTOCOLS)]]
+    steps = [(r.config.trace.times.size, r.config.trace.times[-1]) for _, _, r in written[:: len(_ALL_PROTOCOLS)]]
     assert steps == [(301, 30.0), (301, 60.0), (301, 30.0), (201, 20.0), (301, 60.0), (201, 20.0)]
     for path, config, result in written:
         write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
@@ -683,19 +683,18 @@ def _recorded_event_log(monkeypatch, result) -> _RecordingText:
 def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
     trace = generate_random_waypoint(trace_spec(duration=900.0), np.random.default_rng(6))
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=2))
-    assert result.t.size == 9001
+    assert result.error.size == 9001
     assert min(result.reported_x.min(), result.reported_y.min()) < 0  # dead reckoning past the edge
     write_events_csv(tmp_path / "events.csv", {}, result)
     # The row writer formats each cell on its own: the bytes hold across blocks of distinct values.
-    rows = zip(*(getattr(result, name).tolist() for name in EVENT_COLUMNS))
-    write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, rows)
+    write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
     assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "events.csv").read_bytes()
     recorder = _recorded_event_log(monkeypatch, result)
     text = recorder.getvalue()
     assert text == (tmp_path / "events.csv").read_text() and len(text) > 8 * 65536
     # A whole-file string (about 1 MB here) would arrive in one write, and rows one at a time in 9,001.
     assert max(recorder.sizes) <= 65536
-    assert len(recorder.sizes) <= -(-result.t.size // experiments._WRITE_ROWS) + 1
+    assert len(recorder.sizes) <= -(-result.error.size // experiments._WRITE_ROWS) + 1
 
 
 # Rows around one and two assembly blocks of floattext.BLOCK (2048) rows, as well as around one write.
@@ -705,7 +704,7 @@ def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, block
     full = generate_random_waypoint(trace_spec(duration=max(60.0, rows * 0.1)), np.random.default_rng(9))
     trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
-    assert result.t.size == rows
+    assert result.error.size == rows
     write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
     recorder = _recorded_event_log(monkeypatch, result)
     assert recorder.getvalue() == (tmp_path / "rows.csv").read_text()
@@ -721,11 +720,12 @@ def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
     rows = 2 * experiments._WRITE_ROWS + 1
     trace = MobilityTrace(0, np.arange(rows) * 0.1, np.zeros(rows), np.zeros(rows), 0.1, 10.0, 10.0)
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
-    floats = [name for name in EVENT_COLUMNS if getattr(result, name).dtype.kind == "f"]
+    columns = experiments.event_columns(result)
+    floats = [name for name, col in columns.items() if col.dtype.kind == "f"]
     assert len(floats) == 7 and values.size >= 7 * rows
     wide = {name: values[k * rows : (k + 1) * rows] for k, name in enumerate(floats)}
     wide["t"][0] = -2.2250738585072014e-308
-    result = dataclasses.replace(result, **wide, confidence=np.full(rows, "LC"))
+    monkeypatch.setattr(experiments, "event_columns", lambda _: {**columns, **wide, "confidence": np.full(rows, "LC")})
     write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
     reference = (tmp_path / "rows.csv").read_text()
     assert {len(line) for line in reference.splitlines(keepends=True)[3:]} == {180}
@@ -751,14 +751,15 @@ def test_trace_text_of_another_length_fails_and_keeps_the_old_file(tmp_path):
 def test_event_column_of_another_length_fails_before_any_byte(tmp_path, monkeypatch, name, shared):
     trace = generate_random_waypoint(trace_spec(duration=30.0), np.random.default_rng(4))
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=1))
-    short = dataclasses.replace(result, **{name: getattr(result, name)[:-1]})
+    columns = experiments.event_columns(result)
+    monkeypatch.setattr(experiments, "event_columns", lambda _: {**columns, name: columns[name][:-1]})
     path = tmp_path / "events.csv"
     path.write_text("old\n")
     opened = []
     atomic_write = experiments._atomic_write
     monkeypatch.setattr(experiments, "_atomic_write", lambda target: opened.append(target) or atomic_write(target))
     with pytest.raises(ValueError, match="one length"):
-        write_events_csv(path, {}, short, _trace_cells(trace) if shared else None)
+        write_events_csv(path, {}, result, _trace_cells(trace) if shared else None)
     assert opened == []
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
