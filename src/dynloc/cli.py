@@ -318,9 +318,9 @@ def _cmd_import_trace(args) -> int:
     else:
         traces = mobility.import_traces(text, args.dt, area_w, area_h, duration=args.duration)
     experiments.write_waypoints(args.out, traces)
-    sys.stderr.write(
-        f"imported {len(traces)} node(s), {len(traces[0])} samples each at dt={args.dt:g}\n"
-    )
+    lo, hi = min(map(len, traces)), max(map(len, traces))
+    samples = f"{lo} samples each" if lo == hi else f"{lo}-{hi} samples"
+    sys.stderr.write(f"imported {len(traces)} node(s), {samples} at dt={args.dt:g}\n")
     return EXIT_OK
 
 

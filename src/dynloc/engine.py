@@ -1,8 +1,10 @@
 """Fix-driven simulation engine: drive one scheduler over one mobility trace.
 
-The engine owns the clock and the measurement noise.  Localizations fire at
-the first grid step at or after the scheduler's requested time (ceiling snap
-onto the dt grid), at most one per step; the very first fix is forced at t=0.
+The engine owns the clock and the measurement noise.  The clock is the trace's
+time grid, step ``k`` at ``k * dt`` (:class:`~dynloc.mobility.MobilityTrace`).
+Localizations fire at the first grid step at or after the scheduler's requested
+time (ceiling snap onto the grid), at most one per step; the very first fix is
+forced at t=0.
 
 Python steps once per fix, not once per grid step, and only on plain floats:
 each fix calls the protocol's ``step`` (:data:`~dynloc.protocols.PROTOCOLS`)
@@ -39,10 +41,10 @@ What a run costs before and besides its fixes -- the scratch block of
 :func:`~dynloc.geometry.hypot_exact`, the fix schedule of the time grid, the
 walked fix steps of each fixed-rate period, the noise stream -- lives in a
 :class:`Workspace`.  A caller that makes many runs passes one workspace to
-each, so runs on the same grid (every run of a sweep) or the same noise seed
-(the protocols of one sweep cell) share that work; :func:`run` without one
-builds a fresh workspace.  A result never refers to
-workspace memory, and it is the same, bit for bit, with a fresh or a shared
+each, so runs on the same grid, the same ``(samples, dt)`` (every run of a
+sweep), or the same noise seed (the protocols of one sweep cell) share that
+work; :func:`run` without one builds a fresh workspace.  A result never refers
+to workspace memory, and it is the same, bit for bit, with a fresh or a shared
 workspace.
 """
 
@@ -52,13 +54,14 @@ import math
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, count
-from typing import Any, Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
-from .mobility import MobilityTrace
+from .mobility import MobilityTrace, grid_times
 from .protocols import FIX_COLUMNS, PROTOCOLS, ProtocolConfig, ProtocolKind, madrd_predict
 
 __all__ = [
@@ -67,7 +70,6 @@ __all__ = [
     "RunMetrics",
     "Fixes",
     "RunResult",
-    "GridMemo",
     "Workspace",
     "backtrack_correct",
     "run",
@@ -162,32 +164,12 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class GridMemo:
-    """``build(times)`` of the last time grid seen, built again only when the grid changes.
-
-    Two grids are the same when they are one array or hold the same bits, so
-    the traces of a sweep, each with its own ``times`` array, share one value.
-    """
-
-    def __init__(self, build: Callable[[np.ndarray], Any]) -> None:
-        self._build = build
-        self._times: np.ndarray | None = None
-        self._value: Any = None
-
-    def __call__(self, times: np.ndarray) -> Any:
-        if times is not self._times:
-            if self._times is None or not np.array_equal(times.view(np.int64), self._times.view(np.int64)):
-                self._value = self._build(times)
-            self._times = times
-        return self._value
-
-
 class Workspace:
     """What consecutive runs share: scratch memory, the schedules of a time grid, a noise stream.
 
     It keeps one grow-only :func:`~dynloc.geometry.hypot_exact` scratch block;
-    as ``grid``, one :class:`GridMemo` (so the traces of a sweep
-    share them), the fix schedule of the last grid it saw and the fix steps of
+    as ``grid(samples, dt)``, keyed on the time grid's value (so the traces of a
+    sweep share them), the fix schedule of the last grid it saw and the fix steps of
     the first walked run of every fixed-rate period on that grid (keyed by the
     bits of the period); and the fix displacements drawn so far from the last
     noise stream (keyed by the seed and the bits of the noise bound, since
@@ -198,10 +180,10 @@ class Workspace:
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
-        # grid(times) is (due, kept).  A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due`` is
-        # ``times + eps`` as a list, ``np.searchsorted`` without its per-call overhead.  ``kept`` holds read-only
+        # grid(samples, dt) is (due, kept).  A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due``
+        # is ``times + eps`` as a list, ``np.searchsorted`` without its per-call overhead.  ``kept`` holds read-only
         # fixed-rate fix steps keyed by the bits of a period; it starts empty for each grid, and run fills it.
-        self.grid = GridMemo(lambda times: ((times + _SCHED_EPS).tolist(), {}))
+        self.grid = lru_cache(maxsize=1)(lambda samples, dt: ((grid_times(samples, dt) + _SCHED_EPS).tolist(), {}))
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
         self._dx: list[float] = []
@@ -249,7 +231,7 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
     """
     times, xs, ys = cfg.trace.times, cfg.trace.xs, cfg.trace.ys
     n = times.size
-    due, kept = ws.grid(times)
+    due, kept = ws.grid(n, cfg.trace.dt)
     pcfg, step = cfg.protocol_config, kind.step
     dxs, dys = ws.noise(cfg.noise_max, cfg.seed, 1)
     t = times.item(0)
@@ -358,8 +340,6 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     trace = cfg.trace
     times = trace.times
     n = times.size
-    if not times.item(0) >= 0:
-        raise ValueError(f"sample time must be >= 0, got {times.item(0)}")
     kind = PROTOCOLS[cfg.protocol]
     fixes = _fixes(cfg, kind, ws)
     if not (np.isfinite(fixes.x).all() and np.isfinite(fixes.y).all()):

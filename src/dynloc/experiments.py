@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -43,13 +44,14 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import GridMemo, RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
+from .engine import RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
 from .mobility import (
     MobilityTrace,
     TraceSpec,
     export_trace,
     generate_gauss_markov,
     generate_random_waypoint,
+    grid_times,
 )
 from .protocols import PROTOCOLS, Confidence, ProtocolConfig
 
@@ -415,7 +417,7 @@ def _run_cell(
     rep: int,
     events_dir: str | None,
     workspace: Workspace,
-    time_cells: GridMemo,
+    time_cells: Callable[[int, float], tuple],
 ) -> list[RunRecord]:
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = run_seeds(spec.seed_base, class_index, pause_index, rep)
@@ -427,7 +429,7 @@ def _run_cell(
     # The protocol runs of a cell share the trace, so its event cells are formatted once.
     trace_cells = None
     if events_dir is not None:
-        trace_cells = [time_cells(trace.times), _event_cells(trace.xs), _event_cells(trace.ys)]
+        trace_cells = [time_cells(len(trace), trace.dt), _event_cells(trace.xs), _event_cells(trace.ys)]
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
@@ -477,7 +479,8 @@ def _run_batch(
     spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | None
 ) -> list[list[RunRecord]]:
     """The records of each cell in ``cells``, in order, all run on one workspace and one ``t`` cell slot."""
-    workspace, time_cells = Workspace(), GridMemo(_event_cells)
+    time_cells = functools.lru_cache(maxsize=1)(lambda samples, dt: _event_cells(grid_times(samples, dt)))
+    workspace = Workspace()
     return [_run_cell(spec, ci, pi, rep, events_dir, workspace, time_cells) for ci, pi, rep in cells]
 
 
@@ -712,15 +715,22 @@ def _atomic_write(path: str | os.PathLike | None):
 
     ``None`` writes to ``sys.stdout`` as it is at the call.  A symlink
     (``/dev/stdout``), pipe or device is written in place: a rename would
-    replace the link or node instead of writing through it.  A stale regular temp
-    file is removed; anything else at the temp name fails the write untouched.
+    replace the link or node instead of writing through it.  One that opens the
+    file descriptor 1 has open is written through ``sys.stdout``, after what it
+    holds: opening it anew would truncate a file that stdout is redirected to.
+    A stale regular temp file is removed; anything else at the temp name fails
+    the write untouched.
     """
     if path is None:
         yield sys.stdout
         return
     path = os.fspath(path)
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            is_stdout = os.path.samestat(os.fstat(1), os.stat(path))
+        except OSError:  # a dangling link, or no descriptor 1
+            is_stdout = False
+        with contextlib.nullcontext(sys.stdout) if is_stdout else open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     tmp = path + ".tmp"
@@ -775,9 +785,9 @@ def write_summary_csv(path: str | os.PathLike, spec: SweepSpec, rows: Sequence[S
 
 
 def write_waypoints(path: str | os.PathLike | None, traces: Iterable[MobilityTrace]) -> None:
-    """Write ``traces`` as waypoint text, one :func:`~dynloc.mobility.export_trace` line each (stdout when None)."""
+    """Write ``traces`` as waypoint text, one :func:`~dynloc.mobility.export_trace` block a write (stdout when None)."""
     with _atomic_write(path) as fh:
-        fh.writelines(map(export_trace, traces))
+        fh.writelines(chain.from_iterable(map(export_trace, traces)))
 
 
 def _event_cells(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 """Ground-truth mobility: trace container, generators, and a waypoint text format.
 
 A :class:`MobilityTrace` is the true path of a single node sampled on a
-uniform time grid.  Traces come from three places:
+uniform time grid: sample ``k`` is at ``k * dt``.  A trace that runs for
+``duration`` seconds has ``n = ceil(duration / dt - 1e-9) + 1`` samples, so its
+last one is at or just past ``duration``.  Traces come from three places:
 
 * :func:`generate_random_waypoint` -- classic random-waypoint motion: pick a
   uniform destination in the area, walk to it at a per-leg uniform speed,
@@ -24,8 +26,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .oracles import require_positive
 __all__ = [
     "MobilityTrace",
     "MAX_GRID_STEPS",
+    "grid_times",
     "MOBILITY_MODELS",
     "TraceSpec",
     "WaypointParseError",
@@ -55,6 +58,10 @@ MAX_GRID_STEPS = 2_000_000
 # a step shorter than the area's sides takes one.
 _MAX_REFLECTIONS = 64
 
+# Waypoint triples per block of exported text.  A triple is at most 3 floats of <= 24 chars and
+# 3 spaces, so a block and its line end are at most 37,501 chars, inside the 64 KiB a write may take.
+_EXPORT_TRIPLES = 500
+
 
 class WaypointParseError(ValueError):
     """Malformed waypoint text; carries the 1-based source line number."""
@@ -66,35 +73,28 @@ class WaypointParseError(ValueError):
 
 @dataclass(frozen=True)
 class MobilityTrace:
-    """True path of one node on a uniform dt grid, immutable once built."""
+    """True path of one node, immutable once built; its time grid is the value ``(len(trace), dt)``, and its
+    ``times`` is derived from it, not given."""
 
     node_id: int
-    times: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
     dt: float
     area_w: float
     area_h: float
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
         xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
-        if times.ndim != 1 or times.size == 0:
+        if xs.ndim != 1 or xs.size == 0:
             raise ValueError("trace needs at least one sample")
-        if xs.shape != times.shape or ys.shape != times.shape:
-            raise ValueError("times, xs, ys must have identical length")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if ys.shape != xs.shape:
+            raise ValueError("xs, ys must have identical length")
+        require_positive(self.dt, "dt")
         _require_area(self.area_w, self.area_h)
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
+        if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
             raise ValueError("trace samples must be finite")
-        if times.size > 1:
-            gaps = np.diff(times)
-            if gaps.min() <= 0:
-                raise ValueError("trace times must be strictly increasing")
-            if not np.abs(gaps - self.dt).max() <= 1e-6 * self.dt:
-                raise ValueError("trace times must be uniformly spaced by dt")
         if (
             xs.min() < -_TIME_EPS
             or xs.max() > self.area_w + _TIME_EPS
@@ -102,12 +102,12 @@ class MobilityTrace:
             or ys.max() > self.area_h + _TIME_EPS
         ):
             raise ValueError("trace positions must lie within the area bounds")
-        for arr, name in ((times, "times"), (xs, "xs"), (ys, "ys")):
+        for arr, name in ((grid_times(xs.size, self.dt), "times"), (xs, "xs"), (ys, "ys")):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return int(self.times.size)
+        return int(self.xs.size)
 
     def content_hash(self) -> str:
         """SHA-256 over the exact sample bytes; identical traces hash identically."""
@@ -128,7 +128,7 @@ def _require_area(area_w: float, area_h: float) -> None:
 
 
 def _grid_size(duration: float, dt: float) -> int:
-    """The samples from t = 0 to ``duration`` rounded up to whole ``dt`` steps, of fewer than ``MAX_GRID_STEPS``."""
+    """The samples ``n`` of a ``duration`` at ``dt`` (see the module doc), of fewer than ``MAX_GRID_STEPS`` steps."""
     require_positive(duration, "duration")
     require_positive(dt, "dt")
     steps = duration / dt
@@ -137,8 +137,9 @@ def _grid_size(duration: float, dt: float) -> int:
     return int(math.ceil(steps - _TIME_EPS)) + 1
 
 
-def _grid(duration: float, dt: float) -> np.ndarray:
-    return np.arange(_grid_size(duration, dt), dtype=float) * dt
+def grid_times(samples: int, dt: float) -> np.ndarray:
+    """The time grid of ``samples`` samples ``dt`` apart: ``k * dt`` for ``k`` from 0."""
+    return np.arange(samples, dtype=float) * dt
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> Mobil
     ``MAX_GRID_STEPS`` legs, or it raises before it draws any.
     """
     v_min, v_max = spec.speed_class
-    times = _grid(spec.duration, spec.dt)
+    times = grid_times(_grid_size(spec.duration, spec.dt), spec.dt)
     legs = spec.duration / (spec.pause_time + max(spec.area_w, spec.area_h) / v_max)
     if not legs <= MAX_GRID_STEPS:
         raise ValueError(
@@ -232,7 +233,7 @@ def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> Mobil
             knot_y.append(y)
     xs = np.interp(times, knot_t, knot_x)
     ys = np.interp(times, knot_t, knot_y)
-    return MobilityTrace(0, times, xs, ys, spec.dt, spec.area_w, spec.area_h)
+    return MobilityTrace(0, xs, ys, spec.dt, spec.area_w, spec.area_h)
 
 
 def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
@@ -249,8 +250,7 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
     step still outside after ``_MAX_REFLECTIONS`` reflections raises.
     """
     dt, area_w, area_h = spec.dt, spec.area_w, spec.area_h
-    times = _grid(spec.duration, dt)
-    n = times.size
+    n = _grid_size(spec.duration, dt)
     x = rng.uniform(0.0, area_w)
     y = rng.uniform(0.0, area_h)
     xs = [x]
@@ -299,7 +299,7 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
             heading_pull = (1.0 - m) * mean_heading
         add_x(x)
         add_y(y)
-    return MobilityTrace(0, times, np.array(xs), np.array(ys), dt, area_w, area_h)
+    return MobilityTrace(0, np.array(xs), np.array(ys), dt, area_w, area_h)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +350,10 @@ def trace_from_waypoints(
     if np.any(wx < 0) or np.any(wx > area_w) or np.any(wy < 0) or np.any(wy > area_h):
         raise ValueError(f"waypoints must lie within the {area_w}x{area_h} area")
     end = float(wt[-1]) if duration is None else float(duration)
-    times = _grid(end, dt) if end > 0 or duration is not None else np.array([0.0])
+    times = grid_times(_grid_size(end, dt) if end > 0 or duration is not None else 1, dt)
     xs = np.interp(times, wt, wx)
     ys = np.interp(times, wt, wy)
-    return MobilityTrace(node_id, times, xs, ys, dt, area_w, area_h)
+    return MobilityTrace(node_id, xs, ys, dt, area_w, area_h)
 
 
 def import_trace(
@@ -403,13 +403,15 @@ def import_traces(
     return traces
 
 
-def export_trace(trace: MobilityTrace) -> str:
-    """Serialize a trace as one waypoint line; floats keep full precision.
+def export_trace(trace: MobilityTrace) -> Iterator[str]:
+    """Serialize a trace as one waypoint line, in blocks of ``_EXPORT_TRIPLES`` triples; floats keep full precision.
 
     Every sample is written as a waypoint, so re-importing at the same dt
     reproduces the trace exactly.
     """
-    parts: list[str] = []
-    for t, x, y in zip(trace.times, trace.xs, trace.ys):
-        parts.append(f"{float(t)!r} {float(x)!r} {float(y)!r}")
-    return " ".join(parts) + "\n"
+    n = len(trace)
+    for start in range(0, n, _EXPORT_TRIPLES):
+        stop = min(start + _EXPORT_TRIPLES, n)
+        columns = (c[start:stop].tolist() for c in (trace.times, trace.xs, trace.ys))
+        text = " ".join(f"{t!r} {x!r} {y!r}" for t, x, y in zip(*columns))
+        yield (" " if start else "") + text + ("\n" if stop == n else "")

@@ -318,8 +318,6 @@ def reference_run(cfg: RunConfig) -> tuple[list[EventRow], list[RefFix], RunMetr
         ty = true_ys[k]
         localized = 0
         if state is None or t + _SCHED_EPS >= state.next_localization_time:
-            if t < 0:
-                raise ValueError(f"sample time must be >= 0, got {t}")
             dx, dy = ref_fix_offset(cfg.noise_max, rng)
             fix = RefFix(t, tx + dx, ty + dy)
             if not (math.isfinite(fix.x) and math.isfinite(fix.y)):

@@ -653,6 +653,19 @@ def test_a_reader_that_closes_stdout_early_ends_the_command_with_0(argv):
     assert (code, err.decode()) == (EXIT_OK, "")
 
 
+def test_events_out_dev_stdout_keeps_the_summary_row_in_a_redirected_file(tmp_path):
+    argv = [sys.executable, "-m", "dynloc.cli", "simulate", "--protocol", "madrd", "--duration", "1",
+            "--events-out", "/dev/stdout"]
+    piped = subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60)
+    assert piped.returncode == 0 and piped.stderr == b""
+    with open(tmp_path / "f.txt", "wb") as out:
+        done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    assert done.returncode == 0 and done.stderr == b""
+    # The simulate table (4 lines), then the event log (3 header lines, 11 rows).
+    assert piped.stdout.count(b"\n") == 18 and piped.stdout.startswith(b"# dynloc simulate v1\n")
+    assert (tmp_path / "f.txt").read_bytes() == piped.stdout
+
+
 def test_serial_commands_never_load_the_process_pool(tmp_path):
     script = f"""
 import sys
@@ -949,6 +962,15 @@ def test_import_trace_selects_single_node(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "imported 1 node(s), 11 samples" in captured.err
     assert captured.out.count("\n") == 1
+
+
+def test_import_trace_reports_the_sample_counts_of_nodes_of_other_lengths(tmp_path, capsys):
+    src = tmp_path / "two.txt"
+    src.write_text("0 1 1 10 2 2\n0 5 5 20 6 6\n")
+    assert main(["import-trace", "--in", str(src), "--dt", "1"]) == EXIT_OK
+    assert capsys.readouterr().err == "imported 2 node(s), 11-21 samples at dt=1\n"
+    assert main(["import-trace", "--in", str(src), "--dt", "1", "--duration", "30"]) == EXIT_OK
+    assert capsys.readouterr().err == "imported 2 node(s), 31 samples each at dt=1\n"
 
 
 def test_import_trace_reports_bad_line(tmp_path, capsys):

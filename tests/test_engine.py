@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dynloc import engine
-from dynloc.engine import _NOISE_CHUNK, GridMemo, RunConfig, Workspace, run
+from dynloc.engine import _NOISE_CHUNK, RunConfig, Workspace, run
 from dynloc.experiments import event_columns
 from dynloc.geometry import hypot_exact, localize
 from dynloc.mobility import (
@@ -193,14 +193,13 @@ def test_run_config_rejects_a_bad_noise_bound_or_tolerance(name, value):
     ("trace", "period", "noise", "match"),
     [
         # t + period rounds back to t once t's ulp outgrows the period.
-        (MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
+        (MobilityTrace(0, np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
          1e-14, 0.0, "next fix"),
         # A fix displaced past the largest double.
-        (MobilityTrace(0, np.array([0.0]), np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
+        (MobilityTrace(0, np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
          2.0, 1e308, "finite"),
-        (MobilityTrace(0, np.array([-1.0, 0.0]), np.zeros(2), np.zeros(2), 1.0, 10.0, 10.0), 2.0, 0.0, ">= 0"),
     ],
-    ids=["fix-not-later", "non-finite-fix", "negative-time"],
+    ids=["fix-not-later", "non-finite-fix"],
 )
 def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match):
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=period), noise_max=noise)
@@ -216,7 +215,7 @@ def test_run_rejects_a_fix_the_scheduler_cannot_take(trace, period, noise, match
 )
 def test_a_fix_that_cannot_come_later_names_the_field_that_floors_the_period(config, field):
     # t + period rounds back to t at t=200 s; DVM's and MADRD's period is at least t_min.
-    trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
+    trace = MobilityTrace(0, np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
     with pytest.raises(ValueError, match=f"^field '{field}': the next fix must come after the fix at t=200.0"):
         run(RunConfig(trace=trace, protocol_config=config, noise_max=0.0))
 
@@ -271,8 +270,7 @@ def test_backtracking_counts_a_move_one_ulp_past_the_noise_bound():
     # it by ulps until the one interior step moves by math.hypot = bound + 1 ulp,
     # while np.hypot rounds the same move to the bound itself.
     x2, y2 = float.fromhex("0x1.4f5fb5560be5bp+3"), float.fromhex("0x1.64f8caa72b688p+3")
-    trace = MobilityTrace(0, np.array([0.0, 1.0, 2.0]), np.array([10.0, 10.0, x2]),
-                          np.array([10.0, 10.0, y2]), 1.0, 100.0, 100.0)
+    trace = MobilityTrace(0, np.array([10.0, 10.0, x2]), np.array([10.0, 10.0, y2]), 1.0, 100.0, 100.0)
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0), noise_max=0.5,
                     seed=0, backtracking_enabled=True)
     # The move of step 1 from the held first fix onto the chord midpoint, by the engine's operations.
@@ -359,8 +357,8 @@ def _bits(result) -> list[list]:
 
 def _signed_zero_trace(duration: float = 30.0) -> MobilityTrace:
     # A node parked at (-0.0, -0.0): a fix there keeps the sign of zero its noise draws.
-    times = np.arange(round(duration / 0.1) + 1) * 0.1
-    return MobilityTrace(0, times, np.full(times.size, -0.0), np.full(times.size, -0.0), 0.1, 10.0, 10.0)
+    n = round(duration / 0.1) + 1
+    return MobilityTrace(0, np.full(n, -0.0), np.full(n, -0.0), 0.1, 10.0, 10.0)
 
 
 def test_runs_on_a_shared_workspace_equal_fresh_runs():
@@ -401,32 +399,23 @@ def test_runs_on_a_shared_workspace_equal_fresh_runs():
 
 def test_workspace_schedule_is_keyed_by_the_grid_value():
     first, second = _trace(seed=31, duration=120.0), _trace(seed=33, duration=120.0)
-    assert first.times is not second.times and np.array_equal(first.times, second.times)
-    # The same length on other values, and a prefix of the first grid.
-    shifted = MobilityTrace(0, first.times + 0.05, first.xs, first.ys, 0.1, 300.0, 300.0)
+    assert first.times is not second.times
+    # The same length at another dt, and a prefix of the first grid.
+    coarse = dataclasses.replace(first, dt=0.2)
     prefix = _trace(seed=34, duration=60.0)
     madrd = MadrdConfig(divergence_threshold=2.0, t_min=0.5, t_max=4.0)
     workspace = Workspace()
     schedules = []
-    for trace in (first, second, shifted, prefix, first):
+    for trace in (first, second, coarse, prefix, first):
         cfg = RunConfig(trace=trace, protocol_config=madrd, seed=5)
         assert _bits(run(cfg, workspace)) == _bits(run(cfg))
-        schedules.append(workspace.grid(trace.times)[0])
-    assert schedules[1] is schedules[0]  # bit-equal grids in separate arrays share one schedule
+        schedules.append(workspace.grid(len(trace), trace.dt)[0])
+    assert schedules[1] is schedules[0]  # traces on one grid share one schedule
     assert all(schedules[i] is not schedules[i - 1] for i in (2, 3, 4))
     assert schedules[4] == schedules[0]
-
-
-def test_grid_memo_builds_once_per_grid_of_distinct_bits():
-    built = []
-    memo = GridMemo(lambda times: built.append(times) or [repr(t) for t in times.tolist()])
-    grid = np.arange(5) * 0.1
-    signed = grid.copy()
-    signed[0] = -0.0  # equal to grid by value, not by bits
-    texts = [memo(g) for g in (grid, grid.copy(), signed, signed, grid[:3].copy(), grid)]
-    assert len(built) == 4
-    assert texts[0] is texts[1] and texts[2] is texts[3]
-    assert texts[2][0] == "-0.0" and texts[5] == texts[0] and texts[4] == texts[0][:3]
+    assert len(schedules[2]) == len(schedules[0]) and schedules[2] != schedules[0]
+    assert schedules[3] == schedules[0][: len(schedules[3])]
+    assert workspace.grid.cache_info().misses == 4  # built once per change of grid
 
 
 def test_run_calls_the_names_a_tracer_wraps(monkeypatch):
@@ -521,7 +510,7 @@ def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
     sfr = PROTOCOLS["sfr"]
     steps_taken = []
     monkeypatch.setitem(PROTOCOLS, "sfr", sfr._replace(step=lambda *args: steps_taken.append(args[0]) or sfr.step(*args)))
-    trace = MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
+    trace = MobilityTrace(0, np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0)
     cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=1e-14))
     workspace = Workspace()
     for _ in range(2):
@@ -529,4 +518,4 @@ def test_fixed_rate_schedule_that_raises_is_not_kept(monkeypatch):
             run(cfg, workspace)
     # Each run walks up to the fix that raises: the first one kept nothing.
     assert steps_taken == [0.0, 100.0, 200.0] * 2
-    assert workspace.grid(trace.times)[1] == {}
+    assert workspace.grid(len(trace), trace.dt)[1] == {}

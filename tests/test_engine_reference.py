@@ -185,7 +185,7 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
     # workspace; the run under test reads them in array form.
     workspace = Workspace()
     run(dataclasses.replace(cfg, seed=seed ^ 1, noise_max=0.5), workspace)
-    assert len(workspace.grid(trace.times)[1]) == 1
+    assert len(workspace.grid(len(trace), trace.dt)[1]) == 1
     fixed = run(cfg, workspace)
     with pytest.MonkeyPatch.context() as mp:
         _without_fixed_rate(mp)
@@ -202,10 +202,10 @@ def test_fixed_rate_run_matches_the_per_fix_loop(case, noise, seed, backtracking
     ("trace", "period", "noise", "match"),
     [
         # t + period rounds back to t once half of t's ulp outgrows the period: at t=200, not t=100.
-        (MobilityTrace(0, np.arange(0.0, 1100.0, 100.0), np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
+        (MobilityTrace(0, np.zeros(11), np.zeros(11), 100.0, 10.0, 10.0),
          1e-14, 0.0, "next fix must come after the fix at t=200.0, got 200.0"),
         # A fix displaced past the largest double.
-        (MobilityTrace(0, np.array([0.0]), np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
+        (MobilityTrace(0, np.array([1.7e308]), np.array([1.7e308]), 1.0, 1.7e308, 1.7e308),
          2.0, 1e308, "finite"),
     ],
     ids=["fix-not-later", "non-finite-fix"],

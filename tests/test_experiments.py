@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynloc import cli, experiments, floattext
+from dynloc import cli, experiments, floattext, mobility
 from dynloc.engine import RunConfig, run
 from dynloc.experiments import (
     EVENT_COLUMNS,
@@ -642,7 +642,7 @@ def _trace_cells(trace: MobilityTrace) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @pytest.mark.parametrize("protocol, pcfg", [("sfr", SfrConfig(0.7)), ("madrd", MadrdConfig(t_max=4.0))])
 def test_one_row_event_log_equals_the_row_writer(tmp_path, protocol, pcfg):
-    trace = MobilityTrace(0, np.array([0.0]), np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
+    trace = MobilityTrace(0, np.array([1.0]), np.array([2.0]), 0.1, 10.0, 10.0)
     result = run(RunConfig(trace=trace, protocol_config=pcfg, seed=4))
     config = {"protocol": protocol}
     write_csv(tmp_path / "rows.csv", "events", config, EVENT_COLUMNS, _event_rows(result))
@@ -666,8 +666,8 @@ class _RecordingText(io.StringIO):
         return super().write(text)
 
 
-def _recorded_event_log(monkeypatch, result) -> _RecordingText:
-    """The event log of ``result`` as written into a :class:`_RecordingText`."""
+def _recorded(monkeypatch, write) -> _RecordingText:
+    """What ``write()`` writes to any file or stdout, written into a :class:`_RecordingText` instead."""
     recorder = _RecordingText()
 
     @contextlib.contextmanager
@@ -676,8 +676,31 @@ def _recorded_event_log(monkeypatch, result) -> _RecordingText:
 
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "_atomic_write", into_recorder)
-        write_events_csv("unused.csv", {}, result)
+        write()
     return recorder
+
+
+def _recorded_event_log(monkeypatch, result) -> _RecordingText:
+    """The event log of ``result`` as written into a :class:`_RecordingText`."""
+    return _recorded(monkeypatch, lambda: write_events_csv("unused.csv", {}, result))
+
+
+def test_waypoint_text_is_streamed_not_joined_whole(tmp_path, monkeypatch):
+    source = tmp_path / "trace.txt"
+
+    def command(*argv):
+        return lambda: cli.main(list(argv))
+
+    exported = _recorded(monkeypatch, command("export-trace", "--duration", "2000"))
+    text = exported.getvalue()
+    # 20,001 samples on one line of about 1 MB, which would arrive in one write.
+    assert text.count("\n") == 1 and text.count(" ") == 3 * 20_001 - 1 and len(text) > 8 * 65536
+    source.write_text(text)
+    imported = _recorded(monkeypatch, command("import-trace", "--in", str(source)))
+    assert imported.getvalue() == text
+    for recorder in (exported, imported):
+        assert max(recorder.sizes) <= 65536
+        assert len(recorder.sizes) == -(-20_001 // mobility._EXPORT_TRIPLES)
 
 
 def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
@@ -702,7 +725,7 @@ def test_event_log_is_streamed_not_joined_whole(tmp_path, monkeypatch):
 def test_event_log_blocks_hold_the_row_writer_bytes(tmp_path, monkeypatch, blocks, extra):
     rows = blocks * experiments._WRITE_ROWS + extra
     full = generate_random_waypoint(trace_spec(duration=max(60.0, rows * 0.1)), np.random.default_rng(9))
-    trace = MobilityTrace(0, full.times[:rows], full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
+    trace = MobilityTrace(0, full.xs[:rows], full.ys[:rows], full.dt, full.area_w, full.area_h)
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
     assert result.error.size == rows
     write_csv(tmp_path / "rows.csv", "events", {}, EVENT_COLUMNS, _event_rows(result))
@@ -718,7 +741,7 @@ def test_event_log_of_the_widest_rows_fits_a_write(tmp_path, monkeypatch):
     values = -rng.uniform(1.0, 10.0, 20_000) * 10.0 ** -rng.integers(100, 300, 20_000)
     values = values[[len(repr(v)) == 24 for v in values.tolist()]]
     rows = 2 * experiments._WRITE_ROWS + 1
-    trace = MobilityTrace(0, np.arange(rows) * 0.1, np.zeros(rows), np.zeros(rows), 0.1, 10.0, 10.0)
+    trace = MobilityTrace(0, np.zeros(rows), np.zeros(rows), 0.1, 10.0, 10.0)
     result = run(RunConfig(trace=trace, protocol_config=MadrdConfig(), seed=3))
     columns = experiments.event_columns(result)
     floats = [name for name, col in columns.items() if col.dtype.kind == "f"]

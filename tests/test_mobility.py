@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynloc import mobility
 from dynloc.mobility import (
     MAX_GRID_STEPS,
     MOBILITY_MODELS,
@@ -337,14 +338,17 @@ def test_gauss_markov_bounds_the_reflections_of_one_step(given):
 # ---------------------------------------------------------------------------
 
 
-def test_trace_rejects_nonuniform_spacing():
-    with pytest.raises(ValueError, match="uniform"):
-        MobilityTrace(0, np.array([0.0, 0.1, 0.3]), np.zeros(3), np.zeros(3), 0.1, 300, 300)
+def test_trace_derives_read_only_times_from_its_sample_count_and_dt():
+    trace = MobilityTrace(0, np.zeros(4), np.zeros(4), 0.1, 300, 300)
+    assert trace.times.view(np.int64).tolist() == (np.arange(4.0) * 0.1).view(np.int64).tolist()
+    assert not trace.times.flags.writeable
+    with pytest.raises(TypeError):
+        MobilityTrace(0, np.zeros(4), np.zeros(4), 0.1, 300, 300, times=np.arange(4.0))
 
 
 def test_trace_rejects_out_of_bounds():
     with pytest.raises(ValueError, match="bounds"):
-        MobilityTrace(0, np.array([0.0, 0.1]), np.array([0.0, 301.0]), np.zeros(2), 0.1, 300, 300)
+        MobilityTrace(0, np.array([0.0, 301.0]), np.zeros(2), 0.1, 300, 300)
 
 
 @pytest.mark.parametrize(
@@ -355,27 +359,16 @@ def test_trace_rejects_out_of_bounds():
 )
 def test_trace_rejects_a_sample_past_any_edge(xs, ys):
     with pytest.raises(ValueError, match="bounds"):
-        MobilityTrace(0, np.array([0.0, 0.1]), np.array(xs), np.array(ys), 0.1, 300, 200)
+        MobilityTrace(0, np.array(xs), np.array(ys), 0.1, 300, 200)
     # Inside the edge's 1e-9 tolerance the same sample is accepted.
     inside = [min(max(v, 0.0), 300.0) for v in xs], [min(max(v, 0.0), 200.0) for v in ys]
-    MobilityTrace(0, np.array([0.0, 0.1]), np.array(inside[0]), np.array(inside[1]), 0.1, 300, 200)
+    MobilityTrace(0, np.array(inside[0]), np.array(inside[1]), 0.1, 300, 200)
 
 
 @pytest.mark.parametrize("area_w, area_h", [(math.nan, 300.0), (300.0, math.nan), (0.0, 300.0), (300.0, -1.0)])
 def test_trace_rejects_an_area_that_is_not_positive(area_w, area_h):
     with pytest.raises(ValueError, match="fields 'area_w'/'area_h': must be finite and > 0"):
-        MobilityTrace(0, np.array([0.0, 0.1]), np.zeros(2), np.zeros(2), 0.1, area_w, area_h)
-
-
-def test_trace_spacing_tolerance_is_a_millionth_of_dt():
-    MobilityTrace(0, np.array([0.0, 0.1, 0.2 + 5e-8]), np.zeros(3), np.zeros(3), 0.1, 300, 300)
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        MobilityTrace(0, np.array([0.0, 0.1, 0.2 + 2e-7]), np.zeros(3), np.zeros(3), 0.1, 300, 300)
-
-
-def test_trace_rejects_decreasing_times():
-    with pytest.raises(ValueError, match="increasing"):
-        MobilityTrace(0, np.array([0.1, 0.0]), np.zeros(2), np.zeros(2), 0.1, 300, 300)
+        MobilityTrace(0, np.zeros(2), np.zeros(2), 0.1, area_w, area_h)
 
 
 def test_content_hash_tracks_content():
@@ -454,8 +447,19 @@ def test_import_rejects_empty_source():
 
 def test_export_import_round_trip_bit_exact():
     trace = _rwp(31, duration=60.0)
-    text = export_trace(trace)
+    text = "".join(export_trace(trace))
     back = import_trace(text, trace.dt, trace.area_w, trace.area_h)
     assert np.array_equal(back.times, trace.times)
     assert np.array_equal(back.xs, trace.xs)
     assert np.array_equal(back.ys, trace.ys)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 0), (3, 7)])
+def test_export_blocks_join_to_one_line_of_every_sample(blocks, extra):
+    samples = blocks * mobility._EXPORT_TRIPLES + extra
+    full = _rwp(8, duration=200.0)
+    trace = MobilityTrace(0, full.xs[:samples], full.ys[:samples], full.dt, full.area_w, full.area_h)
+    pieces = list(export_trace(trace))
+    assert len(pieces) == -(-samples // mobility._EXPORT_TRIPLES)
+    triples = (f"{t!r} {x!r} {y!r}" for t, x, y in zip(trace.times.tolist(), trace.xs.tolist(), trace.ys.tolist()))
+    assert "".join(pieces) == " ".join(triples) + "\n"
