@@ -24,10 +24,14 @@ Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.  A 
 closes an output pipe early (``dynloc export-trace | head``) ends the command with 0, silently.
 
 A validation error names the field its value fails, followed by the flag that set it
-where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  Each
-flag's dest is the field it sets, so the parser is the one map from field to flag; it
-also gives the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).
-Every output path goes through :func:`~dynloc.experiments.check_output` before anything runs.
+where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  The fields
+are the ``.fields`` of the :class:`~dynloc.oracles.FieldError` a check raises.  Each flag's
+dest is the field it sets, so the parser is the one map from field to flag; it also gives
+the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).  A flag the
+command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` without
+``--trace-file``) is a validation error too.  Every output path goes through
+:func:`~dynloc.experiments.check_output` before anything runs, and one that is stdout's own
+file (``/dev/stdout``, or the file stdout is redirected to) is written through stdout.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ import numpy as np
 
 from . import experiments, mobility, oracles
 from .engine import RunConfig, run
+from .oracles import FieldError
 from .protocols import PROTOCOLS, ProtocolConfig
 
 EXIT_OK = 0
@@ -87,7 +92,7 @@ def _choices(keys) -> str:
 def _lookup(table: dict, key: str, field: str):
     """``table[key]``; a key not in it is an error naming ``field``."""
     if key not in table:
-        raise ValueError(f"field '{field}': must be {'/'.join(table)}, got {key!r}")
+        raise FieldError(field, f"must be {'/'.join(table)}, got {key!r}")
     return table[key]
 
 
@@ -111,7 +116,8 @@ def _build_parser() -> _Parser:
     trace.add_argument("--seed", type=int, default=0)
 
     # Protocol flags: one per config field in PROTOCOLS, shared by the kinds that have it.  A flag
-    # not given is None, and the config keeps its own default for it (_protocol_config).
+    # not given is None, and the config keeps its own default for it; a flag given that --protocol
+    # does not read is refused (_protocol_config).
     sim = sub.add_parser("simulate", parents=[trace], help="run one node/protocol pair and print a summary row")
     sim.add_argument("--protocol", required=True, metavar=_choices(PROTOCOLS))
     readers: dict[str, list[str]] = {}
@@ -124,7 +130,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--tolerance", dest="dist_tolerance", type=float, default=stock["dist_tolerance"])
     sim.add_argument("--backtracking", dest="backtracking_enabled", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
-    sim.add_argument("--node", type=int, default=0, help="node line to use from --trace-file")
+    sim.add_argument("--node", type=int, default=None, help="node line to use from --trace-file (default: 0)")
     sim.add_argument("--events-out", type=str, default=None, help="write the per-step event log CSV here")
     sim.add_argument("--out", type=str, default=None, help="write the summary row CSV here instead of stdout")
 
@@ -171,13 +177,18 @@ def _read_text(path: str, field: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"field '{field}': cannot read {path!r}: {exc}") from exc
+        raise FieldError(field, f"cannot read {path!r}: {exc}") from exc
 
 
 def _protocol_config(args) -> ProtocolConfig:
+    """The config of ``--protocol`` with the protocol flags given; a flag of another kind's field is an error."""
     config_cls = _lookup(PROTOCOLS, args.protocol, "protocol").config
-    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(config_cls)}
-    return config_cls(**{name: value for name, value in given.items() if value is not None})
+    params = dict.fromkeys(f.name for kind in PROTOCOLS.values() for f in dataclasses.fields(kind.config))
+    given = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
+    unread = [name for name in given if name not in config_cls.__dataclass_fields__]
+    if unread:
+        raise FieldError(tuple(unread), f"not a parameter of --protocol {args.protocol}")
+    return config_cls(**given)
 
 
 def _trace_spec(args) -> mobility.TraceSpec:
@@ -189,17 +200,20 @@ def _trace_spec(args) -> mobility.TraceSpec:
 
 def _cmd_simulate(args) -> int:
     experiments.check_output(args.out, "out")
-    experiments.check_output(args.events_out, "events-out")
+    experiments.check_output(args.events_out, "events-out", beside=("out", args.out))
     ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
     protocol_config = _protocol_config(args)  # before the trace is made or read
+    if args.node is not None and args.trace_file is None:
+        raise FieldError("node", f"selects a line of --trace-file, which is not given, got {args.node}")
     trace_seed, noise_seed = experiments.run_seeds(args.seed)
     ts = dataclasses.replace(ts, seed=trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
     if args.trace_file is not None:
         text = _read_text(args.trace_file, "trace-file")
-        trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=args.node, duration=ts.duration)
+        node = args.node or 0
+        trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=node, duration=ts.duration)
         extra["mobility"] = f"file:{args.trace_file}"
-        extra["node"] = args.node
+        extra["node"] = node
     else:
         trace = experiments.make_trace(ts)
 
@@ -222,7 +236,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
-        raise ValueError(f"field 'workers': must be >= 1, got {args.workers}")
+        raise FieldError("workers", f"must be >= 1, got {args.workers}")
     bundle = _lookup(_BUNDLES, args.bundle, "bundle")
     if args.spec is not None:
         text = _read_text(args.spec, "spec")
@@ -243,7 +257,7 @@ def _cmd_sweep(args) -> int:
         chosen = tuple(p for p in spec.protocols if p.label in keep)
         missing = set(keep) - {p.label for p in chosen}
         if missing:
-            raise ValueError(f"field 'protocols': unknown labels {sorted(missing)}")
+            raise FieldError("protocols", f"unknown labels {sorted(missing)}")
         updates["protocols"] = chosen
     if updates:
         spec = dataclasses.replace(spec, **updates)
@@ -252,7 +266,7 @@ def _cmd_sweep(args) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValueError(f"field 'out': cannot create directory {args.out!r}: {exc}") from exc
+        raise FieldError("out", f"cannot create directory {args.out!r}: {exc}") from exc
     for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
         experiments.check_output(out_dir / name, "out", regular=True)
     events_dir = out_dir if args.events else None
@@ -267,10 +281,10 @@ def _cmd_oracle(args) -> int:
     experiments.check_output(args.out, "out")
     oracles.require_positive(args.v, "v")
     if args.steps < 2:
-        raise ValueError(f"field 'steps': need steps >= 2, got {args.steps}")
+        raise FieldError("steps", f"need steps >= 2, got {args.steps}")
     if args.turn:
         oracles.require_angle(args.theta, "theta")
-        oracles.require_distance(args.x, "x")
+        oracles.require_nonnegative(args.x, "x")
         oracles.require_positive(args.nmax, "nmax")
         theta = math.radians(args.theta)
         # The turn errors do not read the speed; the header records it all the same.
@@ -288,17 +302,17 @@ def _cmd_oracle(args) -> int:
         except OverflowError:  # (x - n) ** 2 past the largest float
             finite = False
         if not finite:
-            raise ValueError(f"fields 'x'/'nmax': the error table overflows a float at x={args.x}, nmax={args.nmax}")
+            raise FieldError(("x", "nmax"), f"the error table overflows a float at x={args.x}, nmax={args.nmax}")
     else:
-        oracles.require_distance(args.d, "d")
+        oracles.require_nonnegative(args.d, "d")
         stop_t = args.d / args.v
         horizon = args.horizon if args.horizon is not None else 2.0 * stop_t
         if not (math.isfinite(horizon) and horizon > 0):
             default = "" if args.horizon is not None else " (the default 2 * d / v)"
-            raise ValueError(f"field 'horizon': need a finite horizon > 0, got {horizon}{default}")
+            raise FieldError("horizon", f"need a finite horizon > 0, got {horizon}{default}")
         # Every error in the table is at most the travel v * horizon.
         if not math.isfinite(args.v * horizon):
-            raise ValueError(f"fields 'v'/'horizon': the travel v * horizon = {args.v} * {horizon} overflows a float")
+            raise FieldError(("v", "horizon"), f"the travel v * horizon = {args.v} * {horizon} overflows a float")
         header = {"mode": "pause", "d": args.d, "v": args.v, "horizon": horizon, "steps": args.steps}
         columns = ("t", "sfr_error", "madrd_error")
         rows = [
@@ -351,12 +365,11 @@ def _attach_dash_values(argv: list[str], flags) -> list[str]:
     return out
 
 
-def _with_flags(message: str, flags: dict[str, str]) -> str:
-    """``message`` with the flags that set the fields it names, where named otherwise, after them."""
-    named = experiments.FIELDS_NAMED.match(message)
-    names = named[1].split("'/'") if named else []
+def _with_flags(exc: ValueError, flags: dict[str, str]) -> str:
+    """``exc``'s message, with the flags that set a :class:`FieldError`'s fields after them, where named otherwise."""
+    names = exc.fields if isinstance(exc, FieldError) else ()
     given = dict.fromkeys(flags[name] for name in names if flags.get(name, "--" + name) != "--" + name)
-    return f"{message[:named.end()]} ({'/'.join(given)}){message[named.end():]}" if given else message
+    return f"{exc.named} ({'/'.join(given)}): {exc.reason}" if given else str(exc)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         given = {name: flag for name, flag in flags.items() if getattr(args, name) is not None}
         if "area" in given:  # --area sets TraceSpec's and MobilityTrace's area_w and area_h
             given["area_w"] = given["area_h"] = given["area"]
-        sys.stderr.write(f"validation error: {_with_flags(str(exc), given)}\n")
+        sys.stderr.write(f"validation error: {_with_flags(exc, given)}\n")
         return EXIT_VALIDATION
     except Exception as exc:  # pragma: no cover - defensive
         sys.stderr.write(f"runtime error: {type(exc).__name__}: {exc}\n")

@@ -62,11 +62,11 @@ import numpy as np
 
 from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
 from .mobility import MobilityTrace, grid_times
+from .oracles import FieldError, require_nonnegative
 from .protocols import FIX_COLUMNS, PROTOCOLS, ProtocolConfig, ProtocolKind, madrd_predict
 
 __all__ = [
     "RunConfig",
-    "check_noise_and_tolerance",
     "RunMetrics",
     "Fixes",
     "RunResult",
@@ -79,13 +79,6 @@ _SCHED_EPS = 1e-9
 # Fixes of noise drawn per refill.  Any size yields the same stream; a stock run
 # takes 165-760 fixes, and the draws left over at the end of a run are dropped.
 _NOISE_CHUNK = 256
-
-
-def check_noise_and_tolerance(noise_max: float, dist_tolerance: float) -> None:
-    """The rule of :class:`RunConfig`'s ``noise_max`` and ``dist_tolerance``: each finite and >= 0."""
-    for name, value in (("noise_max", noise_max), ("dist_tolerance", dist_tolerance)):
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"field {name!r}: must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         self.protocol  # a config of no known kind raises here
-        check_noise_and_tolerance(self.noise_max, self.dist_tolerance)
+        require_nonnegative(self.noise_max, "noise_max")
+        require_nonnegative(self.dist_tolerance, "dist_tolerance")
 
     @property
     def protocol(self) -> str:
@@ -114,7 +108,7 @@ class RunConfig:
             if type(self.protocol_config) is kind.config:
                 return name
         configs = "/".join(kind.config.__name__ for kind in PROTOCOLS.values())
-        raise ValueError(f"field 'protocol_config': need a {configs}, got {type(self.protocol_config).__name__}")
+        raise FieldError("protocol_config", f"need a {configs}, got {type(self.protocol_config).__name__}")
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,8 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
     step ``j`` with ``times[j] + eps >= r``, or at ``k + 1`` if that is later.
     A fix whose request does not come after it raises naming the field that
     floors the period: ``t_min`` if the config has one (a period >= ``t_min``
-    with ``t + period == t`` means ``t + t_min == t``), else ``period``.
+    with ``t + period == t`` means ``t + t_min == t``), else ``period``.  A NaN
+    request, which only a fix that overflowed gives (DVM's), names ``noise_max``.
 
     A ``fixed_rate`` run's fix steps depend on the grid and the period alone:
     the first such run on a grid and period is walked and its steps kept in
@@ -242,7 +237,7 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
         if steps is not None:
             m = steps.size
             ws.noise(cfg.noise_max, cfg.seed, m)
-            # Plain float adds: an overflow gives inf, as in Python, and fails the finite check.
+            # Plain float adds: an overflow gives inf, as in Python, and non-finite errors.
             with np.errstate(over="ignore", invalid="ignore"):
                 fix_x = xs[steps] + dxs[:m]
                 fix_y = ys[steps] + dys[:m]
@@ -255,8 +250,10 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
     for i in count(1):
         next_t = t + row[3]  # the row's period (FIX_COLUMNS)
         if not next_t > t:
+            if math.isnan(next_t):
+                raise FieldError("noise_max", f"{cfg.noise_max} makes a fix non-finite by t={t}")
             floor = "t_min" if hasattr(pcfg, "t_min") else "period"
-            raise ValueError(f"field {floor!r}: the next fix must come after the fix at t={t}, got {next_t}")
+            raise FieldError(floor, f"the next fix must come after the fix at t={t}, got {next_t}")
         fix_steps.append(k)
         rows.append(row)
         j = bisect_left(due, next_t)
@@ -342,13 +339,11 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
     n = times.size
     kind = PROTOCOLS[cfg.protocol]
     fixes = _fixes(cfg, kind, ws)
-    if not (np.isfinite(fixes.x).all() and np.isfinite(fixes.y).all()):
-        raise ValueError("fix coordinates must be finite")
     for column in fixes:
         _readonly(column)
     steps, fix_t, fix_x, fix_y, _, fix_vx, fix_vy, _, _ = fixes
     seg = np.diff(steps, append=n)  # grid steps reported from each fix
-    # A track that overflows is caught by the finite check on its errors below.
+    # A fix or track that overflows is caught by the finite check on its errors below.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind.predicts:
             elapsed = np.repeat(fix_t, seg)
@@ -365,7 +360,7 @@ def run(cfg: RunConfig, workspace: Workspace | None = None) -> RunResult:
         errors = hypot_runs(rep_x - trace.xs, rep_y - trace.ys, ws.scratch(n))
         mean_error = float(errors.mean())
     if not math.isfinite(mean_error):  # a finite mean means every error is finite
-        raise ValueError(f"field 'noise_max': {cfg.noise_max} makes the run's errors non-finite (mean {mean_error})")
+        raise FieldError("noise_max", f"{cfg.noise_max} makes the run's errors non-finite (mean {mean_error})")
     metrics = RunMetrics(
         localization_count=steps.size,
         mean_error=mean_error,

@@ -20,8 +20,9 @@ Every file starts with ``# dynloc <kind> v1`` and a ``# config {json}`` line
 carrying the exact configuration that produced it (:func:`run_provenance` for
 a run).  One writer lays out every kind, the CLI's ``simulate`` rows and
 oracle tables included, and every file, waypoint text too, is written under a
-``.tmp`` name and renamed into place; :func:`check_output` refuses, before
-anything runs, a path that write cannot take.
+``.tmp`` name and renamed into place, but stdout's own file, which goes through
+stdout; :func:`check_output` refuses, before anything runs, a path that write
+cannot take.
 Every trace comes from :func:`make_trace`, which picks the generator a
 :class:`~dynloc.mobility.TraceSpec` names.
 """
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .engine import RunConfig, RunResult, Workspace, check_noise_and_tolerance, run
+from .engine import RunConfig, RunResult, Workspace, run
 from .mobility import (
     MobilityTrace,
     TraceSpec,
@@ -53,6 +54,7 @@ from .mobility import (
     generate_random_waypoint,
     grid_times,
 )
+from .oracles import FieldError, require_nonnegative
 from .protocols import PROTOCOLS, Confidence, ProtocolConfig
 
 __all__ = [
@@ -84,27 +86,18 @@ __all__ = [
     "spec_to_dict",
     "spec_from_dict",
     "parse_spec_file",
-    "FIELDS_NAMED",
     "renaming",
 ]
-
-# A validation message opens with the fields it names: "field 'a': ..." or "fields 'a'/'b': ...".
-FIELDS_NAMED = re.compile(r"fields? '(.*?)'(?=: )")
 
 
 @contextlib.contextmanager
 def renaming(rename: Callable[[str], str]):
-    """Re-raise a ``ValueError`` that names fields with each name ``rename(name)``: a sweep names its
-    cells' ``speed_class`` ``speed_classes``, and a protocol's ``period`` ``<label>.period``."""
+    """Re-raise a :class:`~dynloc.oracles.FieldError` with each of its fields ``rename(name)``: a sweep names
+    its cells' ``speed_class`` ``speed_classes``, and a protocol's ``period`` ``<label>.period``."""
     try:
         yield
-    except ValueError as exc:
-        named = FIELDS_NAMED.match(str(exc))
-        if named is None:
-            raise
-        names = list(dict.fromkeys(map(rename, named[1].split("'/'"))))
-        fields = ("fields " if len(names) > 1 else "field ") + "/".join(f"'{name}'" for name in names)
-        raise ValueError(fields + str(exc)[named.end():]) from exc
+    except FieldError as exc:
+        raise FieldError(tuple(map(rename, exc.fields)), exc.reason) from exc
 
 
 # Labels name output files and CSV cells, so they may not hold a path separator or a comma.
@@ -132,9 +125,9 @@ class ProtocolSpec:
 
     def __post_init__(self) -> None:
         if not _LABEL_PATTERN.fullmatch(self.label):
-            raise ValueError(f"field 'protocols': label {self.label!r} must match {_LABEL_PATTERN.pattern}")
+            raise FieldError("protocols", f"label {self.label!r} must match {_LABEL_PATTERN.pattern}")
         if self.kind not in PROTOCOLS:
-            raise ValueError(f"field '{self.label}.kind': must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
+            raise FieldError(f"{self.label}.kind", f"must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
 
 
 # The sweep fields a cell's TraceSpec fields come from; the others have the same name.
@@ -164,26 +157,27 @@ class SweepSpec:
         # TraceSpec reads the gm_* fields of a Gauss-Markov trace only, but every header records them.
         for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"field {name!r}: must be finite, got {getattr(self, name)!r}")
+                raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
         if not self.speed_classes:
-            raise ValueError("field 'speed_classes': need at least one class")
+            raise FieldError("speed_classes", "need at least one class")
         # Cells are keyed and their files named by class_label and the %g pause.
         labels = [class_label(c) for c in self.speed_classes]
         if len(set(labels)) < len(labels):
-            raise ValueError(f"field 'speed_classes': classes must be distinct as lo:hi (%g), got {labels}")
+            raise FieldError("speed_classes", f"classes must be distinct as lo:hi (%g), got {labels}")
         if not self.pause_times:
-            raise ValueError("field 'pause_times': need at least one value")
+            raise FieldError("pause_times", "need at least one value")
         pauses = list(self.pause_times)
         if len({f"{p:g}" for p in pauses}) < len(pauses) or len(set(pauses)) < len(pauses):
-            raise ValueError(f"field 'pause_times': values must be distinct, also as %g, got {pauses}")
+            raise FieldError("pause_times", f"values must be distinct, also as %g, got {pauses}")
         if not self.protocols:
-            raise ValueError("field 'protocols': need at least one protocol")
+            raise FieldError("protocols", "need at least one protocol")
         labels = [p.label for p in self.protocols]
         if len(set(labels)) != len(labels):
-            raise ValueError(f"field 'protocols': labels must be unique, got {labels}")
+            raise FieldError("protocols", f"labels must be unique, got {labels}")
         if self.repetitions < 1:
-            raise ValueError(f"field 'repetitions': must be >= 1, got {self.repetitions}")
-        check_noise_and_tolerance(self.noise_max, self.dist_tolerance)
+            raise FieldError("repetitions", f"must be >= 1, got {self.repetitions}")
+        require_nonnegative(self.noise_max, "noise_max")  # RunConfig's rule, checked before any run
+        require_nonnegative(self.dist_tolerance, "dist_tolerance")
         # Each cell's trace spec and protocol configs are built here once, so they fail before any run.
         with renaming(lambda name: _CELL_FIELDS.get(name, name)):
             for class_index in range(len(self.speed_classes)):
@@ -250,9 +244,7 @@ def class_label(speed_class: tuple[float, float]) -> str:
 def _resolve(value, class_index: int, n_classes: int, name: str):
     if isinstance(value, (list, tuple)):
         if len(value) != n_classes:
-            raise ValueError(
-                f"field '{name}': per-class list needs {n_classes} entries, got {len(value)}"
-            )
+            raise FieldError(name, f"per-class list needs {n_classes} entries, got {len(value)}")
         return value[class_index]
     return value
 
@@ -273,7 +265,7 @@ def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: in
         with renaming(_label_fields(pspec)):
             return PROTOCOLS[pspec.kind].config(**params)
     except TypeError as exc:
-        raise ValueError(f"field '{pspec.label}': bad parameter set {sorted(params)}: {exc}") from exc
+        raise FieldError(pspec.label, f"bad parameter set {sorted(params)}: {exc}") from exc
 
 
 def default_bundle() -> SweepSpec:
@@ -611,13 +603,13 @@ def _json_scalar(f: dataclasses.Field, value):
     """``value`` cast to the type of ``f``'s default; it must be of that type's JSON types."""
     kind = type(f.default)
     if not _is_json(kind, value):
-        raise ValueError(f"field {f.name!r}: expected a {kind.__name__}, got {value!r}")
+        raise FieldError(f.name, f"expected a {kind.__name__}, got {value!r}")
     return kind(value)
 
 
 def _json_pause_times(value) -> tuple[float, ...]:
     if not isinstance(value, list) or not all(_is_json(float, p) for p in value):
-        raise ValueError(f"field 'pause_times': expected a list of numbers, got {value!r}")
+        raise FieldError("pause_times", f"expected a list of numbers, got {value!r}")
     return tuple(float(p) for p in value)
 
 
@@ -625,14 +617,14 @@ def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
     if not isinstance(value, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(_is_json(float, v) for v in c) for c in value
     ):
-        raise ValueError(f"field 'speed_classes': expected a list of [lo, hi] number pairs, got {value!r}")
+        raise FieldError("speed_classes", f"expected a list of [lo, hi] number pairs, got {value!r}")
     return tuple((float(lo), float(hi)) for lo, hi in value)
 
 
 def _json_param(name: str, value):
     """A protocol parameter: a JSON number or a list of them, cast to float as a float field is."""
     if not all(_is_json(float, v) for v in (value if isinstance(value, list) else [value])):
-        raise ValueError(f"field {name!r}: expected a number or a list of numbers, got {value!r}")
+        raise FieldError(name, f"expected a number or a list of numbers, got {value!r}")
     return [float(v) for v in value] if isinstance(value, list) else float(value)
 
 
@@ -642,7 +634,7 @@ def _json_protocols(value) -> tuple[ProtocolSpec, ...]:
         and isinstance(p["label"], str) and isinstance(p["kind"], str) and isinstance(p["params"], dict)
         for p in value
     ):
-        raise ValueError(f"field 'protocols': expected a list of {{label, kind, params}} objects, got {value!r}")
+        raise FieldError("protocols", f"expected a list of {{label, kind, params}} objects, got {value!r}")
     return tuple(
         ProtocolSpec(p["label"], p["kind"], {k: _json_param(f"{p['label']}.{k}", v) for k, v in p["params"].items()})
         for p in value
@@ -652,11 +644,11 @@ def _json_protocols(value) -> tuple[ProtocolSpec, ...]:
 def spec_from_dict(d: dict) -> SweepSpec:
     """The spec of a JSON-typed dict as :func:`spec_to_dict` writes it; the one place a spec is typed."""
     if not isinstance(d, dict):
-        raise ValueError(f"field 'config': expected a JSON object, got {d!r}")
+        raise FieldError("config", f"expected a JSON object, got {d!r}")
     fields = dataclasses.fields(SweepSpec)
     extra = sorted(set(d) - {f.name for f in fields})
     if extra:
-        raise ValueError(f"field {extra[0]!r}: not a sweep parameter")
+        raise FieldError(extra[0], "not a sweep parameter")
     try:
         return SweepSpec(
             speed_classes=_json_speed_classes(d["speed_classes"]),
@@ -666,7 +658,7 @@ def spec_from_dict(d: dict) -> SweepSpec:
             **{f.name: _json_scalar(f, d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
         )
     except KeyError as exc:
-        raise ValueError(f"field {exc.args[0]!r}: missing from provenance config") from exc
+        raise FieldError(exc.args[0], "missing from provenance config") from exc
 
 
 def _fmt(value) -> str:
@@ -688,49 +680,68 @@ def read_provenance(path: str | os.PathLike) -> dict:
     raise ValueError(f"no provenance header found in {path}")
 
 
-def check_output(path: str | os.PathLike | None, field: str, regular: bool = False) -> None:
+def _stdout_file(path: str | os.PathLike) -> bool:
+    """Whether ``path`` is the file descriptor 1 has open: ``/dev/stdout``, or a file stdout is redirected to."""
+    try:
+        return os.path.samestat(os.fstat(1), os.stat(path))
+    except OSError:  # no such file (or a dangling link), or no descriptor 1
+        return False
+
+
+def check_output(
+    path: str | os.PathLike | None, field: str, regular: bool = False, beside: tuple[str, str | None] | None = None
+) -> None:
     """Refuse, naming ``field``, an output path :func:`_atomic_write` cannot take: a missing folder, a
     directory at the path, or anything but a regular file at its temp name ``<path>.tmp``.  None passes.
-    With ``regular``, as for a sweep's files, the path itself must be a regular file or absent: a write
-    would go through a link out of the folder, or block on a pipe with no reader."""
+    With ``regular``, as for a sweep's files, the path itself must be a regular file or absent, and not
+    stdout's file: a write would go through a link out of the folder, block on a pipe with no reader, or
+    be followed in the file by what the command prints.  ``beside`` is the ``(field, path)`` of another
+    output of the same command; the two may be one file only if it is stdout's, which takes both in turn,
+    as the second would otherwise replace the first."""
     if path is None:
         return
     path = os.fspath(path)
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
-        raise ValueError(f"field '{field}': directory {folder!r} does not exist")
+        raise FieldError(field, f"directory {folder!r} does not exist")
     if os.path.isdir(path):
-        raise ValueError(f"field '{field}': {path!r} is a directory")
+        raise FieldError(field, f"{path!r} is a directory")
     with contextlib.suppress(FileNotFoundError):
         if not stat.S_ISREG(os.lstat(path + ".tmp").st_mode):
-            raise ValueError(f"field '{field}': {path + '.tmp'!r}, the temp name of {path!r}, is not a regular file")
+            raise FieldError(field, f"{path + '.tmp'!r}, the temp name of {path!r}, is not a regular file")
     with contextlib.suppress(FileNotFoundError):
         if regular and not stat.S_ISREG(os.lstat(path).st_mode):
-            raise ValueError(f"field '{field}': {path!r} is not a regular file")
+            raise FieldError(field, f"{path!r} is not a regular file")
+    if regular and _stdout_file(path):
+        raise FieldError(field, f"{path!r} is the file stdout writes to")
+    if beside is not None and beside[1] is not None and not _stdout_file(path):
+        try:
+            one_file = os.path.samefile(path, beside[1])
+        except OSError:  # not both there yet: compare where each would be made
+            one_file = os.path.realpath(path) == os.path.realpath(beside[1])
+        if one_file:
+            raise FieldError((beside[0], field), f"{beside[1]!r} and {path!r} are one file")
 
 
 @contextlib.contextmanager
 def _atomic_write(path: str | os.PathLike | None):
     """Write ``path`` through ``<path>.tmp`` and a rename; on error remove the temp, keep ``path``.
 
-    ``None`` writes to ``sys.stdout`` as it is at the call.  A symlink
-    (``/dev/stdout``), pipe or device is written in place: a rename would
-    replace the link or node instead of writing through it.  One that opens the
-    file descriptor 1 has open is written through ``sys.stdout``, after what it
-    holds: opening it anew would truncate a file that stdout is redirected to.
-    A stale regular temp file is removed; anything else at the temp name fails
-    the write untouched.
+    ``None`` writes to ``sys.stdout`` as it is at the call, and so does a path
+    to the file descriptor 1 has open (``/dev/stdout``, or a file stdout is
+    redirected to), after what stdout holds: opening that file anew would
+    truncate it, and a rename would leave stdout writing to the replaced file.
+    Any other symlink, pipe or device is written in place: a rename would
+    replace the link or node instead of writing through it.  A stale regular
+    temp file is removed; anything else at the temp name fails the write
+    untouched.
     """
-    if path is None:
+    if path is None or _stdout_file(path):
         yield sys.stdout
         return
     path = os.fspath(path)
     if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
-        try:
-            is_stdout = os.path.samestat(os.fstat(1), os.stat(path))
-        except OSError:  # a dangling link, or no descriptor 1
-            is_stdout = False
-        with contextlib.nullcontext(sys.stdout) if is_stdout else open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
     tmp = path + ".tmp"
@@ -848,9 +859,9 @@ def parse_number_list(raw: str, field_name: str) -> list[float]:
         try:
             out.append(float(part))
         except ValueError as exc:
-            raise ValueError(f"field '{field_name}': not a number: {part!r}") from exc
+            raise FieldError(field_name, f"not a number: {part!r}") from exc
     if not out:
-        raise ValueError(f"field '{field_name}': empty list")
+        raise FieldError(field_name, "empty list")
     return out
 
 
@@ -858,11 +869,11 @@ def _parse_pair(raw: str, sep: str, field_name: str) -> tuple[float, float]:
     """The two numbers of ``raw`` split at ``sep``, unchecked (a TraceSpec checks them); errors name ``field_name``."""
     pieces = raw.lower().split(sep)
     if len(pieces) != 2:
-        raise ValueError(f"field '{field_name}': expected two numbers joined by {sep!r}, got {raw!r}")
+        raise FieldError(field_name, f"expected two numbers joined by {sep!r}, got {raw!r}")
     try:
         return float(pieces[0]), float(pieces[1])
     except ValueError as exc:
-        raise ValueError(f"field '{field_name}': not a number in {raw!r}") from exc
+        raise FieldError(field_name, f"not a number in {raw!r}") from exc
 
 
 def parse_speed_class(raw: str, field_name: str = "speed_classes") -> tuple[float, float]:
@@ -898,17 +909,17 @@ def parse_spec_file(text: str) -> SweepSpec:
     if parser.defaults():
         raise ValueError("section 'DEFAULT': not a spec section, write each key in [sweep] or its protocol's section")
     if "sweep" not in parser:
-        raise ValueError("field 'sweep': missing [sweep] section")
+        raise FieldError("sweep", "missing [sweep] section")
     sweep = parser["sweep"]
     if "speed_classes" not in sweep:
-        raise ValueError("field 'speed_classes': required in [sweep]")
+        raise FieldError("speed_classes", "required in [sweep]")
     d = {f.name: f.default for f in dataclasses.fields(SweepSpec) if f.default is not dataclasses.MISSING}
     # Each other key sets the scalar field it names (see _FIELD_SPEC_KEYS), cast by the
     # type of the field's default; area_w and area_h are set only through ``area``.
     scalars = {_FIELD_SPEC_KEYS.get(name, name): name for name in d if name not in ("area_w", "area_h")}
     unknown = sorted(set(sweep) - {"speed_classes", "pause_times", "area", *scalars})
     if unknown:
-        raise ValueError(f"field '{unknown[0]}': not a [sweep] key")
+        raise FieldError(unknown[0], "not a [sweep] key")
     d["speed_classes"] = [list(parse_speed_class(c.strip())) for c in sweep["speed_classes"].split(",") if c.strip()]
     d["pause_times"] = parse_number_list(sweep.get("pause_times", "0"), "pause_times")
     if "area" in sweep:
@@ -918,7 +929,7 @@ def parse_spec_file(text: str) -> SweepSpec:
             if key in sweep:
                 d[name] = sweep.getboolean(key) if type(d[name]) is bool else type(d[name])(sweep[key])
         except ValueError as exc:
-            raise ValueError(f"field '{key}': {exc}") from exc
+            raise FieldError(key, str(exc)) from exc
     # A protocol parameter of one value is a number, of more a per-class list.
     d["protocols"] = [
         {"label": label, "kind": body.get("kind", label), "params": {

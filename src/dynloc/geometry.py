@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .oracles import require_nonnegative
+
 __all__ = [
     "hypot_exact",
     "hypot_runs",
@@ -201,6 +203,5 @@ def threshold_accuracy(errors: Sequence[float] | np.ndarray, tolerance: float) -
     values = np.asarray(errors, dtype=float)
     if values.size == 0:
         raise ValueError("threshold_accuracy needs at least one error sample")
-    if not math.isfinite(tolerance) or tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    require_nonnegative(tolerance, "tolerance")
     return float(np.count_nonzero(values <= tolerance) / values.size)

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracles import require_positive
+from .oracles import FieldError, require_nonnegative, require_positive
 
 __all__ = [
     "MobilityTrace",
@@ -124,7 +124,7 @@ MOBILITY_MODELS = ("rwp", "gauss_markov")
 
 def _require_area(area_w: float, area_h: float) -> None:
     if not (0 < area_w < math.inf and 0 < area_h < math.inf):
-        raise ValueError(f"fields 'area_w'/'area_h': must be finite and > 0, got {area_w}x{area_h}")
+        raise FieldError(("area_w", "area_h"), f"must be finite and > 0, got {area_w}x{area_h}")
 
 
 def _grid_size(duration: float, dt: float) -> int:
@@ -133,7 +133,7 @@ def _grid_size(duration: float, dt: float) -> int:
     require_positive(dt, "dt")
     steps = duration / dt
     if not steps < MAX_GRID_STEPS:
-        raise ValueError(f"fields 'duration'/'dt': {duration} s at dt={dt} is {steps:.4g} grid steps, over the cap")
+        raise FieldError(("duration", "dt"), f"{duration} s at dt={dt} is {steps:.4g} grid steps, over the cap")
     return int(math.ceil(steps - _TIME_EPS)) + 1
 
 
@@ -167,22 +167,20 @@ class TraceSpec:
 
     def __post_init__(self) -> None:
         if self.mobility not in MOBILITY_MODELS:
-            raise ValueError(f"field 'mobility': must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
+            raise FieldError("mobility", f"must be {' or '.join(MOBILITY_MODELS)}, got {self.mobility!r}")
         lo, hi = self.speed_class
         if not (0 < lo <= hi < math.inf):
-            raise ValueError(f"field 'speed_class': must be finite with 0 < lo <= hi, got {lo}:{hi}")
-        if not (0 <= self.pause_time < math.inf):
-            raise ValueError(f"field 'pause_time': must be finite and >= 0, got {self.pause_time}")
+            raise FieldError("speed_class", f"must be finite with 0 < lo <= hi, got {lo}:{hi}")
+        require_nonnegative(self.pause_time, "pause_time")
         _grid_size(self.duration, self.dt)
         _require_area(self.area_w, self.area_h)
         if self.seed < 0:
-            raise ValueError(f"field 'seed': must be >= 0, got {self.seed}")
+            raise FieldError("seed", f"must be >= 0, got {self.seed}")
         if self.mobility == "gauss_markov":
             if not (0 <= self.gm_memory <= 1):
-                raise ValueError(f"field 'gm_memory': must lie in [0, 1], got {self.gm_memory}")
-            for name in ("gm_speed_sigma", "gm_direction_sigma"):
-                if not (0 <= getattr(self, name) < math.inf):
-                    raise ValueError(f"field {name!r}: must be finite and >= 0, got {getattr(self, name)}")
+                raise FieldError("gm_memory", f"must lie in [0, 1], got {self.gm_memory}")
+            require_nonnegative(self.gm_speed_sigma, "gm_speed_sigma")
+            require_nonnegative(self.gm_direction_sigma, "gm_direction_sigma")
 
     @classmethod
     def of(cls, source, **given) -> "TraceSpec":
@@ -205,10 +203,8 @@ def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> Mobil
     times = grid_times(_grid_size(spec.duration, spec.dt), spec.dt)
     legs = spec.duration / (spec.pause_time + max(spec.area_w, spec.area_h) / v_max)
     if not legs <= MAX_GRID_STEPS:
-        raise ValueError(
-            f"fields 'speed_class'/'area_w'/'area_h': {legs:.4g} legs of the {spec.area_w}x{spec.area_h} m "
-            f"area's longer side at {v_max} m/s cover {spec.duration} s, over {MAX_GRID_STEPS}"
-        )
+        raise FieldError(("speed_class", "area_w", "area_h"), f"{legs:.4g} legs of the {spec.area_w}x{spec.area_h} m "
+                         f"area's longer side at {v_max} m/s cover {spec.duration} s, over {MAX_GRID_STEPS}")
     x = rng.uniform(0.0, spec.area_w)
     y = rng.uniform(0.0, spec.area_h)
     knot_t = [0.0]
@@ -292,10 +288,9 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
                 if 0.0 <= x <= area_w and 0.0 <= y <= area_h:
                     break
             else:
-                raise ValueError(
-                    f"fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h': a {travel} m step at "
-                    f"t={len(xs) * dt} s is still outside the {area_w}x{area_h} m area after {_MAX_REFLECTIONS} passes"
-                )
+                raise FieldError(("speed_class", "gm_speed_sigma", "area_w", "area_h"), f"a {travel} m step at t="
+                                 f"{len(xs) * dt} s is still outside the {area_w}x{area_h} m area after "
+                                 f"{_MAX_REFLECTIONS} passes")
             heading_pull = (1.0 - m) * mean_heading
         add_x(x)
         add_y(y)
@@ -367,7 +362,7 @@ def import_trace(
     """Parse waypoint text and return the trace for line ``node_id`` (0-based)."""
     traces = import_traces(text, dt, area_w, area_h, duration=duration)
     if node_id < 0 or node_id >= len(traces):
-        raise ValueError(f"field 'node': node_id {node_id} out of range: source has {len(traces)} node line(s)")
+        raise FieldError("node", f"node_id {node_id} out of range: source has {len(traces)} node line(s)")
     return traces[node_id]
 
 

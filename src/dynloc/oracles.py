@@ -14,10 +14,10 @@ as independent checks on the simulator:
   extrapolating and its error grows linearly for as long as the node stands
   still.
 
-Each function takes the plain numbers it reads and checks each of them with a
-``require_*`` rule, which the CLI's flags share; :func:`require_positive` also
-checks the trace's ``duration``/``dt`` and the protocol configs' fields.  All angles are radians,
-distances meters, speeds meters/second.
+Each function checks the plain numbers it reads with a ``require_*`` rule, which
+the CLI's flags, the trace, the run and the protocol configs share.  A refused
+value raises :class:`FieldError`, as does every other module's bad field.  All
+angles are radians, distances meters, speeds meters/second.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "require_distance",
+    "FieldError",
+    "require_nonnegative",
     "require_positive",
     "require_angle",
     "sfr_turn_error",
@@ -35,20 +36,40 @@ __all__ = [
 ]
 
 
-def require_distance(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"field {name!r}: must be a finite distance >= 0, got {value}")
+class FieldError(ValueError):
+    """An input refused for the value of its ``fields`` (a tuple, each name once), and why: ``reason``.
+
+    ``str()`` reads ``field 'a': <reason>`` or ``fields 'a'/'b': <reason>``.  The args are ``(fields, reason)``,
+    so one raised in a process pool's worker pickles back whole."""
+
+    def __init__(self, fields: str | tuple[str, ...], reason: str) -> None:
+        self.fields, self.reason = tuple(dict.fromkeys((fields,) if isinstance(fields, str) else fields)), reason
+        super().__init__(self.fields, reason)
+
+    @property
+    def named(self) -> str:
+        """The fields as the message opens with them: ``field 'a'`` or ``fields 'a'/'b'``."""
+        return ("fields " if len(self.fields) > 1 else "field ") + "/".join(map(repr, self.fields))
+
+    def __str__(self) -> str:
+        return f"{self.named}: {self.reason}"
+
+
+def require_nonnegative(value: float, name: str) -> None:
+    """The one "finite and >= 0" rule, shared by the run, trace and oracle fields."""
+    if not (0 <= value < math.inf):
+        raise FieldError(name, f"must be finite and >= 0, got {value}")
 
 
 def require_positive(value: float, name: str) -> None:
     """The one "finite and > 0" rule, shared by the trace, protocol config and oracle fields."""
     if not (0 < value < math.inf):
-        raise ValueError(f"field {name!r}: must be finite and > 0, got {value}")
+        raise FieldError(name, f"must be finite and > 0, got {value}")
 
 
 def require_angle(value: float, name: str) -> None:
     if not math.isfinite(value):
-        raise ValueError(f"field {name!r}: must be a finite angle, got {value}")
+        raise FieldError(name, f"must be a finite angle, got {value}")
 
 
 def sfr_turn_error(straight_before_turn: float, turn_angle: float, past_turn: float) -> float:
@@ -63,9 +84,9 @@ def sfr_turn_error(straight_before_turn: float, turn_angle: float, past_turn: fl
     extremes: ``a = 0`` collapses it to ``x + n`` (straight continuation) and
     ``a = pi`` to ``|x - n|`` (full reversal), with no cancellation in between.
     """
-    require_distance(straight_before_turn, "straight_before_turn")
+    require_nonnegative(straight_before_turn, "straight_before_turn")
     require_angle(turn_angle, "turn_angle")
-    require_distance(past_turn, "past_turn")
+    require_nonnegative(past_turn, "past_turn")
     x = straight_before_turn
     half_cos = math.cos(turn_angle / 2.0)
     return math.sqrt((x - past_turn) ** 2 + 4.0 * x * past_turn * half_cos * half_cos)
@@ -78,7 +99,7 @@ def madrd_turn_error(turn_angle: float, past_turn: float) -> float:
     both are ``past_turn`` meters from the turn point, so the error is the
     chord ``2 * past_turn * sin(turn_angle / 2)`` between them.
     """
-    require_distance(past_turn, "past_turn")
+    require_nonnegative(past_turn, "past_turn")
     require_angle(turn_angle, "turn_angle")
     return 2.0 * past_turn * abs(math.sin(turn_angle / 2.0))
 
@@ -90,8 +111,8 @@ def sfr_pause_error(travel_before_stop: float, travel: float) -> float:
     error tracks the distance actually covered, which saturates at the stop:
     ``min(travel, travel_before_stop)``.
     """
-    require_distance(travel_before_stop, "travel_before_stop")
-    require_distance(travel, "travel")
+    require_nonnegative(travel_before_stop, "travel_before_stop")
+    require_nonnegative(travel, "travel")
     return min(travel, travel_before_stop)
 
 
@@ -102,5 +123,5 @@ def madrd_pause_error(speed: float, since_pause: float) -> float:
     stands still, so the error is ``speed * since_pause``.
     """
     require_positive(speed, "speed")
-    require_distance(since_pause, "since_pause")
+    require_nonnegative(since_pause, "since_pause")
     return speed * since_pause

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .oracles import require_positive
+from .oracles import FieldError, require_positive
 
 __all__ = [
     "PROTOCOLS",
@@ -78,7 +78,7 @@ class SfrConfig:
 
 def _check_limits(t_min: float, t_max: float) -> None:
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or not (0 < t_min <= t_max):
-        raise ValueError(f"fields 't_min'/'t_max': need finite 0 < t_min <= t_max, got [{t_min}, {t_max}]")
+        raise FieldError(("t_min", "t_max"), f"need finite 0 < t_min <= t_max, got [{t_min}, {t_max}]")
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,9 @@ class MadrdConfig:
         require_positive(self.divergence_threshold, "divergence_threshold")
         _check_limits(self.t_min, self.t_max)
         if not math.isfinite(self.period_growth) or self.period_growth < 1.0:
-            raise ValueError(f"field 'period_growth': must be finite and >= 1, got {self.period_growth}")
+            raise FieldError("period_growth", f"must be finite and >= 1, got {self.period_growth}")
         if not (0 < self.period_shrink <= 1.0):
-            raise ValueError(f"field 'period_shrink': must lie in (0, 1], got {self.period_shrink}")
+            raise FieldError("period_shrink", f"must lie in (0, 1], got {self.period_shrink}")
 
 
 def _clamp(value: float, lo: float, hi: float) -> float:

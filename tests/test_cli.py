@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynloc import cli, experiments, oracles
+from dynloc import cli, experiments, mobility, oracles
 from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
 from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
 from dynloc.protocols import PROTOCOLS, ProtocolKind, sfr_step
@@ -207,6 +208,47 @@ def test_protocol_flags_left_out_keep_each_config_default():
 def test_simulate_rejects_invalid_parameter(capsys):
     assert main(["simulate", "--protocol", "sfr", "--period", "0"]) == EXIT_VALIDATION
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--protocol", "sfr", "--t-max", "3"], "field 't_max' (--t-max): not a parameter of --protocol sfr"),
+        (["--protocol", "sfr", "--t-max", "3", "--divergence-threshold", "9"],
+         "fields 't_max'/'divergence_threshold' (--t-max/--divergence-threshold): not a parameter of --protocol sfr"),
+        (["--protocol", "dvm", "--period-growth", "3"], "field 'period_growth' (--period-growth): not a parameter"),
+        (["--protocol", "sfr", "--node", "5"], "field 'node': selects a line of --trace-file, which is not given"),
+        (["--protocol", "sfr", "--node", "0"], "field 'node': selects a line of --trace-file, which is not given"),
+    ],
+    ids=["t_max", "two_flags", "period_growth", "node", "node_0"],
+)
+def test_simulate_refuses_a_flag_it_would_not_read(capsys, argv, named):
+    assert main(["simulate", "--duration", "5", *argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"validation error: {named}")
+
+
+@pytest.mark.parametrize("backtracking", [[], ["--backtracking"]], ids=["plain", "backtracking"])
+@pytest.mark.parametrize("protocol", ["sfr", "dvm", "madrd"])
+def test_fixes_that_overflow_name_noise_max(tmp_path, capsys, protocol, backtracking):
+    # tier-1 turns a RuntimeWarning into an error, so this also shows that none is raised.
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--protocol", protocol, *backtracking, "--area", "1.7e308x1.7e308", "--noise", "1.7e308",
+            "--duration", "20", "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: field 'noise_max' (--noise): 1.7e+308 makes ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_field_error_from_a_pool_worker_reaches_the_cli_whole(tmp_path, capsys, workers):
+    spec_file = tmp_path / "spec.ini"
+    spec_file.write_text("[sweep]\nspeed_classes = 4:5, 8:10\nrepetitions = 2\nduration = 10\n\n[sfr]\nperiod = 1e-300\n")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir), "--workers", workers]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: field 'sfr.period': the next fix must come after the fix at t=0.1, ")
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -664,6 +706,38 @@ def test_events_out_dev_stdout_keeps_the_summary_row_in_a_redirected_file(tmp_pa
     # The simulate table (4 lines), then the event log (3 header lines, 11 rows).
     assert piped.stdout.count(b"\n") == 18 and piped.stdout.startswith(b"# dynloc simulate v1\n")
     assert (tmp_path / "f.txt").read_bytes() == piped.stdout
+
+
+def test_events_out_at_the_file_stdout_is_redirected_to_keeps_the_summary_row(tmp_path):
+    argv = [sys.executable, "-m", "dynloc.cli", "simulate", "--protocol", "madrd", "--duration", "1", "--events-out"]
+    piped = subprocess.run([*argv, "/dev/stdout"], capture_output=True, env=_child_env(), timeout=60)
+    target = tmp_path / "f.txt"
+    with open(target, "wb") as out:
+        done = subprocess.run([*argv, str(target)], stdout=out, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert piped.stdout.count(b"\n") == 18 and target.read_bytes() == piped.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+
+@pytest.mark.parametrize("events_out", ["same.csv", "./same.csv", "{tmp}/same.csv"])
+def test_out_and_events_out_at_one_file_exit_2_naming_both(tmp_path, monkeypatch, capsys, events_out):
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--protocol", "sfr", "--duration", "5", "--out", "same.csv"]
+    assert main([*argv, "--events-out", events_out.format(tmp=tmp_path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: fields 'out'/'events-out': 'same.csv' and ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sweep_file_stdout_is_redirected_to_exits_2_before_any_run(tmp_path):
+    out_dir = tmp_path / "D"
+    out_dir.mkdir()
+    argv = [sys.executable, "-m", "dynloc.cli", *_TINY_SWEEP]
+    argv[argv.index("{folder}")] = str(out_dir)
+    with open(out_dir / "runs.csv", "wb") as out:
+        done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
+    assert done.returncode == EXIT_VALIDATION
+    assert done.stderr.decode() == f"validation error: field 'out': {str(out_dir / 'runs.csv')!r} is the file stdout writes to\n"
+    assert [(p.name, p.stat().st_size) for p in out_dir.iterdir()] == [("runs.csv", 0)]
 
 
 def test_serial_commands_never_load_the_process_pool(tmp_path):
@@ -1156,3 +1230,66 @@ def test_a_waypoint_trace_past_the_grid_cap_is_refused_naming_the_flags(tmp_path
         assert main([*argv, "--out", str(out)]) == EXIT_VALIDATION
         assert "fields 'duration'/'dt'" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["far.txt"]
+
+
+
+# ---------------------------------------------------------------------------
+# Refusals no other test reaches, pinned word for word
+# ---------------------------------------------------------------------------
+
+
+def _trace(xs, ys):
+    return lambda tmp: mobility.MobilityTrace(0, np.array(xs, dtype=float), np.array(ys, dtype=float), 0.1, 300.0, 300.0)
+
+
+def _spec_dict(edit):
+    def call(tmp):
+        d = experiments.spec_to_dict(experiments.default_bundle())
+        edit(d)
+        return experiments.spec_from_dict(d)
+    return call
+
+
+# (a call of the tmp folder, or a command line; the message, "{tmp}" for that folder; the fields a
+# FieldError names, or None for a refusal that points into its input instead)
+_REFUSALS = {
+    "trace-empty": (_trace([], []), "trace needs at least one sample", None),
+    "trace-unequal": (_trace([1.0, 2.0], [1.0]), "xs, ys must have identical length", None),
+    "trace-nan": (_trace([1.0, math.nan], [1.0, 1.0]), "trace samples must be finite", None),
+    "waypoint-nan": (("import-trace", "--in", "{tmp}/nan.txt"), "line 1: waypoint fields must be finite", None),
+    "waypoint-early": (("import-trace", "--in", "{tmp}/early.txt"), "line 1: waypoint times must be >= 0", None),
+    "no-waypoints": (lambda tmp: mobility.trace_from_waypoints([], 0.1, 300.0, 300.0), "need at least one waypoint", None),
+    "no-pause-times": (_spec_dict(lambda d: d.update(pause_times=[])), "field 'pause_times': need at least one value",
+                       ("pause_times",)),
+    "missing-key": (_spec_dict(lambda d: d.pop("duration")), "field 'duration': missing from provenance config",
+                    ("duration",)),
+    "no-header": (lambda tmp: read_provenance(tmp / "bare.csv"), "no provenance header found in {tmp}/bare.csv", None),
+    "pause-times-empty": (("sweep", "--out", "{tmp}/out", "--pause-times", ","), "field 'pause-times': empty list",
+                          ("pause-times",)),
+    "speed-one-number": (("simulate", "--protocol", "sfr", "--speed", "4"),
+                         "field 'speed': expected two numbers joined by ':', got '4'", ("speed",)),
+    "area-one-number": (("simulate", "--protocol", "sfr", "--area", "300"),
+                        "field 'area': expected two numbers joined by 'x', got '300'", ("area",)),
+}
+
+
+@pytest.mark.parametrize("case, message, fields", list(_REFUSALS.values()), ids=list(_REFUSALS))
+def test_a_refusal_no_other_test_reaches_keeps_its_message(tmp_path, capsys, case, message, fields):
+    # A command line exits 2 printing the message its command raises; a call raises it.
+    inputs = {"nan.txt": "0 1 1 1 nan 1\n", "early.txt": "-1 1 1 2 2 2\n", "bare.csv": "t\n0.0\n"}
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+    message = message.format(tmp=tmp_path)
+    call = functools.partial(case, tmp_path) if callable(case) else None
+    if call is None:
+        argv = [arg.format(tmp=tmp_path) for arg in case]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        args = cli._build_parser().parse_args(argv)
+        call = functools.partial(cli._COMMANDS[args.command], args)
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+    assert getattr(refused.value, "fields", None) == fields
+    assert isinstance(refused.value, oracles.FieldError) == (fields is not None)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from dynloc.oracles import madrd_pause_error, madrd_turn_error, sfr_pause_error, sfr_turn_error
+from dynloc.engine import RunConfig
+from dynloc.geometry import threshold_accuracy
+from dynloc.mobility import MobilityTrace, TraceSpec
+from dynloc.oracles import FieldError, madrd_pause_error, madrd_turn_error, sfr_pause_error, sfr_turn_error
+from dynloc.protocols import SfrConfig
 from scenario_tools import brute_turn_hold_error, brute_turn_predict_error
 
 
@@ -137,3 +143,42 @@ def test_turn_functions_reject_a_non_finite_angle(angle):
         sfr_turn_error(1.0, angle, 1.0)
     with pytest.raises(ValueError, match="turn_angle"):
         madrd_turn_error(angle, 1.0)
+
+
+
+@pytest.mark.parametrize(
+    "given, fields, text",
+    [
+        ("a", ("a",), "field 'a': bad"),
+        (("a", "b"), ("a", "b"), "fields 'a'/'b': bad"),
+        (("a", "b", "a"), ("a", "b"), "fields 'a'/'b': bad"),
+    ],
+)
+def test_a_field_error_reads_as_its_fields_and_reason_and_pickles_whole(given, fields, text):
+    # Pickled as a process pool's worker sends it back.
+    exc = pickle.loads(pickle.dumps(FieldError(given, "bad")))
+    assert type(exc) is FieldError and isinstance(exc, ValueError)
+    assert (exc.fields, exc.reason, str(exc)) == (fields, "bad", text)
+
+
+_TRACE = MobilityTrace(0, np.zeros(1), np.zeros(1), 0.1, 1.0, 1.0)
+_GM = TraceSpec("gauss_markov", (1.0, 2.0), 0.0, 10.0, 0.1, 300.0, 300.0, 0.5, 0.5, 0.5, 0)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: RunConfig(_TRACE, SfrConfig(), noise_max=bad), "noise_max"),
+        (lambda bad: RunConfig(_TRACE, SfrConfig(), dist_tolerance=bad), "dist_tolerance"),
+        (lambda bad: dataclasses.replace(_GM, pause_time=bad), "pause_time"),
+        (lambda bad: dataclasses.replace(_GM, gm_speed_sigma=bad), "gm_speed_sigma"),
+        (lambda bad: dataclasses.replace(_GM, gm_direction_sigma=bad), "gm_direction_sigma"),
+        (lambda bad: threshold_accuracy([1.0], bad), "tolerance"),
+        (lambda bad: sfr_turn_error(bad, 1.0, 1.0), "straight_before_turn"),
+    ],
+)
+@pytest.mark.parametrize("bad", [-1.0, -math.inf, math.inf, math.nan])
+def test_every_finite_and_nonnegative_field_is_refused_in_one_wording(call, name, bad):
+    with pytest.raises(FieldError) as refused:
+        call(bad)
+    assert (refused.value.fields, refused.value.reason) == ((name,), f"must be finite and >= 0, got {bad}")
