@@ -13,7 +13,6 @@ from .geometry import localize, threshold_accuracy
 from .mobility import (
     MobilityTrace,
     TraceSpec,
-    WaypointParseError,
     export_trace,
     generate_gauss_markov,
     generate_random_waypoint,

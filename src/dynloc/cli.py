@@ -29,9 +29,10 @@ are the ``.fields`` of the :class:`~dynloc.oracles.FieldError` a check raises.  
 dest is the field it sets, so the parser is the one map from field to flag; it also gives
 the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).  A flag the
 command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` without
-``--trace-file``) is a validation error too.  Every output path goes through
-:func:`~dynloc.experiments.check_output` before anything runs, and one that is stdout's own
-file (``/dev/stdout``, or the file stdout is redirected to) is written through stdout.
+``--trace-file``, a generator flag such as ``--speed`` with it) is a validation error too, and
+so is a table of more ``oracle --steps`` than a trace's grid may have.  Every output path
+goes through :func:`~dynloc.experiments.check_output` before anything runs, and one that is
+stdout's own file (``/dev/stdout``, or the file stdout is redirected to) is written through stdout.
 """
 
 from __future__ import annotations
@@ -79,6 +80,16 @@ class _Parser(argparse.ArgumentParser):
         return {a.dest: a.option_strings[0] for a in sub._actions if a.option_strings and a.nargs != 0} if sub else {}
 
 
+# The stock run is SweepSpec's: its field defaults are the flags' defaults.
+_STOCK = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
+
+# The trace flags only a generator reads, by dest, each with the value it takes when left out.  Their
+# parser default is None, so that simulate can refuse one given with --trace-file.
+_GENERATOR_DEFAULTS = {
+    "mobility": _STOCK["mobility"], "speed_class": "4:5", "pause_time": 0.0,
+    **{name: _STOCK[name] for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma")},
+}
+
 # Stock sweep bundles by name; each names the mobility model it runs.
 _BUNDLES = {"rwp": experiments.default_bundle, "gauss_markov": experiments.default_gauss_markov_bundle}
 
@@ -101,17 +112,16 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names, and
-    # the stock run is SweepSpec's: its field defaults are the flags' defaults.
-    stock = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
-    stock_area = f"{stock['area_w']!r}x{stock['area_h']!r}"
+    # Trace flags shared by simulate and export-trace; dests equal TraceSpec field names.
+    stock_area = f"{_STOCK['area_w']!r}x{_STOCK['area_h']!r}"
     trace = _Parser(add_help=False)
-    trace.add_argument("--mobility", metavar=_choices(mobility.MOBILITY_MODELS), default=stock["mobility"])
-    trace.add_argument("--speed", dest="speed_class", type=str, default="4:5", help="speed class lo:hi, m/s")
-    trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, default=0.0,
-                       help="waypoint pause time, seconds")
-    for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma", "duration", "dt"):
-        trace.add_argument("--" + name.replace("_", "-"), type=float, default=stock[name])
+    trace.add_argument("--mobility", metavar=_choices(mobility.MOBILITY_MODELS))
+    trace.add_argument("--speed", dest="speed_class", type=str, help="speed class lo:hi, m/s")
+    trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, help="waypoint pause time, seconds")
+    for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma"):
+        trace.add_argument("--" + name.replace("_", "-"), type=float)
+    for name in ("duration", "dt"):
+        trace.add_argument("--" + name, type=float, default=_STOCK[name])
     trace.add_argument("--area", type=str, default=stock_area)
     trace.add_argument("--seed", type=int, default=0)
 
@@ -126,8 +136,8 @@ def _build_parser() -> _Parser:
             readers.setdefault(f.name, []).append(kind)
     for name, kinds in readers.items():
         sim.add_argument("--" + name.replace("_", "-"), type=float, help=f"{'/'.join(kinds)} parameter")
-    sim.add_argument("--noise", dest="noise_max", type=float, default=stock["noise_max"])
-    sim.add_argument("--tolerance", dest="dist_tolerance", type=float, default=stock["dist_tolerance"])
+    sim.add_argument("--noise", dest="noise_max", type=float, default=_STOCK["noise_max"])
+    sim.add_argument("--tolerance", dest="dist_tolerance", type=float, default=_STOCK["dist_tolerance"])
     sim.add_argument("--backtracking", dest="backtracking_enabled", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
     sim.add_argument("--node", type=int, default=None, help="node line to use from --trace-file (default: 0)")
@@ -161,7 +171,7 @@ def _build_parser() -> _Parser:
 
     imp = sub.add_parser("import-trace", help="validate waypoint text and resample it onto the dt grid")
     imp.add_argument("--in", dest="infile", required=True)
-    imp.add_argument("--dt", type=float, default=stock["dt"])
+    imp.add_argument("--dt", type=float, default=_STOCK["dt"])
     imp.add_argument("--area", type=str, default=stock_area)
     imp.add_argument("--duration", type=float, default=None)
     imp.add_argument("--node", type=int, default=None, help="single node line to keep (default: all)")
@@ -192,15 +202,21 @@ def _protocol_config(args) -> ProtocolConfig:
 
 
 def _trace_spec(args) -> mobility.TraceSpec:
-    """The trace the shared trace flags describe, ``--seed`` included."""
+    """The trace the shared trace flags describe, ``--seed`` included; a generator flag left out takes its default."""
+    generator = {name: default if getattr(args, name) is None else getattr(args, name)
+                 for name, default in _GENERATOR_DEFAULTS.items()}
     area_w, area_h = experiments.parse_area(args.area)
-    speed_class = experiments.parse_speed_class(args.speed_class, "speed")
-    return mobility.TraceSpec.of(args, speed_class=speed_class, area_w=area_w, area_h=area_h)
+    speed_class = experiments.parse_speed_class(generator.pop("speed_class"), "speed")
+    return mobility.TraceSpec.of(args, **generator, speed_class=speed_class, area_w=area_w, area_h=area_h)
 
 
 def _cmd_simulate(args) -> int:
     experiments.check_output(args.out, "out")
     experiments.check_output(args.events_out, "events-out", beside=("out", args.out))
+    if args.trace_file is not None:
+        unread = tuple(name for name in _GENERATOR_DEFAULTS if getattr(args, name) is not None)
+        if unread:
+            raise FieldError(unread, "not read with --trace-file, which replaces the generated trace")
     ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
     protocol_config = _protocol_config(args)  # before the trace is made or read
     if args.node is not None and args.trace_file is None:
@@ -280,8 +296,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     experiments.check_output(args.out, "out")
     oracles.require_positive(args.v, "v")
-    if args.steps < 2:
-        raise FieldError("steps", f"need steps >= 2, got {args.steps}")
+    if not 2 <= args.steps <= mobility.MAX_GRID_STEPS:  # no table longer than the longest run's grid
+        raise FieldError("steps", f"need 2 <= steps <= {mobility.MAX_GRID_STEPS}, got {args.steps}")
     if args.turn:
         oracles.require_angle(args.theta, "theta")
         oracles.require_nonnegative(args.x, "x")
@@ -392,9 +408,11 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
         os.close(devnull)
         return EXIT_OK
-    except ValueError as exc:  # mobility.WaypointParseError included
-        # A flag left out (None) leaves its field to a spec file or a config default.
-        given = {name: flag for name, flag in flags.items() if getattr(args, name) is not None}
+    except ValueError as exc:
+        # A flag left out (None) leaves its field to a spec file or a config default, but a generator
+        # flag's field to the flag's own default.
+        given = {name: flag for name, flag in flags.items()
+                 if getattr(args, name) is not None or name in _GENERATOR_DEFAULTS}
         if "area" in given:  # --area sets TraceSpec's and MobilityTrace's area_w and area_h
             given["area_w"] = given["area_h"] = given["area"]
         sys.stderr.write(f"validation error: {_with_flags(exc, given)}\n")

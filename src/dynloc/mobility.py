@@ -39,7 +39,6 @@ __all__ = [
     "grid_times",
     "MOBILITY_MODELS",
     "TraceSpec",
-    "WaypointParseError",
     "generate_random_waypoint",
     "generate_gauss_markov",
     "trace_from_waypoints",
@@ -61,14 +60,6 @@ _MAX_REFLECTIONS = 64
 # Waypoint triples per block of exported text.  A triple is at most 3 floats of <= 24 chars and
 # 3 spaces, so a block and its line end are at most 37,501 chars, inside the 64 KiB a write may take.
 _EXPORT_TRIPLES = 500
-
-
-class WaypointParseError(ValueError):
-    """Malformed waypoint text; carries the 1-based source line number."""
-
-    def __init__(self, line_no: int, message: str) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -302,42 +293,46 @@ def generate_gauss_markov(spec: TraceSpec, rng: np.random.Generator) -> Mobility
 # ---------------------------------------------------------------------------
 
 
-def _parse_waypoint_line(line_no: int, line: str) -> list[tuple[float, float, float]]:
+def _parse_waypoint_line(line: str) -> np.ndarray:
+    """The ``(k, 3)`` array of a line's ``t x y`` triples; its first bad triple decides the refusal."""
     fields = line.split()
     if len(fields) % 3 != 0:
-        raise WaypointParseError(line_no, f"expected 't x y' triples, got {len(fields)} fields")
-    triples: list[tuple[float, float, float]] = []
-    for i in range(0, len(fields), 3):
-        try:
-            t, x, y = (float(fields[i]), float(fields[i + 1]), float(fields[i + 2]))
-        except ValueError as exc:
-            raise WaypointParseError(line_no, f"non-numeric field near {fields[i]!r}") from exc
-        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
-            raise WaypointParseError(line_no, "waypoint fields must be finite")
-        triples.append((t, x, y))
-    return triples
+        raise ValueError(f"expected 't x y' triples, got {len(fields)} fields")
+    numbers: list[float] = []
+    try:
+        numbers.extend(map(float, fields))  # a non-numeric field stops it, keeping the numbers before
+    except ValueError:
+        pass
+    whole = len(numbers) // 3
+    waypoints = np.array(numbers[: 3 * whole]).reshape(whole, 3)
+    if not np.isfinite(waypoints).all():
+        raise ValueError("waypoint fields must be finite")
+    if len(numbers) < len(fields):
+        raise ValueError(f"non-numeric field near {fields[3 * whole]!r}")
+    return waypoints
 
 
 def trace_from_waypoints(
-    waypoints: Sequence[tuple[float, float, float]],
+    waypoints: np.ndarray | Sequence[Sequence[float]],
     dt: float,
     area_w: float,
     area_h: float,
     node_id: int = 0,
     duration: float | None = None,
 ) -> MobilityTrace:
-    """Resample ``(t, x, y)`` waypoints piecewise-linearly onto the dt grid.
+    """Resample ``(t, x, y)`` waypoints, a ``(k, 3)`` array or ``k`` triples, piecewise-linearly onto the dt grid.
 
     The trace starts at t=0 (holding the first waypoint position if its time
     is later) and runs to the last waypoint time, or to ``duration`` with the
     final position held.  Times must be strictly increasing and positions must
     stay within the area.
     """
-    if not waypoints:
+    waypoints = np.asarray(waypoints, dtype=float)
+    if waypoints.size == 0:
         raise ValueError("need at least one waypoint")
-    wt = np.asarray([w[0] for w in waypoints], dtype=float)
-    wx = np.asarray([w[1] for w in waypoints], dtype=float)
-    wy = np.asarray([w[2] for w in waypoints], dtype=float)
+    if waypoints.ndim != 2 or waypoints.shape[1] != 3:
+        raise ValueError(f"waypoints must be (t, x, y) triples, got an array of shape {waypoints.shape}")
+    wt, wx, wy = waypoints.T
     if np.any(np.diff(wt) <= 0):
         raise ValueError("waypoint times must be strictly increasing")
     if wt[0] < 0:
@@ -380,19 +375,15 @@ def import_traces(
     if duration is not None:
         _grid_size(duration, dt)
     traces: list[MobilityTrace] = []
-    node_id = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        triples = _parse_waypoint_line(line_no, line)
         try:
-            traces.append(
-                trace_from_waypoints(triples, dt, area_w, area_h, node_id=node_id, duration=duration)
-            )
-        except ValueError as exc:
+            waypoints = _parse_waypoint_line(line)
+            traces.append(trace_from_waypoints(waypoints, dt, area_w, area_h, node_id=len(traces), duration=duration))
+        except ValueError as exc:  # every refusal of a line, its own or its trace's
             raise ValueError(f"line {line_no}: {exc}") from exc
-        node_id += 1
     if not traces:
         raise ValueError("no waypoint lines found in source")
     return traces

@@ -9,6 +9,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import platform
 import re
 import socket
@@ -210,6 +211,9 @@ def test_simulate_rejects_invalid_parameter(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+_FILE_RUN = ["--protocol", "sfr", "--trace-file", "absent.txt"]
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -219,13 +223,34 @@ def test_simulate_rejects_invalid_parameter(capsys):
         (["--protocol", "dvm", "--period-growth", "3"], "field 'period_growth' (--period-growth): not a parameter"),
         (["--protocol", "sfr", "--node", "5"], "field 'node': selects a line of --trace-file, which is not given"),
         (["--protocol", "sfr", "--node", "0"], "field 'node': selects a line of --trace-file, which is not given"),
+        # A file run reads no generator flag.  The file does not exist, so a refusal after reading it
+        # would name trace-file instead.
+        ([*_FILE_RUN, "--mobility", "rwp"], "field 'mobility': not read with --trace-file"),
+        ([*_FILE_RUN, "--speed", "9:10"], "field 'speed_class' (--speed): not read with --trace-file"),
+        ([*_FILE_RUN, "--pause", "30"], "field 'pause_time' (--pause): not read with --trace-file"),
+        ([*_FILE_RUN, "--gm-memory", "2"], "field 'gm_memory' (--gm-memory): not read with --trace-file"),
+        ([*_FILE_RUN, "--gm-speed-sigma", "0.5"], "field 'gm_speed_sigma' (--gm-speed-sigma): not read"),
+        ([*_FILE_RUN, "--gm-direction-sigma", "0.4"], "field 'gm_direction_sigma' (--gm-direction-sigma): not read"),
+        ([*_FILE_RUN, "--gm-memory", "0.6", "--pause", "0", "--mobility", "gauss_markov"],
+         "fields 'mobility'/'pause_time'/'gm_memory' (--pause/--gm-memory): not read with --trace-file, which "
+         "replaces the generated trace\n"),
     ],
-    ids=["t_max", "two_flags", "period_growth", "node", "node_0"],
+    ids=["t_max", "two_flags", "period_growth", "node", "node_0", "file_mobility", "file_speed", "file_pause",
+         "file_gm_memory", "file_gm_speed_sigma", "file_gm_direction_sigma", "file_three"],
 )
 def test_simulate_refuses_a_flag_it_would_not_read(capsys, argv, named):
     assert main(["simulate", "--duration", "5", *argv]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"validation error: {named}")
+
+
+def test_a_trace_file_run_reads_duration_dt_area_and_seed(tmp_path, capsys):
+    trace_file = tmp_path / "node.txt"
+    trace_file.write_text("0 10 10 20 50 10\n")
+    argv = ["simulate", "--protocol", "sfr", "--trace-file", str(trace_file)]
+    assert main([*argv, "--duration", "20", "--dt", "0.5", "--area", "60x60", "--seed", "3"]) == EXIT_OK
+    config = json.loads(_lines(capsys)[1][len("# config "):])
+    assert (config["duration"], config["dt"], config["area"], config["seed"]) == (20.0, 0.5, [60.0, 60.0], 3)
 
 
 @pytest.mark.parametrize("backtracking", [[], ["--backtracking"]], ids=["plain", "backtracking"])
@@ -682,16 +707,15 @@ def _child_env() -> dict[str, str]:
     ids=["simulate-events-out", "export-trace", "oracle"],
 )
 def test_a_reader_that_closes_stdout_early_ends_the_command_with_0(argv):
-    child = subprocess.Popen(
-        [sys.executable, "-m", "dynloc.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()
-    )
-    try:
-        assert len(child.stdout.read(10)) == 10
-        child.stdout.close()
-        err = child.stderr.read()
-        code = child.wait(timeout=60)
-    finally:
-        child.kill()
+    command = [sys.executable, "-m", "dynloc.cli", *argv]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env()) as child:
+        try:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=60)
+        finally:
+            child.kill()
     assert (code, err.decode()) == (EXIT_OK, "")
 
 
@@ -931,6 +955,16 @@ def test_oracle_rejects_bad_table_shape(capsys):
     assert main(["oracle", "--turn", "--steps", "1"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("mode", ["--turn", "--pause"])
+def test_oracle_refuses_a_table_longer_than_the_grid_cap_before_building_it(tmp_path, capsys, mode):
+    out = tmp_path / "table.csv"
+    with time_limit(5.0):
+        code = main(["oracle", mode, "--steps", str(mobility.MAX_GRID_STEPS + 1), "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: field 'steps': need 2 <= steps <= 2000000, got 2000001\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [
@@ -1052,6 +1086,76 @@ def test_import_trace_reports_bad_line(tmp_path, capsys):
     src.write_text("0 0 0 10 10 0\n0 0\n")
     assert main(["import-trace", "--in", str(src)]) == EXIT_VALIDATION
     assert "line 2" in capsys.readouterr().err
+
+
+# Waypoint text for the import-trace surface: numbers and tokens float() reads (nan, inf, 1e309, 1_0)
+# or refuses (x), times that may fall, repeat or be negative, points that may leave a 50 x 40 m
+# area, wrong field counts, and blank and comment lines.
+_WAYPOINT_TOKENS = st.sampled_from(["x", "nan", "inf", "-inf", "1e309", "1_0", "-1", "1e300", "60", "45"])
+_WAYPOINT_NUMBERS = st.integers(0, 50).map(str) | st.floats(-1.0, 60.0).map(repr)
+_WAYPOINT_TRACKS = st.lists(
+    st.tuples(st.floats(0.0, 30.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0)), min_size=1, max_size=5,
+    unique_by=lambda triple: triple[0],
+).map(lambda triples: " ".join(f"{t!r} {x!r} {y!r}" for t, x, y in sorted(triples)))
+_WAYPOINT_LINES = st.one_of(
+    st.sampled_from(["", "  ", "# a comment", "#0 0 0"]),
+    _WAYPOINT_TRACKS,
+    _WAYPOINT_TRACKS,
+    st.lists(_WAYPOINT_NUMBERS | _WAYPOINT_TOKENS, min_size=1, max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    lines=st.lists(_WAYPOINT_LINES, max_size=4),
+    dt=st.sampled_from(["1", "0.5", "0.25", "1", "0.5", "0", "nan"]),
+    area=st.sampled_from(["50x40", "50x40", "50x40", "0x40"]),
+    duration=st.sampled_from([None, None, "40", "0", "1e9"]),
+    node=st.sampled_from([None, None, None, "0", "1", "-1"]),
+)
+def test_import_trace_surface_round_trips_or_exits_2_naming_a_line_or_a_field(lines, dt, area, duration, node):
+    # In process, 120 examples take about 1 s.
+    text = "\n".join(lines) + "\n"
+    flags = ["--dt", dt, "--area", area]
+    flags += [] if duration is None else ["--duration", duration]
+    flags += [] if node is None else ["--node", node]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        source, out, again = (Path(folder) / name for name in ("f.txt", "g.txt", "h.txt"))
+        source.write_text(text)
+        with contextlib.redirect_stderr(err), time_limit(5.0):
+            code = main(["import-trace", "--in", str(source), *flags, "--out", str(out)])
+            if code == EXIT_OK:
+                assert main(["import-trace", "--in", str(out), "--dt", dt, "--area", area, "--out", str(again)]) == EXIT_OK
+        if code == EXIT_OK:
+            assert again.read_bytes() == out.read_bytes()
+            return
+        assert code == EXIT_VALIDATION, err.getvalue()
+        assert not out.exists()
+    message = err.getvalue()
+    area_w, area_h = experiments.parse_area(area)
+    read = functools.partial(mobility.import_traces, dt=float(dt), area_w=area_w, area_h=area_h,
+                             duration=None if duration is None else float(duration))
+    waypoint_lines = [n for n, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#")]
+    bad_line = re.match(r"validation error: line (\d+): ", message)
+    named = re.match(r"validation error: fields? ('\w+'(?:/'\w+')*)", message)
+    if bad_line:
+        # The first bad line: each waypoint line before it imports on its own.
+        assert int(bad_line[1]) in waypoint_lines
+        for n in waypoint_lines[: waypoint_lines.index(int(bad_line[1]))]:
+            read(lines[n - 1])
+    elif named:
+        assert set(re.findall(r"\w+", named[1])) <= {"dt", "area_w", "area_h", "duration", "node"}, message
+    else:
+        assert (message, waypoint_lines) == ("validation error: no waypoint lines found in source\n", [])
+    # The library's refusal of the same input crosses a process boundary whole.
+    try:
+        traces = read(text)
+    except ValueError as exc:
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back)) == (type(exc), str(exc))
+    else:
+        assert node is not None and not 0 <= int(node) < len(traces)
 
 
 def test_import_trace_rejects_out_of_area(tmp_path, capsys):

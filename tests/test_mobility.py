@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dynloc.mobility import (
     MOBILITY_MODELS,
     MobilityTrace,
     TraceSpec,
-    WaypointParseError,
     export_trace,
     generate_gauss_markov,
     generate_random_waypoint,
@@ -412,12 +412,12 @@ def test_import_node_out_of_range():
 
 
 def test_import_reports_line_number_for_bad_field_count():
-    with pytest.raises(WaypointParseError, match="line 2"):
+    with pytest.raises(ValueError, match="line 2"):
         import_traces("0 0 0 10 10 0\n0 0\n", 1.0, 300, 300)
 
 
 def test_import_reports_line_number_for_non_numeric():
-    with pytest.raises(WaypointParseError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         import_traces("0 zero 0\n", 1.0, 300, 300)
 
 
@@ -443,6 +443,45 @@ def test_import_checks_dt_before_any_line(text, dt):
 def test_import_rejects_empty_source():
     with pytest.raises(ValueError, match="no waypoint"):
         import_traces("\n# comment only\n", 1.0, 300, 300)
+
+
+# Each refusal of a waypoint line, word for word.  On a line with two problems the first bad
+# triple decides, and within one triple a non-numeric field outranks a non-finite one.
+_LINE_REFUSALS = {
+    "field-count": ("0 0 0 10 10 0\n0 0\n", "line 2: expected 't x y' triples, got 2 fields"),
+    "non-numeric": ("0 zero 0\n", "line 1: non-numeric field near '0'"),
+    "non-finite": ("0 1 1 1 1e309 1\n", "line 1: waypoint fields must be finite"),
+    "non-finite-then-non-numeric": ("0 inf 0 5 x 5\n", "line 1: waypoint fields must be finite"),
+    "non-numeric-then-non-finite": ("0 1 x 5 inf 5\n", "line 1: non-numeric field near '0'"),
+    "both-in-one-triple": ("0 0 0 5 inf x\n", "line 1: non-numeric field near '5'"),
+    "decreasing": ("# c\n\n0 0 0 5 5 0 3 9 0\n", "line 3: waypoint times must be strictly increasing"),
+    "negative-time": ("-1 1 1 2 2 2\n", "line 1: waypoint times must be >= 0"),
+    "outside-area": ("0 0 0 10 500 0\n", "line 1: waypoints must lie within the 300.0x300.0 area"),
+}
+
+
+@pytest.mark.parametrize("text, message", list(_LINE_REFUSALS.values()), ids=list(_LINE_REFUSALS))
+def test_a_refused_line_is_named_once_and_survives_pickle(text, message):
+    with pytest.raises(ValueError) as refused:
+        import_traces(text, 1.0, 300.0, 300.0)
+    assert (type(refused.value), str(refused.value)) == (ValueError, message)
+    back = pickle.loads(pickle.dumps(refused.value))
+    assert (type(back), str(back)) == (ValueError, message)
+
+
+def test_a_waypoint_line_reads_into_one_k_by_3_array():
+    waypoints = mobility._parse_waypoint_line("0 1 2  3 4 5\t6 7 8")
+    assert waypoints.shape == (3, 3) and waypoints.dtype == float
+    assert waypoints.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
+    from_array = trace_from_waypoints(waypoints, 0.5, 300.0, 300.0)
+    from_list = trace_from_waypoints(waypoints.tolist(), 0.5, 300.0, 300.0)
+    assert from_array.content_hash() == from_list.content_hash()
+
+
+@pytest.mark.parametrize("waypoints", [[(0.0, 1.0)], [(0.0, 1.0, 2.0, 3.0)], [0.0, 1.0, 2.0], np.zeros((2, 3, 1))])
+def test_trace_from_waypoints_refuses_anything_but_k_triples(waypoints):
+    with pytest.raises(ValueError, match=r"^waypoints must be \(t, x, y\) triples, got an array of shape \("):
+        trace_from_waypoints(waypoints, 1.0, 300.0, 300.0)
 
 
 def test_export_import_round_trip_bit_exact():
