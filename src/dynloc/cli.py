@@ -29,10 +29,12 @@ are the ``.fields`` of the :class:`~dynloc.oracles.FieldError` a check raises.  
 dest is the field it sets, so the parser is the one map from field to flag; it also gives
 the flags whose value may begin with "-" (``--noise -1e-3``, ``--area -1x300``).  A flag the
 command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` without
-``--trace-file``, a generator flag such as ``--speed`` with it) is a validation error too, and
-so is a table of more ``oracle --steps`` than a trace's grid may have.  Every output path
-goes through :func:`~dynloc.experiments.check_output` before anything runs, and one that is
-stdout's own file (``/dev/stdout``, or the file stdout is redirected to) is written through stdout.
+``--trace-file``, a generator flag such as ``--speed`` with it, ``sweep --bundle`` with
+``--spec``) is a validation error too, and so are a waypoint file with no waypoint line, named
+by its flag (``in``, ``trace-file``), and a table of more ``oracle --steps`` than a trace's
+grid may have.  Every output path goes through :func:`~dynloc.experiments.check_output`
+before anything runs, and one that is stdout's own file (``/dev/stdout``, or the file stdout
+is redirected to) is written through stdout.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ _STOCK = {f.name: f.default for f in dataclasses.fields(experiments.SweepSpec)}
 # parser default is None, so that simulate can refuse one given with --trace-file.
 _GENERATOR_DEFAULTS = {
     "mobility": _STOCK["mobility"], "speed_class": "4:5", "pause_time": 0.0,
-    **{name: _STOCK[name] for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma")},
+    **{name: _STOCK[name] for name in mobility.GAUSS_MARKOV_FIELDS},
 }
 
 # Stock sweep bundles by name; each names the mobility model it runs.
@@ -118,7 +120,7 @@ def _build_parser() -> _Parser:
     trace.add_argument("--mobility", metavar=_choices(mobility.MOBILITY_MODELS))
     trace.add_argument("--speed", dest="speed_class", type=str, help="speed class lo:hi, m/s")
     trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, help="waypoint pause time, seconds")
-    for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma"):
+    for name in mobility.GAUSS_MARKOV_FIELDS:
         trace.add_argument("--" + name.replace("_", "-"), type=float)
     for name in ("duration", "dt"):
         trace.add_argument("--" + name, type=float, default=_STOCK[name])
@@ -146,12 +148,12 @@ def _build_parser() -> _Parser:
 
     sw = sub.add_parser("sweep", help="run an experiment sweep and write runs/summary CSVs")
     sw.add_argument("--spec", type=str, default=None, help="spec file; omitted = stock bundle")
-    sw.add_argument("--bundle", metavar=_choices(_BUNDLES), default="rwp", help="stock bundle when no spec file is given")
+    sw.add_argument("--bundle", metavar=_choices(_BUNDLES), help="stock bundle, without --spec (default: rwp)")
     sw.add_argument("--out", type=str, required=True, help="output directory")
     sw.add_argument("--repetitions", type=int, default=None)
     sw.add_argument("--seed-base", type=int, default=None)
     sw.add_argument("--duration", type=float, default=None)
-    sw.add_argument("--pause-times", type=str, default=None, help="comma list, overrides spec")
+    sw.add_argument("--pause-times", dest="pause_times", type=str, default=None, help="comma list, overrides spec")
     sw.add_argument("--protocols", type=str, default=None, help="comma list of labels to keep")
     sw.add_argument("--workers", type=int, default=1, help="worker processes, >= 1")
     sw.add_argument("--events", action="store_true", help="also write per-run event logs")
@@ -192,13 +194,9 @@ def _read_text(path: str, field: str) -> str:
 
 def _protocol_config(args) -> ProtocolConfig:
     """The config of ``--protocol`` with the protocol flags given; a flag of another kind's field is an error."""
-    config_cls = _lookup(PROTOCOLS, args.protocol, "protocol").config
-    params = dict.fromkeys(f.name for kind in PROTOCOLS.values() for f in dataclasses.fields(kind.config))
-    given = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
-    unread = [name for name in given if name not in config_cls.__dataclass_fields__]
-    if unread:
-        raise FieldError(tuple(unread), f"not a parameter of --protocol {args.protocol}")
-    return config_cls(**given)
+    given = {f.name: getattr(args, f.name) for kind in PROTOCOLS.values() for f in dataclasses.fields(kind.config)
+             if getattr(args, f.name) is not None}
+    return _lookup(PROTOCOLS, args.protocol, "protocol").configure(args.protocol, given)
 
 
 def _trace_spec(args) -> mobility.TraceSpec:
@@ -227,20 +225,14 @@ def _cmd_simulate(args) -> int:
     if args.trace_file is not None:
         text = _read_text(args.trace_file, "trace-file")
         node = args.node or 0
-        trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=node, duration=ts.duration)
+        with experiments.renaming(lambda name: "trace-file" if name == "text" else name):
+            trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=node, duration=ts.duration)
         extra["mobility"] = f"file:{args.trace_file}"
         extra["node"] = node
     else:
         trace = experiments.make_trace(ts)
 
-    cfg = RunConfig(
-        trace=trace,
-        protocol_config=protocol_config,
-        noise_max=args.noise_max,
-        dist_tolerance=args.dist_tolerance,
-        seed=noise_seed,
-        backtracking_enabled=args.backtracking_enabled,
-    )
+    cfg = RunConfig.of(args, trace=trace, protocol_config=protocol_config, seed=noise_seed)
     result = run(cfg)
     provenance = experiments.run_provenance(cfg, ts, trace.content_hash(), **extra)
     metrics = dataclasses.asdict(result.metrics)
@@ -253,21 +245,22 @@ def _cmd_simulate(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise FieldError("workers", f"must be >= 1, got {args.workers}")
-    bundle = _lookup(_BUNDLES, args.bundle, "bundle")
     if args.spec is not None:
+        if args.bundle is not None:
+            raise FieldError("bundle", "not read with --spec, whose file is the sweep")
         text = _read_text(args.spec, "spec")
         try:
             spec = experiments.parse_spec_file(text)
         except ValueError as exc:  # names the file's keys, not the flags given with it
             raise ValueError(f"spec file {args.spec!r}: {exc}") from exc
     else:
-        spec = bundle()
+        spec = _lookup(_BUNDLES, args.bundle or "rwp", "bundle")()
 
     # Each flag given overrides the spec field it is named after.
     updates = {name: getattr(args, name) for name in ("repetitions", "seed_base", "duration")}
     updates = {name: value for name, value in updates.items() if value is not None}
     if args.pause_times is not None:
-        updates["pause_times"] = tuple(experiments.parse_number_list(args.pause_times, "pause-times"))
+        updates["pause_times"] = tuple(experiments.parse_number_list(args.pause_times, "pause_times"))
     if args.protocols is not None:
         keep = [p.strip() for p in args.protocols.split(",") if p.strip()]
         chosen = tuple(p for p in spec.protocols if p.label in keep)
@@ -343,10 +336,11 @@ def _cmd_import_trace(args) -> int:
     experiments.check_output(args.out, "out")
     area_w, area_h = experiments.parse_area(args.area)
     text = _read_text(args.infile, "in")
-    if args.node is not None:
-        traces = [mobility.import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)]
-    else:
-        traces = mobility.import_traces(text, args.dt, area_w, area_h, duration=args.duration)
+    with experiments.renaming(lambda name: "in" if name == "text" else name):
+        if args.node is not None:
+            traces = [mobility.import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)]
+        else:
+            traces = mobility.import_traces(text, args.dt, area_w, area_h, duration=args.duration)
     experiments.write_waypoints(args.out, traces)
     lo, hi = min(map(len, traces)), max(map(len, traces))
     samples = f"{lo} samples each" if lo == hi else f"{lo}-{hi} samples"

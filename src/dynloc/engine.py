@@ -61,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import SCRATCH_ROWS, count_beyond, hypot_runs, localize, threshold_accuracy
-from .mobility import MobilityTrace, grid_times
+from .mobility import ByName, MobilityTrace, grid_times
 from .oracles import FieldError, require_nonnegative
 from .protocols import FIX_COLUMNS, PROTOCOLS, ProtocolConfig, ProtocolKind, madrd_predict
 
@@ -83,11 +83,11 @@ _NOISE_CHUNK = 256
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(ByName):
     """The inputs of one run.
 
-    ``noise_max`` bounds each fix's displacement, in meters; the class of
-    ``protocol_config`` names the protocol (:attr:`protocol`).
+    ``noise_max`` bounds each fix's displacement, in meters; the class of ``protocol_config`` names the
+    protocol (:attr:`protocol`).  ``seed`` is the noise seed, never a flag's or a spec's: :meth:`of` is given it.
     """
 
     trace: MobilityTrace

@@ -47,6 +47,7 @@ import numpy as np
 
 from .engine import RunConfig, RunResult, Workspace, run
 from .mobility import (
+    GAUSS_MARKOV_FIELDS,
     MobilityTrace,
     TraceSpec,
     export_trace,
@@ -155,7 +156,7 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         # TraceSpec reads the gm_* fields of a Gauss-Markov trace only, but every header records them.
-        for name in ("gm_memory", "gm_speed_sigma", "gm_direction_sigma"):
+        for name in GAUSS_MARKOV_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise FieldError(name, f"must be finite, got {getattr(self, name)!r}")
         if not self.speed_classes:
@@ -250,8 +251,8 @@ def _resolve(value, class_index: int, n_classes: int, name: str):
 
 
 def _label_fields(pspec: ProtocolSpec) -> Callable[[str], str]:
-    """A name as a sweep names it: ``<label>.<name>`` for a field of the protocol's config, others as they are."""
-    fields = PROTOCOLS[pspec.kind].config.__dataclass_fields__
+    """A name as a sweep names it: ``<label>.<name>`` for a config field or spec parameter, others as they are."""
+    fields = {*PROTOCOLS[pspec.kind].config.__dataclass_fields__, *pspec.params}
     return lambda name: f"{pspec.label}.{name}" if name in fields else name
 
 
@@ -261,11 +262,8 @@ def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: in
         key: _resolve(val, class_index, n_classes, f"{pspec.label}.{key}")
         for key, val in pspec.params.items()
     }
-    try:
-        with renaming(_label_fields(pspec)):
-            return PROTOCOLS[pspec.kind].config(**params)
-    except TypeError as exc:
-        raise FieldError(pspec.label, f"bad parameter set {sorted(params)}: {exc}") from exc
+    with renaming(_label_fields(pspec)):
+        return PROTOCOLS[pspec.kind].configure(pspec.kind, params)
 
 
 def default_bundle() -> SweepSpec:
@@ -347,13 +345,7 @@ def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> di
     The Gauss-Markov parameters are written only for a Gauss-Markov trace; a
     random-waypoint trace does not read them.
     """
-    gauss_markov = {}
-    if ts.mobility == "gauss_markov":
-        gauss_markov = {
-            "gm_memory": ts.gm_memory,
-            "gm_speed_sigma": ts.gm_speed_sigma,
-            "gm_direction_sigma": ts.gm_direction_sigma,
-        }
+    gauss_markov = {name: getattr(ts, name) for name in GAUSS_MARKOV_FIELDS if ts.mobility == "gauss_markov"}
     return {
         "protocol_params": dataclasses.asdict(cfg.protocol_config),
         "mobility": ts.mobility,
@@ -425,14 +417,7 @@ def _run_cell(
     records: list[RunRecord] = []
     for pspec in spec.protocols:
         config = resolve_protocol_config(pspec, class_index, len(spec.speed_classes))
-        run_cfg = RunConfig(
-            trace=trace,
-            protocol_config=config,
-            noise_max=spec.noise_max,
-            dist_tolerance=spec.dist_tolerance,
-            seed=noise_seed,
-            backtracking_enabled=spec.backtracking_enabled,
-        )
+        run_cfg = RunConfig.of(spec, trace=trace, protocol_config=config, seed=noise_seed)
         with renaming(_label_fields(pspec)):  # the engine may name t_min or period
             result = run(run_cfg, workspace)
         records.append(

@@ -18,7 +18,8 @@ last one is at or just past ``duration``.  Traces come from three places:
 Both generators read a :class:`TraceSpec`, which checks each of its fields
 when it is built.  Generation is deterministic: the same spec and generator
 state always produce the same trace, bit for bit, and ends: a trace has at
-most :data:`MAX_GRID_STEPS` samples, and each generator bounds its own loop.
+most :data:`MAX_GRID_STEPS` samples, a random-waypoint spec at most as many
+legs, and a Gauss-Markov step a bounded number of reflections.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -38,6 +40,8 @@ __all__ = [
     "MAX_GRID_STEPS",
     "grid_times",
     "MOBILITY_MODELS",
+    "GAUSS_MARKOV_FIELDS",
+    "ByName",
     "TraceSpec",
     "generate_random_waypoint",
     "generate_gauss_markov",
@@ -112,6 +116,9 @@ class MobilityTrace:
 
 MOBILITY_MODELS = ("rwp", "gauss_markov")
 
+# The TraceSpec fields only a Gauss-Markov trace reads.
+GAUSS_MARKOV_FIELDS = ("gm_memory", "gm_speed_sigma", "gm_direction_sigma")
+
 
 def _require_area(area_w: float, area_h: float) -> None:
     if not (0 < area_w < math.inf and 0 < area_h < math.inf):
@@ -133,15 +140,27 @@ def grid_times(samples: int, dt: float) -> np.ndarray:
     return np.arange(samples, dtype=float) * dt
 
 
+class ByName:
+    """A dataclass built by field name: :meth:`of` takes each field it is not given from ``source``."""
+
+    @classmethod
+    def of(cls, source, **given):
+        """Take ``given``, and every other field from the same-named attribute of ``source``."""
+        taken = {f.name: getattr(source, f.name) for f in dataclasses.fields(cls) if f.name not in given}
+        return cls(**taken, **given)
+
+
 @dataclass(frozen=True)
-class TraceSpec:
+class TraceSpec(ByName):
     """Everything that determines one generated trace, seed included.
 
     Random waypoint draws each leg's speed from ``speed_class`` and pauses
     ``pause_time`` at each waypoint.  Gauss-Markov moves at the midpoint of
     ``speed_class``, ignores ``pause_time`` and reads the ``gm_*`` fields,
-    which are checked only for it.  Field names match the sweep spec's and the
-    CLI's trace flags, which :meth:`of` relies on.
+    which are checked only for it; a random-waypoint spec bounds its legs
+    instead, so a sweep, which builds each cell's spec first, refuses them
+    before any cell runs.  Field names match the sweep spec's and the CLI's
+    trace flags, which :meth:`of` relies on.
     """
 
     mobility: str
@@ -167,17 +186,20 @@ class TraceSpec:
         _require_area(self.area_w, self.area_h)
         if self.seed < 0:
             raise FieldError("seed", f"must be >= 0, got {self.seed}")
-        if self.mobility == "gauss_markov":
+        if self.mobility == "rwp":
+            # A leg is on average over a third of the area's longer side; legs of that whole side at the
+            # top speed, each with its pause, must cover the duration in at most MAX_GRID_STEPS legs.
+            leg_time = self.pause_time + max(self.area_w, self.area_h) / hi
+            legs = self.duration / leg_time if leg_time > 0 else math.inf
+            if not legs <= MAX_GRID_STEPS:
+                raise FieldError(("speed_class", "area_w", "area_h"), f"{legs:.4g} legs of the {self.area_w}x"
+                                 f"{self.area_h} m area's longer side at {hi} m/s cover {self.duration} s, over "
+                                 f"{MAX_GRID_STEPS}")
+        else:
             if not (0 <= self.gm_memory <= 1):
                 raise FieldError("gm_memory", f"must lie in [0, 1], got {self.gm_memory}")
             require_nonnegative(self.gm_speed_sigma, "gm_speed_sigma")
             require_nonnegative(self.gm_direction_sigma, "gm_direction_sigma")
-
-    @classmethod
-    def of(cls, source, **given) -> "TraceSpec":
-        """Take ``given``, and every other field from the same-named attribute of ``source``."""
-        taken = {f.name: getattr(source, f.name) for f in dataclasses.fields(cls) if f.name not in given}
-        return cls(**taken, **given)
 
 
 def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> MobilityTrace:
@@ -185,17 +207,11 @@ def generate_random_waypoint(spec: TraceSpec, rng: np.random.Generator) -> Mobil
 
     The continuous path is a chain of constant-speed legs toward uniformly
     chosen destinations, each followed by a fixed pause, built until the whole
-    run duration is covered and then resampled onto the dt grid.  A leg is on
-    average over a third of the area's longer side; legs of that whole side at
-    the top speed, each with its pause, must cover the duration in at most
-    ``MAX_GRID_STEPS`` legs, or it raises before it draws any.
+    run duration is covered and then resampled onto the dt grid.  The spec
+    bounds the number of legs when it is built, so the loop ends.
     """
     v_min, v_max = spec.speed_class
     times = grid_times(_grid_size(spec.duration, spec.dt), spec.dt)
-    legs = spec.duration / (spec.pause_time + max(spec.area_w, spec.area_h) / v_max)
-    if not legs <= MAX_GRID_STEPS:
-        raise FieldError(("speed_class", "area_w", "area_h"), f"{legs:.4g} legs of the {spec.area_w}x{spec.area_h} m "
-                         f"area's longer side at {v_max} m/s cover {spec.duration} s, over {MAX_GRID_STEPS}")
     x = rng.uniform(0.0, spec.area_w)
     y = rng.uniform(0.0, spec.area_h)
     knot_t = [0.0]
@@ -299,8 +315,8 @@ def _parse_waypoint_line(line: str) -> np.ndarray:
     if len(fields) % 3 != 0:
         raise ValueError(f"expected 't x y' triples, got {len(fields)} fields")
     numbers: list[float] = []
-    try:
-        numbers.extend(map(float, fields))  # a non-numeric field stops it, keeping the numbers before
+    try:  # a non-numeric field stops it, keeping the numbers before; float's digit-group "_" is non-numeric here
+        numbers.extend(map(float, takewhile(lambda field: "_" not in field, fields)))
     except ValueError:
         pass
     whole = len(numbers) // 3
@@ -368,7 +384,7 @@ def import_traces(
     area_h: float,
     duration: float | None = None,
 ) -> list[MobilityTrace]:
-    """Parse waypoint text, one node per non-empty line, resampled at ``dt``."""
+    """Parse waypoint text, one node per line that is neither blank nor a ``#`` comment, resampled at ``dt``."""
     # Before any line, so an error a line raises is that line's.
     _require_area(area_w, area_h)
     require_positive(dt, "dt")
@@ -385,7 +401,7 @@ def import_traces(
         except ValueError as exc:  # every refusal of a line, its own or its trace's
             raise ValueError(f"line {line_no}: {exc}") from exc
     if not traces:
-        raise ValueError("no waypoint lines found in source")
+        raise FieldError("text", "no waypoint line, only blank and '#' lines")
     return traces
 
 

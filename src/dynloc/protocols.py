@@ -234,6 +234,13 @@ class ProtocolKind(NamedTuple):
     predicts: bool
     fixed_rate: bool
 
+    def configure(self, kind: str, params: dict) -> ProtocolConfig:
+        """The config of ``params`` for this row, named ``kind``; a parameter it has no field for is an error."""
+        unread = tuple(name for name in params if name not in self.config.__dataclass_fields__)
+        if unread:
+            raise FieldError(unread, f"not a parameter of the {kind} protocol")
+        return self.config(**params)
+
 
 PROTOCOLS: dict[str, ProtocolKind] = {
     "sfr": ProtocolKind(SfrConfig, sfr_step, predicts=False, fixed_rate=True),

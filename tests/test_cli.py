@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynloc import cli, experiments, mobility, oracles
@@ -217,9 +217,9 @@ _FILE_RUN = ["--protocol", "sfr", "--trace-file", "absent.txt"]
 @pytest.mark.parametrize(
     "argv, named",
     [
-        (["--protocol", "sfr", "--t-max", "3"], "field 't_max' (--t-max): not a parameter of --protocol sfr"),
+        (["--protocol", "sfr", "--t-max", "3"], "field 't_max' (--t-max): not a parameter of the sfr protocol\n"),
         (["--protocol", "sfr", "--t-max", "3", "--divergence-threshold", "9"],
-         "fields 't_max'/'divergence_threshold' (--t-max/--divergence-threshold): not a parameter of --protocol sfr"),
+         "fields 't_max'/'divergence_threshold' (--t-max/--divergence-threshold): not a parameter of the sfr protocol"),
         (["--protocol", "dvm", "--period-growth", "3"], "field 'period_growth' (--period-growth): not a parameter"),
         (["--protocol", "sfr", "--node", "5"], "field 'node': selects a line of --trace-file, which is not given"),
         (["--protocol", "sfr", "--node", "0"], "field 'node': selects a line of --trace-file, which is not given"),
@@ -871,11 +871,15 @@ def test_sweep_rejects_cells_that_would_merge_before_any_run(tmp_path, capsys, s
         (("[dvm]", "[dvm]\nkind = zzz"), "field 'dvm.kind'"),
         (("[sfr]", "[Sfr]"), "field 'Sfr.kind'"),
         (("t_max = 6", "t_max = true"), "field 'dvm.t_max'"),
+        # The check simulate makes of --protocol sfr --t-max 3, named as the file names the key.
+        (("period = 2", "period = 2\nt_max = 3"), "field 'sfr.t_max': not a parameter of the sfr protocol\n"),
+        (("t_max = 6", "t_max = 6\nperiod = 2"), "field 'dvm.period': not a parameter of the dvm protocol\n"),
         # configparser would copy a [DEFAULT] key into [sweep] and every protocol section.
         (("[sweep]", "[DEFAULT]\nt_max = 6\n\n[sweep]"), "section 'DEFAULT'"),
         (("[sweep]", "[DEFAULT]\nkind = dvm\n\n[sweep]"), "section 'DEFAULT'"),
     ],
-    ids=["percent", "percent_reference", "unknown_kind", "section_case", "param_type", "default_t_max", "default_kind"],
+    ids=["percent", "percent_reference", "unknown_kind", "section_case", "param_type", "unread_param", "unread_param_dvm",
+         "default_t_max", "default_kind"],
 )
 def test_sweep_rejects_malformed_spec_file_naming_the_field(tmp_path, capsys, spec_edit, field):
     spec_file = tmp_path / "sweep.ini"
@@ -885,6 +889,44 @@ def test_sweep_rejects_malformed_spec_file_naming_the_field(tmp_path, capsys, sp
     assert code == EXIT_VALIDATION
     assert field in capsys.readouterr().err
     assert not (out_dir / "runs.csv").exists() and not (out_dir / "summary.csv").exists()
+
+
+def test_sweep_refuses_a_leg_bound_before_any_cell_runs(tmp_path, monkeypatch, capsys):
+    # Every cell's trace spec is built with the sweep spec, so the 0.5:1 cells before the bad class never run.
+    runs = []
+    monkeypatch.setattr(experiments, "run", lambda *args, _run=experiments.run: runs.append(args) or _run(*args))
+    spec_file = tmp_path / "sweep.ini"
+    spec_file.write_text("[sweep]\nspeed_classes = 0.5:1, 1:1e12\npause_times = 0\nrepetitions = 3\nduration = 900\n\n"
+                         "[sfr]\nperiod = 2\n")
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"validation error: spec file {str(spec_file)!r}: fields 'speed_classes'/'area': 3e+12 legs of the 300.0x300.0 m "
+        "area's longer side at 1000000000000.0 m/s cover 900.0 s, over 2000000\n"
+    )
+    assert not out_dir.exists() and runs == []
+
+
+@pytest.mark.parametrize("bundle", ["rwp", "gauss_markov"])
+def test_sweep_refuses_a_bundle_given_with_a_spec_file(tmp_path, capsys, bundle):
+    spec_file = tmp_path / "sweep.ini"
+    spec_file.write_text(SPEC_TEXT)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec_file), "--bundle", bundle, "--out", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "validation error: field 'bundle': not read with --spec, whose file is the sweep\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [("0,x", "not a number: 'x'"), (",", "empty list")],
+    ids=["non_number", "empty"],
+)
+def test_sweep_pause_times_flag_names_its_field_then_its_flag(tmp_path, capsys, value, reason):
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--out", str(out_dir), "--pause-times", value]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"validation error: field 'pause_times' (--pause-times): {reason}")
+    assert not out_dir.exists()
 
 
 def test_sweep_events_flag_writes_event_logs(tmp_path):
@@ -1081,6 +1123,19 @@ def test_import_trace_reports_the_sample_counts_of_nodes_of_other_lengths(tmp_pa
     assert capsys.readouterr().err == "imported 2 node(s), 31 samples each at dt=1\n"
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n# a comment only\n"], ids=["empty", "comment_only"])
+def test_a_waypoint_file_with_no_waypoint_line_is_named_by_its_flag(tmp_path, capsys, text):
+    source = tmp_path / "none.txt"
+    source.write_text(text)
+    for argv, field in (
+        (["import-trace", "--in", str(source)], "in"),
+        (["simulate", "--protocol", "sfr", "--trace-file", str(source)], "trace-file"),
+    ):
+        assert main([*argv, "--out", str(tmp_path / "out.csv")]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"validation error: field '{field}': no waypoint line, only blank and '#' lines\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["none.txt"]
+
+
 def test_import_trace_reports_bad_line(tmp_path, capsys):
     src = tmp_path / "bad.txt"
     src.write_text("0 0 0 10 10 0\n0 0\n")
@@ -1088,9 +1143,9 @@ def test_import_trace_reports_bad_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-# Waypoint text for the import-trace surface: numbers and tokens float() reads (nan, inf, 1e309, 1_0)
-# or refuses (x), times that may fall, repeat or be negative, points that may leave a 50 x 40 m
-# area, wrong field counts, and blank and comment lines.
+# Waypoint text for the import-trace surface: numbers and tokens float() reads (nan, inf, 1e309, and
+# 1_0, which a waypoint field refuses) or refuses (x), times that may fall, repeat or be negative,
+# points that may leave a 50 x 40 m area, wrong field counts, and blank and comment lines.
 _WAYPOINT_TOKENS = st.sampled_from(["x", "nan", "inf", "-inf", "1e309", "1_0", "-1", "1e300", "60", "45"])
 _WAYPOINT_NUMBERS = st.integers(0, 50).map(str) | st.floats(-1.0, 60.0).map(repr)
 _WAYPOINT_TRACKS = st.lists(
@@ -1106,6 +1161,7 @@ _WAYPOINT_LINES = st.one_of(
 
 
 @settings(max_examples=120, deadline=None)
+@example(lines=["0 1_0 5 2 2_0 5"], dt="1", area="50x40", duration=None, node=None)
 @given(
     lines=st.lists(_WAYPOINT_LINES, max_size=4),
     dt=st.sampled_from(["1", "0.5", "0.25", "1", "0.5", "0", "nan"]),
@@ -1128,6 +1184,7 @@ def test_import_trace_surface_round_trips_or_exits_2_naming_a_line_or_a_field(li
             if code == EXIT_OK:
                 assert main(["import-trace", "--in", str(out), "--dt", dt, "--area", area, "--out", str(again)]) == EXIT_OK
         if code == EXIT_OK:
+            assert "_" not in text  # float() reads 1_0 as 10.0, but a waypoint field is no Python literal
             assert again.read_bytes() == out.read_bytes()
             return
         assert code == EXIT_VALIDATION, err.getvalue()
@@ -1139,15 +1196,15 @@ def test_import_trace_surface_round_trips_or_exits_2_naming_a_line_or_a_field(li
     waypoint_lines = [n for n, line in enumerate(lines, 1) if line.strip() and not line.lstrip().startswith("#")]
     bad_line = re.match(r"validation error: line (\d+): ", message)
     named = re.match(r"validation error: fields? ('\w+'(?:/'\w+')*)", message)
-    if bad_line:
+    if not waypoint_lines and message.startswith("validation error: field 'in': "):
+        assert message == "validation error: field 'in': no waypoint line, only blank and '#' lines\n"
+    elif bad_line:
         # The first bad line: each waypoint line before it imports on its own.
         assert int(bad_line[1]) in waypoint_lines
         for n in waypoint_lines[: waypoint_lines.index(int(bad_line[1]))]:
             read(lines[n - 1])
-    elif named:
-        assert set(re.findall(r"\w+", named[1])) <= {"dt", "area_w", "area_h", "duration", "node"}, message
     else:
-        assert (message, waypoint_lines) == ("validation error: no waypoint lines found in source\n", [])
+        assert named and set(re.findall(r"\w+", named[1])) <= {"dt", "area_w", "area_h", "duration", "node"}, message
     # The library's refusal of the same input crosses a process boundary whole.
     try:
         traces = read(text)
@@ -1156,6 +1213,114 @@ def test_import_trace_surface_round_trips_or_exits_2_naming_a_line_or_a_field(li
         assert (type(back), str(back)) == (type(exc), str(exc))
     else:
         assert node is not None and not 0 <= int(node) < len(traces)
+
+
+# A spec file for the sweep surface is drawn valid, boundaries included (a top speed of 1e12 m/s, a
+# 1e-300 m area), and then given at most two faults: a garbage [sweep] value or protocol parameter,
+# an unknown key, another kind's parameter, a per-class list of the wrong length, a bad kind or
+# label, no protocol, no speed classes, or a [DEFAULT] section.  The sweeps are small, at most 2
+# classes x 2 pauses x 2 repetitions x 3 protocols of at most 41 steps, and the drawn pauses (0, 2
+# or 30 s) keep every random-waypoint trace the leg bound lets through to at most 10 legs.  The
+# mobility is random waypoint: a Gauss-Markov trace refuses a step it cannot reflect into the area
+# while its cell runs, after --out is made.
+_SPEC_SPEEDS = ["0.5:1", "4:5", "8:10", "1:1e12"]
+_SPEC_VALID = {
+    "pause_times": ["0", "2", "30", "2, 30"], "repetitions": ["1", "2"], "duration": ["5", "20"], "dt": ["0.5", "1"],
+    "area": ["300x300", "1e-300x1e-300", "1e-300x300"], "noise": ["0", "0.5"], "dist_tolerance": ["5"],
+    "seed_base": ["0", "7"], "mobility": ["rwp"], "gm_memory": ["0.75"], "backtracking": ["yes", "no"],
+}
+_SPEC_GARBAGE = {
+    "speed_classes": ["5:4", "0:1", "x:1", "4", "4:5, 4:5"], "pause_times": ["-1", "x", "nan", "0, 0"],
+    "repetitions": ["0", "1.5"], "duration": ["0", "1e12", "inf"], "dt": ["0", "1e-300"], "area": ["0x5", "300"],
+    "noise": ["-1", "nan", "50%"], "dist_tolerance": ["inf"], "seed_base": ["-1", "1e3"],
+    "mobility": ["teleport"], "gm_memory": ["2", "nan"], "backtracking": ["maybe"], "bogus": ["1"],
+}
+_SPEC_PARAMS = {
+    "sfr": {"period": ["2", "0.5"]},
+    "dvm": {"target_error": ["5"], "t_min": ["0.5"], "t_max": ["6", "10"]},
+    "madrd": {"divergence_threshold": ["5"], "t_min": ["0.5"], "t_max": ["6"], "period_growth": ["2"],
+              "period_shrink": ["0.5"]},
+}
+_SPEC_PARAM_GARBAGE = ["0", "-1", "x", "nan", "2%", "0.5, 0.5, 0.5"]
+_SPEC_FAULTS = ["value", "param", "unread", "kind", "label", "no_protocol", "no_speed_classes", "default"]
+
+
+@st.composite
+def _spec_files(draw) -> str:
+    classes = draw(st.lists(st.sampled_from(_SPEC_SPEEDS), min_size=1, max_size=2, unique=True))
+    # The size keys are always written: the defaults are the stock sweep's 10 repetitions of 9,001 steps.
+    drawn = {key: st.sampled_from(values) for key, values in _SPEC_VALID.items()}
+    size = {key: drawn.pop(key) for key in ("repetitions", "duration", "dt")}
+    sweep = {"speed_classes": ", ".join(classes), **draw(st.fixed_dictionaries(size, optional=drawn))}
+    sections = {}
+    for kind in draw(st.lists(st.sampled_from(sorted(_SPEC_PARAMS)), min_size=1, max_size=3, unique=True)):
+        # A value, or a per-class list of it.
+        values = {name: st.sampled_from(v).map(lambda x: [x, ", ".join([x] * len(classes))]).flatmap(st.sampled_from)
+                  for name, v in _SPEC_PARAMS[kind].items()}
+        sections[kind] = draw(st.fixed_dictionaries({}, optional=values))
+    lines = []
+    for fault in draw(st.lists(st.sampled_from(_SPEC_FAULTS), max_size=2)):
+        label = draw(st.sampled_from(sorted(sections))) if sections else None
+        if fault == "value":
+            key = draw(st.sampled_from(sorted(_SPEC_GARBAGE)))
+            sweep[key] = draw(st.sampled_from(_SPEC_GARBAGE[key]))
+        elif fault in ("param", "unread") and label:
+            name = draw(st.sampled_from([name for params in _SPEC_PARAMS.values() for name in params]))
+            sections[label][name] = draw(st.sampled_from(_SPEC_PARAM_GARBAGE)) if fault == "param" else "6"
+        elif fault == "kind" and label:
+            sections[label]["kind"] = draw(st.sampled_from(["teleport", *_SPEC_PARAMS]))
+        elif fault == "label" and label:
+            sections["x,y"] = {"kind": label, **sections.pop(label)}
+        elif fault == "no_protocol":
+            sections.clear()
+        elif fault == "no_speed_classes":
+            sweep.pop("speed_classes", None)
+        elif fault == "default":
+            lines = ["[DEFAULT]", "t_max = 6"]
+    for section, body in {"sweep": sweep, **sections}.items():
+        lines += [f"[{section}]", *(f"{key} = {value}" for key, value in body.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _spec_keys(text: str) -> set[str]:
+    """The names a refusal of spec file ``text`` may give: its keys, and the keys a section could have, as
+    ``<label>.<key>`` in a protocol section (``t_min``/``t_max`` are refused as a pair)."""
+    keys, section = {"sweep", "protocols", "speed_classes", *_SPEC_GARBAGE}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line[1:-1]
+            keys.update(f"{section}.{key}" for params in [{"kind": None}, *_SPEC_PARAMS.values()] for key in params)
+        elif section != "sweep":
+            keys.add(f"{section}.{line.split(' = ')[0]}")
+    return keys
+
+
+@settings(max_examples=80, deadline=None)
+@example(text="[sweep]\nspeed_classes = 0.5:1, 1:1e12\npause_times = 0\nrepetitions = 3\nduration = 900\n\n"
+              "[sfr]\nperiod = 2\n")
+@given(text=_spec_files())
+def test_sweep_spec_surface_runs_with_finite_metrics_or_exits_2_naming_a_key_before_out_is_made(text):
+    # In process, 80 examples take about 1 s.
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        spec_file, out_dir = Path(folder) / "spec.ini", Path(folder) / "D"
+        spec_file.write_text(text)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), time_limit(5.0):
+            code = main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)])
+        if code == EXIT_OK:
+            rows = read_table(out_dir / "runs.csv")
+            assert rows and all(math.isfinite(float(row[name])) for row in rows
+                                for name in ("localization_count", "mean_error", "max_error", "accuracy"))
+            return
+        assert code == EXIT_VALIDATION, err.getvalue()
+        assert not out_dir.exists(), err.getvalue()
+        message = err.getvalue()
+        prefix = f"validation error: spec file {str(spec_file)!r}: "
+    assert message.startswith(prefix), message
+    refusal = message[len(prefix):]
+    named = re.match(r"fields? ('[^']+'(?:/'[^']+')*): ", refusal)
+    if not refusal.startswith("section 'DEFAULT': "):
+        assert named and set(re.findall(r"'([^']+)'", named[1])) <= _spec_keys(text), message
 
 
 def test_import_trace_rejects_out_of_area(tmp_path, capsys):
@@ -1289,6 +1454,9 @@ def test_a_dash_value_exits_2_naming_its_flag_without_output(tmp_path, monkeypat
         (["--protocol", "madrd", "--t-min", "1e-300", "--t-max", "1e-300"], "field 't_min' (--t-min): the next fix"),
         (["--protocol", "sfr", "--speed", "1e12:1e12"], "fields 'speed_class'/'area_w'/'area_h' (--speed/--area)"),
         (["--protocol", "sfr", "--area", "1e-300x1e-300"], "fields 'speed_class'/'area_w'/'area_h' (--speed/--area)"),
+        # The longer side over the top speed is 0.0 here, so there is no leg count to divide out.
+        (["--protocol", "sfr", "--speed", "1e308:1e308", "--area", "1e-300x1e-300"],
+         "fields 'speed_class'/'area_w'/'area_h' (--speed/--area): inf legs"),
         (["--protocol", "sfr", "--mobility", "gauss_markov", "--area", "1e-300x1e-300"],
          "fields 'speed_class'/'gm_speed_sigma'/'area_w'/'area_h' (--speed/--gm-speed-sigma/--area)"),
         (["--protocol", "sfr", "--mobility", "gauss_markov", "--speed", "1e12:1e12"],
@@ -1296,7 +1464,8 @@ def test_a_dash_value_exits_2_naming_its_flag_without_output(tmp_path, monkeypat
         (["--protocol", "sfr", "--duration", "1e7"], "fields 'duration'/'dt': 10000000.0 s at dt=0.1 is 1e+08 grid steps"),
         (["--protocol", "sfr", "--dt", "1e-300"], "fields 'duration'/'dt'"),
     ],
-    ids=["sfr_period", "dvm_t_min", "madrd_t_min", "rwp_speed", "rwp_area", "gm_area", "gm_speed", "duration", "dt"],
+    ids=["sfr_period", "dvm_t_min", "madrd_t_min", "rwp_speed", "rwp_area", "rwp_zero_leg_time", "gm_area", "gm_speed",
+         "duration", "dt"],
 )
 def test_simulate_bounds_its_work_and_names_the_flag(tmp_path, capsys, argv, named):
     out = tmp_path / "row.csv"
@@ -1368,8 +1537,9 @@ _REFUSALS = {
     "missing-key": (_spec_dict(lambda d: d.pop("duration")), "field 'duration': missing from provenance config",
                     ("duration",)),
     "no-header": (lambda tmp: read_provenance(tmp / "bare.csv"), "no provenance header found in {tmp}/bare.csv", None),
-    "pause-times-empty": (("sweep", "--out", "{tmp}/out", "--pause-times", ","), "field 'pause-times': empty list",
-                          ("pause-times",)),
+    "pause-times-empty": (lambda tmp: cli._cmd_sweep(cli._build_parser().parse_args(
+                              ["sweep", "--out", str(tmp / "out"), "--pause-times", ","])),
+                          "field 'pause_times': empty list", ("pause_times",)),
     "speed-one-number": (("simulate", "--protocol", "sfr", "--speed", "4"),
                          "field 'speed': expected two numbers joined by ':', got '4'", ("speed",)),
     "area-one-number": (("simulate", "--protocol", "sfr", "--area", "300"),

@@ -311,12 +311,15 @@ def test_a_trace_spans_fewer_than_max_grid_steps():
 
 @pytest.mark.parametrize(
     "given",
-    [{"speed_class": (1e12, 1e12)}, {"area_w": 1e-300, "area_h": 1e-300}, {"area_w": 1e-3, "area_h": 1e-3}],
-    ids=["fast", "tiny_area", "many_legs"],
+    [{"speed_class": (1e12, 1e12)}, {"area_w": 1e-300, "area_h": 1e-300}, {"area_w": 1e-3, "area_h": 1e-3},
+     {"speed_class": (1e308, 1e308), "area_w": 1e-300, "area_h": 1e-300}],
+    ids=["fast", "tiny_area", "many_legs", "zero_leg_time"],
 )
 def test_random_waypoint_refuses_more_legs_than_a_trace_may_have_samples(given):
+    # The spec refuses them when it is built, before a generator sees it; Gauss-Markov draws no legs.
     with time_limit(5.0), pytest.raises(ValueError, match="fields 'speed_class'/'area_w'/'area_h': .* legs"):
-        _rwp(1, **given)
+        trace_spec(**given)
+    assert trace_spec(mobility="gauss_markov", **given).mobility == "gauss_markov"
     # A pause long enough covers the duration in few legs, however tiny the area.
     if "speed_class" not in given:
         assert len(_rwp(1, **given, pause_time=30.0, duration=100.0)) == 1001
@@ -454,6 +457,9 @@ _LINE_REFUSALS = {
     "non-finite-then-non-numeric": ("0 inf 0 5 x 5\n", "line 1: waypoint fields must be finite"),
     "non-numeric-then-non-finite": ("0 1 x 5 inf 5\n", "line 1: non-numeric field near '0'"),
     "both-in-one-triple": ("0 0 0 5 inf x\n", "line 1: non-numeric field near '5'"),
+    # float() reads a digit-group "_" (1_0 is 10.0); a waypoint field is no Python literal.
+    "digit-group": ("0 1_0 5 2 2_0 5\n", "line 1: non-numeric field near '0'"),
+    "non-finite-then-digit-group": ("0 inf 0 5 1_0 5\n", "line 1: waypoint fields must be finite"),
     "decreasing": ("# c\n\n0 0 0 5 5 0 3 9 0\n", "line 3: waypoint times must be strictly increasing"),
     "negative-time": ("-1 1 1 2 2 2\n", "line 1: waypoint times must be >= 0"),
     "outside-area": ("0 0 0 10 500 0\n", "line 1: waypoints must lie within the 300.0x300.0 area"),
