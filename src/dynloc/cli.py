@@ -20,8 +20,8 @@ Examples::
     dynloc import-trace --in path.txt --dt 0.1 --area 300x300
     dynloc export-trace --mobility rwp --speed 4:5 --pause 30 --seed 3 --out tr.txt
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 runtime failure.  A reader that
-closes an output pipe early (``dynloc export-trace | head``) ends the command with 0, silently.
+Exit codes: 0 success, 1 usage error (a malformed numeric flag among them), 2 validation error,
+3 runtime failure.  Closing an output pipe early (``dynloc export-trace | head``) exits 0, silently.
 
 A validation error names the field its value fails, followed by the flag that set it
 where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  The fields
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import experiments, mobility, oracles
 from .engine import RunConfig, run
-from .oracles import FieldError
+from .oracles import FieldError, number
 from .protocols import PROTOCOLS, ProtocolConfig
 
 EXIT_OK = 0
@@ -110,6 +110,9 @@ def _lookup(table: dict, key: str, field: str):
 
 
 def _build_parser() -> _Parser:
+    def integer(text: str) -> int:  # argparse names a value it refuses by the type's name: "invalid integer value"
+        return number(text, int)
+
     parser = _Parser(prog="dynloc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
@@ -119,13 +122,13 @@ def _build_parser() -> _Parser:
     trace = _Parser(add_help=False)
     trace.add_argument("--mobility", metavar=_choices(mobility.MOBILITY_MODELS))
     trace.add_argument("--speed", dest="speed_class", type=str, help="speed class lo:hi, m/s")
-    trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=float, help="waypoint pause time, seconds")
+    trace.add_argument("--pause", dest="pause_time", metavar="PAUSE", type=number, help="waypoint pause time, seconds")
     for name in mobility.GAUSS_MARKOV_FIELDS:
-        trace.add_argument("--" + name.replace("_", "-"), type=float)
+        trace.add_argument("--" + name.replace("_", "-"), type=number)
     for name in ("duration", "dt"):
-        trace.add_argument("--" + name, type=float, default=_STOCK[name])
+        trace.add_argument("--" + name, type=number, default=_STOCK[name])
     trace.add_argument("--area", type=str, default=stock_area)
-    trace.add_argument("--seed", type=int, default=0)
+    trace.add_argument("--seed", type=integer, default=0)
 
     # Protocol flags: one per config field in PROTOCOLS, shared by the kinds that have it.  A flag
     # not given is None, and the config keeps its own default for it; a flag given that --protocol
@@ -137,12 +140,12 @@ def _build_parser() -> _Parser:
         for f in dataclasses.fields(entry.config):
             readers.setdefault(f.name, []).append(kind)
     for name, kinds in readers.items():
-        sim.add_argument("--" + name.replace("_", "-"), type=float, help=f"{'/'.join(kinds)} parameter")
-    sim.add_argument("--noise", dest="noise_max", type=float, default=_STOCK["noise_max"])
-    sim.add_argument("--tolerance", dest="dist_tolerance", type=float, default=_STOCK["dist_tolerance"])
+        sim.add_argument("--" + name.replace("_", "-"), type=number, help=f"{'/'.join(kinds)} parameter")
+    sim.add_argument("--noise", dest="noise_max", type=number, default=_STOCK["noise_max"])
+    sim.add_argument("--tolerance", dest="dist_tolerance", type=number, default=_STOCK["dist_tolerance"])
     sim.add_argument("--backtracking", dest="backtracking_enabled", action="store_true")
     sim.add_argument("--trace-file", type=str, default=None, help="waypoint text file instead of a generator")
-    sim.add_argument("--node", type=int, default=None, help="node line to use from --trace-file (default: 0)")
+    sim.add_argument("--node", type=integer, default=None, help="node line to use from --trace-file (default: 0)")
     sim.add_argument("--events-out", type=str, default=None, help="write the per-step event log CSV here")
     sim.add_argument("--out", type=str, default=None, help="write the summary row CSV here instead of stdout")
 
@@ -150,33 +153,33 @@ def _build_parser() -> _Parser:
     sw.add_argument("--spec", type=str, default=None, help="spec file; omitted = stock bundle")
     sw.add_argument("--bundle", metavar=_choices(_BUNDLES), help="stock bundle, without --spec (default: rwp)")
     sw.add_argument("--out", type=str, required=True, help="output directory")
-    sw.add_argument("--repetitions", type=int, default=None)
-    sw.add_argument("--seed-base", type=int, default=None)
-    sw.add_argument("--duration", type=float, default=None)
+    sw.add_argument("--repetitions", type=integer, default=None)
+    sw.add_argument("--seed-base", type=integer, default=None)
+    sw.add_argument("--duration", type=number, default=None)
     sw.add_argument("--pause-times", dest="pause_times", type=str, default=None, help="comma list, overrides spec")
     sw.add_argument("--protocols", type=str, default=None, help="comma list of labels to keep")
-    sw.add_argument("--workers", type=int, default=1, help="worker processes, >= 1")
+    sw.add_argument("--workers", type=integer, default=1, help="worker processes, >= 1")
     sw.add_argument("--events", action="store_true", help="also write per-run event logs")
 
     orc = sub.add_parser("oracle", help="print closed-form error tables for a turn or pause maneuver")
     mode = orc.add_mutually_exclusive_group(required=True)
     mode.add_argument("--turn", action="store_true")
     mode.add_argument("--pause", action="store_true")
-    orc.add_argument("--theta", type=float, default=90.0, help="turn angle, degrees")
-    orc.add_argument("--x", type=float, default=3.0, help="straight distance before the turn, meters")
-    orc.add_argument("--nmax", type=float, default=10.0, help="max distance past the turn, meters")
-    orc.add_argument("--steps", type=int, default=21, help="table rows")
-    orc.add_argument("--d", type=float, default=5.0, help="distance before the stop, meters")
-    orc.add_argument("--v", type=float, default=1.0, help="speed, m/s")
-    orc.add_argument("--horizon", type=float, default=None, help="pause table end time, seconds")
+    orc.add_argument("--theta", type=number, default=90.0, help="turn angle, degrees")
+    orc.add_argument("--x", type=number, default=3.0, help="straight distance before the turn, meters")
+    orc.add_argument("--nmax", type=number, default=10.0, help="max distance past the turn, meters")
+    orc.add_argument("--steps", type=integer, default=21, help="table rows")
+    orc.add_argument("--d", type=number, default=5.0, help="distance before the stop, meters")
+    orc.add_argument("--v", type=number, default=1.0, help="speed, m/s")
+    orc.add_argument("--horizon", type=number, default=None, help="pause table end time, seconds")
     orc.add_argument("--out", type=str, default=None)
 
     imp = sub.add_parser("import-trace", help="validate waypoint text and resample it onto the dt grid")
     imp.add_argument("--in", dest="infile", required=True)
-    imp.add_argument("--dt", type=float, default=_STOCK["dt"])
+    imp.add_argument("--dt", type=number, default=_STOCK["dt"])
     imp.add_argument("--area", type=str, default=stock_area)
-    imp.add_argument("--duration", type=float, default=None)
-    imp.add_argument("--node", type=int, default=None, help="single node line to keep (default: all)")
+    imp.add_argument("--duration", type=number, default=None)
+    imp.add_argument("--node", type=integer, default=None, help="single node line to keep (default: all)")
     imp.add_argument("--out", type=str, default=None)
 
     exp = sub.add_parser("export-trace", parents=[trace], help="generate a trace and write it as waypoint text")
@@ -225,7 +228,7 @@ def _cmd_simulate(args) -> int:
     if args.trace_file is not None:
         text = _read_text(args.trace_file, "trace-file")
         node = args.node or 0
-        with experiments.renaming(lambda name: "trace-file" if name == "text" else name):
+        with experiments.renaming({"text": "trace-file"}):
             trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=node, duration=ts.duration)
         extra["mobility"] = f"file:{args.trace_file}"
         extra["node"] = node
@@ -257,8 +260,7 @@ def _cmd_sweep(args) -> int:
         spec = _lookup(_BUNDLES, args.bundle or "rwp", "bundle")()
 
     # Each flag given overrides the spec field it is named after.
-    updates = {name: getattr(args, name) for name in ("repetitions", "seed_base", "duration")}
-    updates = {name: value for name, value in updates.items() if value is not None}
+    updates = {n: v for n in ("repetitions", "seed_base", "duration") if (v := getattr(args, n)) is not None}
     if args.pause_times is not None:
         updates["pause_times"] = tuple(experiments.parse_number_list(args.pause_times, "pause_times"))
     if args.protocols is not None:
@@ -268,18 +270,17 @@ def _cmd_sweep(args) -> int:
         if missing:
             raise FieldError("protocols", f"unknown labels {sorted(missing)}")
         updates["protocols"] = chosen
-    if updates:
-        spec = dataclasses.replace(spec, **updates)
-
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise FieldError("out", f"cannot create directory {args.out!r}: {exc}") from exc
-    for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
-        experiments.check_output(out_dir / name, "out", regular=True)
-    events_dir = out_dir if args.events else None
-    records = experiments.run_sweep(spec, workers=args.workers, events_dir=events_dir)
+    with experiments.renaming(experiments.FIELD_SPEC_KEYS if args.spec is not None else {}):
+        if updates:
+            spec = dataclasses.replace(spec, **updates)
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise FieldError("out", f"cannot create directory {args.out!r}: {exc}") from exc
+        for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
+            experiments.check_output(out_dir / name, "out", regular=True)
+        records = experiments.run_sweep(spec, workers=args.workers, events_dir=out_dir if args.events else None)
     experiments.write_runs_csv(out_dir / "runs.csv", spec, records)
     experiments.write_summary_csv(out_dir / "summary.csv", spec, experiments.summarize(spec, records))
     sys.stdout.write(f"wrote {len(records)} runs to {out_dir}\n")
@@ -336,7 +337,7 @@ def _cmd_import_trace(args) -> int:
     experiments.check_output(args.out, "out")
     area_w, area_h = experiments.parse_area(args.area)
     text = _read_text(args.infile, "in")
-    with experiments.renaming(lambda name: "in" if name == "text" else name):
+    with experiments.renaming({"text": "in"}):
         if args.node is not None:
             traces = [mobility.import_trace(text, args.dt, area_w, area_h, node_id=args.node, duration=args.duration)]
         else:

@@ -55,7 +55,7 @@ from .mobility import (
     generate_random_waypoint,
     grid_times,
 )
-from .oracles import FieldError, require_nonnegative
+from .oracles import FieldError, number, require_nonnegative
 from .protocols import PROTOCOLS, Confidence, ProtocolConfig
 
 __all__ = [
@@ -92,13 +92,13 @@ __all__ = [
 
 
 @contextlib.contextmanager
-def renaming(rename: Callable[[str], str]):
-    """Re-raise a :class:`~dynloc.oracles.FieldError` with each of its fields ``rename(name)``: a sweep names
-    its cells' ``speed_class`` ``speed_classes``, and a protocol's ``period`` ``<label>.period``."""
+def renaming(names: dict[str, str]):
+    """Re-raise a :class:`~dynloc.oracles.FieldError` with each of its fields that ``names`` holds renamed: a sweep
+    names its cells' ``speed_class`` ``speed_classes``, and a protocol's ``period`` ``<label>.period``."""
     try:
         yield
     except FieldError as exc:
-        raise FieldError(tuple(map(rename, exc.fields)), exc.reason) from exc
+        raise FieldError(tuple(names.get(name, name) for name in exc.fields), exc.reason) from exc
 
 
 # Labels name output files and CSV cells, so they may not hold a path separator or a comma.
@@ -180,7 +180,7 @@ class SweepSpec:
         require_nonnegative(self.noise_max, "noise_max")  # RunConfig's rule, checked before any run
         require_nonnegative(self.dist_tolerance, "dist_tolerance")
         # Each cell's trace spec and protocol configs are built here once, so they fail before any run.
-        with renaming(lambda name: _CELL_FIELDS.get(name, name)):
+        with renaming(_CELL_FIELDS):
             for class_index in range(len(self.speed_classes)):
                 for pause_index in range(len(self.pause_times)):
                     self.trace_spec(class_index, pause_index, self.seed_base)
@@ -250,10 +250,10 @@ def _resolve(value, class_index: int, n_classes: int, name: str):
     return value
 
 
-def _label_fields(pspec: ProtocolSpec) -> Callable[[str], str]:
-    """A name as a sweep names it: ``<label>.<name>`` for a config field or spec parameter, others as they are."""
-    fields = {*PROTOCOLS[pspec.kind].config.__dataclass_fields__, *pspec.params}
-    return lambda name: f"{pspec.label}.{name}" if name in fields else name
+def _label_fields(pspec: ProtocolSpec) -> dict[str, str]:
+    """Each config field and spec parameter of ``pspec`` by its name in a sweep, ``<label>.<name>``."""
+    fields = (*PROTOCOLS[pspec.kind].config.__dataclass_fields__, *pspec.params)
+    return {name: f"{pspec.label}.{name}" for name in fields}
 
 
 def resolve_protocol_config(pspec: ProtocolSpec, class_index: int, n_classes: int) -> ProtocolConfig:
@@ -406,7 +406,8 @@ def _run_cell(
     """All protocol runs for one (class, pause, rep) cell: one trace, one noise seed, one workspace."""
     trace_seed, noise_seed = run_seeds(spec.seed_base, class_index, pause_index, rep)
     ts = spec.trace_spec(class_index, pause_index, trace_seed)
-    trace = make_trace(ts)
+    with renaming(_CELL_FIELDS):  # a Gauss-Markov step may name speed_class
+        trace = make_trace(ts)
     trace_sha = trace.content_hash()
     speed = class_label(ts.speed_class)
     pause = ts.pause_time
@@ -836,15 +837,10 @@ def write_events_csv(
 
 def parse_number_list(raw: str, field_name: str) -> list[float]:
     """Parse a comma list of numbers, blanks skipped; errors name ``field_name``."""
-    out = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            out.append(float(part))
-        except ValueError as exc:
-            raise FieldError(field_name, f"not a number: {part!r}") from exc
+    try:
+        out = [number(part) for part in raw.split(",") if part.strip()]
+    except ValueError as exc:
+        raise FieldError(field_name, str(exc)) from exc
     if not out:
         raise FieldError(field_name, "empty list")
     return out
@@ -856,7 +852,7 @@ def _parse_pair(raw: str, sep: str, field_name: str) -> tuple[float, float]:
     if len(pieces) != 2:
         raise FieldError(field_name, f"expected two numbers joined by {sep!r}, got {raw!r}")
     try:
-        return float(pieces[0]), float(pieces[1])
+        return number(pieces[0]), number(pieces[1])
     except ValueError as exc:
         raise FieldError(field_name, f"not a number in {raw!r}") from exc
 
@@ -872,7 +868,7 @@ def parse_area(raw: str) -> tuple[float, float]:
 
 
 # SweepSpec fields whose [sweep] key has another name.
-_FIELD_SPEC_KEYS = {"noise_max": "noise", "backtracking_enabled": "backtracking", "area_w": "area", "area_h": "area"}
+FIELD_SPEC_KEYS = {"noise_max": "noise", "backtracking_enabled": "backtracking", "area_w": "area", "area_h": "area"}
 
 
 def parse_spec_file(text: str) -> SweepSpec:
@@ -899,9 +895,9 @@ def parse_spec_file(text: str) -> SweepSpec:
     if "speed_classes" not in sweep:
         raise FieldError("speed_classes", "required in [sweep]")
     d = {f.name: f.default for f in dataclasses.fields(SweepSpec) if f.default is not dataclasses.MISSING}
-    # Each other key sets the scalar field it names (see _FIELD_SPEC_KEYS), cast by the
-    # type of the field's default; area_w and area_h are set only through ``area``.
-    scalars = {_FIELD_SPEC_KEYS.get(name, name): name for name in d if name not in ("area_w", "area_h")}
+    # Each other key sets the scalar field it names (see FIELD_SPEC_KEYS), read as the type of the
+    # field's default, a number by oracles.number; area_w and area_h are set only through ``area``.
+    scalars = {FIELD_SPEC_KEYS.get(name, name): name for name in d if name not in ("area_w", "area_h")}
     unknown = sorted(set(sweep) - {"speed_classes", "pause_times", "area", *scalars})
     if unknown:
         raise FieldError(unknown[0], "not a [sweep] key")
@@ -912,7 +908,8 @@ def parse_spec_file(text: str) -> SweepSpec:
     for key, name in scalars.items():
         try:
             if key in sweep:
-                d[name] = sweep.getboolean(key) if type(d[name]) is bool else type(d[name])(sweep[key])
+                kind, value = type(d[name]), sweep[key]
+                d[name] = sweep.getboolean(key) if kind is bool else value if kind is str else number(value, kind)
         except ValueError as exc:
             raise FieldError(key, str(exc)) from exc
     # A protocol parameter of one value is a number, of more a per-class list.
@@ -924,5 +921,5 @@ def parse_spec_file(text: str) -> SweepSpec:
         for label, body in parser.items()
         if label not in ("sweep", parser.default_section)
     ]
-    with renaming(lambda name: _FIELD_SPEC_KEYS.get(name, name)):
+    with renaming(FIELD_SPEC_KEYS):
         return spec_from_dict(d)

@@ -28,12 +28,11 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .oracles import FieldError, require_nonnegative, require_positive
+from .oracles import FieldError, number, require_nonnegative, require_positive
 
 __all__ = [
     "MobilityTrace",
@@ -315,8 +314,8 @@ def _parse_waypoint_line(line: str) -> np.ndarray:
     if len(fields) % 3 != 0:
         raise ValueError(f"expected 't x y' triples, got {len(fields)} fields")
     numbers: list[float] = []
-    try:  # a non-numeric field stops it, keeping the numbers before; float's digit-group "_" is non-numeric here
-        numbers.extend(map(float, takewhile(lambda field: "_" not in field, fields)))
+    try:  # a non-numeric field stops it, keeping the numbers before
+        numbers.extend(map(number, fields))
     except ValueError:
         pass
     whole = len(numbers) // 3

@@ -26,6 +26,7 @@ import math
 
 __all__ = [
     "FieldError",
+    "number",
     "require_nonnegative",
     "require_positive",
     "require_angle",
@@ -53,6 +54,18 @@ class FieldError(ValueError):
 
     def __str__(self) -> str:
         return f"{self.named}: {self.reason}"
+
+
+def number(text: str, kind: type = float) -> float | int:
+    """The one reader of a number in user text: ``kind`` (``float``, or ``int`` for an integer field) reads ``text``
+    stripped, but a digit-group "_" (``1_0``) or a non-ASCII character in it (``١٠``) raises ``ValueError``."""
+    token = text.strip()
+    if "_" not in token and token.isascii():
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    raise ValueError(f"not {'an integer' if kind is int else 'a number'}: {token!r}")
 
 
 def require_nonnegative(value: float, name: str) -> None:

@@ -14,6 +14,7 @@ import math
 import platform
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from scenario_tools import (
     brute_turn_predict_error,
     make_pause_trace,
     make_turn_trace,
+    read_table,
     trace_spec,
 )
 
@@ -423,7 +425,38 @@ GOLDEN_DIGESTS = {
 }
 
 
+# The stock rwp summary.csv, checked in with the golden bytes, and the relative tolerance each of its
+# numbers is held to on every Python and numpy.  A mean or standard deviation summed in another order
+# moves in its last few bits; one fix more or fewer in one repetition moves a cell's mean by over 1e-5.
+# Only Python 3.11.7 / numpy 2.4.6 has run this check; the tolerance is unverified on other versions.
+STOCK_SUMMARY = Path(__file__).with_name("stock_summary.csv")
+STOCK_RTOL = 1e-9
+# Each standard deviation column and the mean it spreads around.  The deviation of equal values is 0
+# in exact arithmetic but reads as the rounding noise of their mean (8:10, pause 120, madrd: ten ratios
+# of 602/451 give ratio_std 2.3e-16), which another numpy's reduction may round to 0.0 or to another
+# e-16 value, so a deviation may also differ by 1e-12 times its mean, at least 1e-12.
+STOCK_STD_OF = {
+    "localizations_std": "mean_localizations", "ratio_std": "ratio_to_sfr", "error_std": "mean_error",
+    "accuracy_std": "accuracy",
+}
+
+
 def test_11_stock_outputs_match_golden_digests(bundle_outcome, gauss_markov_outcome, tmp_path):
+    # First on any version: the stock summary's numbers, cell by cell, within STOCK_RTOL (a deviation's floor aside).
+    assert hashlib.sha256(STOCK_SUMMARY.read_bytes()).hexdigest() == GOLDEN_DIGESTS["rwp"]["summary.csv"]
+    spec, _, rows = bundle_outcome
+    write_summary_csv(tmp_path / "rwp_summary.csv", spec, rows)
+    got, stock = read_table(tmp_path / "rwp_summary.csv"), read_table(STOCK_SUMMARY)
+    assert read_provenance(tmp_path / "rwp_summary.csv") == read_provenance(STOCK_SUMMARY)
+    assert len(got) == len(stock) == 45 and all(g.keys() == w.keys() for g, w in zip(got, stock))
+    for g, w in zip(got, stock):
+        for column, cell in w.items():
+            if column in ("speed_class", "protocol") or cell == "":
+                assert g[column] == cell, (w, column)
+            else:
+                floor = 1e-12 * max(1.0, abs(float(w[STOCK_STD_OF[column]]))) if column in STOCK_STD_OF else 0.0
+                assert math.isclose(float(g[column]), float(cell), rel_tol=STOCK_RTOL, abs_tol=floor), (w, column)
+
     versions = (platform.python_version(), np.__version__)
     if versions != GOLDEN_VERSIONS:
         pytest.skip(
@@ -438,4 +471,4 @@ def test_11_stock_outputs_match_golden_digests(bundle_outcome, gauss_markov_outc
         for name, expected in GOLDEN_DIGESTS[bundle].items():
             digest = hashlib.sha256((tmp_path / f"{bundle}_{name}").read_bytes()).hexdigest()
             assert digest == expected, f"{bundle} {name}: sha256 {digest}"
-    print("stock rwp and gauss_markov runs.csv/summary.csv match the golden digests")
+    print(f"stock rwp summary.csv within rtol {STOCK_RTOL:g}; both bundles' runs.csv/summary.csv match the golden digests")

@@ -93,6 +93,28 @@ def test_rwp_deterministic_per_seed():
     assert not np.array_equal(a.xs, c.xs)
 
 
+# Each stock class's trace count and the relative tolerance of its time-averaged moving speed: the
+# largest deviation seen with as many traces at 19 other seed bases (1000, 2000, ..., 19000), rounded
+# up: 4.64%, 0.56% and 0.13%.  Only 8:10's tolerance tells the law from the class's midpoint (a + b) / 2,
+# 0.41% above it; 0.5:1's legs are long, so a 900 s trace holds few of them, and its midpoint lies 4.0%
+# above the law, inside its 5%.
+_RWP_SPEED_TOLERANCES = {(0.5, 1.0): (40, 0.05), (4.0, 5.0): (40, 0.007), (8.0, 10.0): (160, 0.002)}
+
+
+@pytest.mark.parametrize("speed_class, traces, rel", [(c, *t) for c, t in _RWP_SPEED_TOLERANCES.items()],
+                         ids=["0.5:1", "4:5", "8:10"])
+def test_rwp_time_averaged_speed_is_the_logarithmic_mean_of_its_class(speed_class, traces, rel):
+    # A leg's speed is drawn uniformly from [a, b], but a leg at speed v lasts in proportion to 1/v,
+    # so the time-averaged speed is (b - a) / ln(b / a) (Yoon, Liu and Noble, "Random Waypoint
+    # Considered Harmful", INFOCOM 2003): 0.721, 4.481 and 8.963 m/s.  Stock-length traces at pause
+    # 0, seeds 0 up; a step whose speed differs from the step before (a waypoint falls inside it, or
+    # just before) is left out, as it cuts a corner.  The three classes take about 0.15 s.
+    a, b = speed_class
+    leg_speeds = [_step_speeds(_rwp(seed, speed_class=speed_class, pause_time=0.0)) for seed in range(traces)]
+    speed = np.mean([s[1:][np.isclose(s[1:], s[:-1], rtol=1e-9, atol=0)].mean() for s in leg_speeds])
+    assert speed == pytest.approx((b - a) / math.log(b / a), rel=rel)
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Markov
 # ---------------------------------------------------------------------------
@@ -457,8 +479,9 @@ _LINE_REFUSALS = {
     "non-finite-then-non-numeric": ("0 inf 0 5 x 5\n", "line 1: waypoint fields must be finite"),
     "non-numeric-then-non-finite": ("0 1 x 5 inf 5\n", "line 1: non-numeric field near '0'"),
     "both-in-one-triple": ("0 0 0 5 inf x\n", "line 1: non-numeric field near '5'"),
-    # float() reads a digit-group "_" (1_0 is 10.0); a waypoint field is no Python literal.
+    # A field is read by oracles.number, which refuses a digit-group "_" and non-ASCII digits that float() reads.
     "digit-group": ("0 1_0 5 2 2_0 5\n", "line 1: non-numeric field near '0'"),
+    "non-ascii-digits": ("0 \u0661\u0660 5 2 20 5\n", "line 1: non-numeric field near '0'"),
     "non-finite-then-digit-group": ("0 inf 0 5 1_0 5\n", "line 1: waypoint fields must be finite"),
     "decreasing": ("# c\n\n0 0 0 5 5 0 3 9 0\n", "line 3: waypoint times must be strictly increasing"),
     "negative-time": ("-1 1 1 2 2 2\n", "line 1: waypoint times must be >= 0"),
