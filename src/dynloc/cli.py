@@ -34,16 +34,21 @@ command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` withou
 by its flag (``in``, ``trace-file``), and a table of more ``oracle --steps`` than a trace's
 grid may have.  Every output path goes through :func:`~dynloc.experiments.check_output`
 before anything runs, and one that is stdout's own file (``/dev/stdout``, or the file stdout
-is redirected to) is written through stdout.
+is redirected to) is written through stdout.  A sweep stages its files in a fresh ``.dynloc-partial-*``
+folder inside ``--out`` and renames them into ``--out`` once both tables are written, so one that
+fails leaves ``--out`` as it was; one killed outright (SIGKILL) may leave the stage behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -214,25 +219,29 @@ def _trace_spec(args) -> mobility.TraceSpec:
 def _cmd_simulate(args) -> int:
     experiments.check_output(args.out, "out")
     experiments.check_output(args.events_out, "events-out", beside=("out", args.out))
-    if args.trace_file is not None:
+    if args.trace_file is None:
+        ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
+    else:  # no generator spec: import_trace checks a file run's duration, dt and area
+        ts = None
         unread = tuple(name for name in _GENERATOR_DEFAULTS if getattr(args, name) is not None)
         if unread:
             raise FieldError(unread, "not read with --trace-file, which replaces the generated trace")
-    ts = _trace_spec(args)  # checks --seed before a seed sequence sees it
+        if args.seed < 0:
+            raise FieldError("seed", f"must be >= 0, got {args.seed}")
     protocol_config = _protocol_config(args)  # before the trace is made or read
     if args.node is not None and args.trace_file is None:
         raise FieldError("node", f"selects a line of --trace-file, which is not given, got {args.node}")
     trace_seed, noise_seed = experiments.run_seeds(args.seed)
-    ts = dataclasses.replace(ts, seed=trace_seed)
     extra = {"protocol": args.protocol, "seed": args.seed}
-    if args.trace_file is not None:
+    if ts is None:
         text = _read_text(args.trace_file, "trace-file")
         node = args.node or 0
+        area_w, area_h = experiments.parse_area(args.area)
         with experiments.renaming({"text": "trace-file"}):
-            trace = mobility.import_trace(text, ts.dt, ts.area_w, ts.area_h, node_id=node, duration=ts.duration)
-        extra["mobility"] = f"file:{args.trace_file}"
-        extra["node"] = node
+            trace = mobility.import_trace(text, args.dt, area_w, area_h, node_id=node, duration=args.duration)
+        extra.update(mobility=f"file:{args.trace_file}", node=node, duration=args.duration)
     else:
+        ts = dataclasses.replace(ts, seed=trace_seed)
         trace = experiments.make_trace(ts)
 
     cfg = RunConfig.of(args, trace=trace, protocol_config=protocol_config, seed=noise_seed)
@@ -243,6 +252,31 @@ def _cmd_simulate(args) -> int:
     if args.events_out is not None:
         experiments.write_events_csv(args.events_out, provenance, result)
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _staged(out_dir: Path):
+    """A fresh folder inside ``out_dir``, made with its missing parents.  When the block ends, each file it holds is
+    renamed into ``out_dir``; if it raises, anything at all, the stage and every folder made here are removed."""
+    made = [folder for folder in (out_dir, *out_dir.parents) if not os.path.lexists(folder)]  # the deepest first
+    stage = None
+    try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise FieldError("out", f"cannot create directory {str(out_dir)!r}: {exc}") from exc
+        stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".dynloc-partial-"))
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(stage / name, out_dir / name)
+        stage.rmdir()
+    except BaseException:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for folder in made:
+            with contextlib.suppress(OSError):
+                folder.rmdir()
+        raise
 
 
 def _cmd_sweep(args) -> int:
@@ -270,19 +304,16 @@ def _cmd_sweep(args) -> int:
         if missing:
             raise FieldError("protocols", f"unknown labels {sorted(missing)}")
         updates["protocols"] = chosen
+    out_dir = Path(args.out)
     with experiments.renaming(experiments.FIELD_SPEC_KEYS if args.spec is not None else {}):
         if updates:
             spec = dataclasses.replace(spec, **updates)
-        out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise FieldError("out", f"cannot create directory {args.out!r}: {exc}") from exc
-        for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
-            experiments.check_output(out_dir / name, "out", regular=True)
-        records = experiments.run_sweep(spec, workers=args.workers, events_dir=out_dir if args.events else None)
-    experiments.write_runs_csv(out_dir / "runs.csv", spec, records)
-    experiments.write_summary_csv(out_dir / "summary.csv", spec, experiments.summarize(spec, records))
+        with _staged(out_dir) as stage:
+            for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
+                experiments.check_output(out_dir / name, "out", regular=True)
+            records = experiments.run_sweep(spec, workers=args.workers, events_dir=stage if args.events else None)
+            experiments.write_runs_csv(stage / "runs.csv", spec, records)
+            experiments.write_summary_csv(stage / "summary.csv", spec, experiments.summarize(spec, records))
     sys.stdout.write(f"wrote {len(records)} runs to {out_dir}\n")
     return EXIT_OK
 

@@ -339,25 +339,24 @@ def make_trace(ts: TraceSpec) -> MobilityTrace:
     return generate(ts, np.random.default_rng(ts.seed))
 
 
-def run_provenance(cfg: RunConfig, ts: TraceSpec, trace_sha: str, **extra) -> dict:
+def run_provenance(cfg: RunConfig, ts: TraceSpec | None, trace_sha: str, **extra) -> dict:
     """The ``# config`` header of one run: its trace, its run config, then the caller's ``extra`` keys.
 
-    The Gauss-Markov parameters are written only for a Gauss-Markov trace; a
-    random-waypoint trace does not read them.
+    The grid step and area are the trace's own.  A generated trace is told by its spec ``ts``, with the
+    Gauss-Markov parameters only if it reads them; a trace read from a file (``ts`` None) by ``extra``.
     """
-    gauss_markov = {name: getattr(ts, name) for name in GAUSS_MARKOV_FIELDS if ts.mobility == "gauss_markov"}
+    generated = {}
+    if ts is not None:
+        gauss_markov = {name: getattr(ts, name) for name in GAUSS_MARKOV_FIELDS if ts.mobility == "gauss_markov"}
+        generated = {"mobility": ts.mobility, "speed_class": class_label(ts.speed_class), "pause_time": ts.pause_time,
+                     "duration": ts.duration, **gauss_markov, "trace_seed": ts.seed}
     return {
         "protocol_params": dataclasses.asdict(cfg.protocol_config),
-        "mobility": ts.mobility,
-        "speed_class": class_label(ts.speed_class),
-        "pause_time": ts.pause_time,
-        "duration": ts.duration,
-        "dt": ts.dt,
-        "area": [ts.area_w, ts.area_h],
-        **gauss_markov,
+        **generated,
+        "dt": cfg.trace.dt,
+        "area": [cfg.trace.area_w, cfg.trace.area_h],
         "noise": cfg.noise_max,
         "dist_tolerance": cfg.dist_tolerance,
-        "trace_seed": ts.seed,
         "noise_seed": cfg.seed,
         "trace_sha": trace_sha,
         "backtracking": cfg.backtracking_enabled,
@@ -399,7 +398,7 @@ def _run_cell(
     class_index: int,
     pause_index: int,
     rep: int,
-    events_dir: str | None,
+    events_dir: str | os.PathLike | None,
     workspace: Workspace,
     time_cells: Callable[[int, float], tuple],
 ) -> list[RunRecord]:
@@ -454,7 +453,7 @@ _BATCHES_PER_WORKER = 4
 
 
 def _run_batch(
-    spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | None
+    spec: SweepSpec, cells: Sequence[tuple[int, int, int]], events_dir: str | os.PathLike | None
 ) -> list[list[RunRecord]]:
     """The records of each cell in ``cells``, in order, all run on one workspace and one ``t`` cell slot."""
     time_cells = functools.lru_cache(maxsize=1)(lambda samples, dt: _event_cells(grid_times(samples, dt)))
@@ -476,11 +475,9 @@ def run_sweep(
     share one :class:`~dynloc.engine.Workspace` and the cells of the ``t``
     event column: one batch when serial, and ``_BATCHES_PER_WORKER`` strided
     batches per worker (cells ``b, b + B, ...``) in the pool.  Results are
-    identical regardless of worker count.
+    identical regardless of worker count.  With ``events_dir``, a folder that
+    exists, each run's event log is written into it.
     """
-    if events_dir is not None:
-        events_dir = str(events_dir)
-        Path(events_dir).mkdir(parents=True, exist_ok=True)
     cells = [
         (ci, pi, rep)
         for ci in range(len(spec.speed_classes))

@@ -244,6 +244,17 @@ def test_simulate_refuses_a_flag_it_would_not_read(capsys, argv, named):
     assert captured.out == "" and captured.err.startswith(f"validation error: {named}")
 
 
+def test_a_trace_file_run_is_bounded_and_described_by_its_file_alone(tmp_path, capsys):
+    # No generator spec is built, so no leg bound of random waypoint refuses a 1 um area; about 0.01 s.
+    trace_file = tmp_path / "still.txt"
+    trace_file.write_text("0 0 0\n")
+    argv = ["simulate", "--protocol", "sfr", "--trace-file", str(trace_file), "--area", "1e-6x1e-6", "--duration", "900"]
+    assert main(argv) == EXIT_OK
+    config = json.loads(_lines(capsys)[1][len("# config "):])
+    assert not {"speed_class", "pause_time", "trace_seed", *mobility.GAUSS_MARKOV_FIELDS} & config.keys()
+    assert (config["mobility"], config["area"], config["duration"]) == (f"file:{trace_file}", [1e-6, 1e-6], 900.0)
+
+
 def test_a_trace_file_run_reads_duration_dt_area_and_seed(tmp_path, capsys):
     trace_file = tmp_path / "node.txt"
     trace_file.write_text("0 10 10 20 50 10\n")
@@ -273,7 +284,7 @@ def test_a_field_error_from_a_pool_worker_reaches_the_cli_whole(tmp_path, capsys
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir), "--workers", workers]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: field 'sfr.period': the next fix must come after the fix at t=0.1, ")
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -321,7 +332,7 @@ def test_sweep_whose_errors_overflow_exits_2_without_output(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)]) == EXIT_VALIDATION
     assert "field 'noise':" in capsys.readouterr().err  # the spec file's key, raised while a cell runs
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 # Byte digests of the simulate, oracle and trace outputs, pinned for these library
@@ -362,9 +373,10 @@ CLI_GOLDEN_CASES = {
             "events.csv": "8101c7b694e7bd50976ab0c63b8ac65cf565baaeada727d22849799a5ff9174b",
         },
     ),
+    # A file run's header holds no generator key (speed_class, pause_time, trace_seed).
     "simulate_trace_file": (
         ["simulate", "--protocol", "sfr", "--trace-file", "node.txt", "--duration", "20"],
-        {"stdout": "231ce612814358c7060d88189e0c3441a62af604117328218f85c7ef3950cd38"},
+        {"stdout": "7a1792b074f07e75a72f4a3e3dad92d5a88806b8592d185ef13998bb954b0358"},
     ),
     "export_rwp": (
         ["export-trace", "--mobility", "rwp", "--speed", "1:2", "--pause", "5",
@@ -550,6 +562,7 @@ def test_sweep_rejects_unsafe_protocol_label_before_any_run(tmp_path, capsys, la
     [
         (["sweep", "--seed-base", "-5", "--repetitions", "1"], "field 'seed_base'"),
         (["simulate", "--protocol", "sfr", "--seed", "-1"], "field 'seed'"),
+        (["simulate", "--protocol", "sfr", "--trace-file", "absent.txt", "--seed", "-1"], "field 'seed'"),
         (["export-trace", "--seed", "-3"], "field 'seed'"),
         (["sweep", "--workers", "-3", "--repetitions", "1"], "field 'workers'"),
         (["sweep", "--workers", "0", "--repetitions", "1"], "field 'workers'"),
@@ -1311,23 +1324,24 @@ def test_every_surface_reads_a_number_token_alike_or_refuses_it_as_malformed(tok
 # an unknown key, another kind's parameter, a per-class list of the wrong length, a bad kind or
 # label, no protocol, no speed classes, or a [DEFAULT] section.  The sweeps are small, at most 2
 # classes x 2 pauses x 2 repetitions x 3 protocols of at most 41 steps, and the drawn pauses (0, 2
-# or 30 s) keep every random-waypoint trace the leg bound lets through to at most 10 legs.  The
-# mobility is random waypoint: a Gauss-Markov trace refuses a step it cannot reflect into the area
-# while its cell runs, after --out is made.
-_SPEC_SPEEDS = ["0.5:1", "4:5", "8:10", "1:1e12"]
+# or 30 s) keep every random-waypoint trace the leg bound lets through to at most 10 legs.  Some
+# are refused only while a cell runs: a Gauss-Markov step that no reflection brings back into the
+# area (a top speed of 1e12 m/s, a 1e-300 m side), or a period of 1e-300 s that t + period rounds off.
+_SPEC_SPEEDS = ["0.5:1", "4:5", "8:10", "1:1e12", "1e12:1e12"]
 _SPEC_VALID = {
     "pause_times": ["0", "2", "30", "2, 30"], "repetitions": ["1", "2"], "duration": ["5", "20"], "dt": ["0.5", "1"],
     "area": ["300x300", "1e-300x1e-300", "1e-300x300"], "noise": ["0", "0.5"], "dist_tolerance": ["5"],
-    "seed_base": ["0", "7"], "mobility": ["rwp"], "gm_memory": ["0.75"], "backtracking": ["yes", "no"],
+    "seed_base": ["0", "7"], "mobility": ["rwp", "gauss_markov"], "gm_memory": ["0.75"], "backtracking": ["yes", "no"],
 }
 _SPEC_GARBAGE = {
     "speed_classes": ["5:4", "0:1", "x:1", "4", "4:5, 4:5"], "pause_times": ["-1", "x", "nan", "0, 0"],
     "repetitions": ["0", "1.5"], "duration": ["0", "1e12", "inf"], "dt": ["0", "1e-300"], "area": ["0x5", "300"],
     "noise": ["-1", "nan", "50%"], "dist_tolerance": ["inf"], "seed_base": ["-1", "1e3"],
-    "mobility": ["teleport"], "gm_memory": ["2", "nan"], "backtracking": ["maybe"], "bogus": ["1"],
+    "mobility": ["teleport"], "gm_memory": ["2", "nan"], "gm_speed_sigma": ["-1"], "backtracking": ["maybe"],
+    "bogus": ["1"],
 }
 _SPEC_PARAMS = {
-    "sfr": {"period": ["2", "0.5"]},
+    "sfr": {"period": ["2", "0.5", "1e-300"]},
     "dvm": {"target_error": ["5"], "t_min": ["0.5"], "t_max": ["6", "10"]},
     "madrd": {"divergence_threshold": ["5"], "t_min": ["0.5"], "t_max": ["6"], "period_growth": ["2"],
               "period_shrink": ["0.5"]},
@@ -1389,9 +1403,12 @@ def _spec_keys(text: str) -> set[str]:
 @settings(max_examples=80, deadline=None)
 @example(text="[sweep]\nspeed_classes = 0.5:1, 1:1e12\npause_times = 0\nrepetitions = 3\nduration = 900\n\n"
               "[sfr]\nperiod = 2\n")
+@example(text="[sweep]\nspeed_classes = 4:5, 1e12:1e12\nmobility = gauss_markov\nrepetitions = 1\nduration = 5\n"
+              "dt = 0.5\n[sfr]\nperiod = 2\n")
+@example(text="[sweep]\nspeed_classes = 4:5\nrepetitions = 1\nduration = 5\ndt = 0.5\n[sfr]\nperiod = 1e-300\n")
 @given(text=_spec_files())
 def test_sweep_spec_surface_runs_with_finite_metrics_or_exits_2_naming_a_key_before_out_is_made(text):
-    # In process, 80 examples take about 1 s.
+    # In process, 80 examples take about 1 s.  A refusal raised while a cell runs leaves no --out either.
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as folder:
         spec_file, out_dir = Path(folder) / "spec.ini", Path(folder) / "D"
@@ -1406,9 +1423,9 @@ def test_sweep_spec_surface_runs_with_finite_metrics_or_exits_2_naming_a_key_bef
         assert code == EXIT_VALIDATION, err.getvalue()
         assert not out_dir.exists(), err.getvalue()
         message = err.getvalue()
-        prefix = f"validation error: spec file {str(spec_file)!r}: "
-    assert message.startswith(prefix), message
-    refusal = message[len(prefix):]
+    assert message.startswith("validation error: "), message
+    # A refusal of the file names the file; one raised while a cell runs names the file's keys alone.
+    refusal = message.removeprefix("validation error: ").removeprefix(f"spec file {str(spec_file)!r}: ")
     named = re.match(r"fields? ('[^']+'(?:/'[^']+')*): ", refusal)
     if not refusal.startswith("section 'DEFAULT': "):
         assert named and set(re.findall(r"'([^']+)'", named[1])) <= _spec_keys(text), message
@@ -1583,7 +1600,7 @@ def test_sweep_names_the_protocol_field_that_floors_the_period(tmp_path, capsys,
     out_dir = tmp_path / "out"
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir)]) == EXIT_VALIDATION
     assert named in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1593,11 +1610,68 @@ def test_a_refusal_raised_while_a_cell_runs_names_the_spec_files_keys(tmp_path, 
     spec_file = tmp_path / "spec.ini"
     spec_file.write_text("[sweep]\nspeed_classes = 1e12:1e12\nmobility = gauss_markov\nrepetitions = 2\n"
                          "duration = 10\n[sfr]\nperiod = 2\n")
-    out_dir = tmp_path / "out"
+    out_dir = tmp_path / "new" / "out"
     assert main(["sweep", "--spec", str(spec_file), "--out", str(out_dir), "--workers", workers]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation error: fields 'speed_classes'/'gm_speed_sigma'/'area': a 99999999999.96"), err
-    assert list(out_dir.iterdir()) == []  # --out is made before the cells run
+    assert list(tmp_path.iterdir()) == [spec_file]  # both folders the sweep made are gone with its stage
+
+
+def _folder_bytes(folder: Path) -> dict[str, bytes]:
+    """Each entry of ``folder`` by name, with its bytes: a folder left in it, such as a stage, fails the read."""
+    return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+
+_GM_SPEC = "[sweep]\nspeed_classes = {}\nmobility = gauss_markov\nrepetitions = 1\nduration = 10\n{}[sfr]\nperiod = 2\n"
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_sweep_refused_in_a_later_cell_leaves_the_earlier_sweeps_files_as_they_were(tmp_path, capsys, workers):
+    # The 4:5 cell writes events_s4-5_p0_sfr_r0.csv with another trace seed before the 1e12:1e12 cell is refused.
+    # The two sweeps take about 0.02 s with --workers 1 and 0.03 s with --workers 2.
+    first, second, out_dir = tmp_path / "first.ini", tmp_path / "second.ini", tmp_path / "D"
+    first.write_text(_GM_SPEC.format("4:5", ""))
+    second.write_text(_GM_SPEC.format("4:5, 1e12:1e12", "seed_base = 7\n"))
+    assert main(["sweep", "--spec", str(first), "--out", str(out_dir), "--events"]) == EXIT_OK
+    before = _folder_bytes(out_dir)
+    assert sorted(before) == ["events_s4-5_p0_sfr_r0.csv", "runs.csv", "summary.csv"]
+    argv = ["sweep", "--spec", str(second), "--out", str(out_dir), "--events", "--workers", workers]
+    assert main(argv) == EXIT_VALIDATION
+    assert "fields 'speed_classes'/'gm_speed_sigma'/'area': " in capsys.readouterr().err
+    assert _folder_bytes(out_dir) == before
+
+
+@pytest.mark.parametrize("raised, code", [(RuntimeError, EXIT_RUNTIME), (KeyboardInterrupt, None)], ids=["crash", "interrupt"])
+def test_an_exception_in_a_cell_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, raised, code):
+    # The second cell raises after the first has written its event logs into the stage; about 0.01 s.
+    out_dir = tmp_path / "D"
+    out_dir.mkdir()
+    (out_dir / "runs.csv").write_text("kept\n")
+    run_cell = experiments._run_cell
+
+    def second_cell_raises(spec, class_index, pause_index, rep, *args):
+        if rep == 1:
+            raise raised("injected")
+        return run_cell(spec, class_index, pause_index, rep, *args)
+
+    monkeypatch.setattr(experiments, "_run_cell", second_cell_raises)
+    argv = [arg.format(folder=out_dir) for arg in [*_TINY_SWEEP, "--repetitions", "2", "--events"]]
+    if code is None:
+        with pytest.raises(raised):
+            main(argv)
+    else:
+        assert main(argv) == code
+        assert capsys.readouterr().err == f"runtime error: {raised.__name__}: injected\n"
+    assert _folder_bytes(out_dir) == {"runs.csv": b"kept\n"}
+
+
+def test_a_sweep_publishes_what_its_stage_holds(tmp_path, monkeypatch):
+    # A sweep stub that writes no event log, as the benchmark's set-up probe installs, still exits 0: the
+    # two tables are all the stage holds, so they are all a sweep publishes; about 0.01 s.
+    monkeypatch.setattr(experiments, "run_sweep", lambda *args, **kwargs: [])
+    out_dir = tmp_path / "D"
+    assert main([arg.format(folder=out_dir) for arg in [*_TINY_SWEEP, "--events"]]) == EXIT_OK
+    assert sorted(os.listdir(out_dir)) == ["runs.csv", "summary.csv"]
 
 
 def test_a_waypoint_trace_past_the_grid_cap_is_refused_naming_the_flags(tmp_path, capsys):

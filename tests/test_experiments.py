@@ -314,6 +314,7 @@ def test_batched_pool_sweep_writes_the_serial_bytes(tmp_path, monkeypatch, pools
 def test_sweep_writes_one_events_file_per_run(tmp_path):
     spec = _tiny_spec(repetitions=1)
     events_dir = tmp_path / "events"
+    events_dir.mkdir()  # run_sweep writes into a folder that exists
     run_sweep(spec, events_dir=events_dir)
     names = sorted(p.name for p in events_dir.iterdir())
     assert len(names) == 2 * 2 * 2  # classes * pauses * protocols, 1 rep
@@ -585,6 +586,7 @@ _ALL_PROTOCOLS = (
 def test_sweep_event_logs_equal_the_row_writer(tmp_path, monkeypatch, overrides):
     written = _record_event_writes(monkeypatch)
     events_dir = tmp_path / "events"
+    events_dir.mkdir()  # run_sweep writes into a folder that exists
     run_sweep(_one_class_spec(protocols=_ALL_PROTOCOLS, **overrides), workers=1, events_dir=events_dir)
     assert sorted(p for p, _, _ in written) == sorted(events_dir.glob("events_*.csv"))
     if overrides.get("pause_times"):
