@@ -21,7 +21,8 @@ Examples::
     dynloc export-trace --mobility rwp --speed 4:5 --pause 30 --seed 3 --out tr.txt
 
 Exit codes: 0 success, 1 usage error (a malformed numeric flag among them), 2 validation error,
-3 runtime failure.  Closing an output pipe early (``dynloc export-trace | head``) exits 0, silently.
+3 runtime failure, 130 interrupted (Ctrl-C, which prints ``interrupted``).  Closing an output pipe
+early (``dynloc export-trace | head``) exits 0, silently.
 
 A validation error names the field its value fails, followed by the flag that set it
 where the two differ: ``field 'noise_max' (--noise): must be finite and >= 0``.  The fields
@@ -33,22 +34,21 @@ command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` withou
 ``--spec``) is a validation error too, and so are a waypoint file with no waypoint line, named
 by its flag (``in``, ``trace-file``), and a table of more ``oracle --steps`` than a trace's
 grid may have.  Every output path goes through :func:`~dynloc.experiments.check_output`
-before anything runs, and one that is stdout's own file (``/dev/stdout``, or the file stdout
-is redirected to) is written through stdout.  A sweep stages its files in a fresh ``.dynloc-partial-*``
-folder inside ``--out`` and renames them into ``--out`` once both tables are written, so one that
-fails leaves ``--out`` as it was; one killed outright (SIGKILL) may leave the stage behind.
+before anything runs.  A file reaches its name by one rename: from a fresh ``.<name>.*.tmp`` beside
+it, or for a sweep from a fresh ``.dynloc-partial-*`` folder inside ``--out`` once both tables are
+written, so a command that fails leaves its outputs as they were.  A path that is stdout's own file
+(``/dev/stdout``, or the file stdout is redirected to) is written through stdout instead, but for a
+sweep, whose rename replaces that file.  A process killed outright (SIGKILL) may leave the temp file
+or the stage behind, to be deleted by hand.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +62,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130  # a shell's 128 + SIGINT
 
 
 class _UsageError(Exception):
@@ -254,31 +255,6 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-@contextlib.contextmanager
-def _staged(out_dir: Path):
-    """A fresh folder inside ``out_dir``, made with its missing parents.  When the block ends, each file it holds is
-    renamed into ``out_dir``; if it raises, anything at all, the stage and every folder made here are removed."""
-    made = [folder for folder in (out_dir, *out_dir.parents) if not os.path.lexists(folder)]  # the deepest first
-    stage = None
-    try:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise FieldError("out", f"cannot create directory {str(out_dir)!r}: {exc}") from exc
-        stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".dynloc-partial-"))
-        yield stage
-        for name in sorted(os.listdir(stage)):
-            os.replace(stage / name, out_dir / name)
-        stage.rmdir()
-    except BaseException:
-        if stage is not None:
-            shutil.rmtree(stage, ignore_errors=True)
-        for folder in made:
-            with contextlib.suppress(OSError):
-                folder.rmdir()
-        raise
-
-
 def _cmd_sweep(args) -> int:
     if args.workers < 1:
         raise FieldError("workers", f"must be >= 1, got {args.workers}")
@@ -308,9 +284,8 @@ def _cmd_sweep(args) -> int:
     with experiments.renaming(experiments.FIELD_SPEC_KEYS if args.spec is not None else {}):
         if updates:
             spec = dataclasses.replace(spec, **updates)
-        with _staged(out_dir) as stage:
-            for name in ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]:
-                experiments.check_output(out_dir / name, "out", regular=True)
+        names = ["runs.csv", "summary.csv", *(experiments.events_filenames(spec) if args.events else ())]
+        with experiments.staged(out_dir, names) as stage:
             records = experiments.run_sweep(spec, workers=args.workers, events_dir=stage if args.events else None)
             experiments.write_runs_csv(stage / "runs.csv", spec, records)
             experiments.write_summary_csv(stage / "summary.csv", spec, experiments.summarize(spec, records))
@@ -429,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a reader gone from stdout shows here, not in the flush at exit
         return code
+    except KeyboardInterrupt:
+        sys.stderr.write("interrupted\n")
+        return EXIT_INTERRUPTED
     except BrokenPipeError:  # the reader of an output pipe left early, with all it wanted
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again

@@ -20,9 +20,10 @@ Every file starts with ``# dynloc <kind> v1`` and a ``# config {json}`` line
 carrying the exact configuration that produced it (:func:`run_provenance` for
 a run).  One writer lays out every kind, the CLI's ``simulate`` rows and
 oracle tables included, and every file, waypoint text too, is written under a
-``.tmp`` name and renamed into place, but stdout's own file, which goes through
-stdout; :func:`check_output` refuses, before anything runs, a path that write
-cannot take.
+fresh ``.<name>.*.tmp`` name beside it and renamed into place, but stdout's own
+file, which goes through stdout; :func:`check_output` refuses, before anything
+runs, a path that write cannot take.  A sweep's files are written into a stage
+(:func:`staged`) and renamed from it into their folder only when all are done.
 Every trace comes from :func:`make_trace`, which picks the generator a
 :class:`~dynloc.mobility.TraceSpec` names.
 """
@@ -36,8 +37,9 @@ import json
 import math
 import os
 import re
-import stat
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -83,6 +85,7 @@ __all__ = [
     "write_csv",
     "write_waypoints",
     "check_output",
+    "staged",
     "read_provenance",
     "spec_to_dict",
     "spec_from_dict",
@@ -671,16 +674,11 @@ def _stdout_file(path: str | os.PathLike) -> bool:
         return False
 
 
-def check_output(
-    path: str | os.PathLike | None, field: str, regular: bool = False, beside: tuple[str, str | None] | None = None
-) -> None:
-    """Refuse, naming ``field``, an output path :func:`_atomic_write` cannot take: a missing folder, a
-    directory at the path, or anything but a regular file at its temp name ``<path>.tmp``.  None passes.
-    With ``regular``, as for a sweep's files, the path itself must be a regular file or absent, and not
-    stdout's file: a write would go through a link out of the folder, block on a pipe with no reader, or
-    be followed in the file by what the command prints.  ``beside`` is the ``(field, path)`` of another
-    output of the same command; the two may be one file only if it is stdout's, which takes both in turn,
-    as the second would otherwise replace the first."""
+def check_output(path: str | os.PathLike | None, field: str, beside: tuple[str, str | None] | None = None) -> None:
+    """Refuse, naming ``field``, an output path :func:`_atomic_write` cannot take: a missing folder or a
+    directory at the path.  None passes.  ``beside`` is the ``(field, path)`` of another output of the
+    same command; the two may be one file only if it is stdout's, which takes both in turn, as the
+    second would otherwise replace the first."""
     if path is None:
         return
     path = os.fspath(path)
@@ -689,14 +687,6 @@ def check_output(
         raise FieldError(field, f"directory {folder!r} does not exist")
     if os.path.isdir(path):
         raise FieldError(field, f"{path!r} is a directory")
-    with contextlib.suppress(FileNotFoundError):
-        if not stat.S_ISREG(os.lstat(path + ".tmp").st_mode):
-            raise FieldError(field, f"{path + '.tmp'!r}, the temp name of {path!r}, is not a regular file")
-    with contextlib.suppress(FileNotFoundError):
-        if regular and not stat.S_ISREG(os.lstat(path).st_mode):
-            raise FieldError(field, f"{path!r} is not a regular file")
-    if regular and _stdout_file(path):
-        raise FieldError(field, f"{path!r} is the file stdout writes to")
     if beside is not None and beside[1] is not None and not _stdout_file(path):
         try:
             one_file = os.path.samefile(path, beside[1])
@@ -708,16 +698,17 @@ def check_output(
 
 @contextlib.contextmanager
 def _atomic_write(path: str | os.PathLike | None):
-    """Write ``path`` through ``<path>.tmp`` and a rename; on error remove the temp, keep ``path``.
+    """Write ``path`` through a fresh ``.<name>.<16 hex digits>.tmp`` beside it and a rename; on error
+    remove the temp, keep ``path``.
 
     ``None`` writes to ``sys.stdout`` as it is at the call, and so does a path
     to the file descriptor 1 has open (``/dev/stdout``, or a file stdout is
     redirected to), after what stdout holds: opening that file anew would
     truncate it, and a rename would leave stdout writing to the replaced file.
     Any other symlink, pipe or device is written in place: a rename would
-    replace the link or node instead of writing through it.  A stale regular
-    temp file is removed; anything else at the temp name fails the write
-    untouched.
+    replace the link or node instead of writing through it.  The temp is
+    opened exclusively, with the mode ``open(path, "w")`` would give; anything
+    already at its name fails the write untouched.
     """
     if path is None or _stdout_file(path):
         yield sys.stdout
@@ -727,10 +718,8 @@ def _atomic_write(path: str | os.PathLike | None):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = path + ".tmp"
-    with contextlib.suppress(FileNotFoundError):
-        if stat.S_ISREG(os.lstat(tmp).st_mode):
-            os.unlink(tmp)
+    folder, name = os.path.split(path)
+    tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")  # follows no link, opens no FIFO
     try:
         with fh:
@@ -739,6 +728,36 @@ def _atomic_write(path: str | os.PathLike | None):
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+        raise
+
+
+@contextlib.contextmanager
+def staged(out_dir: Path, names: Iterable[str]):
+    """A fresh ``.dynloc-partial-*`` folder inside ``out_dir``, made with its missing parents, once no
+    directory sits at any of ``names`` there (:func:`check_output`, naming ``out``).  When the block ends,
+    each file the stage holds is renamed into ``out_dir``, replacing whatever has its name, a link, pipe
+    or device too, rather than writing through it.  If the block raises, anything at all, the stage and
+    every folder made here are removed, so ``out_dir`` is as it was."""
+    made = [folder for folder in (out_dir, *out_dir.parents) if not os.path.lexists(folder)]  # the deepest first
+    stage = None
+    try:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise FieldError("out", f"cannot create directory {str(out_dir)!r}: {exc}") from exc
+        for name in names:
+            check_output(out_dir / name, "out")
+        stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".dynloc-partial-"))
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(stage / name, out_dir / name)
+        stage.rmdir()
+    except BaseException:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for folder in made:
+            with contextlib.suppress(OSError):
+                folder.rmdir()
         raise
 
 

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynloc import cli, experiments, mobility, oracles
-from dynloc.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
+from dynloc.cli import EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, console_main, main
 from dynloc.experiments import SUMMARY_COLUMNS, read_provenance
 from dynloc.protocols import PROTOCOLS, ProtocolKind, sfr_step
 
@@ -642,57 +642,24 @@ def _main_in_child(argv: list[str], seconds: float = 10.0) -> tuple[int, str]:
 _TINY_SWEEP = ["sweep", "--out", "{folder}", "--repetitions", "1", "--duration", "20", "--pause-times", "0"]
 _SIMULATE = ["simulate", "--protocol", "sfr", "--duration", "10"]
 
-# Each file a command writes: the command ({path} is the file, {folder} the folder it is in), its
-# name, and the field of the flag that names it.
+# Files a command writes: the command ({path} is the file, {folder} the folder it is in) and its name.
 _OUTPUT_FILES = {
-    "sweep-runs": (_TINY_SWEEP, "runs.csv", "out"),
-    "sweep-summary": (_TINY_SWEEP, "summary.csv", "out"),
-    "sweep-events": ([*_TINY_SWEEP, "--events"], "events_s8-10_p0_madrd_r0.csv", "out"),
-    "simulate-out": ([*_SIMULATE, "--out", "{path}"], "row.csv", "out"),
-    "simulate-events-out": ([*_SIMULATE, "--events-out", "{path}"], "events.csv", "events-out"),
-    "oracle-out": (["oracle", "--turn", "--steps", "5", "--out", "{path}"], "table.csv", "out"),
-    "import-trace-out": (["import-trace", "--in", "{waypoints}", "--out", "{path}"], "trace.txt", "out"),
-    "export-trace-out": (["export-trace", "--duration", "10", "--out", "{path}"], "trace.txt", "out"),
+    "sweep-runs": (_TINY_SWEEP, "runs.csv"),
+    "sweep-summary": (_TINY_SWEEP, "summary.csv"),
+    "sweep-events": ([*_TINY_SWEEP, "--events"], "events_s8-10_p0_madrd_r0.csv"),
+    "simulate-out": ([*_SIMULATE, "--out", "{path}"], "row.csv"),
+    "simulate-events-out": ([*_SIMULATE, "--events-out", "{path}"], "events.csv"),
+    "oracle-out": (["oracle", "--turn", "--steps", "5", "--out", "{path}"], "table.csv"),
+    "import-trace-out": (["import-trace", "--in", "{waypoints}", "--out", "{path}"], "trace.txt"),
+    "export-trace-out": (["export-trace", "--duration", "10", "--out", "{path}"], "trace.txt"),
 }
 
 
-@pytest.mark.parametrize("planted", ["directory", "symlink", "fifo"])
-@pytest.mark.parametrize("command", list(_OUTPUT_FILES))
-def test_anything_but_a_file_at_a_temp_name_is_rejected_before_any_run(tmp_path, monkeypatch, command, planted):
-    def no_run(*args, **kwargs):
-        raise AssertionError("ran before the output paths were checked")
-
-    for module, name in ((cli, "run"), (experiments, "run_sweep"), (experiments, "make_trace")):
-        monkeypatch.setattr(module, name, no_run)
-    argv, name, field = _OUTPUT_FILES[command]
-    folder, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
-    folder.mkdir()
-    elsewhere.mkdir()
-    target, waypoints = elsewhere / "target.csv", elsewhere / "waypoints.txt"
-    target.write_bytes(b"keep\n")
-    waypoints.write_text("0 0 0 10 10 0\n")
-    path = folder / name
-    temp = folder / (name + ".tmp")
-    if planted == "directory":
-        temp.mkdir()
-    elif planted == "symlink":
-        temp.symlink_to(target)
-    else:
-        os.mkfifo(temp)
-
-    values = {"folder": folder, "path": path, "waypoints": waypoints}
-    code, err = _main_in_child([arg.format(**values) for arg in argv])
-    assert code == EXIT_VALIDATION, err
-    assert f"field '{field}': {str(temp)!r}, the temp name of {str(path)!r}, is not a regular file" in err
-    assert [p.name for p in folder.iterdir()] == [temp.name]
-    assert target.read_bytes() == b"keep\n"
-    if planted == "symlink":
-        assert os.readlink(temp) == str(target)
-
-
 def _plant(kind: str, path: Path, target: Path) -> None:
-    """Put a ``kind`` of node that is not a regular file at ``path``; a symlink points at ``target``."""
-    if kind == "symlink":
+    """Put a ``kind`` of entry that is not a regular file at ``path``; a symlink points at ``target``."""
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "symlink":
         path.symlink_to(target)
     elif kind == "fifo":
         os.mkfifo(path)
@@ -706,27 +673,48 @@ def _plant(kind: str, path: Path, target: Path) -> None:
             pytest.skip("making a device node needs privileges this process lacks")
 
 
+@pytest.mark.parametrize("planted", ["directory", "symlink", "fifo"])
+@pytest.mark.parametrize("command", list(_OUTPUT_FILES))
+def test_an_entry_at_the_old_temp_name_is_left_as_it_is(tmp_path, command, planted):
+    # A file's temp name is fresh, so nothing at <path>.tmp is refused, replaced or written through; a
+    # sweep's files are written through its stage, every other file beside itself.  About 0.01 s each.
+    argv, name = _OUTPUT_FILES[command]
+    folder, target, waypoints = tmp_path / "out", tmp_path / "target.csv", tmp_path / "waypoints.txt"
+    folder.mkdir()
+    target.write_bytes(b"keep\n")
+    waypoints.write_text("0 0 0 10 10 0\n")
+    old_temp = folder / (name + ".tmp")
+    _plant(planted, old_temp, target)
+
+    values = {"folder": folder, "path": folder / name, "waypoints": waypoints}
+    code, err = _main_in_child([arg.format(**values) for arg in argv])
+    assert code == EXIT_OK, err
+    written = {name, "runs.csv", "summary.csv"} if command.startswith("sweep") else {name}
+    others = {p.name for p in folder.iterdir() if p.name in (name, old_temp.name) or not p.name.startswith("events_")}
+    assert others == {*written, old_temp.name}  # besides the sweep's other events files
+    assert (folder / name).read_text().startswith("0.0 " if command.endswith("trace-out") else "# dynloc ")
+    assert old_temp.is_dir() == (planted == "directory") and old_temp.is_fifo() == (planted == "fifo")
+    assert not old_temp.is_symlink() or os.readlink(old_temp) == str(target)
+    assert target.read_bytes() == b"keep\n"
+
+
 @pytest.mark.parametrize("planted", ["symlink", "fifo", "socket", "device"])
 @pytest.mark.parametrize("command", ["sweep-runs", "sweep-summary", "sweep-events"])
-def test_anything_but_a_file_at_a_sweep_output_is_rejected_before_any_run(tmp_path, monkeypatch, command, planted):
-    # A sweep writes only regular files in its folder: a link would take the rows outside it,
-    # and a FIFO would hang the sweep after its last cell.
-    def no_run(*args, **kwargs):
-        raise AssertionError("ran before the output paths were checked")
-
-    for module, name in ((experiments, "run_sweep"), (experiments, "make_trace")):
-        monkeypatch.setattr(module, name, no_run)
+def test_a_sweep_replaces_a_link_or_node_at_its_output_name(tmp_path, monkeypatch, command, planted):
+    # A sweep's files reach --out by a rename from its stage, which replaces the link or node at the
+    # name rather than writing through it: no row leaves --out, and no write blocks on a FIFO.
     monkeypatch.chdir(tmp_path)  # relative paths, short enough for a socket's address
-    argv, name, _ = _OUTPUT_FILES[command]
+    argv, name = _OUTPUT_FILES[command]
     folder, target = Path("out"), tmp_path / "outside.csv"
     folder.mkdir()
     target.write_bytes(b"keep\n")
     _plant(planted, folder / name, target)
 
     code, err = _main_in_child([arg.format(folder=folder) for arg in argv])
-    assert code == EXIT_VALIDATION, err
-    assert f"field 'out': {str(folder / name)!r} is not a regular file" in err
-    assert [p.name for p in folder.iterdir()] == [name]
+    assert code == EXIT_OK, err
+    assert (folder / name).is_file() and not (folder / name).is_symlink()
+    assert (folder / name).read_text().startswith("# dynloc ")
+    assert [p.name for p in folder.iterdir() if p.name.startswith(".")] == []
     assert target.read_bytes() == b"keep\n"
 
 
@@ -791,16 +779,16 @@ def test_out_and_events_out_at_one_file_exit_2_naming_both(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-def test_a_sweep_file_stdout_is_redirected_to_exits_2_before_any_run(tmp_path):
+def test_a_sweep_replaces_the_file_stdout_is_redirected_to(tmp_path):
     out_dir = tmp_path / "D"
     out_dir.mkdir()
     argv = [sys.executable, "-m", "dynloc.cli", *_TINY_SWEEP]
     argv[argv.index("{folder}")] = str(out_dir)
     with open(out_dir / "runs.csv", "wb") as out:
         done = subprocess.run(argv, stdout=out, stderr=subprocess.PIPE, env=_child_env(), timeout=60)
-    assert done.returncode == EXIT_VALIDATION
-    assert done.stderr.decode() == f"validation error: field 'out': {str(out_dir / 'runs.csv')!r} is the file stdout writes to\n"
-    assert [(p.name, p.stat().st_size) for p in out_dir.iterdir()] == [("runs.csv", 0)]
+    assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["runs.csv", "summary.csv"]
+    assert (out_dir / "runs.csv").read_text().startswith("# dynloc runs v1\n")
 
 
 def test_serial_commands_never_load_the_process_pool(tmp_path):
@@ -1641,8 +1629,12 @@ def test_a_sweep_refused_in_a_later_cell_leaves_the_earlier_sweeps_files_as_they
     assert _folder_bytes(out_dir) == before
 
 
-@pytest.mark.parametrize("raised, code", [(RuntimeError, EXIT_RUNTIME), (KeyboardInterrupt, None)], ids=["crash", "interrupt"])
-def test_an_exception_in_a_cell_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, raised, code):
+@pytest.mark.parametrize(
+    "raised, code, err",
+    [(RuntimeError, EXIT_RUNTIME, "runtime error: RuntimeError: injected\n"), (KeyboardInterrupt, EXIT_INTERRUPTED, "interrupted\n")],
+    ids=["crash", "interrupt"],
+)
+def test_an_exception_in_a_cell_leaves_out_as_it_was(tmp_path, monkeypatch, capsys, raised, code, err):
     # The second cell raises after the first has written its event logs into the stage; about 0.01 s.
     out_dir = tmp_path / "D"
     out_dir.mkdir()
@@ -1656,12 +1648,8 @@ def test_an_exception_in_a_cell_leaves_out_as_it_was(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(experiments, "_run_cell", second_cell_raises)
     argv = [arg.format(folder=out_dir) for arg in [*_TINY_SWEEP, "--repetitions", "2", "--events"]]
-    if code is None:
-        with pytest.raises(raised):
-            main(argv)
-    else:
-        assert main(argv) == code
-        assert capsys.readouterr().err == f"runtime error: {raised.__name__}: injected\n"
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
     assert _folder_bytes(out_dir) == {"runs.csv": b"kept\n"}
 
 

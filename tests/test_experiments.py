@@ -29,12 +29,14 @@ from dynloc.experiments import (
     class_label,
     default_bundle,
     default_gauss_markov_bundle,
+    events_filenames,
     parse_spec_file,
     read_provenance,
     resolve_protocol_config,
     run_sweep,
     spec_from_dict,
     spec_to_dict,
+    staged,
     summarize,
     write_csv,
     write_events_csv,
@@ -312,12 +314,14 @@ def test_batched_pool_sweep_writes_the_serial_bytes(tmp_path, monkeypatch, pools
 
 
 def test_sweep_writes_one_events_file_per_run(tmp_path):
-    spec = _tiny_spec(repetitions=1)
+    # events_filenames is all a sweep checks at --out before it runs, so it must name what the cells write.
+    spec = _tiny_spec(repetitions=2)
     events_dir = tmp_path / "events"
     events_dir.mkdir()  # run_sweep writes into a folder that exists
     run_sweep(spec, events_dir=events_dir)
     names = sorted(p.name for p in events_dir.iterdir())
-    assert len(names) == 2 * 2 * 2  # classes * pauses * protocols, 1 rep
+    assert names == sorted(events_filenames(spec))
+    assert len(names) == 2 * 2 * 2 * 2  # classes * pauses * protocols * reps
     assert "events_s0.5-1_p0_sfr_r0.csv" in names
     assert "events_s4-5_p30_madrd_r0.csv" in names
 
@@ -833,12 +837,14 @@ def test_write_through_a_symlink_keeps_the_link(tmp_path):
 
 @pytest.mark.parametrize("existing", [False, True])
 @pytest.mark.parametrize("planted", ["symlink", "directory"])
-def test_an_entry_planted_at_the_temp_name_after_the_check_fails_the_write_untouched(tmp_path, planted, existing):
+def test_an_entry_planted_at_the_temp_name_after_the_check_fails_the_write_untouched(
+    tmp_path, monkeypatch, planted, existing
+):
     folder = tmp_path / "out"
     folder.mkdir()
     outside = tmp_path / "outside.csv"
     outside.write_text("keep\n")
-    path, temp = folder / "runs.csv", folder / "runs.csv.tmp"
+    path, temp = folder / "runs.csv", folder / f".runs.csv.{'00' * 8}.tmp"
     if existing:
         path.write_text("old\n")
     check_output(path, "out")
@@ -846,24 +852,30 @@ def test_an_entry_planted_at_the_temp_name_after_the_check_fails_the_write_untou
         temp.symlink_to(outside)
     else:
         temp.mkdir()
+    monkeypatch.setattr(os, "urandom", bytes)  # the temp name's 8 random bytes, all zero
     with pytest.raises(FileExistsError):
         with _atomic_write(path) as fh:
             fh.write("new\n")
-    assert sorted(p.name for p in folder.iterdir()) == (["runs.csv"] if existing else []) + ["runs.csv.tmp"]
+    assert sorted(p.name for p in folder.iterdir()) == [temp.name] + (["runs.csv"] if existing else [])
     assert temp.is_symlink() == (planted == "symlink") and temp.is_dir() == (planted == "directory")
     assert outside.read_text() == "keep\n"
     if existing:
         assert path.read_text() == "old\n"
 
 
-def test_a_stale_temp_file_is_replaced(tmp_path):
-    path = tmp_path / "runs.csv"
-    (tmp_path / "runs.csv.tmp").write_text("left by a killed write\n")
-    check_output(path, "out")
-    with _atomic_write(path) as fh:
-        fh.write("new\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["runs.csv"]
-    assert path.read_text() == "new\n"
+def test_an_output_file_has_the_mode_a_plain_open_gives(tmp_path):
+    # A temp made by tempfile.mkstemp would be 0600, whatever the umask.
+    umask = os.umask(0o022)
+    try:
+        with open(tmp_path / "plain.csv", "w"):
+            pass
+        write_csv(tmp_path / "written.csv", "oracle", {}, ["x"], [[1.0]])
+        with staged(tmp_path / "D", ["runs.csv"]) as stage:
+            write_csv(stage / "runs.csv", "runs", {}, ["x"], [[1.0]])
+    finally:
+        os.umask(umask)
+    modes = [oct(p.stat().st_mode) for p in (tmp_path / "plain.csv", tmp_path / "written.csv", tmp_path / "D" / "runs.csv")]
+    assert modes == modes[:1] * 3
 
 
 def test_csv_round_trip_with_provenance(tmp_path):
