@@ -33,8 +33,8 @@ command would not read (``simulate --protocol sfr --t-max 3``, ``--node`` withou
 ``--trace-file``, a generator flag such as ``--speed`` with it, ``sweep --bundle`` with
 ``--spec``) is a validation error too, and so are a waypoint file with no waypoint line, named
 by its flag (``in``, ``trace-file``), and a table of more ``oracle --steps`` than a trace's
-grid may have.  Every output path goes through :func:`~dynloc.experiments.check_output`
-before anything runs.  A file reaches its name by one rename: from a fresh ``.<name>.*.tmp`` beside
+grid may have.  Every output path is checked before anything runs, a sweep's by
+:func:`~dynloc.experiments.staged`, every other by :func:`~dynloc.experiments.check_output`.  A file reaches its name by one rename: from a fresh ``.<name>.*.tmp`` beside
 it, or for a sweep from a fresh ``.dynloc-partial-*`` folder inside ``--out`` once both tables are
 written, so a command that fails leaves its outputs as they were.  A path that is stdout's own file
 (``/dev/stdout``, or the file stdout is redirected to) is written through stdout instead, but for a

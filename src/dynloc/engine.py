@@ -82,12 +82,13 @@ _SCHED_EPS = 1e-9
 _NOISE_CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig(ByName):
     """The inputs of one run.
 
     ``noise_max`` bounds each fix's displacement, in meters; the class of ``protocol_config`` names the
     protocol (:attr:`protocol`).  ``seed`` is the noise seed, never a flag's or a spec's: :meth:`of` is given it.
+    ``==`` is identity, as for the trace it holds.
     """
 
     trace: MobilityTrace
@@ -175,9 +176,10 @@ class Workspace:
 
     def __init__(self) -> None:
         self._block = np.empty((SCRATCH_ROWS, 0))
-        # grid(samples, dt) is (due, kept).  A fix requested at ``r`` fires at step ``bisect_left(due, r)``: ``due``
-        # is ``times + eps`` as a list, ``np.searchsorted`` without its per-call overhead.  ``kept`` holds read-only
-        # fixed-rate fix steps keyed by the bits of a period; it starts empty for each grid, and run fills it.
+        # grid(samples, dt) is (due, kept).  After a fix at ``k``, one requested at ``r`` fires at step
+        # ``bisect_left(due, r, k + 1)``: ``due`` is ``times + eps`` as a list, ``np.searchsorted`` without its
+        # per-call overhead.  ``kept`` holds read-only fixed-rate fix steps keyed by the bits of a period; it
+        # starts empty for each grid, and run fills it.
         self.grid = lru_cache(maxsize=1)(lambda samples, dt: ((grid_times(samples, dt) + _SCHED_EPS).tolist(), {}))
         self._noise_key: tuple | None = None
         self._rng: np.random.Generator | None = None
@@ -213,7 +215,7 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
     """The fixes of a run: one walk over the grid, one ``step`` call per fix.
 
     A fix at step ``k`` requesting the next one at ``r`` fires it at the first
-    step ``j`` with ``times[j] + eps >= r``, or at ``k + 1`` if that is later.
+    step ``j`` after ``k`` with ``times[j] + eps >= r``.
     A fix whose request does not come after it raises naming the field that
     floors the period: ``t_min`` if the config has one (a period >= ``t_min``
     with ``t + period == t`` means ``t + t_min == t``), else ``period``.  A NaN
@@ -257,8 +259,7 @@ def _fixes(cfg: RunConfig, kind: ProtocolKind, ws: Workspace) -> Fixes:
             raise FieldError(floor, f"the next fix must come after the fix at t={t}, got {next_t}")
         fix_steps.append(k)
         rows.append(row)
-        j = bisect_left(due, next_t)
-        k = j if j > k else k + 1
+        k = bisect_left(due, next_t, k + 1)
         if k >= n:
             break
         if i == len(dxs):

@@ -507,57 +507,39 @@ def run_sweep(
 # ---------------------------------------------------------------------------
 
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    return mean, std
-
-
 def summarize(spec: SweepSpec, records: Sequence[RunRecord]) -> list[SummaryRow]:
     """Aggregate the records of one whole :func:`run_sweep`, in its order, into one row per cell.
 
-    Grouped by (class, pause, protocol), each group holds its repetitions in
-    order and the groups come in row order.  Ratios pair each repetition, by
-    position, with the first ``sfr``-kind protocol of the same class and pause
-    and are then averaged; with no SFR baseline the ratio columns stay empty.
-    Every run fixes at t = 0, so no ratio divides by zero.
+    Each metric is read once as a (cell, protocol, repetition) array, contiguous along repetitions, so a
+    row's ``mean`` and ``std(ddof=1)`` are numpy's 1-D ones of its group, bit for bit.  Rows come cell by
+    cell, protocol by protocol, labelled from the first record of their group.  Ratios pair each
+    repetition with the same one of the cell's first ``sfr``-kind protocol and are then averaged; with
+    no SFR baseline the ratio columns stay empty.  Every run fixes at t = 0, so no ratio divides by
+    zero.  An empty list gives no rows; any other that does not fill the sweep's layout, by count or by
+    the protocol label at each position, raises ValueError.
     """
-    baseline = next((p.label for p in spec.protocols if p.kind == "sfr"), None)
-    cells: dict[tuple[str, float, str], list[RunRecord]] = {}
-    for r in records:
-        cells.setdefault((r.speed_class, r.pause_time, r.protocol), []).append(r)
+    if not records:
+        return []
+    labels = [p.label for p in spec.protocols]
+    cells, reps, width = len(spec.speed_classes) * len(spec.pause_times), spec.repetitions, len(labels)
+    if len(records) != cells * reps * width or [r.protocol for r in records] != labels * (cells * reps):
+        raise ValueError(f"need {cells} cells x {reps} repetitions x protocols {labels} in sweep order")
 
-    rows: list[SummaryRow] = []
-    for (speed, pause, label), cell in cells.items():
-        ratio = ratio_std = None
-        if baseline is not None:
-            base = cells[speed, pause, baseline]
-            ratio, ratio_std = _mean_std(
-                [r.localization_count / b.localization_count for r, b in zip(cell, base, strict=True)]
-            )
-        mean_n, std_n = _mean_std([r.localization_count for r in cell])
-        mean_e, std_e = _mean_std([r.mean_error for r in cell])
-        mean_a, std_a = _mean_std([r.accuracy for r in cell])
-        mean_c, _ = _mean_std([r.correction_count for r in cell])
-        rows.append(
-            SummaryRow(
-                speed_class=speed,
-                pause_time=pause,
-                protocol=label,
-                upper_threshold=cell[0].upper_threshold,
-                mean_localizations=mean_n,
-                localizations_std=std_n,
-                ratio_to_sfr=ratio,
-                ratio_std=ratio_std,
-                mean_error=mean_e,
-                error_std=std_e,
-                accuracy=mean_a,
-                accuracy_std=std_a,
-                correction_count=mean_c,
-            )
-        )
-    return rows
+    def metric(name: str) -> np.ndarray:
+        values = np.array([getattr(r, name) for r in records], dtype=float).reshape(cells, reps, width)
+        return np.ascontiguousarray(values.transpose(0, 2, 1))
+
+    def mean_std(values: np.ndarray) -> tuple[list[float], list[float]]:
+        std = values.std(axis=-1, ddof=1) if reps > 1 else np.zeros(values.shape[:-1])
+        return values.mean(axis=-1).ravel().tolist(), std.ravel().tolist()
+
+    counts = metric("localization_count")
+    base = next((i for i, p in enumerate(spec.protocols) if p.kind == "sfr"), None)
+    ratios = mean_std(counts / counts[:, base : base + 1]) if base is not None else ([None] * cells * width,) * 2
+    error, accuracy, corrections = (mean_std(metric(name)) for name in ("mean_error", "accuracy", "correction_count"))
+    firsts = chain.from_iterable(records[i : i + width] for i in range(0, len(records), reps * width))
+    columns = zip(firsts, *mean_std(counts), *ratios, *error, *accuracy, corrections[0], strict=True)
+    return [SummaryRow(r.speed_class, r.pause_time, r.protocol, r.upper_threshold, *stats) for r, *stats in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -731,13 +713,23 @@ def _atomic_write(path: str | os.PathLike | None):
         raise
 
 
+def _refuse_directories(out_dir: Path, names: Iterable[str]) -> None:
+    """Refuse, naming ``out``, a directory at any of ``names`` in ``out_dir``; a link to one is not refused,
+    since a rename replaces the link."""
+    for path in (out_dir / name for name in names):
+        if path.is_dir() and not path.is_symlink():
+            raise FieldError("out", f"{str(path)!r} is a directory")
+
+
 @contextlib.contextmanager
 def staged(out_dir: Path, names: Iterable[str]):
     """A fresh ``.dynloc-partial-*`` folder inside ``out_dir``, made with its missing parents, once no
-    directory sits at any of ``names`` there (:func:`check_output`, naming ``out``).  When the block ends,
-    each file the stage holds is renamed into ``out_dir``, replacing whatever has its name, a link, pipe
-    or device too, rather than writing through it.  If the block raises, anything at all, the stage and
-    every folder made here are removed, so ``out_dir`` is as it was."""
+    directory sits at any of ``names`` there.  When the block ends, the names the stage holds are
+    checked the same way again, then each file is renamed into ``out_dir``, replacing whatever has its
+    name, a link (to a directory too), pipe or device, rather than writing through it.  If the block or
+    the check raises, anything at all, the stage and every folder made here are removed, so ``out_dir``
+    is as it was.  A directory made at a name between that check and its rename still fails the
+    publish part-way, with the earlier names already replaced."""
     made = [folder for folder in (out_dir, *out_dir.parents) if not os.path.lexists(folder)]  # the deepest first
     stage = None
     try:
@@ -745,11 +737,12 @@ def staged(out_dir: Path, names: Iterable[str]):
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise FieldError("out", f"cannot create directory {str(out_dir)!r}: {exc}") from exc
-        for name in names:
-            check_output(out_dir / name, "out")
+        _refuse_directories(out_dir, names)
         stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".dynloc-partial-"))
         yield stage
-        for name in sorted(os.listdir(stage)):
+        held = sorted(os.listdir(stage))
+        _refuse_directories(out_dir, held)
+        for name in held:
             os.replace(stage / name, out_dir / name)
         stage.rmdir()
     except BaseException:

@@ -65,10 +65,10 @@ _MAX_REFLECTIONS = 64
 _EXPORT_TRIPLES = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobilityTrace:
     """True path of one node, immutable once built; its time grid is the value ``(len(trace), dt)``, and its
-    ``times`` is derived from it, not given."""
+    ``times`` is derived from it, not given.  ``==`` is identity: compare traces by :meth:`content_hash`."""
 
     node_id: int
     xs: np.ndarray

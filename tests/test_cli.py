@@ -1662,6 +1662,40 @@ def test_a_sweep_publishes_what_its_stage_holds(tmp_path, monkeypatch):
     assert sorted(os.listdir(out_dir)) == ["runs.csv", "summary.csv"]
 
 
+def test_a_sweep_replaces_a_link_to_a_directory_at_its_output_name(tmp_path):
+    # The rename from the stage replaces the link, so only a real directory is refused; about 0.01 s.
+    out_dir, elsewhere = tmp_path / "D", tmp_path / "elsewhere"
+    out_dir.mkdir()
+    elsewhere.mkdir()
+    (elsewhere / "kept.txt").write_text("keep\n")
+    (out_dir / "runs.csv").symlink_to("../elsewhere")
+    assert main([arg.format(folder=out_dir) for arg in _TINY_SWEEP]) == EXIT_OK
+    assert not (out_dir / "runs.csv").is_symlink()
+    assert (out_dir / "runs.csv").read_text().startswith("# dynloc runs v1\n")
+    assert sorted(os.listdir(out_dir)) == ["runs.csv", "summary.csv"]
+    assert _folder_bytes(elsewhere) == {"kept.txt": b"keep\n"}
+
+
+def test_a_directory_made_at_an_output_name_while_the_cells_run_is_refused_before_any_rename(
+    tmp_path, monkeypatch, capsys
+):
+    # The stage's names are checked again right before they are renamed into --out; about 0.01 s.
+    out_dir = tmp_path / "D"
+    out_dir.mkdir()
+    (out_dir / "runs.csv").write_text("old runs\n")
+    run_sweep = experiments.run_sweep
+
+    def plants_a_directory(*args, **kwargs):
+        (out_dir / "summary.csv").mkdir()
+        return run_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_sweep", plants_a_directory)
+    assert main([arg.format(folder=out_dir) for arg in _TINY_SWEEP]) == EXIT_VALIDATION
+    assert f"field 'out': {str(out_dir / 'summary.csv')!r} is a directory" in capsys.readouterr().err
+    assert sorted(os.listdir(out_dir)) == ["runs.csv", "summary.csv"]
+    assert (out_dir / "runs.csv").read_text() == "old runs\n" and os.listdir(out_dir / "summary.csv") == []
+
+
 def test_a_waypoint_trace_past_the_grid_cap_is_refused_naming_the_flags(tmp_path, capsys):
     src = tmp_path / "far.txt"
     src.write_text("0 0 0 1e7 10 10\n")

@@ -57,6 +57,17 @@ def test_event_log_has_one_row_per_grid_step():
     assert columns["t"].tolist() == trace.times.tolist()
 
 
+def test_traces_and_run_configs_compare_and_hash_by_identity():
+    # Value equality would compare arrays, whose truth value is ambiguous.
+    trace = _line_trace(duration=5.0)
+    trace_copy = dataclasses.replace(trace)
+    cfg = RunConfig(trace=trace, protocol_config=SfrConfig(period=2.0))
+    cfg_copy = dataclasses.replace(cfg)
+    assert trace == trace and trace != trace_copy and trace.content_hash() == trace_copy.content_hash()
+    assert cfg == cfg and cfg != cfg_copy
+    assert len({trace, trace_copy, cfg, cfg_copy}) == 4
+
+
 def test_error_at_fix_instants_is_bounded_by_noise():
     trace = _trace(seed=8, duration=120.0)
     result = run(

@@ -396,6 +396,55 @@ def test_summary_without_sfr_leaves_ratios_empty():
     assert rows and all(r.ratio_to_sfr is None and r.ratio_std is None for r in rows)
 
 
+@pytest.mark.parametrize("repetitions", [9, 1])
+def test_each_summary_row_is_numpys_1d_reduction_of_its_group_bit_for_bit(repetitions):
+    # The baseline is the second protocol and the third is sfr-kind too; 9 repetitions take numpy's
+    # pairwise sum, which differs from a sequential one from 8 values on.  About 0.07 s for both cases.
+    spec = _tiny_spec(
+        protocols=(
+            ProtocolSpec("dvm", "dvm", {"t_max": 6.0}),
+            ProtocolSpec("a", "sfr", {"period": 1.0}),
+            ProtocolSpec("b", "sfr", {"period": 3.0}),
+        ),
+        repetitions=repetitions,
+        duration=20.0,
+    )
+    records = run_sweep(spec)
+    groups: dict[tuple, list] = {}
+    for r in records:
+        groups.setdefault((r.speed_class, r.pause_time, r.protocol), []).append(r)
+
+    def mean_std(values):
+        arr = np.array(values, dtype=float)
+        return [float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0]
+
+    expected = []
+    for (speed, pause, label), group in groups.items():
+        base = groups[speed, pause, "a"]
+        ratio = mean_std([r.localization_count / b.localization_count for r, b in zip(group, base, strict=True)])
+        expected.append(
+            (speed, pause, label, group[0].upper_threshold, *mean_std([r.localization_count for r in group]), *ratio,
+             *mean_std([r.mean_error for r in group]), *mean_std([r.accuracy for r in group]),
+             mean_std([r.correction_count for r in group])[0])
+        )
+    def bits(row):
+        return [v.hex() if isinstance(v, float) else v for v in row]
+
+    rows = [dataclasses.astuple(row) for row in summarize(spec, records)]
+    assert len(rows) == 2 * 2 * 3
+    assert [bits(row) for row in rows] == [bits(row) for row in expected]
+
+
+def test_summary_refuses_records_that_do_not_fill_the_sweeps_layout():
+    spec = _tiny_spec(repetitions=1, duration=10.0)
+    records = run_sweep(spec)
+    assert summarize(spec, []) == []
+    swapped = [records[1], records[0], *records[2:]]
+    for wrong in (records[:-1], records + records[:2], swapped):
+        with pytest.raises(ValueError, match=r"need 4 cells x 1 repetitions x protocols \['sfr', 'madrd'\]"):
+            summarize(spec, wrong)
+
+
 def test_summary_single_rep_has_zero_std():
     spec = _one_class_spec()
     rows = summarize(spec, run_sweep(spec))
