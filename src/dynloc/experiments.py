@@ -113,14 +113,32 @@ _LABEL_PATTERN = re.compile(r"[A-Za-z0-9_.-]+")
 _WRITE_ROWS = 256
 
 
+def _typed(kind: type, value, name: str):
+    """``value`` as a ``kind`` by :class:`SweepSpec`'s typing rule; anything else is a FieldError naming ``name``."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        what = {float: "a number", int: "an integer"}.get(kind, f"a {kind.__name__}")
+        raise FieldError(name, f"expected {what}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise FieldError(name, f"an int of {value.bit_length()} bits is too large for a float") from None
+
+
+def _entries(value, name: str, size: int | None = None) -> tuple:
+    """The entries of a list or tuple ``value`` (of ``size`` entries, if given); anything else names ``name``."""
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        raise FieldError(name, f"expected a list{f' of {size} entries' if size else ''}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol in a sweep: a display label, a kind, and its parameters.
 
-    Any numeric parameter may be a list with one entry per speed class, which
-    resolves per cell (the usual case is a per-class ``t_max``).  The label
-    is made of ``[A-Za-z0-9_.-]`` only: it becomes part of file names and of
-    unquoted CSV cells.
+    Each parameter is a float, or a list of floats with one per speed class,
+    which resolves per cell (the usual case is a per-class ``t_max``).  The
+    label is made of ``[A-Za-z0-9_.-]`` only: it becomes part of file names
+    and of unquoted CSV cells.
     """
 
     label: str
@@ -128,10 +146,16 @@ class ProtocolSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not _LABEL_PATTERN.fullmatch(self.label):
+        if not isinstance(self.label, str) or not _LABEL_PATTERN.fullmatch(self.label):
             raise FieldError("protocols", f"label {self.label!r} must match {_LABEL_PATTERN.pattern}")
-        if self.kind not in PROTOCOLS:
+        if not isinstance(self.kind, str) or self.kind not in PROTOCOLS:
             raise FieldError(f"{self.label}.kind", f"must be {'/'.join(PROTOCOLS)}, got {self.kind!r}")
+        if not isinstance(self.params, dict):
+            raise FieldError("protocols", f"params of {self.label!r} must be a dict, got {self.params!r}")
+        self.__dict__["params"] = {  # frozen blocks assignment, not the instance dict
+            key: [_typed(float, v, f"{self.label}.{key}") for v in value] if isinstance(value, (list, tuple))
+            else _typed(float, value, f"{self.label}.{key}") for key, value in self.params.items()
+        }
 
 
 # The sweep fields a cell's TraceSpec fields come from; the others have the same name.
@@ -140,6 +164,15 @@ _CELL_FIELDS = {"speed_class": "speed_classes", "pause_time": "pause_times", "se
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A sweep's speed classes, pause times and protocols, and the scenario every cell of it shares.
+
+    However a spec is built (Python, a spec file, a header, ``dataclasses.replace``), its fields are typed
+    as it is made: each scalar field as the type of its default, where an int counts as a number but a bool
+    only as a bool, and the classes and pauses as tuples of floats.  The types are Python's own: numpy's
+    ``float64`` subclasses ``float`` and passes, its ``int64`` does not subclass ``int`` and is refused.  Any
+    other value, an int too large for a float too, is a FieldError naming its field.
+    """
+
     speed_classes: tuple[tuple[float, float], ...]
     pause_times: tuple[float, ...]
     protocols: tuple[ProtocolSpec, ...]
@@ -158,6 +191,16 @@ class SweepSpec:
     backtracking_enabled: bool = False
 
     def __post_init__(self) -> None:
+        self.__dict__.update(
+            {f.name: _typed(type(f.default), getattr(self, f.name), f.name)
+             for f in dataclasses.fields(self) if f.default is not dataclasses.MISSING},
+            speed_classes=tuple(tuple(_typed(float, v, "speed_classes") for v in _entries(c, "speed_classes", 2))
+                                for c in _entries(self.speed_classes, "speed_classes")),
+            pause_times=tuple(_typed(float, p, "pause_times") for p in _entries(self.pause_times, "pause_times")),
+            protocols=_entries(self.protocols, "protocols"),
+        )
+        if not all(isinstance(p, ProtocolSpec) for p in self.protocols):
+            raise FieldError("protocols", f"expected ProtocolSpec entries, got {self.protocols!r}")
         # TraceSpec reads the gm_* fields of a Gauss-Markov trace only, but every header records them.
         for name in GAUSS_MARKOV_FIELDS:
             if not math.isfinite(getattr(self, name)):
@@ -555,78 +598,25 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     return d
 
 
-# The JSON types a scalar SweepSpec field accepts, by the type of its default.
-_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str}
-
-
-def _is_json(kind: type, value) -> bool:
-    """Whether ``value`` is one of ``kind``'s JSON types.
-
-    A bool is an int to ``isinstance``, so it counts for a bool field only.
-    """
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, _JSON_TYPES[kind])
-
-
-def _json_scalar(f: dataclasses.Field, value):
-    """``value`` cast to the type of ``f``'s default; it must be of that type's JSON types."""
-    kind = type(f.default)
-    if not _is_json(kind, value):
-        raise FieldError(f.name, f"expected a {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def _json_pause_times(value) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(_is_json(float, p) for p in value):
-        raise FieldError("pause_times", f"expected a list of numbers, got {value!r}")
-    return tuple(float(p) for p in value)
-
-
-def _json_speed_classes(value) -> tuple[tuple[float, float], ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(_is_json(float, v) for v in c) for c in value
-    ):
-        raise FieldError("speed_classes", f"expected a list of [lo, hi] number pairs, got {value!r}")
-    return tuple((float(lo), float(hi)) for lo, hi in value)
-
-
-def _json_param(name: str, value):
-    """A protocol parameter: a JSON number or a list of them, cast to float as a float field is."""
-    if not all(_is_json(float, v) for v in (value if isinstance(value, list) else [value])):
-        raise FieldError(name, f"expected a number or a list of numbers, got {value!r}")
-    return [float(v) for v in value] if isinstance(value, list) else float(value)
-
-
-def _json_protocols(value) -> tuple[ProtocolSpec, ...]:
-    if not isinstance(value, list) or not all(
-        isinstance(p, dict) and set(p) == {"label", "kind", "params"}
-        and isinstance(p["label"], str) and isinstance(p["kind"], str) and isinstance(p["params"], dict)
-        for p in value
-    ):
-        raise FieldError("protocols", f"expected a list of {{label, kind, params}} objects, got {value!r}")
-    return tuple(
-        ProtocolSpec(p["label"], p["kind"], {k: _json_param(f"{p['label']}.{k}", v) for k, v in p["params"].items()})
-        for p in value
-    )
-
-
 def spec_from_dict(d: dict) -> SweepSpec:
-    """The spec of a JSON-typed dict as :func:`spec_to_dict` writes it; the one place a spec is typed."""
+    """The spec of a dict as :func:`spec_to_dict` writes it, a header's ``# config`` line among them.
+
+    This is the JSON adapter only: it refuses a ``d`` that is not an object, a key that is not a
+    field, a missing field, and a protocol entry that is not a ``{label, kind, params}`` object.
+    :class:`SweepSpec` and :class:`ProtocolSpec` type every value, as they do for any other caller.
+    """
     if not isinstance(d, dict):
         raise FieldError("config", f"expected a JSON object, got {d!r}")
-    fields = dataclasses.fields(SweepSpec)
-    extra = sorted(set(d) - {f.name for f in fields})
-    if extra:
-        raise FieldError(extra[0], "not a sweep parameter")
-    try:
-        return SweepSpec(
-            speed_classes=_json_speed_classes(d["speed_classes"]),
-            pause_times=_json_pause_times(d["pause_times"]),
-            protocols=_json_protocols(d["protocols"]),
-            # Every scalar field has a default, and its type checks and casts the JSON value.
-            **{f.name: _json_scalar(f, d[f.name]) for f in fields if f.default is not dataclasses.MISSING},
-        )
-    except KeyError as exc:
-        raise FieldError(exc.args[0], "missing from provenance config") from exc
+    names = {f.name for f in dataclasses.fields(SweepSpec)}
+    if set(d) != names:
+        key = min(set(d) - names or names - set(d))
+        raise FieldError(key, "not a sweep parameter" if key in d else "missing from provenance config")
+    protocols = d["protocols"]
+    if not isinstance(protocols, list) or not all(
+        isinstance(p, dict) and set(p) == {"label", "kind", "params"} for p in protocols
+    ):
+        raise FieldError("protocols", f"expected a list of {{label, kind, params}} objects, got {protocols!r}")
+    return SweepSpec(**{**d, "protocols": tuple(ProtocolSpec(**p) for p in protocols)})
 
 
 def _fmt(value) -> str:
@@ -887,7 +877,7 @@ def parse_spec_file(text: str) -> SweepSpec:
     names one protocol (section name is the label, optional ``kind`` key
     defaults to the label).  Numeric protocol parameters accept a
     comma-separated list with one entry per speed class.  Values are literal
-    (no ``%`` interpolation), and :func:`spec_from_dict` types the dict they make.
+    (no ``%`` interpolation); :class:`SweepSpec` types them as it types every spec.
     """
     import configparser
 
@@ -922,13 +912,12 @@ def parse_spec_file(text: str) -> SweepSpec:
         except ValueError as exc:
             raise FieldError(key, str(exc)) from exc
     # A protocol parameter of one value is a number, of more a per-class list.
-    d["protocols"] = [
-        {"label": label, "kind": body.get("kind", label), "params": {
+    d["protocols"] = tuple(
+        ProtocolSpec(label, body.get("kind", label), {
             key: values[0] if len(values := parse_number_list(raw, f"{label}.{key}")) == 1 else values
             for key, raw in body.items() if key != "kind"
-        }}
-        for label, body in parser.items()
-        if label not in ("sweep", parser.default_section)
-    ]
+        })
+        for label, body in parser.items() if label not in ("sweep", parser.default_section)
+    )
     with renaming(FIELD_SPEC_KEYS):
-        return spec_from_dict(d)
+        return SweepSpec(**d)

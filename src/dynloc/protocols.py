@@ -119,7 +119,9 @@ def madrd_predict(x, y, vx, vy, elapsed):
     Returns ``(x + vx * elapsed, y + vy * elapsed)``, for floats or for
     equal-length arrays alike: the engine calls it once per MADRD run on the
     columns of the reported track.  Array ``vx``/``vy`` are overwritten with
-    the result and returned, so a call allocates nothing.
+    the result and returned, so a call allocates nothing: the engine's columns
+    are its own, and new ones would be grid-long arrays faulted in at every
+    run (see :meth:`~dynloc.engine.Workspace.scratch`).
     """
     vx *= elapsed
     vx += x

@@ -484,6 +484,8 @@ def test_spec_from_dict_rejects_unknown_keys():
         ("speed_classes", [["4", 5]]),
         ("speed_classes", [[True, 5]]),
         ("speed_classes", "x"),
+        # An int too large for a float is refused, not an OverflowError.
+        ("duration", 10**400),
     ]
     for key, value in wrong:
         d = {**spec_to_dict(_tiny_spec()), key: value}
@@ -508,6 +510,7 @@ _SFR_ENTRY = {"label": "sfr", "kind": "sfr", "params": {"period": 2.0}}
         pytest.param([{**_SFR_ENTRY, "weight": 1}], "protocols", id="extra_key"),
         pytest.param({"sfr": _SFR_ENTRY}, "protocols", id="protocols_object"),
         pytest.param([{**_SFR_ENTRY, "kind": "zzz"}], "sfr.kind", id="unknown_kind"),
+        pytest.param([{**_SFR_ENTRY, "params": {"period": 10**400}}], "sfr.period", id="int_past_float"),
     ],
 )
 def test_spec_from_dict_rejects_mistyped_protocols(protocols, field):
@@ -518,6 +521,60 @@ def test_spec_from_dict_rejects_mistyped_protocols(protocols, field):
 def test_spec_from_dict_rejects_a_config_that_is_not_an_object():
     with pytest.raises(ValueError, match="field 'config'"):
         spec_from_dict([spec_to_dict(_tiny_spec())])
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        pytest.param("repetitions", lambda: _tiny_spec(repetitions=1.5), id="float_repetitions"),
+        pytest.param("repetitions", lambda: _tiny_spec(repetitions=True), id="bool_repetitions"),
+        pytest.param("speed_classes", lambda: _tiny_spec(speed_classes=(("4", "5"),)), id="string_class"),
+        pytest.param("speed_classes", lambda: _tiny_spec(speed_classes=((4.0, 5.0, 6.0),)), id="class_triple"),
+        pytest.param("pause_times", lambda: _tiny_spec(pause_times=5.0), id="pause_scalar"),
+        pytest.param("repetitions", lambda: dataclasses.replace(_tiny_spec(), repetitions=2.5), id="replace"),
+        pytest.param("duration", lambda: _tiny_spec(duration=10**400), id="int_past_float"),
+        # numpy's int64 is not a Python int, so the spec types refuse it (its float64 is a float).
+        pytest.param("seed_base", lambda: _tiny_spec(seed_base=np.int64(77)), id="numpy_int"),
+        pytest.param("protocols", lambda: _tiny_spec(protocols=({"label": "sfr", "kind": "sfr", "params": {}},)),
+                     id="protocol_dict"),
+        pytest.param("sfr.period", lambda: ProtocolSpec("sfr", "sfr", {"period": "2"}), id="string_param"),
+        pytest.param("sfr.period", lambda: ProtocolSpec("sfr", "sfr", {"period": [2.0, None]}), id="none_in_list"),
+    ],
+)
+def test_spec_types_refuse_a_value_of_another_type_naming_its_field(field, build):
+    # Raised as the spec is built, so before any run: repetitions=1.5 once failed in range() mid-sweep.
+    with pytest.raises(FieldError) as refused:
+        build()
+    assert refused.value.fields == (field,)
+
+
+def test_spec_types_cast_ints_lists_and_numpy_floats():
+    spec = _tiny_spec(
+        speed_classes=[[0.5, 1], (4, np.float64(5))],
+        pause_times=[0, 30],
+        protocols=[ProtocolSpec("sfr", "sfr", {"period": 2}), ProtocolSpec("madrd", "madrd", {"t_max": (10, 6)})],
+        repetitions=2,
+        duration=np.float64(60),
+    )
+    assert spec == _tiny_spec()
+    assert spec_to_dict(spec) == spec_to_dict(_tiny_spec())
+    assert type(spec.duration) is float and type(spec.speed_classes[1][1]) is float
+
+
+def test_a_python_spec_of_ints_and_lists_regenerates_from_its_header(tmp_path):
+    spec = SweepSpec(
+        speed_classes=[(4, 5)],
+        pause_times=[0],
+        protocols=[ProtocolSpec("sfr", "sfr", {"period": 2}), ProtocolSpec("dvm", "dvm", {"t_max": [6]})],
+        repetitions=1,
+        duration=20,
+    )
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    write_runs_csv(first, spec, run_sweep(spec))
+    recovered = spec_from_dict(read_provenance(first))
+    write_runs_csv(again, recovered, run_sweep(recovered))
+    assert recovered == spec
+    assert again.read_bytes() == first.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -111,8 +111,13 @@ def test_rwp_time_averaged_speed_is_the_logarithmic_mean_of_its_class(speed_clas
     # just before) is left out, as it cuts a corner.  The three classes take about 0.15 s.
     a, b = speed_class
     leg_speeds = [_step_speeds(_rwp(seed, speed_class=speed_class, pause_time=0.0)) for seed in range(traces)]
-    speed = np.mean([s[1:][np.isclose(s[1:], s[:-1], rtol=1e-9, atol=0)].mean() for s in leg_speeds])
-    assert speed == pytest.approx((b - a) / math.log(b / a), rel=rel)
+    kept = [s[1:][np.isclose(s[1:], s[:-1], rtol=1e-9, atol=0)] for s in leg_speeds]
+    assert np.mean([s.mean() for s in kept]) == pytest.approx((b - a) / math.log(b / a), rel=rel)
+    # The time spent at speed v goes as 1/v, so the median step speed is sqrt(a * b).  Taken over the kept
+    # steps of all traces, at seed bases 0, 1000, ..., 19000, 8:10's median strayed at most 0.27% from it,
+    # while the midpoint (a + b) / 2 lies 0.62% away; 4:5 strayed up to 1.2% and 0.5:1 up to 6.2%.
+    if speed_class == (8.0, 10.0):
+        assert np.median(np.concatenate(kept)) == pytest.approx(math.sqrt(a * b), rel=0.003)
 
 
 # ---------------------------------------------------------------------------
